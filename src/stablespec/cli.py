@@ -20,10 +20,10 @@ import sys
 import numpy as np
 
 from .citest import degenerate_gaussian_test, fisher_z_test
-from .data import DataError, DataTable, load_csv, save_csv
+from .data import DataError, DataTable, load_csv, pool_environments, save_csv
 from .estimate import EstimationError
 from .expressions import ExpressionError, to_json as expr_to_json, to_text
-from .fci import fci, data_oracle, pooled_fci, possible_children_of_env
+from .fci import Knowledge, data_oracle, fci, possible_children_of_env
 from .graph import GraphError, parse as parse_graph, serialize
 from .identify import FAIL, InvarianceQuery, identify_interventional, \
     invariant_conditional
@@ -73,32 +73,35 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _pooled(tables: list[DataTable], env_name: str) -> DataTable:
+    """The single table, or the tables pooled with an environment column."""
+    return tables[0] if len(tables) == 1 else \
+        pool_environments(tables, env_name)
+
+
 def _learn(args, log: list[str]):
     """Shared structure-learning step; returns (pag, env name or None,
-    report dict)."""
+    report dict, the table learned on)."""
     tables = _load_tables(args)
-    test = CI_TESTS[args.test]
-    report: dict = {}
+    data = _pooled(tables, args.env)
+    knowledge = None
     if len(tables) > 1:
-        pag = pooled_fci(tables, test=test, alpha=args.alpha,
-                         env_name=args.env, max_cond_size=args.max_cond_size,
-                         report=report)
+        # as in pooled_fci: the environment indicator has no causes
+        knowledge = Knowledge(forbidden_into={args.env})
         log.append(f"pooled structure learning over {len(tables)} datasets, "
                    f"environment column {args.env!r}")
-        return pag, args.env, report
-    table = tables[0]
-    env = table.env_column
-    oracle = data_oracle(table, test=test, alpha=args.alpha)
-    pag = fci(oracle, table.names, max_cond_size=args.max_cond_size,
-              report=report)
-    log.append("structure learning over one dataset")
-    return pag, env, report
+    else:
+        log.append("structure learning over one dataset")
+    report: dict = {}
+    oracle = data_oracle(data, test=CI_TESTS[args.test], alpha=args.alpha)
+    pag = fci(oracle, data.names, knowledge, args.max_cond_size, report)
+    return pag, data.env_column, report, data
 
 
 def cmd_learn_pag(args) -> int:
     out = _run_dir(args)
     log: list[str] = []
-    pag, _, report = _learn(args, log)
+    pag, _, report, _ = _learn(args, log)
     _write(os.path.join(out, "graph.txt"), serialize(pag))
     _write(os.path.join(out, "report.json"), _json_dumps(report))
     log.append(f"graph written with {len(pag.edges)} edges, "
@@ -169,13 +172,10 @@ def cmd_search(args) -> int:
     if args.graph:
         pag = _read_graph(args.graph)
         env = args.env if args.env in pag.vertices else None
-        tables = _load_tables(args)
-        data = tables[0] if len(tables) == 1 else _pool(tables, args.env)
+        data = _pooled(_load_tables(args), args.env)
         log.append(f"graph loaded from {args.graph}")
     else:
-        pag, env, _ = _learn(args, log)
-        tables = _load_tables(args)
-        data = tables[0] if len(tables) == 1 else _pool(tables, args.env)
+        pag, env, _, data = _learn(args, log)
     if args.mode == "single-env":
         env = None
     mutable = _resolve_mutable(args, pag, env)
@@ -203,19 +203,6 @@ def cmd_search(args) -> int:
     return 0
 
 
-def _pool(tables, env_name):
-    from .data import concat_tables
-    for t in tables:
-        if env_name in t.names:
-            raise InputError(f"column {env_name!r} already present")
-    out = concat_tables(tables)
-    env = np.concatenate([np.full(t.n_rows, i, dtype=float)
-                          for i, t in enumerate(tables)])
-    out = out.with_column(env_name, env, kind=len(tables))
-    return DataTable({n: out.column(n) for n in out.names}, out.kinds,
-                     env_column=env_name)
-
-
 def cmd_simulate(args) -> int:
     table = simulate_benchmark(args.alpha, args.n, args.seed)
     save_csv(table, args.out_file)
@@ -230,7 +217,7 @@ def cmd_sweep(args) -> int:
     for i, a in enumerate(train_alphas):
         t = simulate_benchmark(a, args.n_train, args.seed + i)
         tables.append(t)
-    data = _pool(tables, args.env)
+    data = pool_environments(tables, args.env)
     if not args.graph:
         raise InputError("sweep needs --graph (a PAG over the benchmark "
                          "variables plus the environment vertex)")

@@ -28,6 +28,10 @@ class DataTable:
 
     ``kinds[name]`` is either the string "continuous" or an integer level
     count for a discrete column whose values lie in [0, levels).
+
+    Columns are stored as read-only views of the arrays passed in, without a
+    copy, so callers must not mutate those arrays afterwards: derived
+    statistics such as ``correlation()`` are cached on the table.
     """
 
     def __init__(self, columns: Mapping[str, np.ndarray],
@@ -48,6 +52,8 @@ class DataTable:
                 raise DataError("columns differ in length")
             if np.isnan(arr).any():
                 raise DataError(f"column {name!r} has missing values")
+            arr = arr.view()
+            arr.flags.writeable = False
             arrays[name] = arr
         self.n_rows = int(n)
         kinds = dict(kinds or {})
@@ -73,6 +79,8 @@ class DataTable:
                 raise DataError("environment column must be discrete")
         self.env_column = env_column
         self._columns = arrays
+        self.index = {name: i for i, name in enumerate(self.names)}
+        self._corr: np.ndarray | None = None
 
     def column(self, name: str) -> np.ndarray:
         if name not in self._columns:
@@ -91,6 +99,27 @@ class DataTable:
     def matrix(self, names: Iterable[str]) -> np.ndarray:
         return np.column_stack([self.column(n) for n in names])
 
+    def correlation(self) -> np.ndarray:
+        """Pearson correlation matrix over all columns, rows and columns in
+        ``names`` order (see ``index``), computed once per table.
+
+        Discrete columns enter as their numeric codes. The row and column of
+        a constant column are NaN.
+        """
+        if self._corr is None:
+            if self.n_rows < 2:
+                raise DataError("correlation needs at least two rows")
+            x = self.matrix(self.names)
+            x -= x.mean(axis=0)
+            cov = (x.T @ x) * (1.0 / (self.n_rows - 1))
+            sd = np.sqrt(np.diag(cov))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                corr = cov / sd[:, None] / sd[None, :]
+            np.clip(corr, -1.0, 1.0, out=corr)
+            corr.flags.writeable = False
+            self._corr = corr
+        return self._corr
+
     def take(self, index: np.ndarray) -> "DataTable":
         return DataTable({n: self._columns[n][index] for n in self.names},
                          self.kinds, self.env_column)
@@ -102,14 +131,6 @@ class DataTable:
         return DataTable({n: self._columns[n] for n in self.names if n != name},
                          {k: v for k, v in self.kinds.items() if k != name},
                          env)
-
-    def with_column(self, name: str, values: np.ndarray,
-                    kind) -> "DataTable":
-        cols = {n: self._columns[n] for n in self.names}
-        cols[name] = values
-        kinds = dict(self.kinds)
-        kinds[name] = kind
-        return DataTable(cols, kinds, self.env_column)
 
 
 def concat_tables(tables: Iterable[DataTable]) -> DataTable:
@@ -123,6 +144,27 @@ def concat_tables(tables: Iterable[DataTable]) -> DataTable:
     cols = {n: np.concatenate([t.column(n) for t in tables])
             for n in first.names}
     return DataTable(cols, first.kinds, first.env_column)
+
+
+def pool_environments(tables: Iterable[DataTable],
+                      env_name: str) -> DataTable:
+    """Concatenate per-environment tables and append a discrete column
+    ``env_name`` holding each row's table index; it becomes the pooled
+    table's environment column."""
+    tables = list(tables)
+    if len(tables) < 2:
+        raise DataError("environment indicator would be constant; "
+                        "provide two or more datasets")
+    for t in tables:
+        if env_name in t.names:
+            raise DataError(f"column {env_name!r} already present")
+    pooled = concat_tables(tables)
+    cols = {n: pooled.column(n) for n in pooled.names}
+    cols[env_name] = np.concatenate([np.full(t.n_rows, i, dtype=float)
+                                     for i, t in enumerate(tables)])
+    kinds = dict(pooled.kinds)
+    kinds[env_name] = len(tables)
+    return DataTable(cols, kinds, env_name)
 
 
 def load_csv(csv_path: str, schema_path: str) -> DataTable:

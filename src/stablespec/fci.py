@@ -14,10 +14,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
 from .citest import fisher_z_test
-from .data import DataError, DataTable, concat_tables
+from .data import DataTable, pool_environments
 from .graph import (
     ARROW, CIRCLE, TAIL, Edge, GraphError, MixedGraph,
 )
@@ -526,22 +524,11 @@ def pooled_fci(datasets: Sequence[DataTable], test: Callable = fisher_z_test,
                report: dict | None = None) -> MixedGraph:
     """Learn the PAG over the pooled rows plus an environment indicator.
 
-    Rows are concatenated, a discrete column named ``env_name`` records the
-    dataset index, and arrowheads into it are forbidden.
+    The datasets are pooled by ``pool_environments``: rows are concatenated,
+    a discrete column named ``env_name`` records the dataset index, and
+    arrowheads into it are forbidden.
     """
-    datasets = list(datasets)
-    if not datasets:
-        raise DataError("need at least one dataset")
-    if len(datasets) < 2:
-        raise DataError("environment indicator would be constant; "
-                        "provide two or more datasets")
-    for t in datasets:
-        if env_name in t.names:
-            raise DataError(f"column {env_name!r} already present")
-    pooled = concat_tables(datasets)
-    env = np.concatenate([np.full(t.n_rows, i, dtype=float)
-                          for i, t in enumerate(datasets)])
-    pooled = pooled.with_column(env_name, env, kind=len(datasets))
+    pooled = pool_environments(datasets, env_name)
     knowledge = Knowledge(forbidden_into={env_name})
     oracle = data_oracle(pooled, test=test, alpha=alpha)
     return fci(oracle, pooled.names, knowledge, max_cond_size, report)

@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import stablespec
+from stablespec import cli
 from stablespec.cli import main
 from util import PAG_TEXT
 
@@ -62,6 +67,48 @@ class TestArgErrors:
     def test_missing_file(self, tmp_path):
         assert main(["identify", "--graph", str(tmp_path / "nope.txt"),
                      "--mutable", "A", "--target", "Y"]) == 2
+
+
+def test_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(stablespec.__file__))
+    code = "import sys, stablespec.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
+
+
+class TestPooling:
+    def test_env_name_collision_exits_two(self, workdir, tmp_path, capsys):
+        assert main(["learn-pag", "--data", str(workdir / "e1.csv"),
+                     "--data", str(workdir / "e2.csv"),
+                     "--schema", str(workdir / "plain.json"),
+                     "--env", "X1", "--out", str(tmp_path / "run")]) == 2
+        assert "already present" in capsys.readouterr().err
+        assert main(search_argv(workdir, tmp_path / "run",
+                                ["--env", "X1"])) == 2
+        assert "already present" in capsys.readouterr().err
+
+    def test_single_training_environment_exits_two(self, tmp_path, capsys):
+        assert main(["sweep", "--train-alphas", "4", "--n-train", "100",
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "two or more datasets" in capsys.readouterr().err
+
+    def test_search_without_graph_loads_each_csv_once(
+            self, workdir, tmp_path, monkeypatch):
+        loaded, real = [], cli.load_csv
+
+        def load(csv_path, schema_path):
+            loaded.append(csv_path)
+            return real(csv_path, schema_path)
+
+        monkeypatch.setattr(cli, "load_csv", load)
+        argv = search_argv(workdir, tmp_path / "run", ["--mutable", "X1"])
+        argv.remove("--graph")
+        argv.remove(str(workdir / "pag.txt"))
+        assert main(argv) in (0, 1)
+        assert sorted(loaded) == [str(workdir / "e1.csv"),
+                                  str(workdir / "e2.csv")]
 
 
 class TestLearnPag:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from stablespec.data import (
-    DataError, DataTable, concat_tables, load_csv, save_csv,
+    DataError, DataTable, concat_tables, load_csv, pool_environments,
+    save_csv,
 )
 
 
@@ -45,6 +46,45 @@ class TestDataTable:
         assert concat_tables([t1, t2]).n_rows == 2
         with pytest.raises(DataError):
             concat_tables([t1, DataTable({"b": [1.0]})])
+
+    def test_columns_are_read_only_views(self):
+        values = np.array([1.0, 2.0, 3.0])
+        t = DataTable({"a": values})
+        with pytest.raises(ValueError):
+            t.column("a")[0] = 1.0
+        assert np.shares_memory(t.column("a"), values)
+        assert values.flags.writeable  # the caller's array is not frozen
+
+    def test_correlation_marks_constant_columns(self):
+        t = DataTable({"a": [1.0, 2.0, 4.0], "b": [2.0, 4.0, 8.0],
+                       "c": [7.0, 7.0, 7.0]})
+        corr = t.correlation()
+        assert corr[t.index["a"], t.index["b"]] == pytest.approx(1.0)
+        assert np.isnan(corr[t.index["c"]]).all()
+        assert not np.isnan(corr[:2, :2]).any()
+
+
+class TestPoolEnvironments:
+    def test_appends_env_column(self):
+        t1 = DataTable({"a": [1.0, 2.0]})
+        t2 = DataTable({"a": [3.0]})
+        pooled = pool_environments([t1, t2], "E")
+        assert pooled.names == ("a", "E")
+        assert pooled.column("a").tolist() == [1.0, 2.0, 3.0]
+        assert pooled.column("E").tolist() == [0.0, 0.0, 1.0]
+        assert pooled.levels("E") == 2
+        assert pooled.env_column == "E"
+
+    def test_errors(self):
+        t = DataTable({"a": [1.0, 2.0]})
+        with pytest.raises(DataError, match="two or more"):
+            pool_environments([t], "E")
+        with pytest.raises(DataError, match="two or more"):
+            pool_environments([], "E")
+        with pytest.raises(DataError, match="already present"):
+            pool_environments([t, t], "a")
+        with pytest.raises(DataError, match="schema mismatch"):
+            pool_environments([t, DataTable({"b": [1.0]})], "E")
 
 
 class TestCSV:

@@ -2,7 +2,6 @@ import json
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from stablespec.data import DataError, DataTable
 from stablespec.estimate import (
@@ -193,11 +192,27 @@ class TestRankCorrelation:
         scores = rng.normal(size=1000)
         noisy = scores + 0.1 * rng.normal(size=1000)
         got = rank_correlation(scores, noisy)
-        ra = stats.rankdata(scores)
-        rb = stats.rankdata(noisy)
+        # no ties among continuous draws, so ranks are the sort positions
+        ra = np.argsort(np.argsort(scores))
+        rb = np.argsort(np.argsort(noisy))
         want = np.corrcoef(ra, rb)[0, 1]
         assert got == pytest.approx(want, abs=1e-12)
         assert got == pytest.approx(0.9942141702141704, abs=1e-12)
+
+    def test_ties_share_average_rank(self):
+        # ranks [1, 2.5, 2.5, 4] and [1, 3, 2, 4]
+        want = np.corrcoef([1, 2.5, 2.5, 4], [1, 3, 2, 4])[0, 1]
+        got = rank_correlation([0.1, 0.5, 0.5, 0.9], [1.0, 3.0, 2.0, 4.0])
+        assert got == pytest.approx(want, abs=1e-15)
+
+    def test_matches_scipy_with_ties(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(19)
+        for _ in range(20):
+            a = rng.integers(0, 5, 200).astype(float)
+            b = a + rng.integers(0, 3, 200)
+            want = stats.spearmanr(a, b).statistic
+            assert rank_correlation(a, b) == pytest.approx(want, abs=1e-12)
 
     def test_monotone_invariance(self):
         rng = np.random.default_rng(17)

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from stablespec.data import DataError, DataTable, concat_tables
+from stablespec.data import DataError, DataTable, pool_environments
 from stablespec.estimate import CandidateModel
 from stablespec.expressions import Factor
 from stablespec.graph import GraphError, parse
@@ -22,12 +22,9 @@ def example_spec() -> InvarianceSpec:
 
 
 def pooled_benchmark_data(n: int = 5000, seed: int = 10) -> DataTable:
-    tabs = []
-    for i, alpha in enumerate((4.0, 8.0)):
-        cols = shift_benchmark_scm(alpha).sample(n, seed=seed + i)
-        cols["E"] = np.full(n, float(i))
-        tabs.append(DataTable(cols, kinds={"E": 2}, env_column="E"))
-    return concat_tables(tabs)
+    tabs = [DataTable(shift_benchmark_scm(alpha).sample(n, seed=seed + i))
+            for i, alpha in enumerate((4.0, 8.0))]
+    return pool_environments(tabs, "E")
 
 
 class TestInvarianceSpec:
