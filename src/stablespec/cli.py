@@ -31,7 +31,8 @@ from .scm import SCMError
 from .search import (
     DEFAULT_MAX_OBSERVED, InvarianceSpec, SearchBudgetError,
     search_stable_predictor, shift_sweep, simulate_benchmark,
-    stable_candidates, fit_candidates, unstable_baseline, write_sweep_csv,
+    stable_candidates, fit_candidates, pick_winner, unstable_baseline,
+    write_sweep_csv,
 )
 
 CI_TESTS = {"fisher-z": fisher_z_test,
@@ -185,8 +186,7 @@ def cmd_search(args) -> int:
                                    args.max_observed)
     fitted = fit_candidates(candidates, data, args.target, args.backend,
                             args.seed) if candidates else []
-    winner = min(fitted, key=lambda c: (c.validation_loss, c.label())) \
-        if fitted else None
+    winner = pick_winner(fitted)
     _write(os.path.join(out, "graph.txt"), serialize(pag))
     _write(os.path.join(out, "candidates.json"),
            _candidates_json(fitted, winner))

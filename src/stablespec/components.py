@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .graph import ARROW, CIRCLE, TAIL, Edge, GraphError, MixedGraph
-from .separation import visible_edges
+from .separation import visible_edge_set
 
 
 def buckets(g: MixedGraph) -> list[set[str]]:
@@ -21,6 +21,10 @@ def buckets(g: MixedGraph) -> list[set[str]]:
     """
     if g.kind != "PAG":
         raise GraphError(f"buckets requires a PAG, got {g.kind}")
+    return [set(b) for b in g.memo(("buckets",), lambda: _buckets(g))]
+
+
+def _buckets(g: MixedGraph) -> tuple[frozenset[str], ...]:
     block = {v: {v} for v in g.vertices}
     for e in g.edges:
         if e.mark_at_a == CIRCLE and e.mark_at_b == CIRCLE:
@@ -30,7 +34,7 @@ def buckets(g: MixedGraph) -> list[set[str]]:
                 for v in bb:
                     block[v] = ba
     uniq = {id(b): b for b in block.values()}
-    return sorted(uniq.values(), key=lambda b: min(b))
+    return tuple(frozenset(b) for b in sorted(uniq.values(), key=min))
 
 
 def pc_component(g: MixedGraph, seed: Iterable[str],
@@ -42,8 +46,15 @@ def pc_component(g: MixedGraph, seed: Iterable[str],
     subgraph, pass the parent graph as ``visibility_in`` so edges keep the
     visibility status they have there.
     """
+    seed = frozenset(seed)
     g.check_vertices(seed)
-    vis = visible_edges(visibility_in if visibility_in is not None else g)
+    vis = visible_edge_set(visibility_in if visibility_in is not None else g)
+    return set(g.memo(("pc_component", seed, vis),
+                      lambda: _pc_component(g, seed, vis)))
+
+
+def _pc_component(g: MixedGraph, seed: frozenset[str],
+                  vis: frozenset[Edge]) -> frozenset[str]:
     invisible = set(g.edges) - vis
     out = set(seed)
     # state = (vertex, edge arrived by); interior vertices must be colliders
@@ -63,7 +74,7 @@ def pc_component(g: MixedGraph, seed: Iterable[str],
             if state not in seen:
                 seen.add(state)
                 frontier.append(state)
-    return out
+    return frozenset(out)
 
 
 def definite_c_component(g: MixedGraph, seed: Iterable[str]) -> set[str]:
@@ -103,6 +114,11 @@ def bucket_partial_order(g: MixedGraph, scope: Iterable[str]) -> list[set[str]]:
     broken by the smallest vertex name in the bucket.
     """
     sub = g.induced(scope)
+    return [set(b) for b in sub.memo(("bucket_partial_order",),
+                                     lambda: _bucket_order(sub))]
+
+
+def _bucket_order(sub: MixedGraph) -> tuple[frozenset[str], ...]:
     blocks = buckets(sub)
     of = {v: i for i, b in enumerate(blocks) for v in b}
     succ: list[set[int]] = [set() for _ in blocks]
@@ -132,7 +148,7 @@ def bucket_partial_order(g: MixedGraph, scope: Iterable[str]) -> list[set[str]]:
         layer = sorted(nxt, key=lambda i: min(blocks[i]))
     if done != len(blocks):
         raise RuntimeError("cyclic possible-parent structure between buckets")
-    return order
+    return tuple(frozenset(b) for b in order)
 
 
 def _mcs_order(adj: dict[str, set[str]], priority: set[str]) -> list[str]:

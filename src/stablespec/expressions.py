@@ -93,6 +93,10 @@ def scope(expr) -> frozenset[str]:
         return frozenset()
     if isinstance(expr, Factor):
         return expr.targets
+    return _on_node(expr, "_scope", _scope)
+
+
+def _scope(expr) -> frozenset[str]:
     if isinstance(expr, Product):
         out = frozenset()
         for f in expr.factors:
@@ -100,9 +104,7 @@ def scope(expr) -> frozenset[str]:
         return out
     if isinstance(expr, Quotient):
         return scope(expr.numerator) - scope(expr.denominator)
-    if isinstance(expr, SumOver):
-        return scope(expr.child) - expr.variables
-    raise ExpressionError(f"not an expression: {expr!r}")
+    return scope(expr.child) - expr.variables
 
 
 def free_vars(expr) -> frozenset[str]:
@@ -110,6 +112,10 @@ def free_vars(expr) -> frozenset[str]:
         return frozenset()
     if isinstance(expr, Factor):
         return expr.targets | expr.given
+    return _on_node(expr, "_free_vars", _free_vars)
+
+
+def _free_vars(expr) -> frozenset[str]:
     if isinstance(expr, Product):
         out = frozenset()
         for f in expr.factors:
@@ -117,9 +123,25 @@ def free_vars(expr) -> frozenset[str]:
         return out
     if isinstance(expr, Quotient):
         return free_vars(expr.numerator) | free_vars(expr.denominator)
-    if isinstance(expr, SumOver):
-        return free_vars(expr.child) - expr.variables
-    raise ExpressionError(f"not an expression: {expr!r}")
+    return free_vars(expr.child) - expr.variables
+
+
+def _on_node(expr, name: str, compute):
+    """compute(expr) for a compound node, stored on the node.
+
+    Identification shares subtrees (``conditional_of`` puts its argument
+    in both sums), so a plain recursion would walk a shared subtree once
+    per path to it. The value lives in the node's ``__dict__``, outside
+    the dataclass fields, so equality, hashing and rendering ignore it.
+    """
+    if not isinstance(expr, (Product, Quotient, SumOver)):
+        raise ExpressionError(f"not an expression: {expr!r}")
+    cache = expr.__dict__
+    try:
+        return cache[name]
+    except KeyError:
+        value = cache[name] = compute(expr)
+        return value
 
 
 # -- evaluation ------------------------------------------------------------
@@ -246,11 +268,30 @@ def simplify(expr, graph: MixedGraph | None = None, max_passes: int = 60):
     separated from the targets.
     """
     for _ in range(max_passes):
-        new = _rewrite(expr, graph)
+        new = _rewrite_pass(expr, graph)
         if new == expr:
             break
         expr = new
     return _canonical(expr)
+
+
+def _rewrite_pass(expr, graph):
+    """One bottom-up rewrite of the whole tree.
+
+    Identification reuses subtrees (``conditional_of`` puts its argument in
+    both sums), so the tree is a DAG; each shared node is rewritten once per
+    pass. Nodes are looked up by identity, which is sound only while they
+    are alive: every entry holds its node.
+    """
+    done: dict[int, tuple] = {}
+
+    def rewrite(e):
+        hit = done.get(id(e))
+        if hit is None:
+            hit = done[id(e)] = (e, _rewrite(e, graph, rewrite))
+        return hit[1]
+
+    return rewrite(expr)
 
 
 def _independent(graph, a, b, z) -> bool:
@@ -263,6 +304,12 @@ def _independent(graph, a, b, z) -> bool:
 
 
 def _factor_rules(f: Factor, graph):
+    if graph is None:
+        return f
+    return graph.memo(("factor_rules", f), lambda: _rewrite_factor(f, graph))
+
+
+def _rewrite_factor(f: Factor, graph: MixedGraph):
     # drop separated conditioning variables, one at a time
     given = set(f.given)
     changed = True
@@ -431,21 +478,22 @@ def _is_chain_partner(f1: Factor, f2: Factor, graph) -> bool:
     return True
 
 
-def _rewrite(expr, graph):
+def _rewrite(expr, graph, rewrite):
+    """Rewrite one node; ``rewrite`` rewrites its children."""
     if isinstance(expr, Constant):
         return expr
     if isinstance(expr, Factor):
         return _factor_rules(expr, graph)
     if isinstance(expr, SumOver):
-        child = _rewrite(expr.child, graph)
+        child = rewrite(expr.child)
         return _sum_rules(SumOver(expr.variables, child), graph)
     if isinstance(expr, (Product, Quotient)):
         if isinstance(expr, Product):
-            parts = [_rewrite(f, graph) for f in expr.factors]
+            parts = [rewrite(f) for f in expr.factors]
             num, den = _split_fraction(Product(parts))
         else:
-            num_e = _rewrite(expr.numerator, graph)
-            den_e = _rewrite(expr.denominator, graph)
+            num_e = rewrite(expr.numerator)
+            den_e = rewrite(expr.denominator)
             num, den = _split_fraction(Quotient(num_e, den_e))
         num, den = _cancel(num, den)
         value = 1.0

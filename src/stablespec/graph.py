@@ -3,42 +3,42 @@
 Graphs are immutable values: every operation that changes structure returns
 a new graph. Edge endpoints carry one of three marks (tail, arrow, circle);
 the graph kind restricts which marks and parallel edges are allowed.
+
+Because a graph never changes, facts derived from it (visibility, induced
+subgraphs, buckets, ...) are computed once and kept in the graph's own memo
+(``MixedGraph.memo``), keyed by the content of the other arguments.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence, TypeVar
+
+T = TypeVar("T")
 
 
 class GraphError(ValueError):
     """Invalid graph structure or an unknown vertex in a query."""
 
 
-class EndpointMark(enum.Enum):
-    TAIL = "-"
-    ARROW = ">"
-    CIRCLE = "o"
-
-
-TAIL = EndpointMark.TAIL
-ARROW = EndpointMark.ARROW
-CIRCLE = EndpointMark.CIRCLE
+# Endpoint marks are plain strings: cheap to hash and compare.
+TAIL = "-"
+ARROW = ">"
+CIRCLE = "o"
 
 
 @dataclass(frozen=True)
 class Edge:
     a: str
     b: str
-    mark_at_a: EndpointMark
-    mark_at_b: EndpointMark
+    mark_at_a: str
+    mark_at_b: str
 
     def __post_init__(self):
         if self.a == self.b:
             raise GraphError(f"self-loop at {self.a!r}")
 
-    def mark_at(self, v: str) -> EndpointMark:
+    def mark_at(self, v: str) -> str:
         if v == self.a:
             return self.mark_at_a
         if v == self.b:
@@ -55,7 +55,8 @@ class Edge:
     @property
     def is_directed(self) -> bool:
         """Tail-arrow edge (a directed edge in either orientation)."""
-        return {self.mark_at_a, self.mark_at_b} == {TAIL, ARROW}
+        ma, mb = self.mark_at_a, self.mark_at_b
+        return (ma == TAIL and mb == ARROW) or (ma == ARROW and mb == TAIL)
 
     @property
     def is_bidirected(self) -> bool:
@@ -108,7 +109,7 @@ class MixedGraph:
       * ADMG: every edge is directed or bidirected.
     """
 
-    __slots__ = ("kind", "vertices", "edges", "_adj", "_index", "_cache")
+    __slots__ = ("kind", "vertices", "edges", "_adj", "_cache")
 
     def __init__(self, vertices: Sequence[str], edges: Iterable[Edge], kind: str):
         if kind not in ("ADMG", "MAG", "PAG"):
@@ -128,7 +129,6 @@ class MixedGraph:
         self.vertices = vertices
         self.edges = edges
         self._adj = adj
-        self._index = {v: i for i, v in enumerate(vertices)}
         self._cache: dict = {}
         self._validate()
 
@@ -167,10 +167,23 @@ class MixedGraph:
 
         return any(state[v] == 0 and visit(v) for v in self.vertices)
 
+    def memo(self, key: Hashable, compute: Callable[[], T]) -> T:
+        """compute(), evaluated once per graph and key.
+
+        The key must identify the fact by content (names, frozensets,
+        tuples), never by ``id()``, and the value must be immutable, since
+        every later caller shares it.
+        """
+        try:
+            return self._cache[key]
+        except KeyError:
+            value = self._cache[key] = compute()
+            return value
+
     # -- basic queries -------------------------------------------------
 
     def check_vertices(self, vs: Iterable[str]):
-        unknown = set(vs) - set(self.vertices)
+        unknown = set(vs).difference(self._adj)
         if unknown:
             raise GraphError(f"unknown vertices: {sorted(unknown)}")
 
@@ -232,11 +245,12 @@ class MixedGraph:
     # -- derived graphs ------------------------------------------------
 
     def induced(self, vs: Iterable[str]) -> "MixedGraph":
-        self.check_vertices(vs)
-        keep = set(vs)
-        verts = [v for v in self.vertices if v in keep]
-        edges = [e for e in self.edges if e.a in keep and e.b in keep]
-        return MixedGraph(verts, edges, self.kind)
+        keep = frozenset(vs)
+        self.check_vertices(keep)
+        return self.memo(("induced", keep), lambda: MixedGraph(
+            [v for v in self.vertices if v in keep],
+            [e for e in self.edges if e.a in keep and e.b in keep],
+            self.kind))
 
     def replace_edges(self, edges: Iterable[Edge]) -> "MixedGraph":
         return MixedGraph(self.vertices, edges, self.kind)

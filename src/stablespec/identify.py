@@ -25,7 +25,7 @@ from .graph import (
     REMOVE_INTO, REMOVE_VISIBLE_OUT_OF, mutilate, possible_ancestors,
 )
 from .separation import (
-    definite_connecting_paths, m_connected, visible_edges,
+    definite_connecting_paths, m_connected, visible_edge_set,
 )
 
 
@@ -81,7 +81,7 @@ def invariant_conditional(p: MixedGraph, q: InvarianceQuery) -> bool:
     every connecting path given z must point into X.
     """
     p.check_vertices(q.x | q.y | q.z)
-    vis = visible_edges(p)
+    vis = visible_edge_set(p)
     poss_an_z = possible_ancestors(p, q.z) if q.z else set()
     for x in sorted(q.x):
         if x in q.z:

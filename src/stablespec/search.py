@@ -147,6 +147,13 @@ def fit_candidates(candidates: Sequence[CandidateModel], data: DataTable,
     return out
 
 
+def pick_winner(fitted: Sequence[CandidateModel]) -> CandidateModel | None:
+    """The fitted candidate with the lowest validation loss, ties broken by
+    label; None when there is none."""
+    return min(fitted, key=lambda c: (c.validation_loss, c.label()),
+               default=None)
+
+
 def search_stable_predictor(spec: InvarianceSpec, target: str,
                             data: DataTable, mode: str = "full",
                             backend: str = "linear-gaussian", seed: int = 0,
@@ -156,8 +163,7 @@ def search_stable_predictor(spec: InvarianceSpec, target: str,
     candidates = stable_candidates(spec, target, mode, env, max_observed)
     if not candidates:
         return FAIL
-    fitted = fit_candidates(candidates, data, target, backend, seed)
-    return min(fitted, key=lambda c: (c.validation_loss, c.label()))
+    return pick_winner(fit_candidates(candidates, data, target, backend, seed))
 
 
 def unstable_baseline(data: DataTable, target: str, backend: str,

@@ -162,15 +162,13 @@ def definite_connecting_paths(g: MixedGraph, x: str, y: str,
 def definite_m_separated(g: MixedGraph, x: Iterable[str], y: Iterable[str],
                          z: Iterable[str]) -> bool:
     """True iff no definite-status m-connecting path joins x and y given z."""
-    x, y, z = set(x), set(y), set(z)
+    x, y, z = frozenset(x), frozenset(y), frozenset(z)
     if x & y or x & z or y & z:
         raise GraphError("x, y and z must be pairwise disjoint")
     g.check_vertices(x | y | z)
-    for a in sorted(x):
-        for b in sorted(y):
-            if definite_connecting_paths(g, a, b, z):
-                return False
-    return True
+    return g.memo(("definite_m_separated", x, y, z), lambda: not any(
+        definite_connecting_paths(g, a, b, z)
+        for a in sorted(x) for b in sorted(y)))
 
 
 # -- edge visibility -------------------------------------------------------
@@ -211,8 +209,21 @@ def visible_edges(g: MixedGraph) -> set[Edge]:
     A --> B is visible when some C not adjacent to B has an edge into A, or
     a collider path into A whose inner vertices are all parents of B.
     """
+    return set(visible_edge_set(g))
+
+
+def visible_edge_set(g: MixedGraph) -> frozenset[Edge]:
+    """``visible_edges(g)`` as the frozenset computed once per graph.
+
+    Its hash is cached, so it also serves as a content key for facts that
+    depend on another graph's visibility.
+    """
     if g.kind not in ("PAG", "MAG"):
         raise GraphError(f"visible_edges requires a PAG or MAG, got {g.kind}")
+    return g.memo(("visible_edges",), lambda: _visible_edges(g))
+
+
+def _visible_edges(g: MixedGraph) -> frozenset[Edge]:
     out = set()
     for e in g.edges:
         if not e.is_directed:
@@ -224,7 +235,7 @@ def visible_edges(g: MixedGraph) -> set[Edge]:
         )
         if direct or _collider_path_into(g, a, b):
             out.add(e)
-    return out
+    return frozenset(out)
 
 
 def mag_of_admg(g: MixedGraph) -> MixedGraph:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stablespec import expressions
 from stablespec.expressions import (
     Constant, ExpressionError, Factor, ONE, Product, Quotient, SumOver,
     conditional_of, evaluate, free_vars, from_json, scope, simplify, to_json,
@@ -160,3 +161,63 @@ class TestSimplify:
                         env = {"A": a, "B": b, "C": c}
                         assert evaluate(e, joint, env) == \
                             pytest.approx(evaluate(s, joint, env), abs=1e-12)
+
+
+class TestSharedSubtrees:
+    """Identification builds DAGs (``conditional_of`` puts its argument in
+    both sums), so the work must follow the distinct nodes, not the paths
+    through them: 2**40 here."""
+
+    DEPTH = 40
+
+    @staticmethod
+    def spy(monkeypatch, name):
+        calls = []
+        original = getattr(expressions, name)
+
+        def counted(*args):
+            calls.append(args[0])
+            if len(calls) > 1000:
+                # no traceback: it would render the arguments
+                pytest.fail(f"{name} re-walks shared subtrees", pytrace=False)
+            return original(*args)
+
+        monkeypatch.setattr(expressions, name, counted)
+        return calls
+
+    def shared(self):
+        e = P({"A", "B", "C"})
+        for _ in range(self.DEPTH):
+            s = SumOver({"C"}, e)
+            e = Product([Quotient(s, s), P({"A"}, {"B"})])
+        return e
+
+    # Assertions below compare plain values: pytest's report of a failed
+    # assertion would render the expression, which takes 2**40 steps.
+
+    def test_scope_and_free_vars_once_per_node(self, monkeypatch):
+        scopes = self.spy(monkeypatch, "_scope")
+        frees = self.spy(monkeypatch, "_free_vars")
+        e = self.shared()
+        for _ in range(2):
+            got = sorted(scope(e)), sorted(free_vars(e))
+            assert got == (["A"], ["A", "B"])
+        # a Product, a Quotient and a SumOver per level
+        n_scopes, n_frees = len(scopes), len(frees)
+        assert n_scopes == n_frees == 3 * self.DEPTH
+
+    def test_rewrite_once_per_node_and_pass(self, monkeypatch):
+        e = self.shared()
+        rewrites = self.spy(monkeypatch, "_rewrite")
+        out = to_text(expressions._rewrite_pass(e, None))
+        assert out == "P(A | B)"
+        # the four nodes of each level and the innermost factor
+        n_rewrites = len(rewrites)
+        assert n_rewrites == 4 * self.DEPTH + 1
+
+    def test_stored_values_are_not_part_of_the_value(self):
+        e = SumOver({"C"}, Product([P({"A"}, {"B"}), P({"C"})]))
+        f = SumOver({"C"}, Product([P({"A"}, {"B"}), P({"C"})]))
+        scope(e), free_vars(e)
+        assert e == f and hash(e) == hash(f) and repr(e) == repr(f)
+        assert to_json(e) == to_json(f)

@@ -1,0 +1,177 @@
+"""Facts memoized on an immutable MixedGraph equal the facts computed cold.
+
+Every derived fact is computed once per graph and kept in the graph's memo.
+These tests compare each memoized fact on a graph whose memo is already
+warm with the same fact on an equal graph freshly parsed from its text,
+check that callers cannot change a memoized value through the containers
+they get back, and count the work one search does.
+"""
+
+import random
+from itertools import combinations
+
+import pytest
+
+from stablespec import separation
+from stablespec.components import bucket_partial_order, buckets, pc_component
+from stablespec.expressions import to_json
+from stablespec.fci import SeparationOracle, fci
+from stablespec.graph import GraphError, parse, serialize
+from stablespec.search import InvarianceSpec, stable_candidates
+from stablespec.separation import definite_m_separated, visible_edges
+from util import random_admg
+
+
+def random_pag(seed):
+    rng = random.Random(seed)
+    admg = random_admg(rng, max_vertices=6, min_vertices=4)
+    return fci(SeparationOracle(admg), admg.vertices)
+
+
+def subsets(vs):
+    return [frozenset(c) for k in range(len(vs) + 1)
+            for c in combinations(sorted(vs), k)]
+
+
+def fresh(g):
+    """An equal graph with an empty memo."""
+    return parse(serialize(g), g.kind)
+
+
+def warm(fact):
+    """fact() twice: the first call fills the memo, the second reads it."""
+    first, second = fact(), fact()
+    assert first == second
+    return second
+
+
+@pytest.mark.parametrize("seed", range(8))
+class TestCachedEqualsCold:
+    def test_visible_edges(self, seed):
+        g = random_pag(seed)
+        assert warm(lambda: visible_edges(g)) == visible_edges(fresh(g))
+
+    def test_induced(self, seed):
+        g = random_pag(seed)
+        for s in subsets(g.vertices):
+            sub = warm(lambda: g.induced(s))
+            cold = fresh(g).induced(s)
+            assert sub == cold
+            assert sub.vertices == cold.vertices
+        assert g.induced(["V1", "V0"]) is g.induced({"V0", "V1"})
+
+    def test_buckets_and_order(self, seed):
+        g = random_pag(seed)
+        assert warm(lambda: buckets(g)) == buckets(fresh(g))
+        for s in subsets(g.vertices):
+            assert warm(lambda: bucket_partial_order(g, s)) == \
+                bucket_partial_order(fresh(g), s)
+
+    def test_pc_component(self, seed):
+        g = random_pag(seed)
+        for seed_set in subsets(g.vertices)[1:]:
+            assert warm(lambda: pc_component(g, seed_set)) == \
+                pc_component(fresh(g), seed_set)
+        for scope in subsets(g.vertices)[1:]:
+            v = min(scope)
+            assert warm(lambda: pc_component(g.induced(scope), {v},
+                                             visibility_in=g)) == \
+                pc_component(fresh(g).induced(scope), {v},
+                             visibility_in=fresh(g))
+
+    def test_pc_component_keyed_by_visibility_graph(self, seed):
+        # the same subgraph and seed, with visibility judged in the subgraph
+        # and in the parent: two different facts, both memoized
+        g = random_pag(seed)
+        for scope in subsets(g.vertices)[1:]:
+            sub, v = g.induced(scope), {min(scope)}
+            own = warm(lambda: pc_component(sub, v))
+            inherited = warm(lambda: pc_component(sub, v, visibility_in=g))
+            assert own == pc_component(fresh(sub), v)
+            assert inherited == pc_component(fresh(sub), v,
+                                             visibility_in=fresh(g))
+
+    def test_definite_m_separated(self, seed):
+        g = random_pag(seed)
+        for a, b in combinations(g.vertices, 2):
+            for z in subsets(set(g.vertices) - {a, b}):
+                assert warm(lambda: definite_m_separated(g, {a}, {b}, z)) \
+                    == definite_m_separated(fresh(g), {a}, {b}, z)
+            with pytest.raises(GraphError):
+                definite_m_separated(g, {a}, {b}, {a})
+
+
+class TestReturnedContainersAreCopies:
+    def test_mutation_does_not_reach_the_memo(self):
+        g = random_pag(3)
+        scope = frozenset(g.vertices[:-1])
+        before = (visible_edges(g), buckets(g), bucket_partial_order(g, scope),
+                  pc_component(g, {"V0"}))
+        vis = visible_edges(g)
+        vis.clear()
+        vis.add(object())
+        bs = buckets(g)
+        bs[0].add("V_extra")
+        bs.append({"V_extra"})
+        order = bucket_partial_order(g, scope)
+        order[0].clear()
+        order.reverse()
+        pc = pc_component(g, {"V0"})
+        pc.add("V_extra")
+        after = (visible_edges(g), buckets(g), bucket_partial_order(g, scope),
+                 pc_component(g, {"V0"}))
+        assert after == before
+
+
+# An 8-vertex PAG (oracle FCI on a random ADMG) with visible edges, circle
+# marks and both conditional and interventional candidates for V0 | V2.
+PAG8 = """\
+vars: V0,V1,V2,V3,V4,V5,V6,V7
+V0 --> V4
+V0 --> V5
+V0 <-> V7
+V1 o-> V0
+V1 o-> V3
+V2 --> V5
+V2 <-> V3
+V2 <-> V7
+V3 --> V5
+V3 <-> V4
+V6 o-> V3
+"""
+
+
+def candidate_record(candidates):
+    return [(c.kind, sorted(c.conditioning_set), to_json(c.expression))
+            for c in candidates]
+
+
+class TestSearchWork:
+    def test_visibility_computed_once_per_graph(self, monkeypatch):
+        pag = parse(PAG8)
+        computed = []
+        uncached = separation._visible_edges
+
+        def spy(g):
+            computed.append(serialize(g))
+            return uncached(g)
+
+        monkeypatch.setattr(separation, "_visible_edges", spy)
+        spec = InvarianceSpec(pag, {"V2"})
+        first = stable_candidates(spec, "V0")
+        kinds = {c.kind for c in first}
+        assert kinds == {"conditional", "interventional"}
+        assert computed
+        assert len(computed) == len(set(computed))
+        n_computed = len(computed)
+        second = stable_candidates(spec, "V0")
+        assert len(computed) == n_computed
+        assert candidate_record(second) == candidate_record(first)
+
+    def test_same_candidates_as_a_fresh_graph(self):
+        pag = parse(PAG8)
+        spec = InvarianceSpec(pag, {"V2"})
+        stable_candidates(spec, "V0")
+        warm_run = stable_candidates(spec, "V0")
+        cold_run = stable_candidates(InvarianceSpec(parse(PAG8), {"V2"}), "V0")
+        assert candidate_record(warm_run) == candidate_record(cold_run)
