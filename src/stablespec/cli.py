@@ -26,7 +26,7 @@ from .expressions import ExpressionError, to_json as expr_to_json, to_text
 from .fci import Knowledge, data_oracle, fci, possible_children_of_env
 from .graph import GraphError, parse as parse_graph, serialize
 from .identify import FAIL, InvarianceQuery, identify_interventional, \
-    invariant_conditional
+    invariant_conditional_mag
 from .scm import SCMError
 from .search import (
     DEFAULT_MAX_OBSERVED, InvarianceSpec, SearchBudgetError,
@@ -138,7 +138,7 @@ def cmd_check(args) -> int:
     pag = _read_graph(args.graph)
     q = InvarianceQuery(_csv_list(args.mutable), _csv_list(args.target),
                         _csv_list(args.given or ""))
-    if invariant_conditional(pag, q):
+    if invariant_conditional_mag(pag, q):
         print("invariant")
         return 0
     print("not invariant")

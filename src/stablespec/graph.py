@@ -94,11 +94,6 @@ def circle_arrow(a: str, b: str) -> Edge:
     return Edge(a, b, CIRCLE, ARROW)
 
 
-def circle_circle(a: str, b: str) -> Edge:
-    """a o-o b"""
-    return Edge(a, b, CIRCLE, CIRCLE)
-
-
 class MixedGraph:
     """A mixed graph over named vertices, tagged as ADMG, MAG or PAG.
 
@@ -291,20 +286,6 @@ def possible_ancestors(g: MixedGraph, target: Iterable[str]) -> set[str]:
             u = e.other(v)
             # step u -> v usable when no arrowhead at u
             if e.mark_at(u) != ARROW and u not in out:
-                out.add(u)
-                frontier.append(u)
-    return out
-
-
-def possible_descendants(g: MixedGraph, source: Iterable[str]) -> set[str]:
-    g.check_vertices(source)
-    out = set(source)
-    frontier = list(out)
-    while frontier:
-        v = frontier.pop()
-        for e in g.edges_at(v):
-            u = e.other(v)
-            if e.mark_at(v) != ARROW and u not in out:
                 out.add(u)
                 frontier.append(u)
     return out

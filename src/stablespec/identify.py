@@ -1,10 +1,12 @@
 """Invariance checking and interventional identification on PAGs.
 
-Two interchangeable checkers decide whether a conditional P(y|z) is
-invariant to interventions on a set of variables: one enumerates definite
-status paths in the PAG, the other reduces to m-separation queries in
-derived MAGs. ``identify_interventional`` derives a symbolic expression
-for an interventional conditional from the observational joint, or reports
+``invariant_conditional_mag`` decides whether a conditional P(y|z) is
+invariant to interventions on a set of variables by m-separation queries in
+MAGs derived from the PAG, built once per (PAG, intervened vertex); it is
+the checker the program calls. ``invariant_conditional`` enumerates
+definite status paths in the PAG and is kept only as the test oracle for
+it. ``identify_interventional`` derives a symbolic expression for an
+interventional conditional from the observational joint, or reports
 failure when the PAG does not determine one.
 """
 
@@ -69,11 +71,11 @@ class InvarianceQuery:
             raise GraphError("require x ∩ y = y ∩ z = ∅")
 
 
-# -- invariance by direct path enumeration ----------------------------------
+# -- invariance ----------------------------------------------------------
 
 
 def invariant_conditional(p: MixedGraph, q: InvarianceQuery) -> bool:
-    """Path-enumeration checker for invariance of P(y|z) to shifts in x.
+    """Test oracle for ``invariant_conditional_mag``: path enumeration.
 
     For each X: if X ∈ z, every definite status connecting path to y given
     z minus X must leave X through a visible edge; if X is a possible
@@ -102,26 +104,35 @@ def invariant_conditional(p: MixedGraph, q: InvarianceQuery) -> bool:
     return True
 
 
-def invariant_conditional_mag(p: MixedGraph, q: InvarianceQuery) -> bool:
-    """Equivalent checker via m-separation in MAGs derived from the PAG.
+def _invariance_mags(p: MixedGraph, x: str):
+    """A class member keeping p's edges into x, then the same MAG with the
+    visible out-edges of x removed and with every edge into x removed."""
+    def build():
+        r = pag_to_mag(p, {x})
+        return (r, mutilate(r, REMOVE_VISIBLE_OUT_OF, {x}, visibility_in=p),
+                mutilate(r, REMOVE_INTO, {x}))
+    return p.memo(("invariance_mags", x), build)
 
-    For each X a class member preserving the edges into X is built; the
-    three conditions become separation queries in that MAG with visible
-    out-edges of X removed, unchanged, or all edges into X removed.
+
+def invariant_conditional_mag(p: MixedGraph, q: InvarianceQuery) -> bool:
+    """Is P(y|z) invariant to shifts in x, by m-separation in MAGs?
+
+    For each X the three conditions become separation queries in a class
+    member preserving the edges into X: with visible out-edges of X removed
+    (X ∈ z), unchanged (X a possible ancestor of z), or with all edges into
+    X removed (otherwise). The MAGs depend only on (p, X) and are built
+    once per PAG.
     """
     p.check_vertices(q.x | q.y | q.z)
     poss_an_z = possible_ancestors(p, q.z) if q.z else set()
     for x in sorted(q.x):
-        r = pag_to_mag(p, {x})
+        mag, out_cut, in_cut = _invariance_mags(p, x)
         if x in q.z:
-            g = mutilate(r, REMOVE_VISIBLE_OUT_OF, {x}, visibility_in=p)
-            cond = q.z - {x}
+            g, cond = out_cut, q.z - {x}
         elif x in poss_an_z:
-            g = r
-            cond = q.z
+            g, cond = mag, q.z
         else:
-            g = mutilate(r, REMOVE_INTO, {x})
-            cond = q.z
+            g, cond = in_cut, q.z
         for y in sorted(q.y):
             if m_connected(g, x, y, cond):
                 return False

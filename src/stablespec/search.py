@@ -21,7 +21,7 @@ from .estimate import CandidateModel, fit_expression, validation_loss
 from .expressions import Factor
 from .graph import GraphError, MixedGraph
 from .identify import (
-    FAIL, InvarianceQuery, identify_interventional, invariant_conditional,
+    FAIL, InvarianceQuery, identify_interventional, invariant_conditional_mag,
 )
 
 SEARCH_MODES = ("full", "conditional-only", "single-env")
@@ -88,7 +88,7 @@ def stable_candidates(spec: InvarianceSpec, target: str, mode: str = "full",
     m = spec.mutable
     for z in subsets_in_order(observed):
         q = InvarianceQuery(m, {target}, z)
-        if invariant_conditional(spec.pag, q):
+        if invariant_conditional_mag(spec.pag, q):
             key = ("conditional", z)
             if key not in seen:
                 seen.add(key)

@@ -1,8 +1,8 @@
 """Path separation procedures on mixed graphs.
 
-Covers m-connection in ADMGs and MAGs (fast reachability plus a brute-force
-path enumerator used as a cross-check), definite-status path separation in
-PAGs, and edge visibility.
+Covers m-connection in ADMGs and MAGs (fast reachability, plus path
+enumeration kept as its oracle), definite-status path separation in PAGs,
+and edge visibility.
 """
 
 from __future__ import annotations
@@ -82,7 +82,12 @@ def _path_vertices(x: str, edges: list[Edge]) -> list[str]:
 
 
 def m_connected_bruteforce(g: MixedGraph, x: str, y: str, z: Iterable[str]) -> bool:
-    """Oracle variant of m_connected: enumerate all simple paths."""
+    """Oracle variant of m_connected: enumerate all simple paths.
+
+    An ADMG or MAG has no circle marks, so every inner vertex of a path has
+    a definite status and its definite-status connecting paths are exactly
+    its m-connecting paths.
+    """
     if g.kind not in ("ADMG", "MAG"):
         raise GraphError(f"m_connected requires an ADMG or MAG, got {g.kind}")
     if x == y:
@@ -91,22 +96,7 @@ def m_connected_bruteforce(g: MixedGraph, x: str, y: str, z: Iterable[str]) -> b
     g.check_vertices({x, y} | z)
     if x in z or y in z:
         raise GraphError("x and y must not be in z")
-    anz = g.ancestors(z) if z else set()
-    for edges in _simple_paths(g, x, y):
-        verts = _path_vertices(x, edges)
-        ok = True
-        for i in range(1, len(verts) - 1):
-            v = verts[i]
-            if _collider_at(edges[i - 1], edges[i], v):
-                if v not in anz:
-                    ok = False
-                    break
-            elif v in z:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    return bool(definite_connecting_paths(g, x, y, z))
 
 
 # -- definite-status paths in PAGs ----------------------------------------

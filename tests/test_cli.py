@@ -13,6 +13,8 @@ from stablespec.scm import practice_pattern_scm
 from util import PAG_TEXT
 
 UNSTABLE_PAG = "vars: A,Y\nA o-o Y\n"
+# A circle-tail edge means selection bias, which the checker does not model.
+SELECTION_PAG = "vars: A,B,C\nA o-- B\nB --> C\n"
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +28,7 @@ def workdir(tmp_path_factory):
     (d / "plain.json").write_text('{"columns": {}}')
     (d / "pag.txt").write_text(PAG_TEXT)
     (d / "unstable.txt").write_text(UNSTABLE_PAG)
+    (d / "selection.txt").write_text(SELECTION_PAG)
     return d
 
 
@@ -253,6 +256,13 @@ class TestCheck:
                      "--mutable", "X1", "--target", "Y",
                      "--given", "X2,X3"]) == 1
 
+    def test_circle_tail_edge_exits_two(self, workdir, capsys):
+        assert main(["check", "--graph", str(workdir / "selection.txt"),
+                     "--mutable", "A", "--target", "C"]) == 2
+        err = capsys.readouterr().err
+        assert "circle-tail edge unsupported (selection bias)" in err
+        assert "Traceback" not in err
+
 
 class TestSearch:
     def test_end_to_end_winner(self, workdir, tmp_path, capsys):
@@ -295,6 +305,19 @@ class TestSearch:
                 "--target", "Y", "--mutable", "A",
                 "--mode", "single-env", "--out", str(tmp_path / "run")]
         assert main(argv) == 1
+
+    def test_circle_tail_edge_exits_two(self, workdir, tmp_path, capsys):
+        rows = ["A,B,C"] + [f"{i % 3},{i % 5},{i % 7}" for i in range(40)]
+        (tmp_path / "abc.csv").write_text("\n".join(rows) + "\n")
+        argv = ["search", "--graph", str(workdir / "selection.txt"),
+                "--data", str(tmp_path / "abc.csv"),
+                "--schema", str(workdir / "plain.json"),
+                "--target", "C", "--mutable", "A",
+                "--out", str(tmp_path / "run")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "circle-tail edge unsupported (selection bias)" in err
+        assert "Traceback" not in err
 
     def test_budget_exceeded_exits_two(self, workdir, tmp_path):
         out = tmp_path / "run"

@@ -63,23 +63,24 @@ class TestInvariantConditional:
         assert checker(p, InvarianceQuery({"A"}, {"B"}, set()))
 
     def test_checkers_agree_on_random_pags(self):
+        # oracle PAGs of sparse random ADMGs at |V| = 8-10; for one (x, y)
+        # per graph, every z up to size 4, x itself included
         rng = random.Random(20240820)
-        for _ in range(60):
-            g = random_admg(rng, max_vertices=6)
+        verdicts = []
+        for _ in range(30):
+            g = random_admg(rng, max_vertices=10, min_vertices=8,
+                            p_directed=0.15, p_bidirected=0.08, p_both=0.04)
             pag = fci(SeparationOracle(g), g.vertices)
-            vs = list(pag.vertices)
-            for _ in range(5):
-                rng.shuffle(vs)
-                nx = rng.randint(0, min(2, len(vs)))
-                x = set(vs[:nx])
-                rest = vs[nx:]
-                y = {rest[0]} if rest else set()
-                if not y:
-                    continue
-                z = set(rest[1:1 + rng.randint(0, 2)])
-                q = InvarianceQuery(x, y, z)
-                assert invariant_conditional(pag, q) == \
-                    invariant_conditional_mag(pag, q), (pag, q)
+            x, y = rng.sample(sorted(pag.vertices), 2)
+            rest = sorted(set(pag.vertices) - {y})
+            for k in range(5):
+                for z in combinations(rest, k):
+                    q = InvarianceQuery({x}, {y}, z)
+                    want = invariant_conditional(pag, q)
+                    assert invariant_conditional_mag(pag, q) == want, (pag, q)
+                    verdicts.append(want)
+        assert len(verdicts) > 4000
+        assert 0.1 < sum(verdicts) / len(verdicts) < 0.9
 
 
 class TestDecompose:

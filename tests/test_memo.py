@@ -4,19 +4,21 @@ Every derived fact is computed once per graph and kept in the graph's memo.
 These tests compare each memoized fact on a graph whose memo is already
 warm with the same fact on an equal graph freshly parsed from its text,
 check that callers cannot change a memoized value through the containers
-they get back, and count the work one search does.
+they get back, and count the work one search does: edge visibility and the
+invariance checker's MAGs are each computed at most once per graph.
 """
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
-from stablespec import separation
+from stablespec import components, identify, separation
 from stablespec.components import bucket_partial_order, buckets, pc_component
 from stablespec.expressions import to_json
 from stablespec.fci import SeparationOracle, fci
 from stablespec.graph import GraphError, parse, serialize
+from stablespec.identify import InvarianceQuery, invariant_conditional_mag
 from stablespec.search import InvarianceSpec, stable_candidates
 from stablespec.separation import definite_m_separated, visible_edges
 from util import random_admg
@@ -100,6 +102,16 @@ class TestCachedEqualsCold:
             with pytest.raises(GraphError):
                 definite_m_separated(g, {a}, {b}, {a})
 
+    def test_invariance_checker(self, seed):
+        # every x, y and z ⊆ V - {y}: x in z, x a possible ancestor of z,
+        # and neither
+        g = random_pag(seed)
+        for x, y in permutations(g.vertices, 2):
+            for z in subsets(set(g.vertices) - {y}):
+                q = InvarianceQuery({x}, {y}, z)
+                assert warm(lambda: invariant_conditional_mag(g, q)) == \
+                    invariant_conditional_mag(fresh(g), q)
+
 
 class TestReturnedContainersAreCopies:
     def test_mutation_does_not_reach_the_memo(self):
@@ -166,6 +178,26 @@ class TestSearchWork:
         n_computed = len(computed)
         second = stable_candidates(spec, "V0")
         assert len(computed) == n_computed
+        assert candidate_record(second) == candidate_record(first)
+
+    def test_mags_built_once_per_pag_and_vertex(self, monkeypatch):
+        pag = parse(PAG8)
+        built = []
+        uncached = components.pag_to_mag
+
+        def spy(g, preserve_into):
+            built.append((serialize(g), frozenset(preserve_into)))
+            return uncached(g, preserve_into)
+
+        monkeypatch.setattr(components, "pag_to_mag", spy)
+        monkeypatch.setattr(identify, "pag_to_mag", spy)
+        spec = InvarianceSpec(pag, {"V2"})
+        first = stable_candidates(spec, "V0")
+        assert built
+        assert len(built) == len(set(built))
+        n_built = len(built)
+        second = stable_candidates(spec, "V0")
+        assert len(built) == n_built
         assert candidate_record(second) == candidate_record(first)
 
     def test_same_candidates_as_a_fresh_graph(self):
