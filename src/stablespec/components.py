@@ -151,17 +151,18 @@ def _bucket_order(sub: MixedGraph) -> tuple[frozenset[str], ...]:
     return tuple(frozenset(b) for b in order)
 
 
-def _mcs_order(adj: dict[str, set[str]], priority: set[str]) -> list[str]:
-    """Maximum cardinality search order; priority vertices are taken first.
+def _mcs_order(adj: dict[str, set[str]],
+               priority: set[str]) -> list[str] | None:
+    """Maximum cardinality search order, ties broken for priority vertices.
 
-    Verifies the perfect-ordering property (earlier neighbors of each vertex
-    form a clique), which holds exactly when the graph is chordal.
+    None unless the order is perfect (earlier neighbors of each vertex form
+    a clique), which holds exactly when the graph is chordal.
     """
     remaining = set(adj)
     weight = {v: 0 for v in adj}
     order = []
     while remaining:
-        v = min(remaining, key=lambda u: (u not in priority, -weight[u], u))
+        v = min(remaining, key=lambda u: (-weight[u], u not in priority, u))
         order.append(v)
         remaining.discard(v)
         for w in adj[v] & remaining:
@@ -172,10 +173,17 @@ def _mcs_order(adj: dict[str, set[str]], priority: set[str]) -> list[str]:
         for i, w1 in enumerate(earlier):
             for w2 in earlier[i + 1:]:
                 if w2 not in adj[w1]:
-                    raise GraphError(
-                        "cannot orient circle component into a DAG without "
-                        "new unshielded colliders")
+                    return None
     return order
+
+
+def _acyclic_mag(vertices, edges: list[Edge]) -> MixedGraph | None:
+    """The MAG with these edges, or None when they close a directed cycle,
+    the one MAG condition that pag_to_mag's edges can break."""
+    try:
+        return MixedGraph(vertices, edges, "MAG")
+    except GraphError:
+        return None
 
 
 def pag_to_mag(g: MixedGraph, preserve_into: Iterable[str]) -> MixedGraph:
@@ -184,6 +192,12 @@ def pag_to_mag(g: MixedGraph, preserve_into: Iterable[str]) -> MixedGraph:
     Circle-arrow edges become directed; each circle-circle component is
     oriented into a DAG with no new unshielded colliders, with circle edges
     at preserve_into vertices pointing out of those vertices.
+
+    A PAG learned from finite data need not be valid: a circle component
+    may not be chordal, or orienting one may close a directed cycle. No MAG
+    in its class exists then. Such a component, or on a cycle every circle
+    edge, becomes undirected (tail-tail), so each vertex on it stays a
+    non-collider, as in the PAG's definite-status reading.
     """
     if g.kind != "PAG":
         raise GraphError(f"pag_to_mag requires a PAG, got {g.kind}")
@@ -203,13 +217,22 @@ def pag_to_mag(g: MixedGraph, preserve_into: Iterable[str]) -> MixedGraph:
             raise GraphError(f"circle-tail edge unsupported (selection bias): {e}")
         else:
             edges.append(e)
-    order = _mcs_order(circle_adj, preserve)
-    pos = {v: i for i, v in enumerate(order)}
-    for v in g.vertices:
-        for w in circle_adj[v]:
-            if pos[v] < pos[w]:
-                edges.append(Edge(v, w, TAIL, ARROW))
-    mag = MixedGraph(g.vertices, edges, "MAG")
+    oriented = []
+    for block in buckets(g):
+        adj = {v: circle_adj[v] for v in block}
+        order = _mcs_order(adj, preserve)
+        pos = {v: i for i, v in enumerate(order or sorted(block))}
+        for v in block:
+            for w in adj[v]:
+                if pos[v] < pos[w]:
+                    oriented.append(Edge(v, w, TAIL, ARROW if order else TAIL))
+    mag = _acyclic_mag(g.vertices, edges + oriented)
+    if mag is None:
+        mag = _acyclic_mag(g.vertices, edges + [
+            Edge(e.a, e.b, TAIL, TAIL) for e in oriented])
+    if mag is None:
+        raise GraphError("no MAG has the marks of this PAG: its arrowheads "
+                         "close a directed cycle")
     for x in preserve:
         pag_in = {e.other(x) for e in g.edges_at(x) if e.mark_at(x) == ARROW}
         mag_in = {e.other(x) for e in mag.edges_at(x) if e.mark_at(x) == ARROW}

@@ -138,6 +138,10 @@ class _Marks:
         return True
 
     def orient_directed(self, a: str, b: str) -> bool:
+        # a tail at a without the arrowhead at b would leave a circle-tail
+        # edge, which only selection bias explains; leave both marks alone
+        if self.knowledge.blocks_arrowhead(a, b):
+            return False
         changed = self.set_mark(b, a, TAIL)
         changed |= self.set_mark(a, b, ARROW)
         return changed

@@ -121,7 +121,9 @@ def invariant_conditional_mag(p: MixedGraph, q: InvarianceQuery) -> bool:
     member preserving the edges into X: with visible out-edges of X removed
     (X ∈ z), unchanged (X a possible ancestor of z), or with all edges into
     X removed (otherwise). The MAGs depend only on (p, X) and are built
-    once per PAG.
+    once per PAG. On a learned PAG that no MAG fits, ``pag_to_mag`` reads
+    some circle edges as undirected, and the checker may decline an
+    invariance the path oracle grants.
     """
     p.check_vertices(q.x | q.y | q.z)
     poss_an_z = possible_ancestors(p, q.z) if q.z else set()

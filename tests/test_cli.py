@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -9,8 +10,9 @@ import pytest
 import stablespec
 from stablespec import cli, fci
 from stablespec.cli import main
+from stablespec.data import save_csv
 from stablespec.scm import practice_pattern_scm
-from util import PAG_TEXT
+from util import PAG_TEXT, environment_tables, random_admg
 
 UNSTABLE_PAG = "vars: A,Y\nA o-o Y\n"
 # A circle-tail edge means selection bias, which the checker does not model.
@@ -113,6 +115,25 @@ class TestPooling:
         assert main(argv) in (0, 1)
         assert sorted(loaded) == [str(workdir / "e1.csv"),
                                   str(workdir / "e2.csv")]
+
+
+    def test_search_without_graph_when_knowledge_blocks_a_rule(
+            self, workdir, tmp_path, capsys):
+        # on these samples the chain rule asks for V1 --> E (V2 o-> V1 o-o E
+        # with V2, E nonadjacent), which the environment's knowledge forbids
+        rng = random.Random(28)
+        g = random_admg(rng, max_vertices=5, min_vertices=4, p_directed=0.3,
+                        p_bidirected=0.1)
+        argv = ["search", "--schema", str(workdir / "plain.json"),
+                "--target", "V2", "--out", str(tmp_path / "run")]
+        for i, table in enumerate(environment_tables(rng, g, 300)):
+            save_csv(table, str(tmp_path / f"env{i}.csv"))
+            argv += ["--data", str(tmp_path / f"env{i}.csv")]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.strip() == "conditional[V3]"
+        assert (tmp_path / "run" / "graph.txt").read_text() == (
+            "vars: E,V0,V1,V2,V3\nE o-o V0\nE o-o V1\nV0 o-> V1\n"
+            "V2 o-> V1\n")
 
 
 class TestLearnPag:

@@ -4,7 +4,7 @@ from stablespec.components import (
     bucket_partial_order, buckets, definite_c_component, pag_to_mag,
     pc_component, region,
 )
-from stablespec.graph import ARROW, CIRCLE, GraphError, MixedGraph, parse
+from stablespec.graph import ARROW, CIRCLE, TAIL, GraphError, MixedGraph, parse
 from util import example_pag
 
 
@@ -137,6 +137,33 @@ class TestPagToMag:
         g = parse("vars: A,B,C\nA o-o B\nB o-o C\n", "PAG")
         with pytest.raises(GraphError):
             pag_to_mag(g, {"A", "C"})
+
+    def test_non_chordal_circle_component_stays_undirected(self):
+        # a learned PAG may have a chordless circle cycle; any orientation
+        # makes a collider where the PAG reads a definite non-collider
+        g = parse("vars: A,B,C,D\nA o-o B\nB o-o C\nC o-o D\nA o-o D\n")
+        for preserve in (set(), {"A"}):
+            mag = pag_to_mag(g, preserve)
+            assert len(mag.edges) == 4
+            assert all(e.mark_at_a == e.mark_at_b == TAIL for e in mag.edges)
+
+    def test_orientation_closing_a_cycle_stays_undirected(self):
+        g = parse("vars: E,V0,V1\nE o-o V0\nE o-o V1\nV1 o-> V0\n")
+        # V0 first gives V0 --> E --> V1 --> V0
+        mag = pag_to_mag(g, {"V0"})
+        assert mag.edge("V1", "V0").head_end() == "V0"
+        for w in ("V0", "V1"):
+            e = mag.edge("E", w)
+            assert e.mark_at_a == e.mark_at_b == TAIL
+        # E first closes no cycle, so the circle edges are oriented
+        mag = pag_to_mag(g, {"E"})
+        assert all(e.is_directed for e in mag.edges)
+        assert mag.edge("E", "V0").tail_end() == "E"
+
+    def test_directed_cycle_in_the_pag_rejected(self):
+        g = parse("vars: A,B,C\nA --> B\nB --> C\nC o-> A\n")
+        with pytest.raises(GraphError, match="close a directed cycle"):
+            pag_to_mag(g, set())
 
     def test_adjacencies_and_preserved_in_edges(self):
         g = parse("vars: A,B,C,D\nA o-o B\nB o-o C\nA o-o C\nC o-> D\n", "PAG")

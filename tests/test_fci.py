@@ -10,10 +10,12 @@ from stablespec.fci import (
     InstabilityError, Knowledge, SeparationOracle, _Marks, data_oracle, fci,
     pooled_fci, possible_children_of_env,
 )
-from stablespec.graph import ARROW, TAIL, GraphError, parse
+from stablespec.graph import ARROW, CIRCLE, TAIL, GraphError, parse
 from stablespec.scm import shift_benchmark_scm
 from stablespec.separation import mag_of_admg
-from util import example_admg, example_pag, random_admg
+from util import (
+    example_admg, example_pag, independence_oracle, random_admg,
+)
 
 
 class TestKnowledge:
@@ -45,6 +47,12 @@ class TestMarks:
                    Knowledge(forbidden_into={"E"}))
         assert not m.set_mark("A", "E", ARROW)
         assert m.set_mark("E", "A", ARROW)
+
+    def test_blocked_arrowhead_leaves_the_tail_unset(self):
+        m = _Marks(("B", "E"), [frozenset(("B", "E"))],
+                   Knowledge(forbidden_into={"E"}))
+        assert not m.orient_directed("B", "E")
+        assert m.mark("E", "B") == CIRCLE and m.mark("B", "E") == CIRCLE
 
 
 class TestFciExactOracle:
@@ -90,6 +98,14 @@ class TestFciExactOracle:
                 for v in (e.a, e.b):
                     if e.mark_at(v) in (ARROW, TAIL):
                         assert me.mark_at(v) == e.mark_at(v), (g, e, me)
+
+    def test_chain_rule_into_forbidden_vertex_leaves_circles(self):
+        # A *-> B <-* D is a collider and B separates both from E, so the
+        # chain rule asks for B --> E, which the knowledge forbids: the edge
+        # keeps both circles rather than becoming the circle-tail B --o E
+        pag = fci(independence_oracle({"AD": "", "AE": "B", "DE": "B"}),
+                  ["A", "B", "D", "E"], Knowledge(forbidden_into={"E"}))
+        assert pag == parse("vars: A,B,D,E\nA o-> B\nD o-> B\nB o-o E\n")
 
     def test_knowledge_respected_on_random_admgs(self):
         rng = random.Random(7)

@@ -8,15 +8,21 @@ from stablespec.expressions import (
     Factor, ONE, Product, Quotient, SumOver, conditional_of, evaluate,
     simplify,
 )
-from stablespec.fci import SeparationOracle, fci
-from stablespec.graph import GraphError, parse
+from stablespec.components import pag_to_mag
+from stablespec.fci import (
+    InstabilityError, SeparationOracle, fci, pooled_fci,
+    possible_children_of_env,
+)
+from stablespec.graph import TAIL, GraphError, parse
 from stablespec.identify import (
     FAIL, InvarianceQuery, NotIdentifiable, absorb_buckets, decompose_targets,
     eliminate_bucket, identify_interventional, identify_marginal,
     invariant_conditional, invariant_conditional_mag,
 )
 from stablespec.scm import DiscreteSCM, interventional_probability
-from util import example_admg, example_pag, random_admg
+from util import (
+    environment_tables, example_admg, example_pag, random_admg,
+)
 
 
 def P(targets, given=()):
@@ -81,6 +87,70 @@ class TestInvariantConditional:
                     verdicts.append(want)
         assert len(verdicts) > 4000
         assert 0.1 < sum(verdicts) / len(verdicts) < 0.9
+
+    def test_checkers_on_learned_pags(self):
+        # PAGs learned by pooled FCI from finite samples need not be valid:
+        # a rule the environment's knowledge blocks leaves circles no class
+        # member explains, and pag_to_mag may fall back to undirected edges.
+        # There the MAG checker may refuse an invariance the path oracle
+        # grants, never the reverse.
+        rng = random.Random(7)
+        n_queries = n_fallback = 0
+        for _ in range(40):
+            g = random_admg(rng, max_vertices=7, min_vertices=5,
+                            p_directed=0.25, p_bidirected=0.1, p_both=0.03)
+            for n in (100, 1000):
+                try:
+                    pag = pooled_fci(environment_tables(rng, g, n))
+                except InstabilityError:
+                    continue
+                m = possible_children_of_env(pag, "E")
+                y = rng.choice(sorted(set(pag.vertices) - m - {"E"}))
+                n_fallback += any(e.mark_at_a == e.mark_at_b == TAIL
+                                  for x in m
+                                  for e in pag_to_mag(pag, {x}).edges)
+                rest = sorted(set(pag.vertices) - {y, "E"})
+                for k in range(5):
+                    for z in combinations(rest, k):
+                        q = InvarianceQuery(m, {y}, z)
+                        if invariant_conditional_mag(pag, q):
+                            assert invariant_conditional(pag, q), (pag, q)
+                        n_queries += 1
+        assert n_queries > 2000
+        assert n_fallback > 0
+
+    def test_checkers_agree_on_a_chordless_circle_cycle(self):
+        p = parse("vars: A,B,C,D\nA o-o B\nB o-o C\nC o-o D\nA o-o D\n")
+        for q in all_queries(p):
+            assert invariant_conditional_mag(p, q) == \
+                invariant_conditional(p, q), q
+
+    def test_rule_blocked_by_knowledge(self):
+        # V2 o-> V0 o-o E with V2, E nonadjacent: the chain rule would give
+        # V0 --> E, which knowledge forbids. E has no causes, so V0 is a
+        # collider between E and V2; the path oracle, finding no definite
+        # status path, misses it
+        p = parse("vars: E,V0,V1,V2\nE o-o V0\nE o-o V1\nV1 o-> V0\n"
+                  "V2 o-> V0\n")
+        q = InvarianceQuery({"E"}, {"V2"}, {"V0"})
+        assert not invariant_conditional_mag(p, q)
+        assert invariant_conditional(p, q)
+        for q in all_queries(p):
+            if invariant_conditional_mag(p, q):
+                assert invariant_conditional(p, q), q
+
+
+def all_queries(p):
+    """Every single-vertex x and y with every z not containing y."""
+    vs = sorted(p.vertices)
+    for x in vs:
+        for y in vs:
+            if y == x:
+                continue
+            rest = [v for v in vs if v != y]
+            for k in range(len(rest) + 1):
+                for z in combinations(rest, k):
+                    yield InvarianceQuery({x}, {y}, z)
 
 
 class TestDecompose:

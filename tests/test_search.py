@@ -6,6 +6,7 @@ import pytest
 from stablespec.data import DataError, DataTable, pool_environments
 from stablespec.estimate import CandidateModel
 from stablespec.expressions import Factor
+from stablespec.fci import Knowledge, fci, possible_children_of_env
 from stablespec.graph import GraphError, parse
 from stablespec.identify import FAIL
 from stablespec.scm import shift_benchmark_scm
@@ -14,7 +15,7 @@ from stablespec.search import (
     shift_sweep, simulate_benchmark, split_train_validation, stable_candidates,
     subsets_in_order, unstable_baseline, write_sweep_csv,
 )
-from util import example_pag
+from util import example_pag, independence_oracle
 
 
 def population_covariance(alpha: float):
@@ -138,6 +139,34 @@ class TestStableCandidates:
         for c in stable_candidates(example_spec(), "Y", "full", env="E"):
             if c.kind == "interventional":
                 assert not c.conditioning_set & c.mutable_set
+
+
+class TestLearnedPags:
+    """Learn a PAG from a CI oracle, then search it. The conditional
+    candidates are the sets the path oracle finds invariant."""
+
+    @staticmethod
+    def conditional_sets(candidates):
+        return [set(c.conditioning_set) for c in candidates
+                if c.kind == "conditional"]
+
+    def test_chain_rule_into_the_environment(self):
+        # the chain rule asks for B --> E, which the knowledge forbids
+        pag = fci(independence_oracle({"AD": "", "AE": "B", "DE": "B"}),
+                  ["A", "B", "D", "E"], Knowledge(forbidden_into={"E"}))
+        spec = InvarianceSpec(pag, possible_children_of_env(pag, "E"))
+        assert spec.mutable == {"B"}
+        got = stable_candidates(spec, "A", env="E")
+        assert self.conditional_sets(got) == [set(), {"D"}]
+
+    def test_chordless_circle_cycle(self):
+        pag = fci(independence_oracle({"AC": "BD", "BD": "AC"}),
+                  ["A", "B", "C", "D"])
+        assert len(pag.edges) == 4
+        spec = InvarianceSpec(pag, {"A"})
+        assert self.conditional_sets(stable_candidates(spec, "C")) == \
+            [{"B", "D"}, {"A", "B", "D"}]
+        assert stable_candidates(spec, "D") == []
 
 
 class TestSplit:

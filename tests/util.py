@@ -1,6 +1,8 @@
 """Shared fixtures and random-graph generators for the test suite."""
 
+from stablespec.data import DataTable
 from stablespec.graph import ARROW, TAIL, Edge, MixedGraph, parse
+from stablespec.scm import LinearGaussianSCM
 
 # Running example: a five-variable system with one latent confounder.
 # The PAG below is what structure learning recovers for the ADMG further
@@ -51,3 +53,48 @@ def random_admg(rng, max_vertices: int = 7, min_vertices: int = 2,
                 edges.append(Edge(names[i], names[j], TAIL, ARROW))
                 edges.append(Edge(names[i], names[j], ARROW, ARROW))
     return MixedGraph(names, edges, "ADMG")
+
+
+def independence_oracle(facts: dict[str, str]):
+    """CI oracle that answers independent exactly for the listed facts.
+
+    Keys are two vertex names written together ("AB"), values the vertex
+    names of the one separating set ("" for the empty set).
+    """
+    table = {frozenset(pair): frozenset(sep) for pair, sep in facts.items()}
+
+    def independent(a, b, s):
+        return table.get(frozenset((a, b))) == frozenset(s)
+
+    return independent
+
+
+def environment_tables(rng, g: MixedGraph, n: int, n_envs: int = 3):
+    """Samples of a linear-Gaussian model of ADMG g in n_envs environments.
+
+    One latent parent per bidirected edge, coefficients of size 0.5 to 1.5
+    with random signs, unit noise; the intercepts of one or two vertices
+    differ between environments.
+    """
+    coefficients = {v: {} for v in g.vertices}
+    latents = []
+    for e in g.edges:
+        if e.is_bidirected:
+            u = f"L_{e.a}_{e.b}"
+            latents.append(u)
+            pairs = ((e.a, u), (e.b, u))
+        else:
+            pairs = ((e.head_end(), e.tail_end()),)
+        for child, parent in pairs:
+            coefficients[child][parent] = \
+                rng.choice((-1, 1)) * rng.uniform(0.5, 1.5)
+    order = tuple(latents) + tuple(g.vertices)
+    shifted = rng.sample(sorted(g.vertices), rng.randint(1, 2))
+    tables = []
+    for k in range(n_envs):
+        intercepts = {v: rng.uniform(-2, 2) for v in shifted} if k else {}
+        scm = LinearGaussianSCM(order, coefficients,
+                                {v: 1.0 for v in order}, tuple(g.vertices),
+                                intercepts)
+        tables.append(DataTable(scm.sample(n, rng.randrange(2 ** 31))))
+    return tables
