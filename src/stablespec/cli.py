@@ -161,6 +161,15 @@ def _resolve_mutable(args, pag, env) -> frozenset[str]:
     return frozenset(m)
 
 
+def _check_columns(pag, data: DataTable, env: str | None):
+    """Every graph vertex but the environment vertex must be a data column
+    before candidates are fitted: a candidate may use any of them."""
+    missing = sorted(set(pag.vertices) - set(data.names) - {env})
+    if missing:
+        raise InputError("no data column for graph vertices: "
+                         + ", ".join(missing))
+
+
 def _candidates_json(candidates, winner) -> str:
     entries = [json.loads(c.to_json()) for c in candidates]
     return _json_dumps({"candidates": entries,
@@ -184,8 +193,11 @@ def cmd_search(args) -> int:
     spec = InvarianceSpec(pag, mutable)
     candidates = stable_candidates(spec, args.target, args.mode, env,
                                    args.max_observed)
-    fitted = fit_candidates(candidates, data, args.target, args.backend,
-                            args.seed) if candidates else []
+    fitted = []
+    if candidates:
+        _check_columns(pag, data, env)
+        fitted = fit_candidates(candidates, data, args.target, args.backend,
+                                args.seed)
     winner = pick_winner(fitted)
     _write(os.path.join(out, "graph.txt"), serialize(pag))
     _write(os.path.join(out, "candidates.json"),
@@ -223,6 +235,7 @@ def cmd_sweep(args) -> int:
                          "variables plus the environment vertex)")
     pag = _read_graph(args.graph)
     mutable = _resolve_mutable(args, pag, args.env)
+    _check_columns(pag, data, args.env)
     spec = InvarianceSpec(pag, mutable)
     models = []
     for mode in ("full", "conditional-only"):

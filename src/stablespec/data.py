@@ -8,8 +8,10 @@ missing values are rejected at load time.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import re
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -255,46 +257,100 @@ def pool_environments(tables: Iterable[DataTable],
     return DataTable(cols, kinds, env_name)
 
 
+# cell texts that read as a missing value, after stripping whitespace and
+# lower-casing
+_MISSING_CELLS = ("", "nan", "+nan", "-nan")
+
+
 def load_csv(csv_path: str, schema_path: str) -> DataTable:
     """Read a header CSV plus a sidecar JSON schema.
 
     Schema format: {"columns": {"name": "continuous" | <levels>},
-    "env_column": optional name}. Blank cells are missing values and are
-    rejected.
+    "env_column": optional name}.
+
+    The header row is read by ``csv.reader``; the body by one
+    ``np.loadtxt`` call. A cell is a number in the syntax numpy reads
+    (decimal or exponent notation, ``inf``/``infinity`` with either sign,
+    any case), optionally with surrounding whitespace and optionally
+    wrapped in ``"`` quotes; ``#`` has no special meaning. Line ends may be
+    LF, CRLF or CR. Every row must have as many fields as the header.
+    Blank and NaN cells are missing values and are rejected, as are blank
+    lines and cells numpy cannot read (such as ``1_000``, which Python's
+    ``float`` would accept). The error names the first faulty row in file
+    order, counting the header as row 1, and the column when a cell is at
+    fault.
     """
     with open(schema_path) as fh:
         schema = json.load(fh)
     kinds = schema.get("columns", {})
     env = schema.get("env_column")
     with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise DataError("empty CSV") from None
-        rows = list(reader)
-    cols: dict[str, list[float]] = {name: [] for name in header}
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise DataError(f"row {i + 2} has {len(row)} fields, "
-                            f"expected {len(header)}")
-        for name, cell in zip(header, row):
-            cell = cell.strip()
-            if not cell:
-                raise DataError(f"missing value in column {name!r}, row {i + 2}")
-            value = float(cell)
-            if math.isnan(value):
-                raise DataError(f"missing value in column {name!r}, row {i + 2}")
-            cols[name].append(value)
-    return DataTable({n: np.array(v) for n, v in cols.items()}, kinds, env)
+        body = fh.read()
+    for name in header:
+        if header.count(name) > 1:
+            raise DataError(f"duplicate column {name!r} in header")
+    # loadtxt skips blank lines silently, so count the lines to catch them
+    n_lines = body.count("\n") + body.count("\r") - body.count("\r\n")
+    if body and not body.endswith(("\n", "\r")):
+        n_lines += 1
+    if not body or body.isspace():
+        values = np.empty((0, len(header)))  # loadtxt would warn
+    else:
+        try:
+            values = np.loadtxt(io.StringIO(body, newline=""), delimiter=",",
+                                quotechar='"', comments=None, ndmin=2)
+        except ValueError as exc:
+            raise _locate_fault(body, header, exc) from None
+    if values.shape != (n_lines, len(header)):
+        raise _locate_fault(body, header)
+    missing = np.isnan(values)
+    if missing.any():
+        row, col = np.argwhere(missing)[0]
+        raise DataError(
+            f"missing value in column {header[col]!r}, row {row + 2}")
+    # one contiguous array per column, not strided views of the rows
+    return DataTable(dict(zip(header, np.ascontiguousarray(values.T))),
+                     kinds, env)
 
 
-def save_csv(table: DataTable, csv_path: str, float_format: str = "%.10g"):
+def _locate_fault(body: str, header: list[str],
+                  exc: ValueError | None = None) -> DataError:
+    """The error for the first faulty row of a CSV body that ``np.loadtxt``
+    rejected (``exc``) or read to the wrong shape: a row with the wrong
+    field count, a missing cell, or the cell ``exc`` names."""
+    # numpy names the cell it cannot convert by data row, from 0, and
+    # column, from 1
+    found = re.search(r"at row (\d+), column (\d+)", str(exc))
+    bad = (int(found[1]) + 2, int(found[2]) - 1) if found else None
+    for row, fields in enumerate(csv.reader(io.StringIO(body, newline="")),
+                                 start=2):
+        if len(fields) != len(header):
+            return DataError(f"row {row} has {len(fields)} fields, "
+                             f"expected {len(header)}")
+        for col, (name, cell) in enumerate(zip(header, fields)):
+            if cell.strip().lower() in _MISSING_CELLS:
+                return DataError(f"missing value in column {name!r}, "
+                                 f"row {row}")
+            if (row, col) == bad:
+                return DataError(f"bad value {cell!r} in column {name!r}, "
+                                 f"row {row}")
+    if exc is not None:
+        return DataError(f"unreadable CSV body: {exc}")
+    return DataError("a quoted cell spans lines")
+
+
+def save_csv(table: DataTable, csv_path: str):
+    """Write ``table`` as CSV: the header as ``csv.writer`` writes it
+    (names quoted where needed), then one row per record with ``%d`` for
+    discrete columns and ``%.10g`` for continuous ones, every line ended
+    by CRLF."""
+    fmt = ",".join("%d" if table.is_discrete(n) else "%.10g"
+                   for n in table.names) + "\r\n"
     with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(table.names)
-        mat = table.matrix(table.names)
-        for row in mat:
-            writer.writerow([
-                str(int(v)) if table.is_discrete(n) else float_format % v
-                for n, v in zip(table.names, row)])
+        csv.writer(fh).writerow(table.names)
+        fh.writelines(fmt % tuple(row)
+                      for row in table.matrix(table.names).tolist())

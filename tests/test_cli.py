@@ -345,6 +345,34 @@ class TestSearch:
         assert main(search_argv(workdir, out,
                                 ["--max-observed", "2"])) == 2
 
+    def test_graph_vertex_missing_from_data_exits_two(self, workdir,
+                                                      tmp_path, capsys):
+        (tmp_path / "abc.txt").write_text("vars: A,B,C\nA o-> B\nB --> C\n")
+        argv = ["search", "--graph", str(tmp_path / "abc.txt"),
+                "--data", str(workdir / "e1.csv"),
+                "--data", str(workdir / "e2.csv"),
+                "--schema", str(workdir / "plain.json"),
+                "--target", "C", "--mutable", "A",
+                "--out", str(tmp_path / "run")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "no data column for graph vertices: A, B, C" in err
+        assert "Traceback" not in err
+
+    def test_env_vertex_needs_a_column_only_when_conditioned_on(
+            self, workdir, tmp_path, capsys):
+        one_table = ["--graph", str(workdir / "pag.txt"),
+                     "--data", str(workdir / "e1.csv"),
+                     "--schema", str(workdir / "plain.json"),
+                     "--target", "Y", "--mutable", "X1"]
+        assert main(["search", *one_table,
+                     "--out", str(tmp_path / "full")]) == 0
+        capsys.readouterr()
+        assert main(["search", *one_table, "--mode", "single-env",
+                     "--out", str(tmp_path / "single")]) == 2
+        assert "no data column for graph vertices: E" in \
+            capsys.readouterr().err
+
 
 class TestConfig:
     def test_config_supplies_flags(self, workdir, tmp_path, capsys):
@@ -395,6 +423,16 @@ class TestSweep:
         assert alpha == "-5.000000"
         assert model == "interventional[X2,X3]"
         assert len(mse.split(".")[1]) == 6
+
+    def test_graph_vertex_missing_from_data_exits_two(self, tmp_path,
+                                                      capsys):
+        (tmp_path / "pag.txt").write_text(
+            PAG_TEXT.replace("X3,Y\n", "X3,Y,Q\n") + "Q --> Y\n")
+        assert main(["sweep", "--graph", str(tmp_path / "pag.txt"),
+                     "--n-train", "500", "--n-test", "200",
+                     "--grid-points", "2", "--out", str(tmp_path / "run")]) == 2
+        assert "no data column for graph vertices: Q" in \
+            capsys.readouterr().err
 
     def test_graph_required(self, tmp_path):
         assert main(["sweep", "--n-train", "100", "--n-test", "100",

@@ -1,10 +1,17 @@
+import csv
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import stablespec
 from stablespec.data import (
     SAMPLE_ROWS, DataError, DataTable, concat_tables, load_csv,
     pool_environments, save_csv,
 )
+from stablespec.search import simulate_benchmark
 
 
 class TestDataTable:
@@ -139,6 +146,62 @@ class TestPoolEnvironments:
             pool_environments([t, DataTable({"b": [1.0]})], "E")
 
 
+def _load_text(tmp_path, text):
+    csv_path = tmp_path / "t.csv"
+    with open(csv_path, "w", newline="") as fh:
+        fh.write(text)
+    schema_path = tmp_path / "t.schema.json"
+    schema_path.write_text('{"columns": {}}')
+    return load_csv(str(csv_path), str(schema_path))
+
+
+# (file text, columns read or the error) for each case; every verdict and
+# message is the one the cell-by-cell csv.reader + float() loader gave,
+# except where a comment says otherwise
+VERDICTS = {
+    "lf": ("a,b\n1,2\n3,4\n", {"a": [1.0, 3.0], "b": [2.0, 4.0]}),
+    "crlf": ("a,b\r\n1,2\r\n3,4\r\n", {"a": [1.0, 3.0], "b": [2.0, 4.0]}),
+    "cr": ("a,b\r1,2\r3,4\r", {"a": [1.0, 3.0], "b": [2.0, 4.0]}),
+    "no final line end": ("a,b\n1,2", {"a": [1.0], "b": [2.0]}),
+    "quoted number": ('a,b\n"1.5",2\n', {"a": [1.5], "b": [2.0]}),
+    "spaces around numbers": ("a,b\n 1.5 ,\t2 \n", {"a": [1.5], "b": [2.0]}),
+    "inf": ("a,b\ninf,-Infinity\n", {"a": [np.inf], "b": [-np.inf]}),
+    "signs and exponents": ("a,b\n+1,.5\n5.,1e5\n",
+                            {"a": [1.0, 5.0], "b": [0.5, 1e5]}),
+    "quoted header name": ('"x,y",b\n1,2\n', {"x,y": [1.0], "b": [2.0]}),
+    "header only": ("a,b\n", {"a": [], "b": []}),
+    "header only, no line end": ("a,b", {"a": [], "b": []}),
+    "empty file": ("", "empty CSV"),
+    "blank cell": ("a,b\n1,2\n3,\n", "missing value in column 'b', row 3"),
+    "blank first cell": ("a,b\n,4\n", "missing value in column 'a', row 2"),
+    "whitespace cell": ("a\n1\n  \n", "missing value in column 'a', row 3"),
+    "nan cell": ("a,b\n1,2\n3,nan\n", "missing value in column 'b', row 3"),
+    "signed NaN cell": ("a,b\n-NaN,2\n", "missing value in column 'a', row 2"),
+    "short row": ("a,b\n1,2\n1\n", "row 3 has 1 fields, expected 2"),
+    "long row": ("a,b\n1,2,3\n", "row 2 has 3 fields, expected 2"),
+    "blank line in body": ("a,b\n1,2\n\n3,4\n",
+                           "row 3 has 0 fields, expected 2"),
+    "trailing blank line": ("a,b\n1,2\n\n",
+                            "row 3 has 0 fields, expected 2"),
+    "trailing blank line, crlf": ("a,b\r\n1,2\r\n\r\n",
+                                  "row 3 has 0 fields, expected 2"),
+    "whitespace line": ("a,b\n1,2\n  \n", "row 3 has 1 fields, expected 2"),
+    "nan before a blank line": ("a,b\n1,nan\n\n",
+                                "missing value in column 'b', row 2"),
+    "blank line before a nan": ("a,b\n1,2\n\n1,nan\n",
+                                "row 3 has 0 fields, expected 2"),
+    "empty header": ("\n1,2\n", "row 2 has 2 fields, expected 0"),
+    # before: a ValueError from float() that named neither row nor column
+    "hash cell": ("a,b\n1,#2\n", "bad value '#2' in column 'b', row 2"),
+    "text cell": ("a,b\n1,2\n1,abc\n", "bad value 'abc' in column 'b', row 3"),
+    # before: accepted as 1000.0; numpy's reader has no digit separators
+    "digit separator": ("a,b\n1_000,2\n",
+                        "bad value '1_000' in column 'a', row 2"),
+    # before: "a,a" read as one column of twice the rows
+    "duplicate header name": ("a,a\n1,2\n", "duplicate column 'a' in header"),
+}
+
+
 class TestCSV:
     def test_round_trip(self, tmp_path):
         t = DataTable({"x": [1.25, -0.5], "k": [1, 0]}, kinds={"k": 2},
@@ -168,3 +231,50 @@ class TestCSV:
         schema_path.write_text('{"columns": {}}')
         with pytest.raises(DataError):
             load_csv(str(csv_path), str(schema_path))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", sorted(VERDICTS))
+    def test_verdict(self, tmp_path, case):
+        text, expected = VERDICTS[case]
+        if isinstance(expected, str):
+            with pytest.raises(DataError) as exc:
+                _load_text(tmp_path, text)
+            assert str(exc.value) == expected
+        else:
+            table = _load_text(tmp_path, text)
+            assert table.names == tuple(expected)
+            assert table.n_rows == len(next(iter(expected.values())))
+            for name, values in expected.items():
+                assert table.column(name).tolist() == values
+
+    def test_save_bytes(self, tmp_path):
+        t = DataTable({"x": [1.25, -0.5, 1e-12, 123456789012.0, 2 / 3],
+                       "a,b": [0.1, 1e20, -3.0, 0.0, -0.0],
+                       "k": [1, 0, 2, 2, 0]}, kinds={"k": 3})
+        save_csv(t, str(tmp_path / "t.csv"))
+        assert (tmp_path / "t.csv").read_bytes() == (
+            b'x,"a,b",k\r\n1.25,0.1,1\r\n-0.5,1e+20,0\r\n1e-12,-3,2\r\n'
+            b'1.23456789e+11,0,2\r\n0.6666666667,-0,0\r\n')
+
+    def test_load_equals_float_per_cell_bit_for_bit(self, tmp_path):
+        csv_path = tmp_path / "bench.csv"
+        save_csv(simulate_benchmark(4.0, 50000, 1), str(csv_path))
+        (tmp_path / "s.json").write_text('{"columns": {}}')
+        table = load_csv(str(csv_path), str(tmp_path / "s.json"))
+        with open(csv_path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        expected = np.array([[float(c) for c in row] for row in rows[1:]])
+        assert table.names == tuple(rows[0])
+        assert expected.shape == (50000, 4)
+        assert np.array_equal(table.matrix(table.names), expected)
+
+    def test_import_loads_nothing_beyond_numpy_csv_json(self):
+        src = os.path.dirname(os.path.dirname(stablespec.__file__))
+        code = ("import sys, numpy, csv, json; before = set(sys.modules); "
+                "import stablespec.data; "
+                "print(sorted(set(sys.modules) - before))")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == \
+            "['__future__', 'stablespec', 'stablespec.data']"
