@@ -146,7 +146,7 @@ def fisher_z_test(data: DataTable, a: str, b: str,
 
 # a column whose share of variance left unexplained by the columns before it
 # is at most this is a linear combination of them up to rounding
-_MIN_UNEXPLAINED = 1e-12
+MIN_UNEXPLAINED = 1e-12
 
 
 def _pivots(corr: np.ndarray) -> np.ndarray | None:
@@ -165,7 +165,7 @@ def _unexplained_share(corr: np.ndarray) -> float:
     of [*s, x] that s leaves unexplained: 0 where x is constant or a linear
     function of s up to rounding, NaN where s itself is (a column of s
     constant, or s collinear)."""
-    tol = math.sqrt(_MIN_UNEXPLAINED)
+    tol = math.sqrt(MIN_UNEXPLAINED)
     if len(corr) > 1:
         head = _pivots(corr[:-1, :-1])
         if head is None or head.min() <= tol:
@@ -211,7 +211,7 @@ def residual_variances(data: DataTable, x: str, s: Iterable[str] = ()):
     # share; a NaN (a column constant within a group) fails the comparison
     pivots = None if chol is None else \
         chol.reshape(len(chol), -1)[:, ::len(idx) + 1]
-    if pivots is not None and pivots.min() > math.sqrt(_MIN_UNEXPLAINED):
+    if pivots is not None and pivots.min() > math.sqrt(MIN_UNEXPLAINED):
         share = pivots[:, -1] ** 2
     else:
         share = np.array([_unexplained_share(c) for c in corr])

@@ -100,8 +100,8 @@ class DataTable:
                 if levels < 2:
                     raise DataError(f"discrete column {name!r} needs >= 2 levels")
                 col = arrays[name]
-                if not np.all(col == np.round(col)) or col.min() < 0 \
-                        or col.max() >= levels:
+                if np.any((col != np.round(col)) | (col < 0)
+                          | (col >= levels)):
                     raise DataError(
                         f"discrete column {name!r} has values outside [0, {levels})")
                 self.kinds[name] = levels

@@ -1,24 +1,27 @@
 """Fitting identified expressions to data and scoring predictions.
 
-Two backends: ``DiscreteExactModel`` evaluates the expression against a
-smoothed empirical joint over discrete columns; ``LinearGaussianModel``
-fits each factor by least squares and predicts the target's conditional
-mean, residualizing away the contribution of intervened parents where the
-expression requires it.
+Two backends evaluate the identified expression on a joint estimated from
+the training data: ``DiscreteExactModel`` on a smoothed empirical joint over
+discrete columns, ``LinearGaussianModel`` on the Gaussian with the training
+data's mean and covariance, where it predicts the target's conditional mean.
+Fed a model's population moments, the linear backend is the exact
+linear-Gaussian oracle.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+import math
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .data import CONTINUOUS, DataError, DataTable
+from .citest import MIN_UNEXPLAINED
+from .data import CONSTANT_RTOL, DataError, DataTable
 from .expressions import (
-    Expression, Factor, Product, Quotient, SumOver, evaluate, free_vars,
-    from_json as expr_from_json, to_json as expr_to_json,
+    Constant, Expression, Factor, Product, Quotient, SumOver, evaluate,
+    free_vars, from_json as expr_from_json, to_json as expr_to_json, to_text,
 )
 from .scm import DiscreteJoint
 
@@ -132,48 +135,23 @@ class DiscreteExactModel:
 # -- linear-gaussian backend -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _AuxFeature:
-    """Residualized column: child minus the fitted contribution of its
-    non-target parents."""
-
-    child: str
-    parents: tuple[str, ...]
-    coef: tuple[float, ...]
-
-    def compute(self, data: DataTable) -> np.ndarray:
-        col = data.column(self.child).astype(float).copy()
-        for p, c in zip(self.parents, self.coef):
-            col -= c * data.column(p)
-        return col
-
-
-def _lstsq(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    design = np.column_stack([x, np.ones(len(y))])
-    if np.linalg.matrix_rank(design) < design.shape[1]:
-        raise EstimationError("rank-deficient regression design")
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    return coef
-
-
 class LinearGaussianModel:
-    """Least-squares fit of the target's conditional mean.
+    """The target's conditional mean under the expression evaluated on a
+    Gaussian: one slope per feature (the other free variables), then the
+    intercept. The expression is evaluated in information form (Lauritzen
+    1992; Koller & Friedman 2009, ch. 14), a symmetric M over [columns, 1]
+    for the log-density -[x, 1] M [x, 1]^T / 2 plus a constant: P(t | g) is
+    L^T S^-1 L, with L = [I, -B, -a] the residual of the regression of t on
+    g (slope B, intercept a, residual covariance S); a product adds forms, a
+    quotient subtracts them, a sum takes the Schur complement over its
+    variables, a constant is zero. The mean is -(M_yF f + M_y1) / M_yy."""
 
-    Plain conditional factors contribute their given-variables as features.
-    A factor whose single target is a conditioning variable with the target
-    among its parents triggers the auxiliary-variable reduction: the factor
-    is fitted by regression, the non-target parents' contribution is
-    subtracted from the child, and the residualized column becomes a
-    feature. This reproduces interventional conditional means for linear
-    systems where intervened parents must not leak through descendants.
-    """
-
-    def __init__(self, y: str, features: tuple[str, ...],
-                 aux: tuple[_AuxFeature, ...], coef: np.ndarray):
+    def __init__(self, y: str, features: tuple[str, ...], coef: np.ndarray):
         self.y = y
-        self.features = features
-        self.aux = aux
+        self.features = tuple(features)
         self.coef = np.asarray(coef, dtype=float)
+        if self.coef.shape != (len(self.features) + 1,):
+            raise EstimationError("need a slope per feature and an intercept")
 
     @classmethod
     def fit(cls, expression: Expression, train: DataTable,
@@ -182,75 +160,104 @@ class LinearGaussianModel:
             if train.is_discrete(name):
                 raise EstimationError(
                     f"column {name!r} is discrete; use the discrete backend")
-        factors = _numerator_factors(expression)
-        direct: set[str] = set()
-        aux: list[_AuxFeature] = []
-        for f in factors:
-            if y in f.targets:
-                if len(f.targets) != 1:
-                    raise EstimationError(
-                        "target must appear as a single-variable factor")
-                direct |= set(f.given)
-            elif y in f.given and len(f.targets) == 1:
-                child = next(iter(f.targets))
-                parents = sorted(f.given)
-                coef = _lstsq(train.matrix(parents), train.column(child))
-                other = [(p, c) for p, c in zip(parents, coef)
-                         if p != y]
-                aux.append(_AuxFeature(
-                    child,
-                    tuple(p for p, _ in other),
-                    tuple(float(c) for _, c in other)))
-            # factors not mentioning the target carry no information about
-            # its conditional mean
-        aux_t = tuple(sorted(aux, key=lambda a: a.child))
-        feats = tuple(sorted(direct))
-        cols = [a.compute(train) for a in aux_t] + \
-               [train.column(n) for n in feats]
-        x = np.column_stack(cols) if cols else np.zeros((train.n_rows, 0))
-        coef = _lstsq(x, train.column(y))
-        return cls(y, feats, aux_t, coef)
+        mom = train.moments()
+        return cls.from_moments(expression, y, mom.mean,
+                                mom.scatter / train.n_rows, train.names)
+
+    @classmethod
+    def from_moments(cls, expression: Expression, y: str, mean: np.ndarray,
+                     cov: np.ndarray, names: Sequence[str]
+                     ) -> "LinearGaussianModel":
+        """Fit on the Gaussian with this mean and covariance over columns
+        ``names``: a training split's moments, or an SCM's population
+        moments."""
+        index = {n: i for i, n in enumerate(names)}
+        form = _information_form(expression, mean, cov, index)
+        iy = index[y]
+        _cholesky(form[iy:iy + 1, iy:iy + 1], f"no proper conditional of {y}")
+        features = tuple(sorted(free_vars(expression) - {y}))
+        cols = [index[f] for f in features] + [len(names)]
+        return cls(y, features, -form[iy, cols] / form[iy, iy])
 
     def predict(self, data: DataTable) -> np.ndarray:
-        cols = [a.compute(data) for a in self.aux] + \
-               [data.column(n) for n in self.features]
-        x = np.column_stack(cols) if cols else np.zeros((data.n_rows, 0))
-        return np.column_stack([x, np.ones(data.n_rows)]) @ self.coef
+        return np.column_stack([data.column(n) for n in self.features]
+                               + [np.ones(data.n_rows)]) @ self.coef
 
     def to_json(self) -> str:
         return json.dumps({
             "backend": "linear-gaussian",
             "y": self.y,
             "features": list(self.features),
-            "aux": [{"child": a.child, "parents": list(a.parents),
-                     "coef": list(a.coef)} for a in self.aux],
             "coef": self.coef.tolist(),
         })
 
     @classmethod
     def from_json(cls, text: str) -> "LinearGaussianModel":
         d = json.loads(text)
-        aux = tuple(_AuxFeature(a["child"], tuple(a["parents"]),
-                                tuple(a["coef"])) for a in d["aux"])
-        return cls(d["y"], tuple(d["features"]), aux, np.array(d["coef"]))
+        return cls(d["y"], tuple(d["features"]), np.array(d["coef"]))
 
 
-def _numerator_factors(expression: Expression) -> list[Factor]:
-    """Probability factors of the expression ignoring normalizing sums."""
-    if isinstance(expression, Factor):
-        return [expression]
-    if isinstance(expression, Product):
-        out = []
-        for f in expression.factors:
-            out.extend(_numerator_factors(f))
-        return out
-    if isinstance(expression, Quotient):
-        # the denominator in identified conditionals is the normalizer over
-        # the target, already handled by normalized prediction
-        return _numerator_factors(expression.numerator)
-    if isinstance(expression, SumOver):
-        return _numerator_factors(expression.child)
-    return []
+def _cholesky(a: np.ndarray, message: str, tol: float = 0.0) -> np.ndarray:
+    """Lower Cholesky factor of a, or EstimationError(message) when a is not
+    positive definite or a diagonal entry of the factor is at most tol."""
+    try:
+        chol = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        raise EstimationError(message) from None
+    if np.any(np.diagonal(chol) <= tol):
+        raise EstimationError(message)
+    return chol
+
+
+def _information_form(expr: Expression, mean: np.ndarray, cov: np.ndarray,
+                      index: dict[str, int]) -> np.ndarray:
+    """The expression's information form over [columns, 1] for the Gaussian
+    with this mean and covariance (see ``LinearGaussianModel``)."""
+    size = len(index) + 1
+    sd = np.sqrt(np.diagonal(cov))
+
+    def factor(f: Factor) -> np.ndarray:
+        t = [index[v] for v in sorted(f.targets)]
+        g = [index[v] for v in sorted(f.given)]
+        if np.any(sd[t + g] <= CONSTANT_RTOL * np.abs(mean[t + g])):
+            raise EstimationError(f"constant column in {to_text(f)}")
+        # the rule of citest.residual_variances: a given that the others
+        # leave at most MIN_UNEXPLAINED of its variance is their function
+        _cholesky(cov[np.ix_(g, g)] / np.outer(sd[g], sd[g]),
+                  f"collinear givens in {to_text(f)}",
+                  math.sqrt(MIN_UNEXPLAINED))
+        b = np.linalg.solve(cov[np.ix_(g, g)], cov[np.ix_(g, t)]).T
+        # S floored at MIN_UNEXPLAINED on the correlation scale, so a target
+        # that is a linear function of its givens keeps a finite form
+        scale = np.outer(sd[t], sd[t])
+        w, v = np.linalg.eigh((cov[np.ix_(t, t)] - b @ cov[np.ix_(g, t)])
+                              / scale)
+        lin = np.zeros((len(t), size))
+        lin[:, t + g + [size - 1]] = np.column_stack(
+            [np.eye(len(t)), -b, b @ mean[g] - mean[t]])
+        return lin.T @ (v / np.maximum(w, MIN_UNEXPLAINED) @ v.T / scale) \
+            @ lin
+
+    def form(e) -> np.ndarray:
+        if isinstance(e, Constant):
+            return np.zeros((size, size))
+        if isinstance(e, Factor):
+            return factor(e)
+        if isinstance(e, Product):
+            return sum((form(f) for f in e.factors), np.zeros((size, size)))
+        if isinstance(e, Quotient):
+            return form(e.numerator) - form(e.denominator)
+        if isinstance(e, SumOver):
+            m = form(e.child)
+            w = [index[v] for v in sorted(e.variables)]
+            x = np.linalg.solve(
+                _cholesky(m[np.ix_(w, w)], f"divergent {to_text(e)}"), m[w])
+            m = m - x.T @ x
+            m[w, :] = m[:, w] = 0.0
+            return m
+        raise EstimationError(f"not an expression: {e!r}")
+
+    return form(expr)
 
 
 BACKENDS = {

@@ -185,9 +185,6 @@ class MixedGraph:
     def adjacent(self, u: str, v: str) -> bool:
         return v in self._adj[u]
 
-    def neighbors(self, v: str) -> list[str]:
-        return sorted(self._adj[v])
-
     def edges_between(self, u: str, v: str) -> list[Edge]:
         return list(self._adj[u].get(v, []))
 

@@ -60,6 +60,17 @@ class LinearGaussianSCM:
             cols[v] = x
         return {v: cols[v] for v in self.observed}
 
+    def moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Population mean (I-B)^-1 c and covariance (I-B)^-1 D (I-B)^-T of
+        ``observed``; B the coefficients, c intercepts, D noise variances."""
+        pos = {v: i for i, v in enumerate(self.order)}
+        b = np.eye(len(pos))
+        for child, parents in self.coefficients.items():
+            b[pos[child], [pos[p] for p in parents]] -= list(parents.values())
+        a = np.linalg.inv(b)[[pos[v] for v in self.observed]]
+        c = [self.intercepts.get(v, 0.0) for v in self.order]
+        return a @ c, a * [self.noise_std[v] ** 2 for v in self.order] @ a.T
+
 
 def shift_benchmark_scm(alpha: float) -> LinearGaussianSCM:
     """The five-equation benchmark; alpha scales the hidden common cause."""

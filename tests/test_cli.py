@@ -10,9 +10,12 @@ import pytest
 import stablespec
 from stablespec import cli, fci
 from stablespec.cli import main
-from stablespec.data import save_csv
+from stablespec.data import DataTable, save_csv
+from stablespec.graph import parse, serialize
 from stablespec.scm import practice_pattern_scm
-from util import PAG_TEXT, environment_tables, random_admg
+from util import (
+    ORACLE_ADMGS, PAG_TEXT, environment_tables, linear_scm, random_admg,
+)
 
 UNSTABLE_PAG = "vars: A,Y\nA o-o Y\n"
 # A circle-tail edge means selection bias, which the checker does not model.
@@ -339,6 +342,29 @@ class TestSearch:
         err = capsys.readouterr().err
         assert "circle-tail edge unsupported (selection bias)" in err
         assert "Traceback" not in err
+
+    def test_fits_quotients_of_sums_and_joint_factors(self, tmp_path):
+        # interventional[V0,V3] here holds the factor P(V1,V2) inside a
+        # quotient of sums
+        text, target, mutable = ORACLE_ADMGS["six"]
+        admg = parse(text, "ADMG")
+        pag = fci.fci(fci.SeparationOracle(admg), admg.vertices)
+        (tmp_path / "pag.txt").write_text(serialize(pag))
+        (tmp_path / "plain.json").write_text('{"columns": {}}')
+        scm = linear_scm(random.Random(4), admg)
+        save_csv(DataTable(scm.sample(20000, seed=5)),
+                 str(tmp_path / "d.csv"))
+        out = tmp_path / "run"
+        assert main(["search", "--graph", str(tmp_path / "pag.txt"),
+                     "--data", str(tmp_path / "d.csv"),
+                     "--schema", str(tmp_path / "plain.json"),
+                     "--target", target, "--mutable", mutable,
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "candidates.json").read_text())
+        labels = {f"{c['kind']}[{','.join(c['conditioning_set']) or '-'}]"
+                  for c in report["candidates"]}
+        assert "interventional[V0,V3]" in labels
+        assert len(labels) == 32
 
     def test_budget_exceeded_exits_two(self, workdir, tmp_path):
         out = tmp_path / "run"

@@ -146,18 +146,18 @@ class TestPoolEnvironments:
             pool_environments([t, DataTable({"b": [1.0]})], "E")
 
 
-def _load_text(tmp_path, text):
+def _load_text(tmp_path, text, schema='{"columns": {}}'):
     csv_path = tmp_path / "t.csv"
     with open(csv_path, "w", newline="") as fh:
         fh.write(text)
     schema_path = tmp_path / "t.schema.json"
-    schema_path.write_text('{"columns": {}}')
+    schema_path.write_text(schema)
     return load_csv(str(csv_path), str(schema_path))
 
 
-# (file text, columns read or the error) for each case; every verdict and
-# message is the one the cell-by-cell csv.reader + float() loader gave,
-# except where a comment says otherwise
+# (file text, columns read or the error[, schema]) for each case; every
+# verdict and message is the one the cell-by-cell csv.reader + float()
+# loader gave, except where a comment says otherwise
 VERDICTS = {
     "lf": ("a,b\n1,2\n3,4\n", {"a": [1.0, 3.0], "b": [2.0, 4.0]}),
     "crlf": ("a,b\r\n1,2\r\n3,4\r\n", {"a": [1.0, 3.0], "b": [2.0, 4.0]}),
@@ -199,6 +199,10 @@ VERDICTS = {
                         "bad value '1_000' in column 'a', row 2"),
     # before: "a,a" read as one column of twice the rows
     "duplicate header name": ("a,a\n1,2\n", "duplicate column 'a' in header"),
+    # before: numpy's "zero-size array to reduction operation minimum
+    # which has no identity" from the discrete range check
+    "header only, discrete column": ("a,k\n", {"a": [], "k": []},
+                                     '{"columns": {"k": 2}}'),
 }
 
 
@@ -235,13 +239,13 @@ class TestCSV:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("case", sorted(VERDICTS))
     def test_verdict(self, tmp_path, case):
-        text, expected = VERDICTS[case]
+        text, expected, *schema = VERDICTS[case]
         if isinstance(expected, str):
             with pytest.raises(DataError) as exc:
-                _load_text(tmp_path, text)
+                _load_text(tmp_path, text, *schema)
             assert str(exc.value) == expected
         else:
-            table = _load_text(tmp_path, text)
+            table = _load_text(tmp_path, text, *schema)
             assert table.names == tuple(expected)
             assert table.n_rows == len(next(iter(expected.values())))
             for name, values in expected.items():

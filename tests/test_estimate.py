@@ -1,4 +1,6 @@
 import json
+import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,12 +11,17 @@ from stablespec.estimate import (
     discretize, fit_expression, model_from_json, quantile_edges,
     rank_correlation, validation_loss,
 )
-from stablespec.expressions import Factor
+from stablespec.expressions import (
+    Constant, Factor, Product, Quotient, SumOver,
+)
+from stablespec.fci import SeparationOracle, fci
+from stablespec.graph import parse
 from stablespec.identify import identify_interventional
 from stablespec.scm import (
     DiscreteSCM, interventional_probability, shift_benchmark_scm,
 )
-from util import example_admg, example_pag
+from stablespec.search import InvarianceSpec, stable_candidates
+from util import ORACLE_ADMGS, example_admg, example_pag, linear_scm
 
 BINARY = {k: 2 for k in ("E", "X1", "X2", "X3", "Y")}
 
@@ -100,18 +107,15 @@ class TestDiscreteExact:
 
 class TestLinearGaussian:
     def test_interventional_coefficients_match_closed_form(self):
-        # E[Y | do(X1), X2, X3] reduces to regressing Y on the residualized
-        # child X2* = X2 + X1 and on X3; the population coefficients follow
-        # from joint-Gaussian conditioning
+        # E[Y | do(X1), X2, X3] is the regression of Y on X2* = X2 + X1 and
+        # on X3, so X1 and X2 share one coefficient; the population values
+        # follow from joint-Gaussian conditioning
         train = DataTable(shift_benchmark_scm(4.0).sample(200000, seed=1))
         m = LinearGaussianModel.fit(running_example_expression(), train, "Y")
-        assert len(m.aux) == 1
-        aux = m.aux[0]
-        assert aux.child == "X2" and aux.parents == ("X1",)
-        assert aux.coef[0] == pytest.approx(-1.0, abs=0.05)
-        got = dict(zip([a.child for a in m.aux] + list(m.features),
-                       m.coef[:-1]))
+        assert m.features == ("X1", "X2", "X3")
+        got = dict(zip(m.features, m.coef))
         assert got["X2"] == pytest.approx(2.549, abs=0.05)
+        assert got["X1"] == pytest.approx(got["X2"], abs=0.05)
         assert got["X3"] == pytest.approx(0.2451, abs=0.05)
 
     def test_plain_conditional_recovers_structural_slope(self):
@@ -137,6 +141,124 @@ class TestLinearGaussian:
         m2 = model_from_json(m.to_json())
         test = DataTable(shift_benchmark_scm(8.0).sample(100, seed=3))
         assert m.predict(test) == pytest.approx(m2.predict(test))
+        # an estimator written with residualized auxiliary features has a
+        # coefficient per auxiliary feature on top of features + intercept
+        old = {"backend": "linear-gaussian", "y": "Y", "features": ["X3"],
+               "aux": [{"child": "X2", "parents": ["X1"], "coef": [-1.0]}],
+               "coef": [2.5, 0.25, 0.0]}
+        with pytest.raises(EstimationError):
+            model_from_json(json.dumps(old))
+
+    def test_target_outside_the_expression_rejected(self):
+        train = DataTable(shift_benchmark_scm(4.0).sample(1000, seed=2))
+        with pytest.raises(EstimationError):
+            LinearGaussianModel.fit(Factor({"X3"}), train, "Y")
+
+    def test_divergent_sum_rejected(self):
+        # the summand does not depend on X3, so its integral over X3
+        # diverges
+        train = DataTable(shift_benchmark_scm(4.0).sample(1000, seed=2))
+        with pytest.raises(EstimationError):
+            LinearGaussianModel.fit(SumOver({"X3"}, Factor({"Y"})), train,
+                                    "Y")
+
+    def test_constant_column_rejected(self):
+        t = DataTable({"A": np.full(50, 3.7), "Y": np.linspace(0, 1, 50)})
+        with pytest.raises(EstimationError):
+            LinearGaussianModel.fit(Factor({"Y"}, {"A"}), t, "Y")
+
+
+def population_fit(expression, scm, target):
+    mean, cov = scm.moments()
+    return LinearGaussianModel.from_moments(expression, target, mean, cov,
+                                            scm.observed)
+
+
+def population_regression(scm, target, features):
+    """Slopes (by feature) and intercept of the population regression of
+    the target on the features."""
+    mean, cov = scm.moments()
+    pos = {v: i for i, v in enumerate(scm.observed)}
+    f, y = [pos[v] for v in features], pos[target]
+    beta = np.linalg.solve(cov[np.ix_(f, f)], cov[f, y])
+    return dict(zip(features, beta)), mean[y] - beta @ mean[f]
+
+
+class TestLinearGaussianOracle:
+    """The backend fed a linear SCM's population moments returns the exact
+    conditional mean of every identified candidate."""
+
+    def test_readme_candidates_are_exact_and_invariant(self):
+        spec = InvarianceSpec(example_pag(), {"X1"})
+        expr = {c.label(): c.expression
+                for c in stable_candidates(spec, "Y", "full", env="E")}
+        # Y | X3 has variance 25 * 0.01 + 0.01 = 0.26; X2 + X1 = 0.2 Y +
+        # noise of variance 0.01 adds precision 0.2^2 / 0.01
+        precision = 1 / 0.26 + 0.2 ** 2 / 0.01
+        slope = (0.2 / 0.01) / precision
+        want = {"interventional[X2,X3]": (("X1", "X2", "X3"), [
+                    slope, slope, (0.5 / 0.26) / precision, 0.0]),
+                "conditional[X3]": (("X3",), [0.5, 0.0])}
+        for label, (features, coef) in want.items():
+            fits = [population_fit(expr[label], shift_benchmark_scm(a), "Y")
+                    for a in (-5.0, 4.0, 8.0, 17.0)]
+            for m in fits:
+                assert m.features == features
+                assert m.coef == pytest.approx(fits[0].coef, abs=1e-12)
+                assert m.coef == pytest.approx(coef, abs=1e-12)
+
+    def test_equal_expressions_give_equal_fits(self):
+        # probability identities of each node kind, read for target Y
+        pairs = [
+            (Quotient(Factor({"X1", "Y"}), Factor({"Y"})),
+             Factor({"X1"}, {"Y"})),
+            (Product([Factor({"X3"}), Factor({"Y"}, {"X3"})]),
+             Factor({"X3", "Y"})),
+            (SumOver({"X1"}, Product([Factor({"X1"}, {"X3"}),
+                                      Factor({"Y"}, {"X1", "X3"})])),
+             Factor({"Y"}, {"X3"})),
+            (Product([Constant(2.0), Factor({"X1"}), Factor({"Y"}, {"X1"})]),
+             Factor({"Y", "X1"})),
+        ]
+        scm = shift_benchmark_scm(4.0)
+        for left, right in pairs:
+            a, b = (population_fit(e, scm, "Y") for e in (left, right))
+            assert a.features == b.features
+            assert a.coef == pytest.approx(b.coef, abs=1e-12)
+
+    @pytest.mark.parametrize("draw", sorted(ORACLE_ADMGS))
+    def test_every_candidate_matches_the_mutilated_regression(self, draw):
+        # interventional[z]: the regression of the target on z and the
+        # mutable vertex in the SCM where the mutable vertex has no parents;
+        # conditional[z]: the regression on z in the SCM itself
+        text, target, mutable = ORACLE_ADMGS[draw]
+        admg = parse(text, "ADMG")
+        rng = random.Random(3)
+        scm = linear_scm(rng, admg)
+        scm = replace(scm, intercepts={v: rng.uniform(-2, 2)
+                                       for v in admg.vertices})
+        mutilated = replace(scm, coefficients={**scm.coefficients,
+                                               mutable: {}})
+        pag = fci(SeparationOracle(admg), admg.vertices)
+        candidates = stable_candidates(InvarianceSpec(pag, {mutable}),
+                                       target)
+        kinds = [c.kind for c in candidates]
+        assert kinds.count("interventional") >= 4
+        for c in candidates:
+            m = population_fit(c.expression, scm, target)
+            if c.kind == "interventional":
+                features = sorted(c.conditioning_set | c.mutable_set)
+                slopes, intercept = population_regression(
+                    mutilated, target, features)
+            else:
+                features = sorted(c.conditioning_set)
+                slopes, intercept = population_regression(
+                    scm, target, features)
+            got = dict(zip(m.features, m.coef))
+            for v in set(features) | set(m.features):
+                assert got.get(v, 0.0) == pytest.approx(
+                    slopes.get(v, 0.0), abs=1e-9), (c.label(), v)
+            assert m.coef[-1] == pytest.approx(intercept, abs=1e-9)
 
 
 class TestValidationLoss:

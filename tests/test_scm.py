@@ -34,6 +34,28 @@ class TestLinearGaussian:
             LinearGaussianSCM(order=("A",), coefficients={},
                               noise_std={"A": 0.0}, observed=("A",))
 
+    def test_population_moments_by_hand(self):
+        # U latent; X = 1 + 2U + N(0, 1), Y = 3 + 0.5X - U + N(0, 0.25)
+        scm = LinearGaussianSCM(
+            order=("U", "X", "Y"),
+            coefficients={"X": {"U": 2.0}, "Y": {"X": 0.5, "U": -1.0}},
+            noise_std={"U": 1.0, "X": 1.0, "Y": 0.5}, observed=("Y", "X"),
+            intercepts={"X": 1.0, "Y": 3.0})
+        mean, cov = scm.moments()
+        # var X = 4 + 1 and cov(X, U) = 2, so cov(X, Y) = 0.5 var X - 2
+        # and var Y = 0.25 var X - cov(X, U) + 1 + 0.25
+        assert mean == pytest.approx([3.5, 1.0], abs=1e-15)
+        assert cov == pytest.approx(np.array([[0.5, 0.5], [0.5, 5.0]]),
+                                    abs=1e-15)
+
+    def test_population_moments_match_a_large_sample(self):
+        scm = shift_benchmark_scm(4.0)
+        mean, cov = scm.moments()
+        data = scm.sample(200000, seed=4)
+        x = np.column_stack([data[v] for v in scm.observed])
+        assert x.mean(axis=0) == pytest.approx(mean, abs=0.01)
+        assert np.cov(x.T) == pytest.approx(cov, rel=0.02, abs=1e-3)
+
     def test_determinism(self):
         a = shift_benchmark_scm(4.0).sample(100, seed=3)
         b = shift_benchmark_scm(4.0).sample(100, seed=3)

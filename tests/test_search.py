@@ -19,20 +19,13 @@ from util import example_pag, independence_oracle
 
 
 def population_covariance(alpha: float):
-    """Covariance of every variable of ``shift_benchmark_scm(alpha)``,
-    (I - B)^-1 D (I - B)^-T with B the coefficients and D the noise
-    variances, and the variables' positions in it. All intercepts are zero,
-    so every mean is zero."""
+    """Covariance of the observed variables of ``shift_benchmark_scm(alpha)``
+    and their positions in it. All intercepts are zero, so every mean is
+    zero."""
     scm = shift_benchmark_scm(alpha)
-    assert not any(scm.intercepts.values())
-    pos = {v: i for i, v in enumerate(scm.order)}
-    b = np.zeros((len(pos), len(pos)))
-    for child, parents in scm.coefficients.items():
-        for parent, coef in parents.items():
-            b[pos[child], pos[parent]] = coef
-    a = np.linalg.inv(np.eye(len(pos)) - b)
-    noise = np.diag([scm.noise_std[v] ** 2 for v in scm.order])
-    return a @ noise @ a.T, pos
+    mean, cov = scm.moments()
+    assert not mean.any()
+    return cov, {v: i for i, v in enumerate(scm.observed)}
 
 
 def population_mse(beta, features, alpha: float, target: str = "Y"):

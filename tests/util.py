@@ -1,5 +1,7 @@
 """Shared fixtures and random-graph generators for the test suite."""
 
+from dataclasses import replace
+
 from stablespec.data import DataTable
 from stablespec.graph import ARROW, TAIL, Edge, MixedGraph, parse
 from stablespec.scm import LinearGaussianSCM
@@ -25,6 +27,35 @@ X1 <-> Y
 X3 --> Y
 Y --> X2
 """
+
+# Sparse ADMGs whose searches have interventional candidates with sums,
+# quotients and multi-variable factors in their expressions; each entry is
+# (ADMG text, target, mutable vertex).
+ORACLE_ADMGS = {
+    "six": ("""\
+vars: V0,V1,V2,V3,V4,V5
+V0 --> V4
+V0 <-> V3
+V1 --> V0
+V1 --> V2
+V2 --> V3
+V3 <-> V4
+V5 --> V3
+V5 --> V4
+""", "V2", "V4"),
+    "seven": ("""\
+vars: V0,V1,V2,V3,V4,V5,V6
+V0 --> V1
+V0 --> V3
+V0 --> V4
+V1 --> V5
+V2 --> V1
+V2 <-> V4
+V2 <-> V6
+V3 --> V5
+V6 --> V0
+""", "V4", "V2"),
+}
 
 
 def example_pag() -> MixedGraph:
@@ -69,12 +100,11 @@ def independence_oracle(facts: dict[str, str]):
     return independent
 
 
-def environment_tables(rng, g: MixedGraph, n: int, n_envs: int = 3):
-    """Samples of a linear-Gaussian model of ADMG g in n_envs environments.
+def linear_scm(rng, g: MixedGraph) -> LinearGaussianSCM:
+    """Linear-Gaussian model of ADMG g without intercepts.
 
     One latent parent per bidirected edge, coefficients of size 0.5 to 1.5
-    with random signs, unit noise; the intercepts of one or two vertices
-    differ between environments.
+    with random signs, unit noise.
     """
     coefficients = {v: {} for v in g.vertices}
     latents = []
@@ -88,13 +118,24 @@ def environment_tables(rng, g: MixedGraph, n: int, n_envs: int = 3):
         for child, parent in pairs:
             coefficients[child][parent] = \
                 rng.choice((-1, 1)) * rng.uniform(0.5, 1.5)
-    order = tuple(latents) + tuple(g.vertices)
+    order, remaining = list(latents), list(g.vertices)
+    while remaining:  # the first vertex whose parents are all placed
+        v = next(u for u in remaining
+                 if all(p in order for p in coefficients[u]))
+        order.append(v)
+        remaining.remove(v)
+    return LinearGaussianSCM(tuple(order), coefficients,
+                             {v: 1.0 for v in order}, tuple(g.vertices))
+
+
+def environment_tables(rng, g: MixedGraph, n: int, n_envs: int = 3):
+    """Samples of ``linear_scm(rng, g)`` in n_envs environments; the
+    intercepts of one or two vertices differ between environments."""
+    scm = linear_scm(rng, g)
     shifted = rng.sample(sorted(g.vertices), rng.randint(1, 2))
     tables = []
     for k in range(n_envs):
         intercepts = {v: rng.uniform(-2, 2) for v in shifted} if k else {}
-        scm = LinearGaussianSCM(order, coefficients,
-                                {v: 1.0 for v in order}, tuple(g.vertices),
-                                intercepts)
-        tables.append(DataTable(scm.sample(n, rng.randrange(2 ** 31))))
+        tables.append(DataTable(replace(scm, intercepts=intercepts).sample(
+            n, rng.randrange(2 ** 31))))
     return tables
