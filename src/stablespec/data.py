@@ -123,13 +123,14 @@ class DataTable:
         return self._columns[name]
 
     def is_discrete(self, name: str) -> bool:
+        if name not in self.kinds:
+            raise DataError(f"no column {name!r}")
         return self.kinds[name] != CONTINUOUS
 
     def levels(self, name: str) -> int:
-        kind = self.kinds[name]
-        if kind == CONTINUOUS:
+        if not self.is_discrete(name):
             raise DataError(f"column {name!r} is continuous")
-        return int(kind)
+        return int(self.kinds[name])
 
     def matrix(self, names: Iterable[str]) -> np.ndarray:
         return np.column_stack([self.column(n) for n in names])

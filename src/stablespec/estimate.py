@@ -20,8 +20,9 @@ import numpy as np
 from .citest import MIN_UNEXPLAINED
 from .data import CONSTANT_RTOL, DataError, DataTable
 from .expressions import (
-    Constant, Expression, Factor, Product, Quotient, SumOver, evaluate,
-    free_vars, from_json as expr_from_json, to_json as expr_to_json, to_text,
+    Constant, Expression, ExpressionError, Factor, Product, Quotient, SumOver,
+    free_vars, from_json as expr_from_json, tabulate, to_json as expr_to_json,
+    to_text,
 )
 from .scm import DiscreteJoint
 
@@ -71,7 +72,6 @@ class DiscreteExactModel:
         self.expression = expression
         self.y = y
         self.joint = joint
-        self.variables = tuple(joint.names)
 
     @classmethod
     def fit(cls, expression: Expression, train: DataTable,
@@ -89,27 +89,26 @@ class DiscreteExactModel:
         return cls(expression, y, DiscreteJoint(names, counts))
 
     def predict_proba(self, data: DataTable) -> np.ndarray:
-        """Row-wise distribution over the target's levels, normalized from
-        the expression."""
-        k = self.joint.cards[self.y]
-        feats = [n for n in self.variables if n != self.y]
-        rows = np.column_stack([data.column(n).astype(int) for n in feats]) \
-            if feats else np.zeros((data.n_rows, 0), dtype=int)
-        cache: dict[tuple, np.ndarray] = {}
-        out = np.empty((data.n_rows, k))
-        for i in range(data.n_rows):
-            key = tuple(rows[i])
-            if key not in cache:
-                assignment = dict(zip(feats, key))
-                vals = np.empty(k)
-                for yv in range(k):
-                    assignment[self.y] = yv
-                    vals[yv] = evaluate(self.expression, self.joint,
-                                        assignment)
-                total = vals.sum()
-                cache[key] = vals / total if total > 0 else np.full(k, 1.0 / k)
-            out[i] = cache[key]
-        return out
+        """Row-wise distribution over the target's levels: the expression
+        normalized over the target, uniform where it sums to zero."""
+        names, values = tabulate(self.expression, self.joint)
+        order = self.joint.names
+        # on the joint's axes in its order, then the target's moved last
+        table = values.transpose([names.index(v) for v in order
+                                  if v in names]).reshape(
+            [self.joint.cards[v] if v in names else 1 for v in order])
+        table = np.moveaxis(np.broadcast_to(table, self.joint.table.shape),
+                            order.index(self.y), -1)
+        k = table.shape[-1]
+        total = table.sum(axis=-1, keepdims=True)
+        # uniform where the total is not positive; a nan total stays nan
+        proba = np.divide(table, total, out=np.full(table.shape, 1.0 / k),
+                          where=~(total <= 0))
+        codes = tuple(data.column(n).astype(int) for n in order if n != self.y)
+        picked = proba[codes] if codes else np.tile(proba, (data.n_rows, 1))
+        if np.isnan(picked).any():
+            raise ExpressionError("zero denominator with nonzero numerator")
+        return picked
 
     def predict(self, data: DataTable) -> np.ndarray:
         proba = self.predict_proba(data)

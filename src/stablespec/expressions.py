@@ -8,9 +8,12 @@ graph is supplied, conditional independences read off that graph.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import product as iter_product
+from functools import reduce
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .graph import MixedGraph
 from .separation import definite_m_separated
@@ -147,51 +150,77 @@ def _on_node(expr, name: str, compute):
 # -- evaluation ------------------------------------------------------------
 
 
-def evaluate(expr, joint, assignment: Mapping[str, int]) -> float:
-    """Evaluate against an exact discrete joint distribution.
+def tabulate(expr, joint) -> tuple[tuple[str, ...], np.ndarray]:
+    """(names, values): the expression at every assignment of its free
+    variables (sorted names, an axis each) under an exact discrete joint.
 
-    A factor whose conditioning event has probability zero evaluates to
-    zero; such terms always arise multiplied by a vanishing prefix factor
-    in chain-structured expressions. A quotient 0/0 is taken as 0 and a
-    nonzero numerator over a zero denominator is an error.
-    """
-    if isinstance(expr, Constant):
-        return expr.value
-    if isinstance(expr, Factor):
-        missing = (expr.targets | expr.given) - set(assignment)
-        if missing:
-            raise ExpressionError(f"unbound variables {sorted(missing)}")
-        t = {v: assignment[v] for v in expr.targets}
-        g = {v: assignment[v] for v in expr.given}
-        if g and joint.prob(g) == 0.0:
-            return 0.0
-        return joint.conditional(t, g) if g else joint.prob(t)
-    if isinstance(expr, Product):
-        out = 1.0
-        for f in expr.factors:
-            out *= evaluate(f, joint, assignment)
-        return out
-    if isinstance(expr, Quotient):
-        den = evaluate(expr.denominator, joint, assignment)
-        num = evaluate(expr.numerator, joint, assignment)
-        if den == 0.0:
-            if num == 0.0:
-                return 0.0
-            raise ExpressionError("zero denominator with nonzero numerator")
-        return num / den
-    if isinstance(expr, SumOver):
-        names = sorted(expr.variables)
-        cards = joint.cards
-        unknown = [v for v in names if v not in cards]
+    One table operation per node (Koller & Friedman 2009, ch. 9), on arrays
+    with an axis per joint variable, of length 1 where the node does not
+    depend on it. A factor is 0 where its given has probability 0 (such
+    terms arise multiplied by a vanishing prefix factor); a quotient 0/0 is
+    0 and x/0 is nan for x != 0; a summed variable the child does not
+    depend on multiplies by its cardinality."""
+    names = sorted(joint.names)
+    full = joint.table.transpose([joint.names.index(v) for v in names])
+    cards = dict(zip(names, full.shape))
+    done: dict[int, np.ndarray] = {}
+
+    def axes(variables, what: str) -> tuple[int, ...]:
+        unknown = sorted(set(variables) - set(cards))
         if unknown:
-            raise ExpressionError(f"cannot sum over unknown variables {unknown}")
-        total = 0.0
-        for values in iter_product(*(range(cards[v]) for v in names)):
-            local = dict(assignment)
-            local.update(zip(names, values))
-            total += evaluate(expr.child, joint, local)
-        return total
-    raise ExpressionError(f"not an expression: {expr!r}")
+            raise ExpressionError(f"cannot {what} unknown variables {unknown}")
+        return tuple(i for i, v in enumerate(names) if v in variables)
+
+    def marginal(keep) -> np.ndarray:
+        kept = axes(keep, "evaluate")
+        return full.sum(axis=tuple(i for i in range(len(names))
+                                   if i not in kept), keepdims=True)
+
+    def quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+        num, den = np.broadcast_arrays(num, den)
+        out = np.divide(num, den, out=np.zeros(num.shape), where=den != 0)
+        out[(den == 0) & (num != 0)] = np.nan
+        return out
+
+    def tab(e) -> np.ndarray:
+        if id(e) not in done:
+            done[id(e)] = compute(e)
+        return done[id(e)]
+
+    def compute(e) -> np.ndarray:
+        if isinstance(e, Constant):
+            return np.full([1] * len(names), float(e.value))
+        if isinstance(e, Factor):
+            num = marginal(e.targets | e.given)
+            # P(t, g) / P(g), and P(t, g) is zero wherever P(g) is
+            return quotient(num, marginal(e.given)) if e.given else num
+        if isinstance(e, Product):
+            return reduce(np.multiply, map(tab, e.factors),
+                          np.ones([1] * len(names)))
+        if isinstance(e, Quotient):
+            return quotient(tab(e.numerator), tab(e.denominator))
+        if isinstance(e, SumOver):
+            summed = axes(e.variables, "sum over")
+            scale = math.prod(cards[v] for v in e.variables
+                              - free_vars(e.child))
+            return tab(e.child).sum(axis=summed, keepdims=True) * scale
+        raise ExpressionError(f"not an expression: {e!r}")
+
+    free = tuple(sorted(free_vars(expr)))
+    return free, tab(expr).reshape([cards[v] for v in free])
+
+
+def evaluate(expr, joint, assignment: Mapping[str, int]) -> float:
+    """``tabulate(expr, joint)`` at one assignment of the free variables; a
+    nonzero numerator over a zero denominator is an error."""
+    missing = free_vars(expr) - set(assignment)
+    if missing:
+        raise ExpressionError(f"unbound variables {sorted(missing)}")
+    names, values = tabulate(expr, joint)
+    value = float(values[tuple(assignment[v] for v in names)])
+    if math.isnan(value):
+        raise ExpressionError("zero denominator with nonzero numerator")
+    return value
 
 
 # -- rendering -------------------------------------------------------------

@@ -380,28 +380,6 @@ def _pd_edges(marks: _Marks) -> dict[str, set[str]]:
     return out
 
 
-def _uncovered_pd_path_exists(marks: _Marks, a: str, c: str,
-                              require_second_nonadjacent: bool) -> bool:
-    """Uncovered potentially directed path from a to c, at least two edges,
-    not using the a-c edge itself. When asked, the second vertex must be
-    nonadjacent to c (closing the cycle a o-> c uncovered)."""
-    pd = _pd_edges(marks)
-    stack = [(n, (a, n)) for n in sorted(pd[a] - {c})]
-    while stack:
-        cur, path = stack.pop()
-        for nxt in sorted(pd[cur] - set(path)):
-            if marks.adjacent(path[-2], nxt):
-                continue
-            if nxt == c:
-                if len(path) < 3:
-                    continue
-                if require_second_nonadjacent and marks.adjacent(path[1], c):
-                    continue
-                return True
-            stack.append((nxt, path + (nxt,)))
-    return False
-
-
 def _rule_tail_triangle(marks: _Marks) -> bool:
     # a -> b -> c or a -o b -> c, with a o-> c: orient tail at a
     changed = False
@@ -420,14 +398,17 @@ def _rule_tail_triangle(marks: _Marks) -> bool:
 
 
 def _rule_uncovered_cycle(marks: _Marks) -> bool:
-    # a o-> c with an uncovered potentially directed path around: tail at a
+    # a o-> c with an uncovered p.d. path a, mu, ..., c, mu nonadjacent to
+    # c: tail at a, which changes no p.d. edge, so pd is computed once
     changed = False
+    pd = _pd_edges(marks)
     for a in marks.vertices:
         for c in sorted(marks.adj[a]):
             if marks.mark(c, a) != CIRCLE or marks.mark(a, c) != ARROW:
                 continue
-            if _uncovered_pd_path_exists(marks, a, c,
-                                         require_second_nonadjacent=True):
+            if any(not marks.adjacent(mu, c) and
+                   _pd_reaches(marks, pd, a, mu, c)
+                   for mu in sorted(pd[a] - {c})):
                 changed |= marks.set_mark(c, a, TAIL)
     return changed
 
@@ -444,21 +425,13 @@ def _rule_double_parent(marks: _Marks) -> bool:
             parents = [p for p in sorted(marks.adj[c] - {a})
                        if marks.mark(p, c) == ARROW and
                        marks.mark(c, p) == TAIL]
-            done = False
-            for b, d in combinations(parents, 2):
-                if done:
-                    break
-                for mu in sorted(pd[a] - {c}):
-                    if done:
-                        break
-                    if not _pd_reaches(marks, pd, a, mu, b):
-                        continue
-                    for omega in sorted(pd[a] - {c}):
-                        if mu != omega and not marks.adjacent(mu, omega) and \
-                                _pd_reaches(marks, pd, a, omega, d):
-                            changed |= marks.set_mark(c, a, TAIL)
-                            done = True
-                            break
+            firsts = sorted(pd[a] - {c})
+            if any(mu != omega and not marks.adjacent(mu, omega) and
+                   _pd_reaches(marks, pd, a, omega, d)
+                   for b, d in combinations(parents, 2)
+                   for mu in firsts if _pd_reaches(marks, pd, a, mu, b)
+                   for omega in firsts):
+                changed |= marks.set_mark(c, a, TAIL)
     return changed
 
 

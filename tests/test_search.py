@@ -1,21 +1,27 @@
 import os
+import random
 
 import numpy as np
 import pytest
 
+from stablespec import search
 from stablespec.data import DataError, DataTable, pool_environments
 from stablespec.estimate import CandidateModel
 from stablespec.expressions import Factor
-from stablespec.fci import Knowledge, fci, possible_children_of_env
+from stablespec.fci import (
+    Knowledge, SeparationOracle, fci, possible_children_of_env,
+)
 from stablespec.graph import GraphError, parse
-from stablespec.identify import FAIL
+from stablespec.identify import (
+    FAIL, InvarianceQuery, identify_interventional, invariant_conditional_mag,
+)
 from stablespec.scm import shift_benchmark_scm
 from stablespec.search import (
     InvarianceSpec, SearchBudgetError, fit_candidates, search_stable_predictor,
     shift_sweep, simulate_benchmark, split_train_validation, stable_candidates,
     subsets_in_order, unstable_baseline, write_sweep_csv,
 )
-from util import example_pag, independence_oracle
+from util import example_pag, independence_oracle, random_admg
 
 
 def population_covariance(alpha: float):
@@ -128,6 +134,48 @@ class TestStableCandidates:
         spec = InvarianceSpec(pag, {"A"})
         assert stable_candidates(spec, "Y", "full") == []
 
+    @pytest.mark.parametrize("graph", ["example", "learned"])
+    def test_each_z_minus_m_identified_once(self, monkeypatch, graph):
+        if graph == "example":
+            spec, env, target = example_spec(), "E", "Y"
+        else:
+            # 48 candidates, 16 of them interventional
+            g = random_admg(random.Random(6), max_vertices=7, min_vertices=7)
+            pag = fci(SeparationOracle(g), g.vertices)
+            spec, env, target = InvarianceSpec(pag, {"V0", "V1"}), None, "V4"
+        calls, original = [], search.identify_interventional
+
+        def counted(pag, m, y, z):
+            calls.append(frozenset(z))
+            return original(pag, m, y, z)
+
+        monkeypatch.setattr(search, "identify_interventional", counted)
+        got = stable_candidates(spec, target, "full", env=env)
+        observed = set(spec.pag.vertices) - {target, env}
+        want = {z - spec.mutable for z in subsets_in_order(observed)
+                if not invariant_conditional_mag(
+                    spec.pag, InvarianceQuery(spec.mutable, {target}, z))}
+        assert len(calls) == len(set(calls)) == len(want)
+        assert set(calls) == want
+        assert [(c.kind, c.conditioning_set) for c in got] == \
+            self.reference(spec, target, env)
+
+    @staticmethod
+    def reference(spec, target, env):
+        """(kind, conditioning set) of each candidate, with identification
+        asked for every conditioning set."""
+        out = []
+        m = spec.mutable
+        for z in subsets_in_order(set(spec.pag.vertices) - {target, env}):
+            if invariant_conditional_mag(spec.pag,
+                                         InvarianceQuery(m, {target}, z)):
+                out.append(("conditional", z))
+            elif identify_interventional(spec.pag, m, {target},
+                                         z - m) is not FAIL and \
+                    ("interventional", z - m) not in out:
+                out.append(("interventional", z - m))
+        return out
+
     def test_interventional_sets_exclude_mutable(self):
         for c in stable_candidates(example_spec(), "Y", "full", env="E"):
             if c.kind == "interventional":
@@ -217,6 +265,26 @@ class TestSearch:
         fitted = fit_candidates(cands, data, "Y", "linear-gaussian", seed=0)
         assert len(fitted) == len(cands)
         assert all(c.validation_loss is not None for c in fitted)
+
+    def test_equal_expressions_are_fitted_once(self, monkeypatch):
+        # README search --graph: conditional[-] and interventional[-], and
+        # conditional[X3] and interventional[X3], carry equal expressions
+        cands = stable_candidates(example_spec(), "Y", "full", env="E")
+        data = pooled_benchmark_data(2000)
+        fits, original = [], search.fit_expression
+
+        def counted(expression, *args):
+            fits.append(expression)
+            return original(expression, *args)
+
+        monkeypatch.setattr(search, "fit_expression", counted)
+        fitted = fit_candidates(cands, data, "Y", "linear-gaussian", seed=0)
+        assert len(cands) == 6 and len(fits) == 4
+        assert len(set(fits)) == len(fits)
+        # the same records as fitting every candidate on its own
+        alone = [fit_candidates([c], data, "Y", "linear-gaussian", seed=0)[0]
+                 for c in cands]
+        assert [c.to_json() for c in fitted] == [c.to_json() for c in alone]
 
     def test_unstable_baseline_beats_stable_in_sample(self):
         data = pooled_benchmark_data(20000)
