@@ -29,10 +29,9 @@ from .identify import FAIL, InvarianceQuery, identify_interventional, \
     invariant_conditional_mag
 from .scm import SCMError
 from .search import (
-    DEFAULT_MAX_OBSERVED, InvarianceSpec, SearchBudgetError,
-    search_stable_predictor, shift_sweep, simulate_benchmark,
-    stable_candidates, fit_candidates, pick_winner, unstable_baseline,
-    write_sweep_csv,
+    DEFAULT_MAX_OBSERVED, InvarianceSpec, search_stable_predictor,
+    shift_sweep, simulate_benchmark, stable_candidates, fit_candidates,
+    pick_winner, unstable_baseline, write_sweep_csv,
 )
 
 CI_TESTS = {"fisher-z": fisher_z_test,
@@ -392,9 +391,6 @@ def main(argv=None) -> int:
             if args.alpha is None:
                 raise InputError("simulate needs --alpha")
         return COMMANDS[args.command](args)
-    except SearchBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (InputError, DataError, GraphError, SCMError, EstimationError,
             ExpressionError, OSError, json.JSONDecodeError,
             ValueError) as exc:

@@ -111,7 +111,9 @@ def bucket_partial_order(g: MixedGraph, scope: Iterable[str]) -> list[set[str]]:
     """Buckets of g[scope] in a topological order of possible parenthood.
 
     No bucket contains a possible ancestor of an earlier bucket. Ties are
-    broken by the smallest vertex name in the bucket.
+    broken by the smallest vertex name in the bucket. A learned PAG whose
+    possible-parent edges between buckets close a cycle has no such order
+    and raises GraphError.
     """
     sub = g.induced(scope)
     return [set(b) for b in sub.memo(("bucket_partial_order",),
@@ -147,7 +149,14 @@ def _bucket_order(sub: MixedGraph) -> tuple[frozenset[str], ...]:
                     nxt.append(j)
         layer = sorted(nxt, key=lambda i: min(blocks[i]))
     if done != len(blocks):
-        raise RuntimeError("cyclic possible-parent structure between buckets")
+        # the unplaced buckets, less those only downstream of a cycle
+        left = {i for i in range(len(blocks)) if n_pred[i]}
+        while sinks := {i for i in left if not succ[i] & left}:
+            left -= sinks
+        cycle = ", ".join(sorted("{" + ",".join(sorted(blocks[i])) + "}"
+                                 for i in left))
+        raise GraphError("cyclic bucket order: possible-parent edges close "
+                         f"a cycle through the buckets {cycle}")
     return tuple(frozenset(b) for b in order)
 
 
@@ -184,6 +193,15 @@ def _acyclic_mag(vertices, edges: list[Edge]) -> MixedGraph | None:
         return MixedGraph(vertices, edges, "MAG")
     except GraphError:
         return None
+
+
+def class_mag(g: MixedGraph) -> MixedGraph:
+    """``pag_to_mag(g, ())``, built once per PAG.
+
+    Markov-equivalent MAGs share their m-separations (Zhang 2008), so this
+    one member of g's class answers every separation query on g.
+    """
+    return g.memo(("class_mag",), lambda: pag_to_mag(g, ()))
 
 
 def pag_to_mag(g: MixedGraph, preserve_into: Iterable[str]) -> MixedGraph:

@@ -22,7 +22,7 @@ from .data import CONSTANT_RTOL, DataError, DataTable
 from .expressions import (
     Constant, Expression, ExpressionError, Factor, Product, Quotient, SumOver,
     free_vars, from_json as expr_from_json, tabulate, to_json as expr_to_json,
-    to_text,
+    to_text, variables,
 )
 from .scm import DiscreteJoint
 
@@ -66,7 +66,8 @@ def discretize(table: DataTable, bins: int,
 
 
 class DiscreteExactModel:
-    """Expression evaluated on an add-one-smoothed empirical joint."""
+    """Expression evaluated on an add-one-smoothed empirical joint over
+    every variable the expression mentions, free or summed out."""
 
     def __init__(self, expression: Expression, y: str, joint: DiscreteJoint):
         self.expression = expression
@@ -76,7 +77,7 @@ class DiscreteExactModel:
     @classmethod
     def fit(cls, expression: Expression, train: DataTable,
             y: str) -> "DiscreteExactModel":
-        names = sorted(free_vars(expression) | {y})
+        names = sorted(variables(expression) | {y})
         for name in names:
             if not train.is_discrete(name):
                 raise EstimationError(
@@ -92,19 +93,18 @@ class DiscreteExactModel:
         """Row-wise distribution over the target's levels: the expression
         normalized over the target, uniform where it sums to zero."""
         names, values = tabulate(self.expression, self.joint)
-        order = self.joint.names
-        # on the joint's axes in its order, then the target's moved last
-        table = values.transpose([names.index(v) for v in order
-                                  if v in names]).reshape(
-            [self.joint.cards[v] if v in names else 1 for v in order])
-        table = np.moveaxis(np.broadcast_to(table, self.joint.table.shape),
-                            order.index(self.y), -1)
+        # an axis per free variable in the joint's order, then the target's
+        feats = [v for v in self.joint.names if v in names and v != self.y]
+        cards = [self.joint.cards[v] for v in feats]
+        table = values.transpose([names.index(v) for v in feats + [self.y]
+                                  if v in names]).reshape(cards + [-1])
+        table = np.broadcast_to(table, cards + [self.joint.cards[self.y]])
         k = table.shape[-1]
         total = table.sum(axis=-1, keepdims=True)
         # uniform where the total is not positive; a nan total stays nan
         proba = np.divide(table, total, out=np.full(table.shape, 1.0 / k),
                           where=~(total <= 0))
-        codes = tuple(data.column(n).astype(int) for n in order if n != self.y)
+        codes = tuple(data.column(n).astype(int) for n in feats)
         picked = proba[codes] if codes else np.tile(proba, (data.n_rows, 1))
         if np.isnan(picked).any():
             raise ExpressionError("zero denominator with nonzero numerator")

@@ -3,7 +3,8 @@
 An expression is a tree over conditional factors of the observational joint,
 products, quotients and marginalizing sums. ``simplify`` rewrites a tree
 into a small canonical form using exact probability identities plus, when a
-graph is supplied, conditional independences read off that graph.
+PAG is supplied, conditional independences read off that PAG: as
+m-separations in one MAG of its class, which all members share.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from .components import bucket_partial_order, class_mag
 from .graph import MixedGraph
-from .separation import definite_m_separated
+from .separation import m_connected
 
 
 class ExpressionError(ValueError):
@@ -127,6 +129,26 @@ def _free_vars(expr) -> frozenset[str]:
     if isinstance(expr, Quotient):
         return free_vars(expr.numerator) | free_vars(expr.denominator)
     return free_vars(expr.child) - expr.variables
+
+
+def variables(expr) -> frozenset[str]:
+    """Every variable the expression mentions, free or summed out."""
+    if isinstance(expr, Constant):
+        return frozenset()
+    if isinstance(expr, Factor):
+        return expr.targets | expr.given
+    return _on_node(expr, "_variables", _variables)
+
+
+def _variables(expr) -> frozenset[str]:
+    if isinstance(expr, Product):
+        out = frozenset()
+        for f in expr.factors:
+            out |= variables(f)
+        return out
+    if isinstance(expr, Quotient):
+        return variables(expr.numerator) | variables(expr.denominator)
+    return variables(expr.child) | expr.variables
 
 
 def _on_node(expr, name: str, compute):
@@ -287,16 +309,20 @@ def from_json(obj):
 # -- simplification --------------------------------------------------------
 
 
-def simplify(expr, graph: MixedGraph | None = None, max_passes: int = 60):
+MAX_PASSES = 60   # simplify stops here even short of a fixed point
+
+
+def simplify(expr, graph: MixedGraph | None = None):
     """Rewrite to a compact canonical form.
 
     Every rewrite is an exact identity of the represented quantity: product
     and quotient flattening with cancellation, marginalization of sums,
     chain-rule expansion of multi-bucket factors, chain collapse inside
-    sums, and (with a graph) removal of conditioning variables that are
-    separated from the targets.
+    sums, and (with a PAG) removal of conditioning variables that are
+    separated from the targets. The PAG's separations are read in
+    ``class_mag(graph)``; a PAG that no MAG fits raises GraphError.
     """
-    for _ in range(max_passes):
+    for _ in range(MAX_PASSES):
         new = _rewrite_pass(expr, graph)
         if new == expr:
             break
@@ -329,7 +355,8 @@ def _independent(graph, a, b, z) -> bool:
     known = set(graph.vertices)
     if not (set(a) | set(b) | set(z)) <= known:
         return False
-    return definite_m_separated(graph, a, b, z)
+    mag = class_mag(graph)
+    return not any(m_connected(mag, x, y, z) for x in a for y in b)
 
 
 def _factor_rules(f: Factor, graph):
@@ -359,8 +386,6 @@ def _chain_expand(f: Factor, graph):
     """P(t | g) as a product of per-bucket conditionals along the bucket
     order of the induced subgraph on t ∪ g. Returns None when t sits inside
     a single bucket."""
-    from .components import bucket_partial_order
-
     if graph is None:
         return None
     sc = f.targets | f.given

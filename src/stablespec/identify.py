@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .components import (
-    bucket_partial_order, buckets, definite_c_component, pag_to_mag,
-    pc_component, region,
+    bucket_partial_order, buckets, class_mag, definite_c_component,
+    pag_to_mag, pc_component, region,
 )
 from .expressions import (
     Factor, ONE, Product, Quotient, SumOver, conditional_of, simplify,
@@ -294,13 +294,18 @@ def identify_marginal(p: MixedGraph, c: Iterable[str], t: Iterable[str],
 def identify_interventional(p: MixedGraph, x: Iterable[str],
                             y: Iterable[str], z: Iterable[str]):
     """Expression for P_x(y | z) in terms of the observational joint,
-    or the FAIL sentinel when the PAG does not determine one."""
+    or the FAIL sentinel when the PAG does not determine one.
+
+    A PAG that no MAG fits (a circle-tail edge, or arrowheads that close a
+    directed cycle) raises GraphError before any identification step.
+    """
     x, y, z = frozenset(x), frozenset(y), frozenset(z)
     if x & y or y & z or x & z:
         raise GraphError("x, y and z must be pairwise disjoint")
     p.check_vertices(x | y | z)
     if not y:
         raise GraphError("y must be nonempty")
+    class_mag(p)   # raises GraphError when no MAG fits p
     if not x:
         return simplify(Factor(y, z), graph=p)
     v = frozenset(p.vertices)

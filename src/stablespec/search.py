@@ -42,11 +42,7 @@ class InvarianceSpec:
 
 
 class SearchBudgetError(GraphError):
-    """Exhaustive enumeration refused; carries any candidates found."""
-
-    def __init__(self, message: str, candidates: Sequence[CandidateModel]):
-        super().__init__(message)
-        self.candidates = list(candidates)
+    """Exhaustive enumeration refused: too many candidate vertices."""
 
 
 def subsets_in_order(items: Iterable[str]):
@@ -82,7 +78,7 @@ def stable_candidates(spec: InvarianceSpec, target: str, mode: str = "full",
     if len(observed) > max_observed:
         raise SearchBudgetError(
             f"{len(observed)} candidate vertices exceed the exhaustive "
-            f"search budget of {max_observed}", [])
+            f"search budget of {max_observed}")
     out: list[CandidateModel] = []
     # each z - m already identified, as a bitmask over the observed
     # vertices: a frozenset per entry held 0.3 MB more at |V| = 12

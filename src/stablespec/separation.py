@@ -1,8 +1,10 @@
 """Path separation procedures on mixed graphs.
 
 Covers m-connection in ADMGs and MAGs (fast reachability, plus path
-enumeration kept as its oracle), definite-status path separation in PAGs,
-and edge visibility.
+enumeration kept as its oracle), edge visibility and ADMG-to-MAG
+conversion. The program reads a PAG's separations by ``m_connected`` in one
+MAG of its class; definite-status path enumeration in the PAG
+(``definite_m_separated``) is kept only as the test oracle for that.
 """
 
 from __future__ import annotations
@@ -151,14 +153,17 @@ def definite_connecting_paths(g: MixedGraph, x: str, y: str,
 
 def definite_m_separated(g: MixedGraph, x: Iterable[str], y: Iterable[str],
                          z: Iterable[str]) -> bool:
-    """True iff no definite-status m-connecting path joins x and y given z."""
-    x, y, z = frozenset(x), frozenset(y), frozenset(z)
+    """True iff no definite-status m-connecting path joins x and y given z.
+
+    Test oracle for separation read in a MAG of g's class: it enumerates
+    every simple path.
+    """
+    x, y, z = set(x), set(y), set(z)
     if x & y or x & z or y & z:
         raise GraphError("x, y and z must be pairwise disjoint")
     g.check_vertices(x | y | z)
-    return g.memo(("definite_m_separated", x, y, z), lambda: not any(
-        definite_connecting_paths(g, a, b, z)
-        for a in sorted(x) for b in sorted(y)))
+    return not any(definite_connecting_paths(g, a, b, z)
+                   for a in sorted(x) for b in sorted(y))
 
 
 # -- edge visibility -------------------------------------------------------

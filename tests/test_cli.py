@@ -20,6 +20,24 @@ from util import (
 UNSTABLE_PAG = "vars: A,Y\nA o-o Y\n"
 # A circle-tail edge means selection bias, which the checker does not model.
 SELECTION_PAG = "vars: A,B,C\nA o-- B\nB --> C\n"
+# Arrowheads that close a directed cycle: no MAG has these marks.
+CYCLIC_PAG = "vars: A,B,C,D\nA --> B\nB --> C\nC --> A\nD o-> A\n"
+# A learned PAG that has a MAG, but whose possible-parent edges between the
+# buckets {E,V1,V2} and {V7} close a cycle, so they have no bucket order.
+CYCLIC_BUCKETS_PAG = """\
+vars: E,V0,V1,V2,V3,V4,V5,V6,V7
+E o-o V1
+E o-o V2
+V1 --> V6
+V1 o-> V7
+V2 <-> V5
+V3 --> V0
+V4 --> V3
+V5 <-> V7
+V6 --> V4
+V7 --> V2
+V7 --> V6
+"""
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +52,8 @@ def workdir(tmp_path_factory):
     (d / "pag.txt").write_text(PAG_TEXT)
     (d / "unstable.txt").write_text(UNSTABLE_PAG)
     (d / "selection.txt").write_text(SELECTION_PAG)
+    (d / "cyclic.txt").write_text(CYCLIC_PAG)
+    (d / "cyclic_buckets.txt").write_text(CYCLIC_BUCKETS_PAG)
     return d
 
 
@@ -268,6 +288,27 @@ class TestIdentify:
         tree = json.loads((out / "expression.json").read_text())
         assert tree["kind"] == "quotient"
 
+    @pytest.mark.parametrize("graph", ["selection.txt", "cyclic.txt"])
+    def test_pag_without_a_mag_exits_two_as_check_does(self, workdir, graph,
+                                                      capsys):
+        query = ["--graph", str(workdir / graph), "--mutable", "A",
+                 "--target", "C"]
+        assert main(["check", *query]) == 2
+        check_err = capsys.readouterr().err
+        assert main(["identify", *query]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == check_err
+        assert "Traceback" not in err
+
+    def test_cyclic_bucket_order_exits_two(self, workdir, capsys):
+        assert main(["identify", "--graph",
+                     str(workdir / "cyclic_buckets.txt"),
+                     "--mutable", "V4", "--target", "V0"]) == 2
+        err = capsys.readouterr().err
+        assert "cyclic bucket order" in err and "{E,V1,V2}, {V7}" in err
+        assert "Traceback" not in err
+
 
 class TestCheck:
     def test_invariant(self, workdir):
@@ -341,6 +382,23 @@ class TestSearch:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "circle-tail edge unsupported (selection bias)" in err
+        assert "Traceback" not in err
+
+    def test_cyclic_bucket_order_exits_two(self, workdir, tmp_path,
+                                           capsys):
+        names = "E,V0,V1,V2,V3,V4,V5,V6,V7".split(",")
+        rows = [",".join(names)] + [",".join(str((i * (k + 2)) % 3)
+                                             for k in range(len(names)))
+                                    for i in range(40)]
+        (tmp_path / "v.csv").write_text("\n".join(rows) + "\n")
+        argv = ["search", "--graph", str(workdir / "cyclic_buckets.txt"),
+                "--data", str(tmp_path / "v.csv"),
+                "--schema", str(workdir / "plain.json"),
+                "--target", "V0", "--mutable", "V4",
+                "--out", str(tmp_path / "run")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "cyclic bucket order" in err
         assert "Traceback" not in err
 
     def test_fits_quotients_of_sums_and_joint_factors(self, tmp_path):

@@ -14,6 +14,7 @@ from stablespec.estimate import (
 )
 from stablespec.expressions import (
     Constant, ExpressionError, Factor, Product, Quotient, SumOver, evaluate,
+    to_text,
 )
 from stablespec.fci import SeparationOracle, fci
 from stablespec.graph import parse
@@ -78,6 +79,31 @@ class TestDiscreteExact:
                             {"X2": x2, "X3": x3}) for yv in (0, 1)])
                     worst = max(worst, 0.5 * np.abs(got - want).sum())
         assert worst <= 0.02
+
+    def test_sums_over_variables_that_are_not_free(self):
+        # the identified expression sums out V2 and V5, which are neither
+        # free nor the target: the joint must still hold them
+        admg = parse("vars: V0,V1,V2,V3,V4,V5\nV0 <-> V4\nV1 --> V3\n"
+                     "V1 --> V5\nV1 <-> V2\nV1 <-> V3\nV2 --> V3\n"
+                     "V2 <-> V5\nV3 <-> V4\n", "ADMG")
+        expr = identify_interventional(
+            fci(SeparationOracle(admg), admg.vertices), {"V4"}, {"V3"},
+            {"V1"})
+        assert to_text(expr) == \
+            "(sum_{V2,V5} (P(V1,V2,V5) * P(V3 | V1,V2,V5))) / P(V1)"
+        scm = DiscreteSCM.random_for_admg(admg, seed=7)
+        train = DataTable(scm.sample(50000, seed=8),
+                          kinds={v: 2 for v in admg.vertices})
+        model = DiscreteExactModel.fit(expr, train, "V3")
+        # the summed-out V2 and V5 need no column in the rows predicted
+        got = model.predict_proba(DataTable({"V1": [0.0, 1.0]},
+                                            kinds={"V1": 2}))
+        for v1, row in enumerate(got):
+            for v4 in (0, 1):
+                want = [interventional_probability(scm, {"V4": v4},
+                                                   {"V3": y}, {"V1": v1})
+                        for y in (0, 1)]
+                assert 0.5 * np.abs(row - want).sum() <= 0.02
 
     def test_plain_conditional_matches_frequencies(self):
         rng = np.random.default_rng(5)

@@ -5,7 +5,8 @@ These tests compare each memoized fact on a graph whose memo is already
 warm with the same fact on an equal graph freshly parsed from its text,
 check that callers cannot change a memoized value through the containers
 they get back, and count the work one search does: edge visibility and the
-invariance checker's MAGs are each computed at most once per graph.
+invariance checker's MAGs are each computed at most once per graph, and no
+path is enumerated.
 """
 
 import random
@@ -18,10 +19,12 @@ from stablespec.components import bucket_partial_order, buckets, pc_component
 from stablespec.expressions import to_json
 from stablespec.fci import SeparationOracle, fci
 from stablespec.graph import GraphError, parse, serialize
-from stablespec.identify import InvarianceQuery, invariant_conditional_mag
+from stablespec.identify import (
+    InvarianceQuery, identify_interventional, invariant_conditional_mag,
+)
 from stablespec.search import InvarianceSpec, stable_candidates
 from stablespec.separation import definite_m_separated, visible_edges
-from util import random_admg
+from util import example_pag, random_admg
 
 
 def random_pag(seed):
@@ -199,6 +202,27 @@ class TestSearchWork:
         second = stable_candidates(spec, "V0")
         assert len(built) == n_built
         assert candidate_record(second) == candidate_record(first)
+
+    def test_no_path_is_enumerated(self, monkeypatch):
+        # path enumeration is the test oracle only: the search and
+        # identification read separations in MAGs
+        calls = []
+        uncached = separation.definite_connecting_paths
+
+        def spy(*args):
+            calls.append(args)
+            return uncached(*args)
+
+        monkeypatch.setattr(separation, "definite_connecting_paths", spy)
+        monkeypatch.setattr(identify, "definite_connecting_paths", spy)
+        for pag, mutable, target in ((example_pag(), {"X1"}, "Y"),
+                                     (parse(PAG8), {"V2"}, "V0")):
+            kinds = {c.kind for c in stable_candidates(
+                InvarianceSpec(pag, mutable), target)}
+            assert "interventional" in kinds
+            given = set(pag.vertices) - mutable - {target}
+            assert identify_interventional(pag, mutable, {target}, given)
+        assert calls == []
 
     def test_same_candidates_as_a_fresh_graph(self):
         pag = parse(PAG8)

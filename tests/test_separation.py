@@ -3,12 +3,14 @@ from itertools import combinations
 
 import pytest
 
+from stablespec.components import class_mag
+from stablespec.fci import SeparationOracle, fci, pooled_fci
 from stablespec.graph import GraphError, MixedGraph, directed, parse
 from stablespec.separation import (
     definite_m_separated, m_connected, m_connected_bruteforce, mag_of_admg,
     visible_edges,
 )
-from util import example_admg, example_pag, random_admg
+from util import environment_tables, example_admg, example_pag, random_admg
 
 
 class TestMConnected:
@@ -92,6 +94,50 @@ class TestDefiniteMSeparated:
                     for z in combinations(rest, k):
                         assert definite_m_separated(pag_view, {x}, {y}, set(z)) \
                             == (not m_connected(mag, x, y, set(z)))
+
+
+def separation_queries(g):
+    """Every (a, b, z) with a < b and z a subset of the other vertices."""
+    for a, b in combinations(sorted(g.vertices), 2):
+        rest = sorted(set(g.vertices) - {a, b})
+        for k in range(len(rest) + 1):
+            for z in combinations(rest, k):
+                yield a, b, set(z)
+
+
+class TestPagSeparationInItsMag:
+    """The program reads a PAG's separations by m-separation in
+    ``class_mag(p)``; definite-status path enumeration is the oracle."""
+
+    def test_agrees_with_path_enumeration_on_oracle_pags(self):
+        # Markov-equivalent MAGs share their m-separations (Zhang 2008)
+        rng = random.Random(20261018)
+        for _ in range(100):
+            admg = random_admg(rng, max_vertices=6, min_vertices=3)
+            pag = fci(SeparationOracle(admg), admg.vertices)
+            mag = class_mag(pag)
+            for a, b, z in separation_queries(pag):
+                assert (not m_connected(mag, a, b, z)) == \
+                    definite_m_separated(pag, {a}, {b}, z), \
+                    (pag.edges, a, b, z)
+
+    def test_never_grants_more_than_enumeration_on_learned_pags(self):
+        # a learned PAG need not be valid; where its MAG reads circles as
+        # undirected edges it may decline a separation, never grant one
+        rng = random.Random(1018)
+        checked = 0
+        for _ in range(80):
+            admg = random_admg(rng, max_vertices=6, min_vertices=3)
+            tables = environment_tables(rng, admg, rng.choice((100, 300,
+                                                               1000)))
+            pag = pooled_fci(tables)
+            mag = class_mag(pag)
+            for a, b, z in separation_queries(pag):
+                if not m_connected(mag, a, b, z):
+                    assert definite_m_separated(pag, {a}, {b}, z), \
+                        (pag.edges, a, b, z)
+                checked += 1
+        assert checked > 10000
 
 
 class TestVisibleEdges:
