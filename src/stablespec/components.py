@@ -55,22 +55,21 @@ def pc_component(g: MixedGraph, seed: Iterable[str],
 
 def _pc_component(g: MixedGraph, seed: frozenset[str],
                   vis: frozenset[Edge]) -> frozenset[str]:
-    invisible = set(g.edges) - vis
+    adjacency = g.adjacency
     out = set(seed)
-    # state = (vertex, edge arrived by); interior vertices must be colliders
-    frontier: list[tuple[str, Edge | None]] = [(v, None) for v in sorted(seed)]
+    # state = (vertex, arrived with an arrowhead at it), None at the seed;
+    # interior vertices must be colliders
+    frontier: list[tuple[str, bool | None]] = [(v, None) for v in sorted(seed)]
     seen = set(frontier)
     while frontier:
-        v, e_in = frontier.pop()
-        for e in g.edges_at(v):
-            if e not in invisible:
+        v, into = frontier.pop()
+        for w, e, here, there in adjacency(v):
+            if e in vis:
                 continue
-            if e_in is not None and not (e_in.mark_at(v) == ARROW
-                                         and e.mark_at(v) == ARROW):
+            if into is not None and not (into and here == ARROW):
                 continue
-            w = e.other(v)
             out.add(w)
-            state = (w, e)
+            state = (w, there == ARROW)
             if state not in seen:
                 seen.add(state)
                 frontier.append(state)
@@ -79,17 +78,15 @@ def _pc_component(g: MixedGraph, seed: frozenset[str],
 
 def definite_c_component(g: MixedGraph, seed: Iterable[str]) -> set[str]:
     """Closure of seed under bidirected (arrow-arrow) edges."""
-    g.check_vertices(seed)
     out = set(seed)
+    g.check_vertices(out)
+    adjacency = g.adjacency
     frontier = list(out)
     while frontier:
-        v = frontier.pop()
-        for e in g.edges_at(v):
-            if e.is_bidirected:
-                w = e.other(v)
-                if w not in out:
-                    out.add(w)
-                    frontier.append(w)
+        for w, _, here, there in adjacency(frontier.pop()):
+            if here == ARROW and there == ARROW and w not in out:
+                out.add(w)
+                frontier.append(w)
     return out
 
 

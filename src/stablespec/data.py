@@ -344,14 +344,20 @@ def _locate_fault(body: str, header: list[str],
     return DataError("a quoted cell spans lines")
 
 
+SAVE_BLOCK_ROWS = 4096
+
+
 def save_csv(table: DataTable, csv_path: str):
     """Write ``table`` as CSV: the header as ``csv.writer`` writes it
     (names quoted where needed), then one row per record with ``%d`` for
     discrete columns and ``%.10g`` for continuous ones, every line ended
-    by CRLF."""
+    by CRLF. Rows are formatted a block at a time, one ``%`` per block, so
+    only one block's cells are ever held as Python floats."""
     fmt = ",".join("%d" if table.is_discrete(n) else "%.10g"
                    for n in table.names) + "\r\n"
+    rows = table.matrix(table.names)
     with open(csv_path, "w", newline="") as fh:
         csv.writer(fh).writerow(table.names)
-        fh.writelines(fmt % tuple(row)
-                      for row in table.matrix(table.names).tolist())
+        for start in range(0, len(rows), SAVE_BLOCK_ROWS):
+            block = rows[start:start + SAVE_BLOCK_ROWS]
+            fh.write((fmt * len(block)) % tuple(block.ravel().tolist()))

@@ -6,12 +6,16 @@ the graph kind restricts which marks and parallel edges are allowed.
 
 Because a graph never changes, facts derived from it (visibility, induced
 subgraphs, buckets, ...) are computed once and kept in the graph's own memo
-(``MixedGraph.memo``), keyed by the content of the other arguments.
+(``MixedGraph.memo``), keyed by the content of the other arguments. The
+adjacency index is built with the graph: for each vertex, one entry per
+edge at it with the neighbour and the marks at both ends, so closures and
+separation walks read marks without calling into ``Edge``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -113,23 +117,28 @@ class MixedGraph:
         if len(set(vertices)) != len(vertices):
             raise GraphError("duplicate vertex names")
         edges = tuple(e.canonical() for e in edges)
-        vset = set(vertices)
-        adj: dict[str, dict[str, list[Edge]]] = {v: {} for v in vertices}
+        entries: dict[str, list[tuple[str, Edge, str, str]]] = {v: [] for v in vertices}
         for e in edges:
-            if e.a not in vset or e.b not in vset:
+            if e.a not in entries or e.b not in entries:
                 raise GraphError(f"edge {e} references unknown vertex")
-            adj[e.a].setdefault(e.b, []).append(e)
-            adj[e.b].setdefault(e.a, []).append(e)
+            entries[e.a].append((e.b, e, e.mark_at_a, e.mark_at_b))
+            entries[e.b].append((e.a, e, e.mark_at_b, e.mark_at_a))
         self.kind = kind
         self.vertices = vertices
         self.edges = edges
-        self._adj = adj
+        # sorted by neighbour name; the sort is stable, so parallel ADMG
+        # edges keep their order in ``edges``
+        self._adj = {v: tuple(sorted(es, key=itemgetter(0))) for v, es in entries.items()}
         self._cache: dict = {}
-        self._validate()
+        self._validate(entries)
 
-    def _validate(self):
-        for v, nbrs in self._adj.items():
-            for w, es in nbrs.items():
+    def _validate(self, entries: dict[str, list[tuple[str, Edge, str, str]]]):
+        # entries in edge order, so an error names the pair found first
+        for v, nbrs in entries.items():
+            between: dict[str, list[Edge]] = {}
+            for w, e, _, _ in nbrs:
+                between.setdefault(w, []).append(e)
+            for w, es in between.items():
                 if self.kind in ("MAG", "PAG"):
                     if len(es) > 1:
                         raise GraphError(f"multiple edges between {v} and {w} in a {self.kind}")
@@ -178,61 +187,60 @@ class MixedGraph:
     # -- basic queries -------------------------------------------------
 
     def check_vertices(self, vs: Iterable[str]):
-        unknown = set(vs).difference(self._adj)
-        if unknown:
-            raise GraphError(f"unknown vertices: {sorted(unknown)}")
+        adj = self._adj
+        for v in vs:
+            if v not in adj:
+                # an iterator resumes after v, a collection starts again
+                unknown = {v}.union(u for u in vs if u not in adj)
+                raise GraphError(f"unknown vertices: {sorted(unknown)}")
+
+    def adjacency(self, v: str) -> tuple[tuple[str, Edge, str, str], ...]:
+        """The index entry of v: one ``(neighbour, edge, mark at v, mark at
+        neighbour)`` per edge at v, sorted by neighbour name, built once
+        with the graph."""
+        return self._adj[v]
 
     def adjacent(self, u: str, v: str) -> bool:
-        return v in self._adj[u]
+        return any(w == v for w, _, _, _ in self._adj[u])
 
     def edges_between(self, u: str, v: str) -> list[Edge]:
-        return list(self._adj[u].get(v, []))
+        return [e for w, e, _, _ in self._adj[u] if w == v]
 
     def edge(self, u: str, v: str) -> Edge:
-        es = self._adj[u].get(v, [])
+        es = self.edges_between(u, v)
         if len(es) != 1:
             raise GraphError(f"expected exactly one edge between {u} and {v}, found {len(es)}")
         return es[0]
 
     def edges_at(self, v: str) -> list[Edge]:
-        return [e for nbr in sorted(self._adj[v]) for e in self._adj[v][nbr]]
+        return [e for _, e, _, _ in self._adj[v]]
 
     def parents(self, v: str) -> set[str]:
         """Vertices u with a directed edge u --> v."""
-        return {e.tail_end() for e in self.edges_at(v) if e.is_directed and e.head_end() == v}
+        return {w for w, _, here, there in self._adj[v] if here == ARROW and there == TAIL}
 
     def children(self, v: str) -> set[str]:
-        return {e.head_end() for e in self.edges_at(v) if e.is_directed and e.tail_end() == v}
+        return {w for w, _, here, there in self._adj[v] if here == TAIL and there == ARROW}
 
     def ancestors(self, vs: Iterable[str]) -> set[str]:
         """Reflexive closure under directed (tail-arrow) edges."""
-        self.check_vertices(vs)
         out = set(vs)
+        self.check_vertices(out)
+        adj = self._adj
         frontier = list(out)
         while frontier:
-            v = frontier.pop()
-            for p in self.parents(v):
-                if p not in out:
-                    out.add(p)
-                    frontier.append(p)
+            for w, _, here, there in adj[frontier.pop()]:
+                if here == ARROW and there == TAIL and w not in out:
+                    out.add(w)
+                    frontier.append(w)
         return out
 
     def possible_parents(self, v: str) -> set[str]:
         """u with an edge u *-> v whose mark at u is tail or circle."""
-        out = set()
-        for e in self.edges_at(v):
-            u = e.other(v)
-            if e.mark_at(v) == ARROW and e.mark_at(u) in (TAIL, CIRCLE):
-                out.add(u)
-        return out
+        return {w for w, _, here, there in self._adj[v] if here == ARROW and there != ARROW}
 
     def possible_children(self, v: str) -> set[str]:
-        out = set()
-        for e in self.edges_at(v):
-            u = e.other(v)
-            if e.mark_at(u) == ARROW and e.mark_at(v) in (TAIL, CIRCLE):
-                out.add(u)
-        return out
+        return {w for w, _, here, there in self._adj[v] if there == ARROW and here != ARROW}
 
     # -- derived graphs ------------------------------------------------
 
@@ -274,15 +282,13 @@ def possible_ancestors(g: MixedGraph, target: Iterable[str]) -> set[str]:
     A path is possibly directed from X when no arrowhead along it points
     back towards X. Reflexive: the target set is always included.
     """
-    g.check_vertices(target)
     out = set(target)
+    g.check_vertices(out)
     frontier = list(out)
     while frontier:
-        v = frontier.pop()
-        for e in g.edges_at(v):
-            u = e.other(v)
+        for u, _, _, at_u in g.adjacency(frontier.pop()):
             # step u -> v usable when no arrowhead at u
-            if e.mark_at(u) != ARROW and u not in out:
+            if at_u != ARROW and u not in out:
                 out.add(u)
                 frontier.append(u)
     return out
@@ -304,8 +310,8 @@ def mutilate(g: MixedGraph, mode: str, x: Iterable[str],
     """
     from .separation import visible_edges  # deferred: avoids an import cycle
 
-    g.check_vertices(x)
     xs = set(x)
+    g.check_vertices(xs)
     if mode == REMOVE_INTO:
         keep = [e for e in g.edges
                 if not ((e.a in xs and e.mark_at_a == ARROW)

@@ -164,9 +164,8 @@ def _ch_plus(g: MixedGraph, s: Iterable[str]) -> set[str]:
     """s plus every possible child, counting circle-circle neighbors."""
     out = set(s)
     for v in set(s):
-        for e in g.edges_at(v):
-            w = e.other(v)
-            if e.mark_at(v) in (TAIL, CIRCLE) and e.mark_at(w) in (ARROW, CIRCLE):
+        for w, _, here, there in g.adjacency(v):
+            if here in (TAIL, CIRCLE) and there in (ARROW, CIRCLE):
                 out.add(w)
     return out
 

@@ -15,10 +15,6 @@ from typing import Iterable
 from .graph import ARROW, CIRCLE, TAIL, Edge, GraphError, MixedGraph
 
 
-def _collider_at(e_in: Edge, e_out: Edge, v: str) -> bool:
-    return e_in.mark_at(v) == ARROW and e_out.mark_at(v) == ARROW
-
-
 def m_connected(g: MixedGraph, x: str, y: str, z: Iterable[str]) -> bool:
     """True iff an m-connecting path between x and y exists given z.
 
@@ -30,26 +26,27 @@ def m_connected(g: MixedGraph, x: str, y: str, z: Iterable[str]) -> bool:
     if x == y:
         raise GraphError("x and y must differ")
     z = set(z)
-    g.check_vertices({x, y} | z)
+    g.check_vertices((x, y, *z))
     if x in z or y in z:
         raise GraphError("x and y must not be in z")
-    anz = g.ancestors(z) if z else set()
-    # state = (vertex, edge we arrived by); None marks the start
-    frontier: list[tuple[str, Edge | None]] = [(x, None)]
-    seen: set[tuple[str, Edge | None]] = set(frontier)
+    anz = g.ancestors(z)
+    adjacency = g.adjacency
+    # state = (vertex, whether the edge we arrived by has an arrowhead at
+    # it); which edges may leave a vertex depends on nothing else
+    frontier: list[tuple[str, bool]] = [(x, False)]
+    seen = set(frontier)
     while frontier:
-        v, e_in = frontier.pop()
-        for e_out in g.edges_at(v):
+        v, into = frontier.pop()
+        for w, _, here, there in adjacency(v):
             if v != x:
-                collider = _collider_at(e_in, e_out, v)
-                if collider and v not in anz:
+                if into and here == ARROW:
+                    if v not in anz:
+                        continue
+                elif v in z:
                     continue
-                if not collider and v in z:
-                    continue
-            w = e_out.other(v)
             if w == y:
                 return True
-            state = (w, e_out)
+            state = (w, there == ARROW)
             if state not in seen:
                 seen.add(state)
                 frontier.append(state)

@@ -63,6 +63,10 @@ class TestDefiniteCComponent:
         g = parse("vars: A,B,C\nA <-> B\nB <-> C\n", "PAG")
         assert definite_c_component(g, {"A"}) == {"A", "B", "C"}
 
+    def test_generator_seed(self):
+        g = parse("vars: A,B,C\nA <-> B\nB <-> C\n", "PAG")
+        assert definite_c_component(g, (v for v in ["A"])) == {"A", "B", "C"}
+
 
 class TestRegion:
     def test_running_example(self):

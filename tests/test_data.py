@@ -8,8 +8,8 @@ import pytest
 
 import stablespec
 from stablespec.data import (
-    SAMPLE_ROWS, DataError, DataTable, concat_tables, load_csv,
-    pool_environments, save_csv,
+    SAMPLE_ROWS, SAVE_BLOCK_ROWS, DataError, DataTable, concat_tables,
+    load_csv, pool_environments, save_csv,
 )
 from stablespec.search import simulate_benchmark
 
@@ -265,6 +265,22 @@ class TestCSV:
         assert (tmp_path / "t.csv").read_bytes() == (
             b'x,"a,b",k\r\n1.25,0.1,1\r\n-0.5,1e+20,0\r\n1e-12,-3,2\r\n'
             b'1.23456789e+11,0,2\r\n0.6666666667,-0,0\r\n')
+
+    @pytest.mark.parametrize("n_rows", [0, 1, SAVE_BLOCK_ROWS + 3])
+    def test_save_equals_row_by_row_format(self, tmp_path, n_rows):
+        rng = np.random.default_rng(n_rows)
+        t = DataTable({"x": rng.normal(size=n_rows) * 1e3,
+                       'say "a,b"': rng.standard_t(2, size=n_rows),
+                       "k": rng.integers(0, 3, size=n_rows)}, kinds={"k": 3})
+        save_csv(t, str(tmp_path / "t.csv"))
+        with open(tmp_path / "row_by_row.csv", "w", newline="") as fh:
+            csv.writer(fh).writerow(t.names)
+            for row in t.matrix(t.names).tolist():
+                fh.write("%.10g,%.10g,%d\r\n" % tuple(row))
+        expected = (tmp_path / "row_by_row.csv").read_bytes()
+        assert expected.startswith(b'x,"say ""a,b""",k\r\n')
+        assert expected.count(b"\r\n") == n_rows + 1
+        assert (tmp_path / "t.csv").read_bytes() == expected
 
     def test_load_equals_float_per_cell_bit_for_bit(self, tmp_path):
         csv_path = tmp_path / "bench.csv"

@@ -1,12 +1,18 @@
+import random
+from itertools import combinations
+
 import pytest
 
+from stablespec.components import pag_to_mag
+from stablespec.fci import SeparationOracle, fci
 from stablespec.graph import (
     ARROW, CIRCLE, TAIL, Edge, GraphError, MixedGraph,
     REMOVE_INTO, REMOVE_VISIBLE_OUT_OF,
     bidirected, circle_arrow, directed, mutilate, parse,
     possible_ancestors, serialize,
 )
-from util import ADMG_TEXT, PAG_TEXT, example_admg, example_pag
+from stablespec.separation import m_connected, m_connected_bruteforce
+from util import ADMG_TEXT, PAG_TEXT, example_admg, example_pag, random_admg
 
 
 class TestConstruction:
@@ -91,6 +97,10 @@ class TestBasicQueries:
         assert p.possible_children("E") == {"X1"}
         assert p.possible_parents("X2") == {"X1", "Y"}
 
+    def test_ancestors_of_a_generator(self):
+        g = MixedGraph(["A", "B"], [directed("A", "B")], "ADMG")
+        assert g.ancestors(v for v in ["B"]) == {"A", "B"}
+
 
 class TestPossibleAncestors:
     def test_running_example_sink(self):
@@ -108,6 +118,10 @@ class TestPossibleAncestors:
     def test_unknown_vertex(self):
         with pytest.raises(GraphError):
             possible_ancestors(example_pag(), {"Q"})
+
+    def test_generator_target(self):
+        assert possible_ancestors(example_pag(), (v for v in ["X2"])) == \
+            {"E", "X1", "X2", "X3", "Y"}
 
     def test_circle_edges_walkable_both_ways(self):
         g = parse("vars: A,B,C\nA o-o B\nB o-> C\n", "PAG")
@@ -150,3 +164,84 @@ class TestMutilate:
     def test_unknown_mode(self):
         with pytest.raises(GraphError):
             mutilate(example_admg(), "Shuffle", set())
+
+    def test_generator_argument(self):
+        from stablespec.separation import mag_of_admg
+        for g, mode in ((example_admg(), REMOVE_INTO),
+                        (mag_of_admg(example_admg()), REMOVE_VISIBLE_OUT_OF)):
+            assert mutilate(g, mode, (v for v in ["Y"])) == \
+                mutilate(g, mode, ["Y"]) != g
+
+
+# -- the adjacency index against the definitions on Edge -------------------
+
+
+def edges_at_by_definition(g, v):
+    return sorted((e for e in g.edges if v in (e.a, e.b)),
+                  key=lambda e: e.other(v))
+
+
+def neighbours_by_marks(g, v, here, there):
+    return {e.other(v) for e in edges_at_by_definition(g, v)
+            if e.mark_at(v) in here and e.mark_at(e.other(v)) in there}
+
+
+def closure_by_definition(seed, step):
+    """seed plus every vertex reached by repeating step from it."""
+    out = set(seed)
+    while more := {u for v in out for u in step(v)} - out:
+        out |= more
+    return out
+
+
+def index_test_graphs():
+    """Random ADMGs, their oracle PAGs and a MAG of each PAG's class."""
+    rng = random.Random(20261018)
+    for _ in range(25):
+        admg = random_admg(rng, max_vertices=6, min_vertices=3)
+        pag = fci(SeparationOracle(admg), admg.vertices)
+        yield from (admg, pag, pag_to_mag(pag, ()))
+
+
+class TestAdjacencyIndex:
+    def test_queries_equal_their_definitions(self):
+        any_mark = (TAIL, ARROW, CIRCLE)
+        no_arrow = (TAIL, CIRCLE)
+        for g in index_test_graphs():
+            def by_marks(here, there):
+                return lambda v: neighbours_by_marks(g, v, here, there)
+
+            for v in g.vertices:
+                assert g.edges_at(v) == edges_at_by_definition(g, v)
+                assert g.parents(v) == by_marks((ARROW,), (TAIL,))(v)
+                assert g.children(v) == by_marks((TAIL,), (ARROW,))(v)
+                assert g.possible_parents(v) == by_marks((ARROW,), no_arrow)(v)
+                assert g.possible_children(v) == \
+                    by_marks(no_arrow, (ARROW,))(v)
+            for k in (1, 2):
+                for seed in combinations(g.vertices, k):
+                    assert g.ancestors(seed) == closure_by_definition(
+                        seed, by_marks((ARROW,), (TAIL,)))
+                    assert possible_ancestors(g, seed) == \
+                        closure_by_definition(seed, by_marks(any_mark,
+                                                             no_arrow))
+
+    def test_parallel_edges_keep_their_order(self):
+        for first, second in ((directed("A", "B"), bidirected("A", "B")),
+                              (bidirected("A", "B"), directed("A", "B"))):
+            g = MixedGraph(["A", "B", "C"],
+                           [directed("B", "C"), first, second], "ADMG")
+            assert g.edges_at("B") == [first, second, directed("B", "C")]
+            assert g.edges_between("B", "A") == [first, second]
+
+    def test_m_connected_matches_bruteforce(self):
+        for g in index_test_graphs():
+            if g.kind == "PAG":
+                continue
+            for x, y in combinations(g.vertices, 2):
+                rest = [v for v in g.vertices if v not in (x, y)]
+                for k in range(len(rest) + 1):
+                    for z in combinations(rest, k):
+                        assert m_connected(g, x, y, z) == \
+                            m_connected_bruteforce(g, x, y, z), \
+                            (g.kind, g.edges, x, y, z)

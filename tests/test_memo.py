@@ -5,8 +5,9 @@ These tests compare each memoized fact on a graph whose memo is already
 warm with the same fact on an equal graph freshly parsed from its text,
 check that callers cannot change a memoized value through the containers
 they get back, and count the work one search does: edge visibility and the
-invariance checker's MAGs are each computed at most once per graph, and no
-path is enumerated.
+invariance checker's MAGs are each computed at most once per graph, no
+path is enumerated, and graph closures and m-separation read edge marks
+from the graph's adjacency index, not through ``Edge`` methods.
 """
 
 import random
@@ -15,15 +16,22 @@ from itertools import combinations, permutations
 import pytest
 
 from stablespec import components, identify, separation
-from stablespec.components import bucket_partial_order, buckets, pc_component
+from stablespec.components import (
+    bucket_partial_order, buckets, class_mag, definite_c_component,
+    pc_component,
+)
 from stablespec.expressions import to_json
 from stablespec.fci import SeparationOracle, fci
-from stablespec.graph import GraphError, parse, serialize
+from stablespec.graph import (
+    Edge, GraphError, parse, possible_ancestors, serialize,
+)
 from stablespec.identify import (
     InvarianceQuery, identify_interventional, invariant_conditional_mag,
 )
 from stablespec.search import InvarianceSpec, stable_candidates
-from stablespec.separation import definite_m_separated, visible_edges
+from stablespec.separation import (
+    definite_m_separated, m_connected, visible_edge_set, visible_edges,
+)
 from util import example_pag, random_admg
 
 
@@ -222,6 +230,34 @@ class TestSearchWork:
             assert "interventional" in kinds
             given = set(pag.vertices) - mutable - {target}
             assert identify_interventional(pag, mutable, {target}, given)
+        assert calls == []
+
+    def test_graph_queries_read_marks_from_the_index(self, monkeypatch):
+        # closures and m-separation read each edge's marks from the
+        # adjacency index built with the graph, not through Edge methods
+        pag = parse(PAG8)
+        mag = class_mag(pag)
+        for g in (pag, mag):
+            visible_edge_set(g)  # warm-up: visibility is memoized per graph
+        calls = []
+        for name in ("mark_at", "other"):
+            method = getattr(Edge, name)
+
+            def spy(e, v, method=method):
+                calls.append((e, v))
+                return method(e, v)
+
+            monkeypatch.setattr(Edge, name, spy)
+        for a, b in combinations(mag.vertices, 2):
+            for z in ((), ("V3",), ("V4", "V5")):
+                if a not in z and b not in z:
+                    m_connected(mag, a, b, z)
+        for g in (pag, mag):
+            for v in g.vertices:
+                g.ancestors({v})
+                possible_ancestors(g, {v})
+                definite_c_component(g, {v})
+                pc_component(g, {v})
         assert calls == []
 
     def test_same_candidates_as_a_fresh_graph(self):
