@@ -350,13 +350,17 @@ def _rewrite_pass(expr, graph):
 
 
 def _independent(graph, a, b, z) -> bool:
+    """a ⟂ b | z in the PAG ``graph``, read once per graph and question."""
     if graph is None or not a or not b:
         return False
-    known = set(graph.vertices)
-    if not (set(a) | set(b) | set(z)) <= known:
+    a, b, z = frozenset(a), frozenset(b), frozenset(z)
+    if not (a | b | z) <= frozenset(graph.vertices):
         return False
-    mag = class_mag(graph)
-    return not any(m_connected(mag, x, y, z) for x in a for y in b)
+
+    def separated():
+        mag = class_mag(graph)
+        return not any(m_connected(mag, x, y, z) for x in a for y in b)
+    return graph.memo(("independent", a, b, z), separated)
 
 
 def _factor_rules(f: Factor, graph):

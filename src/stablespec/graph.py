@@ -139,14 +139,14 @@ class MixedGraph:
             for w, e, _, _ in nbrs:
                 between.setdefault(w, []).append(e)
             for w, es in between.items():
+                if len(es) == 1:
+                    continue
                 if self.kind in ("MAG", "PAG"):
-                    if len(es) > 1:
-                        raise GraphError(f"multiple edges between {v} and {w} in a {self.kind}")
-                else:
-                    n_dir = sum(e.is_directed for e in es)
-                    n_bi = sum(e.is_bidirected for e in es)
-                    if n_dir > 1 or n_bi > 1 or n_dir + n_bi < len(es):
-                        raise GraphError(f"invalid parallel edges between {v} and {w} in an ADMG")
+                    raise GraphError(f"multiple edges between {v} and {w} in a {self.kind}")
+                n_dir = sum(e.is_directed for e in es)
+                n_bi = sum(e.is_bidirected for e in es)
+                if n_dir > 1 or n_bi > 1 or n_dir + n_bi < len(es):
+                    raise GraphError(f"invalid parallel edges between {v} and {w} in an ADMG")
         if self.kind in ("ADMG", "MAG"):
             for e in self.edges:
                 if CIRCLE in (e.mark_at_a, e.mark_at_b):
@@ -224,16 +224,7 @@ class MixedGraph:
 
     def ancestors(self, vs: Iterable[str]) -> set[str]:
         """Reflexive closure under directed (tail-arrow) edges."""
-        out = set(vs)
-        self.check_vertices(out)
-        adj = self._adj
-        frontier = list(out)
-        while frontier:
-            for w, _, here, there in adj[frontier.pop()]:
-                if here == ARROW and there == TAIL and w not in out:
-                    out.add(w)
-                    frontier.append(w)
-        return out
+        return _closure(self, "ancestors", vs, _into_from_tail)
 
     def possible_parents(self, v: str) -> set[str]:
         """u with an edge u *-> v whose mark at u is tail or circle."""
@@ -282,16 +273,46 @@ def possible_ancestors(g: MixedGraph, target: Iterable[str]) -> set[str]:
     A path is possibly directed from X when no arrowhead along it points
     back towards X. Reflexive: the target set is always included.
     """
-    out = set(target)
-    g.check_vertices(out)
-    frontier = list(out)
-    while frontier:
-        for u, _, _, at_u in g.adjacency(frontier.pop()):
-            # step u -> v usable when no arrowhead at u
-            if at_u != ARROW and u not in out:
-                out.add(u)
-                frontier.append(u)
+    return _closure(g, "possible_ancestors", target, _no_arrow_there)
+
+
+# closure steps, from the marks at the current vertex and at the next
+
+def _into_from_tail(here: str, there: str) -> bool:
+    return here == ARROW and there == TAIL
+
+
+def _no_arrow_there(here: str, there: str) -> bool:
+    return there != ARROW
+
+
+def _closure(g: MixedGraph, name: str, vs: Iterable[str],
+             step: Callable[[str, str], bool]) -> set[str]:
+    """The union of each member's closure, each walked once per graph.
+
+    Exact because whether a walk may cross an edge depends only on the
+    edge's marks, not on where the walk started.
+    """
+    vs = set(vs)
+    g.check_vertices(vs)
+    out: set[str] = set()
+    for v in vs:
+        out |= g.memo((name, v), lambda: _walk(g, v, step))
     return out
+
+
+def _walk(g: MixedGraph, v: str, step: Callable[[str, str], bool]
+          ) -> frozenset[str]:
+    """v and every vertex reached from it across edges whose marks (at the
+    current vertex, at the next) satisfy step."""
+    out = {v}
+    frontier = [v]
+    while frontier:
+        for w, _, here, there in g.adjacency(frontier.pop()):
+            if w not in out and step(here, there):
+                out.add(w)
+                frontier.append(w)
+    return frozenset(out)
 
 
 # -- mutilation ------------------------------------------------------------

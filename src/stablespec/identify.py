@@ -7,7 +7,10 @@ the checker the program calls. ``invariant_conditional`` enumerates
 definite status paths in the PAG and is kept only as the test oracle for
 it. ``identify_interventional`` derives a symbolic expression for an
 interventional conditional from the observational joint, or reports
-failure when the PAG does not determine one.
+failure when the PAG does not determine one. A search asks it for every
+conditioning set, and the answers repeat, so it keeps on the PAG each
+Q[c] of the joint and each simplified answer per target and decomposition
+pieces meeting the target, failures included.
 """
 
 from __future__ import annotations
@@ -178,30 +181,34 @@ def decompose_targets(p: MixedGraph, t: Iterable[str],
     if t & z:
         raise GraphError("t and z must be disjoint")
     p.check_vertices(t | z)
-    if not t:
-        return []
-    scope = t | z
-    sub = p.induced(scope)
+    return list(_decompose(p, t, z))
 
-    def pc(seed):
-        return pc_component(sub, seed, visibility_in=p) if seed else set()
 
-    x = {min(t)}
-    cx = pc(x)
-    a = _pa_star(sub, cx) & _pa_star(sub, pc(scope - cx))
-    while not a <= z:
-        grown = x | _ch_star(sub, a & t)
-        if grown == x:
-            raise RuntimeError("component growth stalled; malformed graph?")
-        x = grown
+def _decompose(p: MixedGraph, t: set[str], z: set[str]):
+    """The pieces of ``decompose_targets``, one at a time: the pieces
+    partition t, so a caller may stop once those it needs are covered."""
+    while t:
+        scope = t | z
+        sub = p.induced(scope)
+
+        def pc(seed):
+            return pc_component(sub, seed, visibility_in=p) if seed else set()
+
+        x = {min(t)}
         cx = pc(x)
         a = _pa_star(sub, cx) & _pa_star(sub, pc(scope - cx))
-    t1 = cx & t
-    t2 = t - t1
-    head = (t1, region(p, x, scope) - t1)
-    rest_seed = scope - cx
-    rest_z = (region(p, rest_seed, scope) - t2) if rest_seed else set()
-    return [head] + decompose_targets(p, t2, rest_z)
+        while not a <= z:
+            grown = x | _ch_star(sub, a & t)
+            if grown == x:
+                raise RuntimeError("component growth stalled; malformed graph?")
+            x = grown
+            cx = pc(x)
+            a = _pa_star(sub, cx) & _pa_star(sub, pc(scope - cx))
+        t1 = cx & t
+        t2 = t - t1
+        yield t1, region(p, x, scope) - t1
+        rest_seed = scope - cx
+        t, z = t2, (region(p, rest_seed, scope) - t2) if rest_seed else set()
 
 
 def absorb_buckets(p: MixedGraph, t: Iterable[str],
@@ -307,21 +314,46 @@ def identify_interventional(p: MixedGraph, x: Iterable[str],
     class_mag(p)   # raises GraphError when no MAG fits p
     if not x:
         return simplify(Factor(y, z), graph=p)
-    v = frozenset(p.vertices)
-    sub = p.induced(v - x)
+    sub = p.induced(frozenset(p.vertices) - x)
     d = frozenset(possible_ancestors(sub, (y | z) - x)) - z
+    # the pieces partition d ⊇ y, so those after the last one meeting y
+    # do not matter
+    pieces, left = [], set(y)
+    for di, zi in _decompose(p, set(d), set(z)):
+        if di & y:
+            pieces.append((frozenset(di), frozenset(zi)))
+            left -= di
+            if not left:
+                break
+    key = ("identified", y, tuple(pieces))
+    return p.memo(key, lambda: _identify_pieces(p, y, pieces))
+
+
+def _identify_pieces(p: MixedGraph, y: frozenset[str],
+                     pieces: list[tuple[frozenset[str], frozenset[str]]]):
+    """Simplified product of P(d_i ∩ y | z_i, d_i - y) over the pieces that
+    meet y, or FAIL."""
     try:
-        parts = decompose_targets(p, d, z)
-        pieces = []
-        for di, zi in parts:
-            if di & y:
-                pieces.append(absorb_buckets(p, di, zi))
+        absorbed = [absorb_buckets(p, di, zi) for di, zi in pieces]
         factors = []
-        for di, zi in pieces:
-            e = identify_marginal(p, frozenset(di) | frozenset(zi), v,
-                                  Factor(v))
-            factors.append(Quotient(SumOver(set(di) - set(y), e),
-                                    SumOver(di, e)))
+        for di, zi in absorbed:
+            e = _joint_marginal(p, frozenset(di | zi))
+            factors.append(Quotient(SumOver(di - y, e), SumOver(di, e)))
     except NotIdentifiable:
         return FAIL
     return simplify(Product(factors), graph=p)
+
+
+def _joint_marginal(p: MixedGraph, c: frozenset[str]):
+    """Q[c] from the observational joint, identified once per PAG and c;
+    raises NotIdentifiable when it cannot be."""
+    def compute():
+        v = frozenset(p.vertices)
+        try:
+            return identify_marginal(p, c, v, Factor(v))
+        except NotIdentifiable:
+            return FAIL
+    e = p.memo(("joint_marginal", c), compute)
+    if e is FAIL:
+        raise NotIdentifiable(f"no rule applies for Q[{sorted(c)}]")
+    return e

@@ -52,6 +52,23 @@ class TestConstruction:
         with pytest.raises(GraphError):
             MixedGraph(["A", "B"], [circle_arrow("A", "B")], "ADMG")
 
+    # each ADMG fault gets its own message; a single edge is not parallel
+
+    def test_admg_parallel_edges_message(self):
+        with pytest.raises(GraphError, match="^invalid parallel edges "
+                                             "between A and B in an ADMG$"):
+            MixedGraph(["A", "B"], [directed("A", "B"), directed("A", "B")],
+                       "ADMG")
+
+    def test_admg_circle_mark_message(self):
+        with pytest.raises(GraphError, match="^circle mark in a ADMG"):
+            MixedGraph(["A", "B"], [circle_arrow("A", "B")], "ADMG")
+
+    def test_admg_undirected_edge_message(self):
+        with pytest.raises(GraphError, match="^ADMG edge must be directed "
+                                             "or bidirected"):
+            MixedGraph(["A", "B"], [Edge("A", "B", TAIL, TAIL)], "ADMG")
+
     def test_equality_ignores_edge_order(self):
         e1, e2 = directed("A", "B"), bidirected("B", "C")
         g1 = MixedGraph(["A", "B", "C"], [e1, e2], "MAG")

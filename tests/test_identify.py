@@ -6,14 +6,14 @@ import pytest
 
 from stablespec.expressions import (
     Factor, ONE, Product, Quotient, SumOver, conditional_of, evaluate,
-    simplify,
+    simplify, to_json,
 )
 from stablespec.components import pag_to_mag
 from stablespec.fci import (
     InstabilityError, SeparationOracle, fci, pooled_fci,
     possible_children_of_env,
 )
-from stablespec.graph import TAIL, GraphError, parse
+from stablespec.graph import TAIL, GraphError, parse, possible_ancestors
 from stablespec.identify import (
     FAIL, InvarianceQuery, NotIdentifiable, absorb_buckets, decompose_targets,
     eliminate_bucket, identify_interventional, identify_marginal,
@@ -280,6 +280,47 @@ class TestIdentifyInterventional:
                             env = {"Y": y, "X1": x1, "X2": x2, "X3": x3}
                             got = evaluate(expr, joint, env)
                             assert got == pytest.approx(want, abs=1e-9)
+
+    def test_targets_split_across_pieces(self):
+        # identify_interventional stops decomposing once the pieces meeting
+        # y cover y; the answer equals one built from every piece
+        def relevant(p, x, y, z):
+            d = possible_ancestors(p.induced(set(p.vertices) - x), y | z) - z
+            return [piece for piece in decompose_targets(p, d, z)
+                    if piece[0] & y]
+
+        def from_every_piece(p, x, y, z):
+            v = frozenset(p.vertices)
+            factors = []
+            try:
+                for di, zi in [absorb_buckets(p, di, zi)
+                               for di, zi in relevant(p, x, y, z)]:
+                    e = identify_marginal(p, di | zi, v, Factor(v))
+                    factors.append(Quotient(SumOver(di - y, e),
+                                            SumOver(di, e)))
+            except NotIdentifiable:
+                return FAIL
+            return simplify(Product(factors), graph=p)
+
+        def answer(e):
+            return "FAIL" if e is FAIL else to_json(e)
+
+        rng = random.Random(20261018)
+        split = 0
+        for _ in range(6):
+            g = random_admg(rng, max_vertices=6, min_vertices=5)
+            pag = fci(SeparationOracle(g), g.vertices)
+            for x in pag.vertices:
+                for y in map(set, combinations(
+                        sorted(set(pag.vertices) - {x}), 2)):
+                    rest = sorted(set(pag.vertices) - {x} - y)
+                    for z in map(set, combinations(rest, min(2, len(rest)))):
+                        want = from_every_piece(pag, {x}, y, z)
+                        got = identify_interventional(pag, {x}, y, z)
+                        assert answer(got) == answer(want)
+                        split += want is not FAIL and \
+                            len(relevant(pag, {x}, y, z)) > 1
+        assert split
 
     def test_soundness_on_random_graphs(self):
         # when identification succeeds on a learned PAG, the expression must

@@ -7,7 +7,11 @@ check that callers cannot change a memoized value through the containers
 they get back, and count the work one search does: edge visibility and the
 invariance checker's MAGs are each computed at most once per graph, no
 path is enumerated, and graph closures and m-separation read edge marks
-from the graph's adjacency index, not through ``Edge`` methods.
+from the graph's adjacency index, not through ``Edge`` methods. One
+``stable_candidates`` call also identifies each Q[c] of the joint once,
+simplifies once per distinct set of pieces meeting the target, walks the
+MAG once per distinct separation question of ``simplify``, and walks each
+vertex's ancestor and possible-ancestor closure at most once per graph.
 """
 
 import random
@@ -15,7 +19,8 @@ from itertools import combinations, permutations
 
 import pytest
 
-from stablespec import components, identify, separation
+import stablespec.graph as graph_module
+from stablespec import components, expressions, identify, separation
 from stablespec.components import (
     bucket_partial_order, buckets, class_mag, definite_c_component,
     pc_component,
@@ -23,16 +28,16 @@ from stablespec.components import (
 from stablespec.expressions import to_json
 from stablespec.fci import SeparationOracle, fci
 from stablespec.graph import (
-    Edge, GraphError, parse, possible_ancestors, serialize,
+    ARROW, TAIL, Edge, GraphError, parse, possible_ancestors, serialize,
 )
 from stablespec.identify import (
-    InvarianceQuery, identify_interventional, invariant_conditional_mag,
+    FAIL, InvarianceQuery, identify_interventional, invariant_conditional_mag,
 )
 from stablespec.search import InvarianceSpec, stable_candidates
 from stablespec.separation import (
     definite_m_separated, m_connected, visible_edge_set, visible_edges,
 )
-from util import example_pag, random_admg
+from util import PAG8, PAG10, example_pag, random_admg
 
 
 def random_pag(seed):
@@ -56,6 +61,33 @@ def warm(fact):
     first, second = fact(), fact()
     assert first == second
     return second
+
+
+def answer(expr):
+    """An identification result in comparable form."""
+    return "FAIL" if expr is FAIL else to_json(expr)
+
+
+def into_from_tail(here, there):
+    return here == ARROW and there == TAIL
+
+
+def no_arrow_there(here, there):
+    return there != ARROW
+
+
+def closure_from_whole_set(g, seed, step):
+    """seed plus every vertex reached from it across edges whose marks (at
+    the current vertex, at the next) satisfy step, in one walk from the
+    whole set."""
+    out = set(seed)
+    frontier = list(out)
+    while frontier:
+        for w, _, here, there in g.adjacency(frontier.pop()):
+            if w not in out and step(here, there):
+                out.add(w)
+                frontier.append(w)
+    return out
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -123,6 +155,30 @@ class TestCachedEqualsCold:
                 assert warm(lambda: invariant_conditional_mag(g, q)) == \
                     invariant_conditional_mag(fresh(g), q)
 
+    def test_identify_interventional(self, seed):
+        # every z of every (x, y) on one warm PAG, the z in shuffled order,
+        # so that later queries read pieces and Q[c] that earlier ones stored
+        g = random_pag(seed)
+        rng = random.Random(seed)
+        for x, y in permutations(g.vertices, 2):
+            zs = subsets(set(g.vertices) - {x, y})
+            rng.shuffle(zs)
+            for z in zs:
+                assert answer(identify_interventional(g, {x}, {y}, z)) == \
+                    answer(identify_interventional(fresh(g), {x}, {y}, z))
+
+    def test_closures(self, seed):
+        # the union of per-vertex closures equals one walk from the set
+        g = random_pag(seed)
+        for h in (g, class_mag(g)):
+            sets = subsets(h.vertices)
+            random.Random(seed).shuffle(sets)
+            for s in sets:
+                assert warm(lambda: h.ancestors(s)) == \
+                    closure_from_whole_set(h, s, into_from_tail)
+                assert warm(lambda: possible_ancestors(h, s)) == \
+                    closure_from_whole_set(h, s, no_arrow_there)
+
 
 class TestReturnedContainersAreCopies:
     def test_mutation_does_not_reach_the_memo(self):
@@ -145,28 +201,25 @@ class TestReturnedContainersAreCopies:
                  pc_component(g, {"V0"}))
         assert after == before
 
-
-# An 8-vertex PAG (oracle FCI on a random ADMG) with visible edges, circle
-# marks and both conditional and interventional candidates for V0 | V2.
-PAG8 = """\
-vars: V0,V1,V2,V3,V4,V5,V6,V7
-V0 --> V4
-V0 --> V5
-V0 <-> V7
-V1 o-> V0
-V1 o-> V3
-V2 --> V5
-V2 <-> V3
-V2 <-> V7
-V3 --> V5
-V3 <-> V4
-V6 o-> V3
-"""
+    def test_closure_mutation_does_not_reach_the_memo(self):
+        g = random_pag(3)
+        mag = class_mag(g)
+        v = g.vertices[-1]
+        before = (mag.ancestors({v}), possible_ancestors(g, {v}))
+        mag.ancestors({v}).add("V_extra")
+        possible_ancestors(g, {v}).clear()
+        after = (mag.ancestors({v}), possible_ancestors(g, {v}))
+        assert after == before
 
 
 def candidate_record(candidates):
     return [(c.kind, sorted(c.conditioning_set), to_json(c.expression))
             for c in candidates]
+
+
+# (PAG text, mutable set, target)
+SEARCHES = [(PAG8, {"V2"}, "V0"), (PAG10, {"V4"}, "V6")]
+SEARCH_IDS = ["PAG8", "PAG10"]
 
 
 class TestSearchWork:
@@ -267,3 +320,90 @@ class TestSearchWork:
         warm_run = stable_candidates(spec, "V0")
         cold_run = stable_candidates(InvarianceSpec(parse(PAG8), {"V2"}), "V0")
         assert candidate_record(warm_run) == candidate_record(cold_run)
+
+    @pytest.mark.parametrize("text, mutable, target", SEARCHES,
+                             ids=SEARCH_IDS)
+    def test_joint_marginal_identified_once_per_c(self, monkeypatch, text,
+                                                  mutable, target):
+        # Q[c] = identify_marginal(p, c, V, Factor(V)) depends on c alone;
+        # calls made from inside identify_marginal do not count
+        top, depth = [], [0]
+        uncached = identify.identify_marginal
+
+        def spy(p, c, t, q):
+            if not depth[0]:
+                top.append(frozenset(c))
+            depth[0] += 1
+            try:
+                return uncached(p, c, t, q)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(identify, "identify_marginal", spy)
+        stable_candidates(InvarianceSpec(parse(text), mutable), target)
+        assert top
+        assert len(top) == len(set(top))
+
+    @pytest.mark.parametrize("text, mutable, target", SEARCHES,
+                             ids=SEARCH_IDS)
+    def test_simplify_once_per_piece_key(self, monkeypatch, text, mutable,
+                                         target):
+        # the product identify_interventional simplifies is fixed by y and
+        # the decomposition pieces that meet y
+        inputs = []
+        uncached = identify.simplify
+
+        def spy(expr, graph=None):
+            inputs.append(expr)
+            return uncached(expr, graph=graph)
+
+        monkeypatch.setattr(identify, "simplify", spy)
+        found = stable_candidates(InvarianceSpec(parse(text), mutable),
+                                  target)
+        assert any(c.kind == "interventional" for c in found)
+        assert len(inputs) == len(set(inputs))
+
+    @pytest.mark.parametrize("text, mutable, target", SEARCHES,
+                             ids=SEARCH_IDS)
+    def test_separation_question_walked_once(self, monkeypatch, text,
+                                             mutable, target):
+        # a question a ⟂ b | z of simplify walks the MAG in one call at most
+        walked, open_calls = [], []
+        independent = expressions._independent
+        walk = expressions.m_connected
+
+        def independent_spy(graph, a, b, z):
+            open_calls.append(False)
+            try:
+                return independent(graph, a, b, z)
+            finally:
+                if open_calls.pop():
+                    walked.append((frozenset(a), frozenset(b), frozenset(z)))
+
+        def walk_spy(*args):
+            open_calls[-1] = True
+            return walk(*args)
+
+        monkeypatch.setattr(expressions, "_independent", independent_spy)
+        monkeypatch.setattr(expressions, "m_connected", walk_spy)
+        stable_candidates(InvarianceSpec(parse(text), mutable), target)
+        assert walked
+        assert len(walked) == len(set(walked))
+
+    @pytest.mark.parametrize("text, mutable, target", SEARCHES,
+                             ids=SEARCH_IDS)
+    def test_closures_walked_once_per_graph_and_vertex(self, monkeypatch,
+                                                       text, mutable, target):
+        walks, graphs = [], []
+        uncached = graph_module._walk
+
+        def spy(g, v, step):
+            graphs.append(g)   # keeps each id unique while walks holds it
+            walks.append((id(g), v, step))
+            return uncached(g, v, step)
+
+        monkeypatch.setattr(graph_module, "_walk", spy)
+        stable_candidates(InvarianceSpec(parse(text), mutable), target)
+        assert {step for _, _, step in walks} == {
+            graph_module._into_from_tail, graph_module._no_arrow_there}
+        assert len(walks) == len(set(walks))

@@ -1,5 +1,9 @@
+import json
 import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,6 +184,39 @@ class TestStableCandidates:
         for c in stable_candidates(example_spec(), "Y", "full", env="E"):
             if c.kind == "interventional":
                 assert not c.conditioning_set & c.mutable_set
+
+
+# Prints each search's candidate labels and expressions as JSON.
+HASH_SEED_PROBE = """
+import json
+from stablespec.expressions import to_json
+from stablespec.graph import parse
+from stablespec.search import InvarianceSpec, stable_candidates
+from util import PAG8, PAG_TEXT
+print(json.dumps([
+    [(c.label(), to_json(c.expression)) for c in stable_candidates(
+        InvarianceSpec(parse(text), mutable), target)]
+    for text, mutable, target in ((PAG_TEXT, {"X1"}, "Y"),
+                                  (PAG8, {"V2"}, "V0"))]))
+"""
+
+
+def test_candidates_do_not_depend_on_hash_seed():
+    # memo keys are sets of names; their iteration order follows the hash
+    # seed, and the candidates must not
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+        run = subprocess.run([sys.executable, "-c", HASH_SEED_PROBE],
+                             env=env, capture_output=True, text=True,
+                             check=True, timeout=120)
+        outputs.append(json.loads(run.stdout))
+    readme, pag8 = outputs[0]
+    assert any(label.startswith("interventional") for label, _ in readme)
+    assert any(label.startswith("interventional") for label, _ in pag8)
+    assert outputs[1] == outputs[0]
 
 
 class TestLearnedPags:

@@ -58,6 +58,43 @@ V6 --> V0
 }
 
 
+# An 8-vertex PAG (oracle FCI on a random ADMG) with visible edges, circle
+# marks and both conditional and interventional candidates for V0 | V2.
+PAG8 = """\
+vars: V0,V1,V2,V3,V4,V5,V6,V7
+V0 --> V4
+V0 --> V5
+V0 <-> V7
+V1 o-> V0
+V1 o-> V3
+V2 --> V5
+V2 <-> V3
+V2 <-> V7
+V3 --> V5
+V3 <-> V4
+V6 o-> V3
+"""
+
+# The oracle PAG of a sparse random 10-vertex ADMG (draw (10, 0) of the
+# benchmark corpus generator), queried for V6 with V4 mutable: many
+# conditioning sets share identification pieces and separation questions.
+PAG10 = """\
+vars: V0,V1,V2,V3,V4,V5,V6,V7,V8,V9
+V2 --> V1
+V2 <-> V9
+V3 o-> V7
+V3 o-> V8
+V4 <-> V9
+V5 --> V2
+V5 o-> V4
+V5 o-> V7
+V5 o-> V8
+V6 o-> V9
+V7 --> V2
+V9 --> V1
+"""
+
+
 def example_pag() -> MixedGraph:
     return parse(PAG_TEXT, "PAG")
 
