@@ -20,18 +20,16 @@ import sys
 import numpy as np
 
 from .citest import degenerate_gaussian_test, fisher_z_test
-from .data import DataError, DataTable, load_csv, pool_environments, save_csv
-from .estimate import EstimationError
-from .expressions import ExpressionError, to_json as expr_to_json, to_text
+from .data import DataTable, load_csv, pool_environments, save_csv
+from .expressions import to_json as expr_to_json, to_text
 from .fci import Knowledge, data_oracle, fci, possible_children_of_env
-from .graph import GraphError, parse as parse_graph, serialize
+from .graph import parse as parse_graph, serialize
 from .identify import FAIL, InvarianceQuery, identify_interventional, \
     invariant_conditional_mag
-from .scm import SCMError
 from .search import (
-    DEFAULT_MAX_OBSERVED, InvarianceSpec, search_stable_predictor,
-    shift_sweep, simulate_benchmark, stable_candidates, fit_candidates,
-    pick_winner, unstable_baseline, write_sweep_csv,
+    DEFAULT_MAX_OBSERVED, InvarianceSpec, shift_sweep, simulate_benchmark,
+    stable_candidates, fit_candidates, pick_winner, unstable_candidate,
+    write_sweep_csv,
 )
 
 CI_TESTS = {"fisher-z": fisher_z_test,
@@ -59,9 +57,8 @@ def _load_tables(args) -> list[DataTable]:
 
 
 def _run_dir(args) -> str:
-    out = args.out or "run"
-    os.makedirs(out, exist_ok=True)
-    return out
+    os.makedirs(args.out, exist_ok=True)
+    return args.out
 
 
 def _write(path: str, text: str):
@@ -215,8 +212,12 @@ def cmd_search(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.out is None:
+        raise InputError("simulate needs --out")
+    if args.alpha is None:
+        raise InputError("simulate needs --alpha")
     table = simulate_benchmark(args.alpha, args.n, args.seed)
-    save_csv(table, args.out_file)
+    save_csv(table, args.out)
     return 0
 
 
@@ -236,19 +237,27 @@ def cmd_sweep(args) -> int:
     mutable = _resolve_mutable(args, pag, args.env)
     _check_columns(pag, data, args.env)
     spec = InvarianceSpec(pag, mutable)
+    # a conditional-only search finds exactly the full search's conditional
+    # candidates, so one search and one fit serve both modes
+    candidates = stable_candidates(spec, args.target, "full", args.env,
+                                   args.max_observed)
+    fitted = []
+    if candidates:
+        *fitted, base = fit_candidates(
+            candidates + [unstable_candidate(data, args.target)], data,
+            args.target, args.backend, args.seed)
     models = []
-    for mode in ("full", "conditional-only"):
-        best = search_stable_predictor(spec, args.target, data, mode,
-                                       args.backend, args.seed, args.env,
-                                       args.max_observed)
-        if best is FAIL:
+    for mode, pool in (("full", fitted),
+                       ("conditional-only",
+                        [c for c in fitted if c.kind == "conditional"])):
+        best = pick_winner(pool)
+        if best is None:
             print(f"FAIL: no stable candidate in {mode} mode",
                   file=sys.stderr)
             return 1
         models.append((best.label(), best.estimator))
         log.append(f"{mode} winner: {best.label()} "
                    f"loss {best.validation_loss:.6f}")
-    base = unstable_baseline(data, args.target, args.backend, args.seed)
     models.append((base.label(), base.estimator))
     grid = np.linspace(args.grid_start, args.grid_stop, args.grid_points)
     rows = shift_sweep(models, list(grid), args.n_test, args.seed,
@@ -261,113 +270,126 @@ def cmd_sweep(args) -> int:
 
 
 def _add_data_flags(p):
-    p.add_argument("--data", action="append", default=None,
+    p.add_argument("--data", action="append",
                    help="CSV file; repeat for one dataset per environment")
-    p.add_argument("--schema", action="append", default=None,
+    p.add_argument("--schema", action="append",
                    help="sidecar JSON schema for the matching --data")
-    p.add_argument("--test", choices=sorted(CI_TESTS), default=None)
-    p.add_argument("--alpha", type=float, default=None,
+    p.add_argument("--test", choices=sorted(CI_TESTS), default="fisher-z")
+    p.add_argument("--alpha", type=float, default=0.01,
                    help="CI test significance level")
-    p.add_argument("--env", default=None, help="environment column name")
-    p.add_argument("--max-cond-size", type=int, default=None)
+    p.add_argument("--env", default="E", help="environment column name")
+    p.add_argument("--max-cond-size", type=int)
 
 
 def _add_search_flags(p):
-    p.add_argument("--graph", default=None, help="PAG file (skips learning)")
-    p.add_argument("--target", default=None)
-    p.add_argument("--mutable", default=None,
+    p.add_argument("--graph", help="PAG file (skips learning)")
+    p.add_argument("--target", default="Y")
+    p.add_argument("--mutable",
                    help="comma-separated mutable vertices; defaults to the "
                         "possible children of the environment vertex")
     p.add_argument("--mode", choices=("full", "conditional-only",
-                                      "single-env"), default=None)
+                                      "single-env"), default="full")
     p.add_argument("--backend", choices=("linear-gaussian",
-                                         "discrete-exact"), default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-observed", type=int, default=None)
+                                         "discrete-exact"),
+                   default="linear-gaussian")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-observed", type=int, default=DEFAULT_MAX_OBSERVED)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and the parser of each subcommand."""
     top = argparse.ArgumentParser(prog="stablespec")
-    top.add_argument("--config", default=None,
+    top.add_argument("--config",
                      help="JSON file with defaults for any flag")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("learn-pag", help="learn a PAG from data")
     _add_data_flags(p)
-    p.add_argument("--out", default=None, help="run directory")
+    p.add_argument("--out", default="run", help="run directory")
 
     p = sub.add_parser("identify",
                        help="interventional expression for a query")
     p.add_argument("--graph", required=True)
     p.add_argument("--mutable", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--given", default=None)
-    p.add_argument("--out", default=None)
+    p.add_argument("--given")
+    p.add_argument("--out")
 
     p = sub.add_parser("check", help="invariance of a single conditional")
     p.add_argument("--graph", required=True)
     p.add_argument("--mutable", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--given", default=None)
+    p.add_argument("--given")
 
     p = sub.add_parser("search", help="stable-predictor search")
     _add_data_flags(p)
     _add_search_flags(p)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default="run")
 
     p = sub.add_parser("simulate", help="sample the shift benchmark")
-    p.add_argument("--alpha", type=float, default=None,
-                   help="confounding strength")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", dest="out_file", default=None,
-                   help="output CSV path")
+    p.add_argument("--alpha", type=float, help="confounding strength")
+    p.add_argument("--n", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", help="output CSV path")
 
     p = sub.add_parser("sweep",
                        help="train on the benchmark, score across shifts")
     _add_search_flags(p)
-    p.add_argument("--env", default=None)
-    p.add_argument("--train-alphas", default=None,
+    p.add_argument("--env", default="E")
+    p.add_argument("--train-alphas", default="4,8",
                    help="comma-separated training shift strengths")
-    p.add_argument("--n-train", type=int, default=None)
-    p.add_argument("--n-test", type=int, default=None)
-    p.add_argument("--grid-start", type=float, default=None)
-    p.add_argument("--grid-stop", type=float, default=None)
-    p.add_argument("--grid-points", type=int, default=None)
-    p.add_argument("--out", default=None)
-    return top
+    p.add_argument("--n-train", type=int, default=50000)
+    p.add_argument("--n-test", type=int, default=10000)
+    p.add_argument("--grid-start", type=float, default=-5.0)
+    p.add_argument("--grid-stop", type=float, default=17.0)
+    p.add_argument("--grid-points", type=int, default=100)
+    p.add_argument("--out", default="run")
+    return top, sub.choices
 
 
-DEFAULTS = {
-    "test": "fisher-z", "alpha": 0.01, "env": "E",
-    "mode": "full", "backend": "linear-gaussian", "seed": 0,
-    "max_observed": DEFAULT_MAX_OBSERVED, "target": "Y",
-    "train_alphas": "4,8", "n_train": 50000, "n_test": 10000,
-    "grid_start": -5.0, "grid_stop": 17.0, "grid_points": 100,
-    "n": 1000,
-}
+def _config_value(parser: argparse.ArgumentParser, action: argparse.Action,
+                  key: str, value):
+    """A config value converted and checked as the flag's own string would
+    be: argparse converts only string defaults, and checks choices only on
+    the command line."""
+    try:
+        if not isinstance(value, (str, int, float)):
+            raise argparse.ArgumentError(action, f"{value!r} is not a "
+                                         "string or number")
+        value = parser._get_value(action, str(value))
+        parser._check_value(action, value)
+    except argparse.ArgumentError as exc:
+        raise InputError(f"config key {key!r}: {exc}") from None
+    return value
 
 
-def _apply_config(args):
-    """Fill unset flags from the config file, then from built-in defaults."""
-    config = {}
-    if args.config:
-        with open(args.config) as fh:
-            config = json.load(fh)
-        if not isinstance(config, dict):
-            raise InputError("config file must hold a JSON object")
-        unknown = set(config) - set(vars(args)) - {"command"}
-        if unknown:
-            raise InputError(f"unknown config keys {sorted(unknown)}")
+def _config_defaults(parser: argparse.ArgumentParser,
+                     args: argparse.Namespace) -> dict:
+    """A subcommand's defaults from the JSON config file ``args.config``,
+    whose keys are the flags' destination names; ``args`` is the command
+    line parsed without them."""
+    with open(args.config) as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise InputError("config file must hold a JSON object")
+    actions = {a.dest: a for a in parser._actions
+               if a.default is not argparse.SUPPRESS}
+    unknown = set(config) - set(actions)
+    if unknown:
+        raise InputError(f"unknown config keys {sorted(unknown)}")
+    defaults = {}
     for key, value in config.items():
-        if key != "command" and getattr(args, key, None) is None:
-            setattr(args, key, value)
-    for key, value in DEFAULTS.items():
-        if key == "alpha" and args.command == "simulate":
-            continue  # the CI-level default is not a shift strength
-        if getattr(args, key, "missing") is None:
-            setattr(args, key, value)
-    return args
+        action = actions[key]
+        if not isinstance(action, argparse._AppendAction):
+            defaults[key] = _config_value(parser, action, key, value)
+            continue
+        # a list holds one value per repeated flag; a repeated flag appends
+        # to its default, so the list stands only when the flag is absent
+        values = [_config_value(parser, action, key, v) for v in
+                  (value if isinstance(value, list) else [value])]
+        if getattr(args, key) is None:
+            defaults[key] = values
+    return defaults
 
 
 COMMANDS = {
@@ -381,19 +403,16 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config(args)
-        if args.command == "simulate":
-            if args.out_file is None:
-                raise InputError("simulate needs --out")
-            if args.alpha is None:
-                raise InputError("simulate needs --alpha")
+        if args.config:
+            # config values become the subcommand's defaults, so flags win
+            command = commands[args.command]
+            command.set_defaults(**_config_defaults(command, args))
+            args = parser.parse_args(argv)
         return COMMANDS[args.command](args)
-    except (InputError, DataError, GraphError, SCMError, EstimationError,
-            ExpressionError, OSError, json.JSONDecodeError,
-            ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

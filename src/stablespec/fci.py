@@ -41,31 +41,15 @@ class Knowledge:
     """Background constraints for orientation.
 
     ``forbidden_into`` lists vertices that may not receive arrowheads.
-    ``tier_order`` optionally gives ordered tiers; no arrowhead may point
-    from a later tier into an earlier one.
     """
 
     forbidden_into: frozenset[str] = frozenset()
-    tier_order: tuple[frozenset[str], ...] = ()
 
-    def __init__(self, forbidden_into: Iterable[str] = (),
-                 tier_order: Sequence[Iterable[str]] = ()):
+    def __init__(self, forbidden_into: Iterable[str] = ()):
         object.__setattr__(self, "forbidden_into", frozenset(forbidden_into))
-        tiers = tuple(frozenset(t) for t in tier_order)
-        seen: set[str] = set()
-        for t in tiers:
-            if t & seen:
-                raise GraphError("tiers must be disjoint")
-            seen |= t
-        object.__setattr__(self, "tier_order", tiers)
 
     def blocks_arrowhead(self, src: str, dst: str) -> bool:
-        if dst in self.forbidden_into:
-            return True
-        tier = {v: i for i, t in enumerate(self.tier_order) for v in t}
-        if src in tier and dst in tier and tier[src] > tier[dst]:
-            return True
-        return False
+        return dst in self.forbidden_into
 
 
 class SeparationOracle:
@@ -155,6 +139,24 @@ class _Marks:
         return MixedGraph(self.vertices, edges, kind="PAG")
 
 
+def _separating_set(independent: Callable, a: str, b: str,
+                    pools: Sequence[Sequence[str]],
+                    size: int) -> frozenset | None:
+    """The first subset of ``size`` vertices of one of ``pools``, in order,
+    that makes a and b independent; each distinct subset is tested once.
+    None when no subset does."""
+    tried: set[frozenset] = set()
+    for pool in pools:
+        for s in combinations(pool, size):
+            key = frozenset(s)
+            if key in tried:
+                continue
+            tried.add(key)
+            if independent(a, b, set(s)):
+                return key
+    return None
+
+
 def _stable_skeleton(variables: Sequence[str], independent: Callable,
                      max_cond_size: int | None):
     """Level-wise adjacency search; all tests at size k use the adjacency
@@ -171,25 +173,13 @@ def _stable_skeleton(variables: Sequence[str], independent: Callable,
         for a, b in combinations(vs, 2):
             if b not in adj[a]:
                 continue
-            tried: set[frozenset] = set()
-            removed = False
-            for side, other in ((a, b), (b, a)):
-                if removed:
-                    break
-                pool = [v for v in snapshot[side] if v != other]
-                if len(pool) < level:
-                    continue
-                for s in combinations(pool, level):
-                    key = frozenset(s)
-                    if key in tried:
-                        continue
-                    tried.add(key)
-                    if independent(a, b, set(s)):
-                        adj[a].discard(b)
-                        adj[b].discard(a)
-                        sepsets[frozenset((a, b))] = key
-                        removed = True
-                        break
+            pools = [[v for v in snapshot[side] if v != other]
+                     for side, other in ((a, b), (b, a))]
+            sep = _separating_set(independent, a, b, pools, level)
+            if sep is not None:
+                adj[a].discard(b)
+                adj[b].discard(a)
+                sepsets[frozenset((a, b))] = sep
         level += 1
     skeleton = {frozenset((a, b)) for a in vs for b in adj[a] if a < b}
     return skeleton, sepsets
@@ -242,24 +232,12 @@ def _refine_with_d_sep(marks: _Marks, sepsets: dict, independent: Callable,
             upper = max(len(p) for p in pools)
             if max_cond_size is not None:
                 upper = min(upper, max_cond_size)
-            done = False
             for size in range(1, upper + 1):
-                if done:
+                sep = _separating_set(independent, a, b, pools, size)
+                if sep is not None:
+                    removed.add(frozenset((a, b)))
+                    sepsets[frozenset((a, b))] = sep
                     break
-                tried: set[frozenset] = set()
-                for pool in pools:
-                    if done or len(pool) < size:
-                        continue
-                    for s in combinations(pool, size):
-                        key = frozenset(s)
-                        if key in tried:
-                            continue
-                        tried.add(key)
-                        if independent(a, b, set(s)):
-                            removed.add(frozenset((a, b)))
-                            sepsets[frozenset((a, b))] = key
-                            done = True
-                            break
     return removed
 
 

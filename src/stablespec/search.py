@@ -26,6 +26,7 @@ from .identify import (
 
 SEARCH_MODES = ("full", "conditional-only", "single-env")
 DEFAULT_MAX_OBSERVED = 20
+VAL_FRACTION = 0.2
 
 
 @dataclass(frozen=True)
@@ -102,12 +103,9 @@ def stable_candidates(spec: InvarianceSpec, target: str, mode: str = "full",
     return out
 
 
-def split_train_validation(data: DataTable, seed: int,
-                           val_fraction: float = 0.2):
-    """Seeded shuffle split, stratified by the environment column when one
-    is present."""
-    if not 0.0 < val_fraction < 1.0:
-        raise DataError("validation fraction must lie in (0, 1)")
+def split_train_validation(data: DataTable, seed: int):
+    """Seeded shuffle split holding out ``VAL_FRACTION`` of the rows,
+    stratified by the environment column when one is present."""
     rng = np.random.default_rng(seed)
     groups: list[np.ndarray]
     if data.env_column is not None:
@@ -118,7 +116,7 @@ def split_train_validation(data: DataTable, seed: int,
     train_idx, val_idx = [], []
     for g in groups:
         perm = g[rng.permutation(len(g))]
-        cut = int(round(len(g) * (1.0 - val_fraction)))
+        cut = int(round(len(g) * (1.0 - VAL_FRACTION)))
         train_idx.append(perm[:cut])
         val_idx.append(perm[cut:])
     train = data.take(np.sort(np.concatenate(train_idx)))
@@ -129,11 +127,11 @@ def split_train_validation(data: DataTable, seed: int,
 
 
 def fit_candidates(candidates: Sequence[CandidateModel], data: DataTable,
-                   target: str, backend: str, seed: int,
-                   val_fraction: float = 0.2) -> list[CandidateModel]:
+                   target: str, backend: str, seed: int
+                   ) -> list[CandidateModel]:
     """Fit every candidate on the train split and score it on validation.
     Candidates with equal expressions share one fitted estimator and loss."""
-    train, val = split_train_validation(data, seed, val_fraction)
+    train, val = split_train_validation(data, seed)
     fitted: dict = {}   # expression -> (estimator, loss)
     out = []
     for c in candidates:
@@ -165,17 +163,19 @@ def search_stable_predictor(spec: InvarianceSpec, target: str,
     return pick_winner(fit_candidates(candidates, data, target, backend, seed))
 
 
+def unstable_candidate(data: DataTable, target: str) -> CandidateModel:
+    """Plain regression of the target on every feature, not yet fitted;
+    stability is not checked, so shifted environments may break it."""
+    z = frozenset(n for n in data.names
+                  if n != target and n != data.env_column)
+    return CandidateModel("unstable", frozenset(), z, Factor({target}, z))
+
+
 def unstable_baseline(data: DataTable, target: str, backend: str,
-                      seed: int = 0,
-                      features: Iterable[str] | None = None) -> CandidateModel:
-    """Plain regression of the target on every feature; stability is not
-    checked, so shifted environments may break it."""
-    if features is None:
-        features = [n for n in data.names
-                    if n != target and n != data.env_column]
-    z = frozenset(features)
-    c = CandidateModel("unstable", frozenset(), z, Factor({target}, z))
-    return fit_candidates([c], data, target, backend, seed)[0]
+                      seed: int = 0) -> CandidateModel:
+    """The unstable candidate, fitted as ``fit_candidates`` fits."""
+    return fit_candidates([unstable_candidate(data, target)], data, target,
+                          backend, seed)[0]
 
 
 # -- simulation and sweeps ---------------------------------------------------

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import stablespec
-from stablespec import cli, fci
+from stablespec import cli, fci, search
 from stablespec.cli import main
 from stablespec.data import DataTable, save_csv
 from stablespec.graph import parse, serialize
@@ -472,8 +472,10 @@ class TestConfig:
         assert capsys.readouterr().out.strip() == "interventional[X2,X3]"
 
     def test_flags_override_config(self, workdir, tmp_path, capsys):
+        # a repeated flag replaces the config's list rather than extending it
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"mode": "full"}))
+        cfg.write_text(json.dumps({"mode": "full",
+                                   "data": [str(tmp_path / "none.csv")]}))
         out = tmp_path / "run"
         argv = ["--config", str(cfg)] + \
             search_argv(workdir, out, ["--mode", "conditional-only"])
@@ -491,6 +493,35 @@ class TestConfig:
         cfg.write_text("not json")
         assert main(["--config", str(cfg)] +
                     search_argv(workdir, tmp_path / "run")) == 2
+
+    @pytest.mark.parametrize("command, config", [
+        ("learn-pag", {"test": "bogus"}),
+        ("search", {"backend": "nope"}),
+        ("simulate", {"n": "ten"}),
+        ("search", {"seed": [1]}),
+    ])
+    def test_bad_config_value_exits_two(self, workdir, tmp_path, capsys,
+                                        command, config):
+        # config values pass the flags' type and choices checks
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        data = search_argv(workdir, tmp_path / "run")[3:9]
+        argv = {"learn-pag": data,
+                "search": ["--graph", str(workdir / "pag.txt"), *data],
+                "simulate": ["--alpha", "4"]}[command]
+        assert main(["--config", str(cfg), command, *argv,
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        key, = config
+        assert f"config key {key!r}" in err
+        assert "Traceback" not in err
+
+    def test_simulate_takes_config_values(self, tmp_path):
+        out = tmp_path / "sim.csv"
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n": "10", "alpha": 4, "out": str(out)}))
+        assert main(["--config", str(cfg), "simulate"]) == 0
+        assert len(out.read_text().splitlines()) == 11
 
 
 class TestSweep:
@@ -517,6 +548,28 @@ class TestSweep:
                      "--grid-points", "2", "--out", str(tmp_path / "run")]) == 2
         assert "no data column for graph vertices: Q" in \
             capsys.readouterr().err
+
+    def test_one_search_and_one_split(self, workdir, tmp_path,
+                                      monkeypatch):
+        # both modes' winners and the unstable baseline come from one
+        # full-mode search and one fit on one train/validation split
+        calls = []
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for module in (cli, search):
+            monkeypatch.setattr(module, "stable_candidates", counted(
+                "search", search.stable_candidates))
+        monkeypatch.setattr(search, "split_train_validation", counted(
+            "split", search.split_train_validation))
+        assert main(["sweep", "--graph", str(workdir / "pag.txt"),
+                     "--n-train", "2000", "--n-test", "200", "--grid-points",
+                     "2", "--out", str(tmp_path / "run")]) == 0
+        assert sorted(calls) == ["search", "split"]
 
     def test_graph_required(self, tmp_path):
         assert main(["sweep", "--n-train", "100", "--n-test", "100",

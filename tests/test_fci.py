@@ -24,16 +24,6 @@ class TestKnowledge:
         assert k.blocks_arrowhead("A", "E")
         assert not k.blocks_arrowhead("E", "A")
 
-    def test_tier_order(self):
-        k = Knowledge(tier_order=[{"A"}, {"B"}])
-        assert k.blocks_arrowhead("B", "A")
-        assert not k.blocks_arrowhead("A", "B")
-        assert not k.blocks_arrowhead("A", "C")
-
-    def test_overlapping_tiers_rejected(self):
-        with pytest.raises(GraphError):
-            Knowledge(tier_order=[{"A"}, {"A", "B"}])
-
 
 class TestMarks:
     def test_conflicting_orientation_raises(self):

@@ -267,11 +267,6 @@ class TestSplit:
         assert np.sum(train.column("E") == 0) == 400
         assert np.sum(val.column("E") == 1) == 100
 
-    def test_fraction_validated(self):
-        data = DataTable({"Y": np.arange(10, dtype=float)})
-        with pytest.raises(DataError):
-            split_train_validation(data, seed=0, val_fraction=1.0)
-
 
 class TestSearch:
     def test_full_mode_prefers_interventional(self):
