@@ -27,9 +27,9 @@ from .graph import parse as parse_graph, serialize
 from .identify import FAIL, InvarianceQuery, identify_interventional, \
     invariant_conditional_mag
 from .search import (
-    DEFAULT_MAX_OBSERVED, InvarianceSpec, shift_sweep, simulate_benchmark,
-    stable_candidates, fit_candidates, pick_winner, unstable_candidate,
-    write_sweep_csv,
+    DEFAULT_MAX_OBSERVED, SEARCH_MODES, InvarianceSpec, shift_sweep,
+    simulate_benchmark, stable_candidates, fit_candidates, pick_winner,
+    unstable_candidate, write_sweep_csv,
 )
 
 CI_TESTS = {"fisher-z": fisher_z_test,
@@ -144,9 +144,6 @@ def cmd_check(args) -> int:
 def _resolve_mutable(args, pag, env) -> frozenset[str]:
     if args.mutable:
         return frozenset(_csv_list(args.mutable))
-    if args.mode == "single-env":
-        raise InputError("mutable set required: single-environment search "
-                         "has no environment column to derive it from")
     if env is None or env not in pag.vertices:
         raise InputError("mutable set required: no environment vertex to "
                          "derive possible children from")
@@ -183,6 +180,10 @@ def cmd_search(args) -> int:
     else:
         pag, env, _, data = _learn(args, log)
     if args.mode == "single-env":
+        if not args.mutable:
+            raise InputError("mutable set required: single-environment "
+                             "search has no environment column to derive "
+                             "it from")
         env = None
     mutable = _resolve_mutable(args, pag, env)
     log.append(f"mutable set: {sorted(mutable)}")
@@ -245,7 +246,7 @@ def cmd_sweep(args) -> int:
     if candidates:
         *fitted, base = fit_candidates(
             candidates + [unstable_candidate(data, args.target)], data,
-            args.target, args.backend, args.seed)
+            args.target, "linear-gaussian", args.seed)
     models = []
     for mode, pool in (("full", fitted),
                        ("conditional-only",
@@ -287,11 +288,6 @@ def _add_search_flags(p):
     p.add_argument("--mutable",
                    help="comma-separated mutable vertices; defaults to the "
                         "possible children of the environment vertex")
-    p.add_argument("--mode", choices=("full", "conditional-only",
-                                      "single-env"), default="full")
-    p.add_argument("--backend", choices=("linear-gaussian",
-                                         "discrete-exact"),
-                   default="linear-gaussian")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-observed", type=int, default=DEFAULT_MAX_OBSERVED)
 
@@ -324,6 +320,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = sub.add_parser("search", help="stable-predictor search")
     _add_data_flags(p)
     _add_search_flags(p)
+    p.add_argument("--mode", choices=SEARCH_MODES, default="full")
+    p.add_argument("--backend", choices=("linear-gaussian",
+                                         "discrete-exact"),
+                   default="linear-gaussian")
     p.add_argument("--out", default="run")
 
     p = sub.add_parser("simulate", help="sample the shift benchmark")

@@ -48,26 +48,40 @@ class LinearGaussianSCM:
                 if self.order.index(p) >= self.order.index(v):
                     raise SCMError(f"parent {p} of {v} out of order")
 
-    def sample(self, n: int, seed: int) -> dict[str, np.ndarray]:
+    def noise(self, n: int, seed: int) -> dict[str, np.ndarray]:
+        """The draws intercept + N(0, std^2) that ``sample(n, seed)`` adds
+        to each variable of ``order``, in that order."""
         if n < 1:
             raise SCMError("need at least one sample")
         rng = np.random.default_rng(seed)
-        cols: dict[str, np.ndarray] = {}
+        return {v: rng.normal(self.intercepts.get(v, 0.0),
+                              self.noise_std[v], n)
+                for v in self.order}
+
+    def sample(self, n: int, seed: int) -> dict[str, np.ndarray]:
+        cols = self.noise(n, seed)
         for v in self.order:
-            x = rng.normal(self.intercepts.get(v, 0.0), self.noise_std[v], n)
+            x = cols[v]
             for p, c in self.coefficients.get(v, {}).items():
                 x = x + c * cols[p]
             cols[v] = x
         return {v: cols[v] for v in self.observed}
 
+    def total_effects(self) -> np.ndarray:
+        """(I-B)^-1 over ``order``, B the coefficients: row v holds the
+        weight of each variable's noise draw in v, built parents first."""
+        pos = {v: i for i, v in enumerate(self.order)}
+        a = np.eye(len(pos))
+        for v in self.order:
+            for p, c in self.coefficients.get(v, {}).items():
+                a[pos[v]] += c * a[pos[p]]
+        return a
+
     def moments(self) -> tuple[np.ndarray, np.ndarray]:
         """Population mean (I-B)^-1 c and covariance (I-B)^-1 D (I-B)^-T of
         ``observed``; B the coefficients, c intercepts, D noise variances."""
         pos = {v: i for i, v in enumerate(self.order)}
-        b = np.eye(len(pos))
-        for child, parents in self.coefficients.items():
-            b[pos[child], [pos[p] for p in parents]] -= list(parents.values())
-        a = np.linalg.inv(b)[[pos[v] for v in self.observed]]
+        a = self.total_effects()[[pos[v] for v in self.observed]]
         c = [self.intercepts.get(v, 0.0) for v in self.order]
         return a @ c, a * [self.noise_std[v] ** 2 for v in self.order] @ a.T
 

@@ -17,7 +17,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .data import DataError, DataTable
-from .estimate import CandidateModel, fit_expression, validation_loss
+from .estimate import (
+    CandidateModel, EstimationError, LinearGaussianModel, fit_expression,
+    validation_loss,
+)
 from .expressions import Factor
 from .graph import GraphError, MixedGraph
 from .identify import (
@@ -190,23 +193,62 @@ def simulate_benchmark(alpha: float, n: int, seed: int) -> DataTable:
     return DataTable(shift_benchmark_scm(alpha).sample(n, seed))
 
 
+def _residual_weights(label: str, model, target: str, scm
+                      ) -> tuple[np.ndarray, float]:
+    """Weights w over the variables of ``scm.order`` and constant w1 of a
+    linear model's residual target - prediction = w . x + w1."""
+    if not isinstance(model, LinearGaussianModel):
+        raise EstimationError(f"model {label!r}: the shift sweep scores "
+                              "linear-Gaussian models only")
+    unknown = sorted(set(model.features) - set(scm.observed))
+    if unknown:
+        raise EstimationError(f"model {label!r}: features {unknown} are not "
+                              "benchmark columns")
+    pos = {v: i for i, v in enumerate(scm.order)}
+    w = np.zeros(len(pos))
+    w[pos[target]] += 1.0
+    for f, c in zip(model.features, model.coef[:-1]):
+        w[pos[f]] -= c
+    return w, -model.coef[-1]
+
+
 def shift_sweep(models: Sequence[tuple[str, object]],
                 alpha_grid: Sequence[float], n_test: int, seed: int,
                 target: str = "Y") -> list[tuple[float, str, float]]:
-    """Score every model at every shift strength; rows are
+    """Score every linear model at every shift strength; rows are
     (alpha, model label, mse).
 
-    Every grid point reuses the same noise draws (common random numbers),
-    so curves differ only through the shift strength, not sampling noise.
+    Every grid point reuses the same n_test noise draws e (common random
+    numbers), so curves differ only through the shift strength, not
+    sampling noise. The benchmark is linear in e: at shift alpha its
+    variables are x = A(alpha) e, A = (I-B)^-1. A model whose residual is
+    w . x + w1 (``_residual_weights``) has residual u . [e, 1] with
+    u = [A^T w, w1], so its mse on those rows is u^T G u, where
+    G = [e, 1]^T [e, 1] / n_test is formed once.
     """
+    from .scm import shift_benchmark_scm
     if not alpha_grid:
         raise DataError("empty shift grid")
+    if n_test < 1:
+        raise DataError("need at least one row")
+    base = shift_benchmark_scm(alpha_grid[0])
+    if target not in base.observed:
+        raise DataError(f"no column {target!r}")
+    draws = np.column_stack([*base.noise(n_test, seed).values(),
+                             np.ones(n_test)])
+    gram = draws.T @ draws / n_test
+    weights = [(label, _residual_weights(label, model, target, base))
+               for label, model in models]
     rows = []
     for alpha in alpha_grid:
-        data = simulate_benchmark(alpha, n_test, seed)
-        for label, model in models:
-            rows.append((float(alpha), label,
-                         validation_loss(model, data, target)))
+        scm = shift_benchmark_scm(alpha)
+        # common random numbers: only the coefficients move with alpha
+        assert (scm.order, scm.noise_std, scm.intercepts) == \
+            (base.order, base.noise_std, base.intercepts)
+        effects = scm.total_effects()
+        for label, (w, w1) in weights:
+            u = np.append(w @ effects, w1)
+            rows.append((float(alpha), label, float(u @ gram @ u)))
     return rows
 
 

@@ -2,8 +2,10 @@ import csv
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -575,3 +577,52 @@ class TestSweep:
         assert main(["sweep", "--n-train", "100", "--n-test", "100",
                      "--grid-points", "2",
                      "--out", str(tmp_path / "run")]) == 2
+
+    @pytest.mark.parametrize("flag", [["--mode", "full"],
+                                      ["--backend", "linear-gaussian"]])
+    def test_search_only_flags_exit_two(self, workdir, tmp_path, flag):
+        # sweep always reports both modes' winners, fitted linearly
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--graph", str(workdir / "pag.txt"), *flag,
+                  "--out", str(tmp_path / "run")])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("key, value", [("mode", "full"),
+                                            ("backend", "linear-gaussian")])
+    def test_search_only_config_keys_refused(self, workdir, tmp_path, capsys,
+                                             key, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert main(["--config", str(cfg), "sweep", "--graph",
+                     str(workdir / "pag.txt"),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert f"unknown config keys ['{key}']" in capsys.readouterr().err
+
+    def test_search_keeps_mode_and_backend(self):
+        _, commands = cli.build_parser()
+        args = commands["search"].parse_args(
+            ["--mode", "conditional-only", "--backend", "discrete-exact"])
+        assert (args.mode, args.backend) == ("conditional-only",
+                                             "discrete-exact")
+
+
+def readme_commands() -> list[list[str]]:
+    """Every ``stablespec ...`` command in README.md's code blocks, with
+    lines ending in a backslash joined, split into arguments."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = readme.read_text().split("```")[1::2]
+    commands = []
+    for block in blocks:
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("stablespec "):
+                commands.append(shlex.split(line, comments=True)[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    # a flag the README uses but the CLI dropped fails here
+    commands = readme_commands()
+    assert {c[0] for c in commands} == set(cli.COMMANDS)
+    parser, _ = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

@@ -61,6 +61,31 @@ class TestLinearGaussian:
         b = shift_benchmark_scm(4.0).sample(100, seed=3)
         assert all(np.array_equal(a[k], b[k]) for k in a)
 
+    def test_sample_is_total_effects_times_noise(self):
+        scm = shift_benchmark_scm(17.0)
+        noise = scm.noise(50, seed=3)
+        data = scm.sample(50, seed=3)
+        assert list(noise) == list(scm.order)
+        assert np.array_equal(data["X3"], noise["X3"])  # no parents
+        x = scm.total_effects() @ np.array(list(noise.values()))
+        for i, v in enumerate(scm.order):
+            if v in data:
+                assert np.allclose(data[v], x[i], rtol=0, atol=1e-12)
+
+    def test_total_effects_invert_i_minus_b(self):
+        scm = shift_benchmark_scm(4.0)
+        pos = {v: i for i, v in enumerate(scm.order)}
+        b = np.zeros((5, 5))
+        for child, parents in scm.coefficients.items():
+            for p, c in parents.items():
+                b[pos[child], pos[p]] = c
+        assert scm.total_effects() @ (np.eye(5) - b) == \
+            pytest.approx(np.eye(5), abs=1e-12)
+
+    def test_noise_needs_a_sample(self):
+        with pytest.raises(SCMError):
+            shift_benchmark_scm(4.0).noise(0, seed=1)
+
 
 class TestDiscreteJoint:
     def test_prob_and_conditional(self):

@@ -10,7 +10,10 @@ import pytest
 
 from stablespec import search
 from stablespec.data import DataError, DataTable, pool_environments
-from stablespec.estimate import CandidateModel
+from stablespec.estimate import (
+    CandidateModel, DiscreteExactModel, EstimationError, LinearGaussianModel,
+    validation_loss,
+)
 from stablespec.expressions import Factor
 from stablespec.fci import (
     Knowledge, SeparationOracle, fci, possible_children_of_env,
@@ -19,11 +22,11 @@ from stablespec.graph import GraphError, parse
 from stablespec.identify import (
     FAIL, InvarianceQuery, identify_interventional, invariant_conditional_mag,
 )
-from stablespec.scm import shift_benchmark_scm
+from stablespec.scm import LinearGaussianSCM, shift_benchmark_scm
 from stablespec.search import (
     InvarianceSpec, SearchBudgetError, fit_candidates, search_stable_predictor,
     shift_sweep, simulate_benchmark, split_train_validation, stable_candidates,
-    subsets_in_order, unstable_baseline, write_sweep_csv,
+    subsets_in_order, unstable_baseline, unstable_candidate, write_sweep_csv,
 )
 from util import example_pag, independence_oracle, random_admg
 
@@ -364,6 +367,83 @@ class TestSimulateAndSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(DataError):
             shift_sweep([], [], 100, 0)
+
+    def test_n_test_validated(self):
+        with pytest.raises(DataError):
+            shift_sweep([], [4.0], 0, 0)
+
+    def test_simulate_golden_values(self):
+        # the values sampling gave when every variable's noise was drawn
+        # and added in one loop, before the draws were split out
+        want = {
+            "X1": ["-0x1.f7a76ecc87304p-2", "0x1.75be83ec895e0p-2",
+                   "0x1.dda309de76169p-3"],
+            "X2": ["0x1.1f56fe21d4d3ep-2", "-0x1.15672f962b168p-2",
+                   "-0x1.cf41d4f128e27p-3"],
+            "X3": ["0x1.1b1a42096294ep-5", "0x1.5088e819d2019p-4",
+                   "0x1.0eb1ad71e633bp-5"],
+            "Y": ["-0x1.6040d86010696p-1", "0x1.1a8eca3abe718p-1",
+                  "0x1.1acb5c02b7070p-2"],
+        }
+        table = simulate_benchmark(4.0, 3, 1)
+        assert {n: [float(x).hex() for x in table.column(n)]
+                for n in table.names} == want
+
+    @pytest.fixture(scope="class")
+    def sweep_models(self):
+        """The README sweep's models: the full and conditional-only
+        winners and the unstable baseline, fitted on one split."""
+        data = pooled_benchmark_data(5000)
+        spec = example_spec()
+        *fitted, base = fit_candidates(
+            stable_candidates(spec, "Y", "full", "E")
+            + [unstable_candidate(data, "Y")], data, "Y", "linear-gaussian",
+            0)
+        full = search.pick_winner(fitted)
+        cond = search.pick_winner([c for c in fitted
+                                   if c.kind == "conditional"])
+        return [(c.label(), c.estimator) for c in (full, cond, base)]
+
+    @pytest.mark.parametrize("seed", [2, 7])
+    def test_sweep_equals_scoring_resampled_rows(self, sweep_models, seed):
+        # differential: the quadratic form on the noise's second moments
+        # against predicting every row of a fresh sample at each shift
+        grid = [-5.0, 0.0, 4.0, 8.0, 17.0]
+        rows = shift_sweep(sweep_models, grid, 2000, seed)
+        assert [(a, label) for a, label, _ in rows] == \
+            [(a, label) for a in grid for label, _ in sweep_models]
+        models = dict(sweep_models)
+        for alpha, label, mse in rows:
+            table = simulate_benchmark(alpha, 2000, seed)
+            assert mse == pytest.approx(
+                validation_loss(models[label], table, "Y"), rel=1e-12)
+
+    @pytest.mark.parametrize("points", [2, 200])
+    def test_sweep_draws_the_noise_once(self, sweep_models, monkeypatch,
+                                        points):
+        calls = []
+        for name in ("noise", "sample"):
+            real = getattr(LinearGaussianSCM, name)
+
+            def counted(self, *args, name=name, real=real):
+                calls.append(name)
+                return real(self, *args)
+            monkeypatch.setattr(LinearGaussianSCM, name, counted)
+        rows = shift_sweep(sweep_models, list(np.linspace(-5, 17, points)),
+                           500, 0)
+        assert len(rows) == 3 * points
+        assert calls == ["noise"]
+
+    def test_unscorable_models_are_named(self):
+        t = DataTable({"X3": np.array([0, 1, 0, 1]),
+                       "Y": np.array([0, 1, 1, 0])},
+                      kinds={"X3": 2, "Y": 2})
+        discrete = DiscreteExactModel.fit(Factor({"Y"}, {"X3"}), t, "Y")
+        stranger = LinearGaussianModel("Y", ("Q",), np.array([1.0, 0.0]))
+        for label, model in (("tabular", discrete), ("off-benchmark",
+                                                       stranger)):
+            with pytest.raises(EstimationError, match=label):
+                shift_sweep([(label, model)], [4.0], 100, 0)
 
     def test_population_risk_at_the_strongest_shift(self):
         # pooled OLS of Y on X1, X2, X3 over alpha in {4, 8} (the unstable
