@@ -6,7 +6,19 @@ its columns (``DataTable.correlation``), so after the first test on a table
 each test inverts only the |S|+2 square submatrix, whatever the row count.
 ``degenerate_gaussian_test`` handles mixed continuous/discrete columns by
 one-hot embedding discrete levels (dropping the last) and comparing Gaussian
-likelihoods with and without the a-b dependence; it works on the rows.
+likelihoods with and without the a-b dependence: a Bartlett-corrected
+Wilks statistic over the canonical correlations of a and b given s. It
+reads the correlation matrix of the embedding of all columns, which a
+table computes once from one centred scatter (``DataTable.embedding``), so
+after the first test on a table each test costs O(w^3) in the embedded
+width w of [s, a, b], whatever the row count. s is partialled out through
+a pseudo-inverse that drops eigenvalues at or below ``MIN_UNEXPLAINED``,
+so a rank-deficient s (a level that never occurs, collinear columns) is
+allowed. A column of a or b is degenerate where its share of variance
+left unexplained by s and the columns of its block before it is at most
+``MIN_UNEXPLAINED``: the rule of ``residual_variances``, stated on the
+correlation scale so that it survives the squared condition number of a
+Gram matrix.
 
 ``environment_test`` is the test for a pair whose one side is the table's
 environment column E and whose other side is a continuous variable X: it
@@ -346,49 +358,50 @@ def environment_independent(data: DataTable, a: str, b: str,
     return _corrected(data, parts).p_value >= alpha
 
 
-def _embed(data: DataTable, name: str) -> np.ndarray:
-    """One column as an n x w design block; discrete columns are one-hot
-    encoded with the last level dropped."""
-    col = data.column(name)
-    if not data.is_discrete(name):
-        return col[:, None]
-    k = data.levels(name)
-    block = np.zeros((col.shape[0], k - 1))
-    idx = col.astype(int)
-    keep = idx < k - 1
-    block[np.arange(col.shape[0])[keep], idx[keep]] = 1.0
-    return block
-
-
 def degenerate_gaussian_test(data: DataTable, a: str, b: str,
                              s: Iterable[str] = ()) -> CITestResult:
     """Likelihood-ratio test of a independent of b given s under a Gaussian
-    likelihood on the one-hot embedded columns."""
+    likelihood on the one-hot embedded columns, from the table's cached
+    ``DataTable.embedding()`` (see the module docstring)."""
     s = _check_args(data, a, b, s)
+    da, db = data.width(a), data.width(b)
+    ds = 1 + sum(map(data.width, s))  # with the intercept
     n = data.n_rows
-    ea = _embed(data, a)
-    eb = _embed(data, b)
-    blocks = [np.ones((n, 1))] + [_embed(data, name) for name in s]
-    es = np.column_stack(blocks)
-    da, db, ds = ea.shape[1], eb.shape[1], es.shape[1]
     if n <= ds + da + db + 1:
         raise DataError("too few rows for the embedded covariance")
-
-    def residualize(block):
-        coef, *_ = np.linalg.lstsq(es, block, rcond=None)
-        return block - es @ coef
-
-    ra = residualize(ea)
-    rb = residualize(eb)
-    # canonical correlations between the residual blocks
-    qa, sa, _ = np.linalg.svd(ra, full_matrices=False)
-    qb, sb, _ = np.linalg.svd(rb, full_matrices=False)
-    tol = n * np.finfo(float).eps
-    ka = int(np.sum(sa > tol * max(sa[0], 1.0))) if sa.size else 0
-    kb = int(np.sum(sb > tol * max(sb[0], 1.0))) if sb.size else 0
-    if ka < da or kb < db:
+    emb = data.embedding()
+    ea, eb = emb.index[a], emb.index[b]
+    es = np.concatenate([np.empty(0, dtype=int)] +
+                        [emb.index[name] for name in s])
+    constant = np.isnan(np.diagonal(emb.correlation))
+    if constant[ea].any() or constant[eb].any():
+        raise DegenerateDataError("constant embedded column")
+    es = es[~constant[es]]  # explained by the intercept
+    idx = np.concatenate([es, ea, eb])
+    corr = emb.correlation[idx[:, None], idx]
+    k = len(es)
+    resid = corr[k:, k:]
+    if k:
+        # partial out s through a pseudo-inverse of its correlation matrix
+        w, v = np.linalg.eigh(corr[:k, :k])
+        keep = w > MIN_UNEXPLAINED
+        z = (v[:, keep] / np.sqrt(w[keep])).T @ corr[:k, k:]
+        resid = resid - z.T @ z
+    # whiten each residual block; the squared pivots of its Cholesky factor
+    # are the shares of its columns left unexplained by s and the columns
+    # before them
+    try:
+        la = np.linalg.cholesky(resid[:da, :da])
+        lb = np.linalg.cholesky(resid[da:, da:])
+    except np.linalg.LinAlgError:
+        la = lb = None
+    tol = math.sqrt(MIN_UNEXPLAINED)
+    if la is None or np.diagonal(la).min() <= tol or \
+            np.diagonal(lb).min() <= tol:
         raise DegenerateDataError("singular embedded covariance")
-    rho = np.linalg.svd(qa[:, :ka].T @ qb[:, :kb], compute_uv=False)
+    # canonical correlations: singular values of La^-1 R_ab Lb^-T
+    cross = np.linalg.solve(la, np.linalg.solve(lb, resid[da:, :da]).T)
+    rho = np.linalg.svd(cross, compute_uv=False)
     rho = np.clip(rho, 0.0, 1.0 - 1e-12)
     # Bartlett-corrected Wilks lambda against a chi-square reference
     scale = n - (ds - 1) - 1 - (da + db + 1) / 2.0

@@ -55,6 +55,42 @@ class Moments(NamedTuple):
     sample_counts: np.ndarray   # (m,) rows of ``sample`` per group
 
 
+class Embedding(NamedTuple):
+    """Pearson correlations of a table's one-hot embedding (see ``embed``).
+
+    ``index[name]`` lists the positions of a column's embedded columns, in
+    ``names`` order: one for a continuous column, levels - 1 for a
+    discrete one. The row and column of an embedded column that is constant
+    (up to rounding, see ``CONSTANT_RTOL``) are NaN: a constant continuous
+    column, or a level that no row, or every row, takes.
+    """
+
+    index: dict[str, np.ndarray]
+    correlation: np.ndarray     # (w, w)
+
+
+def embed(table: "DataTable") -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """All columns of ``table`` as one n x w design, side by side in
+    ``names`` order: a continuous column as itself, a discrete column
+    one-hot encoded with its last level dropped. Also returns, per column,
+    the positions of its columns in the design."""
+    index, start = {}, 0
+    for name in table.names:
+        index[name] = np.arange(start, start + table.width(name))
+        start += table.width(name)
+    design = np.zeros((table.n_rows, start))
+    rows = np.arange(table.n_rows)
+    for name, pos in index.items():
+        col = table.column(name)
+        if table.is_discrete(name):
+            codes = col.astype(int)
+            keep = codes < len(pos)
+            design[rows[keep], pos[0] + codes[keep]] = 1.0
+        else:
+            design[:, pos[0]] = col
+    return design, index
+
+
 class DataTable:
     """Immutable column-major table with per-column kinds.
 
@@ -62,9 +98,14 @@ class DataTable:
     count for a discrete column whose values lie in [0, levels).
 
     Columns are stored as read-only views of the arrays passed in, without a
-    copy, so callers must not mutate those arrays afterwards: derived
-    statistics such as ``moments()`` and ``correlation()`` are cached on the
-    table.
+    copy, so callers must not mutate those arrays afterwards. Derived
+    statistics are computed on first use, each in one pass over the rows,
+    and cached read-only on the table: ``moments()`` (per-environment and
+    pooled means and centred Gram matrices), ``correlations()`` and
+    ``correlation()`` (Pearson correlations of the numeric codes, which
+    Fisher-z and the environment test read) and ``embedding()``
+    (correlations of the one-hot embedding, which the degenerate-Gaussian
+    test reads).
     """
 
     def __init__(self, columns: Mapping[str, np.ndarray],
@@ -116,6 +157,7 @@ class DataTable:
         self._moments: Moments | None = None
         self._corrs: np.ndarray | None = None
         self._corr: np.ndarray | None = None  # one view of _corrs[0]
+        self._embedding: Embedding | None = None
 
     def column(self, name: str) -> np.ndarray:
         if name not in self._columns:
@@ -131,6 +173,11 @@ class DataTable:
         if not self.is_discrete(name):
             raise DataError(f"column {name!r} is continuous")
         return int(self.kinds[name])
+
+    def width(self, name: str) -> int:
+        """Columns ``name`` takes in ``embed``: levels - 1 if discrete,
+        else 1."""
+        return self.levels(name) - 1 if self.is_discrete(name) else 1
 
     def matrix(self, names: Iterable[str]) -> np.ndarray:
         return np.column_stack([self.column(n) for n in names])
@@ -210,6 +257,29 @@ class DataTable:
         if self._corr is None:
             self.correlations()
         return self._corr
+
+    def embedding(self) -> Embedding:
+        """Correlations of the one-hot embedding of all columns, in
+        ``names`` order, from one centred scatter of ``embed(self)``;
+        computed once per table. The n-row design is freed once the
+        scatter is taken."""
+        if self._embedding is None:
+            if self.n_rows < 2:
+                raise DataError("correlation needs at least two rows")
+            x, index = embed(self)
+            mean = x.mean(axis=0)
+            x -= mean
+            scatter = x.T @ x
+            del x
+            var = np.diagonal(scatter)
+            constant = np.sqrt(var / (self.n_rows - 1)) <= \
+                CONSTANT_RTOL * np.abs(mean)
+            sd = np.where(constant, np.nan, np.sqrt(var))
+            corr = scatter / sd[:, None] / sd[None, :]
+            np.clip(corr, -1.0, 1.0, out=corr)
+            corr.flags.writeable = False
+            self._embedding = Embedding(index, corr)
+        return self._embedding
 
     def take(self, index: np.ndarray) -> "DataTable":
         return DataTable({n: self._columns[n][index] for n in self.names},

@@ -84,9 +84,10 @@ class DiscreteExactModel:
                     f"column {name!r} is continuous; bin it first or use "
                     "the linear-gaussian backend")
         cards = [train.levels(n) for n in names]
-        counts = np.ones(cards)  # add-one smoothing
-        idx = tuple(train.column(n).astype(int) for n in names)
-        np.add.at(counts, idx, 1.0)
+        cells = np.ravel_multi_index(
+            tuple(train.column(n).astype(int) for n in names), cards)
+        counts = np.bincount(cells, minlength=math.prod(cards)) \
+            .reshape(cards) + 1.0  # add-one smoothing
         return cls(expression, y, DiscreteJoint(names, counts))
 
     def predict_proba(self, data: DataTable) -> np.ndarray:

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from stablespec import citest
+from stablespec import citest, data
 from stablespec.citest import (
     CITestResult, DegenerateDataError, chi2_sf, degenerate_gaussian_test,
     environment_independent, environment_test, fisher_z_test,
@@ -25,6 +25,46 @@ def rowwise_fisher_z(data, a, b, s):
     r = min(max(r, -1.0 + 1e-12), 1.0 - 1e-12)
     statistic = math.sqrt(n - len(s) - 3) * abs(math.atanh(r))
     return statistic, math.erfc(statistic / math.sqrt(2.0))
+
+
+def rowwise_embed(data, name):
+    """One column as an n x w block; discrete columns one-hot encoded with
+    the last level dropped."""
+    col = data.column(name)
+    if not data.is_discrete(name):
+        return col[:, None]
+    return (col[:, None] == np.arange(data.levels(name) - 1)).astype(float)
+
+
+def rowwise_degenerate_gaussian(data, a, b, s):
+    """Reference degenerate-Gaussian test on the rows: least-squares
+    residuals of the embedded a and b on [1, embedded s], then canonical
+    correlations from the SVDs of the residual blocks. Returns (statistic,
+    dof)."""
+    s = sorted(s)
+    n = data.n_rows
+    ea, eb = rowwise_embed(data, a), rowwise_embed(data, b)
+    es = np.column_stack([np.ones((n, 1))] +
+                         [rowwise_embed(data, name) for name in s])
+    da, db, ds = ea.shape[1], eb.shape[1], es.shape[1]
+    if n <= ds + da + db + 1:
+        raise DataError("too few rows for the embedded covariance")
+
+    def residualize(block):
+        coef, *_ = np.linalg.lstsq(es, block, rcond=None)
+        return block - es @ coef
+
+    qa, sa, _ = np.linalg.svd(residualize(ea), full_matrices=False)
+    qb, sb, _ = np.linalg.svd(residualize(eb), full_matrices=False)
+    tol = n * np.finfo(float).eps
+    ka = int(np.sum(sa > tol * max(sa[0], 1.0)))
+    kb = int(np.sum(sb > tol * max(sb[0], 1.0)))
+    if ka < da or kb < db:
+        raise DegenerateDataError("singular embedded covariance")
+    rho = np.linalg.svd(qa.T @ qb, compute_uv=False)
+    rho = np.clip(rho, 0.0, 1.0 - 1e-12)
+    scale = n - (ds - 1) - 1 - (da + db + 1) / 2.0
+    return -scale * float(np.sum(np.log1p(-rho ** 2))), da * db
 
 
 class TestFisherZ:
@@ -189,6 +229,134 @@ class TestDegenerateGaussian:
                        "c": np.random.default_rng(0).normal(size=200)})
         with pytest.raises(DegenerateDataError):
             degenerate_gaussian_test(t, "a", "c", {"b"})
+
+    @staticmethod
+    def mixed_table(rng, n):
+        """Continuous columns and discrete ones with 2, 3 and 4 levels, tied
+        together; level 1 of "gap" never occurs, and neither does the last
+        level of "top"."""
+        z = rng.normal(size=(n, 3))
+        noise = rng.normal(size=(n, 3))
+        cols = {"c1": z[:, 0], "c2": 0.5 * z[:, 0] + z[:, 1],
+                "c3": z[:, 2] - 0.3 * z[:, 1],
+                "d2": (z[:, 0] + noise[:, 0] > 0).astype(float),
+                "d3": np.digitize(z[:, 1] + noise[:, 1], [-0.5, 0.5])
+                .astype(float),
+                "d4": np.digitize(z[:, 2] + noise[:, 2], [-1.0, 0.0, 1.0])
+                .astype(float),
+                "gap": 2.0 * rng.integers(0, 2, n),
+                "top": rng.integers(0, 2, n).astype(float)}
+        kinds = {"d2": 2, "d3": 3, "d4": 4, "gap": 3, "top": 3}
+        return DataTable(cols, kinds)
+
+    @pytest.mark.parametrize("n", [200, 1000, 5000, 20000])
+    def test_matches_rowwise_reference(self, n):
+        rng = np.random.default_rng(n)
+        t = self.mixed_table(rng, n)
+        queries = [("c1", "d2", []), ("d3", "gap", ["c1"]),
+                   ("d4", "c2", ["gap"]), ("d3", "d4", ["top", "c3"]),
+                   ("c1", "c3", ["d2", "d3", "d4"]),
+                   ("d2", "c3", ["c1", "c2", "gap", "top"])]
+        for _ in range(40):
+            # "gap" and "top" as a or b are degenerate; keep them to s
+            a, b, *rest = rng.permutation(t.names[:6])
+            s = [*rest, "gap", "top"]
+            queries.append((a, b, list(rng.permutation(s)[:rng.integers(
+                0, 5)])))
+        answered = 0
+        for a, b, s in queries:
+            try:
+                statistic, dof = rowwise_degenerate_gaussian(t, a, b, s)
+            except DataError as exc:
+                with pytest.raises(type(exc)):
+                    degenerate_gaussian_test(t, a, b, s)
+                continue
+            got = degenerate_gaussian_test(t, a, b, s)
+            assert got.statistic == pytest.approx(statistic, rel=1e-9)
+            assert got.dof == dof
+            answered += 1
+        assert answered >= 40
+
+    def test_same_error_as_rowwise_reference(self):
+        rng = np.random.default_rng(3)
+        b = rng.normal(size=300)
+        t = DataTable({"a": 3 * b, "b": b, "c": rng.normal(size=300),
+                       "k": np.full(300, 0.1), "d": rng.integers(0, 4, 300)
+                       .astype(float)}, kinds={"d": 4})
+        short = t.take(np.arange(8))
+        for table, a, b, s, error in [
+                (t, "a", "c", ["b"], DegenerateDataError),
+                (t, "k", "c", [], DegenerateDataError),
+                (t, "c", "k", ["d"], DegenerateDataError),
+                (short, "d", "c", ["a", "b"], DataError)]:
+            for test in (rowwise_degenerate_gaussian,
+                         degenerate_gaussian_test):
+                with pytest.raises(error) as info:
+                    test(table, a, b, s)
+                assert info.type is error
+
+    def test_embedding_built_once_per_table(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        t = self.mixed_table(rng, 2000)
+        builds, original = [], data.embed
+
+        def counted(table):
+            builds.append(table.n_rows)
+            return original(table)
+
+        monkeypatch.setattr(data, "embed", counted)
+        for _ in range(50):
+            a, b, *rest = rng.permutation(t.names[:6])
+            degenerate_gaussian_test(t, a, b, rest[:rng.integers(0, 4)])
+        assert builds == [2000]
+
+    @staticmethod
+    def near_copy(share, n=2000):
+        """A table where the share of var(a) that s leaves unexplained is
+        ``share``: a = s + c e, with e centred and orthogonal to s."""
+        rng = np.random.default_rng(7)
+        s = rng.normal(size=n)
+        s -= s.mean()
+        e = rng.normal(size=n)
+        e -= e.mean()
+        e -= (e @ s) / (s @ s) * s
+        s, e = s / np.linalg.norm(s), e / np.linalg.norm(e)
+        a = s + math.sqrt(share / (1.0 - share)) * e
+        return DataTable({"a": a, "b": rng.normal(size=n), "s": s})
+
+    def test_share_just_above_the_rank_rule_answers(self):
+        t = self.near_copy(10 * citest.MIN_UNEXPLAINED)
+        result = degenerate_gaussian_test(t, "a", "b", {"s"})
+        assert 0.0 <= result.p_value <= 1.0
+        statistic, _ = rowwise_degenerate_gaussian(t, "a", "b", ["s"])
+        assert result.statistic == pytest.approx(statistic, rel=1e-3)
+
+    def test_share_below_the_rank_rule_is_degenerate(self):
+        t = self.near_copy(0.1 * citest.MIN_UNEXPLAINED)
+        with pytest.raises(DegenerateDataError):
+            degenerate_gaussian_test(t, "a", "b", {"s"})
+
+    def test_column_collinear_with_s_is_degenerate(self):
+        rng = np.random.default_rng(8)
+        s = rng.normal(size=500)
+        k = rng.integers(0, 3, 500).astype(float)
+        t = DataTable({"a": 2 * s - (k == 1) + 1, "b": rng.normal(size=500),
+                       "s": s, "k": k}, kinds={"k": 3})
+        with pytest.raises(DegenerateDataError):
+            degenerate_gaussian_test(t, "a", "b", {"s", "k"})
+        assert degenerate_gaussian_test(t, "a", "b", {"s"}).p_value >= 0.0
+
+    def test_discrete_s_with_an_unobserved_level_answers(self):
+        rng = np.random.default_rng(9)
+        s = 3.0 * rng.integers(0, 2, 3000)  # levels 1 and 2 never occur
+        a = s + rng.normal(size=3000)
+        b = s + rng.normal(size=3000)
+        t = DataTable({"a": a, "b": b, "s": s}, kinds={"s": 4})
+        result = degenerate_gaussian_test(t, "a", "b", {"s"})
+        statistic, dof = rowwise_degenerate_gaussian(t, "a", "b", ["s"])
+        assert result.p_value > 0.01
+        assert result.statistic == pytest.approx(statistic, rel=1e-9)
+        assert result.dof == dof == 1
 
 
 def env_table(cols, env, env_name="E"):

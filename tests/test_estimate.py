@@ -137,6 +137,22 @@ class TestDiscreteExact:
         with pytest.raises(DataError, match="no column 'Q'"):
             DiscreteExactModel.fit(Factor({"Y"}, {"Q"}), t, "Y")
 
+    def test_joint_matches_a_per_row_count(self):
+        rng = np.random.default_rng(11)
+        n = 3000
+        cols = {"A": rng.integers(0, 3, n), "Y": rng.integers(0, 2, n),
+                # level 2 of B never occurs, so a third of the cells are empty
+                "B": rng.integers(0, 2, n)}
+        t = DataTable({k: v.astype(float) for k, v in cols.items()},
+                      kinds={"A": 3, "Y": 2, "B": 3})
+        m = DiscreteExactModel.fit(Factor({"Y"}, {"A", "B"}), t, "Y")
+        assert m.joint.names == ("A", "B", "Y")
+        counts = np.ones((3, 3, 2))
+        for a, b, y in zip(cols["A"], cols["B"], cols["Y"]):
+            counts[a, b, y] += 1.0
+        assert (counts[:, 2, :] == 1.0).all()
+        np.testing.assert_array_equal(m.joint.table, counts / counts.sum())
+
     def test_one_table_per_call_whatever_the_row_count(self, monkeypatch):
         scm = DiscreteSCM.random_for_admg(example_admg(), seed=3)
         train = DataTable(scm.sample(2000, seed=4), kinds=BINARY)
