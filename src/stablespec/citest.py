@@ -16,9 +16,10 @@ a pseudo-inverse that drops eigenvalues at or below ``MIN_UNEXPLAINED``,
 so a rank-deficient s (a level that never occurs, collinear columns) is
 allowed. A column of a or b is degenerate where its share of variance
 left unexplained by s and the columns of its block before it is at most
-``MIN_UNEXPLAINED``: the rule of ``residual_variances``, stated on the
-correlation scale so that it survives the squared condition number of a
-Gram matrix.
+``MIN_UNEXPLAINED``: the rank rule of ``data.cholesky``, which
+``residual_variances`` and the linear backend of ``estimate`` apply too,
+stated on the correlation scale so that it survives the squared condition
+number of a Gram matrix.
 
 ``environment_test`` is the test for a pair whose one side is the table's
 environment column E and whose other side is a continuous variable X: it
@@ -74,7 +75,7 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .data import DataError, DataTable
+from .data import MIN_UNEXPLAINED, DataError, DataTable, cholesky
 
 
 class DegenerateDataError(DataError):
@@ -156,38 +157,6 @@ def fisher_z_test(data: DataTable, a: str, b: str,
     return CITestResult(p_value=p, statistic=statistic, dof=1)
 
 
-# a column whose share of variance left unexplained by the columns before it
-# is at most this is a linear combination of them up to rounding
-MIN_UNEXPLAINED = 1e-12
-
-
-def _pivots(corr: np.ndarray) -> np.ndarray | None:
-    """Diagonal of the Cholesky factor of one correlation matrix, or None
-    if the matrix holds a NaN or is not positive definite."""
-    if np.isnan(corr).any():
-        return None
-    try:
-        return np.diagonal(np.linalg.cholesky(corr))
-    except np.linalg.LinAlgError:
-        return None
-
-
-def _unexplained_share(corr: np.ndarray) -> float:
-    """Share of the variance of the last column of one correlation matrix
-    of [*s, x] that s leaves unexplained: 0 where x is constant or a linear
-    function of s up to rounding, NaN where s itself is (a column of s
-    constant, or s collinear)."""
-    tol = math.sqrt(MIN_UNEXPLAINED)
-    if len(corr) > 1:
-        head = _pivots(corr[:-1, :-1])
-        if head is None or head.min() <= tol:
-            return math.nan
-    pivots = _pivots(corr)
-    if pivots is None or pivots[-1] <= tol:
-        return 0.0
-    return float(pivots[-1]) ** 2
-
-
 def residual_variances(data: DataTable, x: str, s: Iterable[str] = ()):
     """Maximum-likelihood residual variances of the regression of x on s
     with intercept: (rows per environment, per-environment variances,
@@ -197,8 +166,10 @@ def residual_variances(data: DataTable, x: str, s: Iterable[str] = ()):
     diagonal entry of the Cholesky factor of the correlation matrix of
     [*s, x]. The m + 1 matrices, one per environment and the pooled one,
     come from ``DataTable.correlations`` and are factored in one batched
-    call. A variance is 0 where x is constant, or a linear function of s,
-    within that environment (up to rounding).
+    ``data.cholesky`` call. Where that fails, s alone is factored, and the
+    share is 1 - |L_s^-1 r|^2, with r the correlations of x with s. A
+    variance is 0 where x is constant, or a linear function of s, within
+    that environment (up to rounding, see ``MIN_UNEXPLAINED``).
 
     Raises ``DegenerateDataError`` if the table has a single environment or
     if s is degenerate within an environment (a column of s constant there,
@@ -215,22 +186,20 @@ def residual_variances(data: DataTable, x: str, s: Iterable[str] = ()):
                         "conditioning set size")
     idx = np.array([data.index[name] for name in (*s, x)])
     corr = data.correlations()[:, idx[:, None], idx]
-    try:
-        chol = np.linalg.cholesky(corr)
-    except np.linalg.LinAlgError:
-        chol = None
-    # the diagonal entries are the square roots of each column's unexplained
-    # share; a NaN (a column constant within a group) fails the comparison
-    pivots = None if chol is None else \
-        chol.reshape(len(chol), -1)[:, ::len(idx) + 1]
-    if pivots is not None and pivots.min() > math.sqrt(MIN_UNEXPLAINED):
-        share = pivots[:, -1] ** 2
+    tol = math.sqrt(MIN_UNEXPLAINED)
+    chol = cholesky(corr, tol)
+    if chol is not None:
+        share = chol[:, -1, -1] ** 2
     else:
-        share = np.array([_unexplained_share(c) for c in corr])
-        if np.isnan(share).any():
+        ls = cholesky(corr[:, :-1, :-1], tol)
+        if ls is None:
             raise DegenerateDataError("constant column or collinear "
                                       "conditioning set within an "
                                       "environment")
+        # r, and so the share, is NaN where x is constant within a group
+        z = np.linalg.solve(ls, corr[:, :-1, -1:])
+        share = corr[:, -1, -1] - np.sum(z * z, axis=(1, 2))
+        share[~(share > MIN_UNEXPLAINED)] = 0.0
     i = idx[-1]
     sigma2 = mom.grams[:, i, i] / counts * share[1:]
     return counts, sigma2, float(mom.scatter[i, i] / data.n_rows * share[0])
@@ -390,14 +359,9 @@ def degenerate_gaussian_test(data: DataTable, a: str, b: str,
     # whiten each residual block; the squared pivots of its Cholesky factor
     # are the shares of its columns left unexplained by s and the columns
     # before them
-    try:
-        la = np.linalg.cholesky(resid[:da, :da])
-        lb = np.linalg.cholesky(resid[da:, da:])
-    except np.linalg.LinAlgError:
-        la = lb = None
     tol = math.sqrt(MIN_UNEXPLAINED)
-    if la is None or np.diagonal(la).min() <= tol or \
-            np.diagonal(lb).min() <= tol:
+    la, lb = cholesky(resid[:da, :da], tol), cholesky(resid[da:, da:], tol)
+    if la is None or lb is None:
         raise DegenerateDataError("singular embedded covariance")
     # canonical correlations: singular values of La^-1 R_ab Lb^-T
     cross = np.linalg.solve(la, np.linalg.solve(lb, resid[da:, :da]).T)

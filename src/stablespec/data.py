@@ -26,8 +26,13 @@ DISCRETE = "discrete"
 
 
 # a column whose standard deviation within a group is at most this fraction
-# of its mean there is constant up to rounding
+# of its mean there is constant up to rounding (see ``correlation``)
 CONSTANT_RTOL = 1e-12
+
+# a column whose share of variance left unexplained by the columns before it
+# is at most this is a linear combination of them up to rounding (see
+# ``cholesky``)
+MIN_UNEXPLAINED = 1e-12
 
 # rows per environment kept in ``Moments.sample``: enough to estimate a
 # kurtosis to a few percent for Gaussian data, few enough that a statistic
@@ -55,13 +60,45 @@ class Moments(NamedTuple):
     sample_counts: np.ndarray   # (m,) rows of ``sample`` per group
 
 
+def correlation(cov: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """Pearson correlations of one covariance matrix (k, k), or of a stack
+    of them (m, k, k), with column means ``mean`` ((k,) or (m, k)), clipped
+    to [-1, 1]. The row and column of a constant column, one whose standard
+    deviation is at most ``CONSTANT_RTOL`` times the absolute value of its
+    mean, are NaN."""
+    sd = np.sqrt(np.diagonal(cov, axis1=-2, axis2=-1))
+    sd = np.where(sd <= CONSTANT_RTOL * np.abs(mean), np.nan, sd)
+    corr = cov / sd[..., :, None] / sd[..., None, :]
+    np.clip(corr, -1.0, 1.0, out=corr)
+    return corr
+
+
+def cholesky(a: np.ndarray, tol: float = 0.0) -> np.ndarray | None:
+    """Lower Cholesky factor of one symmetric matrix (k, k), or of each of a
+    stack of them (m, k, k); None if any of them holds a NaN, is not
+    positive definite, or has a pivot at most ``tol``. On a correlation
+    matrix a squared pivot is the share of its column's variance that the
+    columns before it leave unexplained: ``tol = sqrt(MIN_UNEXPLAINED)``
+    rejects a column that is a linear combination of those."""
+    try:
+        chol = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return None
+    # a NaN in the lower triangle reaches a pivot and fails the comparison;
+    # the strided view reads the pivots cheaper than np.diagonal
+    k = a.shape[-1]
+    if k and not chol.reshape(-1, k * k)[:, ::k + 1].min() > tol:
+        return None
+    return chol
+
+
 class Embedding(NamedTuple):
     """Pearson correlations of a table's one-hot embedding (see ``embed``).
 
     ``index[name]`` lists the positions of a column's embedded columns, in
     ``names`` order: one for a continuous column, levels - 1 for a
     discrete one. The row and column of an embedded column that is constant
-    (up to rounding, see ``CONSTANT_RTOL``) are NaN: a constant continuous
+    (up to rounding, see ``correlation``) are NaN: a constant continuous
     column, or a level that no row, or every row, takes.
     """
 
@@ -105,7 +142,8 @@ class DataTable:
     ``correlation()`` (Pearson correlations of the numeric codes, which
     Fisher-z and the environment test read) and ``embedding()``
     (correlations of the one-hot embedding, which the degenerate-Gaussian
-    test reads).
+    test reads). Both correlation caches come from ``correlation``, so on
+    a continuous table they agree up to rounding.
     """
 
     def __init__(self, columns: Mapping[str, np.ndarray],
@@ -230,7 +268,7 @@ class DataTable:
 
         Discrete columns enter as their numeric codes. In each matrix, the
         row and column of a column that is constant in that group (up to
-        rounding, see ``CONSTANT_RTOL``) are NaN.
+        rounding, see ``correlation``) are NaN.
         """
         if self._corrs is None:
             if self.n_rows < 2:
@@ -240,12 +278,7 @@ class DataTable:
             scale = 1.0 / np.maximum(rows - 1, 1)
             cov = np.concatenate([mom.scatter[None], mom.grams]) * \
                 scale[:, None, None]
-            sd = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
-            sd = np.where(
-                sd <= CONSTANT_RTOL * np.abs(np.vstack([mom.mean, mom.means])),
-                np.nan, sd)
-            corrs = cov / sd[:, :, None] / sd[:, None, :]
-            np.clip(corrs, -1.0, 1.0, out=corrs)
+            corrs = correlation(cov, np.vstack([mom.mean, mom.means]))
             corrs.flags.writeable = False
             self._corrs = corrs
             self._corr = corrs[0]
@@ -271,12 +304,7 @@ class DataTable:
             x -= mean
             scatter = x.T @ x
             del x
-            var = np.diagonal(scatter)
-            constant = np.sqrt(var / (self.n_rows - 1)) <= \
-                CONSTANT_RTOL * np.abs(mean)
-            sd = np.where(constant, np.nan, np.sqrt(var))
-            corr = scatter / sd[:, None] / sd[None, :]
-            np.clip(corr, -1.0, 1.0, out=corr)
+            corr = correlation(scatter / (self.n_rows - 1), mean)
             corr.flags.writeable = False
             self._embedding = Embedding(index, corr)
         return self._embedding

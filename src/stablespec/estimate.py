@@ -17,8 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .citest import MIN_UNEXPLAINED
-from .data import CONSTANT_RTOL, DataError, DataTable
+from .data import MIN_UNEXPLAINED, DataError, DataTable, cholesky, correlation
 from .expressions import (
     Constant, Expression, ExpressionError, Factor, Product, Quotient, SumOver,
     free_vars, from_json as expr_from_json, tabulate, to_json as expr_to_json,
@@ -198,13 +197,10 @@ class LinearGaussianModel:
 
 
 def _cholesky(a: np.ndarray, message: str, tol: float = 0.0) -> np.ndarray:
-    """Lower Cholesky factor of a, or EstimationError(message) when a is not
-    positive definite or a diagonal entry of the factor is at most tol."""
-    try:
-        chol = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        raise EstimationError(message) from None
-    if np.any(np.diagonal(chol) <= tol):
+    """``data.cholesky(a, tol)``, or EstimationError(message) where that
+    fails."""
+    chol = cholesky(a, tol)
+    if chol is None:
         raise EstimationError(message)
     return chol
 
@@ -215,16 +211,14 @@ def _information_form(expr: Expression, mean: np.ndarray, cov: np.ndarray,
     with this mean and covariance (see ``LinearGaussianModel``)."""
     size = len(index) + 1
     sd = np.sqrt(np.diagonal(cov))
+    corr = correlation(cov, mean)  # NaN diagonal where a column is constant
 
     def factor(f: Factor) -> np.ndarray:
         t = [index[v] for v in sorted(f.targets)]
         g = [index[v] for v in sorted(f.given)]
-        if np.any(sd[t + g] <= CONSTANT_RTOL * np.abs(mean[t + g])):
+        if np.isnan(corr[t + g, t + g]).any():
             raise EstimationError(f"constant column in {to_text(f)}")
-        # the rule of citest.residual_variances: a given that the others
-        # leave at most MIN_UNEXPLAINED of its variance is their function
-        _cholesky(cov[np.ix_(g, g)] / np.outer(sd[g], sd[g]),
-                  f"collinear givens in {to_text(f)}",
+        _cholesky(corr[np.ix_(g, g)], f"collinear givens in {to_text(f)}",
                   math.sqrt(MIN_UNEXPLAINED))
         b = np.linalg.solve(cov[np.ix_(g, g)], cov[np.ix_(g, t)]).T
         # S floored at MIN_UNEXPLAINED on the correlation scale, so a target

@@ -297,20 +297,24 @@ def _rule_double_collider(marks: _Marks) -> bool:
 
 def _discriminating_paths(marks: _Marks, d: str, b: str, c: str):
     """Simple paths d ... a b whose interior vertices are colliders on the
-    path and parents of c."""
+    path and parents of c. A path is extended past an interior vertex only
+    along an edge with an arrowhead at that vertex, so no path is built
+    past a non-collider."""
     allowed = {v for v in marks.adj[c]
                if marks.mark(v, c) == ARROW and marks.mark(c, v) == TAIL}
     stack = [(d, (d,))]
     while stack:
         cur, path = stack.pop()
         for nxt in sorted(marks.adj[cur] - set(path)):
+            if cur != d and marks.mark(nxt, cur) != ARROW:
+                continue
             if nxt == b:
                 if len(path) >= 2:
                     yield path + (nxt,)
                 continue
             if nxt not in allowed or nxt == c:
                 continue
-            # interior vertex must be a collider on the path so far
+            # an interior vertex has an arrowhead from the path before it
             if marks.mark(cur, nxt) != ARROW:
                 continue
             stack.append((nxt, path + (nxt,)))
@@ -327,13 +331,6 @@ def _rule_discriminating(marks: _Marks, sepsets: dict) -> bool:
                 if marks.adjacent(d, c):
                     continue
                 for path in _discriminating_paths(marks, d, b, c):
-                    # check arrows into every interior vertex from both sides
-                    interior_ok = all(
-                        marks.mark(path[i - 1], path[i]) == ARROW and
-                        marks.mark(path[i + 1], path[i]) == ARROW
-                        for i in range(1, len(path) - 1))
-                    if not interior_ok:
-                        continue
                     sep = sepsets.get(frozenset((d, c)), frozenset())
                     if b in sep:
                         changed |= marks.orient_directed(b, c)

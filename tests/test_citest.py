@@ -12,6 +12,7 @@ from stablespec.citest import (
 )
 from stablespec.data import DataError, DataTable, pool_environments
 from stablespec.scm import shift_benchmark_scm
+from util import near_copy
 
 
 def rowwise_fisher_z(data, a, b, s):
@@ -310,29 +311,15 @@ class TestDegenerateGaussian:
             degenerate_gaussian_test(t, a, b, rest[:rng.integers(0, 4)])
         assert builds == [2000]
 
-    @staticmethod
-    def near_copy(share, n=2000):
-        """A table where the share of var(a) that s leaves unexplained is
-        ``share``: a = s + c e, with e centred and orthogonal to s."""
-        rng = np.random.default_rng(7)
-        s = rng.normal(size=n)
-        s -= s.mean()
-        e = rng.normal(size=n)
-        e -= e.mean()
-        e -= (e @ s) / (s @ s) * s
-        s, e = s / np.linalg.norm(s), e / np.linalg.norm(e)
-        a = s + math.sqrt(share / (1.0 - share)) * e
-        return DataTable({"a": a, "b": rng.normal(size=n), "s": s})
-
     def test_share_just_above_the_rank_rule_answers(self):
-        t = self.near_copy(10 * citest.MIN_UNEXPLAINED)
+        t = near_copy(10 * citest.MIN_UNEXPLAINED)
         result = degenerate_gaussian_test(t, "a", "b", {"s"})
         assert 0.0 <= result.p_value <= 1.0
         statistic, _ = rowwise_degenerate_gaussian(t, "a", "b", ["s"])
         assert result.statistic == pytest.approx(statistic, rel=1e-3)
 
     def test_share_below_the_rank_rule_is_degenerate(self):
-        t = self.near_copy(0.1 * citest.MIN_UNEXPLAINED)
+        t = near_copy(0.1 * citest.MIN_UNEXPLAINED)
         with pytest.raises(DegenerateDataError):
             degenerate_gaussian_test(t, "a", "b", {"s"})
 
@@ -531,6 +518,18 @@ class TestEnvironmentTest:
             residual_variances(t, "x", ["s"])
         assert environment_test(t, "E", "x", {"s"}) == \
             fisher_z_test(t, "E", "x", {"s"})
+
+    @pytest.mark.parametrize("factor", [10.0, 0.1])
+    def test_share_at_the_rank_rule(self, factor):
+        # both environments hold the same rows, so each leaves the share
+        t = near_copy(factor * citest.MIN_UNEXPLAINED)
+        pooled = pool_environments([t, t], "E")
+        counts, per_env, var = residual_variances(pooled, "a", ["s"])
+        if factor > 1.0:
+            want = factor * citest.MIN_UNEXPLAINED * np.var(t.column("a"))
+            np.testing.assert_allclose([*per_env, var], want, rtol=1e-3)
+        else:
+            assert per_env.tolist() == [0.0, 0.0] and var == 0.0
 
     def test_singular_submatrix_within_one_environment(self):
         rng = np.random.default_rng(15)

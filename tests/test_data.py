@@ -76,6 +76,20 @@ class TestDataTable:
         assert np.isnan(corr[t.index["c"]]).all()
         assert not np.isnan(corr[:2, :2]).any()
 
+    def test_embedding_and_correlations_agree(self):
+        rng = np.random.default_rng(5)
+        t = DataTable({"a": rng.normal(size=300), "c": np.full(300, 0.3),
+                       "b": rng.normal(size=300)})
+        emb = t.embedding()
+        # a continuous column embeds as itself
+        assert {n: pos.tolist() for n, pos in emb.index.items()} == \
+            {n: [i] for n, i in t.index.items()}
+        c = t.index["c"]
+        nan = np.isnan(emb.correlation)
+        assert nan[c].all() and nan[:, c].all() and nan.sum() == 5
+        np.testing.assert_allclose(emb.correlation, t.correlations()[0],
+                                   rtol=0.0, atol=1e-12)
+
     def test_moments_match_rowwise_per_environment(self):
         rng = np.random.default_rng(4)
         env = rng.integers(0, 3, 600).astype(float)  # rows not grouped

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stablespec import estimate
-from stablespec.data import DataError, DataTable
+from stablespec.data import MIN_UNEXPLAINED, DataError, DataTable
 from stablespec.estimate import (
     CandidateModel, DiscreteExactModel, EstimationError, LinearGaussianModel,
     discretize, fit_expression, model_from_json, quantile_edges,
@@ -24,7 +24,9 @@ from stablespec.scm import (
     shift_benchmark_scm,
 )
 from stablespec.search import InvarianceSpec, stable_candidates
-from util import ORACLE_ADMGS, example_admg, example_pag, linear_scm
+from util import (
+    ORACLE_ADMGS, example_admg, example_pag, linear_scm, near_copy,
+)
 
 BINARY = {k: 2 for k in ("E", "X1", "X2", "X3", "Y")}
 
@@ -239,6 +241,18 @@ class TestLinearGaussian:
         t = DataTable({"A": a, "B": 2 * a, "Y": a + 1})
         with pytest.raises(EstimationError):
             LinearGaussianModel.fit(Factor({"Y"}, {"A", "B"}), t, "Y")
+
+    @pytest.mark.parametrize("factor", [10.0, 0.1])
+    def test_givens_at_the_rank_rule(self, factor):
+        # s leaves factor * MIN_UNEXPLAINED of var(a) unexplained
+        t = near_copy(factor * MIN_UNEXPLAINED)
+        expression = Factor({"b"}, {"a", "s"})
+        if factor > 1.0:
+            m = LinearGaussianModel.fit(expression, t, "b")
+            assert m.features == ("a", "s")
+        else:
+            with pytest.raises(EstimationError, match="collinear givens"):
+                LinearGaussianModel.fit(expression, t, "b")
 
     def test_json_round_trip(self):
         train = DataTable(shift_benchmark_scm(4.0).sample(5000, seed=2))

@@ -1,6 +1,9 @@
 """Shared fixtures and random-graph generators for the test suite."""
 
+import math
 from dataclasses import replace
+
+import numpy as np
 
 from stablespec.data import DataTable
 from stablespec.graph import ARROW, TAIL, Edge, MixedGraph, parse
@@ -176,3 +179,17 @@ def environment_tables(rng, g: MixedGraph, n: int, n_envs: int = 3):
         tables.append(DataTable(replace(scm, intercepts=intercepts).sample(
             n, rng.randrange(2 ** 31))))
     return tables
+
+
+def near_copy(share: float, n: int = 2000) -> DataTable:
+    """A table where the share of var(a) that s leaves unexplained is
+    ``share``: a = s + c e, with e centred and orthogonal to s."""
+    rng = np.random.default_rng(7)
+    s = rng.normal(size=n)
+    s -= s.mean()
+    e = rng.normal(size=n)
+    e -= e.mean()
+    e -= (e @ s) / (s @ s) * s
+    s, e = s / np.linalg.norm(s), e / np.linalg.norm(e)
+    a = s + math.sqrt(share / (1.0 - share)) * e
+    return DataTable({"a": a, "b": rng.normal(size=n), "s": s})
