@@ -58,8 +58,18 @@ per-environment correlation matrices a table computes once
 (``DataTable.correlations``), so a test costs one batched Cholesky
 factorization of m + 1 small matrices, whatever the row count.
 ``fci.data_oracle`` sends every query on an environment pair here, through
-``environment_independent``, which estimates the kurtosis only where it can
+``environment_decisions``, which estimates the kurtosis only where it can
 change the decision.
+
+Fisher-z and the environment test also run as batches: ``fisher_z_tests``
+and ``environment_decisions`` take the conditioning sets of one size for one
+pair, gather their submatrices with one fancy index and invert them with
+one stacked ``np.linalg.inv``, or factor them with one stacked
+``data.cholesky``, then finish each set in Python scalars as it is asked for,
+so a caller that stops at the first independent set pays for the scalar
+tails of no others. LAPACK runs the same routine on each matrix of a stack,
+so a set's p-value is the same in any batch; ``fisher_z_test``,
+``environment_test`` and ``environment_independent`` are batches of one.
 
 All p-values come in closed form: the two-sided normal tail as
 ``erfc(z / sqrt 2)``, and the chi-square upper tail at integer degrees of
@@ -71,7 +81,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -121,40 +131,87 @@ def chi2_sf(x: float, dof: int) -> float:
     return min(p, 1.0)
 
 
-def _check_args(data: DataTable, a: str, b: str, s: Iterable[str]) -> list[str]:
-    s = sorted(set(s))
+def _check_args(data: DataTable, a: str, b: str,
+                subsets: Iterable[Iterable[str]]) -> list[list[str]]:
+    """Each conditioning set of ``subsets`` as a sorted list of distinct
+    names, once a and b are known to differ, to be columns and to lie
+    outside every set."""
+    subsets = [sorted(set(s)) for s in subsets]
     if a == b:
         raise DataError("a and b must differ")
-    if a in s or b in s:
-        raise DataError("a and b must not appear in the conditioning set")
-    for name in (a, b, *s):
-        data.column(name)
-    return s
+    for s in subsets:
+        if a in s or b in s:
+            raise DataError("a and b must not appear in the conditioning set")
+    if not {a, b}.union(*subsets) <= data.index.keys():
+        for name in (a, b, *(name for s in subsets for name in s)):
+            data.column(name)
+    return subsets
+
+
+def results(test: Callable, data: DataTable, a: str, b: str,
+            subsets: Iterable[Iterable[str]]) -> Iterator[CITestResult]:
+    """``test(data, a, b, s)`` for each conditioning set of ``subsets`` (all
+    of one size), in order, as they are asked for; Fisher-z answers them as
+    one batch (``fisher_z_tests``)."""
+    if test is fisher_z_test:
+        return fisher_z_tests(data, a, b, subsets)
+    return (test(data, a, b, s) for s in subsets)
+
+
+def fisher_z_tests(data: DataTable, a: str, b: str,
+                   subsets: Iterable[Iterable[str]]
+                   ) -> Iterator[CITestResult]:
+    """``fisher_z_test(data, a, b, s)`` for each conditioning set of
+    ``subsets`` (all of one size), in order, as they are asked for.
+
+    The |s|+2 square submatrices are gathered by one fancy index and
+    inverted by one stacked ``np.linalg.inv``, up to the first that holds a
+    NaN (a constant column); if that call fails, the batch is finished one
+    inverse at a time. A set whose test cannot be run raises when its
+    result is asked for, not before.
+    """
+    subsets = _check_args(data, a, b, subsets)
+    if not subsets:
+        return
+    # discrete columns are used as plain numeric codes here
+    n, size = data.n_rows, len(subsets[0])
+    if n <= size + 3:
+        raise DataError("too few rows for the conditioning set size")
+    index = data.index
+    pair = [index[a], index[b]]
+    # broadcast index arrays: np.ix_ would cost more than the lookup itself
+    idx = np.array([pair + [index[name] for name in s] for s in subsets])
+    corr = data.correlation()[idx[:, :, None], idx[:, None, :]]
+    nan = np.isnan(corr).any(axis=(1, 2))
+    stop = int(nan.argmax()) if nan.any() else len(subsets)
+    try:  # the a-b block of each precision matrix, as Python floats
+        prec = np.linalg.inv(corr[:stop])[:, :2, :2].reshape(-1, 4).tolist()
+    except np.linalg.LinAlgError:
+        prec = None
+    scale = math.sqrt(n - size - 3)
+    for j in range(len(subsets)):
+        if j == stop:
+            raise DegenerateDataError("constant column in correlation matrix")
+        if prec is not None:
+            p00, p01, _, p11 = prec[j]
+        else:
+            try:
+                p00, p01, _, p11 = np.linalg.inv(corr[j])[:2, :2].flat
+            except np.linalg.LinAlgError:
+                raise DegenerateDataError(
+                    "singular covariance submatrix") from None
+        r = -p01 / math.sqrt(p00 * p11)
+        r = min(max(r, -1.0 + 1e-12), 1.0 - 1e-12)
+        statistic = scale * abs(math.atanh(r))
+        yield CITestResult(p_value=normal_two_sided_p(statistic),
+                           statistic=statistic, dof=1)
 
 
 def fisher_z_test(data: DataTable, a: str, b: str,
                   s: Iterable[str] = ()) -> CITestResult:
-    """Two-sided test of zero partial correlation of a and b given s."""
-    s = _check_args(data, a, b, s)
-    # discrete columns are used as plain numeric codes here
-    n = data.n_rows
-    if n <= len(s) + 3:
-        raise DataError("too few rows for the conditioning set size")
-    # broadcast index arrays: np.ix_ would cost more than the lookup itself
-    idx = np.array([data.index[name] for name in (a, b, *s)])
-    corr = data.correlation()[idx[:, None], idx]
-    if np.isnan(corr).any():
-        raise DegenerateDataError("constant column in correlation matrix")
-    try:
-        prec = np.linalg.inv(corr)
-    except np.linalg.LinAlgError:
-        raise DegenerateDataError("singular covariance submatrix") from None
-    r = -prec[0, 1] / math.sqrt(prec[0, 0] * prec[1, 1])
-    r = min(max(r, -1.0 + 1e-12), 1.0 - 1e-12)
-    z = math.atanh(r)
-    statistic = math.sqrt(n - len(s) - 3) * abs(z)
-    p = normal_two_sided_p(statistic)
-    return CITestResult(p_value=p, statistic=statistic, dof=1)
+    """Two-sided test of zero partial correlation of a and b given s: a
+    batch of one of ``fisher_z_tests``."""
+    return next(fisher_z_tests(data, a, b, [s]))
 
 
 def residual_variances(data: DataTable, x: str, s: Iterable[str] = ()):
@@ -176,33 +233,63 @@ def residual_variances(data: DataTable, x: str, s: Iterable[str] = ()):
     or s collinear there), and ``DataError`` if an environment has no more
     than |s| + 2 rows.
     """
+    [got] = _residual_variances(data, x, [list(s)])
+    if got is None:
+        raise DegenerateDataError("constant column or collinear "
+                                  "conditioning set within an environment")
+    return got
+
+
+def _residual_variances(data: DataTable, x: str,
+                        subsets: list[list[str]]) -> list[tuple | None]:
+    """What ``residual_variances(data, x, s)`` returns for each conditioning
+    set of ``subsets`` (all of one size), or None where s is degenerate
+    within an environment. The (m + 1) k correlation matrices of k sets are
+    factored in one stacked ``data.cholesky`` call; if that fails, one set
+    at a time. Raises as ``residual_variances`` does where every set
+    fails alike."""
     mom = data.moments()
     counts = mom.counts
     if len(counts) < 2:
         raise DegenerateDataError("environment column takes a single value")
-    s = list(s)
-    if counts.min() <= len(s) + 2:
+    if not subsets:
+        return []
+    if counts.min() <= len(subsets[0]) + 2:
         raise DataError("an environment has too few rows for the "
                         "conditioning set size")
-    idx = np.array([data.index[name] for name in (*s, x)])
-    corr = data.correlations()[:, idx[:, None], idx]
+    i = data.index[x]
+    idx = np.array([[data.index[name] for name in s] + [i] for s in subsets])
+    groups = np.arange(len(counts) + 1)[:, None, None]
+    # (k, m + 1, |s| + 1, |s| + 1): the blocks of one set side by side
+    corr = data.correlations()[groups, idx[:, None, :, None],
+                               idx[:, None, None, :]]
     tol = math.sqrt(MIN_UNEXPLAINED)
+    chol = cholesky(corr.reshape(-1, *corr.shape[2:]), tol)
+    if chol is not None:
+        shares = (chol[:, -1, -1] ** 2).reshape(corr.shape[:2])
+    else:
+        shares = np.array([_unexplained_share(c, tol) for c in corr])
+    sigma2 = mom.grams[:, i, i] / counts * shares[:, 1:]
+    pooled = (mom.scatter[i, i] / data.n_rows * shares[:, 0]).tolist()
+    return [None if math.isnan(v) else (counts, s2, v)
+            for s2, v in zip(sigma2, pooled)]
+
+
+def _unexplained_share(corr: np.ndarray, tol: float) -> np.ndarray:
+    """Share of the last column's variance left unexplained by the others,
+    in each of a stack of correlation matrices; NaN throughout if the
+    others are degenerate in one of them."""
     chol = cholesky(corr, tol)
     if chol is not None:
-        share = chol[:, -1, -1] ** 2
-    else:
-        ls = cholesky(corr[:, :-1, :-1], tol)
-        if ls is None:
-            raise DegenerateDataError("constant column or collinear "
-                                      "conditioning set within an "
-                                      "environment")
-        # r, and so the share, is NaN where x is constant within a group
-        z = np.linalg.solve(ls, corr[:, :-1, -1:])
-        share = corr[:, -1, -1] - np.sum(z * z, axis=(1, 2))
-        share[~(share > MIN_UNEXPLAINED)] = 0.0
-    i = idx[-1]
-    sigma2 = mom.grams[:, i, i] / counts * share[1:]
-    return counts, sigma2, float(mom.scatter[i, i] / data.n_rows * share[0])
+        return chol[:, -1, -1] ** 2
+    ls = cholesky(corr[:, :-1, :-1], tol)
+    if ls is None:
+        return np.full(len(corr), np.nan)
+    # r, and so the share, is NaN where x is constant within a group
+    z = np.linalg.solve(ls, corr[:, :-1, -1:])
+    share = corr[:, -1, -1] - np.sum(z * z, axis=(1, 2))
+    share[~(share > MIN_UNEXPLAINED)] = 0.0
+    return share
 
 
 def residual_kurtosis(data: DataTable, x: str, s: Iterable[str] = ()
@@ -247,35 +334,47 @@ class _EnvironmentParts(NamedTuple):
     dof: int
 
 
-def _environment_parts(data: DataTable, a: str, b: str, s: Iterable[str],
-                       fallback: Callable
-                       ) -> CITestResult | _EnvironmentParts:
-    """The likelihood-ratio parts of ``environment_test``, or its result
-    where the data settle the query without them."""
-    s = _check_args(data, a, b, s)
+def _environment_parts(data: DataTable, a: str, b: str,
+                       subsets: Iterable[Iterable[str]], fallback: Callable
+                       ) -> Iterator[CITestResult | _EnvironmentParts]:
+    """The likelihood-ratio parts of ``environment_test`` for each
+    conditioning set of ``subsets`` (all of one size), in order, as they
+    are asked for, or its result where the data settle the query without
+    them."""
+    subsets = _check_args(data, a, b, subsets)
     env = data.env_column
     if env is None or env not in (a, b):
         raise DataError("environment_test needs the table's environment "
                         "column as a or b")
     x = b if a == env else a
     if data.is_discrete(x):
-        return fallback(data, a, b, s)
+        yield from results(fallback, data, a, b, subsets)
+        return
     try:
-        counts, sigma2, pooled = residual_variances(data, x, s)
+        variances = _residual_variances(data, x, subsets)
     except DataError:
-        return fallback(data, a, b, s)
-    dof = (len(counts) - 1) * (len(s) + 2)
-    counts, sigma2 = counts.tolist(), sigma2.tolist()  # m is small
-    if min(sigma2) == 0.0:  # x degenerate within some environment
-        if max(sigma2) > 0.0:
-            return CITestResult(p_value=0.0, statistic=math.inf, dof=dof)
-        return fallback(data, a, b, s)
+        yield from results(fallback, data, a, b, subsets)
+        return
     n = data.n_rows
-    within = sum(c * v for c, v in zip(counts, sigma2)) / n
-    location = max(n * math.log(pooled / within), 0.0)
-    scale = max(n * math.log(within) -
-                sum(c * math.log(v) for c, v in zip(counts, sigma2)), 0.0)
-    return _EnvironmentParts(x, s, location, scale, dof)
+    for s, got in zip(subsets, variances):
+        if got is None:
+            yield fallback(data, a, b, s)
+            continue
+        counts, sigma2, pooled = got
+        dof = (len(counts) - 1) * (len(s) + 2)
+        counts, sigma2 = counts.tolist(), sigma2.tolist()  # m is small
+        if min(sigma2) == 0.0:  # x degenerate within some environment
+            if max(sigma2) > 0.0:
+                yield CITestResult(p_value=0.0, statistic=math.inf, dof=dof)
+            else:
+                yield fallback(data, a, b, s)
+            continue
+        within = sum(c * v for c, v in zip(counts, sigma2)) / n
+        location = max(n * math.log(pooled / within), 0.0)
+        scale = max(n * math.log(within) -
+                    sum(c * math.log(v) for c, v in zip(counts, sigma2)),
+                    0.0)
+        yield _EnvironmentParts(x, s, location, scale, dof)
 
 
 def _corrected(data: DataTable, parts: _EnvironmentParts) -> CITestResult:
@@ -301,30 +400,41 @@ def environment_test(data: DataTable, a: str, b: str,
     environment has too few rows for |s|, or if the table has a single
     environment.
     """
-    parts = _environment_parts(data, a, b, s, fallback)
+    parts = next(_environment_parts(data, a, b, [s], fallback))
     if isinstance(parts, CITestResult):
         return parts
     return _corrected(data, parts)
+
+
+def environment_decisions(data: DataTable, a: str, b: str,
+                          subsets: Iterable[Iterable[str]], alpha: float,
+                          fallback: Callable = fisher_z_test
+                          ) -> Iterator[bool]:
+    """Whether ``environment_test(data, a, b, s, fallback).p_value >=
+    alpha``, for each conditioning set of ``subsets`` (all of one size), in
+    order, as they are asked for.
+
+    The kurtosis correction only shrinks the scale part, so the p-value
+    lies between the chi-square tails at location + scale and at location
+    alone; the kurtosis is estimated only when alpha falls between them.
+    """
+    for parts in _environment_parts(data, a, b, subsets, fallback):
+        if isinstance(parts, CITestResult):
+            yield parts.p_value >= alpha
+        elif chi2_sf(parts.location + parts.scale, parts.dof) >= alpha:
+            yield True
+        elif chi2_sf(parts.location, parts.dof) < alpha:
+            yield False
+        else:
+            yield _corrected(data, parts).p_value >= alpha
 
 
 def environment_independent(data: DataTable, a: str, b: str,
                             s: Iterable[str], alpha: float,
                             fallback: Callable = fisher_z_test) -> bool:
     """Whether ``environment_test(data, a, b, s, fallback).p_value >=
-    alpha``.
-
-    The kurtosis correction only shrinks the scale part, so the p-value
-    lies between the chi-square tails at location + scale and at location
-    alone; the kurtosis is estimated only when alpha falls between them.
-    """
-    parts = _environment_parts(data, a, b, s, fallback)
-    if isinstance(parts, CITestResult):
-        return parts.p_value >= alpha
-    if chi2_sf(parts.location + parts.scale, parts.dof) >= alpha:
-        return True
-    if chi2_sf(parts.location, parts.dof) < alpha:
-        return False
-    return _corrected(data, parts).p_value >= alpha
+    alpha``: a batch of one of ``environment_decisions``."""
+    return next(environment_decisions(data, a, b, [s], alpha, fallback))
 
 
 def degenerate_gaussian_test(data: DataTable, a: str, b: str,
@@ -332,7 +442,7 @@ def degenerate_gaussian_test(data: DataTable, a: str, b: str,
     """Likelihood-ratio test of a independent of b given s under a Gaussian
     likelihood on the one-hot embedded columns, from the table's cached
     ``DataTable.embedding()`` (see the module docstring)."""
-    s = _check_args(data, a, b, s)
+    [s] = _check_args(data, a, b, [s])
     da, db = data.width(a), data.width(b)
     ds = 1 + sum(map(data.width, s))  # with the intercept
     n = data.n_rows

@@ -30,37 +30,6 @@ class EstimationError(ValueError):
     """Backend cannot represent the expression or the data."""
 
 
-# -- discretization helper ---------------------------------------------------
-
-
-def quantile_edges(values: np.ndarray, bins: int) -> np.ndarray:
-    """Interior cut points giving roughly equal-count bins."""
-    qs = np.linspace(0, 1, bins + 1)[1:-1]
-    return np.quantile(values, qs)
-
-
-def discretize(table: DataTable, bins: int,
-               edges: dict[str, np.ndarray] | None = None):
-    """Bin every continuous column into equal-count levels.
-
-    Returns the binned table and the per-column edges used, so test data
-    can reuse the training cuts.
-    """
-    edges = dict(edges or {})
-    cols, kinds = {}, {}
-    for name in table.names:
-        col = table.column(name)
-        if table.is_discrete(name):
-            cols[name] = col
-            kinds[name] = table.levels(name)
-            continue
-        if name not in edges:
-            edges[name] = quantile_edges(col, bins)
-        cols[name] = np.searchsorted(edges[name], col).astype(float)
-        kinds[name] = bins
-    return DataTable(cols, kinds, table.env_column), edges
-
-
 # -- discrete backend --------------------------------------------------------
 
 

@@ -15,16 +15,28 @@ environment test cannot fit (see ``citest``). So a mechanism change that
 leaves a variable's mean alone, such as a change of scale, still makes the
 variable a child of the environment vertex, and a variable constant in one
 environment but not in another is a child of it.
+
+An oracle is a callable ``ci(a, b, s)`` that answers whether a and b are
+independent given s. The adjacency search is PC-stable: at each level it
+works from an adjacency snapshot, so all the conditioning sets of one edge at
+one size are known before any is answered. An oracle with a method
+``first(a, b, subsets)``, returning the index of the first of ``subsets``
+that makes a and b independent or None, is asked for them in batches of at
+most ``MAX_BATCH``; ``data_oracle`` decides a batch of Fisher-z tests with
+one stacked inverse and a batch of environment tests with one stacked
+Cholesky factorization. Other oracles are asked one set at a time. Either
+way a query counts as one CI test if it is decided: the sets of a batch up to
+and including the first independent one.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
+from itertools import combinations, islice
 from typing import Callable, Iterable, Sequence
 
-from .citest import environment_independent, fisher_z_test
+from .citest import environment_decisions, fisher_z_test, results
 from .data import DataTable, pool_environments
 from .graph import (
     ARROW, CIRCLE, TAIL, Edge, GraphError, MixedGraph,
@@ -62,8 +74,38 @@ class SeparationOracle:
         return not m_connected(self.graph, a, b, set(s))
 
 
+class DataOracle:
+    """CI oracle answering queries by a hypothesis test at level alpha on a
+    table (see ``data_oracle``)."""
+
+    def __init__(self, table: DataTable, test: Callable, alpha: float):
+        self.table = table
+        self.test = test
+        self.alpha = alpha
+
+    def first(self, a: str, b: str,
+              subsets: Sequence[Iterable[str]]) -> int | None:
+        """Index of the first of ``subsets`` (all of one size) given which
+        a and b test independent; None if none does. The sets after it are
+        not tested, so one of them that cannot be tested raises nothing.
+        Fisher-z decides the batch with one stacked inverse, the
+        environment test with one stacked Cholesky factorization (see
+        ``citest``)."""
+        table, alpha = self.table, self.alpha
+        if table.env_column in (a, b):
+            decisions = environment_decisions(table, a, b, subsets, alpha,
+                                              self.test)
+        else:
+            decisions = (r.p_value >= alpha
+                         for r in results(self.test, table, a, b, subsets))
+        return next((i for i, ind in enumerate(decisions) if ind), None)
+
+    def __call__(self, a: str, b: str, s: Iterable[str]) -> bool:
+        return self.first(a, b, [s]) == 0
+
+
 def data_oracle(table: DataTable, test: Callable = fisher_z_test,
-                alpha: float = 0.01) -> Callable:
+                alpha: float = 0.01) -> DataOracle:
     """CI oracle answering queries by a hypothesis test at level alpha.
 
     A query whose a or b is the table's environment column goes to
@@ -71,14 +113,7 @@ def data_oracle(table: DataTable, test: Callable = fisher_z_test,
     it when the other side is discrete or the per-environment regressions
     cannot be fitted); every other query goes to ``test``.
     """
-    env = table.env_column
-
-    def independent(a: str, b: str, s: Iterable[str]) -> bool:
-        if env in (a, b):
-            return environment_independent(table, a, b, s, alpha, test)
-        return test(table, a, b, s).p_value >= alpha
-
-    return independent
+    return DataOracle(table, test, alpha)
 
 
 class _Marks:
@@ -139,26 +174,51 @@ class _Marks:
         return MixedGraph(self.vertices, edges, kind="PAG")
 
 
-def _separating_set(independent: Callable, a: str, b: str,
-                    pools: Sequence[Sequence[str]],
-                    size: int) -> frozenset | None:
-    """The first subset of ``size`` vertices of one of ``pools``, in order,
-    that makes a and b independent; each distinct subset is tested once.
-    None when no subset does."""
-    tried: set[frozenset] = set()
+# conditioning sets per call of an oracle's ``first``, which bounds the
+# matrices one batch stacks
+MAX_BATCH = 256
+
+
+def _distinct_subsets(pools: Sequence[Sequence[str]], size: int):
+    """The subsets of ``size`` vertices of each of ``pools`` in turn, in
+    order, each distinct subset once."""
+    seen: set[frozenset] = set()
     for pool in pools:
         for s in combinations(pool, size):
             key = frozenset(s)
-            if key in tried:
-                continue
-            tried.add(key)
-            if independent(a, b, set(s)):
-                return key
+            if key not in seen:
+                seen.add(key)
+                yield s
+
+
+def _separating_set(ci: Callable, a: str, b: str,
+                    pools: Sequence[Sequence[str]], size: int,
+                    queries: list[int]) -> frozenset | None:
+    """The first subset of ``size`` vertices of one of ``pools``, in order,
+    that makes a and b independent; each distinct subset is tested once.
+    None when no subset does.
+
+    Batches of at most ``MAX_BATCH`` subsets go to ``ci.first`` where
+    ``ci`` has one, and to ``ci`` one subset at a time otherwise.
+    ``queries[0]`` counts the subsets decided: up to and including the
+    first independent one.
+    """
+    first = getattr(ci, "first", None)
+    subsets = _distinct_subsets(pools, size)
+    while batch := list(islice(subsets, MAX_BATCH)):
+        if first is not None:
+            i = first(a, b, batch)
+        else:
+            i = next((j for j, s in enumerate(batch) if ci(a, b, set(s))),
+                     None)
+        queries[0] += len(batch) if i is None else i + 1
+        if i is not None:
+            return frozenset(batch[i])
     return None
 
 
-def _stable_skeleton(variables: Sequence[str], independent: Callable,
-                     max_cond_size: int | None):
+def _stable_skeleton(variables: Sequence[str], ci: Callable,
+                     max_cond_size: int | None, queries: list[int]):
     """Level-wise adjacency search; all tests at size k use the adjacency
     snapshot taken before size k starts."""
     vs = sorted(variables)
@@ -175,7 +235,7 @@ def _stable_skeleton(variables: Sequence[str], independent: Callable,
                 continue
             pools = [[v for v in snapshot[side] if v != other]
                      for side, other in ((a, b), (b, a))]
-            sep = _separating_set(independent, a, b, pools, level)
+            sep = _separating_set(ci, a, b, pools, level, queries)
             if sep is not None:
                 adj[a].discard(b)
                 adj[b].discard(a)
@@ -218,8 +278,9 @@ def _possible_d_sep(marks: _Marks) -> dict[str, set[str]]:
     return out
 
 
-def _refine_with_d_sep(marks: _Marks, sepsets: dict, independent: Callable,
-                       max_cond_size: int | None) -> set[frozenset]:
+def _refine_with_d_sep(marks: _Marks, sepsets: dict, ci: Callable,
+                       max_cond_size: int | None,
+                       queries: list[int]) -> set[frozenset]:
     """Retest every remaining edge against subsets of the possible-d-sep
     sets; returns removed pairs."""
     pdsep = _possible_d_sep(marks)
@@ -233,7 +294,7 @@ def _refine_with_d_sep(marks: _Marks, sepsets: dict, independent: Callable,
             if max_cond_size is not None:
                 upper = min(upper, max_cond_size)
             for size in range(1, upper + 1):
-                sep = _separating_set(independent, a, b, pools, size)
+                sep = _separating_set(ci, a, b, pools, size, queries)
                 if sep is not None:
                     removed.add(frozenset((a, b)))
                     sepsets[frozenset((a, b))] = sep
@@ -434,12 +495,16 @@ def fci(ci: Callable, variables: Sequence[str],
         report: dict | None = None) -> MixedGraph:
     """Learn a PAG from a conditional-independence oracle.
 
-    ``ci(a, b, s)`` answers whether a and b are independent given s. The
-    returned PAG reflects the complete orientation rule set; rules that
-    only fire under selection bias are omitted since undirected and
-    circle-tail edges cannot arise without it. A ``report`` dict, when
-    given, is filled with the number of CI queries, the separating sets
-    found, and per-rule firing counts.
+    ``ci(a, b, s)`` answers whether a and b are independent given s. If
+    ``ci`` has a method ``first(a, b, subsets)`` (see the module
+    docstring), each edge's conditioning sets of one size go to it in
+    batches of at most ``MAX_BATCH``. The returned PAG reflects the
+    complete orientation rule set; rules that only fire under selection
+    bias are omitted since undirected and circle-tail edges cannot arise
+    without it. A ``report`` dict, when given, is filled with the number of
+    CI queries (of a batch, the sets up to and including the first
+    independent one), the separating sets found, and per-rule firing
+    counts.
     """
     vs = sorted(set(variables))
     if len(vs) < 2:
@@ -448,18 +513,13 @@ def fci(ci: Callable, variables: Sequence[str],
         return MixedGraph(vs, [], kind="PAG")
     knowledge = knowledge or Knowledge()
     queries = [0]
-    if report is not None:
-        inner = ci
-
-        def ci(a, b, s):
-            queries[0] += 1
-            return inner(a, b, s)
-    skeleton, sepsets = _stable_skeleton(vs, ci, max_cond_size)
+    skeleton, sepsets = _stable_skeleton(vs, ci, max_cond_size, queries)
 
     # provisional collider orientation to drive the possible-d-sep closure
     marks = _Marks(vs, skeleton, knowledge)
     _orient_colliders(marks, sepsets)
-    removed = _refine_with_d_sep(marks, sepsets, ci, max_cond_size)
+    removed = _refine_with_d_sep(marks, sepsets, ci, max_cond_size,
+                                 queries)
     skeleton -= removed
 
     marks = _Marks(vs, skeleton, knowledge)

@@ -93,11 +93,6 @@ def bidirected(a: str, b: str) -> Edge:
     return Edge(a, b, ARROW, ARROW)
 
 
-def circle_arrow(a: str, b: str) -> Edge:
-    """a o-> b"""
-    return Edge(a, b, CIRCLE, ARROW)
-
-
 class MixedGraph:
     """A mixed graph over named vertices, tagged as ADMG, MAG or PAG.
 
@@ -245,9 +240,6 @@ class MixedGraph:
 
     def replace_edges(self, edges: Iterable[Edge]) -> "MixedGraph":
         return MixedGraph(self.vertices, edges, self.kind)
-
-    def with_kind(self, kind: str) -> "MixedGraph":
-        return MixedGraph(self.vertices, self.edges, kind)
 
     # -- equality / hashing -------------------------------------------
 

@@ -173,19 +173,9 @@ def _ch_plus(g: MixedGraph, s: Iterable[str]) -> set[str]:
     return out
 
 
-def decompose_targets(p: MixedGraph, t: Iterable[str],
-                      z: Iterable[str]) -> list[tuple[set[str], set[str]]]:
-    """Split t into component-wise pieces (t_i, z_i) whose interventional
-    factors can be identified separately."""
-    t, z = set(t), set(z)
-    if t & z:
-        raise GraphError("t and z must be disjoint")
-    p.check_vertices(t | z)
-    return list(_decompose(p, t, z))
-
-
 def _decompose(p: MixedGraph, t: set[str], z: set[str]):
-    """The pieces of ``decompose_targets``, one at a time: the pieces
+    """Split t into component-wise pieces (t_i, z_i) whose interventional
+    factors can be identified separately, one at a time: the pieces
     partition t, so a caller may stop once those it needs are covered."""
     while t:
         scope = t | z

@@ -1,15 +1,14 @@
 """Path separation procedures on mixed graphs.
 
 Covers m-connection in ADMGs and MAGs (fast reachability, plus path
-enumeration kept as its oracle), edge visibility and ADMG-to-MAG
-conversion. The program reads a PAG's separations by ``m_connected`` in one
-MAG of its class; definite-status path enumeration in the PAG
-(``definite_m_separated``) is kept only as the test oracle for that.
+enumeration kept as its oracle) and edge visibility. The program reads a
+PAG's separations by ``m_connected`` in one MAG of its class; definite-status
+path enumeration in the PAG (``definite_connecting_paths``) is kept only as
+the test oracle for that.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable
 
 from .graph import ARROW, CIRCLE, TAIL, Edge, GraphError, MixedGraph
@@ -148,21 +147,6 @@ def definite_connecting_paths(g: MixedGraph, x: str, y: str,
     return out
 
 
-def definite_m_separated(g: MixedGraph, x: Iterable[str], y: Iterable[str],
-                         z: Iterable[str]) -> bool:
-    """True iff no definite-status m-connecting path joins x and y given z.
-
-    Test oracle for separation read in a MAG of g's class: it enumerates
-    every simple path.
-    """
-    x, y, z = set(x), set(y), set(z)
-    if x & y or x & z or y & z:
-        raise GraphError("x, y and z must be pairwise disjoint")
-    g.check_vertices(x | y | z)
-    return not any(definite_connecting_paths(g, a, b, z)
-                   for a in sorted(x) for b in sorted(y))
-
-
 # -- edge visibility -------------------------------------------------------
 
 
@@ -228,32 +212,3 @@ def _visible_edges(g: MixedGraph) -> frozenset[Edge]:
         if direct or _collider_path_into(g, a, b):
             out.add(e)
     return frozenset(out)
-
-
-def mag_of_admg(g: MixedGraph) -> MixedGraph:
-    """The MAG over the same vertices encoding g's m-separations and ancestry.
-
-    Two vertices are adjacent iff no subset of the others m-separates them;
-    the edge is directed along ancestry, bidirected otherwise.
-    """
-    if g.kind != "ADMG":
-        raise GraphError(f"mag_of_admg requires an ADMG, got {g.kind}")
-    edges = []
-    verts = list(g.vertices)
-    for i, a in enumerate(verts):
-        for b in verts[i + 1:]:
-            rest = [v for v in verts if v not in (a, b)]
-            separated = any(
-                not m_connected(g, a, b, set(s))
-                for k in range(len(rest) + 1)
-                for s in combinations(rest, k)
-            )
-            if separated:
-                continue
-            if a in g.ancestors({b}):
-                edges.append(Edge(a, b, TAIL, ARROW))
-            elif b in g.ancestors({a}):
-                edges.append(Edge(b, a, TAIL, ARROW))
-            else:
-                edges.append(Edge(a, b, ARROW, ARROW))
-    return MixedGraph(g.vertices, edges, "MAG")

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -7,10 +8,12 @@ import pytest
 from stablespec import citest, data
 from stablespec.citest import (
     CITestResult, DegenerateDataError, chi2_sf, degenerate_gaussian_test,
-    environment_independent, environment_test, fisher_z_test,
-    normal_two_sided_p, residual_kurtosis, residual_variances,
+    environment_decisions, environment_independent, environment_test,
+    fisher_z_test, fisher_z_tests, normal_two_sided_p, residual_kurtosis,
+    residual_variances,
 )
 from stablespec.data import DataError, DataTable, pool_environments
+from stablespec.fci import data_oracle
 from stablespec.scm import shift_benchmark_scm
 from util import near_copy
 
@@ -648,6 +651,216 @@ class TestEnvironmentTest:
             rejections += p < alpha
         lo, hi = binomial_band(trials, alpha, 0.999)
         assert lo <= rejections <= hi
+
+
+def loop_first(independent, subsets):
+    """Index of the first conditioning set that ``independent`` accepts,
+    asking one set at a time; None if none does."""
+    return next((i for i, s in enumerate(subsets) if independent(s)), None)
+
+
+def outcome(fn):
+    """What ``fn()`` returns, or the class and message of what it raises."""
+    try:
+        return fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def batch_table(seed, envs=3, n=300):
+    """Columns a, b, x and s0..s3 of a random linear system: a and b share
+    a parent among the s columns, and x's parent among them carries a
+    change of mean between environments, so that batches hold both
+    decisions and their first independent set varies."""
+    rng = np.random.default_rng(seed)
+    env = np.repeat(np.arange(envs), n)
+    cols = {f"s{k}": rng.normal(size=envs * n) for k in range(4)}
+    shared, other, third = (f"s{k}" for k in rng.permutation(4)[:3])
+    cols[third] += 0.3 * env
+    cols["a"] = 0.6 * cols[shared] + rng.normal(size=envs * n)
+    cols["b"] = 0.6 * cols[shared] + 0.3 * cols[other] + \
+        rng.normal(size=envs * n)
+    cols["x"] = 0.5 * cols[third] + rng.normal(size=envs * n)
+    return env_table(cols, env)
+
+
+def exact_table(n=1000, seed=35):
+    """A table without environments whose statistics are exact: integer
+    columns, each a half and its negation, so every mean is 0 and every
+    Gram entry an exact integer. {m} separates a and b; c is constant, and
+    d and e are equal, so a correlation matrix holding both is exactly
+    singular."""
+    rng = np.random.default_rng(seed)
+    half = {name: rng.integers(-20, 21, size=n) for name in "mfgd"}
+    half["a"] = half["m"] + rng.integers(-20, 21, size=n)
+    half["b"] = half["m"] + half["g"] + rng.integers(-20, 21, size=n)
+    cols = {name: np.concatenate([v, -v]).astype(float)
+            for name, v in half.items()}
+    cols["e"] = cols["d"].copy()
+    cols["c"] = np.full(2 * n, 3.0)
+    return DataTable(cols)
+
+
+class TestBatches:
+    """``data_oracle(...).first`` against the same tests asked one set at a
+    time."""
+
+    ALPHA = 0.05
+
+    def fisher_loop(self, t, a, b, subsets):
+        return loop_first(
+            lambda s: fisher_z_test(t, a, b, s).p_value >= self.ALPHA,
+            subsets)
+
+    def environment_loop(self, t, x, subsets, test=fisher_z_test):
+        return loop_first(lambda s: environment_independent(
+            t, "E", x, s, self.ALPHA, test), subsets)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_first_matches_the_loop_on_random_tables(self, seed):
+        t = batch_table(seed)
+        oracle = data_oracle(t, alpha=self.ALPHA)
+        order = np.random.default_rng(seed).permutation
+        firsts = []
+        for size in (0, 1, 2, 3):
+            subsets = [list(s) for s in itertools.combinations(
+                ["s0", "s1", "s2", "s3", "x"], size)]
+            subsets = [subsets[i] for i in order(len(subsets))]
+            got = oracle.first("a", "b", subsets)
+            assert got == self.fisher_loop(t, "a", "b", subsets)
+            firsts.append(got)
+            # every p-value of the batch, bit for bit
+            assert [r.p_value for r in fisher_z_tests(t, "a", "b", subsets)] \
+                == [fisher_z_test(t, "a", "b", s).p_value for s in subsets]
+            # x is the tested side, so a takes its place in the sets
+            env_sets = [["a" if v == "x" else v for v in s] for s in subsets]
+            for a, b in (("E", "x"), ("x", "E")):
+                got = oracle.first(a, b, env_sets)
+                assert got == self.environment_loop(t, "x", env_sets)
+                firsts.append(got)
+        # some batch was decided past its first set
+        assert set(firsts) - {0, None}
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_environment_decisions_agree_at_each_p_value(self, seed):
+        # at alpha = p a set is independent, one step above p it is not
+        t = batch_table(seed)
+        subsets = [[v] for v in ("s0", "s1", "s2", "s3", "a")]
+        for j, s in enumerate(subsets):
+            p = environment_test(t, "E", "x", s).p_value
+            for alpha, want in ((p, True),
+                                (float(np.nextafter(p, 2.0)), False)):
+                got = list(environment_decisions(t, "E", "x", subsets,
+                                                 alpha))
+                assert got[j] == want
+
+    def test_degenerate_set_raises_only_when_reached(self):
+        t = exact_table()
+        oracle = data_oracle(t, alpha=self.ALPHA)
+        dep, ind = ["f", "g"], ["m", "f"]
+        assert fisher_z_test(t, "a", "b", dep).p_value < self.ALPHA
+        assert fisher_z_test(t, "a", "b", ind).p_value >= self.ALPHA
+        for bad, message in ((["c", "f"], "constant column in correlation "
+                              "matrix"),
+                             (["d", "e"], "singular covariance submatrix")):
+            with pytest.raises(DegenerateDataError, match=message):
+                fisher_z_test(t, "a", "b", bad)
+            assert oracle.first("a", "b", [dep, ind, bad]) == 1
+            assert oracle.first("a", "b", [dep, ind, bad, bad]) == 1
+            assert outcome(lambda: oracle.first("a", "b", [dep, bad, ind])) \
+                == (DegenerateDataError, message)
+            assert outcome(lambda: oracle.first("a", "b", [bad, ind])) \
+                == (DegenerateDataError, message)
+            for subsets in ([dep, ind, bad], [dep, bad, ind], [bad, ind],
+                            [dep, dep, bad], [dep, dep]):
+                assert outcome(lambda: oracle.first("a", "b", subsets)) == \
+                    outcome(lambda: self.fisher_loop(t, "a", "b", subsets))
+
+    def test_degenerate_fallback_raises_only_when_reached(self):
+        # c is constant in every environment, so the environment test
+        # cannot fit {c, f} and Fisher-z, its fallback, raises on it; h
+        # carries the change in x's mean
+        rng = np.random.default_rng(37)
+        env = np.repeat([0, 1], 1000)
+        h = rng.normal(size=2000) + 0.5 * env
+        f, g = rng.normal(size=(2, 2000))
+        t = env_table({"x": h + rng.normal(size=2000), "h": h, "f": f,
+                       "g": g, "c": np.full(2000, 3.0)}, env)
+        oracle = data_oracle(t, alpha=self.ALPHA)
+        dep, ind, bad = ["f", "g"], ["f", "h"], ["c", "f"]
+        assert not environment_independent(t, "E", "x", dep, self.ALPHA)
+        assert environment_independent(t, "E", "x", ind, self.ALPHA)
+        assert oracle.first("E", "x", [dep, ind, bad]) == 1
+        with pytest.raises(DegenerateDataError,
+                           match="constant column in correlation matrix"):
+            oracle.first("E", "x", [dep, bad, ind])
+        for subsets in ([dep, ind, bad], [dep, bad, ind], [bad]):
+            assert outcome(lambda: oracle.first("E", "x", subsets)) == \
+                outcome(lambda: self.environment_loop(t, "x", subsets))
+
+    def test_single_environment_goes_to_the_fallback(self):
+        # E is constant, so Fisher-z, the fallback, raises on any set
+        t = batch_table(4, envs=1)
+        oracle = data_oracle(t, alpha=self.ALPHA)
+        subsets = [[v] for v in ("s0", "s1", "s2", "s3", "a")]
+        got = outcome(lambda: oracle.first("E", "x", subsets))
+        assert got == outcome(lambda: self.environment_loop(t, "x", subsets))
+        assert got == outcome(lambda: fisher_z_test(t, "E", "x", ["s0"]))
+
+    @pytest.mark.parametrize("test", [fisher_z_test,
+                                      degenerate_gaussian_test])
+    def test_discrete_side_goes_to_the_fallback(self, test):
+        rng = np.random.default_rng(41)
+        env = np.repeat([0, 1, 2], 400)
+        s = rng.normal(size=(1200, 3))
+        x = (s[:, 0] + rng.normal(size=1200) > 0.3 * env).astype(float)
+        t = DataTable({"x": x, "s0": s[:, 0], "s1": s[:, 1], "s2": s[:, 2],
+                       "E": env.astype(float)},
+                      kinds={"x": 2, "E": 3}, env_column="E")
+        oracle = data_oracle(t, test=test, alpha=self.ALPHA)
+        for subsets in ([["s1"], ["s2"], ["s0"]], [["s0", "s1"], ["s1", "s2"]],
+                        [[]]):
+            assert oracle.first("x", "E", subsets) == self.environment_loop(
+                t, "x", subsets, test)
+
+    def test_side_constant_in_one_environment_only(self):
+        rng = np.random.default_rng(43)
+        env = np.repeat([0, 1, 2], 300)
+        s = rng.normal(size=(900, 2))
+        x = np.where(env == 0, 1.5, s[:, 0] + rng.normal(size=900))
+        t = env_table({"x": x, "s0": s[:, 0], "s1": s[:, 1]}, env)
+        subsets = [["s1"], ["s0"]]
+        for s in subsets:
+            assert environment_test(t, "E", "x", s).p_value == 0.0
+        assert data_oracle(t, alpha=1e-300).first("E", "x", subsets) is None
+        assert loop_first(lambda s: environment_independent(
+            t, "E", "x", s, 1e-300), subsets) is None
+
+    def test_alpha_between_the_tails_estimates_the_kurtosis(
+            self, monkeypatch):
+        # Laplace noise and a small change of scale put the p-value between
+        # the chi-square tails at location + scale and at location alone
+        rng = np.random.default_rng(517)
+        env = np.repeat([0, 1], 400)
+        s = rng.normal(size=(800, 2))
+        x = 0.5 * s[:, 0] + rng.laplace(size=800) * np.array([1.0, 1.2])[env]
+        t = env_table({"x": x, "s0": s[:, 0], "s1": s[:, 1]}, env)
+        parts = next(citest._environment_parts(t, "E", "x", [["s0"]],
+                                               fisher_z_test))
+        low = chi2_sf(parts.location + parts.scale, parts.dof)
+        high = chi2_sf(parts.location, parts.dof)
+        alpha = math.sqrt(low * high)
+        assert low < alpha < high
+        calls = []
+        kurtosis = citest.residual_kurtosis
+        monkeypatch.setattr(citest, "residual_kurtosis",
+                            lambda *args: calls.append(args[1:]) or
+                            kurtosis(*args))
+        subsets = [["s0"], ["s1"]]
+        assert data_oracle(t, alpha=alpha).first("E", "x", subsets) == \
+            loop_first(lambda s: environment_independent(
+                t, "E", "x", s, alpha), subsets)
+        assert ("x", ["s0"]) in calls
 
 
 class TestNullCalibration:

@@ -255,10 +255,10 @@ class TestDiscreteSites:
         winner = capsys.readouterr().out.strip()
         log = (tmp_path / "a" / "log.txt").read_text()
 
-        def chosen_test_only(table, a, b, s, alpha, test):
-            return test(table, a, b, s).p_value >= alpha
+        def chosen_test_only(table, a, b, subsets, alpha, test):
+            return (test(table, a, b, s).p_value >= alpha for s in subsets)
 
-        monkeypatch.setattr(fci, "environment_independent", chosen_test_only)
+        monkeypatch.setattr(fci, "environment_decisions", chosen_test_only)
         assert self.search(sites, tmp_path / "b") == 0
         assert capsys.readouterr().out.strip() == winner
         assert (tmp_path / "b" / "log.txt").read_text() == \

@@ -5,6 +5,7 @@ from stablespec.components import (
     pc_component, region,
 )
 from stablespec.graph import ARROW, CIRCLE, TAIL, GraphError, MixedGraph, parse
+from oracles import with_kind
 from util import example_pag
 
 
@@ -126,7 +127,7 @@ class TestPagToMag:
 
     def test_no_circles_is_identity(self):
         g = parse("vars: A,B,C\nA --> B\nB <-> C\n", "PAG")
-        assert pag_to_mag(g, set()) == g.with_kind("MAG")
+        assert pag_to_mag(g, set()) == with_kind(g, "MAG")
 
     def test_no_new_unshielded_colliders(self):
         g = parse("vars: A,B,C\nA o-o B\nB o-o C\n", "PAG")

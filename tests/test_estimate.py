@@ -9,8 +9,7 @@ from stablespec import estimate
 from stablespec.data import MIN_UNEXPLAINED, DataError, DataTable
 from stablespec.estimate import (
     CandidateModel, DiscreteExactModel, EstimationError, LinearGaussianModel,
-    discretize, fit_expression, model_from_json, quantile_edges,
-    rank_correlation, validation_loss,
+    fit_expression, model_from_json, rank_correlation, validation_loss,
 )
 from stablespec.expressions import (
     Constant, ExpressionError, Factor, Product, Quotient, SumOver, evaluate,
@@ -24,6 +23,7 @@ from stablespec.scm import (
     shift_benchmark_scm,
 )
 from stablespec.search import InvarianceSpec, stable_candidates
+from oracles import discretize
 from util import (
     ORACLE_ADMGS, example_admg, example_pag, linear_scm, near_copy,
 )

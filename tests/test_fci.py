@@ -1,18 +1,23 @@
+import gc
+import importlib.util
 import random
+import weakref
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stablespec.citest import fisher_z_test
+from stablespec import fci as fci_module
+from stablespec.citest import DegenerateDataError, fisher_z_test
 from stablespec.data import DataError, DataTable, pool_environments
 from stablespec.fci import (
     InstabilityError, Knowledge, SeparationOracle, _Marks, data_oracle, fci,
     pooled_fci, possible_children_of_env,
 )
-from stablespec.graph import ARROW, CIRCLE, TAIL, GraphError, parse
+from stablespec.graph import ARROW, CIRCLE, TAIL, GraphError, parse, serialize
 from stablespec.scm import shift_benchmark_scm
-from stablespec.separation import mag_of_admg
+from oracles import mag_of_admg, with_kind
 from util import (
     example_admg, example_pag, independence_oracle, random_admg,
 )
@@ -60,7 +65,7 @@ class TestFciExactOracle:
         assert got == example_pag()
 
     def test_chain_gives_circles(self):
-        chain = parse("vars: A,B,C\nA --> B\nB --> C\n").with_kind("ADMG")
+        chain = with_kind(parse("vars: A,B,C\nA --> B\nB --> C\n"), "ADMG")
         got = fci(SeparationOracle(chain), chain.vertices)
         assert got == parse("vars: A,B,C\nA o-o B\nB o-o C\n")
 
@@ -215,3 +220,99 @@ class TestDataOracle:
         assert ind("E", "X", {"W", "F"})
         pag = pooled_fci(tables, alpha=0.01)
         assert possible_children_of_env(pag, "E") == {"F", "W"}
+
+
+def bench_inputs():
+    """``bench/inputs.py``, loaded by path: its ``wide_scm`` draws the
+    systems that the learn-wide benchmark learns."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def wide_pooled(structure_seed, parameter_seed, rows, seed):
+    inputs = bench_inputs()
+    scms, _ = inputs.wide_scm(structure_seed, parameter_seed)
+    return pool_environments(inputs.wide_tables(scms, rows, seed), "E")
+
+
+class TestBatchedOracle:
+    KNOWLEDGE = Knowledge(forbidden_into={"E"})
+
+    @pytest.mark.parametrize("rows", [300, 2000])
+    @pytest.mark.parametrize("system", [(7, 2), (3, 5), (11, 2)])
+    def test_batches_learn_what_single_queries_learn(self, system, rows):
+        for seed in range(3):
+            pooled = wide_pooled(*system, rows, seed)
+            oracle = data_oracle(pooled)
+            batched, looped = {}, {}
+            got = fci(oracle, pooled.names, self.KNOWLEDGE, report=batched)
+            # a plain callable is asked one conditioning set at a time
+            calls = []
+            want = fci(lambda a, b, s: calls.append(s) or oracle(a, b, s),
+                       pooled.names, self.KNOWLEDGE, report=looped)
+            assert serialize(got) == serialize(want)
+            assert batched == looped
+            assert looped["ci_tests"] == len(calls)
+
+    def test_one_inverse_per_batch(self, monkeypatch):
+        pooled = wide_pooled(7, 2, 2000, 0)
+        oracle = data_oracle(pooled)
+        batches, inverses = [], []
+        first, inv = oracle.first, np.linalg.inv
+        monkeypatch.setattr(oracle, "first", lambda a, b, subsets: (
+            batches.append(len(subsets)) or first(a, b, subsets)))
+        monkeypatch.setattr(np.linalg, "inv", lambda m: (
+            inverses.append(m.shape) or inv(m)))
+        report = {}
+        fci(oracle, pooled.names, self.KNOWLEDGE, report=report)
+        assert 0 < len(inverses) <= len(batches)
+        # one inverse per Fisher-z test would be about three in four
+        assert 4 * len(inverses) < report["ci_tests"] <= sum(batches)
+
+    def test_batches_are_capped(self):
+        # 13 candidates give 286 subsets of size 3, none of them separating
+        sizes = []
+
+        class Never:
+            def __call__(self, a, b, s):
+                return False
+
+            def first(self, a, b, subsets):
+                sizes.append(len(subsets))
+                return None
+
+        pool = [f"C{k:02d}" for k in range(13)]
+        queries = [0]
+        assert fci_module._separating_set(Never(), "A", "B", [pool, pool], 3,
+                                          queries) is None
+        assert sizes == [fci_module.MAX_BATCH, 286 - fci_module.MAX_BATCH]
+        assert queries == [286]
+
+    def test_oracle_keeps_no_reference_cycle(self):
+        # with the cyclic collector off, dropping the oracle and the table
+        # frees the table and its cached statistics at once
+        rng = np.random.default_rng(9)
+        tables = []
+        for shift in (0.0, 1.0):
+            x = rng.normal(loc=shift, size=500)
+            tables.append(DataTable({"X": x, "Y": x + rng.normal(size=500),
+                                     "C": np.full(500, 2.0)}))
+        gc.disable()
+        try:
+            table = pool_environments(tables, "E")
+            ref = weakref.ref(table)
+            oracle = data_oracle(table)
+            oracle("X", "Y", set())
+            oracle.first("E", "X", [["Y"]])
+            oracle.first("E", "Y", [["X"]])
+            try:
+                oracle("X", "C", set())
+            except DegenerateDataError:
+                pass
+            del oracle, table
+            assert ref() is None
+        finally:
+            gc.enable()

@@ -8,10 +8,11 @@ from stablespec.fci import SeparationOracle, fci
 from stablespec.graph import (
     ARROW, CIRCLE, TAIL, Edge, GraphError, MixedGraph,
     REMOVE_INTO, REMOVE_VISIBLE_OUT_OF,
-    bidirected, circle_arrow, directed, mutilate, parse,
+    bidirected, directed, mutilate, parse,
     possible_ancestors, serialize,
 )
 from stablespec.separation import m_connected, m_connected_bruteforce
+from oracles import circle_arrow, mag_of_admg
 from util import ADMG_TEXT, PAG_TEXT, example_admg, example_pag, random_admg
 
 
@@ -152,7 +153,6 @@ class TestMutilate:
         assert mutilate(g, REMOVE_INTO, set()) == g
 
     def test_remove_into_strips_all_arrowheads_at_x(self):
-        from stablespec.separation import mag_of_admg
         mag = mag_of_admg(example_admg())
         cut = mutilate(mag, REMOVE_INTO, {"X1"})
         assert not cut.adjacent("E", "X1")
@@ -162,7 +162,6 @@ class TestMutilate:
             assert not (e.mark_at("X1") == ARROW if "X1" in (e.a, e.b) else False)
 
     def test_remove_visible_out_of(self):
-        from stablespec.separation import mag_of_admg
         mag = mag_of_admg(example_admg())
         cut = mutilate(mag, REMOVE_VISIBLE_OUT_OF, {"Y"})
         assert not cut.adjacent("Y", "X2")
@@ -172,7 +171,6 @@ class TestMutilate:
     def test_visibility_judged_in_other_graph(self):
         # In the MAG alone Y --> X2 is still visible (witness X3 --> Y), so
         # passing the PAG as the visibility reference gives the same cut.
-        from stablespec.separation import mag_of_admg
         mag = mag_of_admg(example_admg())
         cut = mutilate(mag, REMOVE_VISIBLE_OUT_OF, {"Y"},
                        visibility_in=example_pag())
@@ -183,7 +181,6 @@ class TestMutilate:
             mutilate(example_admg(), "Shuffle", set())
 
     def test_generator_argument(self):
-        from stablespec.separation import mag_of_admg
         for g, mode in ((example_admg(), REMOVE_INTO),
                         (mag_of_admg(example_admg()), REMOVE_VISIBLE_OUT_OF)):
             assert mutilate(g, mode, (v for v in ["Y"])) == \

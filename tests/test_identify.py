@@ -15,11 +15,12 @@ from stablespec.fci import (
 )
 from stablespec.graph import TAIL, GraphError, parse, possible_ancestors
 from stablespec.identify import (
-    FAIL, InvarianceQuery, NotIdentifiable, absorb_buckets, decompose_targets,
-    eliminate_bucket, identify_interventional, identify_marginal,
-    invariant_conditional, invariant_conditional_mag,
+    FAIL, InvarianceQuery, NotIdentifiable, absorb_buckets, eliminate_bucket,
+    identify_interventional, identify_marginal, invariant_conditional,
+    invariant_conditional_mag,
 )
 from stablespec.scm import DiscreteSCM, interventional_probability
+from oracles import decompose_targets
 from util import (
     environment_tables, example_admg, example_pag, random_admg,
 )

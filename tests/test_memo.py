@@ -34,9 +34,8 @@ from stablespec.identify import (
     FAIL, InvarianceQuery, identify_interventional, invariant_conditional_mag,
 )
 from stablespec.search import InvarianceSpec, stable_candidates
-from stablespec.separation import (
-    definite_m_separated, m_connected, visible_edge_set, visible_edges,
-)
+from stablespec.separation import m_connected, visible_edge_set, visible_edges
+from oracles import definite_m_separated
 from util import PAG8, PAG10, example_pag, random_admg
 
 

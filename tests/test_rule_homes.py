@@ -1,7 +1,9 @@
 """Each numeric rule of the package is decided in one function: a column
 is constant by ``data.correlation`` (the only reader of ``CONSTANT_RTOL``),
-and a column is a linear combination of others by ``data.cholesky`` (the
-only caller of ``np.linalg.cholesky``)."""
+a column is a linear combination of others by ``data.cholesky`` (the only
+caller of ``np.linalg.cholesky``), and a partial correlation is read from a
+precision matrix by ``citest.fisher_z_tests`` (the only caller of
+``np.linalg.inv``), which every Fisher-z test goes through."""
 
 import ast
 from pathlib import Path
@@ -37,6 +39,14 @@ def test_cholesky_is_called_only_in_data_cholesky():
             ast.unparse(node.func).endswith("linalg.cholesky")
 
     assert sites(calls_cholesky) == {("data", "cholesky")}
+
+
+def test_inv_is_called_only_in_the_batched_fisher_z_test():
+    def calls_inv(node):
+        return isinstance(node, ast.Call) and \
+            ast.unparse(node.func).endswith("linalg.inv")
+
+    assert sites(calls_inv) == {("citest", "fisher_z_tests")}
 
 
 def test_constant_rtol_is_read_only_in_data_correlation():

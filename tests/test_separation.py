@@ -7,9 +7,9 @@ from stablespec.components import class_mag
 from stablespec.fci import SeparationOracle, fci, pooled_fci
 from stablespec.graph import GraphError, MixedGraph, directed, parse
 from stablespec.separation import (
-    definite_m_separated, m_connected, m_connected_bruteforce, mag_of_admg,
-    visible_edges,
+    m_connected, m_connected_bruteforce, visible_edges,
 )
+from oracles import definite_m_separated, mag_of_admg, with_kind
 from util import environment_tables, example_admg, example_pag, random_admg
 
 
@@ -86,7 +86,7 @@ class TestDefiniteMSeparated:
         for _ in range(30):
             admg = random_admg(rng, max_vertices=5)
             mag = mag_of_admg(admg)
-            pag_view = mag.with_kind("PAG")
+            pag_view = with_kind(mag, "PAG")
             vs = list(mag.vertices)
             for x, y in combinations(vs, 2):
                 rest = [v for v in vs if v not in (x, y)]
