@@ -175,9 +175,12 @@ class DataTable:
             if kind == CONTINUOUS:
                 self.kinds[name] = CONTINUOUS
             else:
+                if isinstance(kind, bool) or \
+                        not isinstance(kind, (int, np.integer)) or kind < 2:
+                    raise DataError(
+                        f"column {name!r}: kind must be {CONTINUOUS!r} or an "
+                        f"integer level count >= 2, got {kind!r}")
                 levels = int(kind)
-                if levels < 2:
-                    raise DataError(f"discrete column {name!r} needs >= 2 levels")
                 col = arrays[name]
                 if np.any((col != np.round(col)) | (col < 0)
                           | (col >= levels)):
@@ -364,8 +367,9 @@ _MISSING_CELLS = ("", "nan", "+nan", "-nan")
 def load_csv(csv_path: str, schema_path: str) -> DataTable:
     """Read a header CSV plus a sidecar JSON schema.
 
-    Schema format: {"columns": {"name": "continuous" | <levels>},
-    "env_column": optional name}.
+    Schema format: a JSON object {"columns": {"name": "continuous" |
+    <levels>}, "env_column": optional name}, where <levels> is an integer
+    of at least 2. Any other shape raises DataError.
 
     The header row is read by ``csv.reader``; the body by one
     ``np.loadtxt`` call. A cell is a number in the syntax numpy reads
@@ -381,8 +385,16 @@ def load_csv(csv_path: str, schema_path: str) -> DataTable:
     """
     with open(schema_path) as fh:
         schema = json.load(fh)
+    if not isinstance(schema, dict):
+        raise DataError(f"schema must be a JSON object, got {schema!r}")
     kinds = schema.get("columns", {})
     env = schema.get("env_column")
+    if not isinstance(kinds, dict):
+        raise DataError('schema "columns" must be an object from column '
+                        f"names to kinds, got {kinds!r}")
+    if env is not None and not isinstance(env, str):
+        raise DataError(f'schema "env_column" must be a column name, got '
+                        f"{env!r}")
     with open(csv_path, newline="") as fh:
         try:
             header = next(csv.reader(fh))

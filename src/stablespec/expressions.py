@@ -1,16 +1,17 @@
 """Symbolic density expressions produced by the identification algorithm.
 
 An expression is a tree over conditional factors of the observational joint,
-products, quotients and marginalizing sums. ``simplify`` rewrites a tree
-into a small canonical form using exact probability identities plus, when a
-PAG is supplied, conditional independences read off that PAG: as
+products, quotients and marginalizing sums, built from hash-consed nodes
+(``Expression``), so equal subtrees are one object. ``simplify`` rewrites a
+tree into a small canonical form using exact probability identities plus,
+when a PAG is supplied, conditional independences read off that PAG: as
 m-separations in one MAG of its class, which all members share.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import weakref
 from functools import reduce
 from typing import Iterable, Mapping
 
@@ -25,54 +26,121 @@ class ExpressionError(ValueError):
     """Malformed expression or an impossible evaluation."""
 
 
-@dataclass(frozen=True)
-class Constant:
-    value: float
+class Expression:
+    """A node of an expression tree, hash-consed (Filliâtre & Conchon 2006).
+
+    Building a node whose class and normalized fields equal those of a live
+    node returns that node, so equality is identity and hashing is O(1).
+    Scope, free and mentioned variables are computed when a node is built.
+    The table holds nodes weakly: a node no one references leaves it.
+    """
+
+    __slots__ = ("_scope", "_free", "_mentioned", "__weakref__")
+    _interned: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+    def __new__(cls, *args, **kwargs):
+        fields = cls._normalize(*args, **kwargs)
+        key = (cls, *fields)
+        node = Expression._interned.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            names = cls.__slots__ + Expression.__slots__[:3]
+            for name, value in zip(names, fields + cls._derive(*fields)):
+                object.__setattr__(node, name, value)
+            Expression._interned[key] = node
+        return node
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class Factor:
+def _expressions(*items) -> tuple:
+    """The items, each checked to be an expression."""
+    for e in items:
+        if not isinstance(e, Expression):
+            raise ExpressionError(f"not an expression: {e!r}")
+    return items
+
+
+class Constant(Expression):
+    __slots__ = ("value",)
+
+    @staticmethod
+    def _normalize(value):
+        return (float(value),)
+
+    @staticmethod
+    def _derive(value):
+        return frozenset(), frozenset(), frozenset()
+
+
+class Factor(Expression):
     """Conditional of the observational joint: P(targets | given)."""
 
-    targets: frozenset[str]
-    given: frozenset[str]
+    __slots__ = ("targets", "given")
 
-    def __init__(self, targets: Iterable[str], given: Iterable[str] = ()):
-        object.__setattr__(self, "targets", frozenset(targets))
-        object.__setattr__(self, "given", frozenset(given))
-        if not self.targets:
+    @staticmethod
+    def _normalize(targets: Iterable[str], given: Iterable[str] = ()):
+        targets, given = frozenset(targets), frozenset(given)
+        if not targets:
             raise ExpressionError("factor needs at least one target")
-        if self.targets & self.given:
+        if targets & given:
             raise ExpressionError("targets and given overlap")
+        return targets, given
+
+    @staticmethod
+    def _derive(targets, given):
+        return targets, targets | given, targets | given
 
 
-@dataclass(frozen=True)
-class Product:
-    factors: tuple
+class Product(Expression):
+    __slots__ = ("factors",)
 
-    def __init__(self, factors: Iterable):
-        object.__setattr__(self, "factors", tuple(factors))
+    @staticmethod
+    def _normalize(factors: Iterable):
+        return (_expressions(*factors),)
+
+    @staticmethod
+    def _derive(factors):
+        return (frozenset().union(*(f._scope for f in factors)),
+                frozenset().union(*(f._free for f in factors)),
+                frozenset().union(*(f._mentioned for f in factors)))
 
 
-@dataclass(frozen=True)
-class Quotient:
-    numerator: object
-    denominator: object
+class Quotient(Expression):
+    __slots__ = ("numerator", "denominator")
+
+    @staticmethod
+    def _normalize(numerator, denominator):
+        return _expressions(numerator, denominator)
+
+    @staticmethod
+    def _derive(num, den):
+        return (num._scope - den._scope, num._free | den._free,
+                num._mentioned | den._mentioned)
 
 
-@dataclass(frozen=True)
-class SumOver:
-    variables: frozenset[str]
-    child: object
+class SumOver(Expression):
+    __slots__ = ("variables", "child")
 
-    def __init__(self, variables: Iterable[str], child):
-        object.__setattr__(self, "variables", frozenset(variables))
-        object.__setattr__(self, "child", child)
+    @staticmethod
+    def _normalize(variables: Iterable[str], child):
+        return frozenset(variables), *_expressions(child)
+
+    @staticmethod
+    def _derive(variables, child):
+        return (child._scope - variables, child._free - variables,
+                child._mentioned | variables)
 
 
 ONE = Constant(1.0)
-
-Expression = object
 
 
 def conditional_of(expr, targets: Iterable[str], given: Iterable[str]):
@@ -94,79 +162,16 @@ def conditional_of(expr, targets: Iterable[str], given: Iterable[str]):
 
 def scope(expr) -> frozenset[str]:
     """The variables the expression is a distribution over."""
-    if isinstance(expr, Constant):
-        return frozenset()
-    if isinstance(expr, Factor):
-        return expr.targets
-    return _on_node(expr, "_scope", _scope)
-
-
-def _scope(expr) -> frozenset[str]:
-    if isinstance(expr, Product):
-        out = frozenset()
-        for f in expr.factors:
-            out |= scope(f)
-        return out
-    if isinstance(expr, Quotient):
-        return scope(expr.numerator) - scope(expr.denominator)
-    return scope(expr.child) - expr.variables
+    return _expressions(expr)[0]._scope
 
 
 def free_vars(expr) -> frozenset[str]:
-    if isinstance(expr, Constant):
-        return frozenset()
-    if isinstance(expr, Factor):
-        return expr.targets | expr.given
-    return _on_node(expr, "_free_vars", _free_vars)
-
-
-def _free_vars(expr) -> frozenset[str]:
-    if isinstance(expr, Product):
-        out = frozenset()
-        for f in expr.factors:
-            out |= free_vars(f)
-        return out
-    if isinstance(expr, Quotient):
-        return free_vars(expr.numerator) | free_vars(expr.denominator)
-    return free_vars(expr.child) - expr.variables
+    return _expressions(expr)[0]._free
 
 
 def variables(expr) -> frozenset[str]:
     """Every variable the expression mentions, free or summed out."""
-    if isinstance(expr, Constant):
-        return frozenset()
-    if isinstance(expr, Factor):
-        return expr.targets | expr.given
-    return _on_node(expr, "_variables", _variables)
-
-
-def _variables(expr) -> frozenset[str]:
-    if isinstance(expr, Product):
-        out = frozenset()
-        for f in expr.factors:
-            out |= variables(f)
-        return out
-    if isinstance(expr, Quotient):
-        return variables(expr.numerator) | variables(expr.denominator)
-    return variables(expr.child) | expr.variables
-
-
-def _on_node(expr, name: str, compute):
-    """compute(expr) for a compound node, stored on the node.
-
-    Identification shares subtrees (``conditional_of`` puts its argument
-    in both sums), so a plain recursion would walk a shared subtree once
-    per path to it. The value lives in the node's ``__dict__``, outside
-    the dataclass fields, so equality, hashing and rendering ignore it.
-    """
-    if not isinstance(expr, (Product, Quotient, SumOver)):
-        raise ExpressionError(f"not an expression: {expr!r}")
-    cache = expr.__dict__
-    try:
-        return cache[name]
-    except KeyError:
-        value = cache[name] = compute(expr)
-        return value
+    return _expressions(expr)[0]._mentioned
 
 
 # -- evaluation ------------------------------------------------------------
@@ -185,7 +190,7 @@ def tabulate(expr, joint) -> tuple[tuple[str, ...], np.ndarray]:
     names = sorted(joint.names)
     full = joint.table.transpose([joint.names.index(v) for v in names])
     cards = dict(zip(names, full.shape))
-    done: dict[int, np.ndarray] = {}
+    done: dict[Expression, np.ndarray] = {}
 
     def axes(variables, what: str) -> tuple[int, ...]:
         unknown = sorted(set(variables) - set(cards))
@@ -205,9 +210,9 @@ def tabulate(expr, joint) -> tuple[tuple[str, ...], np.ndarray]:
         return out
 
     def tab(e) -> np.ndarray:
-        if id(e) not in done:
-            done[id(e)] = compute(e)
-        return done[id(e)]
+        if e not in done:
+            done[e] = compute(e)
+        return done[e]
 
     def compute(e) -> np.ndarray:
         if isinstance(e, Constant):
@@ -321,32 +326,29 @@ def simplify(expr, graph: MixedGraph | None = None):
     sums, and (with a PAG) removal of conditioning variables that are
     separated from the targets. The PAG's separations are read in
     ``class_mag(graph)``; a PAG that no MAG fits raises GraphError.
+
+    A pass rewrites each node once, bottom-up, and passes repeat until the
+    expression is a fixed point. One rewrite step depends only on the node
+    and the graph, so it is memoized per node: in the PAG's memo, where
+    every expression identified on that PAG shares it, or for this call
+    when there is no PAG.
     """
+    done: dict[Expression, Expression] = {}
+
+    def rewrite(e):
+        if graph is not None:
+            return graph.memo(("rewrite", e),
+                              lambda: _rewrite(e, graph, rewrite))
+        if e not in done:
+            done[e] = _rewrite(e, graph, rewrite)
+        return done[e]
+
     for _ in range(MAX_PASSES):
-        new = _rewrite_pass(expr, graph)
-        if new == expr:
+        new = rewrite(expr)
+        if new is expr:
             break
         expr = new
     return _canonical(expr)
-
-
-def _rewrite_pass(expr, graph):
-    """One bottom-up rewrite of the whole tree.
-
-    Identification reuses subtrees (``conditional_of`` puts its argument in
-    both sums), so the tree is a DAG; each shared node is rewritten once per
-    pass. Nodes are looked up by identity, which is sound only while they
-    are alive: every entry holds its node.
-    """
-    done: dict[int, tuple] = {}
-
-    def rewrite(e):
-        hit = done.get(id(e))
-        if hit is None:
-            hit = done[id(e)] = (e, _rewrite(e, graph, rewrite))
-        return hit[1]
-
-    return rewrite(expr)
 
 
 def _independent(graph, a, b, z) -> bool:
@@ -363,13 +365,7 @@ def _independent(graph, a, b, z) -> bool:
     return graph.memo(("independent", a, b, z), separated)
 
 
-def _factor_rules(f: Factor, graph):
-    if graph is None:
-        return f
-    return graph.memo(("factor_rules", f), lambda: _rewrite_factor(f, graph))
-
-
-def _rewrite_factor(f: Factor, graph: MixedGraph):
+def _rewrite_factor(f: Factor, graph: MixedGraph | None):
     # drop separated conditioning variables, one at a time
     given = set(f.given)
     changed = True
@@ -541,32 +537,28 @@ def _rewrite(expr, graph, rewrite):
     if isinstance(expr, Constant):
         return expr
     if isinstance(expr, Factor):
-        return _factor_rules(expr, graph)
+        return _rewrite_factor(expr, graph)
     if isinstance(expr, SumOver):
         child = rewrite(expr.child)
         return _sum_rules(SumOver(expr.variables, child), graph)
-    if isinstance(expr, (Product, Quotient)):
-        if isinstance(expr, Product):
-            parts = [rewrite(f) for f in expr.factors]
-            num, den = _split_fraction(Product(parts))
-        else:
-            num_e = rewrite(expr.numerator)
-            den_e = rewrite(expr.denominator)
-            num, den = _split_fraction(Quotient(num_e, den_e))
-        num, den = _cancel(num, den)
-        value = 1.0
-        for c in (a for a in num if isinstance(a, Constant)):
-            value *= c.value
-        for c in (a for a in den if isinstance(a, Constant)):
-            if c.value == 0:
-                raise ExpressionError("zero constant in a denominator")
-            value /= c.value
-        num = [a for a in num if not isinstance(a, Constant)]
-        den = [a for a in den if not isinstance(a, Constant)]
-        if value != 1.0:
-            num = [Constant(value)] + num
-        return _build_fraction(num, den)
-    raise ExpressionError(f"not an expression: {expr!r}")
+    if isinstance(expr, Product):
+        num, den = _split_fraction(Product(map(rewrite, expr.factors)))
+    elif isinstance(expr, Quotient):
+        num, den = _split_fraction(Quotient(rewrite(expr.numerator),
+                                            rewrite(expr.denominator)))
+    else:
+        raise ExpressionError(f"not an expression: {expr!r}")
+    num, den = _cancel(num, den)
+    value = math.prod(a.value for a in num if isinstance(a, Constant))
+    for c in (a for a in den if isinstance(a, Constant)):
+        if c.value == 0:
+            raise ExpressionError("zero constant in a denominator")
+        value /= c.value
+    num = [a for a in num if not isinstance(a, Constant)]
+    den = [a for a in den if not isinstance(a, Constant)]
+    if value != 1.0:
+        num = [Constant(value)] + num
+    return _build_fraction(num, den)
 
 
 def _sort_key(expr):

@@ -170,8 +170,9 @@ class MixedGraph:
         """compute(), evaluated once per graph and key.
 
         The key must identify the fact by content (names, frozensets,
-        tuples), never by ``id()``, and the value must be immutable, since
-        every later caller shares it.
+        tuples, expression nodes, which are hash-consed), never by
+        ``id()``, and the value must be immutable, since every later caller
+        shares it.
         """
         try:
             return self._cache[key]

@@ -99,6 +99,23 @@ class TestArgErrors:
         assert main(["identify", "--graph", str(tmp_path / "nope.txt"),
                      "--mutable", "A", "--target", "Y"]) == 2
 
+    @pytest.mark.parametrize("schema, message", [
+        ("[1,2]", "schema must be a JSON object"),
+        ('{"columns": [1]}', 'schema "columns" must be an object'),
+        ('{"columns": {"A": [0,1]}}', "column 'A': kind must be"),
+        ('{"columns": {"A": "discrete"}}', "column 'A': kind must be"),
+        ('{"columns": {"A": 2.7}}', "column 'A': kind must be"),
+        ('{"columns": {}, "env_column": ["A"]}', '"env_column" must be'),
+    ])
+    def test_bad_schema_exits_two(self, tmp_path, capsys, schema, message):
+        (tmp_path / "d.csv").write_text("A,B\n0,1.5\n1,2.5\n")
+        (tmp_path / "s.json").write_text(schema)
+        assert main(["learn-pag", "--data", str(tmp_path / "d.csv"),
+                     "--schema", str(tmp_path / "s.json"),
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
 
 def test_import_leaves_scipy_unloaded():
     src = os.path.dirname(os.path.dirname(stablespec.__file__))

@@ -223,6 +223,31 @@ VERDICTS = {
     # which has no identity" from the discrete range check
     "header only, discrete column": ("a,k\n", {"a": [], "k": []},
                                      '{"columns": {"k": 2}}'),
+    # schemas of the wrong shape; before: an AttributeError, TypeErrors, a
+    # ValueError from int() that named no column, and 2.7 read as 2 levels
+    "schema not an object": ("a\n1\n", "schema must be a JSON object, got "
+                             "[1, 2]", "[1,2]"),
+    "columns not an object": ("a\n1\n", 'schema "columns" must be an '
+                              "object from column names to kinds, got [1]",
+                              '{"columns": [1]}'),
+    "env column not a name": ("a\n1\n", 'schema "env_column" must be a '
+                              "column name, got 1",
+                              '{"columns": {"a": 2}, "env_column": 1}'),
+    "kind a list": ("a\n1\n", "column 'a': kind must be 'continuous' or an "
+                    "integer level count >= 2, got [0, 1]",
+                    '{"columns": {"a": [0, 1]}}'),
+    "kind a word": ("a\n1\n", "column 'a': kind must be 'continuous' or an "
+                    "integer level count >= 2, got 'discrete'",
+                    '{"columns": {"a": "discrete"}}'),
+    "kind a fraction": ("a\n1\n", "column 'a': kind must be 'continuous' or "
+                        "an integer level count >= 2, got 2.7",
+                        '{"columns": {"a": 2.7}}'),
+    "kind one level": ("a\n0\n", "column 'a': kind must be 'continuous' or "
+                       "an integer level count >= 2, got 1",
+                       '{"columns": {"a": 1}}'),
+    "kind a boolean": ("a\n1\n", "column 'a': kind must be 'continuous' or "
+                       "an integer level count >= 2, got True",
+                       '{"columns": {"a": true}}'),
 }
 
 

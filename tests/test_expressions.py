@@ -1,3 +1,8 @@
+import gc
+import json
+import sys
+import weakref
+
 import numpy as np
 import pytest
 
@@ -5,10 +10,12 @@ from stablespec import expressions
 from stablespec.expressions import (
     Constant, ExpressionError, Factor, ONE, Product, Quotient, SumOver,
     conditional_of, evaluate, free_vars, from_json, scope, simplify,
-    tabulate, to_json, to_text,
+    tabulate, to_json, to_text, variables,
 )
+from stablespec.graph import parse
 from stablespec.scm import DiscreteJoint
-from util import example_pag
+from stablespec.search import InvarianceSpec, stable_candidates
+from util import PAG8, PAG10, example_pag
 
 
 def P(targets, given=()):
@@ -263,25 +270,44 @@ class TestSharedSubtrees:
     # Assertions below compare plain values: pytest's report of a failed
     # assertion would render the expression, which takes 2**40 steps.
 
-    def test_scope_and_free_vars_once_per_node(self, monkeypatch):
-        scopes = self.spy(monkeypatch, "_scope")
-        frees = self.spy(monkeypatch, "_free_vars")
+    def test_scope_and_free_vars_read_without_a_walk(self):
         e = self.shared()
-        for _ in range(2):
+        calls, previous = [], sys.getprofile()
+        sys.setprofile(lambda frame, event, arg: calls.append(event))
+        try:
             got = sorted(scope(e)), sorted(free_vars(e))
-            assert got == (["A"], ["A", "B"])
-        # a Product, a Quotient and a SumOver per level
-        n_scopes, n_frees = len(scopes), len(frees)
-        assert n_scopes == n_frees == 3 * self.DEPTH
+        finally:
+            sys.setprofile(previous)
+        assert got == (["A"], ["A", "B"])
+        # a walk would make a Python call per level at least
+        n_calls = calls.count("call")
+        assert n_calls < self.DEPTH
 
-    def test_rewrite_once_per_node_and_pass(self, monkeypatch):
-        e = self.shared()
-        rewrites = self.spy(monkeypatch, "_rewrite")
-        out = to_text(expressions._rewrite_pass(e, None))
-        assert out == "P(A | B)"
-        # the four nodes of each level and the innermost factor
-        n_rewrites = len(rewrites)
-        assert n_rewrites == 4 * self.DEPTH + 1
+    @pytest.mark.parametrize("text, mutable, target",
+                             [(PAG8, {"V2"}, "V0"), (PAG10, {"V4"}, "V6")],
+                             ids=["PAG8", "PAG10"])
+    def test_rewrite_once_per_pag_and_node(self, monkeypatch, text, mutable,
+                                           target):
+        # one rewrite step depends only on the node and the PAG, so a search
+        # rewrites each distinct node once over every pass of every
+        # expression it simplifies
+        calls = []
+        uncached = expressions._rewrite
+
+        def spy(expr, graph, rewrite):
+            calls.append((expr, id(graph)))   # keeps each node alive
+            return uncached(expr, graph, rewrite)
+
+        monkeypatch.setattr(expressions, "_rewrite", spy)
+        pag = parse(text)
+        found = stable_candidates(InvarianceSpec(pag, mutable), target)
+        assert any(c.kind == "interventional" for c in found)
+        assert {g for _, g in calls} == {id(pag)}
+        assert len(calls) == len(set(calls))
+        # a second search on the same PAG rewrites nothing
+        del calls[:]
+        stable_candidates(InvarianceSpec(pag, mutable), target)
+        assert not calls
 
     def test_tabulate_once_per_node(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -294,9 +320,61 @@ class TestSharedSubtrees:
         assert names == ("A", "B")
         assert np.allclose(values, want, rtol=1e-12, atol=0)
 
-    def test_stored_values_are_not_part_of_the_value(self):
-        e = SumOver({"C"}, Product([P({"A"}, {"B"}), P({"C"})]))
-        f = SumOver({"C"}, Product([P({"A"}, {"B"}), P({"C"})]))
-        scope(e), free_vars(e)
-        assert e == f and hash(e) == hash(f) and repr(e) == repr(f)
-        assert to_json(e) == to_json(f)
+
+class TestInterning:
+    """Nodes are hash-consed: one live object per content."""
+
+    def test_equal_content_is_one_object(self):
+        a, b = P({"A", "B"}, ["C"]), P(["B", "A"], frozenset("C"))
+        assert a is b
+        s = SumOver(["C"], Product([a, P({"C"})]))
+        assert s is SumOver({"C"}, Product(iter([b, P(["C"])])))
+        q = conditional_of(s, {"A"}, {"B"})
+        assert q is conditional_of(s, ["A"], ("B",))
+        for e in (a, s, q, Quotient(q, ONE), Product([])):
+            assert from_json(to_json(e)) is e
+            assert from_json(json.loads(json.dumps(to_json(e)))) is e
+        assert repr(P({"A"})) == \
+            "Factor(targets=frozenset({'A'}), given=frozenset())"
+
+    def test_constants_are_keyed_by_float_value(self):
+        assert Constant(1) is Constant(1.0) is ONE
+        assert Constant(2) is not Constant(3)
+        assert json.dumps(to_json(Constant(1))) == \
+            '{"kind": "constant", "value": 1.0}'
+
+    def test_nodes_are_immutable(self):
+        f = P({"A"}, {"B"})
+        with pytest.raises(AttributeError):
+            f.targets = frozenset({"C"})
+        with pytest.raises(AttributeError):
+            f.note = "set"
+        with pytest.raises(AttributeError):
+            del f.given
+        assert f is P({"A"}, {"B"}) and f.targets == {"A"}
+
+    def test_unreferenced_nodes_leave_the_table(self):
+        table = expressions.Expression._interned
+        gc.collect()
+        before = len(table)
+        leaf = P({"Unreferenced"})
+        e = SumOver({"Unreferenced"}, Product([leaf, P({"A"})]))
+        refs = [weakref.ref(leaf), weakref.ref(e)]
+        assert len(table) >= before + 3
+        del leaf, e
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
+        assert len(table) <= before
+        assert (Factor, frozenset({"Unreferenced"}), frozenset()) \
+            not in table
+
+    def test_non_expressions_are_rejected(self):
+        for read in (scope, free_vars, variables):
+            with pytest.raises(ExpressionError):
+                read(42)
+        with pytest.raises(ExpressionError):
+            Product([P({"A"}), 42])
+        with pytest.raises(ExpressionError):
+            SumOver({"A"}, "P(A)")
+        with pytest.raises(ExpressionError):
+            simplify(42)
