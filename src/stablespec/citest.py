@@ -57,7 +57,7 @@ answers on the pooled rows. The residual variances come from the
 per-environment correlation matrices a table computes once
 (``DataTable.correlations``), so a test costs one batched Cholesky
 factorization of m + 1 small matrices, whatever the row count.
-``fci.data_oracle`` sends every query on an environment pair here, through
+``fci.DataOracle`` sends every query on an environment pair here, through
 ``environment_decisions``, which estimates the kurtosis only where it can
 change the decision.
 

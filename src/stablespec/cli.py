@@ -22,7 +22,7 @@ import numpy as np
 from .citest import degenerate_gaussian_test, fisher_z_test
 from .data import DataTable, load_csv, pool_environments, save_csv
 from .expressions import to_json as expr_to_json, to_text
-from .fci import Knowledge, data_oracle, fci, possible_children_of_env
+from .fci import DataOracle, Knowledge, fci, possible_children_of_env
 from .graph import parse as parse_graph, serialize
 from .identify import FAIL, InvarianceQuery, identify_interventional, \
     invariant_conditional_mag
@@ -90,7 +90,7 @@ def _learn(args, log: list[str]):
     else:
         log.append("structure learning over one dataset")
     report: dict = {}
-    oracle = data_oracle(data, test=CI_TESTS[args.test], alpha=args.alpha)
+    oracle = DataOracle(data, CI_TESTS[args.test], args.alpha)
     pag = fci(oracle, data.names, knowledge, args.max_cond_size, report)
     return pag, data.env_column, report, data
 
@@ -223,17 +223,21 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    # flags are checked before any training environment is simulated
+    train_alphas = [float(a) for a in _csv_list(args.train_alphas)]
+    if len(train_alphas) < 2:
+        raise InputError("sweep simulates one dataset per --train-alphas "
+                         "value; provide two or more datasets")
+    if not args.graph:
+        raise InputError("sweep needs --graph (a PAG over the benchmark "
+                         "variables plus the environment vertex)")
     out = _run_dir(args)
     log: list[str] = []
-    train_alphas = [float(a) for a in _csv_list(args.train_alphas)]
     tables = []
     for i, a in enumerate(train_alphas):
         t = simulate_benchmark(a, args.n_train, args.seed + i)
         tables.append(t)
     data = pool_environments(tables, args.env)
-    if not args.graph:
-        raise InputError("sweep needs --graph (a PAG over the benchmark "
-                         "variables plus the environment vertex)")
     pag = _read_graph(args.graph)
     mutable = _resolve_mutable(args, pag, args.env)
     _check_columns(pag, data, args.env)

@@ -3,17 +3,23 @@
 Buckets (circle-path closures), possible c-components over invisible edges,
 bidirected-closure c-components, regions, a deterministic bucket order, and
 the PAG-to-MAG orientation.
+
+Buckets and definite c-components are closures by edge marks, walked by
+``graph._walk`` like the ancestor closures. Each fact is computed once per
+graph and returned as the frozensets the graph's memo holds; a list-valued
+fact is a new list of them.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
+from . import graph
 from .graph import ARROW, CIRCLE, TAIL, Edge, GraphError, MixedGraph
-from .separation import visible_edge_set
+from .separation import visible_edges
 
 
-def buckets(g: MixedGraph) -> list[set[str]]:
+def buckets(g: MixedGraph) -> list[frozenset[str]]:
     """Partition of the vertices into circle-path-connected blocks.
 
     Two vertices share a block iff joined by a path of circle-circle edges.
@@ -21,24 +27,23 @@ def buckets(g: MixedGraph) -> list[set[str]]:
     """
     if g.kind != "PAG":
         raise GraphError(f"buckets requires a PAG, got {g.kind}")
-    return [set(b) for b in g.memo(("buckets",), lambda: _buckets(g))]
+    return list(g.memo(("buckets",), lambda: _buckets(g)))
 
 
 def _buckets(g: MixedGraph) -> tuple[frozenset[str], ...]:
-    block = {v: {v} for v in g.vertices}
-    for e in g.edges:
-        if e.mark_at_a == CIRCLE and e.mark_at_b == CIRCLE:
-            ba, bb = block[e.a], block[e.b]
-            if ba is not bb:
-                ba |= bb
-                for v in bb:
-                    block[v] = ba
-    uniq = {id(b): b for b in block.values()}
-    return tuple(frozenset(b) for b in sorted(uniq.values(), key=min))
+    # the first vertex in name order that no block holds yet is the
+    # smallest of a new block
+    blocks, seen = [], set()
+    for v in sorted(g.vertices):
+        if v not in seen:
+            block = graph._walk(g, v, graph._circle_circle)
+            seen |= block
+            blocks.append(block)
+    return tuple(blocks)
 
 
 def pc_component(g: MixedGraph, seed: Iterable[str],
-                 visibility_in: MixedGraph | None = None) -> set[str]:
+                 visibility_in: MixedGraph | None = None) -> frozenset[str]:
     """Closure of seed under collider paths made of invisible edges.
 
     Vertices joined to the seed by a path whose non-endpoints are all
@@ -48,9 +53,9 @@ def pc_component(g: MixedGraph, seed: Iterable[str],
     """
     seed = frozenset(seed)
     g.check_vertices(seed)
-    vis = visible_edge_set(visibility_in if visibility_in is not None else g)
-    return set(g.memo(("pc_component", seed, vis),
-                      lambda: _pc_component(g, seed, vis)))
+    vis = visible_edges(visibility_in if visibility_in is not None else g)
+    return g.memo(("pc_component", seed, vis),
+                  lambda: _pc_component(g, seed, vis))
 
 
 def _pc_component(g: MixedGraph, seed: frozenset[str],
@@ -76,18 +81,10 @@ def _pc_component(g: MixedGraph, seed: frozenset[str],
     return frozenset(out)
 
 
-def definite_c_component(g: MixedGraph, seed: Iterable[str]) -> set[str]:
+def definite_c_component(g: MixedGraph, seed: Iterable[str]
+                         ) -> frozenset[str]:
     """Closure of seed under bidirected (arrow-arrow) edges."""
-    out = set(seed)
-    g.check_vertices(out)
-    adjacency = g.adjacency
-    frontier = list(out)
-    while frontier:
-        for w, _, here, there in adjacency(frontier.pop()):
-            if here == ARROW and there == ARROW and w not in out:
-                out.add(w)
-                frontier.append(w)
-    return out
+    return graph._closure(g, "c_component", seed, graph._bidirected)
 
 
 def region(g: MixedGraph, a: Iterable[str], c: Iterable[str]) -> set[str]:
@@ -104,7 +101,8 @@ def region(g: MixedGraph, a: Iterable[str], c: Iterable[str]) -> set[str]:
     return out
 
 
-def bucket_partial_order(g: MixedGraph, scope: Iterable[str]) -> list[set[str]]:
+def bucket_partial_order(g: MixedGraph, scope: Iterable[str]
+                         ) -> list[frozenset[str]]:
     """Buckets of g[scope] in a topological order of possible parenthood.
 
     No bucket contains a possible ancestor of an earlier bucket. Ties are
@@ -113,8 +111,8 @@ def bucket_partial_order(g: MixedGraph, scope: Iterable[str]) -> list[set[str]]:
     and raises GraphError.
     """
     sub = g.induced(scope)
-    return [set(b) for b in sub.memo(("bucket_partial_order",),
-                                     lambda: _bucket_order(sub))]
+    return list(sub.memo(("bucket_partial_order",),
+                         lambda: _bucket_order(sub)))
 
 
 def _bucket_order(sub: MixedGraph) -> tuple[frozenset[str], ...]:

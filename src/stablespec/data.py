@@ -369,7 +369,8 @@ def load_csv(csv_path: str, schema_path: str) -> DataTable:
 
     Schema format: a JSON object {"columns": {"name": "continuous" |
     <levels>}, "env_column": optional name}, where <levels> is an integer
-    of at least 2. Any other shape raises DataError.
+    of at least 2. Any other shape, or a column name the CSV header lacks,
+    raises DataError.
 
     The header row is read by ``csv.reader``; the body by one
     ``np.loadtxt`` call. A cell is a number in the syntax numpy reads
@@ -404,6 +405,10 @@ def load_csv(csv_path: str, schema_path: str) -> DataTable:
     for name in header:
         if header.count(name) > 1:
             raise DataError(f"duplicate column {name!r} in header")
+    unknown = sorted(set(kinds) - set(header))
+    if unknown:
+        raise DataError(f"schema names columns not in the CSV header: "
+                        f"{', '.join(map(repr, unknown))}")
     # loadtxt skips blank lines silently, so count the lines to catch them
     n_lines = body.count("\n") + body.count("\r") - body.count("\r\n")
     if body and not body.endswith(("\n", "\r")):

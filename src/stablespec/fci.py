@@ -6,7 +6,7 @@ standard complete orientation rule set to a fixpoint. Background knowledge
 can forbid arrowheads into chosen vertices. ``pooled_fci`` concatenates
 per-environment datasets with an appended environment indicator column.
 
-``data_oracle`` answers queries with a CI test on a table. Queries on a
+``DataOracle`` answers queries with a CI test on a table. Queries on a
 pair of the table's environment column and a continuous variable go to
 ``citest.environment_test``, a test of whether that variable's conditional
 differs between environments (intercept, slope or scale); the chosen test
@@ -22,7 +22,7 @@ works from an adjacency snapshot, so all the conditioning sets of one edge at
 one size are known before any is answered. An oracle with a method
 ``first(a, b, subsets)``, returning the index of the first of ``subsets``
 that makes a and b independent or None, is asked for them in batches of at
-most ``MAX_BATCH``; ``data_oracle`` decides a batch of Fisher-z tests with
+most ``MAX_BATCH``; ``DataOracle`` decides a batch of Fisher-z tests with
 one stacked inverse and a batch of environment tests with one stacked
 Cholesky factorization. Other oracles are asked one set at a time. Either
 way a query counts as one CI test if it is decided: the sets of a batch up to
@@ -76,9 +76,16 @@ class SeparationOracle:
 
 class DataOracle:
     """CI oracle answering queries by a hypothesis test at level alpha on a
-    table (see ``data_oracle``)."""
+    table.
 
-    def __init__(self, table: DataTable, test: Callable, alpha: float):
+    A query whose a or b is the table's environment column goes to
+    ``environment_test`` with ``test`` as its fallback (``test`` answers
+    it when the other side is discrete or the per-environment regressions
+    cannot be fitted); every other query goes to ``test``.
+    """
+
+    def __init__(self, table: DataTable, test: Callable = fisher_z_test,
+                 alpha: float = 0.01):
         self.table = table
         self.test = test
         self.alpha = alpha
@@ -102,18 +109,6 @@ class DataOracle:
 
     def __call__(self, a: str, b: str, s: Iterable[str]) -> bool:
         return self.first(a, b, [s]) == 0
-
-
-def data_oracle(table: DataTable, test: Callable = fisher_z_test,
-                alpha: float = 0.01) -> DataOracle:
-    """CI oracle answering queries by a hypothesis test at level alpha.
-
-    A query whose a or b is the table's environment column goes to
-    ``environment_test`` with ``test`` as its fallback (``test`` answers
-    it when the other side is discrete or the per-environment regressions
-    cannot be fitted); every other query goes to ``test``.
-    """
-    return DataOracle(table, test, alpha)
 
 
 class _Marks:
@@ -559,19 +554,15 @@ def pooled_fci(datasets: Sequence[DataTable], test: Callable = fisher_z_test,
     a discrete column named ``env_name`` records the dataset index, and
     arrowheads into it are forbidden. Queries on pairs with the environment
     column use ``environment_test`` (with ``test`` as its fallback) and the
-    others use ``test`` (see ``data_oracle``).
+    others use ``test`` (see ``DataOracle``).
     """
     pooled = pool_environments(datasets, env_name)
     knowledge = Knowledge(forbidden_into={env_name})
-    oracle = data_oracle(pooled, test=test, alpha=alpha)
+    oracle = DataOracle(pooled, test, alpha)
     return fci(oracle, pooled.names, knowledge, max_cond_size, report)
 
 
 def possible_children_of_env(p: MixedGraph, env: str) -> set[str]:
     """Vertices adjacent to env by an edge not pointing into env."""
     p.check_vertices({env})
-    out = set()
-    for e in p.edges_at(env):
-        if e.mark_at(env) in (TAIL, CIRCLE):
-            out.add(e.other(env))
-    return out
+    return {w for w, _, here, _ in p.adjacency(env) if here != ARROW}

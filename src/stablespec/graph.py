@@ -6,10 +6,15 @@ the graph kind restricts which marks and parallel edges are allowed.
 
 Because a graph never changes, facts derived from it (visibility, induced
 subgraphs, buckets, ...) are computed once and kept in the graph's own memo
-(``MixedGraph.memo``), keyed by the content of the other arguments. The
-adjacency index is built with the graph: for each vertex, one entry per
-edge at it with the neighbour and the marks at both ends, so closures and
-separation walks read marks without calling into ``Edge``.
+(``MixedGraph.memo``), keyed by the content of the other arguments, and
+handed out as the frozensets and tuples the memo holds. The adjacency index
+is built with the graph: for each vertex, one entry per edge at it with the
+neighbour and the marks at both ends, so closures and separation walks read
+marks without calling into ``Edge``.
+
+Every closure by edge marks (ancestors, possible ancestors, definite
+c-components, buckets) is one walk, ``_walk``, from one vertex across the
+edges whose marks pass a step test.
 """
 
 from __future__ import annotations
@@ -218,7 +223,7 @@ class MixedGraph:
     def children(self, v: str) -> set[str]:
         return {w for w, _, here, there in self._adj[v] if here == TAIL and there == ARROW}
 
-    def ancestors(self, vs: Iterable[str]) -> set[str]:
+    def ancestors(self, vs: Iterable[str]) -> frozenset[str]:
         """Reflexive closure under directed (tail-arrow) edges."""
         return _closure(self, "ancestors", vs, _into_from_tail)
 
@@ -260,7 +265,7 @@ class MixedGraph:
 # -- graphical closures ----------------------------------------------------
 
 
-def possible_ancestors(g: MixedGraph, target: Iterable[str]) -> set[str]:
+def possible_ancestors(g: MixedGraph, target: Iterable[str]) -> frozenset[str]:
     """All X with a possibly directed path from X to some member of target.
 
     A path is possibly directed from X when no arrowhead along it points
@@ -279,8 +284,16 @@ def _no_arrow_there(here: str, there: str) -> bool:
     return there != ARROW
 
 
+def _bidirected(here: str, there: str) -> bool:
+    return here == ARROW and there == ARROW
+
+
+def _circle_circle(here: str, there: str) -> bool:
+    return here == CIRCLE and there == CIRCLE
+
+
 def _closure(g: MixedGraph, name: str, vs: Iterable[str],
-             step: Callable[[str, str], bool]) -> set[str]:
+             step: Callable[[str, str], bool]) -> frozenset[str]:
     """The union of each member's closure, each walked once per graph.
 
     Exact because whether a walk may cross an edge depends only on the
@@ -288,10 +301,8 @@ def _closure(g: MixedGraph, name: str, vs: Iterable[str],
     """
     vs = set(vs)
     g.check_vertices(vs)
-    out: set[str] = set()
-    for v in vs:
-        out |= g.memo((name, v), lambda: _walk(g, v, step))
-    return out
+    return frozenset().union(*[g.memo((name, v), lambda: _walk(g, v, step))
+                               for v in vs])
 
 
 def _walk(g: MixedGraph, v: str, step: Callable[[str, str], bool]
@@ -331,11 +342,11 @@ def mutilate(g: MixedGraph, mode: str, x: Iterable[str],
                 if not ((e.a in xs and e.mark_at_a == ARROW)
                         or (e.b in xs and e.mark_at_b == ARROW))]
     elif mode == REMOVE_VISIBLE_OUT_OF:
+        # edges compare by their canonical ends and marks, so this finds
+        # the directed edges of g that are visible in visibility_in
         vis = visible_edges(visibility_in if visibility_in is not None else g)
-        vis_pairs = {(e.tail_end(), e.head_end()) for e in vis}
         keep = [e for e in g.edges
-                if not (e.is_directed and e.tail_end() in xs
-                        and (e.tail_end(), e.head_end()) in vis_pairs)]
+                if not (e in vis and e.tail_end() in xs)]
     else:
         raise GraphError(f"unknown mutilation mode {mode!r}")
     return g.replace_edges(keep)

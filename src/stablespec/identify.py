@@ -30,7 +30,7 @@ from .graph import (
     REMOVE_INTO, REMOVE_VISIBLE_OUT_OF, mutilate, possible_ancestors,
 )
 from .separation import (
-    definite_connecting_paths, m_connected, visible_edge_set,
+    definite_connecting_paths, m_connected, visible_edges,
 )
 
 
@@ -86,7 +86,7 @@ def invariant_conditional(p: MixedGraph, q: InvarianceQuery) -> bool:
     every connecting path given z must point into X.
     """
     p.check_vertices(q.x | q.y | q.z)
-    vis = visible_edge_set(p)
+    vis = visible_edges(p)
     poss_an_z = possible_ancestors(p, q.z) if q.z else set()
     for x in sorted(q.x):
         if x in q.z:
@@ -305,7 +305,7 @@ def identify_interventional(p: MixedGraph, x: Iterable[str],
     if not x:
         return simplify(Factor(y, z), graph=p)
     sub = p.induced(frozenset(p.vertices) - x)
-    d = frozenset(possible_ancestors(sub, (y | z) - x)) - z
+    d = possible_ancestors(sub, (y | z) - x) - z
     # the pieces partition d ⊇ y, so those after the last one meeting y
     # do not matter
     pieces, left = [], set(y)

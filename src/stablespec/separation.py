@@ -1,10 +1,10 @@
 """Path separation procedures on mixed graphs.
 
 Covers m-connection in ADMGs and MAGs (fast reachability, plus path
-enumeration kept as its oracle) and edge visibility. The program reads a
-PAG's separations by ``m_connected`` in one MAG of its class; definite-status
-path enumeration in the PAG (``definite_connecting_paths``) is kept only as
-the test oracle for that.
+enumeration kept as its oracle) and edge visibility, one vertex search per
+directed edge. The program reads a PAG's separations by ``m_connected`` in
+one MAG of its class; definite-status path enumeration in the PAG
+(``definite_connecting_paths``) is kept only as the test oracle for that.
 """
 
 from __future__ import annotations
@@ -150,49 +150,14 @@ def definite_connecting_paths(g: MixedGraph, x: str, y: str,
 # -- edge visibility -------------------------------------------------------
 
 
-def _collider_path_into(g: MixedGraph, target: str,
-                        avoid_adjacent_to: str) -> bool:
-    """Is there a vertex C not adjacent to avoid_adjacent_to with a path
-    C *-> V1 <-> ... <-> Vk *-> target where every Vi is a collider on the
-    path and a parent of avoid_adjacent_to? Searched backwards from target.
-    """
-    parents_b = g.parents(avoid_adjacent_to)
-    # walk from target back along edges into the current vertex, through
-    # vertices that are parents of b and colliders on the path
-    frontier = [(target, None)]
-    seen = set()
-    while frontier:
-        v, e_prev = frontier.pop()
-        for e in g.edges_at(v):
-            if e is e_prev:
-                continue
-            if e.mark_at(v) != ARROW:
-                continue
-            w = e.other(v)
-            if v != target and e_prev is not None and e_prev.mark_at(v) != ARROW:
-                continue
-            if not g.adjacent(w, avoid_adjacent_to) and w != avoid_adjacent_to:
-                return True
-            if w in parents_b and (w, e) not in seen:
-                seen.add((w, e))
-                frontier.append((w, e))
-    return False
-
-
-def visible_edges(g: MixedGraph) -> set[Edge]:
+def visible_edges(g: MixedGraph) -> frozenset[Edge]:
     """Directed edges A --> B provably unconfounded in every class member.
 
     A --> B is visible when some C not adjacent to B has an edge into A, or
-    a collider path into A whose inner vertices are all parents of B.
-    """
-    return set(visible_edge_set(g))
-
-
-def visible_edge_set(g: MixedGraph) -> frozenset[Edge]:
-    """``visible_edges(g)`` as the frozenset computed once per graph.
-
-    Its hash is cached, so it also serves as a content key for facts that
-    depend on another graph's visibility.
+    a collider path into A whose inner vertices are all parents of B
+    (Zhang 2008). Computed once per graph; the frozenset's hash is cached,
+    so it also serves as a content key for facts that depend on another
+    graph's visibility.
     """
     if g.kind not in ("PAG", "MAG"):
         raise GraphError(f"visible_edges requires a PAG or MAG, got {g.kind}")
@@ -200,15 +165,26 @@ def visible_edge_set(g: MixedGraph) -> frozenset[Edge]:
 
 
 def _visible_edges(g: MixedGraph) -> frozenset[Edge]:
-    out = set()
-    for e in g.edges:
-        if not e.is_directed:
-            continue
-        a, b = e.tail_end(), e.head_end()
-        direct = any(
-            f.mark_at(a) == ARROW and not g.adjacent(f.other(a), b)
-            for f in g.edges_at(a) if f.other(a) != b
-        )
-        if direct or _collider_path_into(g, a, b):
-            out.add(e)
-    return frozenset(out)
+    return frozenset(e for e in g.edges if e.is_directed
+                     and _visible(g, e.tail_end(), e.head_end()))
+
+
+def _visible(g: MixedGraph, a: str, b: str) -> bool:
+    """Search from a across bidirected edges into parents of b: the inner
+    vertices of a collider path into a. a --> b is visible when a vertex
+    not adjacent to b has an edge into a reached vertex."""
+    adjacency = g.adjacency
+    near_b = {w for w, _, _, _ in adjacency(b)}
+    parents_b = g.parents(b)
+    reached = {a}
+    frontier = [a]
+    while frontier:
+        for w, _, here, there in adjacency(frontier.pop()):
+            if here != ARROW:
+                continue
+            if w not in near_b:
+                return True
+            if there == ARROW and w in parents_b and w not in reached:
+                reached.add(w)
+                frontier.append(w)
+    return False

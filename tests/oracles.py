@@ -1,7 +1,8 @@
 """Reference procedures that only the tests call: definite-status separation
-in PAGs, the MAG of an ADMG by exhaustive search for separating sets,
-target decomposition with its argument checks, equal-count binning of
-continuous columns, and small graph constructors."""
+in PAGs, edge visibility by enumerating collider paths, the MAG of an ADMG
+by exhaustive search for separating sets, target decomposition with its
+argument checks, equal-count binning of continuous columns, and small graph
+constructors."""
 
 from itertools import combinations
 from typing import Iterable
@@ -11,7 +12,9 @@ import numpy as np
 from stablespec.data import DataTable
 from stablespec.graph import ARROW, CIRCLE, TAIL, Edge, GraphError, MixedGraph
 from stablespec.identify import _decompose
-from stablespec.separation import definite_connecting_paths, m_connected
+from stablespec.separation import (
+    _path_vertices, _simple_paths, definite_connecting_paths, m_connected,
+)
 
 
 def circle_arrow(a: str, b: str) -> Edge:
@@ -37,6 +40,33 @@ def definite_m_separated(g: MixedGraph, x: Iterable[str], y: Iterable[str],
     g.check_vertices(x | y | z)
     return not any(definite_connecting_paths(g, a, b, z)
                    for a in sorted(x) for b in sorted(y))
+
+
+def visible_by_definition(g: MixedGraph) -> set[Edge]:
+    """Oracle for ``visible_edges``: the directed edges A --> B for which
+    some C, not adjacent to B, has a path C *-> V1 <-> ... <-> Vk <-> A
+    (k >= 0) into A whose every inner vertex Vi is a collider on it and a
+    parent of B (Zhang 2008). It enumerates every simple path from every
+    such C to A."""
+    def witness(path: list[Edge], c: str, a: str, parents_b: set[str]):
+        verts = _path_vertices(c, path)
+        return path[-1].mark_at(a) == ARROW and all(
+            verts[i] in parents_b
+            and path[i - 1].mark_at(verts[i]) == ARROW
+            and path[i].mark_at(verts[i]) == ARROW
+            for i in range(1, len(verts) - 1))
+
+    out = set()
+    for e in g.edges:
+        if not e.is_directed:
+            continue
+        a, b = e.tail_end(), e.head_end()
+        parents_b = g.parents(b)
+        if any(witness(path, c, a, parents_b)
+               for c in g.vertices if c not in (a, b) and not g.adjacent(c, b)
+               for path in _simple_paths(g, c, a)):
+            out.add(e)
+    return out
 
 
 def mag_of_admg(g: MixedGraph) -> MixedGraph:

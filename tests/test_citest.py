@@ -13,7 +13,7 @@ from stablespec.citest import (
     residual_variances,
 )
 from stablespec.data import DataError, DataTable, pool_environments
-from stablespec.fci import data_oracle
+from stablespec.fci import DataOracle
 from stablespec.scm import shift_benchmark_scm
 from util import near_copy
 
@@ -702,7 +702,7 @@ def exact_table(n=1000, seed=35):
 
 
 class TestBatches:
-    """``data_oracle(...).first`` against the same tests asked one set at a
+    """``DataOracle(...).first`` against the same tests asked one set at a
     time."""
 
     ALPHA = 0.05
@@ -719,7 +719,7 @@ class TestBatches:
     @pytest.mark.parametrize("seed", range(6))
     def test_first_matches_the_loop_on_random_tables(self, seed):
         t = batch_table(seed)
-        oracle = data_oracle(t, alpha=self.ALPHA)
+        oracle = DataOracle(t, alpha=self.ALPHA)
         order = np.random.default_rng(seed).permutation
         firsts = []
         for size in (0, 1, 2, 3):
@@ -756,7 +756,7 @@ class TestBatches:
 
     def test_degenerate_set_raises_only_when_reached(self):
         t = exact_table()
-        oracle = data_oracle(t, alpha=self.ALPHA)
+        oracle = DataOracle(t, alpha=self.ALPHA)
         dep, ind = ["f", "g"], ["m", "f"]
         assert fisher_z_test(t, "a", "b", dep).p_value < self.ALPHA
         assert fisher_z_test(t, "a", "b", ind).p_value >= self.ALPHA
@@ -786,7 +786,7 @@ class TestBatches:
         f, g = rng.normal(size=(2, 2000))
         t = env_table({"x": h + rng.normal(size=2000), "h": h, "f": f,
                        "g": g, "c": np.full(2000, 3.0)}, env)
-        oracle = data_oracle(t, alpha=self.ALPHA)
+        oracle = DataOracle(t, alpha=self.ALPHA)
         dep, ind, bad = ["f", "g"], ["f", "h"], ["c", "f"]
         assert not environment_independent(t, "E", "x", dep, self.ALPHA)
         assert environment_independent(t, "E", "x", ind, self.ALPHA)
@@ -801,7 +801,7 @@ class TestBatches:
     def test_single_environment_goes_to_the_fallback(self):
         # E is constant, so Fisher-z, the fallback, raises on any set
         t = batch_table(4, envs=1)
-        oracle = data_oracle(t, alpha=self.ALPHA)
+        oracle = DataOracle(t, alpha=self.ALPHA)
         subsets = [[v] for v in ("s0", "s1", "s2", "s3", "a")]
         got = outcome(lambda: oracle.first("E", "x", subsets))
         assert got == outcome(lambda: self.environment_loop(t, "x", subsets))
@@ -817,7 +817,7 @@ class TestBatches:
         t = DataTable({"x": x, "s0": s[:, 0], "s1": s[:, 1], "s2": s[:, 2],
                        "E": env.astype(float)},
                       kinds={"x": 2, "E": 3}, env_column="E")
-        oracle = data_oracle(t, test=test, alpha=self.ALPHA)
+        oracle = DataOracle(t, test=test, alpha=self.ALPHA)
         for subsets in ([["s1"], ["s2"], ["s0"]], [["s0", "s1"], ["s1", "s2"]],
                         [[]]):
             assert oracle.first("x", "E", subsets) == self.environment_loop(
@@ -832,7 +832,7 @@ class TestBatches:
         subsets = [["s1"], ["s0"]]
         for s in subsets:
             assert environment_test(t, "E", "x", s).p_value == 0.0
-        assert data_oracle(t, alpha=1e-300).first("E", "x", subsets) is None
+        assert DataOracle(t, alpha=1e-300).first("E", "x", subsets) is None
         assert loop_first(lambda s: environment_independent(
             t, "E", "x", s, 1e-300), subsets) is None
 
@@ -857,7 +857,7 @@ class TestBatches:
                             lambda *args: calls.append(args[1:]) or
                             kurtosis(*args))
         subsets = [["s0"], ["s1"]]
-        assert data_oracle(t, alpha=alpha).first("E", "x", subsets) == \
+        assert DataOracle(t, alpha=alpha).first("E", "x", subsets) == \
             loop_first(lambda s: environment_independent(
                 t, "E", "x", s, alpha), subsets)
         assert ("x", ["s0"]) in calls

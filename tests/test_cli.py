@@ -106,6 +106,8 @@ class TestArgErrors:
         ('{"columns": {"A": "discrete"}}', "column 'A': kind must be"),
         ('{"columns": {"A": 2.7}}', "column 'A': kind must be"),
         ('{"columns": {}, "env_column": ["A"]}', '"env_column" must be'),
+        ('{"columns": {"a": 2, "B": 2, "Q": 3}}',
+         "schema names columns not in the CSV header: 'Q', 'a'"),
     ])
     def test_bad_schema_exits_two(self, tmp_path, capsys, schema, message):
         (tmp_path / "d.csv").write_text("A,B\n0,1.5\n1,2.5\n")
@@ -594,6 +596,19 @@ class TestSweep:
         assert main(["sweep", "--n-train", "100", "--n-test", "100",
                      "--grid-points", "2",
                      "--out", str(tmp_path / "run")]) == 2
+
+    @pytest.mark.parametrize("flags, message", [
+        ([], "sweep needs --graph"),
+        (["--train-alphas", "4"], "two or more datasets")],
+        ids=["no graph", "one training alpha"])
+    def test_flags_checked_before_simulating(self, tmp_path, capsys,
+                                             monkeypatch, flags, message):
+        def fail(*args):
+            raise AssertionError("simulated before the flags were checked")
+
+        monkeypatch.setattr(cli, "simulate_benchmark", fail)
+        assert main(["sweep", *flags, "--out", str(tmp_path / "run")]) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", [["--mode", "full"],
                                       ["--backend", "linear-gaussian"]])

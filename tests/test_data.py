@@ -248,6 +248,10 @@ VERDICTS = {
     "kind a boolean": ("a\n1\n", "column 'a': kind must be 'continuous' or "
                        "an integer level count >= 2, got True",
                        '{"columns": {"a": true}}'),
+    # before: the kind was dropped and A loaded as continuous
+    "kind of an unknown column": ("A\n1\n", "schema names columns not in "
+                                  "the CSV header: 'a'",
+                                  '{"columns": {"a": 2}}'),
 }
 
 

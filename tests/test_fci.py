@@ -12,7 +12,7 @@ from stablespec import fci as fci_module
 from stablespec.citest import DegenerateDataError, fisher_z_test
 from stablespec.data import DataError, DataTable, pool_environments
 from stablespec.fci import (
-    InstabilityError, Knowledge, SeparationOracle, _Marks, data_oracle, fci,
+    DataOracle, InstabilityError, Knowledge, SeparationOracle, _Marks, fci,
     pooled_fci, possible_children_of_env,
 )
 from stablespec.graph import ARROW, CIRCLE, TAIL, GraphError, parse, serialize
@@ -173,7 +173,7 @@ class TestDataOracle:
         rng = np.random.default_rng(5)
         t = DataTable({"a": rng.normal(size=2000),
                        "b": rng.normal(size=2000)})
-        ind = data_oracle(t, alpha=0.01)
+        ind = DataOracle(t, alpha=0.01)
         assert ind("a", "b", set())
 
     def test_environment_pairs_go_to_the_environment_test(self):
@@ -190,7 +190,7 @@ class TestDataOracle:
             seen.append((a, b))
             return fisher_z_test(table, a, b, s)
 
-        ind = data_oracle(pooled, test=spy, alpha=0.01)
+        ind = DataOracle(pooled, test=spy, alpha=0.01)
         assert not ind("E", "X", set())
         assert not ind("X", "E", {"Y"})
         assert ind("E", "Y", set())
@@ -214,7 +214,7 @@ class TestDataOracle:
                                      "Y": x + rng.normal(size=n)},
                                     kinds={"F": 2}))
         pooled = pool_environments(tables, "E")
-        ind = data_oracle(pooled, alpha=0.01)
+        ind = DataOracle(pooled, alpha=0.01)
         assert not ind("E", "W", set())
         assert not ind("E", "F", set())
         assert ind("E", "X", {"W", "F"})
@@ -246,7 +246,7 @@ class TestBatchedOracle:
     def test_batches_learn_what_single_queries_learn(self, system, rows):
         for seed in range(3):
             pooled = wide_pooled(*system, rows, seed)
-            oracle = data_oracle(pooled)
+            oracle = DataOracle(pooled)
             batched, looped = {}, {}
             got = fci(oracle, pooled.names, self.KNOWLEDGE, report=batched)
             # a plain callable is asked one conditioning set at a time
@@ -259,7 +259,7 @@ class TestBatchedOracle:
 
     def test_one_inverse_per_batch(self, monkeypatch):
         pooled = wide_pooled(7, 2, 2000, 0)
-        oracle = data_oracle(pooled)
+        oracle = DataOracle(pooled)
         batches, inverses = [], []
         first, inv = oracle.first, np.linalg.inv
         monkeypatch.setattr(oracle, "first", lambda a, b, subsets: (
@@ -304,7 +304,7 @@ class TestBatchedOracle:
         try:
             table = pool_environments(tables, "E")
             ref = weakref.ref(table)
-            oracle = data_oracle(table)
+            oracle = DataOracle(table)
             oracle("X", "Y", set())
             oracle.first("E", "X", [["Y"]])
             oracle.first("E", "Y", [["X"]])

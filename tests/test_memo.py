@@ -3,8 +3,7 @@
 Every derived fact is computed once per graph and kept in the graph's memo.
 These tests compare each memoized fact on a graph whose memo is already
 warm with the same fact on an equal graph freshly parsed from its text,
-check that callers cannot change a memoized value through the containers
-they get back, and count the work one search does: edge visibility and the
+check that memoized facts are handed out as immutable values, and count the work one search does: edge visibility and the
 invariance checker's MAGs are each computed at most once per graph, no
 path is enumerated, and graph closures and m-separation read edge marks
 from the graph's adjacency index, not through ``Edge`` methods. One
@@ -34,7 +33,7 @@ from stablespec.identify import (
     FAIL, InvarianceQuery, identify_interventional, invariant_conditional_mag,
 )
 from stablespec.search import InvarianceSpec, stable_candidates
-from stablespec.separation import m_connected, visible_edge_set, visible_edges
+from stablespec.separation import m_connected, visible_edges
 from oracles import definite_m_separated
 from util import PAG8, PAG10, example_pag, random_admg
 
@@ -179,36 +178,45 @@ class TestCachedEqualsCold:
                     closure_from_whole_set(h, s, no_arrow_there)
 
 
-class TestReturnedContainersAreCopies:
-    def test_mutation_does_not_reach_the_memo(self):
+class TestMemoizedFactsAreImmutable:
+    def test_mutation_raises(self):
+        # sets are frozensets; a list-valued fact is a new list each call
         g = random_pag(3)
         scope = frozenset(g.vertices[:-1])
-        before = (visible_edges(g), buckets(g), bucket_partial_order(g, scope),
-                  pc_component(g, {"V0"}))
-        vis = visible_edges(g)
-        vis.clear()
-        vis.add(object())
-        bs = buckets(g)
-        bs[0].add("V_extra")
-        bs.append({"V_extra"})
-        order = bucket_partial_order(g, scope)
-        order[0].clear()
-        order.reverse()
-        pc = pc_component(g, {"V0"})
-        pc.add("V_extra")
-        after = (visible_edges(g), buckets(g), bucket_partial_order(g, scope),
-                 pc_component(g, {"V0"}))
-        assert after == before
 
-    def test_closure_mutation_does_not_reach_the_memo(self):
+        def facts():
+            return (visible_edges(g), buckets(g),
+                    bucket_partial_order(g, scope), pc_component(g, {"V0"}),
+                    definite_c_component(g, {"V0"}))
+
+        before = facts()
+        vis, bs, order, pc, cc = facts()
+        assert vis is visible_edges(g)
+        assert pc is pc_component(g, {"V0"})
+        with pytest.raises(AttributeError):
+            vis.add(object())
+        with pytest.raises(AttributeError):
+            bs[0].add("V_extra")
+        bs.append({"V_extra"})
+        with pytest.raises(AttributeError):
+            order[0].clear()
+        order.reverse()
+        with pytest.raises(AttributeError):
+            pc.add("V_extra")
+        with pytest.raises(AttributeError):
+            cc.add("V_extra")
+        assert facts() == before
+
+    def test_closure_mutation_raises(self):
         g = random_pag(3)
         mag = class_mag(g)
         v = g.vertices[-1]
         before = (mag.ancestors({v}), possible_ancestors(g, {v}))
-        mag.ancestors({v}).add("V_extra")
-        possible_ancestors(g, {v}).clear()
-        after = (mag.ancestors({v}), possible_ancestors(g, {v}))
-        assert after == before
+        with pytest.raises(AttributeError):
+            mag.ancestors({v}).add("V_extra")
+        with pytest.raises(AttributeError):
+            possible_ancestors(g, {v}).clear()
+        assert (mag.ancestors({v}), possible_ancestors(g, {v})) == before
 
 
 def candidate_record(candidates):
@@ -290,7 +298,7 @@ class TestSearchWork:
         pag = parse(PAG8)
         mag = class_mag(pag)
         for g in (pag, mag):
-            visible_edge_set(g)  # warm-up: visibility is memoized per graph
+            visible_edges(g)  # warm-up: visibility is memoized per graph
         calls = []
         for name in ("mark_at", "other"):
             method = getattr(Edge, name)
@@ -393,6 +401,7 @@ class TestSearchWork:
                              ids=SEARCH_IDS)
     def test_closures_walked_once_per_graph_and_vertex(self, monkeypatch,
                                                        text, mutable, target):
+        # ancestors, possible ancestors, definite c-components and buckets
         walks, graphs = [], []
         uncached = graph_module._walk
 
@@ -404,5 +413,6 @@ class TestSearchWork:
         monkeypatch.setattr(graph_module, "_walk", spy)
         stable_candidates(InvarianceSpec(parse(text), mutable), target)
         assert {step for _, _, step in walks} == {
-            graph_module._into_from_tail, graph_module._no_arrow_there}
+            graph_module._into_from_tail, graph_module._no_arrow_there,
+            graph_module._bidirected, graph_module._circle_circle}
         assert len(walks) == len(set(walks))

@@ -5,11 +5,16 @@ import pytest
 
 from stablespec.components import class_mag
 from stablespec.fci import SeparationOracle, fci, pooled_fci
-from stablespec.graph import GraphError, MixedGraph, directed, parse
+from stablespec.graph import (
+    ARROW, CIRCLE, TAIL, Edge, GraphError, MixedGraph, directed, parse,
+    serialize,
+)
 from stablespec.separation import (
     m_connected, m_connected_bruteforce, visible_edges,
 )
-from oracles import definite_m_separated, mag_of_admg, with_kind
+from oracles import (
+    definite_m_separated, mag_of_admg, visible_by_definition, with_kind,
+)
 from util import environment_tables, example_admg, example_pag, random_admg
 
 
@@ -178,6 +183,35 @@ class TestVisibleEdges:
             mag = mag_of_admg(random_admg(rng, max_vertices=6))
             for e in visible_edges(mag):
                 assert e.is_directed
+
+    @pytest.mark.parametrize("kind, n_graphs, max_vertices", [
+        ("MAG", 150, 8), ("oracle PAG", 150, 7), ("random marks", 600, 8)],
+        ids=["MAG", "oracle PAG", "random marks"])
+    def test_equals_the_definition(self, kind, n_graphs, max_vertices):
+        # dense graphs, so that some edges are visible only by a collider
+        # path through parents of B
+        rng = random.Random(kind)
+        n_by_collider_path = 0
+        for _ in range(n_graphs):
+            admg = random_admg(rng, max_vertices=max_vertices, min_vertices=3,
+                               p_directed=0.4, p_bidirected=0.4, p_both=0.1)
+            if kind == "MAG":
+                g = mag_of_admg(admg)
+            elif kind == "oracle PAG":
+                g = fci(SeparationOracle(admg), admg.vertices)
+            else:
+                pairs = sorted({(e.a, e.b) for e in admg.edges})
+                marks = (TAIL, ARROW, ARROW, CIRCLE)
+                g = MixedGraph(admg.vertices, [
+                    Edge(a, b, rng.choice(marks), rng.choice(marks))
+                    for a, b in pairs], "PAG")
+            vis = visible_edges(g)
+            assert vis == visible_by_definition(g), serialize(g)
+            n_by_collider_path += sum(
+                not any(here == ARROW and not g.adjacent(w, e.head_end())
+                        for w, _, here, _ in g.adjacency(e.tail_end()))
+                for e in vis)
+        assert n_by_collider_path > 0
 
 
 class TestMagOfAdmg:
