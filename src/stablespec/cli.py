@@ -81,10 +81,11 @@ def _learn(args, log: list[str]):
     report dict, the table learned on)."""
     tables = _load_tables(args)
     data = _pooled(tables, args.env)
-    knowledge = None
+    # as in pooled_fci: the environment indicator has no causes, whether
+    # pooled here or named by a single table's schema
+    knowledge = None if data.env_column is None else \
+        Knowledge(forbidden_into={data.env_column})
     if len(tables) > 1:
-        # as in pooled_fci: the environment indicator has no causes
-        knowledge = Knowledge(forbidden_into={args.env})
         log.append(f"pooled structure learning over {len(tables)} datasets, "
                    f"environment column {args.env!r}")
     else:

@@ -12,6 +12,7 @@ fact is a new list of them.
 
 from __future__ import annotations
 
+from graphlib import CycleError, TopologicalSorter
 from typing import Iterable
 
 from . import graph
@@ -116,43 +117,26 @@ def bucket_partial_order(g: MixedGraph, scope: Iterable[str]
 
 
 def _bucket_order(sub: MixedGraph) -> tuple[frozenset[str], ...]:
-    blocks = buckets(sub)
-    of = {v: i for i, b in enumerate(blocks) for v in b}
-    succ: list[set[int]] = [set() for _ in blocks]
-    n_pred = [0] * len(blocks)
-    for e in sub.edges:
-        for child, parent in ((e.a, e.b), (e.b, e.a)):
-            if e.mark_at(child) == ARROW and e.mark_at(parent) != ARROW:
-                i, j = of[parent], of[child]
-                if i != j and j not in succ[i]:
-                    succ[i].add(j)
-                    n_pred[j] += 1
+    of = {v: b for b in buckets(sub) for v in b}
+    sorter = TopologicalSorter()
+    for v in sub.vertices:
+        sorter.add(of[v], *(of[u] for u in sorted(sub.possible_parents(v))
+                            if of[u] is not of[v]))
+    try:
+        sorter.prepare()
+    except CycleError as err:
+        cycle = ", ".join(sorted("{" + ",".join(sorted(b)) + "}"
+                                 for b in set(err.args[1])))
+        raise GraphError("cyclic bucket order: possible-parent edges close "
+                         f"a cycle through the buckets {cycle}") from None
     # layered order: all minimal buckets first, then the next layer, with
     # lexicographic tie-breaks inside a layer
-    done = 0
-    layer = sorted((i for i in range(len(blocks)) if n_pred[i] == 0),
-                   key=lambda i: min(blocks[i]))
-    order = []
-    while layer:
-        nxt = []
-        for i in layer:
-            order.append(blocks[i])
-            done += 1
-            for j in succ[i]:
-                n_pred[j] -= 1
-                if n_pred[j] == 0:
-                    nxt.append(j)
-        layer = sorted(nxt, key=lambda i: min(blocks[i]))
-    if done != len(blocks):
-        # the unplaced buckets, less those only downstream of a cycle
-        left = {i for i in range(len(blocks)) if n_pred[i]}
-        while sinks := {i for i in left if not succ[i] & left}:
-            left -= sinks
-        cycle = ", ".join(sorted("{" + ",".join(sorted(blocks[i])) + "}"
-                                 for i in left))
-        raise GraphError("cyclic bucket order: possible-parent edges close "
-                         f"a cycle through the buckets {cycle}")
-    return tuple(frozenset(b) for b in order)
+    order: list[frozenset[str]] = []
+    while sorter.is_active():
+        layer = sorted(sorter.get_ready(), key=min)
+        order.extend(layer)
+        sorter.done(*layer)
+    return tuple(order)
 
 
 def _mcs_order(adj: dict[str, set[str]],
@@ -216,23 +200,20 @@ def pag_to_mag(g: MixedGraph, preserve_into: Iterable[str]) -> MixedGraph:
         raise GraphError(f"pag_to_mag requires a PAG, got {g.kind}")
     preserve = set(preserve_into)
     g.check_vertices(preserve)
-    circle_adj: dict[str, set[str]] = {v: set() for v in g.vertices}
     edges = []
     for e in g.edges:
         marks = {e.mark_at_a, e.mark_at_b}
-        if marks == {CIRCLE}:
-            circle_adj[e.a].add(e.b)
-            circle_adj[e.b].add(e.a)
-        elif marks == {CIRCLE, ARROW}:
+        if marks == {CIRCLE, ARROW}:
             head = e.a if e.mark_at_a == ARROW else e.b
             edges.append(Edge(e.other(head), head, TAIL, ARROW))
         elif marks == {CIRCLE, TAIL}:
             raise GraphError(f"circle-tail edge unsupported (selection bias): {e}")
-        else:
+        elif marks != {CIRCLE}:  # circle-circle edges are oriented below
             edges.append(e)
     oriented = []
     for block in buckets(g):
-        adj = {v: circle_adj[v] for v in block}
+        adj = {v: {w for w, _, here, there in g.adjacency(v)
+                   if graph._circle_circle(here, there)} for v in block}
         order = _mcs_order(adj, preserve)
         pos = {v: i for i, v in enumerate(order or sorted(block))}
         for v in block:

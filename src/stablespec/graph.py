@@ -20,6 +20,7 @@ edges whose marks pass a step test.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
@@ -151,25 +152,16 @@ class MixedGraph:
             for e in self.edges:
                 if CIRCLE in (e.mark_at_a, e.mark_at_b):
                     raise GraphError(f"circle mark in a {self.kind}: {e}")
-            if self._directed_part_cyclic():
-                raise GraphError(f"directed cycle in a {self.kind}")
+            # iterative, so chains longer than the recursion limit build
+            try:
+                TopologicalSorter({v: self.parents(v) for v in self.vertices}
+                                  ).prepare()
+            except CycleError:
+                raise GraphError(f"directed cycle in a {self.kind}") from None
         if self.kind == "ADMG":
             for e in self.edges:
                 if not (e.is_directed or e.is_bidirected):
                     raise GraphError(f"ADMG edge must be directed or bidirected: {e}")
-
-    def _directed_part_cyclic(self) -> bool:
-        state = {v: 0 for v in self.vertices}  # 0 unseen, 1 open, 2 done
-
-        def visit(v: str) -> bool:
-            state[v] = 1
-            for w in self.children(v):
-                if state[w] == 1 or (state[w] == 0 and visit(w)):
-                    return True
-            state[v] = 2
-            return False
-
-        return any(state[v] == 0 and visit(v) for v in self.vertices)
 
     def memo(self, key: Hashable, compute: Callable[[], T]) -> T:
         """compute(), evaluated once per graph and key.

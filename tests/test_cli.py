@@ -7,12 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import stablespec
 from stablespec import cli, fci, search
 from stablespec.cli import main
-from stablespec.data import DataTable, save_csv
+from stablespec.data import DataTable, pool_environments, save_csv
 from stablespec.graph import parse, serialize
 from stablespec.scm import practice_pattern_scm
 from util import (
@@ -193,6 +194,34 @@ class TestLearnPag:
         assert report["ci_tests"] > 0
         assert set(report["rule_firings"]) >= {"chain", "ancestor"}
         assert (out / "log.txt").exists()
+
+    def test_one_csv_naming_env_column_learns_as_pooled(self, tmp_path):
+        # the environment shifts the means of X1 and X3; one pooled CSV
+        # whose schema names the environment column is the same data as
+        # one CSV per environment, so it must give the same graph
+        rng = np.random.default_rng(0)
+        tables = []
+        for e in range(3):
+            x1 = rng.normal((-1, 1, 0)[e], 1, 4000)
+            x3 = rng.normal((1, 1, -2)[e], 1, 4000)
+            y = x1 + x3 + rng.normal(0, 1, 4000)
+            tables.append(DataTable({"X1": x1, "X3": x3, "Y": y}))
+        plain, pooled = tmp_path / "plain.json", tmp_path / "pooled.json"
+        plain.write_text('{"columns": {}}')
+        pooled.write_text('{"columns": {"E": 3}, "env_column": "E"}')
+        split = []
+        for e, t in enumerate(tables):
+            save_csv(t, str(tmp_path / f"e{e}.csv"))
+            split += ["--data", str(tmp_path / f"e{e}.csv")]
+        save_csv(pool_environments(tables, "E"), str(tmp_path / "all.csv"))
+        assert main(["learn-pag", *split, "--schema", str(plain),
+                     "--out", str(tmp_path / "split")]) == 0
+        assert main(["learn-pag", "--data", str(tmp_path / "all.csv"),
+                     "--schema", str(pooled),
+                     "--out", str(tmp_path / "one")]) == 0
+        graph = (tmp_path / "split" / "graph.txt").read_bytes()
+        assert b"-> E\n" not in graph
+        assert (tmp_path / "one" / "graph.txt").read_bytes() == graph
 
 
 @pytest.fixture(scope="module")

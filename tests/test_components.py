@@ -1,12 +1,30 @@
+import random
+import re
+from itertools import permutations
+
 import pytest
 
 from stablespec.components import (
     bucket_partial_order, buckets, definite_c_component, pag_to_mag,
     pc_component, region,
 )
-from stablespec.graph import ARROW, CIRCLE, TAIL, GraphError, MixedGraph, parse
+from stablespec.graph import (
+    ARROW, CIRCLE, TAIL, Edge, GraphError, MixedGraph, parse,
+)
 from oracles import with_kind
-from util import example_pag
+from util import example_pag, random_admg
+
+
+def _is_cycle(named: list[frozenset[str]],
+              parents: dict[frozenset[str], set[frozenset[str]]]) -> bool:
+    """Whether the named buckets, each once, lie on one directed cycle of
+    the possible-parent relation between buckets."""
+    if len(named) < 2 or len(set(named)) < len(named):
+        return False
+    first, *rest = named
+    return any(all(cycle[i - 1] in parents[cycle[i]]
+                   for i in range(len(cycle)))
+               for cycle in ([first, *p] for p in permutations(rest)))
 
 
 class TestBuckets:
@@ -105,6 +123,49 @@ class TestBucketPartialOrder:
     def test_scope_restricts(self):
         order = bucket_partial_order(example_pag(), {"X1", "X2", "Y"})
         assert order == [{"X1"}, {"Y"}, {"X2"}]
+
+    def test_equals_the_definition_on_random_marks(self):
+        rng = random.Random("bucket order")
+        seen = {"acyclic": 0, "cyclic": 0, "shared bucket": 0, "tie": 0}
+        for _ in range(400):
+            admg = random_admg(rng, max_vertices=8, min_vertices=3,
+                               p_directed=0.4, p_bidirected=0.3, p_both=0.1)
+            marks = (TAIL, ARROW, ARROW, CIRCLE, CIRCLE)
+            g = MixedGraph(admg.vertices, [
+                Edge(a, b, rng.choice(marks), rng.choice(marks))
+                for a, b in sorted({(e.a, e.b) for e in admg.edges})], "PAG")
+            scope = rng.sample(g.vertices, rng.randint(1, len(g.vertices)))
+            sub = g.induced(scope)
+            of = {v: b for b in buckets(sub) for v in b}
+            # the possible-parent buckets of each bucket
+            parents = {b: {of[u] for v in b for u in sub.possible_parents(v)}
+                       - {b} for b in buckets(sub)}
+            try:
+                order = bucket_partial_order(g, scope)
+            except GraphError as err:
+                seen["cyclic"] += 1
+                assert str(err).startswith(
+                    "cyclic bucket order: possible-parent edges close a "
+                    "cycle through the buckets {")
+                named = [frozenset(b.split(","))
+                         for b in re.findall(r"\{([^}]*)\}", str(err))]
+                assert _is_cycle(named, parents), (str(err), sub.edges)
+                continue
+            seen["acyclic"] += 1
+            seen["shared bucket"] += any(len(b) > 1 for b in order)
+            assert sorted(order, key=min) == buckets(sub)
+            pos = {b: i for i, b in enumerate(order)}
+            assert all(pos[p] < pos[b] for b in order for p in parents[b])
+            # layer by layer: the unplaced buckets whose possible-parent
+            # buckets are all placed, by smallest name
+            placed: set[frozenset[str]] = set()
+            while len(placed) < len(order):
+                layer = sorted((b for b in parents if b not in placed
+                                and parents[b] <= placed), key=min)
+                assert order[len(placed):len(placed) + len(layer)] == layer
+                placed.update(layer)
+                seen["tie"] += len(layer) > 1
+        assert min(seen.values()) >= 50, seen
 
 
 class TestPagToMag:

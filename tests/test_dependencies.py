@@ -1,0 +1,33 @@
+"""The package imports only the standard library, numpy and itself, so
+numpy stays the one dependency ``pyproject.toml`` declares."""
+
+import ast
+import sys
+from pathlib import Path
+
+import stablespec
+
+SRC = Path(stablespec.__file__).parent
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "stablespec"}
+
+
+def imported_modules() -> set[tuple[str, str]]:
+    """(file, top-level module) of every absolute import in the package,
+    at module level or inside a function."""
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found.update((path.name, n.partition(".")[0]) for n in names)
+    return found
+
+
+def test_imports_only_stdlib_numpy_and_itself():
+    found = imported_modules()
+    assert ("cli.py", "numpy") in found
+    assert sorted((f, m) for f, m in found if m not in ALLOWED) == []

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from stablespec.components import pag_to_mag
+from stablespec.components import class_mag, pag_to_mag
 from stablespec.fci import SeparationOracle, fci
 from stablespec.graph import (
     ARROW, CIRCLE, TAIL, Edge, GraphError, MixedGraph,
@@ -75,6 +75,28 @@ class TestConstruction:
         g1 = MixedGraph(["A", "B", "C"], [e1, e2], "MAG")
         g2 = MixedGraph(["A", "B", "C"], [e2, e1], "MAG")
         assert g1 == g2 and hash(g1) == hash(g2)
+
+
+# longer than Python's default recursion limit of 1,000
+CHAIN = [f"V{i}" for i in range(1500)]
+
+
+class TestLongGraphs:
+    def test_directed_chain_admg_builds(self):
+        g = MixedGraph(CHAIN, [directed(a, b)
+                               for a, b in zip(CHAIN, CHAIN[1:])], "ADMG")
+        assert g.ancestors({CHAIN[-1]}) == set(CHAIN)
+
+    def test_class_mag_of_a_long_pag(self):
+        pag = MixedGraph(CHAIN, [circle_arrow(CHAIN[0], CHAIN[1])] + [
+            directed(a, b) for a, b in zip(CHAIN[1:], CHAIN[2:])], "PAG")
+        mag = class_mag(pag)
+        assert mag.kind == "MAG" and mag.parents(CHAIN[1]) == {CHAIN[0]}
+
+    def test_chain_closed_into_a_cycle_rejected(self):
+        with pytest.raises(GraphError, match="^directed cycle in a ADMG$"):
+            MixedGraph(CHAIN, [directed(a, b) for a, b in
+                               zip(CHAIN, CHAIN[1:] + CHAIN[:1])], "ADMG")
 
 
 class TestTextFormat:
