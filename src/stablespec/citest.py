@@ -68,8 +68,8 @@ one stacked ``np.linalg.inv``, or factor them with one stacked
 ``data.cholesky``, then finish each set in Python scalars as it is asked for,
 so a caller that stops at the first independent set pays for the scalar
 tails of no others. LAPACK runs the same routine on each matrix of a stack,
-so a set's p-value is the same in any batch; ``fisher_z_test``,
-``environment_test`` and ``environment_independent`` are batches of one.
+so a set's p-value is the same in any batch; ``fisher_z_test`` and
+``environment_test`` are batches of one.
 
 All p-values come in closed form: the two-sided normal tail as
 ``erfc(z / sqrt 2)``, and the chi-square upper tail at integer degrees of
@@ -214,40 +214,28 @@ def fisher_z_test(data: DataTable, a: str, b: str,
     return next(fisher_z_tests(data, a, b, [s]))
 
 
-def residual_variances(data: DataTable, x: str, s: Iterable[str] = ()):
+def residual_variances(data: DataTable, x: str,
+                       subsets: list[list[str]]) -> list[tuple | None]:
     """Maximum-likelihood residual variances of the regression of x on s
-    with intercept: (rows per environment, per-environment variances,
-    pooled variance over all rows).
+    with intercept, for each conditioning set s of ``subsets`` (all of one
+    size): (rows per environment, per-environment variances, pooled
+    variance over all rows), or None where s is degenerate within an
+    environment (a column of s constant there, or s collinear there).
 
     The share of var(x) that s leaves unexplained is the square of the last
     diagonal entry of the Cholesky factor of the correlation matrix of
-    [*s, x]. The m + 1 matrices, one per environment and the pooled one,
-    come from ``DataTable.correlations`` and are factored in one batched
-    ``data.cholesky`` call. Where that fails, s alone is factored, and the
-    share is 1 - |L_s^-1 r|^2, with r the correlations of x with s. A
-    variance is 0 where x is constant, or a linear function of s, within
-    that environment (up to rounding, see ``MIN_UNEXPLAINED``).
+    [*s, x]. A set's m + 1 matrices, one per environment and the pooled
+    one, come from ``DataTable.correlations``, and the (m + 1) k matrices
+    of k sets are factored in one stacked ``data.cholesky`` call. Where
+    that call fails, each set is factored alone, and where that fails too,
+    s alone is factored and the share is 1 - |L_s^-1 r|^2, with r the
+    correlations of x with s. A variance is 0 where x is constant, or a
+    linear function of s, within that environment (up to rounding, see
+    ``MIN_UNEXPLAINED``).
 
-    Raises ``DegenerateDataError`` if the table has a single environment or
-    if s is degenerate within an environment (a column of s constant there,
-    or s collinear there), and ``DataError`` if an environment has no more
-    than |s| + 2 rows.
+    Raises ``DegenerateDataError`` if the table has a single environment,
+    and ``DataError`` if an environment has no more than |s| + 2 rows.
     """
-    [got] = _residual_variances(data, x, [list(s)])
-    if got is None:
-        raise DegenerateDataError("constant column or collinear "
-                                  "conditioning set within an environment")
-    return got
-
-
-def _residual_variances(data: DataTable, x: str,
-                        subsets: list[list[str]]) -> list[tuple | None]:
-    """What ``residual_variances(data, x, s)`` returns for each conditioning
-    set of ``subsets`` (all of one size), or None where s is degenerate
-    within an environment. The (m + 1) k correlation matrices of k sets are
-    factored in one stacked ``data.cholesky`` call; if that fails, one set
-    at a time. Raises as ``residual_variances`` does where every set
-    fails alike."""
     mom = data.moments()
     counts = mom.counts
     if len(counts) < 2:
@@ -351,7 +339,7 @@ def _environment_parts(data: DataTable, a: str, b: str,
         yield from results(fallback, data, a, b, subsets)
         return
     try:
-        variances = _residual_variances(data, x, subsets)
+        variances = residual_variances(data, x, subsets)
     except DataError:
         yield from results(fallback, data, a, b, subsets)
         return
@@ -427,14 +415,6 @@ def environment_decisions(data: DataTable, a: str, b: str,
             yield False
         else:
             yield _corrected(data, parts).p_value >= alpha
-
-
-def environment_independent(data: DataTable, a: str, b: str,
-                            s: Iterable[str], alpha: float,
-                            fallback: Callable = fisher_z_test) -> bool:
-    """Whether ``environment_test(data, a, b, s, fallback).p_value >=
-    alpha``: a batch of one of ``environment_decisions``."""
-    return next(environment_decisions(data, a, b, [s], alpha, fallback))
 
 
 def degenerate_gaussian_test(data: DataTable, a: str, b: str,

@@ -316,14 +316,6 @@ class DataTable:
         return DataTable({n: self._columns[n][index] for n in self.names},
                          self.kinds, self.env_column)
 
-    def drop(self, name: str) -> "DataTable":
-        if name not in self.names:
-            raise DataError(f"no column {name!r}")
-        env = self.env_column if self.env_column != name else None
-        return DataTable({n: self._columns[n] for n in self.names if n != name},
-                         {k: v for k, v in self.kinds.items() if k != name},
-                         env)
-
 
 def concat_tables(tables: Iterable[DataTable]) -> DataTable:
     tables = list(tables)

@@ -3,8 +3,8 @@
 An expression is a tree over conditional factors of the observational joint,
 products, quotients and marginalizing sums, built from hash-consed nodes
 (``Expression``), so equal subtrees are one object. ``simplify`` rewrites a
-tree into a small canonical form using exact probability identities plus,
-when a PAG is supplied, conditional independences read off that PAG: as
+tree into a small canonical form using exact probability identities plus
+the conditional independences of the PAG it is identified on, read as
 m-separations in one MAG of its class, which all members share.
 """
 
@@ -317,31 +317,26 @@ def from_json(obj):
 MAX_PASSES = 60   # simplify stops here even short of a fixed point
 
 
-def simplify(expr, graph: MixedGraph | None = None):
+def simplify(expr, graph: MixedGraph):
     """Rewrite to a compact canonical form.
 
     Every rewrite is an exact identity of the represented quantity: product
     and quotient flattening with cancellation, marginalization of sums,
     chain-rule expansion of multi-bucket factors, chain collapse inside
-    sums, and (with a PAG) removal of conditioning variables that are
-    separated from the targets. The PAG's separations are read in
-    ``class_mag(graph)``; a PAG that no MAG fits raises GraphError.
+    sums, and removal of conditioning variables that are separated from the
+    targets in the PAG ``graph``. The PAG's separations are read in
+    ``class_mag(graph)``; a PAG that no MAG fits raises GraphError, and so
+    does an expression that mentions a variable outside the PAG.
 
     A pass rewrites each node once, bottom-up, and passes repeat until the
     expression is a fixed point. One rewrite step depends only on the node
-    and the graph, so it is memoized per node: in the PAG's memo, where
-    every expression identified on that PAG shares it, or for this call
-    when there is no PAG.
+    and the PAG, so it is memoized in the PAG's memo, where every
+    expression identified on that PAG shares it.
     """
-    done: dict[Expression, Expression] = {}
+    graph.check_vertices(variables(expr))
 
     def rewrite(e):
-        if graph is not None:
-            return graph.memo(("rewrite", e),
-                              lambda: _rewrite(e, graph, rewrite))
-        if e not in done:
-            done[e] = _rewrite(e, graph, rewrite)
-        return done[e]
+        return graph.memo(("rewrite", e), lambda: _rewrite(e, graph, rewrite))
 
     for _ in range(MAX_PASSES):
         new = rewrite(expr)
@@ -353,11 +348,7 @@ def simplify(expr, graph: MixedGraph | None = None):
 
 def _independent(graph, a, b, z) -> bool:
     """a ⟂ b | z in the PAG ``graph``, read once per graph and question."""
-    if graph is None or not a or not b:
-        return False
     a, b, z = frozenset(a), frozenset(b), frozenset(z)
-    if not (a | b | z) <= frozenset(graph.vertices):
-        return False
 
     def separated():
         mag = class_mag(graph)
@@ -365,7 +356,7 @@ def _independent(graph, a, b, z) -> bool:
     return graph.memo(("independent", a, b, z), separated)
 
 
-def _rewrite_factor(f: Factor, graph: MixedGraph | None):
+def _rewrite_factor(f: Factor, graph: MixedGraph):
     # drop separated conditioning variables, one at a time
     given = set(f.given)
     changed = True
@@ -386,12 +377,7 @@ def _chain_expand(f: Factor, graph):
     """P(t | g) as a product of per-bucket conditionals along the bucket
     order of the induced subgraph on t ∪ g. Returns None when t sits inside
     a single bucket."""
-    if graph is None:
-        return None
-    sc = f.targets | f.given
-    if not sc <= set(graph.vertices):
-        return None
-    order = bucket_partial_order(graph, sc)
+    order = bucket_partial_order(graph, f.targets | f.given)
     blocks = [b & f.targets for b in order if b & f.targets]
     if len(blocks) <= 1:
         return None

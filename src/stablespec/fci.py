@@ -16,17 +16,17 @@ leaves a variable's mean alone, such as a change of scale, still makes the
 variable a child of the environment vertex, and a variable constant in one
 environment but not in another is a child of it.
 
-An oracle is a callable ``ci(a, b, s)`` that answers whether a and b are
-independent given s. The adjacency search is PC-stable: at each level it
-works from an adjacency snapshot, so all the conditioning sets of one edge at
-one size are known before any is answered. An oracle with a method
-``first(a, b, subsets)``, returning the index of the first of ``subsets``
-that makes a and b independent or None, is asked for them in batches of at
-most ``MAX_BATCH``; ``DataOracle`` decides a batch of Fisher-z tests with
-one stacked inverse and a batch of environment tests with one stacked
-Cholesky factorization. Other oracles are asked one set at a time. Either
-way a query counts as one CI test if it is decided: the sets of a batch up to
-and including the first independent one.
+An oracle answers whether a and b are independent given s. The adjacency
+search is PC-stable: at each level it works from an adjacency snapshot, so
+all the conditioning sets of one edge at one size are known before any is
+answered. An oracle with a method ``first(a, b, subsets)``, returning the
+index of the first of ``subsets`` that makes a and b independent or None,
+is asked for them in batches of at most ``MAX_BATCH``; ``DataOracle``
+decides a batch of Fisher-z tests with one stacked inverse and a batch of
+environment tests with one stacked Cholesky factorization. Any other oracle
+is a callable ``ci(a, b, s)``, asked one set at a time. Either way a query
+counts as one CI test if it is decided: the sets of a batch up to and
+including the first independent one.
 """
 
 from __future__ import annotations
@@ -38,14 +38,8 @@ from typing import Callable, Iterable, Sequence
 
 from .citest import environment_decisions, fisher_z_test, results
 from .data import DataTable, pool_environments
-from .graph import (
-    ARROW, CIRCLE, TAIL, Edge, GraphError, MixedGraph,
-)
+from .graph import ARROW, CIRCLE, TAIL, Edge, MixedGraph
 from .separation import m_connected
-
-
-class InstabilityError(GraphError):
-    """Orientation rules derived contradictory marks for an edge."""
 
 
 @dataclass(frozen=True)
@@ -59,9 +53,6 @@ class Knowledge:
 
     def __init__(self, forbidden_into: Iterable[str] = ()):
         object.__setattr__(self, "forbidden_into", frozenset(forbidden_into))
-
-    def blocks_arrowhead(self, src: str, dst: str) -> bool:
-        return dst in self.forbidden_into
 
 
 class SeparationOracle:
@@ -107,16 +98,14 @@ class DataOracle:
                          for r in results(self.test, table, a, b, subsets))
         return next((i for i, ind in enumerate(decisions) if ind), None)
 
-    def __call__(self, a: str, b: str, s: Iterable[str]) -> bool:
-        return self.first(a, b, [s]) == 0
-
 
 class _Marks:
     """Mutable endpoint-mark store during orientation.
 
     ``self.at[(a, b)]`` is the mark at b on the edge a-b. Marks start as
-    circles and may only be refined circle -> tail/arrow; a contradictory
-    refinement raises InstabilityError.
+    circles and may only be refined circle -> tail/arrow. A refined mark
+    stays: on finite samples the rules can ask for the other refinement of
+    a mark that is already set, and the first one is kept.
     """
 
     def __init__(self, vertices: Sequence[str], skeleton: Iterable[frozenset],
@@ -124,7 +113,7 @@ class _Marks:
         self.vertices = tuple(vertices)
         self.adj: dict[str, set[str]] = {v: set() for v in vertices}
         self.at: dict[tuple[str, str], str] = {}
-        self.knowledge = knowledge
+        self.forbidden = knowledge.forbidden_into
         for pair in skeleton:
             a, b = sorted(pair)
             self.adj[a].add(b)
@@ -139,14 +128,9 @@ class _Marks:
         return self.at[(a, b)]
 
     def set_mark(self, a: str, b: str, mark: str) -> bool:
-        """Refine the mark at b on edge a-b; returns whether it changed."""
-        cur = self.at[(a, b)]
-        if cur == mark:
-            return False
-        if cur != CIRCLE:
-            raise InstabilityError(
-                f"conflicting orientation on edge {a} - {b}")
-        if mark == ARROW and self.knowledge.blocks_arrowhead(a, b):
+        """Refine a circle at b on edge a-b; returns whether it changed."""
+        if self.at[(a, b)] != CIRCLE or (mark == ARROW and
+                                         b in self.forbidden):
             return False
         self.at[(a, b)] = mark
         return True
@@ -154,7 +138,7 @@ class _Marks:
     def orient_directed(self, a: str, b: str) -> bool:
         # a tail at a without the arrowhead at b would leave a circle-tail
         # edge, which only selection bias explains; leave both marks alone
-        if self.knowledge.blocks_arrowhead(a, b):
+        if b in self.forbidden:
             return False
         changed = self.set_mark(b, a, TAIL)
         changed |= self.set_mark(a, b, ARROW)
@@ -490,10 +474,10 @@ def fci(ci: Callable, variables: Sequence[str],
         report: dict | None = None) -> MixedGraph:
     """Learn a PAG from a conditional-independence oracle.
 
-    ``ci(a, b, s)`` answers whether a and b are independent given s. If
-    ``ci`` has a method ``first(a, b, subsets)`` (see the module
+    If ``ci`` has a method ``first(a, b, subsets)`` (see the module
     docstring), each edge's conditioning sets of one size go to it in
-    batches of at most ``MAX_BATCH``. The returned PAG reflects the
+    batches of at most ``MAX_BATCH``; otherwise ``ci(a, b, s)`` answers
+    whether a and b are independent given s. The returned PAG reflects the
     complete orientation rule set; rules that only fire under selection
     bias are omitted since undirected and circle-tail edges cannot arise
     without it. A ``report`` dict, when given, is filled with the number of

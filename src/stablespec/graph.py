@@ -325,7 +325,8 @@ def mutilate(g: MixedGraph, mode: str, x: Iterable[str],
     for RemoveVisibleOutOf (default: ``g`` itself); callers that derive a
     MAG from a PAG pass the original PAG here.
     """
-    from .separation import visible_edges  # deferred: avoids an import cycle
+    # deferred: separation imports graph at module level
+    from .separation import visible_edges
 
     xs = set(x)
     g.check_vertices(xs)

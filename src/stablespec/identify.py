@@ -39,14 +39,8 @@ class NotIdentifiable(Exception):
 
 
 class _Fail:
-    """Sentinel result: the query has no unique answer in this PAG."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """Sentinel result: the query has no unique answer in this PAG. Its one
+    instance is ``FAIL``."""
 
     def __repr__(self):
         return "FAIL"

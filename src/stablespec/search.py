@@ -26,6 +26,7 @@ from .graph import GraphError, MixedGraph
 from .identify import (
     FAIL, InvarianceQuery, identify_interventional, invariant_conditional_mag,
 )
+from .scm import shift_benchmark_scm
 
 SEARCH_MODES = ("full", "conditional-only", "single-env")
 DEFAULT_MAX_OBSERVED = 20
@@ -187,7 +188,6 @@ def unstable_baseline(data: DataTable, target: str, backend: str,
 def simulate_benchmark(alpha: float, n: int, seed: int) -> DataTable:
     """Sample the linear-Gaussian shift benchmark at a confounding strength
     alpha."""
-    from .scm import shift_benchmark_scm
     if n < 1:
         raise DataError("need at least one row")
     return DataTable(shift_benchmark_scm(alpha).sample(n, seed))
@@ -226,7 +226,6 @@ def shift_sweep(models: Sequence[tuple[str, object]],
     u = [A^T w, w1], so its mse on those rows is u^T G u, where
     G = [e, 1]^T [e, 1] / n_test is formed once.
     """
-    from .scm import shift_benchmark_scm
     if not alpha_grid:
         raise DataError("empty shift grid")
     if n_test < 1:

@@ -17,7 +17,8 @@ from stablespec.data import DataTable, pool_environments, save_csv
 from stablespec.graph import parse, serialize
 from stablespec.scm import practice_pattern_scm
 from util import (
-    ORACLE_ADMGS, PAG_TEXT, environment_tables, linear_scm, random_admg,
+    CONFLICT_ADMG, ORACLE_ADMGS, PAG_TEXT, environment_tables, linear_scm,
+    pooled_draws, random_admg,
 )
 
 UNSTABLE_PAG = "vars: A,Y\nA o-o Y\n"
@@ -194,6 +195,20 @@ class TestLearnPag:
         assert report["ci_tests"] > 0
         assert set(report["rule_firings"]) >= {"chain", "ancestor"}
         assert (out / "log.txt").exists()
+
+    def test_conflicting_orientation_learns(self, workdir, tmp_path):
+        # the orientation rules ask for both refinements of one mark here
+        *_, (g, tables) = pooled_draws(24)
+        assert serialize(g) == CONFLICT_ADMG
+        data = []
+        for e, t in enumerate(tables):
+            save_csv(t, str(tmp_path / f"e{e}.csv"))
+            data += ["--data", str(tmp_path / f"e{e}.csv")]
+        assert main(["learn-pag", *data,
+                     "--schema", str(workdir / "plain.json"),
+                     "--out", str(tmp_path / "run")]) == 0
+        graph = parse((tmp_path / "run" / "graph.txt").read_text())
+        assert graph.vertices == ("E", *g.vertices)
 
     def test_one_csv_naming_env_column_learns_as_pooled(self, tmp_path):
         # the environment shifts the means of X1 and X3; one pooled CSV

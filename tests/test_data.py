@@ -48,10 +48,12 @@ class TestDataTable:
         t = DataTable({"e": [0, 1]}, kinds={"e": 2}, env_column="e")
         assert t.env_column == "e"
 
-    def test_take_and_drop(self):
+    def test_take(self):
         t = DataTable({"a": [1.0, 2.0, 3.0], "b": [0, 1, 0]}, kinds={"b": 2})
-        assert t.take(np.array([2, 0])).column("a").tolist() == [3.0, 1.0]
-        assert t.drop("b").names == ("a",)
+        taken = t.take(np.array([2, 0]))
+        assert taken.column("a").tolist() == [3.0, 1.0]
+        assert taken.column("b").tolist() == [0, 0]
+        assert taken.kinds == t.kinds
 
     def test_concat_checks_schema(self):
         t1 = DataTable({"a": [1.0]})

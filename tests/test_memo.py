@@ -360,7 +360,7 @@ class TestSearchWork:
         inputs = []
         uncached = identify.simplify
 
-        def spy(expr, graph=None):
+        def spy(expr, graph):
             inputs.append(expr)
             return uncached(expr, graph=graph)
 

@@ -1,12 +1,14 @@
 """Shared fixtures and random-graph generators for the test suite."""
 
 import math
+import random
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 
 from stablespec.data import DataTable
-from stablespec.graph import ARROW, TAIL, Edge, MixedGraph, parse
+from stablespec.graph import ARROW, CIRCLE, TAIL, Edge, MixedGraph, parse
 from stablespec.scm import LinearGaussianSCM
 
 # Running example: a five-variable system with one latent confounder.
@@ -106,6 +108,15 @@ def example_admg() -> MixedGraph:
     return parse(ADMG_TEXT, "ADMG")
 
 
+def complete_pag(names) -> MixedGraph:
+    """The PAG with a circle-circle edge between every two of ``names``. It
+    separates nothing and has one bucket, so ``simplify`` on it applies only
+    the rewrites that hold in every joint."""
+    names = sorted(names)
+    return MixedGraph(names, [Edge(a, b, CIRCLE, CIRCLE)
+                              for a, b in combinations(names, 2)], "PAG")
+
+
 def random_admg(rng, max_vertices: int = 7, min_vertices: int = 2,
                 p_directed: float = 0.25, p_bidirected: float = 0.15,
                 p_both: float = 0.1) -> MixedGraph:
@@ -179,6 +190,34 @@ def environment_tables(rng, g: MixedGraph, n: int, n_envs: int = 3):
         tables.append(DataTable(replace(scm, intercepts=intercepts).sample(
             n, rng.randrange(2 ** 31))))
     return tables
+
+
+# Draw 23 of ``pooled_draws``, at 1,000 rows per environment: on its tables
+# the orientation rules ask for both refinements of one mark.
+CONFLICT_ADMG = """\
+vars: V0,V1,V2,V3,V4,V5
+V0 --> V4
+V1 --> V2
+V1 --> V3
+V1 --> V5
+V2 --> V3
+V2 --> V4
+V2 <-> V4
+V4 --> V5
+"""
+
+
+def pooled_draws(count: int):
+    """(ADMG, tables) of the first ``count`` draws of a stream of random
+    ADMGs with 3 to 7 vertices, sampled by ``environment_tables`` at 100,
+    300 or 1,000 rows per environment."""
+    rng = random.Random(5)
+    for _ in range(count):
+        g = random_admg(rng, max_vertices=7, min_vertices=3)
+        n = rng.choice((100, 300, 1000))
+        yield g, environment_tables(rng, g, n)
+        # the stream also draws a target and a mutable vertex per ADMG
+        rng.sample(sorted(g.vertices), 2)
 
 
 def near_copy(share: float, n: int = 2000) -> DataTable:
