@@ -191,7 +191,10 @@ def fisher_z_tests(data: DataTable, a: str, b: str,
     scale = math.sqrt(n - size - 3)
     for j in range(len(subsets)):
         if j == stop:
-            raise DegenerateDataError("constant column in correlation matrix")
+            names = [a, b, *subsets[j]]
+            k = np.isnan(corr[j].diagonal()).argmax()
+            raise DegenerateDataError(
+                f"constant column in correlation matrix: {names[k]}")
         if prec is not None:
             p00, p01, _, p11 = prec[j]
         else:
@@ -433,8 +436,9 @@ def degenerate_gaussian_test(data: DataTable, a: str, b: str,
     es = np.concatenate([np.empty(0, dtype=int)] +
                         [emb.index[name] for name in s])
     constant = np.isnan(np.diagonal(emb.correlation))
-    if constant[ea].any() or constant[eb].any():
-        raise DegenerateDataError("constant embedded column")
+    for name, columns in ((a, ea), (b, eb)):
+        if constant[columns].any():
+            raise DegenerateDataError(f"constant embedded column: {name}")
     es = es[~constant[es]]  # explained by the intercept
     idx = np.concatenate([es, ea, eb])
     corr = emb.correlation[idx[:, None], idx]

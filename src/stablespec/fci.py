@@ -3,8 +3,11 @@
 ``fci`` runs the full adjacency search (stable skeleton, then the
 possible-d-sep refinement), orients unshielded colliders, and applies the
 standard complete orientation rule set to a fixpoint. Background knowledge
-can forbid arrowheads into chosen vertices. ``pooled_fci`` concatenates
-per-environment datasets with an appended environment indicator column.
+can forbid arrowheads into chosen vertices. Possible-D-SEP is a closure
+over vertex pairs, polynomial in the number of vertices, and contains the
+simple-path definition (Spirtes, Glymour & Scheines 2000), so FCI stays
+sound and complete. ``pooled_fci`` concatenates per-environment datasets
+with an appended environment indicator column.
 
 ``DataOracle`` answers queries with a CI test on a table. Queries on a
 pair of the table's environment column and a continuous variable go to
@@ -31,7 +34,6 @@ including the first independent one.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, islice
 from typing import Callable, Iterable, Sequence
@@ -72,11 +74,14 @@ class DataOracle:
     A query whose a or b is the table's environment column goes to
     ``environment_test`` with ``test`` as its fallback (``test`` answers
     it when the other side is discrete or the per-environment regressions
-    cannot be fitted); every other query goes to ``test``.
+    cannot be fitted); every other query goes to ``test``. Raises
+    ``ValueError`` unless 0 < alpha < 1.
     """
 
     def __init__(self, table: DataTable, test: Callable = fisher_z_test,
                  alpha: float = 0.01):
+        if not 0 < alpha < 1:
+            raise ValueError(f"alpha must be between 0 and 1, not {alpha}")
         self.table = table
         self.test = test
         self.alpha = alpha
@@ -236,24 +241,21 @@ def _orient_colliders(marks: _Marks, sepsets: dict):
 
 
 def _possible_d_sep(marks: _Marks) -> dict[str, set[str]]:
-    """Reachability closure: a path extends through v when v is a collider
-    on it or its neighbors on the path are adjacent."""
-    out = {v: set(marks.adj[v]) for v in marks.vertices}
+    """Possible-D-SEP of each vertex x: the vertex b of every pair (a, b)
+    reached from the pairs (x, b), where (a, b) extends to (b, c) when c
+    is neither a nor x and b is a collider or a and c are adjacent."""
+    out = {}
     for x in marks.vertices:
-        queue = deque((n, (x, n)) for n in sorted(marks.adj[x]))
-        seen = set()
-        while queue:
-            current, path = queue.popleft()
-            for nxt in sorted(marks.adj[current] - set(path)):
-                a, b, c = path[-2], current, nxt
-                collider = marks.mark(a, b) == ARROW and marks.mark(c, b) == ARROW
-                if collider or marks.adjacent(a, c):
-                    out[x].add(nxt)
-                    out[nxt].add(x)
-                    key = (current, nxt, frozenset(path))
-                    if key not in seen:
-                        seen.add(key)
-                        queue.append((nxt, path + (nxt,)))
+        stack = [(x, b) for b in marks.adj[x]]
+        seen = set(stack)
+        while stack:
+            a, b = stack.pop()
+            for c in marks.adj[b] - {a, x}:
+                if (b, c) not in seen and (marks.adjacent(a, c) or (
+                        marks.mark(a, b) == ARROW == marks.mark(c, b))):
+                    seen.add((b, c))
+                    stack.append((b, c))
+        out[x] = {b for _, b in seen}
     return out
 
 
@@ -264,20 +266,19 @@ def _refine_with_d_sep(marks: _Marks, sepsets: dict, ci: Callable,
     sets; returns removed pairs."""
     pdsep = _possible_d_sep(marks)
     removed = set()
-    for a in marks.vertices:
-        for b in sorted(marks.adj[a]):
-            if a >= b or frozenset((a, b)) in removed:
-                continue
-            pools = [sorted(pdsep[a] - {a, b}), sorted(pdsep[b] - {a, b})]
-            upper = max(len(p) for p in pools)
-            if max_cond_size is not None:
-                upper = min(upper, max_cond_size)
-            for size in range(1, upper + 1):
-                sep = _separating_set(ci, a, b, pools, size, queries)
-                if sep is not None:
-                    removed.add(frozenset((a, b)))
-                    sepsets[frozenset((a, b))] = sep
-                    break
+    for a, b in combinations(marks.vertices, 2):
+        if not marks.adjacent(a, b):
+            continue
+        pools = [sorted(pdsep[a] - {a, b}), sorted(pdsep[b] - {a, b})]
+        upper = max(len(p) for p in pools)
+        if max_cond_size is not None:
+            upper = min(upper, max_cond_size)
+        for size in range(1, upper + 1):
+            sep = _separating_set(ci, a, b, pools, size, queries)
+            if sep is not None:
+                removed.add(frozenset((a, b)))
+                sepsets[frozenset((a, b))] = sep
+                break
     return removed
 
 
@@ -483,8 +484,11 @@ def fci(ci: Callable, variables: Sequence[str],
     without it. A ``report`` dict, when given, is filled with the number of
     CI queries (of a batch, the sets up to and including the first
     independent one), the separating sets found, and per-rule firing
-    counts.
+    counts. A negative ``max_cond_size`` raises ``ValueError``.
     """
+    if max_cond_size is not None and max_cond_size < 0:
+        raise ValueError(f"max_cond_size must be at least 0, not "
+                         f"{max_cond_size}")
     vs = sorted(set(variables))
     if len(vs) < 2:
         if report is not None:

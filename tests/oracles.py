@@ -1,9 +1,10 @@
 """Reference procedures that only the tests call: definite-status separation
-in PAGs, edge visibility by enumerating collider paths, the MAG of an ADMG
-by exhaustive search for separating sets, target decomposition with its
-argument checks, equal-count binning of continuous columns, and small graph
-constructors."""
+in PAGs, edge visibility by enumerating collider paths, Possible-D-SEP by
+enumerating simple paths, the MAG of an ADMG by exhaustive search for
+separating sets, target decomposition with its argument checks, equal-count
+binning of continuous columns, and small graph constructors."""
 
+from collections import deque
 from itertools import combinations
 from typing import Iterable
 
@@ -66,6 +67,31 @@ def visible_by_definition(g: MixedGraph) -> set[Edge]:
                for c in g.vertices if c not in (a, b) and not g.adjacent(c, b)
                for path in _simple_paths(g, c, a)):
             out.add(e)
+    return out
+
+
+def possible_d_sep_by_paths(marks) -> dict[str, set[str]]:
+    """Oracle for ``fci._possible_d_sep`` on a mark store: y is in x's set
+    when a simple path joins them on which every inner vertex is a collider
+    or has adjacent neighbors on the path (Spirtes, Glymour & Scheines
+    2000). It enumerates the paths from every vertex."""
+    out = {v: set(marks.adj[v]) for v in marks.vertices}
+    for x in marks.vertices:
+        queue = deque((n, (x, n)) for n in sorted(marks.adj[x]))
+        seen = set()
+        while queue:
+            current, path = queue.popleft()
+            for nxt in sorted(marks.adj[current] - set(path)):
+                a, b, c = path[-2], current, nxt
+                collider = marks.mark(a, b) == ARROW and \
+                    marks.mark(c, b) == ARROW
+                if collider or marks.adjacent(a, c):
+                    out[x].add(nxt)
+                    out[nxt].add(x)
+                    key = (current, nxt, frozenset(path))
+                    if key not in seen:
+                        seen.add(key)
+                        queue.append((nxt, path + (nxt,)))
     return out
 
 

@@ -789,7 +789,7 @@ class TestBatches:
         assert fisher_z_test(t, "a", "b", dep).p_value < self.ALPHA
         assert fisher_z_test(t, "a", "b", ind).p_value >= self.ALPHA
         for bad, message in ((["c", "f"], "constant column in correlation "
-                              "matrix"),
+                              "matrix: c"),
                              (["d", "e"], "singular covariance submatrix")):
             with pytest.raises(DegenerateDataError, match=message):
                 fisher_z_test(t, "a", "b", bad)

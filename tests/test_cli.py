@@ -121,6 +121,59 @@ class TestArgErrors:
         assert err.startswith("error: ") and message in err
 
 
+def small_data_flags(d: Path, constant: bool = False) -> list[str]:
+    """--data and --schema flags for two 300-row CSVs of dependent columns
+    A and B, and with ``constant`` a column K that is 1.0 in every row."""
+    rng = np.random.default_rng(4)
+    flags = []
+    for k in (1, 2):
+        a = rng.normal(size=300)
+        columns = {"A": a, "B": a + rng.normal(size=300)}
+        if constant:
+            columns["K"] = np.ones(300)
+        save_csv(DataTable(columns), str(d / f"d{k}.csv"))
+        flags += ["--data", str(d / f"d{k}.csv")]
+    (d / "plain.json").write_text('{"columns": {}}')
+    return flags + ["--schema", str(d / "plain.json")]
+
+
+class TestSettingRanges:
+    @pytest.mark.parametrize("key, value, message", [
+        ("alpha", "1.5", "alpha must be between 0 and 1, not 1.5"),
+        ("alpha", "nan", "alpha must be between 0 and 1, not nan"),
+        ("alpha", "0", "alpha must be between 0 and 1, not 0.0"),
+        ("max_cond_size", "-1", "max_cond_size must be at least 0, not -1"),
+    ])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_out_of_range_exits_two(self, tmp_path, capsys, key, value,
+                                    message, via):
+        argv = ["learn-pag", *small_data_flags(tmp_path),
+                "--out", str(tmp_path / "run")]
+        if via == "flag":
+            argv += ["--" + key.replace("_", "-"), value]
+        else:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({key: value}))
+            argv = ["--config", str(cfg), *argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+
+
+class TestConstantColumn:
+    @pytest.mark.parametrize("test, message", [
+        ("fisher-z", "constant column in correlation matrix: K"),
+        ("degenerate-gaussian", "constant embedded column: K"),
+    ])
+    @pytest.mark.parametrize("command", [["learn-pag"],
+                                         ["search", "--target", "A"]])
+    def test_error_names_the_column(self, tmp_path, capsys, command, test,
+                                    message):
+        assert main([*command, *small_data_flags(tmp_path, constant=True),
+                     "--test", test, "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_import_leaves_scipy_unloaded():
     src = os.path.dirname(os.path.dirname(stablespec.__file__))
     code = "import sys, stablespec.cli; print('scipy' in sys.modules)"

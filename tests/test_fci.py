@@ -1,6 +1,8 @@
 import gc
 import importlib.util
+import math
 import random
+import time
 import weakref
 from itertools import combinations
 from pathlib import Path
@@ -18,10 +20,10 @@ from stablespec.fci import (
 )
 from stablespec.graph import ARROW, CIRCLE, TAIL, GraphError, parse, serialize
 from stablespec.scm import shift_benchmark_scm
-from oracles import mag_of_admg, with_kind
+from oracles import mag_of_admg, possible_d_sep_by_paths, with_kind
 from util import (
-    CONFLICT_ADMG, example_admg, example_pag, independence_oracle,
-    pooled_draws, random_admg,
+    CONFLICT_ADMG, complete_pag, example_admg, example_pag,
+    independence_oracle, pooled_draws, random_admg,
 )
 
 
@@ -127,6 +129,63 @@ class TestFciExactOracle:
                 assert e.mark_at(env) != ARROW
 
 
+def random_marks(rng: random.Random) -> _Marks:
+    """A mark store over 3 to 9 vertices: a random skeleton of random
+    density, each of its marks drawn from arrow, tail and circle."""
+    vs = [f"V{i}" for i in range(rng.randint(3, 9))]
+    density = rng.uniform(0.2, 0.7)
+    skeleton = [frozenset(p) for p in combinations(vs, 2)
+                if rng.random() < density]
+    marks = _Marks(vs, skeleton, Knowledge())
+    for key in marks.at:
+        marks.at[key] = rng.choice((ARROW, TAIL, CIRCLE))
+    return marks
+
+
+class TestPossibleDSep:
+    def test_closure_contains_the_path_definition(self):
+        rng = random.Random(21)
+        queries = 0
+        while queries < 10_000:
+            marks = random_marks(rng)
+            got = fci_module._possible_d_sep(marks)
+            want = possible_d_sep_by_paths(marks)
+            for x in marks.vertices:
+                assert want[x] <= got[x], (marks.at, x)
+                assert x not in got[x]
+                for y in marks.vertices:
+                    assert (y in got[x]) == (x in got[y]), (marks.at, x, y)
+            queries += len(marks.vertices)
+
+    def test_closure_learns_what_the_path_definition_learns(
+            self, monkeypatch):
+        # the closure may widen a conditioning pool and so change the CI
+        # test count, but not the learned PAG or its separating sets
+        def learn():
+            out = []
+            for _, tables in pooled_draws(200):
+                report: dict = {}
+                pag = pooled_fci(tables, report=report)
+                out.append((serialize(pag), report["sepsets"]))
+            return out
+
+        closure = learn()
+        monkeypatch.setattr(fci_module, "_possible_d_sep",
+                            possible_d_sep_by_paths)
+        assert learn() == closure
+
+    def test_dense_skeleton_scales(self):
+        # every pair dependent: no edge is removed, and every pool of the
+        # possible-d-sep phase holds all the other vertices
+        vs = [f"V{i:02d}" for i in range(15)]
+        report: dict = {}
+        start = time.perf_counter()
+        pag = fci(lambda a, b, s: False, vs, max_cond_size=1, report=report)
+        assert time.perf_counter() - start < 1.0
+        assert pag == complete_pag(vs)
+        assert report["ci_tests"] == 2835
+
+
 class TestPossibleChildrenOfEnv:
     def test_running_example(self):
         assert possible_children_of_env(example_pag(), "E") == {"X1"}
@@ -180,6 +239,29 @@ class TestPooledFci:
         assert "X" in adj
         for e in pag.edges_at("E"):
             assert e.mark_at("E") != ARROW
+
+
+class TestSettingRanges:
+    @staticmethod
+    def tables():
+        rng = np.random.default_rng(9)
+        return [DataTable({"X": rng.normal(size=200),
+                           "Y": rng.normal(size=200)}) for _ in range(2)]
+
+    @pytest.mark.parametrize("alpha", [1.5, math.nan, 0.0])
+    def test_alpha_outside_the_unit_interval_rejected(self, alpha):
+        message = f"alpha must be between 0 and 1, not {alpha}"
+        with pytest.raises(ValueError, match=message):
+            DataOracle(self.tables()[0], alpha=alpha)
+        with pytest.raises(ValueError, match=message):
+            pooled_fci(self.tables(), alpha=alpha)
+
+    def test_negative_max_cond_size_rejected(self):
+        message = "max_cond_size must be at least 0, not -1"
+        with pytest.raises(ValueError, match=message):
+            fci(lambda a, b, s: False, ["A", "B"], max_cond_size=-1)
+        with pytest.raises(ValueError, match=message):
+            pooled_fci(self.tables(), max_cond_size=-1)
 
 
 class TestDataOracle:
