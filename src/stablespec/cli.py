@@ -22,7 +22,7 @@ import numpy as np
 from .citest import degenerate_gaussian_test, fisher_z_test
 from .data import DataTable, load_csv, pool_environments, save_csv
 from .expressions import to_json as expr_to_json, to_text
-from .fci import DataOracle, Knowledge, fci, possible_children_of_env
+from .fci import possible_children_of_env, table_fci
 from .graph import parse as parse_graph, serialize
 from .identify import FAIL, InvarianceQuery, identify_interventional, \
     invariant_conditional_mag
@@ -81,18 +81,14 @@ def _learn(args, log: list[str]):
     report dict, the table learned on)."""
     tables = _load_tables(args)
     data = _pooled(tables, args.env)
-    # as in pooled_fci: the environment indicator has no causes, whether
-    # pooled here or named by a single table's schema
-    knowledge = None if data.env_column is None else \
-        Knowledge(forbidden_into={data.env_column})
     if len(tables) > 1:
         log.append(f"pooled structure learning over {len(tables)} datasets, "
                    f"environment column {args.env!r}")
     else:
         log.append("structure learning over one dataset")
     report: dict = {}
-    oracle = DataOracle(data, CI_TESTS[args.test], args.alpha)
-    pag = fci(oracle, data.names, knowledge, args.max_cond_size, report)
+    pag = table_fci(data, CI_TESTS[args.test], args.alpha,
+                    args.max_cond_size, report)
     return pag, data.env_column, report, data
 
 

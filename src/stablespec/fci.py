@@ -6,8 +6,9 @@ standard complete orientation rule set to a fixpoint. Background knowledge
 can forbid arrowheads into chosen vertices. Possible-D-SEP is a closure
 over vertex pairs, polynomial in the number of vertices, and contains the
 simple-path definition (Spirtes, Glymour & Scheines 2000), so FCI stays
-sound and complete. ``pooled_fci`` concatenates per-environment datasets
-with an appended environment indicator column.
+sound and complete. ``table_fci`` learns on one table, forbidding
+arrowheads into its environment column; ``pooled_fci`` first concatenates
+per-environment datasets with an appended environment indicator column.
 
 ``DataOracle`` answers queries with a CI test on a table. Queries on a
 pair of the table's environment column and a continuous variable go to
@@ -19,17 +20,17 @@ leaves a variable's mean alone, such as a change of scale, still makes the
 variable a child of the environment vertex, and a variable constant in one
 environment but not in another is a child of it.
 
-An oracle answers whether a and b are independent given s. The adjacency
-search is PC-stable: at each level it works from an adjacency snapshot, so
-all the conditioning sets of one edge at one size are known before any is
-answered. An oracle with a method ``first(a, b, subsets)``, returning the
-index of the first of ``subsets`` that makes a and b independent or None,
-is asked for them in batches of at most ``MAX_BATCH``; ``DataOracle``
-decides a batch of Fisher-z tests with one stacked inverse and a batch of
-environment tests with one stacked Cholesky factorization. Any other oracle
-is a callable ``ci(a, b, s)``, asked one set at a time. Either way a query
-counts as one CI test if it is decided: the sets of a batch up to and
-including the first independent one.
+An oracle has one method, ``first(a, b, subsets)``: the index of the first
+of ``subsets`` given which a and b are independent, or None.
+``SeparationOracle`` answers by m-separation in a known graph. Both
+adjacency phases are one PC-stable level-wise search: at each size it
+reads the conditioning-set pools of every adjacent pair before it tests
+any, so all the sets of one edge at one size are known before any is
+answered. They go to ``first`` in batches of at most ``MAX_BATCH``;
+``DataOracle`` decides a batch of Fisher-z tests with one stacked inverse
+and a batch of environment tests with one stacked Cholesky factorization.
+A query counts as one CI test if it is decided: the sets of a batch up to
+and including the first independent one.
 """
 
 from __future__ import annotations
@@ -63,8 +64,12 @@ class SeparationOracle:
     def __init__(self, graph: MixedGraph):
         self.graph = graph
 
-    def __call__(self, a: str, b: str, s: Iterable[str]) -> bool:
-        return not m_connected(self.graph, a, b, set(s))
+    def first(self, a: str, b: str,
+              subsets: Sequence[Iterable[str]]) -> int | None:
+        """Index of the first of ``subsets`` that m-separates a and b;
+        None if none does."""
+        return next((i for i, s in enumerate(subsets)
+                     if not m_connected(self.graph, a, b, set(s))), None)
 
 
 class DataOracle:
@@ -113,8 +118,8 @@ class _Marks:
     a mark that is already set, and the first one is kept.
     """
 
-    def __init__(self, vertices: Sequence[str], skeleton: Iterable[frozenset],
-                 knowledge: Knowledge):
+    def __init__(self, vertices: Sequence[str],
+                 skeleton: Iterable[Iterable[str]], knowledge: Knowledge):
         self.vertices = tuple(vertices)
         self.adj: dict[str, set[str]] = {v: set() for v in vertices}
         self.at: dict[tuple[str, str], str] = {}
@@ -175,58 +180,51 @@ def _distinct_subsets(pools: Sequence[Sequence[str]], size: int):
                 yield s
 
 
-def _separating_set(ci: Callable, a: str, b: str,
-                    pools: Sequence[Sequence[str]], size: int,
-                    queries: list[int]) -> frozenset | None:
+def _separating_set(ci, a: str, b: str, pools: Sequence[Sequence[str]],
+                    size: int, queries: list[int]) -> frozenset | None:
     """The first subset of ``size`` vertices of one of ``pools``, in order,
     that makes a and b independent; each distinct subset is tested once.
     None when no subset does.
 
-    Batches of at most ``MAX_BATCH`` subsets go to ``ci.first`` where
-    ``ci`` has one, and to ``ci`` one subset at a time otherwise.
+    Batches of at most ``MAX_BATCH`` subsets go to ``ci.first``.
     ``queries[0]`` counts the subsets decided: up to and including the
     first independent one.
     """
-    first = getattr(ci, "first", None)
     subsets = _distinct_subsets(pools, size)
     while batch := list(islice(subsets, MAX_BATCH)):
-        if first is not None:
-            i = first(a, b, batch)
-        else:
-            i = next((j for j, s in enumerate(batch) if ci(a, b, set(s))),
-                     None)
+        i = ci.first(a, b, batch)
         queries[0] += len(batch) if i is None else i + 1
         if i is not None:
             return frozenset(batch[i])
     return None
 
 
-def _stable_skeleton(variables: Sequence[str], ci: Callable,
-                     max_cond_size: int | None, queries: list[int]):
-    """Level-wise adjacency search; all tests at size k use the adjacency
-    snapshot taken before size k starts."""
-    vs = sorted(variables)
-    adj = {v: set(vs) - {v} for v in vs}
-    sepsets: dict[frozenset, frozenset] = {}
-    limit = len(vs) - 2 if max_cond_size is None else max_cond_size
-    level = 0
-    while level <= limit:
-        snapshot = {v: sorted(adj[v]) for v in vs}
-        if all(len(snapshot[v]) - 1 < level for v in vs):
-            break
-        for a, b in combinations(vs, 2):
-            if b not in adj[a]:
-                continue
-            pools = [[v for v in snapshot[side] if v != other]
-                     for side, other in ((a, b), (b, a))]
-            sep = _separating_set(ci, a, b, pools, level, queries)
+def _pairs(adj: dict[str, set[str]]) -> list[tuple[str, str]]:
+    """The adjacent pairs (a, b) with a < b, in sorted order."""
+    return [(a, b) for a in sorted(adj) for b in sorted(adj[a]) if a < b]
+
+
+def _adjacency_search(ci, adj: dict[str, set[str]],
+                      pools: Callable[[str, str], Sequence[Sequence[str]]],
+                      size: int, max_cond_size: int | None,
+                      sepsets: dict, queries: list[int]):
+    """PC-stable level-wise search from ``size`` up to ``max_cond_size``:
+    remove from ``adj`` each edge a-b that a subset of ``size`` vertices of
+    one of ``pools(a, b)`` separates, and record that subset in
+    ``sepsets``. Each size reads the pools of every adjacent pair a < b
+    before it tests any; the search stops when every pool is shorter than
+    the size."""
+    while max_cond_size is None or size <= max_cond_size:
+        level = {(a, b): pools(a, b) for a, b in _pairs(adj)}
+        if all(len(pool) < size for ps in level.values() for pool in ps):
+            return
+        for (a, b), ps in level.items():
+            sep = _separating_set(ci, a, b, ps, size, queries)
             if sep is not None:
                 adj[a].discard(b)
                 adj[b].discard(a)
                 sepsets[frozenset((a, b))] = sep
-        level += 1
-    skeleton = {frozenset((a, b)) for a in vs for b in adj[a] if a < b}
-    return skeleton, sepsets
+        size += 1
 
 
 def _orient_colliders(marks: _Marks, sepsets: dict):
@@ -257,29 +255,6 @@ def _possible_d_sep(marks: _Marks) -> dict[str, set[str]]:
                     stack.append((b, c))
         out[x] = {b for _, b in seen}
     return out
-
-
-def _refine_with_d_sep(marks: _Marks, sepsets: dict, ci: Callable,
-                       max_cond_size: int | None,
-                       queries: list[int]) -> set[frozenset]:
-    """Retest every remaining edge against subsets of the possible-d-sep
-    sets; returns removed pairs."""
-    pdsep = _possible_d_sep(marks)
-    removed = set()
-    for a, b in combinations(marks.vertices, 2):
-        if not marks.adjacent(a, b):
-            continue
-        pools = [sorted(pdsep[a] - {a, b}), sorted(pdsep[b] - {a, b})]
-        upper = max(len(p) for p in pools)
-        if max_cond_size is not None:
-            upper = min(upper, max_cond_size)
-        for size in range(1, upper + 1):
-            sep = _separating_set(ci, a, b, pools, size, queries)
-            if sep is not None:
-                removed.add(frozenset((a, b)))
-                sepsets[frozenset((a, b))] = sep
-                break
-    return removed
 
 
 # -- orientation rules -------------------------------------------------------
@@ -469,19 +444,16 @@ def _pd_reaches(marks: _Marks, pd: dict, a: str, first: str,
     return False
 
 
-def fci(ci: Callable, variables: Sequence[str],
-        knowledge: Knowledge | None = None,
+def fci(ci, variables: Sequence[str], knowledge: Knowledge | None = None,
         max_cond_size: int | None = None,
         report: dict | None = None) -> MixedGraph:
     """Learn a PAG from a conditional-independence oracle.
 
-    If ``ci`` has a method ``first(a, b, subsets)`` (see the module
-    docstring), each edge's conditioning sets of one size go to it in
-    batches of at most ``MAX_BATCH``; otherwise ``ci(a, b, s)`` answers
-    whether a and b are independent given s. The returned PAG reflects the
-    complete orientation rule set; rules that only fire under selection
-    bias are omitted since undirected and circle-tail edges cannot arise
-    without it. A ``report`` dict, when given, is filled with the number of
+    ``ci.first(a, b, subsets)`` decides each edge's conditioning sets of
+    one size, in batches of at most ``MAX_BATCH`` (see the module
+    docstring). The returned PAG reflects the complete orientation rule
+    set; rules that only fire under selection bias are omitted since
+    undirected and circle-tail edges cannot arise without it. A ``report`` dict, when given, is filled with the number of
     CI queries (of a batch, the sets up to and including the first
     independent one), the separating sets found, and per-rule firing
     counts. A negative ``max_cond_size`` raises ``ValueError``.
@@ -490,22 +462,23 @@ def fci(ci: Callable, variables: Sequence[str],
         raise ValueError(f"max_cond_size must be at least 0, not "
                          f"{max_cond_size}")
     vs = sorted(set(variables))
-    if len(vs) < 2:
-        if report is not None:
-            report.update(ci_tests=0, sepsets={}, rule_firings={})
-        return MixedGraph(vs, [], kind="PAG")
     knowledge = knowledge or Knowledge()
     queries = [0]
-    skeleton, sepsets = _stable_skeleton(vs, ci, max_cond_size, queries)
+    adj = {v: set(vs) - {v} for v in vs}
+    sepsets: dict[frozenset, frozenset] = {}
+    _adjacency_search(ci, adj, lambda a, b: (sorted(adj[a] - {b}),
+                                             sorted(adj[b] - {a})),
+                      0, max_cond_size, sepsets, queries)
 
     # provisional collider orientation to drive the possible-d-sep closure
-    marks = _Marks(vs, skeleton, knowledge)
+    marks = _Marks(vs, _pairs(adj), knowledge)
     _orient_colliders(marks, sepsets)
-    removed = _refine_with_d_sep(marks, sepsets, ci, max_cond_size,
-                                 queries)
-    skeleton -= removed
+    pdsep = _possible_d_sep(marks)
+    _adjacency_search(ci, adj, lambda a, b: (sorted(pdsep[a] - {a, b}),
+                                             sorted(pdsep[b] - {a, b})),
+                      1, max_cond_size, sepsets, queries)
 
-    marks = _Marks(vs, skeleton, knowledge)
+    marks = _Marks(vs, _pairs(adj), knowledge)
     _orient_colliders(marks, sepsets)
     rules = [("chain", _rule_chain), ("ancestor", _rule_ancestor),
              ("double-collider", _rule_double_collider),
@@ -532,22 +505,34 @@ def fci(ci: Callable, variables: Sequence[str],
     return marks.to_graph()
 
 
+def table_fci(table: DataTable, test: Callable = fisher_z_test,
+              alpha: float = 0.01, max_cond_size: int | None = None,
+              report: dict | None = None) -> MixedGraph:
+    """Learn the PAG over a table's columns, answering queries with a
+    ``DataOracle``. The environment indicator has no causes: arrowheads
+    into the table's environment column, when it has one, are forbidden.
+    """
+    env = table.env_column
+    knowledge = Knowledge(() if env is None else {env})
+    return fci(DataOracle(table, test, alpha), table.names, knowledge,
+               max_cond_size, report)
+
+
 def pooled_fci(datasets: Sequence[DataTable], test: Callable = fisher_z_test,
                alpha: float = 0.01, env_name: str = "E",
                max_cond_size: int | None = None,
                report: dict | None = None) -> MixedGraph:
     """Learn the PAG over the pooled rows plus an environment indicator.
 
-    The datasets are pooled by ``pool_environments``: rows are concatenated,
-    a discrete column named ``env_name`` records the dataset index, and
-    arrowheads into it are forbidden. Queries on pairs with the environment
-    column use ``environment_test`` (with ``test`` as its fallback) and the
-    others use ``test`` (see ``DataOracle``).
+    The datasets are pooled by ``pool_environments``: rows are concatenated
+    and a discrete column named ``env_name`` records the dataset index.
+    ``table_fci`` learns on the pooled table, so arrowheads into that
+    column are forbidden, queries on pairs with it use
+    ``environment_test`` (with ``test`` as its fallback) and the others use
+    ``test`` (see ``DataOracle``).
     """
-    pooled = pool_environments(datasets, env_name)
-    knowledge = Knowledge(forbidden_into={env_name})
-    oracle = DataOracle(pooled, test, alpha)
-    return fci(oracle, pooled.names, knowledge, max_cond_size, report)
+    return table_fci(pool_environments(datasets, env_name), test, alpha,
+                     max_cond_size, report)
 
 
 def possible_children_of_env(p: MixedGraph, env: str) -> set[str]:

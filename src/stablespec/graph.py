@@ -353,7 +353,17 @@ _GLYPH = {(TAIL, ARROW): "-->", (ARROW, ARROW): "<->",
 
 
 def serialize(g: MixedGraph) -> str:
-    """One header line ``vars: A,B,...`` then one edge per line, sorted."""
+    """One header line ``vars: A,B,...`` then one edge per line, sorted.
+
+    The header splits on commas and an edge line on whitespace, so a
+    vertex name that is empty or holds whitespace or a comma raises
+    ``GraphError`` naming it.
+    """
+    for v in g.vertices:
+        if v.split() != [v] or "," in v:
+            raise GraphError(f"vertex name {v!r} cannot be written in the "
+                             f"graph text format: it is empty or holds "
+                             f"whitespace or a comma")
     lines = ["vars: " + ",".join(g.vertices)]
     rendered = []
     for e in g.edges:

@@ -174,6 +174,29 @@ class TestConstantColumn:
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+class TestVertexNames:
+    @pytest.mark.parametrize("command", [["learn-pag"],
+                                         ["search", "--target", "my x"]])
+    def test_name_the_graph_format_cannot_hold_exits_two(
+            self, tmp_path, capsys, command):
+        # the graph text format splits edge lines on whitespace, so a
+        # graph.txt naming "my x" could not be read back; the environment
+        # shifts A, so search has a mutable set
+        rng = np.random.default_rng(4)
+        flags = []
+        for k in (1, 2):
+            a = rng.normal(3 * k, 1, 300)
+            save_csv(DataTable({"A": a, "my x": a + rng.normal(size=300)}),
+                     str(tmp_path / f"d{k}.csv"))
+            flags += ["--data", str(tmp_path / f"d{k}.csv")]
+        (tmp_path / "plain.json").write_text('{"columns": {}}')
+        out = tmp_path / "run"
+        assert main([*command, *flags, "--schema", str(tmp_path / "plain.json"),
+                     "--out", str(out)]) == 2
+        assert "vertex name 'my x'" in capsys.readouterr().err
+        assert not (out / "graph.txt").exists()
+
+
 def test_import_leaves_scipy_unloaded():
     src = os.path.dirname(os.path.dirname(stablespec.__file__))
     code = "import sys, stablespec.cli; print('scipy' in sys.modules)"

@@ -1,11 +1,10 @@
 import gc
-import importlib.util
+import hashlib
 import math
 import random
 import time
 import weakref
 from itertools import combinations
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +21,8 @@ from stablespec.graph import ARROW, CIRCLE, TAIL, GraphError, parse, serialize
 from stablespec.scm import shift_benchmark_scm
 from oracles import mag_of_admg, possible_d_sep_by_paths, with_kind
 from util import (
-    CONFLICT_ADMG, complete_pag, example_admg, example_pag,
-    independence_oracle, pooled_draws, random_admg,
+    CONFLICT_ADMG, PerSetOracle, complete_pag, example_admg, example_pag,
+    bench_inputs, independence_oracle, pooled_draws, random_admg,
 )
 
 
@@ -86,9 +85,13 @@ class TestFciExactOracle:
         assert got == parse("vars: A,B,C\nA o-o B\nB o-o C\n")
 
     def test_single_variable(self):
-        got = fci(lambda a, b, s: True, ["A"])
+        report: dict = {}
+        got = fci(PerSetOracle(lambda a, b, s: True), ["A"], report=report)
         assert got.vertices == ("A",)
         assert got.edges == ()
+        # the general path runs, so every rule is listed, with no firing
+        assert report["ci_tests"] == 0 and report["sepsets"] == {}
+        assert set(report["rule_firings"].values()) == {0}
 
     def test_deterministic(self):
         admg = example_admg()
@@ -117,6 +120,23 @@ class TestFciExactOracle:
         pag = fci(independence_oracle({"AD": "", "AE": "B", "DE": "B"}),
                   ["A", "B", "D", "E"], Knowledge(forbidden_into={"E"}))
         assert pag == parse("vars: A,B,D,E\nA o-> B\nD o-> B\nB o-o E\n")
+
+    def test_pinned_queries_and_pags(self):
+        # what oracle FCI asks and learns on 100 random ADMGs; no floating
+        # point enters, so a change here changes the adjacency search or
+        # the orientation rules, and must say why
+        rng = random.Random(22)
+        tests, texts = 0, []
+        for _ in range(100):
+            g = random_admg(rng, max_vertices=8)
+            report: dict = {}
+            pag = fci(SeparationOracle(g), g.vertices,
+                      Knowledge(forbidden_into={g.vertices[0]}), report=report)
+            tests += report["ci_tests"]
+            texts.append(serialize(pag))
+        assert tests == 29915
+        digest = hashlib.sha256("".join(texts).encode()).hexdigest()
+        assert digest.startswith("80d4ea8a61f0e275")
 
     def test_knowledge_respected_on_random_admgs(self):
         rng = random.Random(7)
@@ -180,7 +200,8 @@ class TestPossibleDSep:
         vs = [f"V{i:02d}" for i in range(15)]
         report: dict = {}
         start = time.perf_counter()
-        pag = fci(lambda a, b, s: False, vs, max_cond_size=1, report=report)
+        pag = fci(PerSetOracle(lambda a, b, s: False), vs, max_cond_size=1,
+                  report=report)
         assert time.perf_counter() - start < 1.0
         assert pag == complete_pag(vs)
         assert report["ci_tests"] == 2835
@@ -259,7 +280,8 @@ class TestSettingRanges:
     def test_negative_max_cond_size_rejected(self):
         message = "max_cond_size must be at least 0, not -1"
         with pytest.raises(ValueError, match=message):
-            fci(lambda a, b, s: False, ["A", "B"], max_cond_size=-1)
+            fci(PerSetOracle(lambda a, b, s: False), ["A", "B"],
+                max_cond_size=-1)
         with pytest.raises(ValueError, match=message):
             pooled_fci(self.tables(), max_cond_size=-1)
 
@@ -318,16 +340,6 @@ class TestDataOracle:
         assert possible_children_of_env(pag, "E") == {"F", "W"}
 
 
-def bench_inputs():
-    """``bench/inputs.py``, loaded by path: its ``wide_scm`` draws the
-    systems that the learn-wide benchmark learns."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("bench_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def wide_pooled(structure_seed, parameter_seed, rows, seed):
     inputs = bench_inputs()
     scms, _ = inputs.wide_scm(structure_seed, parameter_seed)
@@ -345,10 +357,10 @@ class TestBatchedOracle:
             oracle = DataOracle(pooled)
             batched, looped = {}, {}
             got = fci(oracle, pooled.names, self.KNOWLEDGE, report=batched)
-            # a plain callable is asked one conditioning set at a time
+            # the same oracle asked one conditioning set per call
             calls = []
-            want = fci(lambda a, b, s: calls.append(s) or
-                       oracle.first(a, b, [s]) == 0,
+            want = fci(PerSetOracle(lambda a, b, s: calls.append(s) or
+                                      oracle.first(a, b, [s]) == 0),
                        pooled.names, self.KNOWLEDGE, report=looped)
             assert serialize(got) == serialize(want)
             assert batched == looped
@@ -374,9 +386,6 @@ class TestBatchedOracle:
         sizes = []
 
         class Never:
-            def __call__(self, a, b, s):
-                return False
-
             def first(self, a, b, subsets):
                 sizes.append(len(subsets))
                 return None

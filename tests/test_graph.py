@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -101,7 +102,10 @@ class TestLongGraphs:
 
 class TestTextFormat:
     def test_round_trip_is_byte_stable(self):
-        for text, kind in ((PAG_TEXT, "PAG"), (ADMG_TEXT, "ADMG")):
+        odd_names = ("vars: E,x_1,Y.2,a-b,(c)\n(c) <-> a-b\nE o-> x_1\n"
+                     "x_1 --> Y.2\n")
+        for text, kind in ((PAG_TEXT, "PAG"), (ADMG_TEXT, "ADMG"),
+                           (odd_names, "PAG")):
             g = parse(text, kind)
             assert serialize(g) == text
             assert parse(serialize(g), kind) == g
@@ -109,6 +113,12 @@ class TestTextFormat:
     def test_reversed_glyphs_parse(self):
         g = parse("vars: A,B\nB <-- A\n", "ADMG")
         assert g.edge("A", "B") == directed("A", "B")
+
+    @pytest.mark.parametrize("name", ["my x", "z,1", "", "tab\tx", " Y"])
+    def test_name_the_format_cannot_hold_rejected(self, name):
+        g = MixedGraph(["A", name], [], "PAG")
+        with pytest.raises(GraphError, match=re.escape(f"vertex name {name!r}")):
+            serialize(g)
 
     def test_missing_header(self):
         with pytest.raises(GraphError):

@@ -1,9 +1,11 @@
 """Shared fixtures and random-graph generators for the test suite."""
 
+import importlib.util
 import math
 import random
 from dataclasses import replace
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
@@ -137,18 +139,38 @@ def random_admg(rng, max_vertices: int = 7, min_vertices: int = 2,
     return MixedGraph(names, edges, "ADMG")
 
 
-def independence_oracle(facts: dict[str, str]):
+class PerSetOracle:
+    """CI oracle whose ``first`` asks ``independent(a, b, s)`` of one
+    conditioning set at a time."""
+
+    def __init__(self, independent):
+        self.independent = independent
+
+    def first(self, a, b, subsets):
+        return next((i for i, s in enumerate(subsets)
+                     if self.independent(a, b, set(s))), None)
+
+
+def independence_oracle(facts: dict[str, str]) -> PerSetOracle:
     """CI oracle that answers independent exactly for the listed facts.
 
     Keys are two vertex names written together ("AB"), values the vertex
     names of the one separating set ("" for the empty set).
     """
     table = {frozenset(pair): frozenset(sep) for pair, sep in facts.items()}
+    return PerSetOracle(
+        lambda a, b, s: table.get(frozenset((a, b))) == frozenset(s))
 
-    def independent(a, b, s):
-        return table.get(frozenset((a, b))) == frozenset(s)
 
-    return independent
+def bench_inputs():
+    """``bench/inputs.py``, loaded by path: the benchmark's seeded input
+    generators, such as ``wide_scm``, which draws the systems that the
+    learn-wide benchmark learns."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def linear_scm(rng, g: MixedGraph) -> LinearGaussianSCM:
