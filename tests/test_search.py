@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -14,7 +15,7 @@ from stablespec.estimate import (
     CandidateModel, DiscreteExactModel, EstimationError, LinearGaussianModel,
     validation_loss,
 )
-from stablespec.expressions import Factor
+from stablespec.expressions import Factor, to_json
 from stablespec.fci import (
     Knowledge, SeparationOracle, fci, possible_children_of_env,
 )
@@ -28,7 +29,7 @@ from stablespec.search import (
     shift_sweep, simulate_benchmark, split_train_validation, stable_candidates,
     subsets_in_order, unstable_baseline, unstable_candidate, write_sweep_csv,
 )
-from util import example_pag, independence_oracle, random_admg
+from util import bench_inputs, example_pag, independence_oracle, random_admg
 
 
 def population_covariance(alpha: float):
@@ -220,6 +221,44 @@ def test_candidates_do_not_depend_on_hash_seed():
     assert any(label.startswith("interventional") for label, _ in readme)
     assert any(label.startswith("interventional") for label, _ in pag8)
     assert outputs[1] == outputs[0]
+
+
+def search_digest(queries) -> str:
+    """sha256 of (kind, sorted conditioning set, expression JSON) of every
+    candidate of every (PAG, mutable vertex, target) query, in order."""
+    records = [[(c.kind, sorted(c.conditioning_set), to_json(c.expression))
+                for c in stable_candidates(InvarianceSpec(pag, {mutable}),
+                                           target)]
+               for pag, mutable, target in queries]
+    return hashlib.sha256(json.dumps(records).encode()).hexdigest()
+
+
+class TestPinnedSearches:
+    """What the search finds on the benchmark's oracle PAGs. No floating
+    point enters, so a change here changes which sets are invariant or
+    identified, or the expressions identified, and must say why."""
+
+    def test_search_sparse_corpus(self):
+        inputs = bench_inputs()
+        path = Path(inputs.__file__).with_name("sparse_corpus.json")
+        queries = [(inputs.oracle_pag(parse(q["admg"], "ADMG")),
+                    q["mutable"], q["target"])
+                   for q in json.loads(path.read_text())["queries"]]
+        assert len(queries) == 10
+        assert search_digest(queries).startswith("f5acf50f39b0da8b")
+
+    def test_sparse_draws(self):
+        # the draws of bench/corpus.py: seed n * 100_000 + i, then the
+        # target and the mutable vertex from the sorted names
+        inputs = bench_inputs()
+        queries = []
+        for n in (6, 8, 10, 12):
+            for i in range(3):
+                rng = random.Random(n * 100_000 + i)
+                admg = inputs.sparse_admg(rng, n)
+                target, mutable = rng.sample(sorted(admg.vertices), 2)
+                queries.append((inputs.oracle_pag(admg), mutable, target))
+        assert search_digest(queries).startswith("2c71566f60abd416")
 
 
 class TestLearnedPags:
