@@ -14,16 +14,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 import numpy as np
 
 from .citest import degenerate_gaussian_test, fisher_z_test
+from .components import class_mag
 from .data import DataTable, load_csv, pool_environments, save_csv
 from .expressions import to_json as expr_to_json, to_text
 from .fci import possible_children_of_env, table_fci
-from .graph import parse as parse_graph, serialize
+from .graph import GraphError, parse as parse_graph, serialize
 from .identify import FAIL, InvarianceQuery, identify_interventional, \
     invariant_conditional_mag
 from .search import (
@@ -42,6 +44,12 @@ class InputError(ValueError):
 
 def _csv_list(text: str) -> list[str]:
     return [t for t in (s.strip() for s in text.split(",")) if t]
+
+
+def _finite(flag: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise InputError(f"{flag} must be a finite number, not {value}")
+    return value
 
 
 def _load_tables(args) -> list[DataTable]:
@@ -100,6 +108,15 @@ def cmd_learn_pag(args) -> int:
     _write(os.path.join(out, "report.json"), _json_dumps(report))
     log.append(f"graph written with {len(pag.edges)} edges, "
                f"{report['ci_tests']} CI tests")
+    try:
+        class_mag(pag)
+    except GraphError as err:
+        # finite-sample FCI can learn such a PAG; the graph is still the
+        # one learned, but identify, check and search refuse it
+        warning = (f"warning: {err}; identify, check and search will "
+                   "refuse this graph")
+        log.append(warning)
+        print(warning, file=sys.stderr)
     _write(os.path.join(out, "log.txt"), "\n".join(log) + "\n")
     print(serialize(pag), end="")
     return 0
@@ -214,14 +231,18 @@ def cmd_simulate(args) -> int:
         raise InputError("simulate needs --out")
     if args.alpha is None:
         raise InputError("simulate needs --alpha")
-    table = simulate_benchmark(args.alpha, args.n, args.seed)
+    table = simulate_benchmark(_finite("--alpha", args.alpha), args.n,
+                               args.seed)
     save_csv(table, args.out)
     return 0
 
 
 def cmd_sweep(args) -> int:
     # flags are checked before any training environment is simulated
-    train_alphas = [float(a) for a in _csv_list(args.train_alphas)]
+    train_alphas = [_finite("--train-alphas", float(a))
+                    for a in _csv_list(args.train_alphas)]
+    _finite("--grid-start", args.grid_start)
+    _finite("--grid-stop", args.grid_stop)
     if len(train_alphas) < 2:
         raise InputError("sweep simulates one dataset per --train-alphas "
                          "value; provide two or more datasets")

@@ -4,20 +4,29 @@ Buckets (circle-path closures), possible c-components over invisible edges,
 bidirected-closure c-components, regions, a deterministic bucket order, and
 the PAG-to-MAG orientation.
 
-Buckets and definite c-components are closures by edge marks, walked by
-``graph._walk`` like the ancestor closures. Each fact is computed once per
-graph and returned as the frozensets the graph's memo holds; a list-valued
-fact is a new list of them.
+Each grouping has one implementation over the graph's mask index
+(``graph.VertexMasks``), in which an induced subgraph g[c] is the scope
+mask of c: the mask functions (``_pc``, ``_region``, ``graph.blocks``)
+take masks and return masks, and identification calls them directly. The public functions take and return vertex names; buckets, bucket
+orders and pc-components are computed once per graph and returned as the
+frozensets the graph's memo holds, a list-valued fact as a new list of them.
 """
 
 from __future__ import annotations
 
 from graphlib import CycleError, TopologicalSorter
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from . import graph
-from .graph import ARROW, CIRCLE, TAIL, Edge, GraphError, MixedGraph
+from .graph import (
+    ARROW, CIRCLE, TAIL, Edge, GraphError, MixedGraph, VertexMasks, blocks,
+    positions, reach,
+)
 from .separation import visible_edges
+
+
+def _require_pag(g: MixedGraph):
+    if g.kind != "PAG":
+        raise GraphError(f"buckets requires a PAG, got {g.kind}")
 
 
 def buckets(g: MixedGraph) -> list[frozenset[str]]:
@@ -26,21 +35,26 @@ def buckets(g: MixedGraph) -> list[frozenset[str]]:
     Two vertices share a block iff joined by a path of circle-circle edges.
     Blocks are returned sorted by their smallest vertex name.
     """
-    if g.kind != "PAG":
-        raise GraphError(f"buckets requires a PAG, got {g.kind}")
-    return list(g.memo(("buckets",), lambda: _buckets(g)))
+    _require_pag(g)
+    ix = g.masks()
+    return list(g.memo(("buckets",), lambda: tuple(
+        ix.names_of(b) for b in blocks(ix.cc, ix.all))))
 
 
-def _buckets(g: MixedGraph) -> tuple[frozenset[str], ...]:
-    # the first vertex in name order that no block holds yet is the
-    # smallest of a new block
-    blocks, seen = [], set()
-    for v in sorted(g.vertices):
-        if v not in seen:
-            block = graph._walk(g, v, graph._circle_circle)
-            seen |= block
-            blocks.append(block)
-    return tuple(blocks)
+def invisible(g: MixedGraph, vis: frozenset[Edge] | None = None
+              ) -> tuple[int, ...]:
+    """Per bit position of g's mask index, the neighbours joined to that
+    vertex by an edge not in vis (default: g's visible edges); computed
+    once per graph and vis."""
+    if vis is None:
+        vis = visible_edges(g)
+
+    def build():
+        ix = g.masks()
+        return tuple(sum(ix.bit[w] for w, e, _, _ in g.adjacency(v)
+                         if e not in vis)
+                     for v in ix.names)
+    return g.memo(("invisible", vis), build)
 
 
 def pc_component(g: MixedGraph, seed: Iterable[str],
@@ -53,39 +67,51 @@ def pc_component(g: MixedGraph, seed: Iterable[str],
     visibility status they have there.
     """
     seed = frozenset(seed)
-    g.check_vertices(seed)
+    ix = g.masks()
+    s = ix.mask(seed)
     vis = visible_edges(visibility_in if visibility_in is not None else g)
-    return g.memo(("pc_component", seed, vis),
-                  lambda: _pc_component(g, seed, vis))
+    return g.memo(("pc_component", seed, vis), lambda: ix.names_of(
+        _pc(ix, invisible(g, vis), s, ix.all)))
 
 
-def _pc_component(g: MixedGraph, seed: frozenset[str],
-                  vis: frozenset[Edge]) -> frozenset[str]:
-    adjacency = g.adjacency
-    out = set(seed)
-    # state = (vertex, arrived with an arrowhead at it), None at the seed;
-    # interior vertices must be colliders
-    frontier: list[tuple[str, bool | None]] = [(v, None) for v in sorted(seed)]
-    seen = set(frontier)
+def _pc(ix: VertexMasks, inv: Sequence[int], seed: int, scope: int) -> int:
+    """pc-component of seed in the subgraph on scope, inv the invisible
+    neighbour masks.
+
+    A seed vertex leaves by any invisible edge; an inner vertex of a
+    collider path is entered and left by arrowheads at it, and two
+    arrowheads on one edge make it bidirected. So the path's inner vertices
+    are the bidirected closure of the seed's invisible neighbours with an
+    arrowhead at them, and each of them adds its invisible neighbours
+    across edges with an arrowhead at it.
+    """
+    ppa, bi, at = ix.ppa, ix.bi, ix.at
+    out = rest = seed
+    inner = 0
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        i = low.bit_length() - 1
+        step = inv[i] & scope
+        out |= step
+        inner |= step & at[i]
+    frontier = inner
     while frontier:
-        v, into = frontier.pop()
-        for w, e, here, there in adjacency(v):
-            if e in vis:
-                continue
-            if into is not None and not (into and here == ARROW):
-                continue
-            out.add(w)
-            state = (w, there == ARROW)
-            if state not in seen:
-                seen.add(state)
-                frontier.append(state)
-    return frozenset(out)
+        low = frontier & -frontier
+        frontier ^= low
+        i = low.bit_length() - 1
+        out |= inv[i] & (ppa[i] | bi[i]) & scope
+        new = bi[i] & scope & ~inner
+        inner |= new
+        frontier |= new
+    return out
 
 
 def definite_c_component(g: MixedGraph, seed: Iterable[str]
                          ) -> frozenset[str]:
     """Closure of seed under bidirected (arrow-arrow) edges."""
-    return graph._closure(g, "c_component", seed, graph._bidirected)
+    ix = g.masks()
+    return ix.names_of(reach(ix.bi, ix.mask(seed), ix.all))
 
 
 def region(g: MixedGraph, a: Iterable[str], c: Iterable[str]) -> set[str]:
@@ -93,13 +119,17 @@ def region(g: MixedGraph, a: Iterable[str], c: Iterable[str]) -> set[str]:
     a, c = set(a), set(c)
     if not a <= c:
         raise GraphError("region requires a to be a subset of c")
-    sub = g.induced(c)
-    pc = pc_component(sub, a, visibility_in=g)
-    out: set[str] = set()
-    for b in buckets(sub):
-        if b & pc:
-            out |= b
-    return out
+    ix = g.masks()
+    cm = ix.mask(c)
+    inv = invisible(g)
+    _require_pag(g)
+    return set(ix.names_of(_region(ix, inv, ix.mask(a), cm)))
+
+
+def _region(ix: VertexMasks, inv: Sequence[int], a: int, c: int) -> int:
+    """``region`` on masks: the buckets of g[c] meeting a bucket of the
+    pc-component are its circle-circle closure inside c."""
+    return reach(ix.cc, _pc(ix, inv, a, c), c)
 
 
 def bucket_partial_order(g: MixedGraph, scope: Iterable[str]
@@ -111,30 +141,38 @@ def bucket_partial_order(g: MixedGraph, scope: Iterable[str]
     possible-parent edges between buckets close a cycle has no such order
     and raises GraphError.
     """
-    sub = g.induced(scope)
-    return list(sub.memo(("bucket_partial_order",),
-                         lambda: _bucket_order(sub)))
+    ix = g.masks()
+    s = ix.mask(scope)
+    _require_pag(g)
+    return list(g.memo(("bucket_partial_order", s),
+                       lambda: _bucket_order(g, ix, s)))
 
 
-def _bucket_order(sub: MixedGraph) -> tuple[frozenset[str], ...]:
-    of = {v: b for b in buckets(sub) for v in b}
+def _bucket_order(g: MixedGraph, ix: VertexMasks, scope: int
+                  ) -> tuple[frozenset[str], ...]:
+    of = {}
+    for b in blocks(ix.cc, scope):
+        for i in positions(b):
+            of[i] = b
     sorter = TopologicalSorter()
-    for v in sub.vertices:
-        sorter.add(of[v], *(of[u] for u in sorted(sub.possible_parents(v))
-                            if of[u] is not of[v]))
+    for v in g.vertices:   # the order a subgraph's vertices had
+        if ix.bit[v] & scope:
+            i = ix.bit[v].bit_length() - 1
+            sorter.add(of[i], *(of[j] for j in positions(ix.ppa[i] & scope)
+                                if of[j] != of[i]))
     try:
         sorter.prepare()
     except CycleError as err:
-        cycle = ", ".join(sorted("{" + ",".join(sorted(b)) + "}"
+        cycle = ", ".join(sorted("{" + ",".join(sorted(ix.names_of(b))) + "}"
                                  for b in set(err.args[1])))
         raise GraphError("cyclic bucket order: possible-parent edges close "
                          f"a cycle through the buckets {cycle}") from None
     # layered order: all minimal buckets first, then the next layer, with
-    # lexicographic tie-breaks inside a layer
+    # ties broken by the smallest name, the lowest bit
     order: list[frozenset[str]] = []
     while sorter.is_active():
-        layer = sorted(sorter.get_ready(), key=min)
-        order.extend(layer)
+        layer = sorted(sorter.get_ready(), key=lambda b: b & -b)
+        order.extend(ix.names_of(b) for b in layer)
         sorter.done(*layer)
     return tuple(order)
 
@@ -213,7 +251,7 @@ def pag_to_mag(g: MixedGraph, preserve_into: Iterable[str]) -> MixedGraph:
     oriented = []
     for block in buckets(g):
         adj = {v: {w for w, _, here, there in g.adjacency(v)
-                   if graph._circle_circle(here, there)} for v in block}
+                   if here == CIRCLE and there == CIRCLE} for v in block}
         order = _mcs_order(adj, preserve)
         pos = {v: i for i, v in enumerate(order or sorted(block))}
         for v in block:

@@ -4,17 +4,21 @@ Graphs are immutable values: every operation that changes structure returns
 a new graph. Edge endpoints carry one of three marks (tail, arrow, circle);
 the graph kind restricts which marks and parallel edges are allowed.
 
-Because a graph never changes, facts derived from it (visibility, induced
-subgraphs, buckets, ...) are computed once and kept in the graph's own memo
-(``MixedGraph.memo``), keyed by the content of the other arguments, and
-handed out as the frozensets and tuples the memo holds. The adjacency index
-is built with the graph: for each vertex, one entry per edge at it with the
-neighbour and the marks at both ends, so closures and separation walks read
-marks without calling into ``Edge``.
+Because a graph never changes, facts derived from it (visibility, buckets,
+identified expressions, ...) are computed once and kept in the graph's own
+memo (``MixedGraph.memo``), keyed by the content of the other arguments,
+and handed out as the frozensets and tuples the memo holds. The adjacency
+index is built with the graph: for each vertex, one entry per edge at it
+with the neighbour and the marks at both ends.
 
-Every closure by edge marks (ancestors, possible ancestors, definite
-c-components, buckets) is one walk, ``_walk``, from one vertex across the
-edges whose marks pass a step test.
+The mask index (``MixedGraph.masks``) is built on first use. Bit i stands
+for the i-th vertex name in sorted order, so the lowest set bit of a vertex
+set is its smallest name; for each vertex it holds the neighbour masks that
+the closures and walks read. Every closure by edge marks (ancestors,
+possible ancestors, definite c-components, buckets) is one loop, ``reach``,
+over one of those masks, and an induced subgraph is a scope mask that the
+loop does not leave. Graphs derived by mutilation or orientation keep the
+vertex set, so their masks number the vertices alike.
 """
 
 from __future__ import annotations
@@ -109,7 +113,7 @@ class MixedGraph:
       * ADMG: every edge is directed or bidirected.
     """
 
-    __slots__ = ("kind", "vertices", "edges", "_adj", "_cache")
+    __slots__ = ("kind", "vertices", "edges", "_adj", "_cache", "_masks")
 
     def __init__(self, vertices: Sequence[str], edges: Iterable[Edge], kind: str):
         if kind not in ("ADMG", "MAG", "PAG"):
@@ -131,6 +135,7 @@ class MixedGraph:
         # edges keep their order in ``edges``
         self._adj = {v: tuple(sorted(es, key=itemgetter(0))) for v, es in entries.items()}
         self._cache: dict = {}
+        self._masks: VertexMasks | None = None
         self._validate(entries)
 
     def _validate(self, entries: dict[str, list[tuple[str, Edge, str, str]]]):
@@ -177,6 +182,12 @@ class MixedGraph:
             value = self._cache[key] = compute()
             return value
 
+    def masks(self) -> "VertexMasks":
+        """The graph's mask index, built on the first call."""
+        if self._masks is None:
+            self._masks = VertexMasks(self)
+        return self._masks
+
     # -- basic queries -------------------------------------------------
 
     def check_vertices(self, vs: Iterable[str]):
@@ -217,7 +228,8 @@ class MixedGraph:
 
     def ancestors(self, vs: Iterable[str]) -> frozenset[str]:
         """Reflexive closure under directed (tail-arrow) edges."""
-        return _closure(self, "ancestors", vs, _into_from_tail)
+        ix = self.masks()
+        return ix.names_of(reach(ix.pa, ix.mask(vs), ix.all))
 
     def possible_parents(self, v: str) -> set[str]:
         """u with an edge u *-> v whose mark at u is tail or circle."""
@@ -254,7 +266,107 @@ class MixedGraph:
         return f"MixedGraph({self.kind}, |V|={len(self.vertices)}, |E|={len(self.edges)})"
 
 
-# -- graphical closures ----------------------------------------------------
+# -- vertex masks ----------------------------------------------------------
+
+
+class VertexMasks:
+    """Bitmask index of one graph's vertices and neighbour marks.
+
+    Bit i stands for ``names[i]``, the i-th vertex name in sorted order.
+    Each list holds, per bit position, the mask of neighbours across an
+    edge whose marks (at the vertex, at the neighbour) are:
+
+      * ``pa``: arrow, tail (parents);
+      * ``ppa``: arrow, not arrow (possible parents);
+      * ``pch``: not arrow, arrow (possible children);
+      * ``ch_plus``: tail or circle, arrow or circle;
+      * ``noarrow``: any, not arrow (the possible-ancestor step);
+      * ``at``: any, arrow (an arrowhead at the neighbour);
+      * ``bi``: arrow, arrow;
+      * ``cc``: circle, circle.
+    """
+
+    __slots__ = ("names", "bit", "all", "pa", "ppa", "pch", "ch_plus",
+                 "noarrow", "at", "bi", "cc")
+
+    def __init__(self, g: MixedGraph):
+        self.names = tuple(sorted(g.vertices))
+        self.bit = {v: 1 << i for i, v in enumerate(self.names)}
+        self.all = (1 << len(self.names)) - 1
+        lists = {k: [0] * len(self.names) for k in _STEPS}
+        for i, v in enumerate(self.names):
+            for w, _, here, there in g.adjacency(v):
+                b = self.bit[w]
+                for k, step in _STEPS.items():
+                    if step(here, there):
+                        lists[k][i] |= b
+        for k, masks in lists.items():
+            setattr(self, k, masks)
+
+    def mask(self, vs: Iterable[str]) -> int:
+        """The mask of the named vertices; GraphError names unknown ones."""
+        bit, m = self.bit, 0
+        for v in vs:
+            try:
+                m |= bit[v]
+            except KeyError:
+                # an iterator resumes after v, a collection starts again
+                unknown = {v}.union(u for u in vs if u not in bit)
+                raise GraphError(f"unknown vertices: {sorted(unknown)}"
+                                 ) from None
+        return m
+
+    def names_of(self, m: int) -> frozenset[str]:
+        names, out = self.names, []
+        while m:
+            low = m & -m
+            out.append(names[low.bit_length() - 1])
+            m ^= low
+        return frozenset(out)
+
+
+_STEPS: dict[str, Callable[[str, str], bool]] = {
+    "pa": lambda here, there: here == ARROW and there == TAIL,
+    "ppa": lambda here, there: here == ARROW and there != ARROW,
+    "pch": lambda here, there: here != ARROW and there == ARROW,
+    "ch_plus": lambda here, there: here != ARROW and there != TAIL,
+    "noarrow": lambda here, there: there != ARROW,
+    "at": lambda here, there: there == ARROW,
+    "bi": lambda here, there: here == ARROW and there == ARROW,
+    "cc": lambda here, there: here == CIRCLE and there == CIRCLE,
+}
+
+
+def positions(m: int):
+    """The bit positions of m, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
+def reach(nbrs: Sequence[int], seed: int, scope: int) -> int:
+    """seed plus every vertex of scope reached from it along the neighbour
+    masks nbrs without leaving scope."""
+    out = frontier = seed
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = nbrs[low.bit_length() - 1] & scope & ~out
+        out |= new
+        frontier |= new
+    return out
+
+
+def blocks(nbrs: Sequence[int], scope: int) -> list[int]:
+    """scope partitioned into closures along nbrs inside scope, ordered by
+    their lowest bit (smallest name)."""
+    out = []
+    while scope:
+        block = reach(nbrs, scope & -scope, scope)
+        out.append(block)
+        scope &= ~block
+    return out
 
 
 def possible_ancestors(g: MixedGraph, target: Iterable[str]) -> frozenset[str]:
@@ -263,52 +375,8 @@ def possible_ancestors(g: MixedGraph, target: Iterable[str]) -> frozenset[str]:
     A path is possibly directed from X when no arrowhead along it points
     back towards X. Reflexive: the target set is always included.
     """
-    return _closure(g, "possible_ancestors", target, _no_arrow_there)
-
-
-# closure steps, from the marks at the current vertex and at the next
-
-def _into_from_tail(here: str, there: str) -> bool:
-    return here == ARROW and there == TAIL
-
-
-def _no_arrow_there(here: str, there: str) -> bool:
-    return there != ARROW
-
-
-def _bidirected(here: str, there: str) -> bool:
-    return here == ARROW and there == ARROW
-
-
-def _circle_circle(here: str, there: str) -> bool:
-    return here == CIRCLE and there == CIRCLE
-
-
-def _closure(g: MixedGraph, name: str, vs: Iterable[str],
-             step: Callable[[str, str], bool]) -> frozenset[str]:
-    """The union of each member's closure, each walked once per graph.
-
-    Exact because whether a walk may cross an edge depends only on the
-    edge's marks, not on where the walk started.
-    """
-    vs = set(vs)
-    g.check_vertices(vs)
-    return frozenset().union(*[g.memo((name, v), lambda: _walk(g, v, step))
-                               for v in vs])
-
-
-def _walk(g: MixedGraph, v: str, step: Callable[[str, str], bool]
-          ) -> frozenset[str]:
-    """v and every vertex reached from it across edges whose marks (at the
-    current vertex, at the next) satisfy step."""
-    out = {v}
-    frontier = [v]
-    while frontier:
-        for w, _, here, there in g.adjacency(frontier.pop()):
-            if w not in out and step(here, there):
-                out.add(w)
-                frontier.append(w)
-    return frozenset(out)
+    ix = g.masks()
+    return ix.names_of(reach(ix.noarrow, ix.mask(target), ix.all))
 
 
 # -- mutilation ------------------------------------------------------------

@@ -11,27 +11,29 @@ failure when the PAG does not determine one. A search asks it for every
 conditioning set, and the answers repeat, so it keeps on the PAG each
 Q[c] of the joint and each simplified answer per target and decomposition
 pieces meeting the target, failures included.
+
+Both run on the PAG's mask index (``graph.VertexMasks``): ``_invariant``
+and ``_identify`` take vertex sets as masks and are the cores that the
+search calls once per conditioning set; the public functions check names
+and convert to them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .components import (
-    bucket_partial_order, buckets, class_mag, definite_c_component,
-    pag_to_mag, pc_component, region,
+    _pc, _region, bucket_partial_order, class_mag, invisible, pag_to_mag,
 )
 from .expressions import (
     Factor, ONE, Product, Quotient, SumOver, conditional_of, simplify,
 )
 from .graph import (
-    ARROW, CIRCLE, TAIL, GraphError, MixedGraph,
-    REMOVE_INTO, REMOVE_VISIBLE_OUT_OF, mutilate, possible_ancestors,
+    ARROW, TAIL, GraphError, MixedGraph, REMOVE_INTO, REMOVE_VISIBLE_OUT_OF,
+    VertexMasks, blocks, mutilate, positions, possible_ancestors, reach,
 )
-from .separation import (
-    definite_connecting_paths, m_connected, visible_edges,
-)
+from .separation import connected, definite_connecting_paths, visible_edges
 
 
 class NotIdentifiable(Exception):
@@ -101,14 +103,18 @@ def invariant_conditional(p: MixedGraph, q: InvarianceQuery) -> bool:
     return True
 
 
-def _invariance_mags(p: MixedGraph, x: str):
-    """A class member keeping p's edges into x, then the same MAG with the
-    visible out-edges of x removed and with every edge into x removed."""
+def _invariance_masks(p: MixedGraph, x: str):
+    """The mask indexes of a class member keeping p's edges into x, of the
+    same MAG with the visible out-edges of x removed, and of it with every
+    edge into x removed; built once per (p, x). The MAGs have p's vertices,
+    so their masks number the vertices as p's do."""
     def build():
         r = pag_to_mag(p, {x})
-        return (r, mutilate(r, REMOVE_VISIBLE_OUT_OF, {x}, visibility_in=p),
-                mutilate(r, REMOVE_INTO, {x}))
-    return p.memo(("invariance_mags", x), build)
+        return (r.masks(),
+                mutilate(r, REMOVE_VISIBLE_OUT_OF, {x},
+                         visibility_in=p).masks(),
+                mutilate(r, REMOVE_INTO, {x}).masks())
+    return p.memo(("invariance_masks", x), build)
 
 
 def invariant_conditional_mag(p: MixedGraph, q: InvarianceQuery) -> bool:
@@ -122,77 +128,71 @@ def invariant_conditional_mag(p: MixedGraph, q: InvarianceQuery) -> bool:
     some circle edges as undirected, and the checker may decline an
     invariance the path oracle grants.
     """
-    p.check_vertices(q.x | q.y | q.z)
-    poss_an_z = possible_ancestors(p, q.z) if q.z else set()
-    for x in sorted(q.x):
-        mag, out_cut, in_cut = _invariance_mags(p, x)
-        if x in q.z:
-            g, cond = out_cut, q.z - {x}
-        elif x in poss_an_z:
-            g, cond = mag, q.z
+    ix = p.masks()
+    ix.mask(q.x | q.y | q.z)
+    return _invariant(p, ix, ix.mask(q.x), ix.mask(q.y), ix.mask(q.z))
+
+
+def _invariant(p: MixedGraph, ix: VertexMasks, x: int, y: int, z: int
+               ) -> bool:
+    """``invariant_conditional_mag`` on masks of p's index."""
+    poss_an_z = reach(ix.noarrow, z, ix.all)
+    for i in positions(x):
+        mag, out_cut, in_cut = _invariance_masks(p, ix.names[i])
+        xb = 1 << i
+        if xb & z:
+            g, cond = out_cut, z & ~xb
+        elif xb & poss_an_z:
+            g, cond = mag, z
         else:
-            g, cond = in_cut, q.z
-        for y in sorted(q.y):
-            if m_connected(g, x, y, cond):
-                return False
+            g, cond = in_cut, z
+        if connected(g, i, y, cond):
+            return False
     return True
 
 
 # -- identification ---------------------------------------------------------
+#
+# Each step runs on masks of the PAG's index: the induced subgraph p[s] of
+# the identification calculus is the scope mask s, and ``inv`` holds the
+# invisible-edge masks of p, so an edge keeps the visibility it has in p.
 
 
-def _pa_star(g: MixedGraph, s: Iterable[str]) -> set[str]:
-    """s plus possible parents connected by an edge into a member of s
-    (circle-circle edges do not count)."""
-    out = set(s)
-    for v in set(s):
-        out |= g.possible_parents(v)
-    return out
+def _star(nbrs: Sequence[int], s: int, scope: int) -> int:
+    """s plus the neighbours of its members along nbrs inside scope: with
+    ``ppa`` the pa* of s, with ``pch`` its ch*, with ``ch_plus`` its ch+,
+    which counts circle-circle neighbours."""
+    out = rest = s
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        out |= nbrs[low.bit_length() - 1]
+    return out & scope
 
 
-def _ch_star(g: MixedGraph, s: Iterable[str]) -> set[str]:
-    out = set(s)
-    for v in set(s):
-        out |= g.possible_children(v)
-    return out
-
-
-def _ch_plus(g: MixedGraph, s: Iterable[str]) -> set[str]:
-    """s plus every possible child, counting circle-circle neighbors."""
-    out = set(s)
-    for v in set(s):
-        for w, _, here, there in g.adjacency(v):
-            if here in (TAIL, CIRCLE) and there in (ARROW, CIRCLE):
-                out.add(w)
-    return out
-
-
-def _decompose(p: MixedGraph, t: set[str], z: set[str]):
+def _decompose(ix: VertexMasks, inv: Sequence[int], t: int, z: int):
     """Split t into component-wise pieces (t_i, z_i) whose interventional
     factors can be identified separately, one at a time: the pieces
     partition t, so a caller may stop once those it needs are covered."""
+    ppa = ix.ppa
     while t:
         scope = t | z
-        sub = p.induced(scope)
-
-        def pc(seed):
-            return pc_component(sub, seed, visibility_in=p) if seed else set()
-
-        x = {min(t)}
-        cx = pc(x)
-        a = _pa_star(sub, cx) & _pa_star(sub, pc(scope - cx))
-        while not a <= z:
-            grown = x | _ch_star(sub, a & t)
+        x = t & -t   # the smallest name of t
+        cx = _pc(ix, inv, x, scope)
+        a = _star(ppa, cx, scope) & \
+            _star(ppa, _pc(ix, inv, scope & ~cx, scope), scope)
+        while a & ~z:
+            grown = x | _star(ix.pch, a & t, scope)
             if grown == x:
                 raise RuntimeError("component growth stalled; malformed graph?")
             x = grown
-            cx = pc(x)
-            a = _pa_star(sub, cx) & _pa_star(sub, pc(scope - cx))
+            cx = _pc(ix, inv, x, scope)
+            a = _star(ppa, cx, scope) & \
+                _star(ppa, _pc(ix, inv, scope & ~cx, scope), scope)
         t1 = cx & t
-        t2 = t - t1
-        yield t1, region(p, x, scope) - t1
-        rest_seed = scope - cx
-        t, z = t2, (region(p, rest_seed, scope) - t2) if rest_seed else set()
+        t2 = t & ~t1
+        yield t1, _region(ix, inv, x, scope) & ~t1
+        t, z = t2, _region(ix, inv, scope & ~cx, scope) & ~t2
 
 
 def absorb_buckets(p: MixedGraph, t: Iterable[str],
@@ -202,52 +202,59 @@ def absorb_buckets(p: MixedGraph, t: Iterable[str],
     A straddling bucket can be absorbed only when the pc-component of its
     outside part has no possible parent in t.
     """
+    ix = p.masks()
     t, z = set(t), set(z)
-    p.check_vertices(t | z)
+    ix.mask(t | z)
+    t, z = _absorb(ix, invisible(p), ix.mask(t), ix.mask(z))
+    return set(ix.names_of(t)), set(ix.names_of(z))
+
+
+def _absorb(ix: VertexMasks, inv: Sequence[int], t: int, z: int
+            ) -> tuple[int, int]:
+    bks = blocks(ix.cc, ix.all)
     while True:
-        straddler = None
-        for b in buckets(p):
-            if b & (t | z) and not b <= (t | z):
-                straddler = b
-                break
+        tz = t | z
+        straddler = next((b for b in bks if b & tz and b & ~tz), None)
         if straddler is None:
             return t, z
-        scope = t | z | straddler
-        sub = p.induced(scope)
-        outside = straddler - (t | z)
-        cb = pc_component(sub, outside, visibility_in=p)
-        if _pa_star(sub, cb) & t:
-            raise NotIdentifiable(
-                f"bucket {sorted(straddler)} straddles the query scope")
-        z |= straddler - t
+        scope = tz | straddler
+        cb = _pc(ix, inv, straddler & ~tz, scope)
+        if _star(ix.ppa, cb, scope) & t:
+            raise NotIdentifiable(f"bucket {sorted(ix.names_of(straddler))} "
+                                  "straddles the query scope")
+        z |= straddler & ~t
 
 
 def eliminate_bucket(p: MixedGraph, t: Iterable[str],
                      x_bucket: Iterable[str], q) -> object:
     """Sum a bucket out of Q[t]: Q[t \\ x_bucket] as quotient-times-sum of
     per-bucket conditionals of q, when the bucket criterion holds."""
+    ix = p.masks()
     t, x_bucket = set(t), set(x_bucket)
-    p.check_vertices(t)
+    tm = ix.mask(t)
     if not x_bucket <= t:
         raise GraphError("x_bucket must lie inside t")
-    sub = p.induced(t)
-    for zv in sorted(x_bucket):
-        cz = pc_component(sub, {zv}, visibility_in=p)
-        bad = (sub.possible_children(zv) - x_bucket) & cz
+    return _eliminate(p, ix, invisible(p), tm, ix.mask(x_bucket), q)
+
+
+def _eliminate(p: MixedGraph, ix: VertexMasks, inv: Sequence[int], t: int,
+               xb: int, q) -> object:
+    names = ix.names
+    for i in positions(xb):
+        bad = ix.pch[i] & t & ~xb & _pc(ix, inv, 1 << i, t)
         if bad:
             raise NotIdentifiable(
-                f"{zv} has possible child {sorted(bad)[0]} in its own "
-                f"possible c-component outside the bucket")
-    order = bucket_partial_order(p, t)
-    sx = definite_c_component(sub, x_bucket)
+                f"{names[i]} has possible child {names[next(positions(bad))]}"
+                f" in its own possible c-component outside the bucket")
+    sx = ix.names_of(reach(ix.bi, xb, t))
     prefix: set[str] = set()
     fs = []
-    for b in order:
+    for b in bucket_partial_order(p, ix.names_of(t)):
         if b <= sx:
             fs.append(conditional_of(q, b, set(prefix)))
         prefix |= b
     chain = Product(fs) if len(fs) != 1 else fs[0]
-    return Product([Quotient(q, chain), SumOver(x_bucket, chain)])
+    return Product([Quotient(q, chain), SumOver(ix.names_of(xb), chain)])
 
 
 def identify_marginal(p: MixedGraph, c: Iterable[str], t: Iterable[str],
@@ -260,25 +267,35 @@ def identify_marginal(p: MixedGraph, c: Iterable[str], t: Iterable[str],
         return ONE
     if c == t:
         return q
-    sub = p.induced(t)
-    bks = buckets(sub)
+    ix = p.masks()
+    tm = ix.mask(t)
+    return _marginal(p, ix, invisible(p), ix.mask(c), tm, q)
+
+
+def _marginal(p: MixedGraph, ix: VertexMasks, inv: Sequence[int], c: int,
+              t: int, q) -> object:
+    if not c:
+        return ONE
+    if c == t:
+        return q
+    bks = blocks(ix.cc, t)
     for b in bks:
-        if b <= t - c:
-            cb = pc_component(sub, b, visibility_in=p)
-            if cb & _ch_plus(sub, b) <= b:
-                q2 = eliminate_bucket(p, t, b, q)
-                return identify_marginal(p, c, t - b, q2)
+        if not b & c:
+            cb = _pc(ix, inv, b, t)
+            if not cb & _star(ix.ch_plus, b, t) & ~b:
+                q2 = _eliminate(p, ix, inv, t, b, q)
+                return _marginal(p, ix, inv, c, t & ~b, q2)
     for b in bks:
-        if b <= c:
-            rb = region(p, b, c)
+        if not b & ~c:
+            rb = _region(ix, inv, b, c)
             if rb != c:
-                rc = region(p, c - rb, c)
-                num = Product([identify_marginal(p, rb, t, q),
-                               identify_marginal(p, rc, t, q)])
+                rc = _region(ix, inv, c & ~rb, c)
+                num = Product([_marginal(p, ix, inv, rb, t, q),
+                               _marginal(p, ix, inv, rc, t, q)])
                 if rb & rc:
-                    return Quotient(num, identify_marginal(p, rb & rc, t, q))
+                    return Quotient(num, _marginal(p, ix, inv, rb & rc, t, q))
                 return num
-    raise NotIdentifiable(f"no rule applies for Q[{sorted(c)}]")
+    raise NotIdentifiable(f"no rule applies for Q[{sorted(ix.names_of(c))}]")
 
 
 def identify_interventional(p: MixedGraph, x: Iterable[str],
@@ -292,37 +309,47 @@ def identify_interventional(p: MixedGraph, x: Iterable[str],
     x, y, z = frozenset(x), frozenset(y), frozenset(z)
     if x & y or y & z or x & z:
         raise GraphError("x, y and z must be pairwise disjoint")
-    p.check_vertices(x | y | z)
+    ix = p.masks()
+    ix.mask(x | y | z)
     if not y:
         raise GraphError("y must be nonempty")
-    class_mag(p)   # raises GraphError when no MAG fits p
     if not x:
+        class_mag(p)   # raises GraphError when no MAG fits p
         return simplify(Factor(y, z), graph=p)
-    sub = p.induced(frozenset(p.vertices) - x)
-    d = possible_ancestors(sub, (y | z) - x) - z
+    return _identify(p, ix, ix.mask(x), ix.mask(y), ix.mask(z))
+
+
+def _identify(p: MixedGraph, ix: VertexMasks, x: int, y: int, z: int):
+    """``identify_interventional`` on masks of p's index, x nonempty."""
+    class_mag(p)   # raises GraphError when no MAG fits p
+    inv = invisible(p)
+    scope = ix.all & ~x
+    d = reach(ix.noarrow, y | z, scope) & ~z
     # the pieces partition d ⊇ y, so those after the last one meeting y
     # do not matter
-    pieces, left = [], set(y)
-    for di, zi in _decompose(p, set(d), set(z)):
+    pieces, left = [], y
+    for di, zi in _decompose(ix, inv, d, z):
         if di & y:
-            pieces.append((frozenset(di), frozenset(zi)))
-            left -= di
+            pieces.append((di, zi))
+            left &= ~di
             if not left:
                 break
     key = ("identified", y, tuple(pieces))
-    return p.memo(key, lambda: _identify_pieces(p, y, pieces))
+    return p.memo(key, lambda: _identify_pieces(p, ix, inv, y, pieces))
 
 
-def _identify_pieces(p: MixedGraph, y: frozenset[str],
-                     pieces: list[tuple[frozenset[str], frozenset[str]]]):
+def _identify_pieces(p: MixedGraph, ix: VertexMasks, inv: Sequence[int],
+                     y: int, pieces: list[tuple[int, int]]):
     """Simplified product of P(d_i ∩ y | z_i, d_i - y) over the pieces that
     meet y, or FAIL."""
+    names_of = ix.names_of
     try:
-        absorbed = [absorb_buckets(p, di, zi) for di, zi in pieces]
+        absorbed = [_absorb(ix, inv, di, zi) for di, zi in pieces]
         factors = []
         for di, zi in absorbed:
-            e = _joint_marginal(p, frozenset(di | zi))
-            factors.append(Quotient(SumOver(di - y, e), SumOver(di, e)))
+            e = _joint_marginal(p, names_of(di | zi))
+            factors.append(Quotient(SumOver(names_of(di & ~y), e),
+                                    SumOver(names_of(di), e)))
     except NotIdentifiable:
         return FAIL
     return simplify(Product(factors), graph=p)

@@ -1,8 +1,8 @@
 """Path separation procedures on mixed graphs.
 
-Covers m-connection in ADMGs and MAGs (fast reachability, plus path
-enumeration kept as its oracle) and edge visibility, one vertex search per
-directed edge. The program reads a PAG's separations by ``m_connected`` in
+Covers m-connection in ADMGs and MAGs (reachability over the graph's mask
+index, plus path enumeration kept as its oracle) and edge visibility, one
+vertex search per directed edge. The program reads a PAG's separations by ``m_connected`` in
 one MAG of its class; definite-status path enumeration in the PAG
 (``definite_connecting_paths``) is kept only as the test oracle for that.
 """
@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .graph import ARROW, CIRCLE, TAIL, Edge, GraphError, MixedGraph
+from .graph import (
+    ARROW, CIRCLE, TAIL, Edge, GraphError, MixedGraph, VertexMasks, reach,
+)
 
 
 def m_connected(g: MixedGraph, x: str, y: str, z: Iterable[str]) -> bool:
@@ -25,30 +27,57 @@ def m_connected(g: MixedGraph, x: str, y: str, z: Iterable[str]) -> bool:
     if x == y:
         raise GraphError("x and y must differ")
     z = set(z)
-    g.check_vertices((x, y, *z))
+    ix = g.masks()
+    ix.mask((x, y, *z))
     if x in z or y in z:
         raise GraphError("x and y must not be in z")
-    anz = g.ancestors(z)
-    adjacency = g.adjacency
-    # state = (vertex, whether the edge we arrived by has an arrowhead at
-    # it); which edges may leave a vertex depends on nothing else
-    frontier: list[tuple[str, bool]] = [(x, False)]
-    seen = set(frontier)
-    while frontier:
-        v, into = frontier.pop()
-        for w, _, here, there in adjacency(v):
-            if v != x:
-                if into and here == ARROW:
-                    if v not in anz:
-                        continue
-                elif v in z:
-                    continue
-            if w == y:
-                return True
-            state = (w, there == ARROW)
-            if state not in seen:
-                seen.add(state)
-                frontier.append(state)
+    return connected(ix, ix.bit[x].bit_length() - 1, ix.bit[y], ix.mask(z))
+
+
+def connected(ix: VertexMasks, x: int, y: int, z: int) -> bool:
+    """``m_connected`` on the masks of an ADMG or MAG: x the bit position
+    of the start, y the mask of the ends, z the conditioning mask.
+
+    The walk's state is (vertex, whether the edge it arrived by has an
+    arrowhead at it); which edges may leave a vertex depends on nothing
+    else. ``into`` and ``out`` hold the states reached each way. The start
+    leaves by every edge, so both of its states count as reached.
+    """
+    bi, ppa, pch, at, noarrow = ix.bi, ix.ppa, ix.pch, ix.at, ix.noarrow
+    anz = reach(ix.pa, z, ix.all)
+    xb = 1 << x
+    into = new_in = at[x]
+    out = new_out = noarrow[x]
+    if (into | out) & y:
+        return True
+    into |= xb
+    out |= xb
+    while new_in or new_out:
+        if new_in:
+            low = new_in & -new_in
+            new_in ^= low
+            i = low.bit_length() - 1
+            if low & z:              # a collider in z: arrowheads only
+                step_in, step_out = bi[i], ppa[i]
+            elif low & anz:          # any edge
+                step_in, step_out = at[i], noarrow[i]
+            else:                    # a non-collider: no arrowhead here
+                step_in, step_out = pch[i], noarrow[i] & ~ppa[i]
+        else:
+            low = new_out & -new_out
+            new_out ^= low
+            if low & z:
+                continue
+            i = low.bit_length() - 1
+            step_in, step_out = at[i], noarrow[i]
+        if (step_in | step_out) & y:
+            return True
+        step_in &= ~into
+        step_out &= ~out
+        into |= step_in
+        out |= step_out
+        new_in |= step_in
+        new_out |= step_out
     return False
 
 

@@ -2,7 +2,11 @@
 in PAGs, edge visibility by enumerating collider paths, Possible-D-SEP by
 enumerating simple paths, the MAG of an ADMG by exhaustive search for
 separating sets, target decomposition with its argument checks, equal-count
-binning of continuous columns, and small graph constructors."""
+binning of continuous columns, and small graph constructors.
+
+The ``*_by_sets`` procedures are the set-based forms of the program's mask
+loops: closures, pc-components, regions, the m-separation walk and target
+decomposition, on vertex-name sets and induced subgraphs."""
 
 from collections import deque
 from itertools import combinations
@@ -10,11 +14,13 @@ from typing import Iterable
 
 import numpy as np
 
+from stablespec.components import invisible
 from stablespec.data import DataTable
 from stablespec.graph import ARROW, CIRCLE, TAIL, Edge, GraphError, MixedGraph
 from stablespec.identify import _decompose
 from stablespec.separation import (
     _path_vertices, _simple_paths, definite_connecting_paths, m_connected,
+    visible_edges,
 )
 
 
@@ -127,12 +133,148 @@ def mag_of_admg(g: MixedGraph) -> MixedGraph:
 def decompose_targets(p: MixedGraph, t: Iterable[str],
                       z: Iterable[str]) -> list[tuple[set[str], set[str]]]:
     """Split t into component-wise pieces (t_i, z_i) whose interventional
-    factors can be identified separately."""
+    factors can be identified separately: the program's mask decomposition,
+    on names."""
     t, z = set(t), set(z)
     if t & z:
         raise GraphError("t and z must be disjoint")
-    p.check_vertices(t | z)
-    return list(_decompose(p, t, z))
+    ix = p.masks()
+    ix.mask(t | z)
+    return [(set(ix.names_of(ti)), set(ix.names_of(zi)))
+            for ti, zi in _decompose(ix, invisible(p), ix.mask(t),
+                                     ix.mask(z))]
+
+
+# -- set-based references of the mask loops -------------------------------
+
+
+def closure_by_sets(g: MixedGraph, seed: Iterable[str], step) -> set[str]:
+    """seed plus every vertex reached from it across edges whose marks (at
+    the current vertex, at the next) satisfy step."""
+    out = set(seed)
+    frontier = list(out)
+    while frontier:
+        for w, _, here, there in g.adjacency(frontier.pop()):
+            if w not in out and step(here, there):
+                out.add(w)
+                frontier.append(w)
+    return out
+
+
+def buckets_by_sets(g: MixedGraph) -> list[set[str]]:
+    """Circle-circle closures, ordered by their smallest name."""
+    out: list[set[str]] = []
+    for v in sorted(g.vertices):
+        if not any(v in b for b in out):
+            out.append(closure_by_sets(
+                g, {v}, lambda here, there: here == there == CIRCLE))
+    return out
+
+
+def pc_component_by_sets(g: MixedGraph, seed: Iterable[str],
+                         visibility_in: MixedGraph | None = None) -> set[str]:
+    """Reference for ``components.pc_component``: a walk over (vertex,
+    arrived with an arrowhead at it) states, None at the seed, across edges
+    not visible in ``visibility_in`` (default g); inner vertices must be
+    colliders."""
+    vis = visible_edges(visibility_in if visibility_in is not None else g)
+    out = set(seed)
+    frontier: list[tuple[str, bool | None]] = [(v, None) for v in sorted(out)]
+    seen = set(frontier)
+    while frontier:
+        v, into = frontier.pop()
+        for w, e, here, there in g.adjacency(v):
+            if e in vis:
+                continue
+            if into is not None and not (into and here == ARROW):
+                continue
+            out.add(w)
+            state = (w, there == ARROW)
+            if state not in seen:
+                seen.add(state)
+                frontier.append(state)
+    return out
+
+
+def region_by_sets(g: MixedGraph, a: Iterable[str],
+                   c: Iterable[str]) -> set[str]:
+    """Reference for ``components.region``: the buckets of the induced
+    subgraph g[c] that meet the pc-component of a in it."""
+    sub = g.induced(c)
+    pc = pc_component_by_sets(sub, a, visibility_in=g)
+    out: set[str] = set()
+    for b in buckets_by_sets(sub):
+        if b & pc:
+            out |= b
+    return out
+
+
+def m_connected_by_sets(g: MixedGraph, x: str, y: str,
+                        z: Iterable[str]) -> bool:
+    """Reference for ``separation.m_connected``: a walk over (vertex,
+    arrived with an arrowhead at it) states, colliders in the ancestors of
+    z, non-colliders outside z."""
+    z = set(z)
+    anz = closure_by_sets(g, z, lambda here, there:
+                          here == ARROW and there == TAIL)
+    frontier: list[tuple[str, bool]] = [(x, False)]
+    seen = set(frontier)
+    while frontier:
+        v, into = frontier.pop()
+        for w, _, here, there in g.adjacency(v):
+            if v != x:
+                if into and here == ARROW:
+                    if v not in anz:
+                        continue
+                elif v in z:
+                    continue
+            if w == y:
+                return True
+            state = (w, there == ARROW)
+            if state not in seen:
+                seen.add(state)
+                frontier.append(state)
+    return False
+
+
+def decompose_by_sets(p: MixedGraph, t: Iterable[str], z: Iterable[str]
+                      ) -> list[tuple[set[str], set[str]]]:
+    """Reference for ``identify._decompose``, on induced subgraphs: grow a
+    piece from the smallest target until pa* of its pc-component and of
+    the rest's meet only in z, then split it off with its region."""
+    def star(sub, s, nbrs):
+        out = set(s)
+        for v in s:
+            out |= nbrs(sub, v)
+        return out
+
+    def pa_star(sub, s):
+        return star(sub, s, MixedGraph.possible_parents)
+
+    t, z = set(t), set(z)
+    pieces = []
+    while t:
+        scope = t | z
+        sub = p.induced(scope)
+
+        def pc(seed):
+            return pc_component_by_sets(sub, seed, visibility_in=p)
+
+        x = {min(t)}
+        cx = pc(x)
+        a = pa_star(sub, cx) & pa_star(sub, pc(scope - cx))
+        while not a <= z:
+            grown = x | star(sub, a & t, MixedGraph.possible_children)
+            if grown == x:
+                raise RuntimeError("component growth stalled")
+            x = grown
+            cx = pc(x)
+            a = pa_star(sub, cx) & pa_star(sub, pc(scope - cx))
+        t1 = cx & t
+        t2 = t - t1
+        pieces.append((t1, region_by_sets(p, x, scope) - t1))
+        t, z = t2, region_by_sets(p, scope - cx, scope) - t2
+    return pieces
 
 
 def quantile_edges(values: np.ndarray, bins: int) -> np.ndarray:

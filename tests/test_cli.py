@@ -26,6 +26,18 @@ UNSTABLE_PAG = "vars: A,Y\nA o-o Y\n"
 SELECTION_PAG = "vars: A,B,C\nA o-- B\nB --> C\n"
 # Arrowheads that close a directed cycle: no MAG has these marks.
 CYCLIC_PAG = "vars: A,B,C,D\nA --> B\nB --> C\nC --> A\nD o-> A\n"
+# Draw 2844 of ``pooled_draws``: at its 300 rows per environment, pooled
+# FCI learns arrowheads that close a directed cycle.
+CYCLIC_ADMG = """\
+vars: V0,V1,V2,V3,V4
+V0 --> V2
+V0 <-> V4
+V1 --> V2
+V1 --> V4
+V1 <-> V3
+V2 --> V3
+V2 --> V4
+"""
 # A learned PAG that has a MAG, but whose possible-parent edges between the
 # buckets {E,V1,V2} and {V7} close a cycle, so they have no bucket order.
 CYCLIC_BUCKETS_PAG = """\
@@ -160,6 +172,36 @@ class TestSettingRanges:
         assert err == f"error: {message}\n"
 
 
+class TestNonFiniteFlags:
+    @pytest.mark.parametrize("flags, message", [
+        (["simulate", "--alpha", "inf", "--out", "{out}.csv"],
+         "--alpha must be a finite number, not inf"),
+        (["simulate", "--alpha=-inf", "--out", "{out}.csv"],
+         "--alpha must be a finite number, not -inf"),
+        (["simulate", "--alpha", "nan", "--out", "{out}.csv"],
+         "--alpha must be a finite number, not nan"),
+        (["sweep", "--graph", "{pag}", "--train-alphas", "nan,4",
+          "--out", "{out}"],
+         "--train-alphas must be a finite number, not nan"),
+        (["sweep", "--graph", "{pag}", "--train-alphas", "4,inf",
+          "--out", "{out}"],
+         "--train-alphas must be a finite number, not inf"),
+        (["sweep", "--graph", "{pag}", "--grid-start", "nan",
+          "--out", "{out}"],
+         "--grid-start must be a finite number, not nan"),
+        (["sweep", "--graph", "{pag}", "--grid-stop", "inf",
+          "--out", "{out}"],
+         "--grid-stop must be a finite number, not inf"),
+    ])
+    def test_exits_two_naming_the_flag(self, workdir, tmp_path, capsys,
+                                       flags, message):
+        out = tmp_path / "run"
+        argv = [f.format(out=out, pag=workdir / "pag.txt") for f in flags]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists() and not Path(f"{out}.csv").exists()
+
+
 class TestConstantColumn:
     @pytest.mark.parametrize("test, message", [
         ("fisher-z", "constant column in correlation matrix: K"),
@@ -285,6 +327,39 @@ class TestLearnPag:
                      "--out", str(tmp_path / "run")]) == 0
         graph = parse((tmp_path / "run" / "graph.txt").read_text())
         assert graph.vertices == ("E", *g.vertices)
+
+    def test_cyclic_pag_is_flagged(self, workdir, tmp_path, capsys):
+        # draw 2844 at 300 rows per environment: the learned arrowheads
+        # close a directed cycle, so no MAG has the PAG's marks
+        *_, (g, tables) = pooled_draws(2845)
+        assert serialize(g) == CYCLIC_ADMG
+        data = []
+        for e, t in enumerate(tables):
+            save_csv(t, str(tmp_path / f"e{e}.csv"))
+            data += ["--data", str(tmp_path / f"e{e}.csv")]
+        out = tmp_path / "run"
+        assert main(["learn-pag", *data,
+                     "--schema", str(workdir / "plain.json"),
+                     "--out", str(out)]) == 0
+        warning = ("warning: no MAG has the marks of this PAG: its "
+                   "arrowheads close a directed cycle; identify, check and "
+                   "search will refuse this graph")
+        err = capsys.readouterr().err
+        assert err == warning + "\n"
+        assert (out / "log.txt").read_text().splitlines()[-1] == warning
+        graph = (out / "graph.txt").read_text()
+        assert main(["check", "--graph", str(out / "graph.txt"),
+                     "--mutable", "V0", "--target", "V1"]) == 2
+        assert parse(graph).vertices == ("E", *g.vertices)
+
+    def test_valid_pag_is_not_flagged(self, workdir, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["learn-pag", "--data", str(workdir / "e1.csv"),
+                     "--data", str(workdir / "e2.csv"),
+                     "--schema", str(workdir / "plain.json"),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert "warning" not in (out / "log.txt").read_text()
 
     def test_one_csv_naming_env_column_learns_as_pooled(self, tmp_path):
         # the environment shifts the means of X1 and X3; one pooled CSV

@@ -6,11 +6,11 @@ warm with the same fact on an equal graph freshly parsed from its text,
 check that memoized facts are handed out as immutable values, and count the work one search does: edge visibility and the
 invariance checker's MAGs are each computed at most once per graph, no
 path is enumerated, and graph closures and m-separation read edge marks
-from the graph's adjacency index, not through ``Edge`` methods. One
+from the graph's indexes, not through ``Edge`` methods. One
 ``stable_candidates`` call also identifies each Q[c] of the joint once,
 simplifies once per distinct set of pieces meeting the target, walks the
-MAG once per distinct separation question of ``simplify``, and walks each
-vertex's ancestor and possible-ancestor closure at most once per graph.
+MAG once per distinct separation question of ``simplify``, builds each
+graph's mask index at most once, and builds no induced subgraph.
 """
 
 import random
@@ -34,7 +34,7 @@ from stablespec.identify import (
 )
 from stablespec.search import InvarianceSpec, stable_candidates
 from stablespec.separation import m_connected, visible_edges
-from oracles import definite_m_separated
+from oracles import closure_by_sets, definite_m_separated
 from util import PAG8, PAG10, example_pag, random_admg
 
 
@@ -72,20 +72,6 @@ def into_from_tail(here, there):
 
 def no_arrow_there(here, there):
     return there != ARROW
-
-
-def closure_from_whole_set(g, seed, step):
-    """seed plus every vertex reached from it across edges whose marks (at
-    the current vertex, at the next) satisfy step, in one walk from the
-    whole set."""
-    out = set(seed)
-    frontier = list(out)
-    while frontier:
-        for w, _, here, there in g.adjacency(frontier.pop()):
-            if w not in out and step(here, there):
-                out.add(w)
-                frontier.append(w)
-    return out
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -166,16 +152,16 @@ class TestCachedEqualsCold:
                     answer(identify_interventional(fresh(g), {x}, {y}, z))
 
     def test_closures(self, seed):
-        # the union of per-vertex closures equals one walk from the set
+        # the mask closure equals a walk over names from the whole set
         g = random_pag(seed)
         for h in (g, class_mag(g)):
             sets = subsets(h.vertices)
             random.Random(seed).shuffle(sets)
             for s in sets:
                 assert warm(lambda: h.ancestors(s)) == \
-                    closure_from_whole_set(h, s, into_from_tail)
+                    closure_by_sets(h, s, into_from_tail)
                 assert warm(lambda: possible_ancestors(h, s)) == \
-                    closure_from_whole_set(h, s, no_arrow_there)
+                    closure_by_sets(h, s, no_arrow_there)
 
 
 class TestMemoizedFactsAreImmutable:
@@ -399,20 +385,40 @@ class TestSearchWork:
 
     @pytest.mark.parametrize("text, mutable, target", SEARCHES,
                              ids=SEARCH_IDS)
-    def test_closures_walked_once_per_graph_and_vertex(self, monkeypatch,
-                                                       text, mutable, target):
-        # ancestors, possible ancestors, definite c-components and buckets
-        walks, graphs = [], []
-        uncached = graph_module._walk
+    def test_mask_index_built_once_per_graph(self, monkeypatch, text,
+                                             mutable, target):
+        # closures, pc-components and separation walks read the neighbour
+        # masks of each graph's index, built on first use
+        built, graphs = [], []
+        uncached = graph_module.VertexMasks.__init__
 
-        def spy(g, v, step):
-            graphs.append(g)   # keeps each id unique while walks holds it
-            walks.append((id(g), v, step))
-            return uncached(g, v, step)
+        def spy(ix, g):
+            graphs.append(g)   # keeps each id unique while built holds it
+            built.append(id(g))
+            uncached(ix, g)
 
-        monkeypatch.setattr(graph_module, "_walk", spy)
-        stable_candidates(InvarianceSpec(parse(text), mutable), target)
-        assert {step for _, _, step in walks} == {
-            graph_module._into_from_tail, graph_module._no_arrow_there,
-            graph_module._bidirected, graph_module._circle_circle}
-        assert len(walks) == len(set(walks))
+        monkeypatch.setattr(graph_module.VertexMasks, "__init__", spy)
+        pag = parse(text)
+        stable_candidates(InvarianceSpec(pag, mutable), target)
+        assert pag in graphs and class_mag(pag) in graphs
+        assert len(built) == len(set(built))
+
+    def test_search_builds_no_induced_graph(self, monkeypatch):
+        # a subgraph of the identification calculus is a scope mask: one
+        # cold search builds only the MAGs of the PAG's class that the
+        # invariance checker and simplify read, never a graph on fewer
+        # vertices
+        pag = parse(PAG10)
+        built = []
+        uncached = graph_module.MixedGraph.__init__
+
+        def spy(g, vertices, edges, kind):
+            uncached(g, vertices, edges, kind)
+            built.append(g)
+
+        monkeypatch.setattr(graph_module.MixedGraph, "__init__", spy)
+        found = stable_candidates(InvarianceSpec(pag, {"V4"}), "V6")
+        assert any(c.kind == "interventional" for c in found)
+        assert built
+        assert all(g.kind == "MAG" and g.vertices == pag.vertices
+                   for g in built)

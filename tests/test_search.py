@@ -151,13 +151,14 @@ class TestStableCandidates:
             g = random_admg(random.Random(6), max_vertices=7, min_vertices=7)
             pag = fci(SeparationOracle(g), g.vertices)
             spec, env, target = InvarianceSpec(pag, {"V0", "V1"}), None, "V4"
-        calls, original = [], search.identify_interventional
+        # the search calls identification's mask core
+        calls, original = [], search._identify
 
-        def counted(pag, m, y, z):
-            calls.append(frozenset(z))
-            return original(pag, m, y, z)
+        def counted(pag, ix, m, y, z):
+            calls.append(ix.names_of(z))
+            return original(pag, ix, m, y, z)
 
-        monkeypatch.setattr(search, "identify_interventional", counted)
+        monkeypatch.setattr(search, "_identify", counted)
         got = stable_candidates(spec, target, "full", env=env)
         observed = set(spec.pag.vertices) - {target, env}
         want = {z - spec.mutable for z in subsets_in_order(observed)
