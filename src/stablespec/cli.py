@@ -52,6 +52,12 @@ def _finite(flag: str, value: float) -> float:
     return value
 
 
+def _count(flag: str, value: int) -> int:
+    if value < 0:
+        raise InputError(f"{flag} must be a non-negative integer, not {value}")
+    return value
+
+
 def _load_tables(args) -> list[DataTable]:
     if not args.data:
         raise InputError("no --data files given")
@@ -184,6 +190,7 @@ def _candidates_json(candidates, winner) -> str:
 
 
 def cmd_search(args) -> int:
+    _count("--seed", args.seed)
     out = _run_dir(args)
     log: list[str] = []
     if args.graph:
@@ -232,7 +239,7 @@ def cmd_simulate(args) -> int:
     if args.alpha is None:
         raise InputError("simulate needs --alpha")
     table = simulate_benchmark(_finite("--alpha", args.alpha), args.n,
-                               args.seed)
+                               _count("--seed", args.seed))
     save_csv(table, args.out)
     return 0
 
@@ -243,6 +250,8 @@ def cmd_sweep(args) -> int:
                     for a in _csv_list(args.train_alphas)]
     _finite("--grid-start", args.grid_start)
     _finite("--grid-stop", args.grid_stop)
+    _count("--seed", args.seed)
+    _count("--grid-points", args.grid_points)
     if len(train_alphas) < 2:
         raise InputError("sweep simulates one dataset per --train-alphas "
                          "value; provide two or more datasets")

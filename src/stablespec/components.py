@@ -1,15 +1,16 @@
 """Vertex groupings used by the identification machinery.
 
 Buckets (circle-path closures), possible c-components over invisible edges,
-bidirected-closure c-components, regions, a deterministic bucket order, and
-the PAG-to-MAG orientation.
+regions, a deterministic bucket order, and the PAG-to-MAG orientation.
 
 Each grouping has one implementation over the graph's mask index
 (``graph.VertexMasks``), in which an induced subgraph g[c] is the scope
-mask of c: the mask functions (``_pc``, ``_region``, ``graph.blocks``)
-take masks and return masks, and identification calls them directly. The public functions take and return vertex names; buckets, bucket
-orders and pc-components are computed once per graph and returned as the
-frozensets the graph's memo holds, a list-valued fact as a new list of them.
+mask of c: the mask functions (``_pc``, ``_region``, ``_bucket_order``,
+``graph.blocks``) take masks and return masks or memoized facts, and
+identification calls them directly. The public functions are where vertex
+names become masks; buckets, bucket orders and pc-components are computed
+once per graph and returned as the frozensets the graph's memo holds, a
+list-valued fact as a new list of them.
 """
 
 from __future__ import annotations
@@ -41,37 +42,28 @@ def buckets(g: MixedGraph) -> list[frozenset[str]]:
         ix.names_of(b) for b in blocks(ix.cc, ix.all))))
 
 
-def invisible(g: MixedGraph, vis: frozenset[Edge] | None = None
-              ) -> tuple[int, ...]:
+def invisible(g: MixedGraph) -> tuple[int, ...]:
     """Per bit position of g's mask index, the neighbours joined to that
-    vertex by an edge not in vis (default: g's visible edges); computed
-    once per graph and vis."""
-    if vis is None:
-        vis = visible_edges(g)
-
+    vertex by an edge that is not visible in g; computed once per graph."""
     def build():
+        vis = visible_edges(g)
         ix = g.masks()
         return tuple(sum(ix.bit[w] for w, e, _, _ in g.adjacency(v)
                          if e not in vis)
                      for v in ix.names)
-    return g.memo(("invisible", vis), build)
+    return g.memo(("invisible",), build)
 
 
-def pc_component(g: MixedGraph, seed: Iterable[str],
-                 visibility_in: MixedGraph | None = None) -> frozenset[str]:
+def pc_component(g: MixedGraph, seed: Iterable[str]) -> frozenset[str]:
     """Closure of seed under collider paths made of invisible edges.
 
     Vertices joined to the seed by a path whose non-endpoints are all
-    colliders and whose edges are all invisible. When g is an induced
-    subgraph, pass the parent graph as ``visibility_in`` so edges keep the
-    visibility status they have there.
+    colliders and whose edges are all invisible.
     """
-    seed = frozenset(seed)
     ix = g.masks()
     s = ix.mask(seed)
-    vis = visible_edges(visibility_in if visibility_in is not None else g)
-    return g.memo(("pc_component", seed, vis), lambda: ix.names_of(
-        _pc(ix, invisible(g, vis), s, ix.all)))
+    return g.memo(("pc_component", s), lambda: ix.names_of(
+        _pc(ix, invisible(g), s, ix.all)))
 
 
 def _pc(ix: VertexMasks, inv: Sequence[int], seed: int, scope: int) -> int:
@@ -107,13 +99,6 @@ def _pc(ix: VertexMasks, inv: Sequence[int], seed: int, scope: int) -> int:
     return out
 
 
-def definite_c_component(g: MixedGraph, seed: Iterable[str]
-                         ) -> frozenset[str]:
-    """Closure of seed under bidirected (arrow-arrow) edges."""
-    ix = g.masks()
-    return ix.names_of(reach(ix.bi, ix.mask(seed), ix.all))
-
-
 def region(g: MixedGraph, a: Iterable[str], c: Iterable[str]) -> set[str]:
     """Union of the buckets of g[c] that meet the pc-component of a in g[c]."""
     a, c = set(a), set(c)
@@ -144,37 +129,40 @@ def bucket_partial_order(g: MixedGraph, scope: Iterable[str]
     ix = g.masks()
     s = ix.mask(scope)
     _require_pag(g)
-    return list(g.memo(("bucket_partial_order", s),
-                       lambda: _bucket_order(g, ix, s)))
+    return list(_bucket_order(g, ix, s))
 
 
 def _bucket_order(g: MixedGraph, ix: VertexMasks, scope: int
                   ) -> tuple[frozenset[str], ...]:
-    of = {}
-    for b in blocks(ix.cc, scope):
-        for i in positions(b):
-            of[i] = b
-    sorter = TopologicalSorter()
-    for v in g.vertices:   # the order a subgraph's vertices had
-        if ix.bit[v] & scope:
-            i = ix.bit[v].bit_length() - 1
-            sorter.add(of[i], *(of[j] for j in positions(ix.ppa[i] & scope)
-                                if of[j] != of[i]))
-    try:
-        sorter.prepare()
-    except CycleError as err:
-        cycle = ", ".join(sorted("{" + ",".join(sorted(ix.names_of(b))) + "}"
-                                 for b in set(err.args[1])))
-        raise GraphError("cyclic bucket order: possible-parent edges close "
-                         f"a cycle through the buckets {cycle}") from None
-    # layered order: all minimal buckets first, then the next layer, with
-    # ties broken by the smallest name, the lowest bit
-    order: list[frozenset[str]] = []
-    while sorter.is_active():
-        layer = sorted(sorter.get_ready(), key=lambda b: b & -b)
-        order.extend(ix.names_of(b) for b in layer)
-        sorter.done(*layer)
-    return tuple(order)
+    """``bucket_partial_order`` on a scope mask, computed once per graph
+    and scope."""
+    def build():
+        of = {}
+        for b in blocks(ix.cc, scope):
+            for i in positions(b):
+                of[i] = b
+        sorter = TopologicalSorter()
+        for v in g.vertices:   # the order a subgraph's vertices had
+            if ix.bit[v] & scope:
+                i = ix.bit[v].bit_length() - 1
+                sorter.add(of[i], *(of[j] for j in positions(ix.ppa[i] & scope)
+                                    if of[j] != of[i]))
+        try:
+            sorter.prepare()
+        except CycleError as err:
+            cycle = ", ".join(sorted("{" + ",".join(sorted(ix.names_of(b)))
+                                     + "}" for b in set(err.args[1])))
+            raise GraphError("cyclic bucket order: possible-parent edges close "
+                             f"a cycle through the buckets {cycle}") from None
+        # layered order: all minimal buckets first, then the next layer,
+        # with ties broken by the smallest name, the lowest bit
+        order: list[frozenset[str]] = []
+        while sorter.is_active():
+            layer = sorted(sorter.get_ready(), key=lambda b: b & -b)
+            order.extend(ix.names_of(b) for b in layer)
+            sorter.done(*layer)
+        return tuple(order)
+    return g.memo(("bucket_partial_order", scope), build)
 
 
 def _mcs_order(adj: dict[str, set[str]],

@@ -162,8 +162,9 @@ class DataTable:
                 n = arr.shape[0]
             elif arr.shape[0] != n:
                 raise DataError("columns differ in length")
-            if np.isnan(arr).any():
-                raise DataError(f"column {name!r} has missing values")
+            if not np.isfinite(arr).all():
+                what = "missing" if np.isnan(arr).any() else "non-finite"
+                raise DataError(f"column {name!r} has {what} values")
             arr = arr.view()
             arr.flags.writeable = False
             arrays[name] = arr
@@ -365,12 +366,12 @@ def load_csv(csv_path: str, schema_path: str) -> DataTable:
     raises DataError.
 
     The header row is read by ``csv.reader``; the body by one
-    ``np.loadtxt`` call. A cell is a number in the syntax numpy reads
-    (decimal or exponent notation, ``inf``/``infinity`` with either sign,
-    any case), optionally with surrounding whitespace and optionally
-    wrapped in ``"`` quotes; ``#`` has no special meaning. Line ends may be
-    LF, CRLF or CR. Every row must have as many fields as the header.
-    Blank and NaN cells are missing values and are rejected, as are blank
+    ``np.loadtxt`` call. A cell is a finite number in the syntax numpy
+    reads (decimal or exponent notation), optionally with surrounding
+    whitespace and optionally wrapped in ``"`` quotes; ``#`` has no special
+    meaning. Line ends may be LF, CRLF or CR. Every row must have as many
+    fields as the header. Blank and NaN cells are missing values and are
+    rejected, as are ``inf``/``infinity`` cells with either sign, blank
     lines and cells numpy cannot read (such as ``1_000``, which Python's
     ``float`` would accept). The error names the first faulty row in file
     order, counting the header as row 1, and the column when a cell is at
@@ -415,11 +416,12 @@ def load_csv(csv_path: str, schema_path: str) -> DataTable:
             raise _locate_fault(body, header, exc) from None
     if values.shape != (n_lines, len(header)):
         raise _locate_fault(body, header)
-    missing = np.isnan(values)
-    if missing.any():
-        row, col = np.argwhere(missing)[0]
-        raise DataError(
-            f"missing value in column {header[col]!r}, row {row + 2}")
+    bad = ~np.isfinite(values)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        what = "missing value" if np.isnan(values[row, col]) else \
+            f"non-finite value {values[row, col]}"
+        raise DataError(f"{what} in column {header[col]!r}, row {row + 2}")
     # one contiguous array per column, not strided views of the rows
     return DataTable(dict(zip(header, np.ascontiguousarray(values.T))),
                      kinds, env)

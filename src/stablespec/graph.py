@@ -191,12 +191,8 @@ class MixedGraph:
     # -- basic queries -------------------------------------------------
 
     def check_vertices(self, vs: Iterable[str]):
-        adj = self._adj
-        for v in vs:
-            if v not in adj:
-                # an iterator resumes after v, a collection starts again
-                unknown = {v}.union(u for u in vs if u not in adj)
-                raise GraphError(f"unknown vertices: {sorted(unknown)}")
+        """Raise GraphError naming each vertex of vs not in the graph."""
+        self.masks().mask(vs)
 
     def adjacency(self, v: str) -> tuple[tuple[str, Edge, str, str], ...]:
         """The index entry of v: one ``(neighbour, edge, mark at v, mark at
@@ -230,26 +226,6 @@ class MixedGraph:
         """Reflexive closure under directed (tail-arrow) edges."""
         ix = self.masks()
         return ix.names_of(reach(ix.pa, ix.mask(vs), ix.all))
-
-    def possible_parents(self, v: str) -> set[str]:
-        """u with an edge u *-> v whose mark at u is tail or circle."""
-        return {w for w, _, here, there in self._adj[v] if here == ARROW and there != ARROW}
-
-    def possible_children(self, v: str) -> set[str]:
-        return {w for w, _, here, there in self._adj[v] if there == ARROW and here != ARROW}
-
-    # -- derived graphs ------------------------------------------------
-
-    def induced(self, vs: Iterable[str]) -> "MixedGraph":
-        keep = frozenset(vs)
-        self.check_vertices(keep)
-        return self.memo(("induced", keep), lambda: MixedGraph(
-            [v for v in self.vertices if v in keep],
-            [e for e in self.edges if e.a in keep and e.b in keep],
-            self.kind))
-
-    def replace_edges(self, edges: Iterable[Edge]) -> "MixedGraph":
-        return MixedGraph(self.vertices, edges, self.kind)
 
     # -- equality / hashing -------------------------------------------
 
@@ -317,12 +293,8 @@ class VertexMasks:
         return m
 
     def names_of(self, m: int) -> frozenset[str]:
-        names, out = self.names, []
-        while m:
-            low = m & -m
-            out.append(names[low.bit_length() - 1])
-            m ^= low
-        return frozenset(out)
+        names = self.names
+        return frozenset(names[i] for i in positions(m))
 
 
 _STEPS: dict[str, Callable[[str, str], bool]] = {
@@ -410,7 +382,7 @@ def mutilate(g: MixedGraph, mode: str, x: Iterable[str],
                 if not (e in vis and e.tail_end() in xs)]
     else:
         raise GraphError(f"unknown mutilation mode {mode!r}")
-    return g.replace_edges(keep)
+    return MixedGraph(g.vertices, keep, g.kind)
 
 
 # -- text format -----------------------------------------------------------

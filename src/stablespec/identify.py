@@ -14,8 +14,9 @@ pieces meeting the target, failures included.
 
 Both run on the PAG's mask index (``graph.VertexMasks``): ``_invariant``
 and ``_identify`` take vertex sets as masks and are the cores that the
-search calls once per conditioning set; the public functions check names
-and convert to them.
+search calls once per conditioning set. Decomposition, bucket absorption
+and elimination, and Q[c] identification have only mask cores, which call
+each other; vertex names become masks once, in the public functions.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .components import (
-    _pc, _region, bucket_partial_order, class_mag, invisible, pag_to_mag,
+    _bucket_order, _pc, _region, class_mag, invisible, pag_to_mag,
 )
 from .expressions import (
     Factor, ONE, Product, Quotient, SumOver, conditional_of, simplify,
@@ -195,22 +196,11 @@ def _decompose(ix: VertexMasks, inv: Sequence[int], t: int, z: int):
         t, z = t2, _region(ix, inv, scope & ~cx, scope) & ~t2
 
 
-def absorb_buckets(p: MixedGraph, t: Iterable[str],
-                   z: Iterable[str]) -> tuple[set[str], set[str]]:
-    """Extend z over buckets that straddle t ∪ z, or fail.
-
-    A straddling bucket can be absorbed only when the pc-component of its
-    outside part has no possible parent in t.
-    """
-    ix = p.masks()
-    t, z = set(t), set(z)
-    ix.mask(t | z)
-    t, z = _absorb(ix, invisible(p), ix.mask(t), ix.mask(z))
-    return set(ix.names_of(t)), set(ix.names_of(z))
-
-
 def _absorb(ix: VertexMasks, inv: Sequence[int], t: int, z: int
             ) -> tuple[int, int]:
+    """Extend z over the buckets that straddle t ∪ z, or raise
+    NotIdentifiable: a straddling bucket can be absorbed only when the
+    pc-component of its outside part has no possible parent in t."""
     bks = blocks(ix.cc, ix.all)
     while True:
         tz = t | z
@@ -225,20 +215,10 @@ def _absorb(ix: VertexMasks, inv: Sequence[int], t: int, z: int
         z |= straddler & ~t
 
 
-def eliminate_bucket(p: MixedGraph, t: Iterable[str],
-                     x_bucket: Iterable[str], q) -> object:
-    """Sum a bucket out of Q[t]: Q[t \\ x_bucket] as quotient-times-sum of
-    per-bucket conditionals of q, when the bucket criterion holds."""
-    ix = p.masks()
-    t, x_bucket = set(t), set(x_bucket)
-    tm = ix.mask(t)
-    if not x_bucket <= t:
-        raise GraphError("x_bucket must lie inside t")
-    return _eliminate(p, ix, invisible(p), tm, ix.mask(x_bucket), q)
-
-
 def _eliminate(p: MixedGraph, ix: VertexMasks, inv: Sequence[int], t: int,
                xb: int, q) -> object:
+    """Sum the bucket xb out of Q[t] (q): Q[t \\ xb] as quotient-times-sum
+    of per-bucket conditionals of q, when the bucket criterion holds."""
     names = ix.names
     for i in positions(xb):
         bad = ix.pch[i] & t & ~xb & _pc(ix, inv, 1 << i, t)
@@ -249,7 +229,7 @@ def _eliminate(p: MixedGraph, ix: VertexMasks, inv: Sequence[int], t: int,
     sx = ix.names_of(reach(ix.bi, xb, t))
     prefix: set[str] = set()
     fs = []
-    for b in bucket_partial_order(p, ix.names_of(t)):
+    for b in _bucket_order(p, ix, t):
         if b <= sx:
             fs.append(conditional_of(q, b, set(prefix)))
         prefix |= b
@@ -257,23 +237,9 @@ def _eliminate(p: MixedGraph, ix: VertexMasks, inv: Sequence[int], t: int,
     return Product([Quotient(q, chain), SumOver(ix.names_of(xb), chain)])
 
 
-def identify_marginal(p: MixedGraph, c: Iterable[str], t: Iterable[str],
-                      q) -> object:
-    """Compute Q[c] from Q[t] (q) in the PAG p, or raise NotIdentifiable."""
-    c, t = frozenset(c), frozenset(t)
-    if not c <= t:
-        raise GraphError("c must be a subset of t")
-    if not c:
-        return ONE
-    if c == t:
-        return q
-    ix = p.masks()
-    tm = ix.mask(t)
-    return _marginal(p, ix, invisible(p), ix.mask(c), tm, q)
-
-
 def _marginal(p: MixedGraph, ix: VertexMasks, inv: Sequence[int], c: int,
               t: int, q) -> object:
+    """Q[c] from Q[t] (q), c inside t, or raise NotIdentifiable."""
     if not c:
         return ONE
     if c == t:
@@ -342,29 +308,30 @@ def _identify_pieces(p: MixedGraph, ix: VertexMasks, inv: Sequence[int],
                      y: int, pieces: list[tuple[int, int]]):
     """Simplified product of P(d_i ∩ y | z_i, d_i - y) over the pieces that
     meet y, or FAIL."""
-    names_of = ix.names_of
     try:
         absorbed = [_absorb(ix, inv, di, zi) for di, zi in pieces]
         factors = []
         for di, zi in absorbed:
-            e = _joint_marginal(p, names_of(di | zi))
-            factors.append(Quotient(SumOver(names_of(di & ~y), e),
-                                    SumOver(names_of(di), e)))
+            e = _joint_marginal(p, ix, inv, di | zi)
+            factors.append(Quotient(SumOver(ix.names_of(di & ~y), e),
+                                    SumOver(ix.names_of(di), e)))
     except NotIdentifiable:
         return FAIL
     return simplify(Product(factors), graph=p)
 
 
-def _joint_marginal(p: MixedGraph, c: frozenset[str]):
+def _joint_marginal(p: MixedGraph, ix: VertexMasks, inv: Sequence[int],
+                    c: int):
     """Q[c] from the observational joint, identified once per PAG and c;
     raises NotIdentifiable when it cannot be."""
     def compute():
-        v = frozenset(p.vertices)
         try:
-            return identify_marginal(p, c, v, Factor(v))
+            return _marginal(p, ix, inv, c, ix.all,
+                             Factor(frozenset(p.vertices)))
         except NotIdentifiable:
             return FAIL
     e = p.memo(("joint_marginal", c), compute)
     if e is FAIL:
-        raise NotIdentifiable(f"no rule applies for Q[{sorted(c)}]")
+        raise NotIdentifiable(
+            f"no rule applies for Q[{sorted(ix.names_of(c))}]")
     return e

@@ -6,7 +6,10 @@ binning of continuous columns, and small graph constructors.
 
 The ``*_by_sets`` procedures are the set-based forms of the program's mask
 loops: closures, pc-components, regions, the m-separation walk and target
-decomposition, on vertex-name sets and induced subgraphs."""
+decomposition, on vertex-name sets and induced subgraphs, which ``induced``
+builds as graphs of their own; ``possible_parents`` and
+``possible_children`` read one vertex's neighbours from the adjacency
+index."""
 
 from collections import deque
 from itertools import combinations
@@ -148,6 +151,28 @@ def decompose_targets(p: MixedGraph, t: Iterable[str],
 # -- set-based references of the mask loops -------------------------------
 
 
+def induced(g: MixedGraph, vs: Iterable[str]) -> MixedGraph:
+    """The subgraph of g on the vertices vs, with every edge of g between
+    them; its edges' visibility is judged in it, not in g."""
+    keep = set(vs)
+    g.check_vertices(keep)
+    return MixedGraph([v for v in g.vertices if v in keep],
+                      [e for e in g.edges if e.a in keep and e.b in keep],
+                      g.kind)
+
+
+def possible_parents(g: MixedGraph, v: str) -> set[str]:
+    """u with an edge u *-> v whose mark at u is tail or circle."""
+    return {w for w, _, here, there in g.adjacency(v)
+            if here == ARROW and there != ARROW}
+
+
+def possible_children(g: MixedGraph, v: str) -> set[str]:
+    """u with an edge v *-> u whose mark at v is tail or circle."""
+    return {w for w, _, here, there in g.adjacency(v)
+            if there == ARROW and here != ARROW}
+
+
 def closure_by_sets(g: MixedGraph, seed: Iterable[str], step) -> set[str]:
     """seed plus every vertex reached from it across edges whose marks (at
     the current vertex, at the next) satisfy step."""
@@ -200,7 +225,7 @@ def region_by_sets(g: MixedGraph, a: Iterable[str],
                    c: Iterable[str]) -> set[str]:
     """Reference for ``components.region``: the buckets of the induced
     subgraph g[c] that meet the pc-component of a in it."""
-    sub = g.induced(c)
+    sub = induced(g, c)
     pc = pc_component_by_sets(sub, a, visibility_in=g)
     out: set[str] = set()
     for b in buckets_by_sets(sub):
@@ -249,13 +274,13 @@ def decompose_by_sets(p: MixedGraph, t: Iterable[str], z: Iterable[str]
         return out
 
     def pa_star(sub, s):
-        return star(sub, s, MixedGraph.possible_parents)
+        return star(sub, s, possible_parents)
 
     t, z = set(t), set(z)
     pieces = []
     while t:
         scope = t | z
-        sub = p.induced(scope)
+        sub = induced(p, scope)
 
         def pc(seed):
             return pc_component_by_sets(sub, seed, visibility_in=p)
@@ -264,7 +289,7 @@ def decompose_by_sets(p: MixedGraph, t: Iterable[str], z: Iterable[str]
         cx = pc(x)
         a = pa_star(sub, cx) & pa_star(sub, pc(scope - cx))
         while not a <= z:
-            grown = x | star(sub, a & t, MixedGraph.possible_children)
+            grown = x | star(sub, a & t, possible_children)
             if grown == x:
                 raise RuntimeError("component growth stalled")
             x = grown

@@ -192,11 +192,25 @@ class TestNonFiniteFlags:
         (["sweep", "--graph", "{pag}", "--grid-stop", "inf",
           "--out", "{out}"],
          "--grid-stop must be a finite number, not inf"),
+        # negative counts; before: numpy's "expected non-negative integer"
+        # and "Number of samples, -3, must be non-negative."
+        (["simulate", "--alpha", "4", "--seed", "-1", "--out", "{out}.csv"],
+         "--seed must be a non-negative integer, not -1"),
+        (["search", "--graph", "{pag}", "--data", "{data}", "--schema",
+          "{schema}", "--seed", "-2", "--out", "{out}"],
+         "--seed must be a non-negative integer, not -2"),
+        (["sweep", "--graph", "{pag}", "--seed", "-1", "--out", "{out}"],
+         "--seed must be a non-negative integer, not -1"),
+        (["sweep", "--graph", "{pag}", "--grid-points", "-3",
+          "--out", "{out}"],
+         "--grid-points must be a non-negative integer, not -3"),
     ])
     def test_exits_two_naming_the_flag(self, workdir, tmp_path, capsys,
                                        flags, message):
         out = tmp_path / "run"
-        argv = [f.format(out=out, pag=workdir / "pag.txt") for f in flags]
+        argv = [f.format(out=out, pag=workdir / "pag.txt",
+                         data=workdir / "e1.csv",
+                         schema=workdir / "plain.json") for f in flags]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists() and not Path(f"{out}.csv").exists()
@@ -214,6 +228,30 @@ class TestConstantColumn:
         assert main([*command, *small_data_flags(tmp_path, constant=True),
                      "--test", test, "--out", str(tmp_path / "run")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class TestNonFiniteCells:
+    @pytest.mark.parametrize("command", [["learn-pag"],
+                                         ["search", "--graph", "{pag}"]])
+    def test_inf_cell_exits_two_naming_column_and_row(
+            self, workdir, tmp_path, capsys, command):
+        # before: learn-pag blamed a "constant column in correlation
+        # matrix: X", and search --graph exited 0 with a different winner,
+        # every candidate that uses X2 at loss inf
+        text = (workdir / "e2.csv").read_bytes().decode()
+        rows = [line.split(",") for line in text.split("\r\n")]
+        rows[5][rows[0].index("X2")] = "inf"
+        (tmp_path / "e2.csv").write_text(
+            "\r\n".join(",".join(r) for r in rows), newline="")
+        out = tmp_path / "run"
+        argv = [a.format(pag=workdir / "pag.txt") for a in command] + [
+            "--data", str(workdir / "e1.csv"),
+            "--data", str(tmp_path / "e2.csv"),
+            "--schema", str(workdir / "plain.json"), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == \
+            "error: non-finite value inf in column 'X2', row 6\n"
+        assert not (out / "graph.txt").exists()
 
 
 class TestVertexNames:

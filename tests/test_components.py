@@ -5,14 +5,13 @@ from itertools import permutations
 import pytest
 
 from stablespec.components import (
-    bucket_partial_order, buckets, definite_c_component, pag_to_mag,
-    pc_component, region,
+    _pc, bucket_partial_order, buckets, pag_to_mag, pc_component, region,
 )
 from stablespec.graph import (
-    ARROW, CIRCLE, TAIL, Edge, GraphError, MixedGraph, parse,
+    ARROW, CIRCLE, TAIL, Edge, GraphError, MixedGraph, parse, reach,
 )
-from oracles import with_kind
-from util import example_pag, random_admg
+from oracles import induced, possible_parents, with_kind
+from util import example_pag, on_masks, random_admg
 
 
 def _is_cycle(named: list[frozenset[str]],
@@ -64,27 +63,35 @@ class TestPcComponent:
         assert pc_component(g, {"A"}) == {"A"}
 
     def test_inherited_visibility(self):
-        # Within the induced subgraph {Y, X2} alone the edge Y --> X2 has no
-        # witness and would count invisible; the parent graph keeps it visible.
+        # In the graph induced on {Y, X2} the edge Y --> X2 has no witness
+        # and counts invisible; the scope mask {Y, X2} of the whole graph
+        # keeps the visibility the edge has there.
         p = example_pag()
-        sub = p.induced({"Y", "X2"})
-        assert pc_component(sub, {"Y"}) == {"Y", "X2"}
-        assert pc_component(sub, {"Y"}, visibility_in=p) == {"Y"}
+        assert pc_component(induced(p, {"Y", "X2"}), {"Y"}) == {"Y", "X2"}
+        ix, inv, y, scope = on_masks(p, {"Y"}, {"Y", "X2"})
+        assert ix.names_of(_pc(ix, inv, y, scope)) == {"Y"}
+
+
+def bidirected_closure(g, seed):
+    """The definite c-component of seed: its closure under bidirected
+    edges, by the mask loop."""
+    ix, _, s = on_masks(g, seed)
+    return ix.names_of(reach(ix.bi, s, ix.all))
 
 
 class TestDefiniteCComponent:
     def test_single_bidirected_edge(self):
         p = example_pag()
-        assert definite_c_component(p, {"Y"}) == {"Y", "X1"}
-        assert definite_c_component(p, {"X2"}) == {"X2"}
+        assert bidirected_closure(p, {"Y"}) == {"Y", "X1"}
+        assert bidirected_closure(p, {"X2"}) == {"X2"}
 
     def test_bidirected_chain(self):
         g = parse("vars: A,B,C\nA <-> B\nB <-> C\n", "PAG")
-        assert definite_c_component(g, {"A"}) == {"A", "B", "C"}
+        assert bidirected_closure(g, {"A"}) == {"A", "B", "C"}
 
     def test_generator_seed(self):
         g = parse("vars: A,B,C\nA <-> B\nB <-> C\n", "PAG")
-        assert definite_c_component(g, (v for v in ["A"])) == {"A", "B", "C"}
+        assert bidirected_closure(g, (v for v in ["A"])) == {"A", "B", "C"}
 
 
 class TestRegion:
@@ -135,10 +142,10 @@ class TestBucketPartialOrder:
                 Edge(a, b, rng.choice(marks), rng.choice(marks))
                 for a, b in sorted({(e.a, e.b) for e in admg.edges})], "PAG")
             scope = rng.sample(g.vertices, rng.randint(1, len(g.vertices)))
-            sub = g.induced(scope)
+            sub = induced(g, scope)
             of = {v: b for b in buckets(sub) for v in b}
             # the possible-parent buckets of each bucket
-            parents = {b: {of[u] for v in b for u in sub.possible_parents(v)}
+            parents = {b: {of[u] for v in b for u in possible_parents(sub, v)}
                        - {b} for b in buckets(sub)}
             try:
                 order = bucket_partial_order(g, scope)

@@ -36,6 +36,15 @@ class TestDataTable:
         with pytest.raises(DataError):
             DataTable({"a": [1.0, np.nan]})
 
+    @pytest.mark.parametrize("values, message", [
+        ([1.0, np.inf], "column 'b' has non-finite values"),
+        ([-np.inf, np.nan], "column 'b' has missing values"),
+    ])
+    def test_non_finite_values_name_the_column(self, values, message):
+        with pytest.raises(DataError) as exc:
+            DataTable({"a": [1.0, 2.0], "b": values})
+        assert str(exc.value) == message
+
     def test_discrete_range_checked(self):
         with pytest.raises(DataError):
             DataTable({"a": [0, 3]}, kinds={"a": 2})
@@ -187,7 +196,11 @@ VERDICTS = {
     "no final line end": ("a,b\n1,2", {"a": [1.0], "b": [2.0]}),
     "quoted number": ('a,b\n"1.5",2\n', {"a": [1.5], "b": [2.0]}),
     "spaces around numbers": ("a,b\n 1.5 ,\t2 \n", {"a": [1.5], "b": [2.0]}),
-    "inf": ("a,b\ninf,-Infinity\n", {"a": [np.inf], "b": [-np.inf]}),
+    # before: read as numbers, so a search scored candidates on them
+    "inf": ("a,b\ninf,-Infinity\n", "non-finite value inf in column 'a', "
+            "row 2"),
+    "inf after a nan": ("a,b\n1,-inf\nnan,2\n",
+                        "non-finite value -inf in column 'b', row 2"),
     "signs and exponents": ("a,b\n+1,.5\n5.,1e5\n",
                             {"a": [1.0, 5.0], "b": [0.5, 1e5]}),
     "quoted header name": ('"x,y",b\n1,2\n', {"x,y": [1.0], "b": [2.0]}),

@@ -14,14 +14,13 @@ from stablespec.fci import (
 )
 from stablespec.graph import TAIL, GraphError, parse, possible_ancestors
 from stablespec.identify import (
-    FAIL, InvarianceQuery, NotIdentifiable, absorb_buckets, eliminate_bucket,
-    identify_interventional, identify_marginal, invariant_conditional,
-    invariant_conditional_mag,
+    FAIL, InvarianceQuery, NotIdentifiable, _absorb, _eliminate, _marginal,
+    identify_interventional, invariant_conditional, invariant_conditional_mag,
 )
 from stablespec.scm import DiscreteSCM, interventional_probability
-from oracles import decompose_targets
+from oracles import decompose_targets, induced
 from util import (
-    environment_tables, example_admg, example_pag, random_admg,
+    environment_tables, example_admg, example_pag, on_masks, random_admg,
 )
 
 
@@ -172,24 +171,25 @@ class TestDecompose:
 
 class TestAbsorbBuckets:
     def test_singleton_buckets_are_no_ops(self):
-        p = example_pag()
-        assert absorb_buckets(p, {"Y"}, {"X2", "X3"}) == ({"Y"}, {"X2", "X3"})
+        ix, inv, t, z = on_masks(example_pag(), {"Y"}, {"X2", "X3"})
+        assert _absorb(ix, inv, t, z) == (t, z)
 
     def test_straddling_bucket_with_target_parent_fails(self):
         p = parse("vars: A,B,C\nA o-o B\nB --> C\n")
         with pytest.raises(NotIdentifiable):
-            absorb_buckets(p, {"C"}, {"A"})
+            _absorb(*on_masks(p, {"C"}, {"A"}))
 
     def test_full_scope_is_no_op(self):
         p = parse("vars: A,B,C\nA o-o B\nB --> C\n")
-        assert absorb_buckets(p, {"B", "C"}, {"A"}) == ({"B", "C"}, {"A"})
+        ix, inv, t, z = on_masks(p, {"B", "C"}, {"A"})
+        assert _absorb(ix, inv, t, z) == (t, z)
 
     def test_absorbable_bucket_extends_z(self):
         # bucket {A,B} straddles t | z; its outside part has no possible
         # parent in t, so it is folded into z
         p = parse("vars: A,B,C\nA o-o B\n")
-        t, z = absorb_buckets(p, {"C"}, {"A"})
-        assert (t, z) == ({"C"}, {"A", "B"})
+        ix, inv, t, z = on_masks(p, {"C"}, {"A"})
+        assert _absorb(ix, inv, t, z) == (t, ix.mask({"A", "B"}))
 
 
 class TestEliminateBucket:
@@ -197,47 +197,38 @@ class TestEliminateBucket:
         p = example_pag()
         v = frozenset(p.vertices)
         q = Factor(v)
-        got = eliminate_bucket(p, v, {"X2"}, q)
+        got = _eliminate(p, *on_masks(p, v, {"X2"}), q)
         chain = conditional_of(q, {"X2"}, v - {"X2"})
         assert got == Product([Quotient(q, chain), SumOver({"X2"}, chain)])
 
     def test_whole_graph_bucket_collapses_to_one(self):
         p = parse("vars: A,B\nA o-o B\n")
-        got = eliminate_bucket(p, {"A", "B"}, {"A", "B"}, Factor({"A", "B"}))
+        got = _eliminate(p, *on_masks(p, {"A", "B"}, {"A", "B"}),
+                         Factor({"A", "B"}))
         assert simplify(got, p) == ONE
 
     def test_possible_child_outside_bucket_fails(self):
         p = parse("vars: A,B\nA o-> B\n")
         with pytest.raises(NotIdentifiable):
-            eliminate_bucket(p, {"A", "B"}, {"A"}, Factor({"A", "B"}))
-
-    def test_bucket_must_lie_in_t(self):
-        p = example_pag()
-        with pytest.raises(GraphError):
-            eliminate_bucket(p, {"Y"}, {"X2"}, Factor({"Y"}))
+            _eliminate(p, *on_masks(p, {"A", "B"}, {"A"}), Factor({"A", "B"}))
 
 
 class TestIdentifyMarginal:
     def test_empty_is_one(self):
         p = example_pag()
-        assert identify_marginal(p, set(), {"Y"}, Factor({"Y"})) is ONE
+        assert _marginal(p, *on_masks(p, set(), {"Y"}), Factor({"Y"})) is ONE
 
     def test_full_set_is_identity(self):
         p = example_pag()
         q = Factor({"Y", "X3"})
-        assert identify_marginal(p, {"Y", "X3"}, {"Y", "X3"}, q) is q
+        assert _marginal(p, *on_masks(p, {"Y", "X3"}, {"Y", "X3"}), q) is q
 
     def test_running_example_step(self):
         p = example_pag()
         q = Factor({"Y", "X3", "X2"})
-        got = identify_marginal(p, {"Y", "X3"}, {"Y", "X3", "X2"}, q)
+        got = _marginal(p, *on_masks(p, {"Y", "X3"}, {"Y", "X3", "X2"}), q)
         chain = conditional_of(q, {"X2"}, {"Y", "X3"})
         assert got == Product([Quotient(q, chain), SumOver({"X2"}, chain)])
-
-    def test_not_a_subset_rejected(self):
-        p = example_pag()
-        with pytest.raises(GraphError):
-            identify_marginal(p, {"Y", "E"}, {"Y"}, Factor({"Y"}))
 
 
 class TestIdentifyInterventional:
@@ -282,17 +273,19 @@ class TestIdentifyInterventional:
         # identify_interventional stops decomposing once the pieces meeting
         # y cover y; the answer equals one built from every piece
         def relevant(p, x, y, z):
-            d = possible_ancestors(p.induced(set(p.vertices) - x), y | z) - z
+            d = possible_ancestors(induced(p, set(p.vertices) - x), y | z) - z
             return [piece for piece in decompose_targets(p, d, z)
                     if piece[0] & y]
 
         def from_every_piece(p, x, y, z):
-            v = frozenset(p.vertices)
+            q = Factor(frozenset(p.vertices))
             factors = []
             try:
-                for di, zi in [absorb_buckets(p, di, zi)
-                               for di, zi in relevant(p, x, y, z)]:
-                    e = identify_marginal(p, di | zi, v, Factor(v))
+                for di, zi in relevant(p, x, y, z):
+                    ix, inv, t, c = on_masks(p, di, zi)
+                    t, c = _absorb(ix, inv, t, c)
+                    e = _marginal(p, ix, inv, t | c, ix.all, q)
+                    di = ix.names_of(t)
                     factors.append(Quotient(SumOver(di - y, e),
                                             SumOver(di, e)))
             except NotIdentifiable:

@@ -16,21 +16,20 @@ from itertools import combinations
 import pytest
 
 from stablespec.components import (
-    _pc, buckets, class_mag, definite_c_component, invisible, pc_component,
-    region,
+    _pc, buckets, class_mag, pc_component, region,
 )
 from stablespec.fci import SeparationOracle, fci
 from stablespec.graph import (
     ARROW, CIRCLE, TAIL, Edge, GraphError, MixedGraph, directed,
-    possible_ancestors,
+    possible_ancestors, reach,
 )
 from stablespec.separation import m_connected
 from oracles import (
     buckets_by_sets, circle_arrow, closure_by_sets, decompose_by_sets,
-    decompose_targets, m_connected_by_sets, pc_component_by_sets,
+    decompose_targets, induced, m_connected_by_sets, pc_component_by_sets,
     region_by_sets,
 )
-from util import random_admg
+from util import on_masks, random_admg
 
 MARKS = (ARROW, TAIL, CIRCLE)
 # as in test_graph.TestLongGraphs
@@ -88,7 +87,8 @@ class TestAgainstSets:
                         closure_by_sets(g, s, into_from_tail)
                     assert possible_ancestors(g, s) == \
                         closure_by_sets(g, s, no_arrow_there)
-                    assert definite_c_component(g, s) == \
+                    ix, _, m = on_masks(g, s)
+                    assert ix.names_of(reach(ix.bi, m, ix.all)) == \
                         closure_by_sets(g, s, bidirected)
 
     def test_pc_components_and_regions_in_scopes(self, seed):
@@ -96,18 +96,17 @@ class TestAgainstSets:
         for _ in range(60):
             g = random_marks_pag(rng) if rng.random() < 0.5 else \
                 learned_pag(rng)
-            ix, inv = g.masks(), invisible(g)
             seed_set = random_subset(rng, g.vertices, 0.3)
             assert pc_component(g, seed_set) == \
                 pc_component_by_sets(g, seed_set)
             for _ in range(5):
                 c = random_subset(rng, g.vertices, 0.7)
                 a = random_subset(rng, c, 0.3)
-                sub = g.induced(c)
-                assert ix.names_of(_pc(ix, inv, ix.mask(a), ix.mask(c))) == \
+                sub = induced(g, c)
+                ix, inv, am, cm = on_masks(g, a, c)
+                assert ix.names_of(_pc(ix, inv, am, cm)) == \
                     pc_component_by_sets(sub, a, visibility_in=g)
-                assert pc_component(sub, a, visibility_in=g) == \
-                    pc_component_by_sets(sub, a, visibility_in=g)
+                assert pc_component(sub, a) == pc_component_by_sets(sub, a)
                 assert region(g, a, c) == region_by_sets(g, a, c)
 
     def test_m_separations(self, seed):

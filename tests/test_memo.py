@@ -21,21 +21,22 @@ import pytest
 import stablespec.graph as graph_module
 from stablespec import components, expressions, identify, separation
 from stablespec.components import (
-    bucket_partial_order, buckets, class_mag, definite_c_component,
+    _bucket_order, _pc, bucket_partial_order, buckets, class_mag,
     pc_component,
 )
 from stablespec.expressions import to_json
 from stablespec.fci import SeparationOracle, fci
 from stablespec.graph import (
-    ARROW, TAIL, Edge, GraphError, parse, possible_ancestors, serialize,
+    ARROW, TAIL, Edge, GraphError, parse, possible_ancestors, reach,
+    serialize,
 )
 from stablespec.identify import (
     FAIL, InvarianceQuery, identify_interventional, invariant_conditional_mag,
 )
 from stablespec.search import InvarianceSpec, stable_candidates
 from stablespec.separation import m_connected, visible_edges
-from oracles import closure_by_sets, definite_m_separated
-from util import PAG8, PAG10, example_pag, random_admg
+from oracles import closure_by_sets, definite_m_separated, induced
+from util import PAG8, PAG10, example_pag, on_masks, random_admg
 
 
 def random_pag(seed):
@@ -66,6 +67,12 @@ def answer(expr):
     return "FAIL" if expr is FAIL else to_json(expr)
 
 
+def scoped_pc(g, seed, scope):
+    """The pc-component of seed in g[scope], visibility judged in g."""
+    ix, inv, s, c = on_masks(g, seed, scope)
+    return ix.names_of(_pc(ix, inv, s, c))
+
+
 def into_from_tail(here, there):
     return here == ARROW and there == TAIL
 
@@ -81,13 +88,19 @@ class TestCachedEqualsCold:
         assert warm(lambda: visible_edges(g)) == visible_edges(fresh(g))
 
     def test_induced(self, seed):
+        # an induced subgraph g[s] is the scope mask of s: the bucket order
+        # of a scope is memoized under its mask, so names in any order
+        # read one fact, equal to that of a fresh graph and made of the
+        # buckets of the graph induced on s
         g = random_pag(seed)
         for s in subsets(g.vertices):
-            sub = warm(lambda: g.induced(s))
-            cold = fresh(g).induced(s)
-            assert sub == cold
-            assert sub.vertices == cold.vertices
-        assert g.induced(["V1", "V0"]) is g.induced({"V0", "V1"})
+            ix, _, m = on_masks(g, s)
+            order = warm(lambda: _bucket_order(g, ix, m))
+            assert list(order) == bucket_partial_order(fresh(g), s)
+            assert sorted(order, key=min) == buckets(induced(g, s))
+        ix, _, m = on_masks(g, ["V1", "V0"])
+        assert _bucket_order(g, ix, m) is \
+            _bucket_order(g, ix, ix.mask({"V0", "V1"}))
 
     def test_buckets_and_order(self, seed):
         g = random_pag(seed)
@@ -102,23 +115,22 @@ class TestCachedEqualsCold:
             assert warm(lambda: pc_component(g, seed_set)) == \
                 pc_component(fresh(g), seed_set)
         for scope in subsets(g.vertices)[1:]:
-            v = min(scope)
-            assert warm(lambda: pc_component(g.induced(scope), {v},
-                                             visibility_in=g)) == \
-                pc_component(fresh(g).induced(scope), {v},
-                             visibility_in=fresh(g))
+            v = {min(scope)}
+            assert warm(lambda: scoped_pc(g, v, scope)) == \
+                scoped_pc(fresh(g), v, scope)
 
     def test_pc_component_keyed_by_visibility_graph(self, seed):
-        # the same subgraph and seed, with visibility judged in the subgraph
-        # and in the parent: two different facts, both memoized
+        # the same scope and seed, with visibility judged in the graph
+        # induced on the scope and in the whole graph: two different facts,
+        # the first memoized on the induced graph, the second read from the
+        # whole graph's memoized invisible-edge masks
         g = random_pag(seed)
         for scope in subsets(g.vertices)[1:]:
-            sub, v = g.induced(scope), {min(scope)}
+            sub, v = induced(g, scope), {min(scope)}
             own = warm(lambda: pc_component(sub, v))
-            inherited = warm(lambda: pc_component(sub, v, visibility_in=g))
+            inherited = warm(lambda: scoped_pc(g, v, scope))
             assert own == pc_component(fresh(sub), v)
-            assert inherited == pc_component(fresh(sub), v,
-                                             visibility_in=fresh(g))
+            assert inherited == scoped_pc(fresh(g), v, scope)
 
     def test_definite_m_separated(self, seed):
         g = random_pag(seed)
@@ -173,7 +185,7 @@ class TestMemoizedFactsAreImmutable:
         def facts():
             return (visible_edges(g), buckets(g),
                     bucket_partial_order(g, scope), pc_component(g, {"V0"}),
-                    definite_c_component(g, {"V0"}))
+                    scoped_pc(g, {"V0"}, scope))
 
         before = facts()
         vis, bs, order, pc, cc = facts()
@@ -302,7 +314,8 @@ class TestSearchWork:
             for v in g.vertices:
                 g.ancestors({v})
                 possible_ancestors(g, {v})
-                definite_c_component(g, {v})
+                ix, _, m = on_masks(g, {v})
+                reach(ix.bi, m, ix.all)   # the definite c-component
                 pc_component(g, {v})
         assert calls == []
 
@@ -318,21 +331,21 @@ class TestSearchWork:
                              ids=SEARCH_IDS)
     def test_joint_marginal_identified_once_per_c(self, monkeypatch, text,
                                                   mutable, target):
-        # Q[c] = identify_marginal(p, c, V, Factor(V)) depends on c alone;
-        # calls made from inside identify_marginal do not count
+        # Q[c] = _marginal(p, ix, inv, c, V, Factor(V)) depends on c alone;
+        # the recursive calls inside _marginal do not count
         top, depth = [], [0]
-        uncached = identify.identify_marginal
+        uncached = identify._marginal
 
-        def spy(p, c, t, q):
+        def spy(p, ix, inv, c, t, q):
             if not depth[0]:
-                top.append(frozenset(c))
+                top.append(c)
             depth[0] += 1
             try:
-                return uncached(p, c, t, q)
+                return uncached(p, ix, inv, c, t, q)
             finally:
                 depth[0] -= 1
 
-        monkeypatch.setattr(identify, "identify_marginal", spy)
+        monkeypatch.setattr(identify, "_marginal", spy)
         stable_candidates(InvarianceSpec(parse(text), mutable), target)
         assert top
         assert len(top) == len(set(top))

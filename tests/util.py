@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+from stablespec.components import invisible
 from stablespec.data import DataTable
 from stablespec.graph import ARROW, CIRCLE, TAIL, Edge, MixedGraph, parse
 from stablespec.scm import LinearGaussianSCM
@@ -108,6 +109,14 @@ def example_pag() -> MixedGraph:
 
 def example_admg() -> MixedGraph:
     return parse(ADMG_TEXT, "ADMG")
+
+
+def on_masks(g: MixedGraph, *vertex_sets):
+    """g's mask index, its invisible-edge masks and the mask of each vertex
+    set: the arguments the mask cores of ``components`` and ``identify``
+    take, from vertex names; GraphError names unknown vertices."""
+    ix = g.masks()
+    return (ix, invisible(g), *(ix.mask(s) for s in vertex_sets))
 
 
 def complete_pag(names) -> MixedGraph:
