@@ -58,6 +58,25 @@ def _count(flag: str, value: int) -> int:
     return value
 
 
+def _positive(flag: str, value: int) -> int:
+    if value < 1:
+        raise InputError(f"{flag} must be a positive integer, not {value}")
+    return value
+
+
+def _level(flag: str, value: float) -> float:
+    if not 0 < value < 1:
+        raise InputError(f"{flag} must be between 0 and 1, not {value}")
+    return value
+
+
+def _check_learn_flags(args):
+    """The structure-learning flags, checked before anything is written."""
+    _level("--alpha", args.alpha)
+    if args.max_cond_size is not None:
+        _count("--max-cond-size", args.max_cond_size)
+
+
 def _load_tables(args) -> list[DataTable]:
     if not args.data:
         raise InputError("no --data files given")
@@ -107,6 +126,7 @@ def _learn(args, log: list[str]):
 
 
 def cmd_learn_pag(args) -> int:
+    _check_learn_flags(args)
     out = _run_dir(args)
     log: list[str] = []
     pag, _, report, _ = _learn(args, log)
@@ -191,6 +211,9 @@ def _candidates_json(candidates, winner) -> str:
 
 def cmd_search(args) -> int:
     _count("--seed", args.seed)
+    _count("--max-observed", args.max_observed)
+    if not args.graph:
+        _check_learn_flags(args)
     out = _run_dir(args)
     log: list[str] = []
     if args.graph:
@@ -238,7 +261,8 @@ def cmd_simulate(args) -> int:
         raise InputError("simulate needs --out")
     if args.alpha is None:
         raise InputError("simulate needs --alpha")
-    table = simulate_benchmark(_finite("--alpha", args.alpha), args.n,
+    table = simulate_benchmark(_finite("--alpha", args.alpha),
+                               _positive("--n", args.n),
                                _count("--seed", args.seed))
     save_csv(table, args.out)
     return 0
@@ -252,6 +276,9 @@ def cmd_sweep(args) -> int:
     _finite("--grid-stop", args.grid_stop)
     _count("--seed", args.seed)
     _count("--grid-points", args.grid_points)
+    _count("--max-observed", args.max_observed)
+    _positive("--n-train", args.n_train)
+    _positive("--n-test", args.n_test)
     if len(train_alphas) < 2:
         raise InputError("sweep simulates one dataset per --train-alphas "
                          "value; provide two or more datasets")

@@ -8,10 +8,11 @@ missing values are rejected at load time.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
+import os
 import re
+import warnings
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -356,6 +357,38 @@ def pool_environments(tables: Iterable[DataTable],
 # lower-casing
 _MISSING_CELLS = ("", "nan", "+nan", "-nan")
 
+# suffixes of the files that ``np.loadtxt`` decompresses when given a path;
+# the header and the line count read the raw bytes, so these are refused
+COMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
+
+# bytes per block that ``_count_lines`` reads
+COUNT_BLOCK_BYTES = 1 << 18
+
+_LF, _CR = ord("\n"), ord("\r")
+
+
+def _count_lines(path: str) -> int:
+    """The lines of the file at ``path``: one per LF, CR or CRLF line end,
+    plus one for a last line without a line end. The file is read in blocks
+    of ``COUNT_BLOCK_BYTES`` into buffers reused from block to block."""
+    buf = np.empty(COUNT_BLOCK_BYTES, np.uint8)
+    lf = np.empty(COUNT_BLOCK_BYTES, bool)
+    cr = np.empty(COUNT_BLOCK_BYTES, bool)
+    lines, last = 0, _LF
+    with open(path, "rb") as fh:
+        while size := fh.readinto(buf):
+            block, is_lf, is_cr = buf[:size], lf[:size], cr[:size]
+            np.equal(block, _LF, out=is_lf)
+            np.equal(block, _CR, out=is_cr)
+            lines += np.count_nonzero(is_lf) + np.count_nonzero(is_cr)
+            # a CRLF pair is one line end, also where a block boundary
+            # splits it
+            lines -= int(last == _CR and is_lf[0])
+            lines -= np.count_nonzero(np.logical_and(
+                is_cr[:-1], is_lf[1:], out=is_cr[:-1]))
+            last = block[-1]
+    return int(lines) + (last not in (_LF, _CR))
+
 
 def load_csv(csv_path: str, schema_path: str) -> DataTable:
     """Read a header CSV plus a sidecar JSON schema.
@@ -366,16 +399,23 @@ def load_csv(csv_path: str, schema_path: str) -> DataTable:
     raises DataError.
 
     The header row is read by ``csv.reader``; the body by one
-    ``np.loadtxt`` call. A cell is a finite number in the syntax numpy
-    reads (decimal or exponent notation), optionally with surrounding
-    whitespace and optionally wrapped in ``"`` quotes; ``#`` has no special
-    meaning. Line ends may be LF, CRLF or CR. Every row must have as many
-    fields as the header. Blank and NaN cells are missing values and are
-    rejected, as are ``inf``/``infinity`` cells with either sign, blank
-    lines and cells numpy cannot read (such as ``1_000``, which Python's
-    ``float`` would accept). The error names the first faulty row in file
-    order, counting the header as row 1, and the column when a cell is at
-    fault.
+    ``np.loadtxt`` call on the path, which skips the lines the header took
+    and parses the file in chunks. What is held is the parsed rows, one
+    column-major copy of them and fixed-size buffers, never the file's
+    text: the blank lines that ``np.loadtxt`` skips are caught by counting
+    the file's lines a block at a time (``_count_lines``), and the body is
+    read again, row by row, only to name the fault in a rejected file. A
+    path ending in one of ``COMPRESSED_SUFFIXES`` is rejected.
+
+    A cell is a finite number in the syntax numpy reads (decimal or
+    exponent notation), optionally with surrounding whitespace and
+    optionally wrapped in ``"`` quotes; ``#`` has no special meaning. Line
+    ends may be LF, CRLF or CR. Every row must have as many fields as the
+    header. Blank and NaN cells are missing values and are rejected, as
+    are ``inf``/``infinity`` cells with either sign, blank lines and cells
+    numpy cannot read (such as ``1_000``, which Python's ``float`` would
+    accept). The error names the first faulty row in file order, counting
+    the header as row 1, and the column when a cell is at fault.
     """
     with open(schema_path) as fh:
         schema = json.load(fh)
@@ -389,12 +429,15 @@ def load_csv(csv_path: str, schema_path: str) -> DataTable:
     if env is not None and not isinstance(env, str):
         raise DataError(f'schema "env_column" must be a column name, got '
                         f"{env!r}")
+    if os.path.splitext(csv_path)[1] in COMPRESSED_SUFFIXES:
+        raise DataError(f"cannot read compressed file {csv_path!r}; "
+                        "decompress it first")
     with open(csv_path, newline="") as fh:
+        reader = csv.reader(fh)
         try:
-            header = next(csv.reader(fh))
+            header = next(reader)
         except StopIteration:
             raise DataError("empty CSV") from None
-        body = fh.read()
     for name in header:
         if header.count(name) > 1:
             raise DataError(f"duplicate column {name!r} in header")
@@ -403,19 +446,22 @@ def load_csv(csv_path: str, schema_path: str) -> DataTable:
         raise DataError(f"schema names columns not in the CSV header: "
                         f"{', '.join(map(repr, unknown))}")
     # loadtxt skips blank lines silently, so count the lines to catch them
-    n_lines = body.count("\n") + body.count("\r") - body.count("\r\n")
-    if body and not body.endswith(("\n", "\r")):
-        n_lines += 1
-    if not body or body.isspace():
-        values = np.empty((0, len(header)))  # loadtxt would warn
+    n_lines = _count_lines(csv_path) - reader.line_num
+    if not n_lines:
+        values = np.empty((0, len(header)))  # as wide as the header
     else:
         try:
-            values = np.loadtxt(io.StringIO(body, newline=""), delimiter=",",
-                                quotechar='"', comments=None, ndmin=2)
+            with warnings.catch_warnings():
+                # a body of blank lines only; the shape check names them
+                warnings.filterwarnings("ignore", "loadtxt: input contained "
+                                        "no data", UserWarning)
+                values = np.loadtxt(csv_path, delimiter=",", quotechar='"',
+                                    comments=None, ndmin=2,
+                                    skiprows=reader.line_num)
         except ValueError as exc:
-            raise _locate_fault(body, header, exc) from None
+            raise _locate_fault(csv_path, header, exc) from None
     if values.shape != (n_lines, len(header)):
-        raise _locate_fault(body, header)
+        raise _locate_fault(csv_path, header)
     bad = ~np.isfinite(values)
     if bad.any():
         row, col = np.argwhere(bad)[0]
@@ -427,27 +473,29 @@ def load_csv(csv_path: str, schema_path: str) -> DataTable:
                      kinds, env)
 
 
-def _locate_fault(body: str, header: list[str],
+def _locate_fault(csv_path: str, header: list[str],
                   exc: ValueError | None = None) -> DataError:
-    """The error for the first faulty row of a CSV body that ``np.loadtxt``
-    rejected (``exc``) or read to the wrong shape: a row with the wrong
-    field count, a missing cell, or the cell ``exc`` names."""
-    # numpy names the cell it cannot convert by data row, from 0, and
-    # column, from 1
+    """The error for the first faulty row of a CSV file whose body
+    ``np.loadtxt`` rejected (``exc``) or read to the wrong shape: a row with
+    the wrong field count, a missing cell, or the cell ``exc`` names."""
+    # numpy names the cell it cannot convert by data row, from 0 after the
+    # skipped header lines, and column, from 1
     found = re.search(r"at row (\d+), column (\d+)", str(exc))
     bad = (int(found[1]) + 2, int(found[2]) - 1) if found else None
-    for row, fields in enumerate(csv.reader(io.StringIO(body, newline="")),
-                                 start=2):
-        if len(fields) != len(header):
-            return DataError(f"row {row} has {len(fields)} fields, "
-                             f"expected {len(header)}")
-        for col, (name, cell) in enumerate(zip(header, fields)):
-            if cell.strip().lower() in _MISSING_CELLS:
-                return DataError(f"missing value in column {name!r}, "
-                                 f"row {row}")
-            if (row, col) == bad:
-                return DataError(f"bad value {cell!r} in column {name!r}, "
-                                 f"row {row}")
+    with open(csv_path, newline="") as fh:
+        rows = csv.reader(fh)
+        next(rows)  # the header
+        for row, fields in enumerate(rows, start=2):
+            if len(fields) != len(header):
+                return DataError(f"row {row} has {len(fields)} fields, "
+                                 f"expected {len(header)}")
+            for col, (name, cell) in enumerate(zip(header, fields)):
+                if cell.strip().lower() in _MISSING_CELLS:
+                    return DataError(f"missing value in column {name!r}, "
+                                     f"row {row}")
+                if (row, col) == bad:
+                    return DataError(f"bad value {cell!r} in column "
+                                     f"{name!r}, row {row}")
     if exc is not None:
         return DataError(f"unreadable CSV body: {exc}")
     return DataError("a quoted cell spans lines")

@@ -150,6 +150,8 @@ def small_data_flags(d: Path, constant: bool = False) -> list[str]:
 
 
 class TestSettingRanges:
+    # ``message`` is the error of the learner's own check, which a caller
+    # from Python meets; the CLI checks the flag first and names it
     @pytest.mark.parametrize("key, value, message", [
         ("alpha", "1.5", "alpha must be between 0 and 1, not 1.5"),
         ("alpha", "nan", "alpha must be between 0 and 1, not nan"),
@@ -159,17 +161,29 @@ class TestSettingRanges:
     @pytest.mark.parametrize("via", ["flag", "config"])
     def test_out_of_range_exits_two(self, tmp_path, capsys, key, value,
                                     message, via):
+        flag = "--" + key.replace("_", "-")
         argv = ["learn-pag", *small_data_flags(tmp_path),
                 "--out", str(tmp_path / "run")]
         if via == "flag":
-            argv += ["--" + key.replace("_", "-"), value]
+            argv += [flag, value]
         else:
             cfg = tmp_path / "run.json"
             cfg.write_text(json.dumps({key: value}))
             argv = ["--config", str(cfg), *argv]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err == f"error: {message}\n"
+        if key == "alpha":
+            assert err == f"error: {flag} must be between 0 and 1, " \
+                f"not {float(value)}\n"
+        else:
+            assert err == f"error: {flag} must be a non-negative integer, " \
+                f"not {value}\n"
+        assert not (tmp_path / "run").exists()
+        table = DataTable({"A": [0.0, 1.0, 2.0], "B": [1.0, 0.0, 2.0]})
+        setting = {key: float(value) if key == "alpha" else int(value)}
+        with pytest.raises(ValueError) as exc:
+            fci.table_fci(table, **setting)
+        assert str(exc.value) == message
 
 
 class TestNonFiniteFlags:
@@ -204,6 +218,41 @@ class TestNonFiniteFlags:
         (["sweep", "--graph", "{pag}", "--grid-points", "-3",
           "--out", "{out}"],
          "--grid-points must be a non-negative integer, not -3"),
+        # sample sizes; before: "need at least one row", which named no
+        # flag, after every training environment was simulated and fitted
+        (["simulate", "--alpha", "4", "--n", "-5", "--out", "{out}.csv"],
+         "--n must be a positive integer, not -5"),
+        (["simulate", "--alpha", "4", "--n", "0", "--out", "{out}.csv"],
+         "--n must be a positive integer, not 0"),
+        (["sweep", "--graph", "{pag}", "--n-train", "0", "--out", "{out}"],
+         "--n-train must be a positive integer, not 0"),
+        (["sweep", "--graph", "{pag}", "--n-train", "200", "--n-test", "-1",
+          "--out", "{out}"],
+         "--n-test must be a positive integer, not -1"),
+        # bounded flags; before: the message of the library check, which
+        # named the parameter, not the flag, after the run directory was
+        # made
+        (["learn-pag", "--data", "{data}", "--schema", "{schema}",
+          "--max-cond-size", "-1", "--out", "{out}"],
+         "--max-cond-size must be a non-negative integer, not -1"),
+        (["search", "--data", "{data}", "--schema", "{schema}",
+          "--max-cond-size", "-1", "--out", "{out}"],
+         "--max-cond-size must be a non-negative integer, not -1"),
+        (["learn-pag", "--data", "{data}", "--schema", "{schema}",
+          "--alpha", "1.5", "--out", "{out}"],
+         "--alpha must be between 0 and 1, not 1.5"),
+        (["learn-pag", "--data", "{data}", "--schema", "{schema}",
+          "--alpha", "nan", "--out", "{out}"],
+         "--alpha must be between 0 and 1, not nan"),
+        (["search", "--data", "{data}", "--schema", "{schema}",
+          "--alpha", "0", "--out", "{out}"],
+         "--alpha must be between 0 and 1, not 0.0"),
+        (["search", "--graph", "{pag}", "--data", "{data}", "--schema",
+          "{schema}", "--max-observed", "-1", "--out", "{out}"],
+         "--max-observed must be a non-negative integer, not -1"),
+        (["sweep", "--graph", "{pag}", "--max-observed", "-1",
+          "--out", "{out}"],
+         "--max-observed must be a non-negative integer, not -1"),
     ])
     def test_exits_two_naming_the_flag(self, workdir, tmp_path, capsys,
                                        flags, message):

@@ -1,15 +1,18 @@
 import csv
+import gzip
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import stablespec
+from stablespec import data
 from stablespec.data import (
-    SAMPLE_ROWS, SAVE_BLOCK_ROWS, DataError, DataTable, concat_tables,
-    load_csv, pool_environments, save_csv,
+    COMPRESSED_SUFFIXES, SAMPLE_ROWS, SAVE_BLOCK_ROWS, DataError, DataTable,
+    concat_tables, load_csv, pool_environments, save_csv,
 )
 from stablespec.search import simulate_benchmark
 
@@ -204,6 +207,16 @@ VERDICTS = {
     "signs and exponents": ("a,b\n+1,.5\n5.,1e5\n",
                             {"a": [1.0, 5.0], "b": [0.5, 1e5]}),
     "quoted header name": ('"x,y",b\n1,2\n', {"x,y": [1.0], "b": [2.0]}),
+    # the body starts after the header record's two physical lines
+    "header name with a line break": ('"a\nb",c\n1,2\n',
+                                      {"a\nb": [1.0], "c": [2.0]}),
+    "header name with a line break, crlf": ('"a\r\nb",c\r\n1,2\r\n',
+                                            {"a\r\nb": [1.0], "c": [2.0]}),
+    "header name with a line break, cr": ('"a\rb",c\r1,2\r',
+                                          {"a\rb": [1.0], "c": [2.0]}),
+    "bad cell after a two-line header": ('"a\nb",c\n1,2\n3,x\n',
+                                         "bad value 'x' in column 'c', "
+                                         "row 3"),
     "header only": ("a,b\n", {"a": [], "b": []}),
     "header only, no line end": ("a,b", {"a": [], "b": []}),
     "empty file": ("", "empty CSV"),
@@ -268,6 +281,35 @@ VERDICTS = {
                                   "the CSV header: 'a'",
                                   '{"columns": {"a": 2}}'),
 }
+
+
+def _crlf_across_blocks(text: bytes, block: int) -> bytes:
+    """``text``, lines ended by CRLF, with data rows padded by leading
+    spaces so that a CRLF pair straddles every multiple of ``block``."""
+    header, *rows = text.split(b"\r\n")[:-1]
+    out = bytearray(header + b"\r\n")
+    longest = max(map(len, rows)) + 2
+    assert block > 3 * longest
+    for row in rows:
+        # spaces that put this row's CR on the last byte of a block
+        pad = (len(out) // block + 1) * block - 1 - len(out) - len(row)
+        if pad < 2 * longest:
+            assert pad >= 0
+            row = b" " * pad + row
+        out += row + b"\r\n"
+    return bytes(out)
+
+
+@pytest.fixture(scope="module")
+def large_csv(tmp_path_factory):
+    """A 50,000-row benchmark table and the text ``save_csv`` wrote for it,
+    padded so that a CRLF pair straddles every block boundary of the line
+    count: about 2.8 MB."""
+    table = simulate_benchmark(4.0, 50000, 1)
+    csv_path = tmp_path_factory.mktemp("large") / "t.csv"
+    save_csv(table, str(csv_path))
+    return table, _crlf_across_blocks(csv_path.read_bytes(),
+                                      data.COUNT_BLOCK_BYTES)
 
 
 class TestCSV:
@@ -351,6 +393,69 @@ class TestCSV:
         assert table.names == tuple(rows[0])
         assert expected.shape == (50000, 4)
         assert np.array_equal(table.matrix(table.names), expected)
+
+    @pytest.mark.parametrize("line_end", [b"\r\n", b"\n", b"\r"])
+    def test_load_equals_float_of_saved_cells_bit_for_bit(
+            self, tmp_path, large_csv, line_end):
+        table, text = large_csv
+        text = text.replace(b"\r\n", line_end)
+        assert len(text) > 2 << 20
+        if line_end == b"\r\n":
+            block = data.COUNT_BLOCK_BYTES
+            assert all(text[k - 1:k + 1] == b"\r\n"
+                       for k in range(block, len(text), block))
+        (tmp_path / "t.csv").write_bytes(text)
+        (tmp_path / "s.json").write_text('{"columns": {}}')
+        got = load_csv(str(tmp_path / "t.csv"), str(tmp_path / "s.json"))
+        assert got.names == table.names
+        for name in table.names:
+            expected = [float("%.10g" % x) for x in table.column(name)]
+            assert got.column(name).tobytes() == \
+                np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_line_count_across_blocks(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(data, "COUNT_BLOCK_BYTES", block)
+        rng = np.random.default_rng(block)
+        for size in [0, 1, 2, 5, 40, 200]:
+            text = rng.choice(list(b"a\r\n"), size=size).astype(
+                np.uint8).tobytes()
+            for tail in (b"", b"\r", b"\n", b"\r\n", b"a"):
+                (tmp_path / "t.csv").write_bytes(text + tail)
+                assert data._count_lines(str(tmp_path / "t.csv")) == \
+                    len((text + tail).decode().splitlines())
+
+    @pytest.mark.parametrize("suffix", COMPRESSED_SUFFIXES)
+    def test_compressed_file_rejected(self, tmp_path, suffix):
+        # np.loadtxt would decompress it, but the header and the line count
+        # read its raw bytes
+        csv_path = tmp_path / f"t.csv{suffix}"
+        csv_path.write_bytes(gzip.compress(b"a,b\n1,2\n"))
+        (tmp_path / "s.json").write_text('{"columns": {}}')
+        with pytest.raises(DataError) as exc:
+            load_csv(str(csv_path), str(tmp_path / "s.json"))
+        assert str(exc.value) == f"cannot read compressed file " \
+            f"{str(csv_path)!r}; decompress it first"
+
+    def test_compressed_suffixes_are_the_ones_numpy_opens(self):
+        openers = np.lib._datasource._file_openers
+        assert set(openers.keys()) - {None} == set(COMPRESSED_SUFFIXES)
+
+    def test_load_peak_memory_within_two_and_a_half_file_sizes(
+            self, tmp_path, large_csv):
+        # the rows parsed, their column-major copy and fixed-size buffers;
+        # no copy of the file's text
+        (tmp_path / "t.csv").write_bytes(large_csv[1])
+        (tmp_path / "s.json").write_text('{"columns": {}}')
+        size = (tmp_path / "t.csv").stat().st_size
+        assert size >= 2_000_000
+        tracemalloc.start()
+        try:
+            load_csv(str(tmp_path / "t.csv"), str(tmp_path / "s.json"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * size
 
     def test_import_loads_nothing_beyond_numpy_csv_json(self):
         src = os.path.dirname(os.path.dirname(stablespec.__file__))
