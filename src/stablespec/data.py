@@ -411,11 +411,12 @@ def load_csv(csv_path: str, schema_path: str) -> DataTable:
     exponent notation), optionally with surrounding whitespace and
     optionally wrapped in ``"`` quotes; ``#`` has no special meaning. Line
     ends may be LF, CRLF or CR. Every row must have as many fields as the
-    header. Blank and NaN cells are missing values and are rejected, as
-    are ``inf``/``infinity`` cells with either sign, blank lines and cells
-    numpy cannot read (such as ``1_000``, which Python's ``float`` would
-    accept). The error names the first faulty row in file order, counting
-    the header as row 1, and the column when a cell is at fault.
+    header, and a blank header, which names no columns, is rejected. Blank
+    and NaN cells are missing values and are rejected, as are
+    ``inf``/``infinity`` cells with either sign, blank lines and cells numpy
+    cannot read (such as ``1_000``, which Python's ``float`` would accept).
+    The error names the first faulty row in file order, counting the header
+    as row 1, and the column when a cell is at fault.
     """
     with open(schema_path) as fh:
         schema = json.load(fh)
@@ -438,6 +439,8 @@ def load_csv(csv_path: str, schema_path: str) -> DataTable:
             header = next(reader)
         except StopIteration:
             raise DataError("empty CSV") from None
+    if not header:
+        raise DataError("row 1, the header, is blank: it names no columns")
     for name in header:
         if header.count(name) > 1:
             raise DataError(f"duplicate column {name!r} in header")

@@ -1,8 +1,9 @@
 """Reference procedures that only the tests call: definite-status separation
-in PAGs, edge visibility by enumerating collider paths, Possible-D-SEP by
-enumerating simple paths, the MAG of an ADMG by exhaustive search for
-separating sets, target decomposition with its argument checks, equal-count
-binning of continuous columns, and small graph constructors.
+in PAGs, edge visibility by enumerating collider paths, Possible-D-SEP and
+skeleton blocks by enumerating simple paths, the MAG of an ADMG by
+exhaustive search for separating sets, target decomposition with its
+argument checks, equal-count binning of continuous columns, and small graph
+constructors.
 
 The ``*_by_sets`` procedures are the set-based forms of the program's mask
 loops: closures, pc-components, regions, the m-separation walk and target
@@ -101,6 +102,28 @@ def possible_d_sep_by_paths(marks) -> dict[str, set[str]]:
                     if key not in seen:
                         seen.add(key)
                         queue.append((nxt, path + (nxt,)))
+    return out
+
+
+def blocks_by_paths(adj: dict[str, set[str]]) -> dict[frozenset, frozenset]:
+    """Oracle for ``fci._blocks``: the block of each edge a-b of the
+    undirected graph ``adj`` holds a, b and every vertex of every simple
+    a-b path other than the edge itself. It enumerates those paths."""
+    out = {}
+    for a in adj:
+        for b in adj[a]:
+            if b < a:
+                continue
+            on = {a, b}
+            stack = [(a, (a,))]
+            while stack:
+                current, path = stack.pop()
+                for nxt in adj[current] - set(path):
+                    if nxt != b:
+                        stack.append((nxt, path + (nxt,)))
+                    elif len(path) > 1:
+                        on.update(path)
+            out[frozenset((a, b))] = frozenset(on)
     return out
 
 

@@ -398,6 +398,10 @@ class TestLearnPag:
         assert graph.startswith("vars: E,X1,X2,X3,Y")
         report = json.loads((out / "report.json").read_text())
         assert report["ci_tests"] > 0
+        assert set(report["ci_tests_by_phase"]) == {"skeleton",
+                                                    "possible_d_sep"}
+        assert sum(report["ci_tests_by_phase"].values()) == \
+            report["ci_tests"]
         assert set(report["rule_firings"]) >= {"chain", "ancestor"}
         assert (out / "log.txt").exists()
 

@@ -238,7 +238,12 @@ VERDICTS = {
                                 "missing value in column 'b', row 2"),
     "blank line before a nan": ("a,b\n1,2\n\n1,nan\n",
                                 "row 3 has 0 fields, expected 2"),
-    "empty header": ("\n1,2\n", "row 2 has 2 fields, expected 0"),
+    # before: "row 2 has 2 fields, expected 0", and on blank lines only,
+    # "a quoted cell spans lines"
+    "empty header": ("\n1,2\n", "row 1, the header, is blank: it names no "
+                     "columns"),
+    "blank lines only": ("\n\n\n", "row 1, the header, is blank: it names "
+                         "no columns"),
     # before: a ValueError from float() that named neither row nor column
     "hash cell": ("a,b\n1,#2\n", "bad value '#2' in column 'b', row 2"),
     "text cell": ("a,b\n1,2\n1,abc\n", "bad value 'abc' in column 'b', row 3"),

@@ -19,7 +19,9 @@ from stablespec.fci import (
 )
 from stablespec.graph import ARROW, CIRCLE, TAIL, GraphError, parse, serialize
 from stablespec.scm import shift_benchmark_scm
-from oracles import mag_of_admg, possible_d_sep_by_paths, with_kind
+from oracles import (
+    blocks_by_paths, mag_of_admg, possible_d_sep_by_paths, with_kind,
+)
 from util import (
     CONFLICT_ADMG, PerSetOracle, complete_pag, example_admg, example_pag,
     bench_inputs, independence_oracle, pooled_draws, random_admg,
@@ -91,6 +93,8 @@ class TestFciExactOracle:
         assert got.edges == ()
         # the general path runs, so every rule is listed, with no firing
         assert report["ci_tests"] == 0 and report["sepsets"] == {}
+        assert report["ci_tests_by_phase"] == {"skeleton": 0,
+                                               "possible_d_sep": 0}
         assert set(report["rule_firings"].values()) == {0}
 
     def test_deterministic(self):
@@ -124,7 +128,8 @@ class TestFciExactOracle:
     def test_pinned_queries_and_pags(self):
         # what oracle FCI asks and learns on 100 random ADMGs; no floating
         # point enters, so a change here changes the adjacency search or
-        # the orientation rules, and must say why
+        # the orientation rules, and must say why. Bounding the
+        # possible-d-sep pools by skeleton blocks took 29915 tests to 27091
         rng = random.Random(22)
         tests, texts = 0, []
         for _ in range(100):
@@ -133,8 +138,10 @@ class TestFciExactOracle:
             pag = fci(SeparationOracle(g), g.vertices,
                       Knowledge(forbidden_into={g.vertices[0]}), report=report)
             tests += report["ci_tests"]
+            assert sum(report["ci_tests_by_phase"].values()) == \
+                report["ci_tests"]
             texts.append(serialize(pag))
-        assert tests == 29915
+        assert tests == 27091
         digest = hashlib.sha256("".join(texts).encode()).hexdigest()
         assert digest.startswith("80d4ea8a61f0e275")
 
@@ -205,6 +212,118 @@ class TestPossibleDSep:
         assert time.perf_counter() - start < 1.0
         assert pag == complete_pag(vs)
         assert report["ci_tests"] == 2835
+
+
+def random_skeleton(rng: random.Random) -> dict[str, set[str]]:
+    """An undirected graph over 2 to 9 vertices of random density."""
+    vs = [f"V{i}" for i in range(rng.randint(2, 9))]
+    density = rng.uniform(0.2, 0.8)
+    adj: dict[str, set[str]] = {v: set() for v in vs}
+    for a, b in combinations(vs, 2):
+        if rng.random() < density:
+            adj[a].add(b)
+            adj[b].add(a)
+    return adj
+
+
+def components(adj: dict[str, set[str]]) -> int:
+    """The number of connected components of ``adj``."""
+    seen: set[str] = set()
+    count = 0
+    for v in adj:
+        if v not in seen:
+            count += 1
+            stack = [v]
+            while stack:
+                u = stack.pop()
+                if u not in seen:
+                    seen.add(u)
+                    stack.extend(adj[u])
+    return count
+
+
+class TestBlocks:
+    def test_cut_vertices_split_blocks(self):
+        # two triangles joined at C, a bridge C-F, and an isolated G
+        adj = {"A": {"B", "C"}, "B": {"A", "C"}, "C": {"A", "B", "D", "E",
+                                                     "F"},
+               "D": {"C", "E"}, "E": {"C", "D"}, "F": {"C"}, "G": set()}
+        abc, cde = frozenset("ABC"), frozenset("CDE")
+        assert fci_module._blocks(adj) == {
+            frozenset("AB"): abc, frozenset("AC"): abc,
+            frozenset("BC"): abc, frozenset("CD"): cde,
+            frozenset("CE"): cde, frozenset("DE"): cde,
+            frozenset("CF"): frozenset("CF")}
+
+    def test_matches_the_path_definition(self):
+        rng = random.Random(26)
+        bridges = isolated = split = 0
+        for _ in range(400):
+            adj = random_skeleton(rng)
+            got = fci_module._blocks(adj)
+            assert got == blocks_by_paths(adj), adj
+            bridges += sum(len(block) == 2 for block in got.values())
+            isolated += sum(not ns for ns in adj.values())
+            split += components(adj) > 1
+        # the draws cover bridges, isolated vertices and split graphs
+        assert min(bridges, isolated, split) >= 50
+
+
+class TestBlockBound:
+    """The possible-d-sep pools of an edge are cut down to its skeleton
+    block; with every block holding all the vertices, the phase reads the
+    whole pools, as before the bound."""
+
+    @staticmethod
+    def unbounded(monkeypatch):
+        monkeypatch.setattr(fci_module, "_blocks", lambda adj: {
+            frozenset((a, b)): frozenset(adj) for a in adj for b in adj[a]})
+
+    def test_oracle_learns_what_the_whole_pools_learn(self, monkeypatch):
+        # 400 ADMGs besides the pinned 100, sparse ones among them, whose
+        # skeletons split into several blocks
+        def learn():
+            rng = random.Random(2012)
+            out, tests = [], 0
+            for _ in range(400):
+                scale = rng.uniform(0.2, 1.0)
+                g = random_admg(rng, max_vertices=9, p_directed=0.25 * scale,
+                                p_bidirected=0.15 * scale,
+                                p_both=0.1 * scale)
+                report: dict = {}
+                pag = fci(SeparationOracle(g), g.vertices,
+                          Knowledge(forbidden_into={g.vertices[0]}),
+                          report=report)
+                out.append((serialize(pag), report["sepsets"]))
+                tests += report["ci_tests"]
+            return out, tests
+
+        bounded, fewer = learn()
+        self.unbounded(monkeypatch)
+        whole, more = learn()
+        assert bounded == whole
+        assert fewer < more
+
+    def test_wide_draw_oracle_tests(self, monkeypatch):
+        # the benchmark's wide system at 15 observed variables, learned
+        # from its true ADMG; the whole pools took 26138 tests
+        inputs = bench_inputs()
+        inputs.N_OBSERVED = 15
+        inputs.N_LATENT = inputs.N_SHIFTED = 3
+        _, admg = inputs.wide_scm(0, 0)
+        knowledge = Knowledge(forbidden_into={"E"})
+
+        def learn():
+            report: dict = {}
+            pag = fci(SeparationOracle(admg), admg.vertices, knowledge,
+                      report=report)
+            return serialize(pag), report
+
+        pag, report = learn()
+        assert report["ci_tests"] <= 24859
+        assert report["ci_tests_by_phase"]["possible_d_sep"] <= 17867
+        self.unbounded(monkeypatch)
+        assert learn()[0] == pag
 
 
 class TestPossibleChildrenOfEnv:
