@@ -58,18 +58,28 @@ per-environment correlation matrices a table computes once
 (``DataTable.correlations``), so a test costs one batched Cholesky
 factorization of m + 1 small matrices, whatever the row count.
 ``fci.DataOracle`` sends every query on an environment pair here, through
-``environment_decisions``, which estimates the kurtosis only where it can
+``environment_firsts``, which estimates the kurtosis only where it can
 change the decision.
 
-Fisher-z and the environment test also run as batches: ``fisher_z_tests``
-and ``environment_decisions`` take the conditioning sets of one size for one
-pair, gather their submatrices with one fancy index and invert them with
-one stacked ``np.linalg.inv``, or factor them with one stacked
-``data.cholesky``, then finish each set in Python scalars as it is asked for,
-so a caller that stops at the first independent set pays for the scalar
-tails of no others. LAPACK runs the same routine on each matrix of a stack,
-so a set's p-value is the same in any batch; ``fisher_z_test`` and
-``environment_test`` are batches of one.
+Batched CI decisions. ``firsts`` (Fisher-z, or any test set by set) and
+``environment_firsts`` take the conditioning sets of one size of many
+pairs at once, each pair's sets in order, and return for each pair the
+index of its first independent set. The sets' submatrices are gathered
+with one fancy index and inverted with one stacked ``np.linalg.inv``, or
+factored with one stacked ``data.cholesky``; the statistics are finished
+in numpy and compared with the critical values of (alpha, dof)
+(``critical_values``, computed once by bisection on the closed-form tails
+below, dof 0 for the normal tail). A statistic between them, whose tail is
+within ``CRITICAL_MARGIN`` of alpha, and an environment statistic whose
+kurtosis correction can carry it across them, takes its own p-value, so
+every decision is exactly ``p_value >= alpha``. A set that cannot be tested is an error of its own
+pair only, returned where that pair reaches it. LAPACK runs the same
+routine on each matrix of a stack, so a set's statistic is the same in
+any batch; ``fisher_z_test`` and ``environment_test`` are batches of one
+and report the statistics that the decisions read. On the learn-wide
+benchmark's seed 0 this puts FCI's 1,448 decided tests in 14 stacked
+inverses and 13 stacked factorizations, where one batch per edge took 169
+and 34 and scored every set's p-value in Python.
 
 All p-values come in closed form: the two-sided normal tail as
 ``erfc(z / sqrt 2)``, and the chi-square upper tail at integer degrees of
@@ -79,9 +89,10 @@ odd degrees of freedom).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -139,82 +150,232 @@ def _check_args(data: DataTable, a: str, b: str,
     subsets = [sorted(set(s)) for s in subsets]
     if a == b:
         raise DataError("a and b must differ")
-    for s in subsets:
-        if a in s or b in s:
-            raise DataError("a and b must not appear in the conditioning set")
-    if not {a, b}.union(*subsets) <= data.index.keys():
+    names = set().union(*subsets)
+    if a in names or b in names:
+        raise DataError("a and b must not appear in the conditioning set")
+    if not names.union((a, b)) <= data.index.keys():
         for name in (a, b, *(name for s in subsets for name in s)):
             data.column(name)
     return subsets
 
 
-def results(test: Callable, data: DataTable, a: str, b: str,
-            subsets: Iterable[Iterable[str]]) -> Iterator[CITestResult]:
-    """``test(data, a, b, s)`` for each conditioning set of ``subsets`` (all
-    of one size), in order, as they are asked for; Fisher-z answers them as
-    one batch (``fisher_z_tests``)."""
-    if test is fisher_z_test:
-        return fisher_z_tests(data, a, b, subsets)
-    return (test(data, a, b, s) for s in subsets)
+# relative gap between alpha and the tails at a pair of critical values, far
+# above the rounding error of ``chi2_sf`` and ``normal_two_sided_p`` (about
+# 1e-13 of the tail), so that no statistic outside the pair is misjudged
+CRITICAL_MARGIN = 1e-9
 
 
-def fisher_z_tests(data: DataTable, a: str, b: str,
-                   subsets: Iterable[Iterable[str]]
-                   ) -> Iterator[CITestResult]:
-    """``fisher_z_test(data, a, b, s)`` for each conditioning set of
-    ``subsets`` (all of one size), in order, as they are asked for.
-
-    The |s|+2 square submatrices are gathered by one fancy index and
-    inverted by one stacked ``np.linalg.inv``, up to the first that holds a
-    NaN (a constant column); if that call fails, the batch is finished one
-    inverse at a time. A set whose test cannot be run raises when its
-    result is asked for, not before.
+@functools.lru_cache(maxsize=1024)
+def critical_values(alpha: float, dof: int) -> tuple[float, float]:
+    """Statistics (low, high) around the level-alpha critical value of the
+    chi-square tail with ``dof`` degrees of freedom, or of the two-sided
+    normal tail for dof 0: the tail is at least alpha (1 + CRITICAL_MARGIN)
+    at low and below alpha (1 - CRITICAL_MARGIN) at high, so the two lie
+    within about 1e-8 of each other. Both tails fall as the statistic
+    grows, so every statistic at most low has a p-value of at least alpha
+    and every one at least high a p-value below alpha. Found by bisection,
+    once per (alpha, dof); low is -inf when alpha is within the margin of 1.
     """
-    subsets = _check_args(data, a, b, subsets)
-    if not subsets:
-        return
+    def tail(x: float) -> float:
+        return normal_two_sided_p(x) if dof == 0 else chi2_sf(x, dof)
+
+    def crossing(target: float) -> tuple[float, float]:
+        # tail(left) >= target > tail(right), with right - left tiny
+        left, right = 0.0, 1.0
+        while tail(right) >= target:
+            left, right = right, 2.0 * right
+        while right - left > 1e-12 * right:
+            mid = 0.5 * (left + right)
+            if tail(mid) >= target:
+                left = mid
+            else:
+                right = mid
+        return left, right
+
+    above = alpha * (1.0 + CRITICAL_MARGIN)
+    low = crossing(above)[0] if above <= 1.0 else -math.inf
+    return low, crossing(alpha * (1.0 - CRITICAL_MARGIN))[1]
+
+
+def _bracketed(least: np.ndarray, most: np.ndarray, dof: int,
+               alpha: float) -> np.ndarray:
+    """For statistics known to lie in [least, most]: 1 where the p-value is
+    at least alpha, 0 where it is below alpha, and -1 where only the
+    statistic's own p-value decides (near the critical value, or NaN)."""
+    low, high = critical_values(alpha, dof)
+    return np.where(most <= low, 1, np.where(least >= high, 0, -1))
+
+
+class _Decisions(NamedTuple):
+    """Decisions on a batch of conditioning sets: ``decided[j]`` is 1 if set
+    j tests independent, 0 if dependent, and -1 if ``resolve(j)`` must say.
+    Where set j's test cannot be run, ``resolve(j)`` returns or raises the
+    error."""
+
+    decided: np.ndarray
+    resolve: Callable[[int], bool | Exception]
+
+
+def _decisions(test: Callable, data: DataTable, rows: list, alpha: float
+               ) -> _Decisions:
+    """Whether ``test(data, a, b, s).p_value >= alpha`` for each checked
+    (a, b, s) of ``rows``, all s of one size. Fisher-z decides the batch in
+    numpy against its critical values; any other test runs set by set as
+    the decisions are resolved."""
+    if test is not fisher_z_test:
+        return _Decisions(np.full(len(rows), -1),
+                          lambda j: test(data, *rows[j]).p_value >= alpha)
+    statistics, errors = _fisher_z_statistics(data, rows)
+
+    def resolve(j: int) -> bool | Exception:
+        if j in errors:
+            return errors[j]
+        return _fisher_z_result(float(statistics[j])).p_value >= alpha
+
+    return _Decisions(_bracketed(statistics, statistics, 0, alpha), resolve)
+
+
+def _firsts(data: DataTable, queries: Sequence,
+            decisions: Callable[[list], _Decisions]) -> list:
+    """For each (a, b, subsets) of ``queries``, the index of the first set
+    of ``subsets`` (all sets of all queries of one size) that
+    ``decisions(rows)`` finds independent, None if none is, or the error
+    of the first set that cannot be tested before it. One call of
+    ``decisions`` decides the sets of all queries as checked (a, b, s)
+    rows, so an error stays with its own query."""
+    out: list = [None] * len(queries)
+    rows: list = []
+    bounds = []
+    for k, (a, b, subsets) in enumerate(queries):
+        subsets = _caught(_check_args, data, a, b, subsets)
+        if isinstance(subsets, Exception):
+            out[k], subsets = subsets, []
+        bounds.append((len(rows), len(rows) + len(subsets)))
+        rows.extend((a, b, s) for s in subsets)
+    batch = _caught(decisions, rows)
+    if isinstance(batch, Exception):  # each query's first set raises it
+        return [batch if end > start else got
+                for got, (start, end) in zip(out, bounds)]
+    decided, resolve = batch
+    # the rows that are independent or need resolving, in order
+    stops = np.flatnonzero(decided != 0).tolist()
+    i = 0
+    for k, (start, end) in enumerate(bounds):
+        while i < len(stops) and stops[i] < start:
+            i += 1
+        while i < len(stops) and stops[i] < end:
+            j = stops[i]
+            got = True if decided[j] == 1 else _caught(resolve, j)
+            if isinstance(got, Exception):
+                out[k] = got
+                break
+            if got:
+                out[k] = j - start
+                break
+            i += 1
+    return out
+
+
+def _caught(fn: Callable, *args):
+    """``fn(*args)``, or the error it raises because a set cannot be tested
+    (a ``DataError``, or a ``ValueError`` such as a NaN p-value or a
+    singular matrix), kept to be raised later. This frame, which its
+    traceback holds, holds nothing that leads back to it, so no reference
+    cycle keeps a table alive."""
+    try:
+        return fn(*args)
+    except (DataError, ValueError) as exc:
+        return exc
+
+
+def firsts(test: Callable, data: DataTable, queries: Sequence,
+           alpha: float) -> list:
+    """For each (a, b, subsets) of ``queries`` (all sets of one size), the
+    index of the first set s of ``subsets`` with ``test(data, a, b,
+    s).p_value >= alpha``, None if there is none, or the error (a
+    ``DataError`` or ``ValueError``) that the test raises on a set before
+    that one, returned, not raised, so that it stays with its own query.
+
+    Fisher-z decides the sets of all queries in one batch: one stacked
+    ``np.linalg.inv`` gives every statistic, and each is compared with the
+    critical values of alpha (``critical_values``); only a statistic
+    between them takes its own p-value."""
+    return _firsts(data, queries,
+                   lambda rows: _decisions(test, data, rows, alpha))
+
+
+def _fisher_z_statistics(data: DataTable, rows: list
+                         ) -> tuple[np.ndarray, dict[int, Exception]]:
+    """The Fisher-z statistic of each checked (a, b, s) of ``rows``, all s
+    of one size, and the error of each row whose test cannot be run (its
+    statistic is NaN).
+
+    The |s|+2 square submatrices of the table's correlation matrix are
+    gathered by one fancy index and inverted by one stacked
+    ``np.linalg.inv``, except those holding a NaN (a constant column); if
+    that call fails, each is inverted alone, and a singular one is an
+    error. LAPACK runs the same routine on each matrix of a stack, so a
+    row's statistic is the same in any batch.
+    """
+    if not rows:
+        return np.empty(0), {}
     # discrete columns are used as plain numeric codes here
-    n, size = data.n_rows, len(subsets[0])
+    n, size = data.n_rows, len(rows[0][2])
     if n <= size + 3:
         raise DataError("too few rows for the conditioning set size")
-    index = data.index
-    pair = [index[a], index[b]]
+    idx = _positions(data, (v for a, b, s in rows for v in (a, b, *s)),
+                     len(rows))
     # broadcast index arrays: np.ix_ would cost more than the lookup itself
-    idx = np.array([pair + [index[name] for name in s] for s in subsets])
     corr = data.correlation()[idx[:, :, None], idx[:, None, :]]
-    nan = np.isnan(corr).any(axis=(1, 2))
-    stop = int(nan.argmax()) if nan.any() else len(subsets)
-    try:  # the a-b block of each precision matrix, as Python floats
-        prec = np.linalg.inv(corr[:stop])[:, :2, :2].reshape(-1, 4).tolist()
-    except np.linalg.LinAlgError:
-        prec = None
-    scale = math.sqrt(n - size - 3)
-    for j in range(len(subsets)):
-        if j == stop:
-            names = [a, b, *subsets[j]]
-            k = np.isnan(corr[j].diagonal()).argmax()
-            raise DegenerateDataError(
-                f"constant column in correlation matrix: {names[k]}")
-        if prec is not None:
-            p00, p01, _, p11 = prec[j]
+    errors: dict[int, Exception] = {}
+    for j in np.flatnonzero(np.isnan(corr).any(axis=(1, 2))).tolist():
+        a, b, s = rows[j]
+        k = np.isnan(corr[j].diagonal()).argmax()
+        errors[j] = DegenerateDataError(
+            f"constant column in correlation matrix: {[a, b, *s][k]}")
+    ok = np.ones(len(rows), dtype=bool)
+    ok[list(errors)] = False
+    prec = np.full((len(rows), 2, 2), np.nan)
+    try:  # the a-b block of each precision matrix
+        if errors:
+            prec[ok] = np.linalg.inv(corr[ok])[:, :2, :2]
         else:
+            prec = np.linalg.inv(corr)[:, :2, :2]
+    except np.linalg.LinAlgError:
+        for j in np.flatnonzero(ok).tolist():
             try:
-                p00, p01, _, p11 = np.linalg.inv(corr[j])[:2, :2].flat
+                prec[j] = np.linalg.inv(corr[j])[:2, :2]
             except np.linalg.LinAlgError:
-                raise DegenerateDataError(
-                    "singular covariance submatrix") from None
-        r = -p01 / math.sqrt(p00 * p11)
-        r = min(max(r, -1.0 + 1e-12), 1.0 - 1e-12)
-        statistic = scale * abs(math.atanh(r))
-        yield CITestResult(p_value=normal_two_sided_p(statistic),
-                           statistic=statistic, dof=1)
+                errors[j] = DegenerateDataError(
+                    "singular covariance submatrix")
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r = -prec[:, 0, 1] / np.sqrt(prec[:, 0, 0] * prec[:, 1, 1])
+        # np.clip, without its dispatch cost; NaN stays NaN
+        r = np.minimum(np.maximum(r, -1.0 + 1e-12), 1.0 - 1e-12)
+        return math.sqrt(n - size - 3) * np.abs(np.arctanh(r)), errors
+
+
+def _positions(data: DataTable, names: Iterable[str], k: int) -> np.ndarray:
+    """The column positions of ``names`` as k rows of equal length."""
+    return np.fromiter(map(data.index.__getitem__, names),
+                       dtype=np.intp).reshape(k, -1)
+
+
+def _fisher_z_result(statistic: float) -> CITestResult:
+    return CITestResult(p_value=normal_two_sided_p(statistic),
+                        statistic=statistic, dof=1)
 
 
 def fisher_z_test(data: DataTable, a: str, b: str,
                   s: Iterable[str] = ()) -> CITestResult:
-    """Two-sided test of zero partial correlation of a and b given s: a
-    batch of one of ``fisher_z_tests``."""
-    return next(fisher_z_tests(data, a, b, [s]))
+    """Two-sided test of zero partial correlation of a and b given s, from
+    the table's cached correlation matrix: a batch of one of the statistics
+    that ``firsts`` decides."""
+    [s] = _check_args(data, a, b, [s])
+    statistics, errors = _fisher_z_statistics(data, [(a, b, s)])
+    if errors:  # popped: no local keeps it, and its traceback no cycle
+        raise errors.pop(0)
+    return _fisher_z_result(float(statistics[0]))
 
 
 def residual_variances(data: DataTable, x: str,
@@ -224,13 +385,31 @@ def residual_variances(data: DataTable, x: str,
     size): (rows per environment, per-environment variances, pooled
     variance over all rows), or None where s is degenerate within an
     environment (a column of s constant there, or s collinear there).
+    ``_residual_variances`` computes them (see there).
+
+    Raises ``DegenerateDataError`` if the table has a single environment,
+    and ``DataError`` if an environment has no more than |s| + 2 rows.
+    """
+    counts, sigma2, pooled = _residual_variances(
+        data, [(x, s) for s in subsets])
+    return [None if math.isnan(v) else (counts, s2, v)
+            for s2, v in zip(sigma2, pooled.tolist())]
+
+
+def _residual_variances(data: DataTable, rows: list
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each (x, s) of ``rows``, all s of one size, the residual
+    variances of the regression of x on s with intercept: the rows per
+    environment (m,), the per-environment variances (k, m) and the pooled
+    variance over all rows (k,); NaN in a row where s is degenerate within
+    an environment.
 
     The share of var(x) that s leaves unexplained is the square of the last
     diagonal entry of the Cholesky factor of the correlation matrix of
-    [*s, x]. A set's m + 1 matrices, one per environment and the pooled
+    [*s, x]. A row's m + 1 matrices, one per environment and the pooled
     one, come from ``DataTable.correlations``, and the (m + 1) k matrices
-    of k sets are factored in one stacked ``data.cholesky`` call. Where
-    that call fails, each set is factored alone, and where that fails too,
+    of k rows are factored in one stacked ``data.cholesky`` call. Where
+    that call fails, each row is factored alone, and where that fails too,
     s alone is factored and the share is 1 - |L_s^-1 r|^2, with r the
     correlations of x with s. A variance is 0 where x is constant, or a
     linear function of s, within that environment (up to rounding, see
@@ -243,15 +422,14 @@ def residual_variances(data: DataTable, x: str,
     counts = mom.counts
     if len(counts) < 2:
         raise DegenerateDataError("environment column takes a single value")
-    if not subsets:
-        return []
-    if counts.min() <= len(subsets[0]) + 2:
+    if not rows:
+        return counts, np.empty((0, len(counts))), np.empty(0)
+    if counts.min() <= len(rows[0][1]) + 2:
         raise DataError("an environment has too few rows for the "
                         "conditioning set size")
-    i = data.index[x]
-    idx = np.array([[data.index[name] for name in s] + [i] for s in subsets])
+    idx = _positions(data, (v for x, s in rows for v in (*s, x)), len(rows))
     groups = np.arange(len(counts) + 1)[:, None, None]
-    # (k, m + 1, |s| + 1, |s| + 1): the blocks of one set side by side
+    # (k, m + 1, |s| + 1, |s| + 1): the blocks of one row side by side
     corr = data.correlations()[groups, idx[:, None, :, None],
                                idx[:, None, None, :]]
     tol = math.sqrt(MIN_UNEXPLAINED)
@@ -260,10 +438,10 @@ def residual_variances(data: DataTable, x: str,
         shares = (chol[:, -1, -1] ** 2).reshape(corr.shape[:2])
     else:
         shares = np.array([_unexplained_share(c, tol) for c in corr])
-    sigma2 = mom.grams[:, i, i] / counts * shares[:, 1:]
-    pooled = (mom.scatter[i, i] / data.n_rows * shares[:, 0]).tolist()
-    return [None if math.isnan(v) else (counts, s2, v)
-            for s2, v in zip(sigma2, pooled)]
+    xs = idx[:, -1]
+    sigma2 = mom.grams[:, xs, xs].T / counts * shares[:, 1:]
+    pooled = mom.scatter[xs, xs] / data.n_rows * shares[:, 0]
+    return counts, sigma2, pooled
 
 
 def _unexplained_share(corr: np.ndarray, tol: float) -> np.ndarray:
@@ -316,64 +494,73 @@ def residual_kurtosis(data: DataTable, x: str, s: Iterable[str] = ()
 
 class _EnvironmentParts(NamedTuple):
     """The two parts of the environment test's likelihood ratio for the
-    conditional of x given s."""
+    conditional of x given s, for each (x, s) of a batch."""
 
-    x: str
-    s: list[str]
-    location: float     # one regression against one per environment
-    scale: float        # one residual variance against one per environment
+    location: np.ndarray  # one regression against one per environment;
+    #                       inf where x is degenerate in some environments
+    scale: np.ndarray     # one residual variance against one per environment
+    fallback: np.ndarray  # True where the fallback test answers instead
     dof: int
 
 
-def _environment_parts(data: DataTable, a: str, b: str,
-                       subsets: Iterable[Iterable[str]], fallback: Callable
-                       ) -> Iterator[CITestResult | _EnvironmentParts]:
-    """The likelihood-ratio parts of ``environment_test`` for each
-    conditioning set of ``subsets`` (all of one size), in order, as they
-    are asked for, or its result where the data settle the query without
-    them."""
-    subsets = _check_args(data, a, b, subsets)
+def _environment_parts(data: DataTable, rows: list) -> _EnvironmentParts:
+    """The likelihood-ratio parts of ``environment_test`` for each (x, s)
+    of ``rows``, all s of one size, from one ``_residual_variances`` call
+    on the rows whose x is continuous."""
+    k = len(rows)
+    fallback = np.array([data.is_discrete(x) for x, _ in rows], dtype=bool)
+    fit = np.flatnonzero(~fallback)
+    try:
+        counts, sigma2, pooled = _residual_variances(
+            data, rows if len(fit) == k else [rows[j] for j in fit])
+    except DataError:
+        nan = np.full(k, np.nan)
+        return _EnvironmentParts(nan, nan, np.ones(k, dtype=bool), 0)
+    n = data.n_rows
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weighted, logs = sigma2 * counts, np.log(sigma2) * counts
+        within, log_sum = weighted[:, 0], logs[:, 0]
+        for e in range(1, len(counts)):  # summed in environment order
+            within = within + weighted[:, e]
+            log_sum = log_sum + logs[:, e]
+        within = within / n
+        location = np.maximum(n * np.log(pooled / within), 0.0)
+        scale = np.maximum(n * np.log(within) - log_sum, 0.0)
+    # x constant, or a linear function of s, within some environment: its
+    # conditional plainly changes if it varies in another, and the fallback
+    # answers if it varies in none; so does it where s is degenerate
+    lowest, highest = sigma2.min(axis=1), sigma2.max(axis=1)
+    changed = (lowest == 0.0) & (highest > 0.0)
+    location[changed], scale[changed] = np.inf, 0.0
+    fallback[fit[np.isnan(pooled) | (lowest == 0.0) & ~(highest > 0.0)]] = \
+        True
+    if len(fit) < k:  # one entry per row again
+        parts = np.full((2, k), np.nan)
+        parts[:, fit] = location, scale
+        location, scale = parts
+    size = len(rows[0][1]) if rows else 0
+    return _EnvironmentParts(location, scale, fallback,
+                             (len(counts) - 1) * (size + 2))
+
+
+def _tested_side(data: DataTable, a: str, b: str) -> str:
+    """The side of the pair a, b that is not the environment column."""
     env = data.env_column
     if env is None or env not in (a, b):
         raise DataError("environment_test needs the table's environment "
                         "column as a or b")
-    x = b if a == env else a
-    if data.is_discrete(x):
-        yield from results(fallback, data, a, b, subsets)
-        return
-    try:
-        variances = residual_variances(data, x, subsets)
-    except DataError:
-        yield from results(fallback, data, a, b, subsets)
-        return
-    n = data.n_rows
-    for s, got in zip(subsets, variances):
-        if got is None:
-            yield fallback(data, a, b, s)
-            continue
-        counts, sigma2, pooled = got
-        dof = (len(counts) - 1) * (len(s) + 2)
-        counts, sigma2 = counts.tolist(), sigma2.tolist()  # m is small
-        if min(sigma2) == 0.0:  # x degenerate within some environment
-            if max(sigma2) > 0.0:
-                yield CITestResult(p_value=0.0, statistic=math.inf, dof=dof)
-            else:
-                yield fallback(data, a, b, s)
-            continue
-        within = sum(c * v for c, v in zip(counts, sigma2)) / n
-        location = max(n * math.log(pooled / within), 0.0)
-        scale = max(n * math.log(within) -
-                    sum(c * math.log(v) for c, v in zip(counts, sigma2)),
-                    0.0)
-        yield _EnvironmentParts(x, s, location, scale, dof)
+    return b if a == env else a
 
 
-def _corrected(data: DataTable, parts: _EnvironmentParts) -> CITestResult:
-    inflation = max(0.5 * (residual_kurtosis(data, parts.x, parts.s) - 1.0),
-                    1.0)
-    statistic = parts.location + parts.scale / inflation
-    return CITestResult(p_value=chi2_sf(statistic, parts.dof),
-                        statistic=statistic, dof=parts.dof)
+def _environment_result(data: DataTable, x: str, s: list[str],
+                        location: float, scale: float,
+                        dof: int) -> CITestResult:
+    if location == math.inf:  # x degenerate within some environments only
+        return CITestResult(p_value=0.0, statistic=math.inf, dof=dof)
+    inflation = max(0.5 * (residual_kurtosis(data, x, s) - 1.0), 1.0)
+    statistic = location + scale / inflation
+    return CITestResult(p_value=chi2_sf(statistic, dof),
+                        statistic=statistic, dof=dof)
 
 
 def environment_test(data: DataTable, a: str, b: str,
@@ -381,7 +568,8 @@ def environment_test(data: DataTable, a: str, b: str,
                      fallback: Callable = fisher_z_test) -> CITestResult:
     """Test that the conditional of the non-environment side given s is the
     same in every environment; one of a, b must be the table's environment
-    column (see the module docstring).
+    column (see the module docstring). A batch of one of the statistics
+    that ``environment_firsts`` decides.
 
     If that side is constant or a linear function of s within some
     environments but not all, its conditional plainly changes: p = 0.
@@ -391,33 +579,59 @@ def environment_test(data: DataTable, a: str, b: str,
     environment has too few rows for |s|, or if the table has a single
     environment.
     """
-    parts = next(_environment_parts(data, a, b, [s], fallback))
-    if isinstance(parts, CITestResult):
-        return parts
-    return _corrected(data, parts)
+    [s] = _check_args(data, a, b, [s])
+    x = _tested_side(data, a, b)
+    parts = _environment_parts(data, [(x, s)])
+    if parts.fallback[0]:
+        return fallback(data, a, b, s)
+    return _environment_result(data, x, s, float(parts.location[0]),
+                               float(parts.scale[0]), parts.dof)
 
 
-def environment_decisions(data: DataTable, a: str, b: str,
-                          subsets: Iterable[Iterable[str]], alpha: float,
-                          fallback: Callable = fisher_z_test
-                          ) -> Iterator[bool]:
+def _environment_decisions(data: DataTable, rows: list, alpha: float,
+                           fallback: Callable) -> _Decisions:
     """Whether ``environment_test(data, a, b, s, fallback).p_value >=
-    alpha``, for each conditioning set of ``subsets`` (all of one size), in
-    order, as they are asked for.
+    alpha`` for each checked (a, b, s) of ``rows``, all s of one size.
 
-    The kurtosis correction only shrinks the scale part, so the p-value
-    lies between the chi-square tails at location + scale and at location
-    alone; the kurtosis is estimated only when alpha falls between them.
+    The kurtosis correction only shrinks the scale part, so the statistic
+    lies between the location part and the sum of both parts; the kurtosis
+    is estimated only where the critical values fall between them. The
+    rows that ``fallback`` answers are decided as one batch of it.
     """
-    for parts in _environment_parts(data, a, b, subsets, fallback):
-        if isinstance(parts, CITestResult):
-            yield parts.p_value >= alpha
-        elif chi2_sf(parts.location + parts.scale, parts.dof) >= alpha:
-            yield True
-        elif chi2_sf(parts.location, parts.dof) < alpha:
-            yield False
-        else:
-            yield _corrected(data, parts).p_value >= alpha
+    xs = [_tested_side(data, a, b) for a, b, _ in rows]
+    parts = _environment_parts(data, [(x, s) for x, (_, _, s)
+                                      in zip(xs, rows)])
+    decided = _bracketed(parts.location, parts.location + parts.scale,
+                         parts.dof, alpha)
+    back = np.flatnonzero(parts.fallback).tolist()
+    at = {j: i for i, j in enumerate(back)}
+    if back:
+        answer = _decisions(fallback, data, [rows[j] for j in back], alpha)
+        decided[back] = answer.decided
+
+    def resolve(j: int) -> bool | Exception:
+        if j in at:
+            return answer.resolve(at[j])
+        return _environment_result(
+            data, xs[j], rows[j][2], float(parts.location[j]),
+            float(parts.scale[j]), parts.dof).p_value >= alpha
+
+    return _Decisions(decided, resolve)
+
+
+def environment_firsts(data: DataTable, queries: Sequence, alpha: float,
+                       fallback: Callable = fisher_z_test) -> list:
+    """``firsts`` for the environment test: for each (a, b, subsets) of
+    ``queries`` (one of a, b the table's environment column, all sets of
+    one size), the index of the first set s of ``subsets`` with
+    ``environment_test(data, a, b, s, fallback).p_value >= alpha``, None
+    if there is none, or the error raised on a set before that one.
+
+    The sets of all queries are fitted as one batch: one stacked
+    Cholesky factorization gives both parts of every likelihood ratio, and
+    each is compared with the critical values of alpha."""
+    return _firsts(data, queries, lambda rows: _environment_decisions(
+        data, rows, alpha, fallback))
 
 
 def degenerate_gaussian_test(data: DataTable, a: str, b: str,

@@ -27,26 +27,29 @@ leaves a variable's mean alone, such as a change of scale, still makes the
 variable a child of the environment vertex, and a variable constant in one
 environment but not in another is a child of it.
 
-An oracle has one method, ``first(a, b, subsets)``: the index of the first
-of ``subsets`` given which a and b are independent, or None.
+An oracle has one method, ``separating_sets(queries)``: for each query
+(a, b, subsets) of one adjacency level, the number of ``subsets`` it
+decided and the first given which a and b are independent, or None.
 ``SeparationOracle`` answers by m-separation in a known graph. Both
 adjacency phases are one PC-stable level-wise search: at each size it
 reads the conditioning-set pools of every adjacent pair before it tests
-any, so all the sets of one edge at one size are known before any is
-answered. They go to ``first`` in batches of at most ``MAX_BATCH``;
-``DataOracle`` decides a batch of Fisher-z tests with one stacked inverse
-and a batch of environment tests with one stacked Cholesky factorization.
-A query counts as one CI test if it is decided: the sets of a batch up to
-and including the first independent one.
+any (Colombo & Maathuis 2014), so the sets of a whole level are known
+before any is answered, and one call asks them all, as GPU PC (cuPC)
+does. ``DataOracle`` streams them, pair after pair, into stacked calls of
+at most ``MAX_BATCH`` sets, one stream for the environment pairs and one
+for the others: batched CI decisions (see ``citest``). A pair decided in
+one call adds no further sets to the next. A query counts as one CI test
+if it is decided: the sets of a pair up to and including the first
+independent one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations, filterfalse, islice
 from typing import Callable, Iterable, Sequence
 
-from .citest import environment_decisions, fisher_z_test, results
+from .citest import environment_firsts, firsts, fisher_z_test
 from .data import DataTable, pool_environments
 from .graph import ARROW, CIRCLE, TAIL, Edge, MixedGraph
 from .separation import m_connected
@@ -71,12 +74,20 @@ class SeparationOracle:
     def __init__(self, graph: MixedGraph):
         self.graph = graph
 
-    def first(self, a: str, b: str,
-              subsets: Sequence[Iterable[str]]) -> int | None:
-        """Index of the first of ``subsets`` that m-separates a and b;
-        None if none does."""
-        return next((i for i, s in enumerate(subsets)
-                     if not m_connected(self.graph, a, b, set(s))), None)
+    def separating_sets(self, queries: Sequence[tuple]) -> list[tuple]:
+        """For each (a, b, subsets) of ``queries``, the number of sets
+        tested and the first that m-separates a and b (None if none)."""
+        out = []
+        for a, b, subsets in queries:
+            tests = 0
+            for s in subsets:
+                tests += 1
+                if not m_connected(self.graph, a, b, set(s)):
+                    out.append((tests, s))
+                    break
+            else:
+                out.append((tests, None))
+        return out
 
 
 class DataOracle:
@@ -98,22 +109,78 @@ class DataOracle:
         self.test = test
         self.alpha = alpha
 
-    def first(self, a: str, b: str,
-              subsets: Sequence[Iterable[str]]) -> int | None:
-        """Index of the first of ``subsets`` (all of one size) given which
-        a and b test independent; None if none does. The sets after it are
-        not tested, so one of them that cannot be tested raises nothing.
-        Fisher-z decides the batch with one stacked inverse, the
-        environment test with one stacked Cholesky factorization (see
-        ``citest``)."""
-        table, alpha = self.table, self.alpha
-        if table.env_column in (a, b):
-            decisions = environment_decisions(table, a, b, subsets, alpha,
-                                              self.test)
-        else:
-            decisions = (r.p_value >= alpha
-                         for r in results(self.test, table, a, b, subsets))
-        return next((i for i, ind in enumerate(decisions) if ind), None)
+    def separating_sets(self, queries: Sequence[tuple]) -> list[tuple]:
+        """For each (a, b, subsets) of ``queries`` (all sets of one size),
+        the number of sets decided and the first given which a and b test
+        independent (None if none); the sets after it are not decided.
+
+        The environment pairs form one stream and the other pairs another
+        (see ``_stream``): Fisher-z decides each stacked call with one
+        stacked inverse, the environment test with one stacked Cholesky
+        factorization (see ``citest``). A set that cannot be tested raises
+        only if its query reaches it, and the first such query, in order,
+        raises.
+        """
+        table, test, alpha = self.table, self.test, self.alpha
+        on_env = [table.env_column in (a, b) for a, b, _ in queries]
+        out: list = [None] * len(queries)
+        for env, decide in (
+                (False, lambda chunk: firsts(test, table, chunk, alpha)),
+                (True, lambda chunk: environment_firsts(table, chunk, alpha,
+                                                        test))):
+            ks = [k for k, e in enumerate(on_env) if e == env]
+            for k, answer in zip(ks, _stream([queries[k] for k in ks],
+                                              decide)):
+                out[k] = answer
+        error = next((got for got in out if isinstance(got, Exception)),
+                     None)
+        if error is None:
+            return out
+        try:
+            raise error
+        finally:  # its traceback holds this frame: break the cycle
+            error = answer = out = None
+
+
+def _stream(queries: Sequence[tuple], decide: Callable) -> list:
+    """For each (a, b, subsets) of ``queries``, the number of sets decided
+    and the first independent one (None if none), or the exception raised
+    on a set it reaches.
+
+    The sets of all queries, query after query, are cut into calls of
+    ``decide`` (``citest.firsts`` or ``environment_firsts``) of at most
+    ``MAX_BATCH`` sets; a query cut at the end of one call continues in the
+    next unless it was decided. The stream stops at the first call that
+    returns an exception: every query before it is decided by then.
+    """
+    out: list = [(0, None)] * len(queries)
+    todo = [(k, a, b, iter(subsets))
+            for k, (a, b, subsets) in reversed(list(enumerate(queries)))]
+    while todo:
+        chunk, room = [], MAX_BATCH
+        while todo and room:
+            k, a, b, rest = todo[-1]
+            sets = list(islice(rest, room))
+            if len(sets) < room:
+                todo.pop()
+            if sets:
+                chunk.append((k, a, b, sets))
+                room -= len(sets)
+        if not chunk:
+            break
+        got = decide([(a, b, sets) for _, a, b, sets in chunk])
+        for (k, _, _, sets), i in zip(chunk, got):
+            if isinstance(i, Exception):
+                out[k] = i
+                return out
+            tests = out[k][0]
+            if i is None:
+                out[k] = (tests + len(sets), None)
+            else:
+                out[k] = (tests + i + 1, sets[i])
+                if todo and todo[-1][0] == k:  # cut, but decided
+                    todo.pop()
+    return out
 
 
 class _Marks:
@@ -170,40 +237,22 @@ class _Marks:
         return MixedGraph(self.vertices, edges, kind="PAG")
 
 
-# conditioning sets per call of an oracle's ``first``, which bounds the
-# matrices one batch stacks
+# conditioning sets per stacked call of ``DataOracle``, which bounds the
+# matrices one call stacks
 MAX_BATCH = 256
 
 
 def _distinct_subsets(pools: Sequence[Sequence[str]], size: int):
     """The subsets of ``size`` vertices of each of ``pools`` in turn, in
-    order, each distinct subset once."""
-    seen: set[frozenset] = set()
+    order, each distinct subset once. A pool holds distinct vertices, so a
+    subset of a later pool is a repeat iff it lies inside an earlier one."""
+    earlier: list[set[str]] = []
     for pool in pools:
-        for s in combinations(pool, size):
-            key = frozenset(s)
-            if key not in seen:
-                seen.add(key)
-                yield s
-
-
-def _separating_set(ci, a: str, b: str, pools: Sequence[Sequence[str]],
-                    size: int, queries: list[int]) -> frozenset | None:
-    """The first subset of ``size`` vertices of one of ``pools``, in order,
-    that makes a and b independent; each distinct subset is tested once.
-    None when no subset does.
-
-    Batches of at most ``MAX_BATCH`` subsets go to ``ci.first``.
-    ``queries[0]`` counts the subsets decided: up to and including the
-    first independent one.
-    """
-    subsets = _distinct_subsets(pools, size)
-    while batch := list(islice(subsets, MAX_BATCH)):
-        i = ci.first(a, b, batch)
-        queries[0] += len(batch) if i is None else i + 1
-        if i is not None:
-            return frozenset(batch[i])
-    return None
+        subsets = combinations(pool, size)
+        for done in earlier:
+            subsets = filterfalse(done.issuperset, subsets)
+        yield from subsets
+        earlier.append(set(pool))
 
 
 def _pairs(adj: dict[str, set[str]]) -> list[tuple[str, str]]:
@@ -225,12 +274,14 @@ def _adjacency_search(ci, adj: dict[str, set[str]],
         level = {(a, b): pools(a, b) for a, b in _pairs(adj)}
         if all(len(pool) < size for ps in level.values() for pool in ps):
             return
-        for (a, b), ps in level.items():
-            sep = _separating_set(ci, a, b, ps, size, queries)
+        answers = ci.separating_sets([(a, b, _distinct_subsets(ps, size))
+                                      for (a, b), ps in level.items()])
+        for (a, b), (tests, sep) in zip(level, answers):
+            queries[0] += tests
             if sep is not None:
                 adj[a].discard(b)
                 adj[b].discard(a)
-                sepsets[frozenset((a, b))] = sep
+                sepsets[frozenset((a, b))] = frozenset(sep)
         size += 1
 
 
@@ -498,14 +549,14 @@ def fci(ci, variables: Sequence[str], knowledge: Knowledge | None = None,
         report: dict | None = None) -> MixedGraph:
     """Learn a PAG from a conditional-independence oracle.
 
-    ``ci.first(a, b, subsets)`` decides each edge's conditioning sets of
-    one size, in batches of at most ``MAX_BATCH`` (see the module
-    docstring). The returned PAG reflects the complete orientation rule
-    set; rules that only fire under selection bias are omitted since
-    undirected and circle-tail edges cannot arise without it. A ``report``
-    dict, when given, is filled with the number of CI queries (of a batch,
-    the sets up to and including the first independent one), in all and
-    per adjacency phase, the separating sets found, and per-rule firing
+    ``ci.separating_sets(queries)`` decides the conditioning sets of one
+    size of every edge in one call (see the module docstring). The
+    returned PAG reflects the complete orientation rule set; rules that
+    only fire under selection bias are omitted since undirected and
+    circle-tail edges cannot arise without it. A ``report`` dict, when
+    given, is filled with the number of CI queries (of an edge, the sets
+    up to and including the first independent one), in all and per
+    adjacency phase, the separating sets found, and per-rule firing
     counts. A negative ``max_cond_size`` raises ``ValueError``.
     """
     if max_cond_size is not None and max_cond_size < 0:

@@ -7,15 +7,15 @@ import pytest
 
 from stablespec import citest, data
 from stablespec.citest import (
-    CITestResult, DegenerateDataError, chi2_sf, degenerate_gaussian_test,
-    environment_decisions, environment_test,
-    fisher_z_test, fisher_z_tests, normal_two_sided_p, residual_kurtosis,
-    residual_variances,
+    CRITICAL_MARGIN, CITestResult, DegenerateDataError, chi2_sf,
+    critical_values, degenerate_gaussian_test, environment_firsts,
+    environment_test, firsts, fisher_z_test, normal_two_sided_p,
+    residual_kurtosis, residual_variances,
 )
 from stablespec.data import DataError, DataTable, pool_environments
 from stablespec.fci import DataOracle
 from stablespec.scm import shift_benchmark_scm
-from util import near_copy
+from util import exact_table, first_index, near_copy
 
 
 def rowwise_fisher_z(data, a, b, s):
@@ -505,8 +505,8 @@ class TestEnvironmentTest:
             assert per_env[0] == 0.0 and per_env[1] > 0.0
             got = environment_test(t, "E", x, cond)
             assert got.p_value == 0.0 and got.statistic == math.inf
-            assert list(environment_decisions(t, x, "E", [cond],
-                                              1e-300)) == [False]
+            assert environment_firsts(t, [(x, "E", [cond])], 1e-300) == \
+                [None]
 
     def test_degenerate_in_every_environment_goes_to_the_fallback(self):
         env = np.repeat([0, 1, 2], 100)
@@ -625,7 +625,7 @@ class TestEnvironmentTest:
             environment_test(one, "E", "x")
 
     def test_decision_agrees_with_the_p_value(self):
-        # environment_decisions skips the kurtosis where it cannot change
+        # environment_firsts skips the kurtosis where it cannot change
         # the decision; heavy tails and a small scale change put some
         # decisions where it can
         calls = []
@@ -647,8 +647,9 @@ class TestEnvironmentTest:
                 for cond in ([], ["s"]):
                     p = environment_test(t, "E", "x", cond).p_value
                     for alpha in (0.001, 0.01, 0.05, 0.2, p, p * 1.001):
-                        assert list(environment_decisions(
-                            t, "E", "x", [cond], alpha)) == [p >= alpha]
+                        assert environment_firsts(
+                            t, [("E", "x", [cond])], alpha) == \
+                            [0 if p >= alpha else None]
         finally:
             citest.residual_kurtosis = kurtosis
         # every environment_test call estimates it; some decisions did too
@@ -711,23 +712,6 @@ def batch_table(seed, envs=3, n=300):
     return env_table(cols, env)
 
 
-def exact_table(n=1000, seed=35):
-    """A table without environments whose statistics are exact: integer
-    columns, each a half and its negation, so every mean is 0 and every
-    Gram entry an exact integer. {m} separates a and b; c is constant, and
-    d and e are equal, so a correlation matrix holding both is exactly
-    singular."""
-    rng = np.random.default_rng(seed)
-    half = {name: rng.integers(-20, 21, size=n) for name in "mfgd"}
-    half["a"] = half["m"] + rng.integers(-20, 21, size=n)
-    half["b"] = half["m"] + half["g"] + rng.integers(-20, 21, size=n)
-    cols = {name: np.concatenate([v, -v]).astype(float)
-            for name, v in half.items()}
-    cols["e"] = cols["d"].copy()
-    cols["c"] = np.full(2 * n, 3.0)
-    return DataTable(cols)
-
-
 class TestBatches:
     """``DataOracle(...).first`` against the same tests asked one set at a
     time."""
@@ -749,37 +733,50 @@ class TestBatches:
         t = batch_table(seed)
         oracle = DataOracle(t, alpha=self.ALPHA)
         order = np.random.default_rng(seed).permutation
-        firsts = []
+        found = []
         for size in (0, 1, 2, 3):
             subsets = [list(s) for s in itertools.combinations(
                 ["s0", "s1", "s2", "s3", "x"], size)]
             subsets = [subsets[i] for i in order(len(subsets))]
-            got = oracle.first("a", "b", subsets)
+            got = first_index(oracle, "a", "b", subsets)
             assert got == self.fisher_loop(t, "a", "b", subsets)
-            firsts.append(got)
-            # every p-value of the batch, bit for bit
-            assert [r.p_value for r in fisher_z_tests(t, "a", "b", subsets)] \
-                == [fisher_z_test(t, "a", "b", s).p_value for s in subsets]
+            found.append(got)
+            # every statistic of the batch, bit for bit
+            statistics, errors = citest._fisher_z_statistics(
+                t, [("a", "b", sorted(s)) for s in subsets])
+            assert not errors and statistics.tolist() == \
+                [fisher_z_test(t, "a", "b", s).statistic for s in subsets]
             # x is the tested side, so a takes its place in the sets
             env_sets = [["a" if v == "x" else v for v in s] for s in subsets]
             for a, b in (("E", "x"), ("x", "E")):
-                got = oracle.first(a, b, env_sets)
+                got = first_index(oracle, a, b, env_sets)
                 assert got == self.environment_loop(t, "x", env_sets)
-                firsts.append(got)
+                found.append(got)
         # some batch was decided past its first set
-        assert set(firsts) - {0, None}
+        assert set(found) - {0, None}
 
     @pytest.mark.parametrize("seed", range(3))
     def test_environment_decisions_agree_at_each_p_value(self, seed):
-        # at alpha = p a set is independent, one step above p it is not
+        # at alpha = p a set is independent, one step above p it is not;
+        # each query holds one set, and all are decided in one batch
         t = batch_table(seed)
         subsets = [[v] for v in ("s0", "s1", "s2", "s3", "a")]
         for j, s in enumerate(subsets):
             p = environment_test(t, "E", "x", s).p_value
-            for alpha, want in ((p, True),
-                                (float(np.nextafter(p, 2.0)), False)):
-                got = list(environment_decisions(t, "E", "x", subsets,
-                                                 alpha))
+            for alpha, want in ((p, 0), (float(np.nextafter(p, 2.0)), None)):
+                got = environment_firsts(
+                    t, [("E", "x", [c]) for c in subsets], alpha)
+                assert got[j] == want
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fisher_z_decisions_agree_at_each_p_value(self, seed):
+        t = batch_table(seed)
+        subsets = [[v] for v in ("s0", "s1", "s2", "s3", "x")]
+        for j, s in enumerate(subsets):
+            p = fisher_z_test(t, "a", "b", s).p_value
+            for alpha, want in ((p, 0), (float(np.nextafter(p, 2.0)), None)):
+                got = firsts(fisher_z_test, t,
+                             [("a", "b", [c]) for c in subsets], alpha)
                 assert got[j] == want
 
     def test_degenerate_set_raises_only_when_reached(self):
@@ -793,15 +790,18 @@ class TestBatches:
                              (["d", "e"], "singular covariance submatrix")):
             with pytest.raises(DegenerateDataError, match=message):
                 fisher_z_test(t, "a", "b", bad)
-            assert oracle.first("a", "b", [dep, ind, bad]) == 1
-            assert oracle.first("a", "b", [dep, ind, bad, bad]) == 1
-            assert outcome(lambda: oracle.first("a", "b", [dep, bad, ind])) \
+            assert first_index(oracle, "a", "b", [dep, ind, bad]) == 1
+            assert first_index(oracle, "a", "b", [dep, ind, bad, bad]) == 1
+            assert outcome(lambda: first_index(oracle, "a", "b",
+                                               [dep, bad, ind])) \
                 == (DegenerateDataError, message)
-            assert outcome(lambda: oracle.first("a", "b", [bad, ind])) \
+            assert outcome(lambda: first_index(oracle, "a", "b",
+                                               [bad, ind])) \
                 == (DegenerateDataError, message)
             for subsets in ([dep, ind, bad], [dep, bad, ind], [bad, ind],
                             [dep, dep, bad], [dep, dep]):
-                assert outcome(lambda: oracle.first("a", "b", subsets)) == \
+                assert outcome(lambda: first_index(oracle, "a", "b",
+                                                   subsets)) == \
                     outcome(lambda: self.fisher_loop(t, "a", "b", subsets))
 
     def test_degenerate_fallback_raises_only_when_reached(self):
@@ -818,12 +818,12 @@ class TestBatches:
         dep, ind, bad = ["f", "g"], ["f", "h"], ["c", "f"]
         assert environment_test(t, "E", "x", dep).p_value < self.ALPHA
         assert environment_test(t, "E", "x", ind).p_value >= self.ALPHA
-        assert oracle.first("E", "x", [dep, ind, bad]) == 1
+        assert first_index(oracle, "E", "x", [dep, ind, bad]) == 1
         with pytest.raises(DegenerateDataError,
                            match="constant column in correlation matrix"):
-            oracle.first("E", "x", [dep, bad, ind])
+            first_index(oracle, "E", "x", [dep, bad, ind])
         for subsets in ([dep, ind, bad], [dep, bad, ind], [bad]):
-            assert outcome(lambda: oracle.first("E", "x", subsets)) == \
+            assert outcome(lambda: first_index(oracle, "E", "x", subsets)) == \
                 outcome(lambda: self.environment_loop(t, "x", subsets))
 
     def test_single_environment_goes_to_the_fallback(self):
@@ -831,7 +831,7 @@ class TestBatches:
         t = batch_table(4, envs=1)
         oracle = DataOracle(t, alpha=self.ALPHA)
         subsets = [[v] for v in ("s0", "s1", "s2", "s3", "a")]
-        got = outcome(lambda: oracle.first("E", "x", subsets))
+        got = outcome(lambda: first_index(oracle, "E", "x", subsets))
         assert got == outcome(lambda: self.environment_loop(t, "x", subsets))
         assert got == outcome(lambda: fisher_z_test(t, "E", "x", ["s0"]))
 
@@ -848,8 +848,8 @@ class TestBatches:
         oracle = DataOracle(t, test=test, alpha=self.ALPHA)
         for subsets in ([["s1"], ["s2"], ["s0"]], [["s0", "s1"], ["s1", "s2"]],
                         [[]]):
-            assert oracle.first("x", "E", subsets) == self.environment_loop(
-                t, "x", subsets, test)
+            assert first_index(oracle, "x", "E", subsets) == \
+                self.environment_loop(t, "x", subsets, test)
 
     def test_side_constant_in_one_environment_only(self):
         rng = np.random.default_rng(43)
@@ -860,7 +860,8 @@ class TestBatches:
         subsets = [["s1"], ["s0"]]
         for s in subsets:
             assert environment_test(t, "E", "x", s).p_value == 0.0
-        assert DataOracle(t, alpha=1e-300).first("E", "x", subsets) is None
+        assert first_index(DataOracle(t, alpha=1e-300), "E", "x",
+                           subsets) is None
         assert self.environment_loop(t, "x", subsets, alpha=1e-300) is None
 
     def test_alpha_between_the_tails_estimates_the_kurtosis(
@@ -872,10 +873,10 @@ class TestBatches:
         s = rng.normal(size=(800, 2))
         x = 0.5 * s[:, 0] + rng.laplace(size=800) * np.array([1.0, 1.2])[env]
         t = env_table({"x": x, "s0": s[:, 0], "s1": s[:, 1]}, env)
-        parts = next(citest._environment_parts(t, "E", "x", [["s0"]],
-                                               fisher_z_test))
-        low = chi2_sf(parts.location + parts.scale, parts.dof)
-        high = chi2_sf(parts.location, parts.dof)
+        parts = citest._environment_parts(t, [("x", ["s0"])])
+        location, scale = float(parts.location[0]), float(parts.scale[0])
+        low = chi2_sf(location + scale, parts.dof)
+        high = chi2_sf(location, parts.dof)
         alpha = math.sqrt(low * high)
         assert low < alpha < high
         calls = []
@@ -884,7 +885,7 @@ class TestBatches:
                             lambda *args: calls.append(args[1:]) or
                             kurtosis(*args))
         subsets = [["s0"], ["s1"]]
-        got = DataOracle(t, alpha=alpha).first("E", "x", subsets)
+        got = first_index(DataOracle(t, alpha=alpha), "E", "x", subsets)
         assert ("x", ["s0"]) in calls
         assert got == self.environment_loop(t, "x", subsets, alpha=alpha)
 
@@ -950,3 +951,52 @@ class TestClosedFormTails:
         got = np.array([normal_two_sided_p(z) for z in zs])
         keep = want > 1e-300
         np.testing.assert_allclose(got[keep], want[keep], rtol=1e-12)
+
+
+class TestCriticalValues:
+    ALPHAS = (1e-300, 1e-100, 1e-20, 1e-8, 1e-3, 0.01, 0.05, 0.2, 0.5)
+
+    @staticmethod
+    def tail(dof):
+        if dof == 0:
+            return normal_two_sided_p
+        return lambda x: chi2_sf(x, dof)
+
+    @pytest.mark.parametrize("dof", range(61))
+    def test_bracket_the_tails(self, dof):
+        # dof 0 is Fisher-z's two-sided normal tail
+        tail = self.tail(dof)
+        for alpha in self.ALPHAS:
+            low, high = critical_values(alpha, dof)
+            assert 0.0 < low < high and high - low <= 1e-8 * high
+            assert tail(low) >= alpha * (1.0 + CRITICAL_MARGIN)
+            assert tail(high) < alpha * (1.0 - CRITICAL_MARGIN)
+            # statistics beyond them, one rounding step and further away
+            for step in (1e-16, 1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.5):
+                assert tail(low * (1.0 - step)) >= alpha
+                assert tail(high * (1.0 + step)) < alpha
+
+    def test_alpha_within_the_margin_of_one(self):
+        low, high = critical_values(1.0 - 1e-12, 3)
+        assert low == -math.inf and chi2_sf(high, 3) < 1.0 - 1e-12
+
+    def test_p_value_computed_only_at_the_critical_value(self, monkeypatch):
+        # alpha is the p-value of one set: only that set's statistic lies
+        # between the critical values, and only it takes its own p-value
+        t = batch_table(0)
+        subsets = [list(s) for s in itertools.combinations(
+            ["s0", "s1", "s2", "s3", "x"], 2)]
+        queries = [("a", "b", [s]) for s in subsets]
+        results = [fisher_z_test(t, "a", "b", s) for s in subsets]
+        for alpha in (0.05, results[3].p_value):
+            critical_values(alpha, 0)
+            calls = []
+            tail = citest.normal_two_sided_p
+            monkeypatch.setattr(citest, "normal_two_sided_p",
+                                lambda z: calls.append(z) or tail(z))
+            got = firsts(fisher_z_test, t, queries, alpha)
+            monkeypatch.undo()
+            assert got == [0 if r.p_value >= alpha else None
+                           for r in results]
+            assert calls == ([] if alpha == 0.05
+                             else [results[3].statistic])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import stablespec
-from stablespec import cli, fci, search
+from stablespec import citest, cli, fci, search
 from stablespec.cli import main
 from stablespec.data import DataTable, pool_environments, save_csv
 from stablespec.graph import parse, serialize
@@ -560,10 +560,10 @@ class TestDiscreteSites:
         winner = capsys.readouterr().out.strip()
         log = (tmp_path / "a" / "log.txt").read_text()
 
-        def chosen_test_only(table, a, b, subsets, alpha, test):
-            return (test(table, a, b, s).p_value >= alpha for s in subsets)
+        def chosen_test_only(table, queries, alpha, test):
+            return citest.firsts(test, table, queries, alpha)
 
-        monkeypatch.setattr(fci, "environment_decisions", chosen_test_only)
+        monkeypatch.setattr(fci, "environment_firsts", chosen_test_only)
         assert self.search(sites, tmp_path / "b") == 0
         assert capsys.readouterr().out.strip() == winner
         assert (tmp_path / "b" / "log.txt").read_text() == \

@@ -24,7 +24,8 @@ from oracles import (
 )
 from util import (
     CONFLICT_ADMG, PerSetOracle, complete_pag, example_admg, example_pag,
-    bench_inputs, independence_oracle, pooled_draws, random_admg,
+    bench_inputs, exact_table, first_index, independence_oracle,
+    pooled_draws, random_admg,
 )
 
 
@@ -411,7 +412,7 @@ class TestDataOracle:
         t = DataTable({"a": rng.normal(size=2000),
                        "b": rng.normal(size=2000)})
         ind = DataOracle(t, alpha=0.01)
-        assert ind.first("a", "b", [set()]) == 0
+        assert first_index(ind, "a", "b", [set()]) == 0
 
     def test_environment_pairs_go_to_the_environment_test(self):
         # E changes only the scale of X; the chosen test sees none of the
@@ -428,11 +429,11 @@ class TestDataOracle:
             return fisher_z_test(table, a, b, s)
 
         ind = DataOracle(pooled, test=spy, alpha=0.01)
-        assert ind.first("E", "X", [set()]) is None
-        assert ind.first("X", "E", [{"Y"}]) is None
-        assert ind.first("E", "Y", [set()]) == 0
+        assert first_index(ind, "E", "X", [set()]) is None
+        assert first_index(ind, "X", "E", [{"Y"}]) is None
+        assert first_index(ind, "E", "Y", [set()]) == 0
         assert seen == []
-        assert ind.first("X", "Y", [{"E"}]) == 0
+        assert first_index(ind, "X", "Y", [{"E"}]) == 0
         assert seen == [("X", "Y")]
         assert fisher_z_test(pooled, "E", "X").p_value >= 0.01
 
@@ -452,9 +453,9 @@ class TestDataOracle:
                                     kinds={"F": 2}))
         pooled = pool_environments(tables, "E")
         ind = DataOracle(pooled, alpha=0.01)
-        assert ind.first("E", "W", [set()]) is None
-        assert ind.first("E", "F", [set()]) is None
-        assert ind.first("E", "X", [{"W", "F"}]) == 0
+        assert first_index(ind, "E", "W", [set()]) is None
+        assert first_index(ind, "E", "F", [set()]) is None
+        assert first_index(ind, "E", "X", [{"W", "F"}]) == 0
         pag = pooled_fci(tables, alpha=0.01)
         assert possible_children_of_env(pag, "E") == {"F", "W"}
 
@@ -479,42 +480,120 @@ class TestBatchedOracle:
             # the same oracle asked one conditioning set per call
             calls = []
             want = fci(PerSetOracle(lambda a, b, s: calls.append(s) or
-                                      oracle.first(a, b, [s]) == 0),
+                                      first_index(oracle, a, b, [s]) == 0),
                        pooled.names, self.KNOWLEDGE, report=looped)
             assert serialize(got) == serialize(want)
             assert batched == looped
             assert looped["ci_tests"] == len(calls)
 
     def test_one_inverse_per_batch(self, monkeypatch):
-        pooled = wide_pooled(7, 2, 2000, 0)
+        # at 20,000 rows this is the learn-wide benchmark at seed 0
+        for rows in (2000, 20_000):
+            with monkeypatch.context() as patch:
+                self.check_one_inverse_per_level(patch, rows)
+
+    def check_one_inverse_per_level(self, monkeypatch, rows):
+        pooled = wide_pooled(7, 2, rows, 0)
         oracle = DataOracle(pooled)
-        batches, inverses = [], []
-        first, inv = oracle.first, np.linalg.inv
-        monkeypatch.setattr(oracle, "first", lambda a, b, subsets: (
-            batches.append(len(subsets)) or first(a, b, subsets)))
+        levels, inverses = [], []
+        separating_sets, inv = oracle.separating_sets, np.linalg.inv
+
+        def counted(subsets, pulled):
+            for s in subsets:
+                pulled[0] += 1
+                yield s
+
+        def level(queries):
+            pulled, before = [0], len(inverses)
+            got = separating_sets([(a, b, counted(subsets, pulled))
+                                   for a, b, subsets in queries])
+            levels.append((pulled[0], len(inverses) - before))
+            return got
+
+        monkeypatch.setattr(oracle, "separating_sets", level)
         monkeypatch.setattr(np.linalg, "inv", lambda m: (
             inverses.append(m.shape) or inv(m)))
         report = {}
         fci(oracle, pooled.names, self.KNOWLEDGE, report=report)
-        assert 0 < len(inverses) <= len(batches)
-        # one inverse per Fisher-z test would be about three in four
-        assert 4 * len(inverses) < report["ci_tests"] <= sum(batches)
+        # at most one stacked inverse per (phase, size) level and per
+        # further MAX_BATCH sets, and each stacks the sets of many pairs
+        for pulled, stacked in levels:
+            assert stacked <= 1 + pulled // fci_module.MAX_BATCH
+        assert 0 < len(inverses) <= len(levels) + \
+            sum(pulled for pulled, _ in levels) // fci_module.MAX_BATCH
+        assert 10 * len(inverses) < report["ci_tests"]
 
     def test_batches_are_capped(self):
-        # 13 candidates give 286 subsets of size 3, none of them separating
-        sizes = []
-
-        class Never:
-            def first(self, a, b, subsets):
-                sizes.append(len(subsets))
-                return None
-
+        # 13 candidates give 286 subsets of size 3: more than one call holds
         pool = [f"C{k:02d}" for k in range(13)]
-        queries = [0]
-        assert fci_module._separating_set(Never(), "A", "B", [pool, pool], 3,
-                                          queries) is None
-        assert sizes == [fci_module.MAX_BATCH, 286 - fci_module.MAX_BATCH]
-        assert queries == [286]
+        long = list(fci_module._distinct_subsets([pool, pool], 3))
+        assert len(long) == 286
+        independent = {("A", "C", long[3]), ("A", "D", long[100])}
+        calls = []
+
+        def decide(chunk):
+            calls.append([(a, b, len(sets)) for a, b, sets in chunk])
+            return [next((i for i, s in enumerate(sets)
+                          if (a, b, s) in independent), None)
+                    for a, b, sets in chunk]
+
+        queries = [("A", "B", iter(long)), ("A", "C", iter(long[:10])),
+                   ("A", "D", iter(long + long)), ("A", "E", iter(long[:50]))]
+        got = fci_module._stream(queries, decide)
+        cap = fci_module.MAX_BATCH
+        # A-B continues in the second call; A-D, decided at its set 100
+        # there, adds no further sets to the third
+        assert calls == [[("A", "B", cap)],
+                         [("A", "B", 286 - cap), ("A", "C", 10),
+                          ("A", "D", cap - (286 - cap) - 10)],
+                         [("A", "E", 50)]]
+        assert got == [(286, None), (4, long[3]), (101, long[100]),
+                       (50, None)]
+
+    def test_degenerate_set_raises_only_for_its_own_query(self, monkeypatch):
+        t = exact_table()
+        oracle = DataOracle(t, alpha=0.05)
+        dep, ind = ("f", "g"), ("m", "f")
+        calls = []
+        firsts = fci_module.firsts
+        monkeypatch.setattr(fci_module, "firsts", lambda *args: (
+            calls.append(args) or firsts(*args)))
+        constant, singular = ("c", "f"), ("d", "e")
+        for bad, message in ((constant, "constant column in correlation "
+                              "matrix: c"),
+                             (singular, "singular covariance submatrix")):
+            del calls[:]
+            # the bad set shares one stacked call with the other query and
+            # with the independent set before it
+            assert oracle.separating_sets(
+                [("a", "b", [dep, ind, bad]), ("a", "b", [dep, dep])]) == \
+                [(2, ind), (2, None)]
+            assert len(calls) == 1
+            for queries in ([("a", "b", [dep, dep]), ("a", "b", [dep, bad])],
+                            [("a", "b", [bad, ind]), ("a", "b", [ind])]):
+                with pytest.raises(DegenerateDataError, match=message):
+                    oracle.separating_sets(queries)
+        # the first query, in order, that reaches a bad set raises
+        for first, then, message in ((constant, singular, "matrix: c"),
+                                     (singular, constant, "singular")):
+            with pytest.raises(DegenerateDataError, match=message):
+                oracle.separating_sets([("a", "b", [dep, first]),
+                                        ("a", "b", [then])])
+
+    def test_first_query_to_fail_raises_across_streams(self):
+        # C and D are constant: the Fisher-z query on X-C and the
+        # environment query on E-D, whose fallback is Fisher-z, both fail
+        rng = np.random.default_rng(9)
+        tables = [DataTable({"X": rng.normal(size=300),
+                             "C": np.full(300, 2.0),
+                             "D": np.full(300, 5.0)}) for _ in range(2)]
+        oracle = DataOracle(pool_environments(tables, "E"))
+        for queries, name in (([("E", "D", [()]), ("X", "C", [()])], "D"),
+                              ([("X", "C", [()]), ("E", "D", [()])], "C")):
+            with pytest.raises(DegenerateDataError,
+                               match="constant column in correlation "
+                                     f"matrix: {name}"):
+                oracle.separating_sets(queries)
 
     def test_oracle_keeps_no_reference_cycle(self):
         # with the cyclic collector off, dropping the oracle and the table
@@ -530,11 +609,11 @@ class TestBatchedOracle:
             table = pool_environments(tables, "E")
             ref = weakref.ref(table)
             oracle = DataOracle(table)
-            oracle.first("X", "Y", [[]])
-            oracle.first("E", "X", [["Y"]])
-            oracle.first("E", "Y", [["X"]])
+            first_index(oracle, "X", "Y", [[]])
+            first_index(oracle, "E", "X", [["Y"]])
+            first_index(oracle, "E", "Y", [["X"]])
             try:
-                oracle.first("X", "C", [[]])
+                first_index(oracle, "X", "C", [[]])
             except DegenerateDataError:
                 pass
             del oracle, table

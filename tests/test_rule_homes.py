@@ -1,9 +1,12 @@
 """Each numeric rule of the package is decided in one function: a column
 is constant by ``data.correlation`` (the only reader of ``CONSTANT_RTOL``),
 a column is a linear combination of others by ``data.cholesky`` (the only
-caller of ``np.linalg.cholesky``), and a partial correlation is read from a
-precision matrix by ``citest.fisher_z_tests`` (the only caller of
-``np.linalg.inv``), which every Fisher-z test goes through. Vertex names
+caller of ``np.linalg.cholesky``), a partial correlation is read from a
+precision matrix by ``citest._fisher_z_statistics`` (the only caller of
+``np.linalg.inv``), which every Fisher-z test and decision goes through,
+and the critical values that batched CI decisions compare statistics with
+are computed by ``citest.critical_values`` and read by
+``citest._bracketed`` alone. Vertex names
 become masks once, at the public boundary of ``components`` and
 ``identify``: their private mask cores call no function that takes names,
 and a subgraph of the identification calculus is a scope mask, not a graph
@@ -51,7 +54,22 @@ def test_inv_is_called_only_in_the_batched_fisher_z_test():
         return isinstance(node, ast.Call) and \
             ast.unparse(node.func).endswith("linalg.inv")
 
-    assert sites(calls_inv) == {("citest", "fisher_z_tests")}
+    assert sites(calls_inv) == {("citest", "_fisher_z_statistics")}
+
+
+def test_critical_values_are_computed_in_one_function():
+    # the margin is read where the critical values are computed, and only
+    # one function compares statistics with them
+    def reads_margin(node):
+        return isinstance(node, ast.Name) and node.id == "CRITICAL_MARGIN" \
+            and isinstance(node.ctx, ast.Load)
+
+    def calls_critical_values(node):
+        return isinstance(node, ast.Call) and \
+            ast.unparse(node.func).endswith("critical_values")
+
+    assert sites(reads_margin) == {("citest", "critical_values")}
+    assert sites(calls_critical_values) == {("citest", "_bracketed")}
 
 
 def test_constant_rtol_is_read_only_in_data_correlation():

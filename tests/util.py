@@ -149,15 +149,47 @@ def random_admg(rng, max_vertices: int = 7, min_vertices: int = 2,
 
 
 class PerSetOracle:
-    """CI oracle whose ``first`` asks ``independent(a, b, s)`` of one
-    conditioning set at a time."""
+    """CI oracle whose ``separating_sets`` asks ``independent(a, b, s)`` of
+    one conditioning set at a time."""
 
     def __init__(self, independent):
         self.independent = independent
 
-    def first(self, a, b, subsets):
-        return next((i for i, s in enumerate(subsets)
-                     if self.independent(a, b, set(s))), None)
+    def separating_sets(self, queries):
+        out = []
+        for a, b, subsets in queries:
+            tests, found = 0, None
+            for s in subsets:
+                tests += 1
+                if self.independent(a, b, set(s)):
+                    found = s
+                    break
+            out.append((tests, found))
+        return out
+
+
+def first_index(oracle, a, b, subsets):
+    """Index of the first of ``subsets`` given which ``oracle`` finds a and
+    b independent, None if none: a query of one pair."""
+    [(tests, found)] = oracle.separating_sets([(a, b, subsets)])
+    return None if found is None else tests - 1
+
+
+def exact_table(n=1000, seed=35):
+    """A table without environments whose statistics are exact: integer
+    columns, each a half and its negation, so every mean is 0 and every
+    Gram entry an exact integer. {m} separates a and b; c is constant, and
+    d and e are equal, so a correlation matrix holding both is exactly
+    singular."""
+    rng = np.random.default_rng(seed)
+    half = {name: rng.integers(-20, 21, size=n) for name in "mfgd"}
+    half["a"] = half["m"] + rng.integers(-20, 21, size=n)
+    half["b"] = half["m"] + half["g"] + rng.integers(-20, 21, size=n)
+    cols = {name: np.concatenate([v, -v]).astype(float)
+            for name, v in half.items()}
+    cols["e"] = cols["d"].copy()
+    cols["c"] = np.full(2 * n, 3.0)
+    return DataTable(cols)
 
 
 def independence_oracle(facts: dict[str, str]) -> PerSetOracle:
