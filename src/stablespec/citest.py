@@ -64,22 +64,27 @@ change the decision.
 Batched CI decisions. ``firsts`` (Fisher-z, or any test set by set) and
 ``environment_firsts`` take the conditioning sets of one size of many
 pairs at once, each pair's sets in order, and return for each pair the
-index of its first independent set. The sets' submatrices are gathered
-with one fancy index and inverted with one stacked ``np.linalg.inv``, or
-factored with one stacked ``data.cholesky``; the statistics are finished
-in numpy and compared with the critical values of (alpha, dof)
-(``critical_values``, computed once by bisection on the closed-form tails
-below, dof 0 for the normal tail). A statistic between them, whose tail is
-within ``CRITICAL_MARGIN`` of alpha, and an environment statistic whose
-kurtosis correction can carry it across them, takes its own p-value, so
-every decision is exactly ``p_value >= alpha``. A set that cannot be tested is an error of its own
-pair only, returned where that pair reaches it. LAPACK runs the same
-routine on each matrix of a stack, so a set's statistic is the same in
-any batch; ``fisher_z_test`` and ``environment_test`` are batches of one
-and report the statistics that the decisions read. On the learn-wide
-benchmark's seed 0 this puts FCI's 1,448 decided tests in 14 stacked
-inverses and 13 stacked factorizations, where one batch per edge took 169
-and 34 and scored every set's p-value in Python.
+index of its first independent set. They check each query's names and put
+them at column positions once; ``firsts_at`` and ``environment_firsts_at``
+take queries at positions, as ``fci.DataOracle`` builds them, and check
+nothing. The batch is one array of rows [a, b, *s] of positions; the
+sets' submatrices are gathered from it with one fancy index and inverted
+with one stacked ``np.linalg.inv``, or factored with one stacked
+``data.cholesky``; the statistics are finished in numpy and compared with
+the critical values of (alpha, dof) (``critical_values``, computed once by
+bisection on the closed-form tails below, dof 0 for the normal tail). A
+statistic between them, whose tail is within ``CRITICAL_MARGIN`` of alpha,
+and an environment statistic whose kurtosis correction can carry it across
+them, takes its own p-value, so every decision is exactly ``p_value >=
+alpha``. A set that cannot be tested is an error of its own pair only,
+returned where that pair reaches it; a row's names are looked up only to
+name the column at fault, or to run a test other than Fisher-z. LAPACK
+runs the same routine on each matrix of a stack, so a set's statistic is
+the same in any batch; ``fisher_z_test`` and ``environment_test`` are
+batches of one and report the statistics that the decisions read. On the
+learn-wide benchmark's seed 0 this puts FCI's 1,448 decided tests in 14
+stacked inverses and 13 stacked factorizations, where one batch per edge
+took 169 and 34 and scored every set's p-value in Python.
 
 All p-values come in closed form: the two-sided normal tail as
 ``erfc(z / sqrt 2)``, and the chi-square upper tail at integer degrees of
@@ -96,7 +101,9 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .data import MIN_UNEXPLAINED, DataError, DataTable, cholesky
+from .data import (
+    CONTINUOUS, MIN_UNEXPLAINED, DataError, DataTable, cholesky,
+)
 
 
 class DegenerateDataError(DataError):
@@ -159,6 +166,24 @@ def _check_args(data: DataTable, a: str, b: str,
     return subsets
 
 
+def _positioned(data: DataTable, check: Callable, a: str, b: str,
+                subsets: Iterable[Iterable[str]]) -> tuple:
+    """The query (a, b, subsets) at column positions, each set a tuple in
+    ascending order of name, once ``check`` (``_check_args`` or
+    ``_check_environment_args``) has checked it: one name lookup per name
+    of the query."""
+    subsets = check(data, a, b, subsets)
+    at = data.index.__getitem__
+    return at(a), at(b), [tuple(map(at, s)) for s in subsets]
+
+
+def _positions(data: DataTable, rows: Iterable[Iterable[str]]) -> np.ndarray:
+    """The column positions of the names of each of ``rows``, all of one
+    length, as the rows of one array."""
+    at = data.index.__getitem__
+    return np.array([list(map(at, row)) for row in rows], dtype=np.intp)
+
+
 # relative gap between alpha and the tails at a pair of critical values, far
 # above the rounding error of ``chi2_sf`` and ``normal_two_sided_p`` (about
 # 1e-13 of the tail), so that no statistic outside the pair is misjudged
@@ -216,15 +241,21 @@ class _Decisions(NamedTuple):
     resolve: Callable[[int], bool | Exception]
 
 
-def _decisions(test: Callable, data: DataTable, rows: list, alpha: float
-               ) -> _Decisions:
-    """Whether ``test(data, a, b, s).p_value >= alpha`` for each checked
-    (a, b, s) of ``rows``, all s of one size. Fisher-z decides the batch in
-    numpy against its critical values; any other test runs set by set as
-    the decisions are resolved."""
+def _decisions(test: Callable, data: DataTable, rows: np.ndarray,
+               alpha: float) -> _Decisions:
+    """Whether ``test(data, a, b, s).p_value >= alpha`` for each row
+    [a, b, *s] of ``rows``, column positions with all s of one size.
+    Fisher-z decides the batch in numpy against its critical values; any
+    other test runs set by set, on the row's names, as the decisions are
+    resolved."""
     if test is not fisher_z_test:
-        return _Decisions(np.full(len(rows), -1),
-                          lambda j: test(data, *rows[j]).p_value >= alpha)
+        names = data.names
+
+        def tested(j: int) -> bool:
+            a, b, *cond = (names[v] for v in rows[j].tolist())
+            return test(data, a, b, cond).p_value >= alpha
+
+        return _Decisions(np.full(len(rows), -1), tested)
     statistics, errors = _fisher_z_statistics(data, rows)
 
     def resolve(j: int) -> bool | Exception:
@@ -235,32 +266,30 @@ def _decisions(test: Callable, data: DataTable, rows: list, alpha: float
     return _Decisions(_bracketed(statistics, statistics, 0, alpha), resolve)
 
 
-def _firsts(data: DataTable, queries: Sequence,
-            decisions: Callable[[list], _Decisions]) -> list:
-    """For each (a, b, subsets) of ``queries``, the index of the first set
-    of ``subsets`` (all sets of all queries of one size) that
+def _firsts(queries: Sequence,
+            decisions: Callable[[np.ndarray], _Decisions]) -> list:
+    """For each (a, b, sets) of ``queries``, at column positions (all sets
+    of all queries of one size), the index of the first set that
     ``decisions(rows)`` finds independent, None if none is, or the error
     of the first set that cannot be tested before it. One call of
-    ``decisions`` decides the sets of all queries as checked (a, b, s)
-    rows, so an error stays with its own query."""
+    ``decisions`` decides the sets of all queries, query after query, as
+    the rows [a, b, *s] of one array, so an error stays with its own
+    query."""
+    counts = [len(sets) for _, _, sets in queries]
     out: list = [None] * len(queries)
-    rows: list = []
-    bounds = []
-    for k, (a, b, subsets) in enumerate(queries):
-        subsets = _caught(_check_args, data, a, b, subsets)
-        if isinstance(subsets, Exception):
-            out[k], subsets = subsets, []
-        bounds.append((len(rows), len(rows) + len(subsets)))
-        rows.extend((a, b, s) for s in subsets)
-    batch = _caught(decisions, rows)
+    if not any(counts):
+        return out
+    # sets of different sizes fail to stack: an error of every query
+    batch = _caught(lambda: decisions(np.array(
+        [(a, b, *s) for a, b, sets in queries for s in sets], dtype=np.intp)))
     if isinstance(batch, Exception):  # each query's first set raises it
-        return [batch if end > start else got
-                for got, (start, end) in zip(out, bounds)]
+        return [batch if count else None for count in counts]
     decided, resolve = batch
     # the rows that are independent or need resolving, in order
     stops = np.flatnonzero(decided != 0).tolist()
-    i = 0
-    for k, (start, end) in enumerate(bounds):
+    i = end = 0
+    for k, count in enumerate(counts):
+        start, end = end, end + count
         while i < len(stops) and stops[i] < start:
             i += 1
         while i < len(stops) and stops[i] < end:
@@ -274,6 +303,17 @@ def _firsts(data: DataTable, queries: Sequence,
                 break
             i += 1
     return out
+
+
+def _by_name(data: DataTable, queries: Sequence, check: Callable,
+             firsts_at: Callable[[list], list]) -> list:
+    """``firsts_at`` on queries (a, b, subsets) given by names: each query
+    is checked by ``check`` and put at column positions once (see
+    ``_positioned``); a query that fails its check gets the error as its
+    answer."""
+    at = [_caught(_positioned, data, check, *query) for query in queries]
+    got = iter(firsts_at([q for q in at if not isinstance(q, Exception)]))
+    return [q if isinstance(q, Exception) else next(got) for q in at]
 
 
 def _caught(fn: Callable, *args):
@@ -296,19 +336,30 @@ def firsts(test: Callable, data: DataTable, queries: Sequence,
     ``DataError`` or ``ValueError``) that the test raises on a set before
     that one, returned, not raised, so that it stays with its own query.
 
-    Fisher-z decides the sets of all queries in one batch: one stacked
-    ``np.linalg.inv`` gives every statistic, and each is compared with the
-    critical values of alpha (``critical_values``); only a statistic
-    between them takes its own p-value."""
-    return _firsts(data, queries,
-                   lambda rows: _decisions(test, data, rows, alpha))
+    Each query is checked and put at column positions once, and
+    ``firsts_at`` decides them: Fisher-z decides the sets of all queries
+    in one batch, one stacked ``np.linalg.inv`` gives every statistic, and
+    each is compared with the critical values of alpha
+    (``critical_values``); only a statistic between them takes its own
+    p-value."""
+    return _by_name(data, queries, _check_args,
+                    lambda at: firsts_at(test, data, at, alpha))
 
 
-def _fisher_z_statistics(data: DataTable, rows: list
+def firsts_at(test: Callable, data: DataTable, queries: Sequence,
+              alpha: float) -> list:
+    """``firsts`` on queries at column positions, which it does not check:
+    for each (a, b, sets) of ``queries``, a and b the positions of two
+    columns of ``data`` and each set a tuple of the positions of other
+    columns, all sets of one size."""
+    return _firsts(queries, lambda rows: _decisions(test, data, rows, alpha))
+
+
+def _fisher_z_statistics(data: DataTable, rows: np.ndarray
                          ) -> tuple[np.ndarray, dict[int, Exception]]:
-    """The Fisher-z statistic of each checked (a, b, s) of ``rows``, all s
-    of one size, and the error of each row whose test cannot be run (its
-    statistic is NaN).
+    """The Fisher-z statistic of each row [a, b, *s] of ``rows``, column
+    positions with all s of one size, and the error of each row whose test
+    cannot be run (its statistic is NaN).
 
     The |s|+2 square submatrices of the table's correlation matrix are
     gathered by one fancy index and inverted by one stacked
@@ -317,22 +368,20 @@ def _fisher_z_statistics(data: DataTable, rows: list
     error. LAPACK runs the same routine on each matrix of a stack, so a
     row's statistic is the same in any batch.
     """
-    if not rows:
+    if not len(rows):
         return np.empty(0), {}
     # discrete columns are used as plain numeric codes here
-    n, size = data.n_rows, len(rows[0][2])
+    n, size = data.n_rows, rows.shape[1] - 2
     if n <= size + 3:
         raise DataError("too few rows for the conditioning set size")
-    idx = _positions(data, (v for a, b, s in rows for v in (a, b, *s)),
-                     len(rows))
     # broadcast index arrays: np.ix_ would cost more than the lookup itself
-    corr = data.correlation()[idx[:, :, None], idx[:, None, :]]
+    corr = data.correlation()[rows[:, :, None], rows[:, None, :]]
     errors: dict[int, Exception] = {}
     for j in np.flatnonzero(np.isnan(corr).any(axis=(1, 2))).tolist():
-        a, b, s = rows[j]
         k = np.isnan(corr[j].diagonal()).argmax()
         errors[j] = DegenerateDataError(
-            f"constant column in correlation matrix: {[a, b, *s][k]}")
+            f"constant column in correlation matrix: "
+            f"{data.names[rows[j, k]]}")
     ok = np.ones(len(rows), dtype=bool)
     ok[list(errors)] = False
     prec = np.full((len(rows), 2, 2), np.nan)
@@ -355,12 +404,6 @@ def _fisher_z_statistics(data: DataTable, rows: list
         return math.sqrt(n - size - 3) * np.abs(np.arctanh(r)), errors
 
 
-def _positions(data: DataTable, names: Iterable[str], k: int) -> np.ndarray:
-    """The column positions of ``names`` as k rows of equal length."""
-    return np.fromiter(map(data.index.__getitem__, names),
-                       dtype=np.intp).reshape(k, -1)
-
-
 def _fisher_z_result(statistic: float) -> CITestResult:
     return CITestResult(p_value=normal_two_sided_p(statistic),
                         statistic=statistic, dof=1)
@@ -372,10 +415,27 @@ def fisher_z_test(data: DataTable, a: str, b: str,
     the table's cached correlation matrix: a batch of one of the statistics
     that ``firsts`` decides."""
     [s] = _check_args(data, a, b, [s])
-    statistics, errors = _fisher_z_statistics(data, [(a, b, s)])
+    statistics, errors = _fisher_z_statistics(data,
+                                               _positions(data, [(a, b, *s)]))
     if errors:  # popped: no local keeps it, and its traceback no cycle
         raise errors.pop(0)
     return _fisher_z_result(float(statistics[0]))
+
+
+def _regression_rows(data: DataTable, x: str,
+                     subsets: Iterable[Iterable[str]]) -> np.ndarray:
+    """The row [*s, x] at column positions, s in the order given, of each
+    conditioning set s of ``subsets``, once x and the names of every set
+    are known to be columns and x to lie outside every set."""
+    data.column(x)
+    subsets = [list(s) for s in subsets]
+    for s in subsets:
+        if x in s:
+            raise DataError(f"{x!r} must not appear in its own "
+                            "conditioning set")
+        for name in s:
+            data.column(name)
+    return _positions(data, ([*s, x] for s in subsets))
 
 
 def residual_variances(data: DataTable, x: str,
@@ -387,22 +447,24 @@ def residual_variances(data: DataTable, x: str,
     environment (a column of s constant there, or s collinear there).
     ``_residual_variances`` computes them (see there).
 
-    Raises ``DegenerateDataError`` if the table has a single environment,
-    and ``DataError`` if an environment has no more than |s| + 2 rows.
+    Raises ``DataError`` if x or a name of a set is not a column of the
+    table, or x lies in a set; ``DegenerateDataError`` if the table has a
+    single environment, and ``DataError`` if an environment has no more
+    than |s| + 2 rows.
     """
     counts, sigma2, pooled = _residual_variances(
-        data, [(x, s) for s in subsets])
+        data, _regression_rows(data, x, subsets))
     return [None if math.isnan(v) else (counts, s2, v)
             for s2, v in zip(sigma2, pooled.tolist())]
 
 
-def _residual_variances(data: DataTable, rows: list
+def _residual_variances(data: DataTable, rows: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For each (x, s) of ``rows``, all s of one size, the residual
-    variances of the regression of x on s with intercept: the rows per
-    environment (m,), the per-environment variances (k, m) and the pooled
-    variance over all rows (k,); NaN in a row where s is degenerate within
-    an environment.
+    """For each row [*s, x] of ``rows``, column positions with all s of one
+    size, the residual variances of the regression of x on s with
+    intercept: the rows per environment (m,), the per-environment
+    variances (k, m) and the pooled variance over all rows (k,); NaN in a
+    row where s is degenerate within an environment.
 
     The share of var(x) that s leaves unexplained is the square of the last
     diagonal entry of the Cholesky factor of the correlation matrix of
@@ -422,23 +484,22 @@ def _residual_variances(data: DataTable, rows: list
     counts = mom.counts
     if len(counts) < 2:
         raise DegenerateDataError("environment column takes a single value")
-    if not rows:
+    if not len(rows):
         return counts, np.empty((0, len(counts))), np.empty(0)
-    if counts.min() <= len(rows[0][1]) + 2:
+    if counts.min() <= rows.shape[1] + 1:
         raise DataError("an environment has too few rows for the "
                         "conditioning set size")
-    idx = _positions(data, (v for x, s in rows for v in (*s, x)), len(rows))
     groups = np.arange(len(counts) + 1)[:, None, None]
     # (k, m + 1, |s| + 1, |s| + 1): the blocks of one row side by side
-    corr = data.correlations()[groups, idx[:, None, :, None],
-                               idx[:, None, None, :]]
+    corr = data.correlations()[groups, rows[:, None, :, None],
+                               rows[:, None, None, :]]
     tol = math.sqrt(MIN_UNEXPLAINED)
     chol = cholesky(corr.reshape(-1, *corr.shape[2:]), tol)
     if chol is not None:
         shares = (chol[:, -1, -1] ** 2).reshape(corr.shape[:2])
     else:
         shares = np.array([_unexplained_share(c, tol) for c in corr])
-    xs = idx[:, -1]
+    xs = rows[:, -1]
     sigma2 = mom.grams[:, xs, xs].T / counts * shares[:, 1:]
     pooled = mom.scatter[xs, xs] / data.n_rows * shares[:, 0]
     return counts, sigma2, pooled
@@ -471,18 +532,23 @@ def residual_kurtosis(data: DataTable, x: str, s: Iterable[str] = ()
     Each environment's residual is standardized by its own variance, so a
     change of scale between environments does not raise the estimate. s
     must not be degenerate within an environment (see
-    ``residual_variances``).
+    ``residual_variances``). Raises ``DataError`` if x or a name of s is
+    not a column of the table, or x lies in s.
     """
+    [row] = _regression_rows(data, x, [s])
+    return _residual_kurtosis(data, row[-1], row[:-1])
+
+
+def _residual_kurtosis(data: DataTable, x: int, s: np.ndarray) -> float:
+    """``residual_kurtosis`` of column x on the columns s, at column
+    positions."""
     mom = data.moments()
-    s = list(s)
-    idx = [data.index[name] for name in s]
-    i = data.index[x]
-    r = mom.sample[:, i].copy()
-    if s:
+    r = mom.sample[:, x].copy()
+    if len(s):
         g = mom.grams
-        beta = np.linalg.solve(g[:, np.array(idx)[:, None], idx],
-                               g[:, idx, i][:, :, None])[:, :, 0]
-        r -= np.einsum("rj,rj->r", mom.sample[:, idx],
+        beta = np.linalg.solve(g[:, s[:, None], s],
+                               g[:, s, x][:, :, None])[:, :, 0]
+        r -= np.einsum("rj,rj->r", mom.sample[:, s],
                        np.repeat(beta, mom.sample_counts, axis=0))
     r2 = r * r
     starts = np.concatenate([[0], np.cumsum(mom.sample_counts)[:-1]])
@@ -503,16 +569,19 @@ class _EnvironmentParts(NamedTuple):
     dof: int
 
 
-def _environment_parts(data: DataTable, rows: list) -> _EnvironmentParts:
-    """The likelihood-ratio parts of ``environment_test`` for each (x, s)
-    of ``rows``, all s of one size, from one ``_residual_variances`` call
-    on the rows whose x is continuous."""
+def _environment_parts(data: DataTable, rows: np.ndarray
+                       ) -> _EnvironmentParts:
+    """The likelihood-ratio parts of ``environment_test`` for each row
+    [*s, x] of ``rows``, column positions with all s of one size, from one
+    ``_residual_variances`` call on the rows whose x is continuous."""
     k = len(rows)
-    fallback = np.array([data.is_discrete(x) for x, _ in rows], dtype=bool)
+    discrete = np.array([data.kinds[name] != CONTINUOUS
+                         for name in data.names])
+    fallback = discrete[rows[:, -1]]
     fit = np.flatnonzero(~fallback)
     try:
         counts, sigma2, pooled = _residual_variances(
-            data, rows if len(fit) == k else [rows[j] for j in fit])
+            data, rows if len(fit) == k else rows[fit])
     except DataError:
         nan = np.full(k, np.nan)
         return _EnvironmentParts(nan, nan, np.ones(k, dtype=bool), 0)
@@ -538,9 +607,8 @@ def _environment_parts(data: DataTable, rows: list) -> _EnvironmentParts:
         parts = np.full((2, k), np.nan)
         parts[:, fit] = location, scale
         location, scale = parts
-    size = len(rows[0][1]) if rows else 0
     return _EnvironmentParts(location, scale, fallback,
-                             (len(counts) - 1) * (size + 2))
+                             (len(counts) - 1) * (rows.shape[1] + 1))
 
 
 def _tested_side(data: DataTable, a: str, b: str) -> str:
@@ -552,12 +620,22 @@ def _tested_side(data: DataTable, a: str, b: str) -> str:
     return b if a == env else a
 
 
-def _environment_result(data: DataTable, x: str, s: list[str],
+def _check_environment_args(data: DataTable, a: str, b: str,
+                            subsets: Iterable[Iterable[str]]
+                            ) -> list[list[str]]:
+    """``_check_args``, and then that one of a, b is the table's environment
+    column."""
+    subsets = _check_args(data, a, b, subsets)
+    _tested_side(data, a, b)
+    return subsets
+
+
+def _environment_result(data: DataTable, x: int, s: np.ndarray,
                         location: float, scale: float,
                         dof: int) -> CITestResult:
     if location == math.inf:  # x degenerate within some environments only
         return CITestResult(p_value=0.0, statistic=math.inf, dof=dof)
-    inflation = max(0.5 * (residual_kurtosis(data, x, s) - 1.0), 1.0)
+    inflation = max(0.5 * (_residual_kurtosis(data, x, s) - 1.0), 1.0)
     statistic = location + scale / inflation
     return CITestResult(p_value=chi2_sf(statistic, dof),
                         statistic=statistic, dof=dof)
@@ -580,40 +658,42 @@ def environment_test(data: DataTable, a: str, b: str,
     environment.
     """
     [s] = _check_args(data, a, b, [s])
-    x = _tested_side(data, a, b)
-    parts = _environment_parts(data, [(x, s)])
+    row = _positions(data, [[*s, _tested_side(data, a, b)]])
+    parts = _environment_parts(data, row)
     if parts.fallback[0]:
         return fallback(data, a, b, s)
-    return _environment_result(data, x, s, float(parts.location[0]),
+    return _environment_result(data, row[0, -1], row[0, :-1],
+                               float(parts.location[0]),
                                float(parts.scale[0]), parts.dof)
 
 
-def _environment_decisions(data: DataTable, rows: list, alpha: float,
+def _environment_decisions(data: DataTable, rows: np.ndarray, alpha: float,
                            fallback: Callable) -> _Decisions:
     """Whether ``environment_test(data, a, b, s, fallback).p_value >=
-    alpha`` for each checked (a, b, s) of ``rows``, all s of one size.
+    alpha`` for each row [a, b, *s] of ``rows``, column positions with one
+    of a, b the table's environment column and all s of one size.
 
     The kurtosis correction only shrinks the scale part, so the statistic
     lies between the location part and the sum of both parts; the kurtosis
     is estimated only where the critical values fall between them. The
     rows that ``fallback`` answers are decided as one batch of it.
     """
-    xs = [_tested_side(data, a, b) for a, b, _ in rows]
-    parts = _environment_parts(data, [(x, s) for x, (_, _, s)
-                                      in zip(xs, rows)])
+    env = data.index[data.env_column]
+    xs = np.where(rows[:, 0] == env, rows[:, 1], rows[:, 0])
+    parts = _environment_parts(data, np.column_stack([rows[:, 2:], xs]))
     decided = _bracketed(parts.location, parts.location + parts.scale,
                          parts.dof, alpha)
-    back = np.flatnonzero(parts.fallback).tolist()
-    at = {j: i for i, j in enumerate(back)}
-    if back:
-        answer = _decisions(fallback, data, [rows[j] for j in back], alpha)
+    back = np.flatnonzero(parts.fallback)
+    at = {j: i for i, j in enumerate(back.tolist())}
+    if at:
+        answer = _decisions(fallback, data, rows[back], alpha)
         decided[back] = answer.decided
 
     def resolve(j: int) -> bool | Exception:
         if j in at:
             return answer.resolve(at[j])
         return _environment_result(
-            data, xs[j], rows[j][2], float(parts.location[j]),
+            data, xs[j], rows[j, 2:], float(parts.location[j]),
             float(parts.scale[j]), parts.dof).p_value >= alpha
 
     return _Decisions(decided, resolve)
@@ -627,10 +707,22 @@ def environment_firsts(data: DataTable, queries: Sequence, alpha: float,
     ``environment_test(data, a, b, s, fallback).p_value >= alpha``, None
     if there is none, or the error raised on a set before that one.
 
-    The sets of all queries are fitted as one batch: one stacked
-    Cholesky factorization gives both parts of every likelihood ratio, and
-    each is compared with the critical values of alpha."""
-    return _firsts(data, queries, lambda rows: _environment_decisions(
+    Each query is checked and put at column positions once, and
+    ``environment_firsts_at`` fits the sets of all queries as one batch:
+    one stacked Cholesky factorization gives both parts of every
+    likelihood ratio, and each is compared with the critical values of
+    alpha."""
+    return _by_name(data, queries, _check_environment_args,
+                    lambda at: environment_firsts_at(data, at, alpha,
+                                                     fallback))
+
+
+def environment_firsts_at(data: DataTable, queries: Sequence, alpha: float,
+                          fallback: Callable = fisher_z_test) -> list:
+    """``environment_firsts`` on queries at column positions, which it does
+    not check (see ``firsts_at``); one of a, b of each query is the
+    position of the table's environment column."""
+    return _firsts(queries, lambda rows: _environment_decisions(
         data, rows, alpha, fallback))
 
 

@@ -49,7 +49,9 @@ class Moments(NamedTuple):
     and ``scatter`` are centred at the group mean and at the pooled mean.
     ``sample`` holds evenly spaced rows of each group, at most
     ``SAMPLE_ROWS`` per group, centred at their group's mean, group after
-    group; ``sample_counts[e]`` of them belong to group e.
+    group; ``sample_counts[e]`` of them belong to group e. ``moments()``
+    computes them from column-major copies of the groups; ``sample`` is a
+    row-major (r, k) array all the same.
     """
 
     counts: np.ndarray          # (m,) rows per group
@@ -229,36 +231,57 @@ class DataTable:
         """Per-environment and pooled moments over all columns, in ``names``
         order, from one pass over the rows, computed once per table.
 
-        Discrete columns enter as their numeric codes. The pooled scatter
-        is the sum over groups of G_e + n_e d_e d_e^T, with d_e the group
-        mean minus the pooled mean.
+        Each environment group is copied, column-major, into one (k, n_e)
+        block g, reused from group to group, so that the group's means are
+        sums along contiguous rows (numpy sums those pairwise), g is
+        centred in place, and its centred Gram matrix is one product g g^T.
+        At most one group's rows are copied at a time, so a table of n rows
+        costs k n_e fresh floats, not k n. Discrete columns enter as their
+        numeric codes. The pooled scatter is the sum over groups of
+        G_e + n_e d_e d_e^T, with d_e the group mean minus the pooled mean.
+        A rounded mean misses the group's true mean by up to an ulp of the
+        mean, which on a column whose mean is far larger than its spread is
+        a sizeable share of d_e; so d_e also adds the mean of the centred
+        block, the drift that rounding left in it.
         """
         if self._moments is None:
-            x = self.matrix(self.names)
+            columns = [self._columns[name] for name in self.names]
+            order = None
             if self.env_column is None:
                 bounds = np.array([0, self.n_rows])
             else:
                 env = self._columns[self.env_column]
                 if np.any(env[1:] < env[:-1]):
                     order = np.argsort(env, kind="stable")
-                    env, x = env[order], x[order]
+                    env = env[order]
                 cuts = np.flatnonzero(env[1:] != env[:-1]) + 1
                 bounds = np.concatenate([[0], cuts, [self.n_rows]])
             counts = np.diff(bounds)
-            means = np.empty((len(counts), x.shape[1]))
-            grams = np.empty((len(counts), x.shape[1], x.shape[1]))
-            sample = []
+            k = len(self.names)
+            means, drift = np.empty((2, len(counts), k))
+            grams = np.empty((len(counts), k, k))
+            steps = [max(math.ceil(c / SAMPLE_ROWS), 1)
+                     for c in counts.tolist()]
+            sample_counts = np.array([-(-c // step) for c, step
+                                      in zip(counts.tolist(), steps)])
+            sample = np.empty((sample_counts.sum(), k))
+            starts = np.concatenate([[0], np.cumsum(sample_counts)])
+            block = np.empty((k, counts.max(initial=0)))
             for e, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-                g = x[lo:hi]
-                means[e] = g.mean(axis=0)
-                g -= means[e]
-                grams[e] = g.T @ g
-                sample.append(g[::math.ceil(len(g) / SAMPLE_ROWS)])
+                g = block[:, :hi - lo]
+                for row, col in zip(g, columns):
+                    if order is None:
+                        row[:] = col[lo:hi]
+                    else:
+                        np.take(col, order[lo:hi], out=row)
+                g.mean(axis=1, out=means[e])
+                g -= means[e][:, None]
+                g.mean(axis=1, out=drift[e])
+                grams[e] = g @ g.T
+                sample[starts[e]:starts[e + 1]] = g[:, ::steps[e]].T
             mean = counts @ means / self.n_rows
-            d = means - mean
+            d = means - mean + drift
             scatter = grams.sum(axis=0) + (counts[:, None] * d).T @ d
-            sample_counts = np.array([len(g) for g in sample])
-            sample = np.concatenate(sample)
             arrays = (counts, means, grams, mean, scatter, sample,
                       sample_counts)
             for arr in arrays:
@@ -319,24 +342,38 @@ class DataTable:
                          self.kinds, self.env_column)
 
 
-def concat_tables(tables: Iterable[DataTable]) -> DataTable:
-    tables = list(tables)
+def _concat_block(tables: list[DataTable], extra: int = 0) -> np.ndarray:
+    """The columns of ``tables``, once their names and kinds agree, each
+    concatenated into one row of a single (k + extra, n) block; the last
+    ``extra`` rows are left for the caller to fill: one allocation, not
+    one per column."""
     if not tables:
         raise DataError("nothing to concatenate")
     first = tables[0]
     for t in tables[1:]:
         if t.names != first.names or t.kinds != first.kinds:
             raise DataError("schema mismatch between tables")
-    cols = {n: np.concatenate([t.column(n) for t in tables])
-            for n in first.names}
-    return DataTable(cols, first.kinds, first.env_column)
+    block = np.empty((len(first.names) + extra,
+                      sum(t.n_rows for t in tables)))
+    for row, name in zip(block, first.names):
+        np.concatenate([t.column(name) for t in tables], out=row)
+    return block
+
+
+def concat_tables(tables: Iterable[DataTable]) -> DataTable:
+    tables = list(tables)
+    block = _concat_block(tables)
+    first = tables[0]
+    return DataTable(dict(zip(first.names, block)), first.kinds,
+                     first.env_column)
 
 
 def pool_environments(tables: Iterable[DataTable],
                       env_name: str) -> DataTable:
     """Concatenate per-environment tables and append a discrete column
     ``env_name`` holding each row's table index; it becomes the pooled
-    table's environment column."""
+    table's environment column. One table is built, its columns the rows
+    of one block, so each pooled column is validated once."""
     tables = list(tables)
     if len(tables) < 2:
         raise DataError("environment indicator would be constant; "
@@ -344,13 +381,13 @@ def pool_environments(tables: Iterable[DataTable],
     for t in tables:
         if env_name in t.names:
             raise DataError(f"column {env_name!r} already present")
-    pooled = concat_tables(tables)
-    cols = {n: pooled.column(n) for n in pooled.names}
-    cols[env_name] = np.concatenate([np.full(t.n_rows, i, dtype=float)
-                                     for i, t in enumerate(tables)])
-    kinds = dict(pooled.kinds)
+    block = _concat_block(tables, extra=1)
+    block[-1] = np.repeat(np.arange(len(tables), dtype=float),
+                          [t.n_rows for t in tables])
+    kinds = dict(tables[0].kinds)
     kinds[env_name] = len(tables)
-    return DataTable(cols, kinds, env_name)
+    return DataTable(dict(zip((*tables[0].names, env_name), block)), kinds,
+                     env_name)
 
 
 # cell texts that read as a missing value, after stripping whitespace and

@@ -28,19 +28,24 @@ variable a child of the environment vertex, and a variable constant in one
 environment but not in another is a child of it.
 
 An oracle has one method, ``separating_sets(queries)``: for each query
-(a, b, subsets) of one adjacency level, the number of ``subsets`` it
-decided and the first given which a and b are independent, or None.
-``SeparationOracle`` answers by m-separation in a known graph. Both
-adjacency phases are one PC-stable level-wise search: at each size it
-reads the conditioning-set pools of every adjacent pair before it tests
-any (Colombo & Maathuis 2014), so the sets of a whole level are known
-before any is answered, and one call asks them all, as GPU PC (cuPC)
-does. ``DataOracle`` streams them, pair after pair, into stacked calls of
+(a, b, pools, size) of one adjacency level, the number of conditioning
+sets it decided and the first given which a and b are independent, or
+None. The sets of a query are ``_distinct_subsets(pools, size)``, the
+subsets of ``size`` vertices of each pool in turn, each distinct subset
+once, and the oracle enumerates them itself. ``SeparationOracle`` answers
+by m-separation in a known graph. Both adjacency phases are one PC-stable
+level-wise search: at each size it reads the conditioning-set pools of
+every adjacent pair before it tests any (Colombo & Maathuis 2014), so the
+sets of a whole level are known before any is answered, and one call asks
+them all, as GPU PC (cuPC) does. ``DataOracle`` puts each query's names at
+column positions once, from its pools, and enumerates its sets as
+position tuples; it streams them, pair after pair, into stacked calls of
 at most ``MAX_BATCH`` sets, one stream for the environment pairs and one
-for the others: batched CI decisions (see ``citest``). A pair decided in
-one call adds no further sets to the next. A query counts as one CI test
-if it is decided: the sets of a pair up to and including the first
-independent one.
+for the others: batched CI decisions (see ``citest``), which gather each
+set's submatrix straight from its positions. Only a separating set found
+is put back into names. A pair decided in one call adds no further sets
+to the next. A query counts as one CI test if it is decided: the sets of a
+pair up to and including the first independent one.
 """
 
 from __future__ import annotations
@@ -49,8 +54,8 @@ from dataclasses import dataclass
 from itertools import combinations, filterfalse, islice
 from typing import Callable, Iterable, Sequence
 
-from .citest import environment_firsts, firsts, fisher_z_test
-from .data import DataTable, pool_environments
+from .citest import environment_firsts_at, firsts_at, fisher_z_test
+from .data import DataError, DataTable, pool_environments
 from .graph import ARROW, CIRCLE, TAIL, Edge, MixedGraph
 from .separation import m_connected
 
@@ -75,12 +80,13 @@ class SeparationOracle:
         self.graph = graph
 
     def separating_sets(self, queries: Sequence[tuple]) -> list[tuple]:
-        """For each (a, b, subsets) of ``queries``, the number of sets
-        tested and the first that m-separates a and b (None if none)."""
+        """For each (a, b, pools, size) of ``queries``, the number of sets
+        of ``_distinct_subsets(pools, size)`` tested and the first that
+        m-separates a and b (None if none)."""
         out = []
-        for a, b, subsets in queries:
+        for a, b, pools, size in queries:
             tests = 0
-            for s in subsets:
+            for s in _distinct_subsets(pools, size):
                 tests += 1
                 if not m_connected(self.graph, a, b, set(s)):
                     out.append((tests, s))
@@ -110,27 +116,44 @@ class DataOracle:
         self.alpha = alpha
 
     def separating_sets(self, queries: Sequence[tuple]) -> list[tuple]:
-        """For each (a, b, subsets) of ``queries`` (all sets of one size),
-        the number of sets decided and the first given which a and b test
-        independent (None if none); the sets after it are not decided.
+        """For each (a, b, pools, size) of ``queries``, the number of sets
+        of ``_distinct_subsets(pools, size)`` decided and the first given
+        which a and b test independent (None if none); the sets after it
+        are not decided.
 
-        The environment pairs form one stream and the other pairs another
+        A query's names are put at column positions once, from its pools,
+        and its sets are enumerated as tuples of positions, in the same
+        order; only a separating set found is put back into names. The
+        environment pairs form one stream and the other pairs another
         (see ``_stream``): Fisher-z decides each stacked call with one
         stacked inverse, the environment test with one stacked Cholesky
         factorization (see ``citest``). A set that cannot be tested raises
         only if its query reaches it, and the first such query, in order,
-        raises.
+        raises. A name that is not a column of the table raises
+        ``DataError``.
         """
         table, test, alpha = self.table, self.test, self.alpha
-        on_env = [table.env_column in (a, b) for a, b, _ in queries]
+        streams: tuple[list, list] = ([], [])
+        at = table.index.__getitem__
+        for k, (a, b, pools, size) in enumerate(queries):
+            try:
+                pools = [list(map(at, pool)) for pool in pools]
+                streams[table.env_column in (a, b)].append(
+                    (k, (at(a), at(b), _distinct_subsets(pools, size))))
+            except KeyError as exc:
+                raise DataError(f"no column {exc.args[0]!r}") from None
         out: list = [None] * len(queries)
-        for env, decide in (
-                (False, lambda chunk: firsts(test, table, chunk, alpha)),
-                (True, lambda chunk: environment_firsts(table, chunk, alpha,
-                                                        test))):
-            ks = [k for k, e in enumerate(on_env) if e == env]
-            for k, answer in zip(ks, _stream([queries[k] for k in ks],
-                                              decide)):
+        for stream, decide in (
+                (streams[0], lambda chunk: firsts_at(test, table, chunk,
+                                                     alpha)),
+                (streams[1], lambda chunk: environment_firsts_at(
+                    table, chunk, alpha, test))):
+            for (k, _), answer in zip(stream, _stream(
+                    [query for _, query in stream], decide)):
+                if not isinstance(answer, Exception) and \
+                        answer[1] is not None:
+                    answer = answer[0], tuple(table.names[v]
+                                              for v in answer[1])
                 out[k] = answer
         error = next((got for got in out if isinstance(got, Exception)),
                      None)
@@ -148,7 +171,7 @@ def _stream(queries: Sequence[tuple], decide: Callable) -> list:
     on a set it reaches.
 
     The sets of all queries, query after query, are cut into calls of
-    ``decide`` (``citest.firsts`` or ``environment_firsts``) of at most
+    ``decide`` (``citest.firsts_at`` or ``environment_firsts_at``) of at most
     ``MAX_BATCH`` sets; a query cut at the end of one call continues in the
     next unless it was decided. The stream stops at the first call that
     returns an exception: every query before it is decided by then.
@@ -242,11 +265,12 @@ class _Marks:
 MAX_BATCH = 256
 
 
-def _distinct_subsets(pools: Sequence[Sequence[str]], size: int):
+def _distinct_subsets(pools: Sequence[Sequence], size: int):
     """The subsets of ``size`` vertices of each of ``pools`` in turn, in
-    order, each distinct subset once. A pool holds distinct vertices, so a
-    subset of a later pool is a repeat iff it lies inside an earlier one."""
-    earlier: list[set[str]] = []
+    order, each distinct subset once; vertices are names or column
+    positions. A pool holds distinct vertices, so a subset of a later pool
+    is a repeat iff it lies inside an earlier one."""
+    earlier: list[set] = []
     for pool in pools:
         subsets = combinations(pool, size)
         for done in earlier:
@@ -274,7 +298,7 @@ def _adjacency_search(ci, adj: dict[str, set[str]],
         level = {(a, b): pools(a, b) for a, b in _pairs(adj)}
         if all(len(pool) < size for ps in level.values() for pool in ps):
             return
-        answers = ci.separating_sets([(a, b, _distinct_subsets(ps, size))
+        answers = ci.separating_sets([(a, b, ps, size)
                                       for (a, b), ps in level.items()])
         for (a, b), (tests, sep) in zip(level, answers):
             queries[0] += tests

@@ -136,8 +136,10 @@ class TestFisherZ:
                 statistic, p = rowwise_fisher_z(t, a, b, s)
                 assert got.statistic == pytest.approx(statistic, rel=1e-12,
                                                       abs=1e-12)
-                assert got.p_value == pytest.approx(p, rel=1e-12,
-                                                    abs=1e-300)
+                # the normal tail at z moves by a share z dz of itself, so
+                # the statistic's tolerance allows p a share z^2 of it
+                assert got.p_value == pytest.approx(
+                    p, rel=1e-12 * max(1.0, statistic ** 2), abs=1e-300)
 
     def test_correlation_computed_once_per_table(self):
         rng = np.random.default_rng(2)
@@ -468,6 +470,31 @@ class TestEnvironmentTest:
                 assert residual_kurtosis(t, "x", cond) == pytest.approx(
                     rowwise_kurtosis(t, "x", cond), rel=1e-9)
 
+    def test_residual_entries_name_an_unknown_column(self):
+        rng = np.random.default_rng(15)
+        env = np.repeat([0, 1], 100)
+        t = env_table({"X": rng.normal(size=200),
+                       "S": rng.normal(size=200)}, env)
+        for call in (lambda: residual_kurtosis(t, "Q"),
+                     lambda: residual_kurtosis(t, "X", ["Q"]),
+                     lambda: residual_variances(t, "Q", [[]]),
+                     lambda: residual_variances(t, "X", [["S"], ["Q"]])):
+            with pytest.raises(DataError, match="no column 'Q'"):
+                call()
+
+    def test_residual_entries_refuse_x_in_its_conditioning_set(self):
+        # regressed on itself, x leaves no residual: a kurtosis of 0 / 0
+        rng = np.random.default_rng(16)
+        env = np.repeat([0, 1], 100)
+        t = env_table({"X": rng.normal(size=200),
+                       "S": rng.normal(size=200)}, env)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: residual_kurtosis(t, "X", ["X"]),
+                         lambda: residual_variances(t, "X", [["S", "X"]])):
+                with pytest.raises(DataError, match="'X' must not appear"):
+                    call()
+
     @pytest.mark.parametrize("noise", ["normal", "laplace"])
     def test_statistic_and_dof(self, noise):
         rng = np.random.default_rng(13)
@@ -629,13 +656,13 @@ class TestEnvironmentTest:
         # the decision; heavy tails and a small scale change put some
         # decisions where it can
         calls = []
-        kurtosis = citest.residual_kurtosis
+        kurtosis = citest._residual_kurtosis
 
         def counting(*args):
             calls.append(args)
             return kurtosis(*args)
 
-        citest.residual_kurtosis = counting
+        citest._residual_kurtosis = counting
         try:
             for seed in range(40):
                 rng = np.random.default_rng(500 + seed)
@@ -651,7 +678,7 @@ class TestEnvironmentTest:
                             t, [("E", "x", [cond])], alpha) == \
                             [0 if p >= alpha else None]
         finally:
-            citest.residual_kurtosis = kurtosis
+            citest._residual_kurtosis = kurtosis
         # every environment_test call estimates it; some decisions did too
         assert len(calls) > 80
 
@@ -743,7 +770,8 @@ class TestBatches:
             found.append(got)
             # every statistic of the batch, bit for bit
             statistics, errors = citest._fisher_z_statistics(
-                t, [("a", "b", sorted(s)) for s in subsets])
+                t, citest._positions(t, [("a", "b", *sorted(s))
+                                         for s in subsets]))
             assert not errors and statistics.tolist() == \
                 [fisher_z_test(t, "a", "b", s).statistic for s in subsets]
             # x is the tested side, so a takes its place in the sets
@@ -873,17 +901,19 @@ class TestBatches:
         s = rng.normal(size=(800, 2))
         x = 0.5 * s[:, 0] + rng.laplace(size=800) * np.array([1.0, 1.2])[env]
         t = env_table({"x": x, "s0": s[:, 0], "s1": s[:, 1]}, env)
-        parts = citest._environment_parts(t, [("x", ["s0"])])
+        parts = citest._environment_parts(t, citest._positions(
+            t, [["s0", "x"]]))
         location, scale = float(parts.location[0]), float(parts.scale[0])
         low = chi2_sf(location + scale, parts.dof)
         high = chi2_sf(location, parts.dof)
         alpha = math.sqrt(low * high)
         assert low < alpha < high
         calls = []
-        kurtosis = citest.residual_kurtosis
-        monkeypatch.setattr(citest, "residual_kurtosis",
-                            lambda *args: calls.append(args[1:]) or
-                            kurtosis(*args))
+        kurtosis = citest._residual_kurtosis
+        monkeypatch.setattr(citest, "_residual_kurtosis",
+                            lambda t, x, s: calls.append(
+                                (t.names[x], [t.names[v] for v in s])) or
+                            kurtosis(t, x, s))
         subsets = [["s0"], ["s1"]]
         got = first_index(DataOracle(t, alpha=alpha), "E", "x", subsets)
         assert ("x", ["s0"]) in calls

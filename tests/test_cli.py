@@ -561,9 +561,9 @@ class TestDiscreteSites:
         log = (tmp_path / "a" / "log.txt").read_text()
 
         def chosen_test_only(table, queries, alpha, test):
-            return citest.firsts(test, table, queries, alpha)
+            return citest.firsts_at(test, table, queries, alpha)
 
-        monkeypatch.setattr(fci, "environment_firsts", chosen_test_only)
+        monkeypatch.setattr(fci, "environment_firsts_at", chosen_test_only)
         assert self.search(sites, tmp_path / "b") == 0
         assert capsys.readouterr().out.strip() == winner
         assert (tmp_path / "b" / "log.txt").read_text() == \

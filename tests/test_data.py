@@ -1,5 +1,6 @@
 import csv
 import gzip
+import math
 import os
 import subprocess
 import sys
@@ -15,6 +16,17 @@ from stablespec.data import (
     concat_tables, load_csv, pool_environments, save_csv,
 )
 from stablespec.search import simulate_benchmark
+
+
+def exact_moments(columns, rows):
+    """The means and the centred Gram matrix of ``columns`` over the rows
+    that the mask ``rows`` selects, every sum taken by ``math.fsum``: exact
+    but for the rounding of each product and of each sum's result."""
+    cols = [c[rows] for c in columns]
+    means = np.array([math.fsum(c) / len(c) for c in cols])
+    centred = [c - m for c, m in zip(cols, means)]
+    return means, np.array([[math.fsum(u * v) for v in centred]
+                            for u in centred])
 
 
 class TestDataTable:
@@ -127,6 +139,32 @@ class TestDataTable:
                                    np.corrcoef(x, rowvar=False), rtol=1e-12,
                                    atol=1e-14)
         assert t.moments() is mom
+
+    def test_moments_match_an_exact_reference(self):
+        # |mean| / sd is about 1e6, where raw sums of squares would lose
+        # twelve digits to cancellation; the rows are not grouped by
+        # environment, so moments() sorts them first
+        rng = np.random.default_rng(28)
+        n = 3000
+        env = rng.integers(0, 3, n).astype(float)
+        common = rng.normal(size=n)
+        cols = {name: 1e6 * (k + 1) + 2.0 * k * env + common +
+                rng.normal(size=n) for k, name in enumerate("abc")}
+        cols["e"] = env
+        t = DataTable(cols, kinds={"e": 3}, env_column="e")
+        columns = [t.column(name) for name in t.names]
+        mom = t.moments()
+        for g, value in enumerate((0.0, 1.0, 2.0)):
+            means, gram = exact_moments(columns, env == value)
+            np.testing.assert_allclose(mom.means[g], means, rtol=1e-12)
+            np.testing.assert_allclose(mom.grams[g], gram, rtol=1e-12)
+        mean, scatter = exact_moments(columns, np.ones(n, dtype=bool))
+        np.testing.assert_allclose(mom.mean, mean, rtol=1e-12)
+        np.testing.assert_allclose(mom.scatter, scatter, rtol=1e-12)
+        # the same moments, bit for bit, as the rows sorted beforehand
+        grouped = t.take(np.argsort(env, kind="stable")).moments()
+        for got, want in zip(mom, grouped):
+            np.testing.assert_array_equal(got, want)
 
     def test_moment_sample_is_evenly_spaced_group_centred_rows(self):
         n = SAMPLE_ROWS + 500  # group 1 is thinned to every other row

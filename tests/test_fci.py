@@ -9,8 +9,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from stablespec import fci as fci_module
-from stablespec.citest import DegenerateDataError, fisher_z_test
+from stablespec import citest, fci as fci_module
+from stablespec.citest import (
+    DegenerateDataError, environment_test, fisher_z_test,
+)
 from stablespec.components import class_mag
 from stablespec.data import DataError, DataTable, pool_environments
 from stablespec.fci import (
@@ -466,6 +468,89 @@ def wide_pooled(structure_seed, parameter_seed, rows, seed):
     return pool_environments(inputs.wide_tables(scms, rows, seed), "E")
 
 
+class TestPositionLevel:
+    """Data FCI puts each query's names at column positions once and
+    decides its sets at positions: no set is checked or looked up by name.
+    On the learn-wide benchmark's seed-0 tables."""
+
+    KNOWLEDGE = Knowledge(forbidden_into={"E"})
+
+    @staticmethod
+    def learn(monkeypatch):
+        """Learn on the tables with every query, the size of every set
+        pulled from the pools, every ``citest._check_args`` call and every
+        name lookup in the table's index recorded."""
+        pooled = wide_pooled(7, 2, 20_000, 0)
+        asked, pulled, checks, lookups = [], [], [], []
+
+        class Index(dict):
+            def __getitem__(self, name):
+                lookups.append(name)
+                return dict.__getitem__(self, name)
+
+        pooled.index = Index(pooled.index)
+        oracle = DataOracle(pooled)
+        separating_sets = oracle.separating_sets
+        subsets, check_args = fci_module._distinct_subsets, citest._check_args
+
+        def counted(pools, size):
+            for s in subsets(pools, size):
+                pulled.append(size)
+                yield s
+
+        monkeypatch.setattr(oracle, "separating_sets", lambda queries: (
+            asked.append(queries) or separating_sets(queries)))
+        monkeypatch.setattr(fci_module, "_distinct_subsets", counted)
+        monkeypatch.setattr(citest, "_check_args", lambda *args: (
+            checks.append(args) or check_args(*args)))
+        report = {}
+        fci(oracle, pooled.names, TestPositionLevel.KNOWLEDGE, report=report)
+        return pooled, asked, pulled, checks, lookups, report
+
+    def test_names_are_looked_up_per_query_not_per_set(self, monkeypatch):
+        _, levels, pulled, checks, lookups, report = self.learn(monkeypatch)
+        assert checks == []
+        queries = [q for level in levels for q in level]
+        # each query's pair and pool names once, and the environment
+        # column once per stacked call, of which there are fewer than
+        # queries: fewer than mapping the names of each set pulled
+        names = sum(2 + sum(map(len, pools)) for _, _, pools, _ in queries)
+        assert len(lookups) <= names + len(queries) < \
+            sum(2 + size for size in pulled)
+        assert len(pulled) >= report["ci_tests"] > 1000
+
+    def test_position_decisions_equal_the_name_level_tests(
+            self, monkeypatch):
+        # every set of the two levels that hold the most, decided by the
+        # batch decisions that the oracle streams sets into, at positions
+        pooled, levels, *_ = self.learn(monkeypatch)
+        monkeypatch.undo()
+        alpha, at = 0.01, pooled.index.__getitem__
+        tested = []
+        for level in sorted(levels, key=lambda queries: -sum(
+                len(list(fci_module._distinct_subsets(pools, size)))
+                for _, _, pools, size in queries))[:2]:
+            for a, b, pools, size in level:
+                sets = list(fci_module._distinct_subsets(pools, size))
+                rows = np.array([(at(a), at(b), *map(at, s)) for s in sets],
+                                dtype=np.intp).reshape(len(sets), 2 + size)
+                if "E" in (a, b):
+                    batch = citest._environment_decisions(
+                        pooled, rows, alpha, fisher_z_test)
+                    want = [environment_test(pooled, a, b, s).p_value >=
+                            alpha for s in sets]
+                else:
+                    batch = citest._decisions(fisher_z_test, pooled, rows,
+                                              alpha)
+                    want = [fisher_z_test(pooled, a, b, s).p_value >= alpha
+                            for s in sets]
+                got = [bool(d == 1 or d == -1 and batch.resolve(j))
+                       for j, d in enumerate(batch.decided.tolist())]
+                assert got == want, (a, b, size)
+                tested += got
+        assert len(tested) > 500 and 0 < sum(tested) < len(tested)
+
+
 class TestBatchedOracle:
     KNOWLEDGE = Knowledge(forbidden_into={"E"})
 
@@ -495,22 +580,23 @@ class TestBatchedOracle:
     def check_one_inverse_per_level(self, monkeypatch, rows):
         pooled = wide_pooled(7, 2, rows, 0)
         oracle = DataOracle(pooled)
-        levels, inverses = [], []
+        levels, inverses, pulled = [], [], [0]
         separating_sets, inv = oracle.separating_sets, np.linalg.inv
+        subsets = fci_module._distinct_subsets
 
-        def counted(subsets, pulled):
-            for s in subsets:
+        def counted(pools, size):
+            for s in subsets(pools, size):
                 pulled[0] += 1
                 yield s
 
         def level(queries):
-            pulled, before = [0], len(inverses)
-            got = separating_sets([(a, b, counted(subsets, pulled))
-                                   for a, b, subsets in queries])
+            pulled[0], before = 0, len(inverses)
+            got = separating_sets(queries)
             levels.append((pulled[0], len(inverses) - before))
             return got
 
         monkeypatch.setattr(oracle, "separating_sets", level)
+        monkeypatch.setattr(fci_module, "_distinct_subsets", counted)
         monkeypatch.setattr(np.linalg, "inv", lambda m: (
             inverses.append(m.shape) or inv(m)))
         report = {}
@@ -555,8 +641,8 @@ class TestBatchedOracle:
         oracle = DataOracle(t, alpha=0.05)
         dep, ind = ("f", "g"), ("m", "f")
         calls = []
-        firsts = fci_module.firsts
-        monkeypatch.setattr(fci_module, "firsts", lambda *args: (
+        firsts = fci_module.firsts_at
+        monkeypatch.setattr(fci_module, "firsts_at", lambda *args: (
             calls.append(args) or firsts(*args)))
         constant, singular = ("c", "f"), ("d", "e")
         for bad, message in ((constant, "constant column in correlation "
@@ -564,21 +650,24 @@ class TestBatchedOracle:
                              (singular, "singular covariance submatrix")):
             del calls[:]
             # the bad set shares one stacked call with the other query and
-            # with the independent set before it
+            # with the independent set before it; each set is a pool of
+            # its own, and a repeated one is asked once
             assert oracle.separating_sets(
-                [("a", "b", [dep, ind, bad]), ("a", "b", [dep, dep])]) == \
-                [(2, ind), (2, None)]
+                [("a", "b", [dep, ind, bad], 2),
+                 ("a", "b", [dep, dep], 2)]) == [(2, ind), (1, None)]
             assert len(calls) == 1
-            for queries in ([("a", "b", [dep, dep]), ("a", "b", [dep, bad])],
-                            [("a", "b", [bad, ind]), ("a", "b", [ind])]):
+            for queries in ([("a", "b", [dep, dep], 2),
+                             ("a", "b", [dep, bad], 2)],
+                            [("a", "b", [bad, ind], 2),
+                             ("a", "b", [ind], 2)]):
                 with pytest.raises(DegenerateDataError, match=message):
                     oracle.separating_sets(queries)
         # the first query, in order, that reaches a bad set raises
         for first, then, message in ((constant, singular, "matrix: c"),
                                      (singular, constant, "singular")):
             with pytest.raises(DegenerateDataError, match=message):
-                oracle.separating_sets([("a", "b", [dep, first]),
-                                        ("a", "b", [then])])
+                oracle.separating_sets([("a", "b", [dep, first], 2),
+                                        ("a", "b", [then], 2)])
 
     def test_first_query_to_fail_raises_across_streams(self):
         # C and D are constant: the Fisher-z query on X-C and the
@@ -588,8 +677,10 @@ class TestBatchedOracle:
                              "C": np.full(300, 2.0),
                              "D": np.full(300, 5.0)}) for _ in range(2)]
         oracle = DataOracle(pool_environments(tables, "E"))
-        for queries, name in (([("E", "D", [()]), ("X", "C", [()])], "D"),
-                              ([("X", "C", [()]), ("E", "D", [()])], "C")):
+        for queries, name in (([("E", "D", [()], 0), ("X", "C", [()], 0)],
+                               "D"),
+                              ([("X", "C", [()], 0), ("E", "D", [()], 0)],
+                               "C")):
             with pytest.raises(DegenerateDataError,
                                match="constant column in correlation "
                                      f"matrix: {name}"):

@@ -10,7 +10,9 @@ are computed by ``citest.critical_values`` and read by
 become masks once, at the public boundary of ``components`` and
 ``identify``: their private mask cores call no function that takes names,
 and a subgraph of the identification calculus is a scope mask, not a graph
-that ``MixedGraph`` builds."""
+that ``MixedGraph`` builds. Column names become column positions once, at
+the name-level entry points of ``citest``: its position cores, which
+batched CI decisions run on, call none of them."""
 
 import ast
 from pathlib import Path
@@ -112,3 +114,25 @@ def test_mask_cores_call_no_name_level_function():
              for name in called_names(node) & takes_names}
     assert calls == set()
     assert not hasattr(MixedGraph, "induced")
+
+
+def test_citest_position_cores_call_no_name_level_function():
+    # a name-level function checks names or maps them to positions
+    tree = ast.parse((SRC / "citest.py").read_text())
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    cores = {"firsts_at", "environment_firsts_at", "_firsts", "_decisions",
+             "_fisher_z_statistics", "_residual_variances",
+             "_residual_kurtosis", "_environment_parts",
+             "_environment_result", "_environment_decisions"}
+    takes_names = {"_check_args", "_check_environment_args", "_positioned",
+                   "_positions", "_regression_rows", "_tested_side",
+                   "_by_name", "firsts", "environment_firsts",
+                   "fisher_z_test", "environment_test", "residual_variances",
+                   "residual_kurtosis", "degenerate_gaussian_test"}
+    assert cores | takes_names <= set(functions)
+    table_methods = {"column", "is_discrete", "levels", "width"}
+    calls = {(core, name) for core in cores
+             for name in called_names(functions[core]) &
+             (takes_names | table_methods)}
+    assert calls == set()

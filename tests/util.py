@@ -11,6 +11,7 @@ import numpy as np
 
 from stablespec.components import invisible
 from stablespec.data import DataTable
+from stablespec.fci import _distinct_subsets
 from stablespec.graph import ARROW, CIRCLE, TAIL, Edge, MixedGraph, parse
 from stablespec.scm import LinearGaussianSCM
 
@@ -157,9 +158,9 @@ class PerSetOracle:
 
     def separating_sets(self, queries):
         out = []
-        for a, b, subsets in queries:
+        for a, b, pools, size in queries:
             tests, found = 0, None
-            for s in subsets:
+            for s in _distinct_subsets(pools, size):
                 tests += 1
                 if self.independent(a, b, set(s)):
                     found = s
@@ -169,9 +170,13 @@ class PerSetOracle:
 
 
 def first_index(oracle, a, b, subsets):
-    """Index of the first of ``subsets`` given which ``oracle`` finds a and
-    b independent, None if none: a query of one pair."""
-    [(tests, found)] = oracle.separating_sets([(a, b, subsets)])
+    """Index of the first of ``subsets`` (sets of one size) given which
+    ``oracle`` finds a and b independent, None if none: a query of one
+    pair whose pools are the sets themselves, each in ascending order of
+    name, so that it asks them in order, a repeated set once."""
+    subsets = [sorted(s) for s in subsets]
+    size = len(subsets[0]) if subsets else 0
+    [(tests, found)] = oracle.separating_sets([(a, b, subsets, size)])
     return None if found is None else tests - 1
 
 
