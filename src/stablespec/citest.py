@@ -173,15 +173,14 @@ def _positioned(data: DataTable, check: Callable, a: str, b: str,
     ``_check_environment_args``) has checked it: one name lookup per name
     of the query."""
     subsets = check(data, a, b, subsets)
-    at = data.index.__getitem__
-    return at(a), at(b), [tuple(map(at, s)) for s in subsets]
+    at = data.positions
+    return (*at((a, b)), [tuple(at(s)) for s in subsets])
 
 
 def _positions(data: DataTable, rows: Iterable[Iterable[str]]) -> np.ndarray:
     """The column positions of the names of each of ``rows``, all of one
     length, as the rows of one array."""
-    at = data.index.__getitem__
-    return np.array([list(map(at, row)) for row in rows], dtype=np.intp)
+    return np.array([data.positions(row) for row in rows], dtype=np.intp)
 
 
 # relative gap between alpha and the tails at a pair of critical values, far
@@ -425,16 +424,12 @@ def fisher_z_test(data: DataTable, a: str, b: str,
 def _regression_rows(data: DataTable, x: str,
                      subsets: Iterable[Iterable[str]]) -> np.ndarray:
     """The row [*s, x] at column positions, s in the order given, of each
-    conditioning set s of ``subsets``, once x and the names of every set
-    are known to be columns and x to lie outside every set."""
-    data.column(x)
+    conditioning set s of ``subsets``, once x is known to lie outside
+    every set."""
     subsets = [list(s) for s in subsets]
-    for s in subsets:
-        if x in s:
-            raise DataError(f"{x!r} must not appear in its own "
-                            "conditioning set")
-        for name in s:
-            data.column(name)
+    if any(x in s for s in subsets):
+        raise DataError(f"{x!r} must not appear in its own "
+                        "conditioning set")
     return _positions(data, ([*s, x] for s in subsets))
 
 

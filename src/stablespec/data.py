@@ -209,6 +209,14 @@ class DataTable:
             raise DataError(f"no column {name!r}")
         return self._columns[name]
 
+    def positions(self, names: Iterable[str]) -> list[int]:
+        """The column position of each of ``names``, in order."""
+        index = self.index
+        try:
+            return [index[name] for name in names]
+        except KeyError as exc:
+            raise DataError(f"no column {exc.args[0]!r}") from None
+
     def is_discrete(self, name: str) -> bool:
         if name not in self.kinds:
             raise DataError(f"no column {name!r}")

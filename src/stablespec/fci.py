@@ -130,18 +130,21 @@ class DataOracle:
         factorization (see ``citest``). A set that cannot be tested raises
         only if its query reaches it, and the first such query, in order,
         raises. A name that is not a column of the table raises
-        ``DataError``.
+        ``DataError``, and so does a query whose a and b are equal or lie
+        in its pools.
         """
         table, test, alpha = self.table, self.test, self.alpha
         streams: tuple[list, list] = ([], [])
-        at = table.index.__getitem__
+        at = table.positions
         for k, (a, b, pools, size) in enumerate(queries):
-            try:
-                pools = [list(map(at, pool)) for pool in pools]
-                streams[table.env_column in (a, b)].append(
-                    (k, (at(a), at(b), _distinct_subsets(pools, size))))
-            except KeyError as exc:
-                raise DataError(f"no column {exc.args[0]!r}") from None
+            if a == b:
+                raise DataError("a and b must differ")
+            if any(a in pool or b in pool for pool in pools):
+                raise DataError("a and b must not appear in the "
+                                "conditioning set")
+            pools = [at(pool) for pool in pools]
+            streams[table.env_column in (a, b)].append(
+                (k, (*at((a, b)), _distinct_subsets(pools, size))))
         out: list = [None] * len(queries)
         for stream, decide in (
                 (streams[0], lambda chunk: firsts_at(test, table, chunk,

@@ -42,6 +42,9 @@ class TestDataTable:
         for ask in (t.is_discrete, t.levels, t.column):
             with pytest.raises(DataError, match="no column 'Q'"):
                 ask("Q")
+        with pytest.raises(DataError, match="no column 'Q'"):
+            t.positions(["b", "Q"])
+        assert t.positions(["b", "a", "b"]) == [1, 0, 1]
 
     def test_length_mismatch(self):
         with pytest.raises(DataError):

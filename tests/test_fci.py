@@ -461,6 +461,19 @@ class TestDataOracle:
         pag = pooled_fci(tables, alpha=0.01)
         assert possible_children_of_env(pag, "E") == {"F", "W"}
 
+    def test_malformed_queries_are_data_errors(self):
+        rng = np.random.default_rng(8)
+        t = DataTable({"a": rng.normal(size=200), "b": rng.normal(size=200),
+                       "c": rng.normal(size=200)})
+        ind = DataOracle(t, alpha=0.01)
+        for query, message in (
+                (("a", "a", [["c"]], 1), "must differ"),
+                (("a", "b", [["c"], ["b", "c"]], 1), "must not appear"),
+                (("a", "b", [["c", "Q"]], 1), "no column 'Q'"),
+                (("Q", "b", [["c"]], 0), "no column 'Q'")):
+            with pytest.raises(DataError, match=message):
+                ind.separating_sets([("a", "b", [["c"]], 1), query])
+
 
 def wide_pooled(structure_seed, parameter_seed, rows, seed):
     inputs = bench_inputs()
