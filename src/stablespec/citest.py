@@ -318,12 +318,18 @@ def _by_name(data: DataTable, queries: Sequence, check: Callable,
 def _caught(fn: Callable, *args):
     """``fn(*args)``, or the error it raises because a set cannot be tested
     (a ``DataError``, or a ``ValueError`` such as a NaN p-value or a
-    singular matrix), kept to be raised later. This frame, which its
-    traceback holds, holds nothing that leads back to it, so no reference
-    cycle keeps a table alive."""
+    singular matrix), kept to be raised later. The error is kept without
+    its traceback, and so are the errors it chains to: a traceback's
+    frames lead back, through ``f_back``, to the caller that keeps the
+    error, and that cycle would keep a table alive until the cyclic
+    collector runs."""
     try:
         return fn(*args)
     except (DataError, ValueError) as exc:
+        err: BaseException | None = exc
+        while err is not None:
+            err.__traceback__ = None
+            err = err.__cause__ or err.__context__
         return exc
 
 

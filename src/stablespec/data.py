@@ -13,7 +13,7 @@ import math
 import os
 import re
 import warnings
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,13 +45,14 @@ class Moments(NamedTuple):
     """First and second moments of a table, per environment and pooled.
 
     Group e holds the rows of one environment value, in ascending order of
-    value; a table without an environment column is one group. ``grams[e]``
-    and ``scatter`` are centred at the group mean and at the pooled mean.
-    ``sample`` holds evenly spaced rows of each group, at most
-    ``SAMPLE_ROWS`` per group, centred at their group's mean, group after
-    group; ``sample_counts[e]`` of them belong to group e. ``moments()``
-    computes them from column-major copies of the groups; ``sample`` is a
-    row-major (r, k) array all the same.
+    value (see ``DataTable.groups``): a table without an environment column
+    is one group, and a pooled table has one group per input table with
+    rows. ``grams[e]`` and ``scatter`` are centred at the group mean and at
+    the pooled mean. ``sample`` holds evenly spaced rows of each group, at
+    most ``SAMPLE_ROWS`` per group, centred at their group's mean, group
+    after group; ``sample_counts[e]`` of them belong to group e.
+    ``moments()`` computes them from column-major copies of the groups;
+    ``sample`` is a row-major (r, k) array all the same.
     """
 
     counts: np.ndarray          # (m,) rows per group
@@ -131,6 +132,16 @@ def embed(table: "DataTable") -> tuple[np.ndarray, dict[str, np.ndarray]]:
     return design, index
 
 
+class Group(NamedTuple):
+    """One environment group of a table (see ``DataTable.groups``)."""
+
+    value: float | None         # environment value, a pool's table index;
+                                # None without an environment column
+    part: "DataTable"           # the table that holds the group's rows
+    rows: slice | np.ndarray    # the group's rows in ``part``, ascending
+    size: int                   # rows in the group
+
+
 class DataTable:
     """Immutable column-major table with per-column kinds.
 
@@ -138,7 +149,10 @@ class DataTable:
     count for a discrete column whose values lie in [0, levels).
 
     Columns are stored as read-only views of the arrays passed in, without a
-    copy, so callers must not mutate those arrays afterwards. Derived
+    copy, so callers must not mutate those arrays afterwards. A pooled table
+    (``pool_environments``) stores its input tables instead, as segments:
+    its environment groups are those tables, and a pooled column is built
+    from them once a caller asks for rows (see ``column``). Derived
     statistics are computed on first use, each in one pass over the rows,
     and cached read-only on the table: ``moments()`` (per-environment and
     pooled means and centred Gram matrices), ``correlations()`` and
@@ -152,12 +166,12 @@ class DataTable:
     def __init__(self, columns: Mapping[str, np.ndarray],
                  kinds: Mapping[str, object] | None = None,
                  env_column: str | None = None):
-        self.names = tuple(columns)
-        if not self.names:
+        names = tuple(columns)
+        if not names:
             raise DataError("table needs at least one column")
         arrays = {}
         n = None
-        for name in self.names:
+        for name in names:
             arr = np.asarray(columns[name], dtype=float)
             if arr.ndim != 1:
                 raise DataError(f"column {name!r} is not one-dimensional")
@@ -171,13 +185,12 @@ class DataTable:
             arr = arr.view()
             arr.flags.writeable = False
             arrays[name] = arr
-        self.n_rows = int(n)
         kinds = dict(kinds or {})
-        self.kinds: dict[str, object] = {}
-        for name in self.names:
+        checked: dict[str, object] = {}
+        for name in names:
             kind = kinds.get(name, CONTINUOUS)
             if kind == CONTINUOUS:
-                self.kinds[name] = CONTINUOUS
+                checked[name] = CONTINUOUS
             else:
                 if isinstance(kind, bool) or \
                         not isinstance(kind, (int, np.integer)) or kind < 2:
@@ -190,24 +203,54 @@ class DataTable:
                           | (col >= levels)):
                     raise DataError(
                         f"discrete column {name!r} has values outside [0, {levels})")
-                self.kinds[name] = levels
+                checked[name] = levels
         if env_column is not None:
-            if env_column not in self.names:
+            if env_column not in names:
                 raise DataError(f"environment column {env_column!r} not present")
-            if self.kinds[env_column] == CONTINUOUS:
+            if checked[env_column] == CONTINUOUS:
                 raise DataError("environment column must be discrete")
+        self._setup(arrays, checked, env_column, int(n))
+
+    def _setup(self, columns: dict[str, np.ndarray], kinds: dict[str, object],
+               env_column: str | None, n_rows: int,
+               segments: tuple["DataTable", ...] = ()):
+        """Set the fields of a table whose columns are checked: ``columns``
+        holds an array per name, or, for a pool of ``segments``, starts
+        empty and caches the pooled columns as they are built."""
+        self.names = tuple(kinds)
+        self.kinds = kinds
         self.env_column = env_column
-        self._columns = arrays
+        self.n_rows = n_rows
+        self._columns = columns
+        self._segments = segments
         self.index = {name: i for i, name in enumerate(self.names)}
         self._moments: Moments | None = None
         self._corrs: np.ndarray | None = None
         self._corr: np.ndarray | None = None  # one view of _corrs[0]
         self._embedding: Embedding | None = None
 
+    @classmethod
+    def _pool(cls, segments: list["DataTable"],
+              env_name: str) -> "DataTable":
+        """The pool of ``segments``, tables of one schema, with the
+        environment column ``env_name`` (see ``pool_environments``)."""
+        kinds = dict(segments[0].kinds)
+        kinds[env_name] = len(segments)
+        table = cls.__new__(cls)
+        table._setup({}, kinds, env_name, sum(t.n_rows for t in segments),
+                     tuple(segments))
+        return table
+
     def column(self, name: str) -> np.ndarray:
-        if name not in self._columns:
-            raise DataError(f"no column {name!r}")
-        return self._columns[name]
+        """Column ``name`` as a read-only array; a pool builds it on first
+        use (see ``_pooled_column``) and keeps it."""
+        col = self._columns.get(name)
+        if col is None:
+            if not self._segments or name not in self.index:
+                raise DataError(f"no column {name!r}")
+            col = self._columns[name] = _pooled_column(
+                self._segments, name, self.env_column)
+        return col
 
     def positions(self, names: Iterable[str]) -> list[int]:
         """The column position of each of ``names``, in order."""
@@ -239,49 +282,45 @@ class DataTable:
         """Per-environment and pooled moments over all columns, in ``names``
         order, from one pass over the rows, computed once per table.
 
-        Each environment group is copied, column-major, into one (k, n_e)
-        block g, reused from group to group, so that the group's means are
-        sums along contiguous rows (numpy sums those pairwise), g is
-        centred in place, and its centred Gram matrix is one product g g^T.
-        At most one group's rows are copied at a time, so a table of n rows
-        costs k n_e fresh floats, not k n. Discrete columns enter as their
-        numeric codes. The pooled scatter is the sum over groups of
-        G_e + n_e d_e d_e^T, with d_e the group mean minus the pooled mean.
-        A rounded mean misses the group's true mean by up to an ulp of the
-        mean, which on a column whose mean is far larger than its spread is
-        a sizeable share of d_e; so d_e also adds the mean of the centred
-        block, the drift that rounding left in it.
+        Each environment group of ``groups()`` is copied, column-major,
+        into one (k, n_e) block g, reused from group to group, so that the
+        group's means are sums along contiguous rows (numpy sums those
+        pairwise), g is centred in place, and its centred Gram matrix is
+        one product g g^T. A pooled table copies each group from its input
+        table and fills the environment row with the group's value, so it
+        builds no pooled column. At most one group's rows are copied at a
+        time, so a table of n rows costs k n_e fresh floats, not k n.
+        Discrete columns enter as their numeric codes. The pooled scatter
+        is the sum over groups of G_e + n_e d_e d_e^T, with d_e the group
+        mean minus the pooled mean. A rounded mean misses the group's true
+        mean by up to an ulp of the mean, which on a column whose mean is
+        far larger than its spread is a sizeable share of d_e; so d_e also
+        adds the mean of the centred block, the drift that rounding left in
+        it.
         """
         if self._moments is None:
-            columns = [self._columns[name] for name in self.names]
-            order = None
-            if self.env_column is None:
-                bounds = np.array([0, self.n_rows])
-            else:
-                env = self._columns[self.env_column]
-                if np.any(env[1:] < env[:-1]):
-                    order = np.argsort(env, kind="stable")
-                    env = env[order]
-                cuts = np.flatnonzero(env[1:] != env[:-1]) + 1
-                bounds = np.concatenate([[0], cuts, [self.n_rows]])
-            counts = np.diff(bounds)
+            groups = self.groups()
+            counts = np.array([group.size for group in groups], dtype=int)
             k = len(self.names)
             means, drift = np.empty((2, len(counts), k))
             grams = np.empty((len(counts), k, k))
             steps = [max(math.ceil(c / SAMPLE_ROWS), 1)
                      for c in counts.tolist()]
             sample_counts = np.array([-(-c // step) for c, step
-                                      in zip(counts.tolist(), steps)])
+                                      in zip(counts.tolist(), steps)],
+                                     dtype=int)
             sample = np.empty((sample_counts.sum(), k))
             starts = np.concatenate([[0], np.cumsum(sample_counts)])
             block = np.empty((k, counts.max(initial=0)))
-            for e, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-                g = block[:, :hi - lo]
-                for row, col in zip(g, columns):
-                    if order is None:
-                        row[:] = col[lo:hi]
+            for e, (value, part, rows, size) in enumerate(groups):
+                g = block[:, :size]
+                for row, name in zip(g, self.names):
+                    if name not in part.index:  # a pool's environment column
+                        row.fill(value)
+                    elif isinstance(rows, slice):
+                        row[:] = part.column(name)[rows]
                     else:
-                        np.take(col, order[lo:hi], out=row)
+                        np.take(part.column(name), rows, out=row)
                 g.mean(axis=1, out=means[e])
                 g -= means[e][:, None]
                 g.mean(axis=1, out=drift[e])
@@ -345,43 +384,99 @@ class DataTable:
             self._embedding = Embedding(index, corr)
         return self._embedding
 
+    def groups(self) -> list[Group]:
+        """The table's environment groups, each non-empty, in ascending
+        order of environment value: the rows of each value of the
+        environment column, or all rows when there is none. A group of a
+        pool is one of its input tables that has rows. ``moments()`` and
+        ``take_groups`` both read the groups from here."""
+        if self._segments:
+            return [Group(float(e), t, slice(0, t.n_rows), t.n_rows)
+                    for e, t in enumerate(self._segments) if t.n_rows]
+        if not self.n_rows:
+            return []
+        if self.env_column is None:
+            return [Group(None, self, slice(0, self.n_rows), self.n_rows)]
+        env = self._columns[self.env_column]
+        order = None
+        if np.any(env[1:] < env[:-1]):
+            order = np.argsort(env, kind="stable")
+            env = env[order]
+        bounds = [0, *(np.flatnonzero(env[1:] != env[:-1]) + 1).tolist(),
+                  self.n_rows]
+        return [Group(float(env[lo]), self,
+                      slice(lo, hi) if order is None else order[lo:hi],
+                      hi - lo)
+                for lo, hi in zip(bounds[:-1], bounds[1:])]
+
     def take(self, index: np.ndarray) -> "DataTable":
-        return DataTable({n: self._columns[n][index] for n in self.names},
+        return DataTable({n: self.column(n)[index] for n in self.names},
                          self.kinds, self.env_column)
 
+    def take_groups(self, rows: Sequence[np.ndarray]) -> "DataTable":
+        """The rows ``rows[e]`` of each group e of ``groups()``, given as
+        positions within the group, in table order. A pool gives the pool
+        of each input table's rows, so no pooled column is built."""
+        groups = self.groups()
+        if self._segments:
+            parts = list(self._segments)
+            for group, local in zip(groups, rows):
+                parts[int(group.value)] = group.part.take(np.sort(local))
+            return DataTable._pool(parts, self.env_column)
+        positions = np.arange(self.n_rows)
+        keep = np.zeros(self.n_rows, dtype=bool)
+        for group, local in zip(groups, rows):
+            keep[positions[group.rows][local]] = True
+        return self.take(np.flatnonzero(keep))
 
-def _concat_block(tables: list[DataTable], extra: int = 0) -> np.ndarray:
-    """The columns of ``tables``, once their names and kinds agree, each
-    concatenated into one row of a single (k + extra, n) block; the last
-    ``extra`` rows are left for the caller to fill: one allocation, not
-    one per column."""
+
+def _check_schema(tables: list[DataTable]):
+    """Raise unless ``tables`` is not empty and its tables agree in column
+    names and kinds."""
     if not tables:
         raise DataError("nothing to concatenate")
     first = tables[0]
     for t in tables[1:]:
         if t.names != first.names or t.kinds != first.kinds:
             raise DataError("schema mismatch between tables")
-    block = np.empty((len(first.names) + extra,
-                      sum(t.n_rows for t in tables)))
-    for row, name in zip(block, first.names):
-        np.concatenate([t.column(name) for t in tables], out=row)
-    return block
+
+
+def _pooled_column(tables: Sequence[DataTable], name: str,
+                   env_name: str | None) -> np.ndarray:
+    """Column ``name`` of the rows of ``tables``, one table after another,
+    as one read-only array; the column ``env_name`` holds each row's table
+    index. The one place where tables' columns are concatenated."""
+    if name == env_name:
+        col = np.repeat(np.arange(len(tables), dtype=float),
+                        [t.n_rows for t in tables])
+    else:
+        col = np.concatenate([t.column(name) for t in tables])
+    col.flags.writeable = False
+    return col
 
 
 def concat_tables(tables: Iterable[DataTable]) -> DataTable:
+    """The rows of ``tables``, one schema, one table after another, as one
+    table with the first table's environment column."""
     tables = list(tables)
-    block = _concat_block(tables)
+    _check_schema(tables)
     first = tables[0]
-    return DataTable(dict(zip(first.names, block)), first.kinds,
-                     first.env_column)
+    return DataTable({n: _pooled_column(tables, n, None) for n in first.names},
+                     first.kinds, first.env_column)
 
 
 def pool_environments(tables: Iterable[DataTable],
                       env_name: str) -> DataTable:
-    """Concatenate per-environment tables and append a discrete column
-    ``env_name`` holding each row's table index; it becomes the pooled
-    table's environment column. One table is built, its columns the rows
-    of one block, so each pooled column is validated once."""
+    """The rows of per-environment tables, one table after another, with a
+    discrete column ``env_name`` appended that holds each row's table
+    index; it is the pooled table's environment column.
+
+    The pool keeps the input tables as its segments, without a copy: each
+    table with rows is one environment group of ``moments()``, and
+    ``take_groups`` splits the pool table by table. A pooled column is
+    built from the segments only when a caller asks for it by ``column``
+    (as ``matrix``, ``take``, ``embedding`` and ``save_csv`` do), once per
+    column."""
     tables = list(tables)
     if len(tables) < 2:
         raise DataError("environment indicator would be constant; "
@@ -389,13 +484,8 @@ def pool_environments(tables: Iterable[DataTable],
     for t in tables:
         if env_name in t.names:
             raise DataError(f"column {env_name!r} already present")
-    block = _concat_block(tables, extra=1)
-    block[-1] = np.repeat(np.arange(len(tables), dtype=float),
-                          [t.n_rows for t in tables])
-    kinds = dict(tables[0].kinds)
-    kinds[env_name] = len(tables)
-    return DataTable(dict(zip((*tables[0].names, env_name), block)), kinds,
-                     env_name)
+    _check_schema(tables)
+    return DataTable._pool(tables, env_name)
 
 
 # cell texts that read as a missing value, after stripping whitespace and

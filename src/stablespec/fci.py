@@ -14,8 +14,8 @@ a-b, so with an exact oracle the learned PAG is the same, and an edge
 costs about 2^|pool ∩ block| tests rather than 2^|pool|. The blocks are
 computed once, on the skeleton that the phase starts from, a supergraph
 of every skeleton within it. ``table_fci`` learns on one table, forbidding
-arrowheads into its environment column; ``pooled_fci`` first concatenates
-per-environment datasets with an appended environment indicator column.
+arrowheads into its environment column; ``pooled_fci`` first pools
+per-environment datasets under an appended environment indicator column.
 
 ``DataOracle`` answers queries with a CI test on a table. Queries on a
 pair of the table's environment column and a continuous variable go to
@@ -661,8 +661,9 @@ def pooled_fci(datasets: Sequence[DataTable], test: Callable = fisher_z_test,
                report: dict | None = None) -> MixedGraph:
     """Learn the PAG over the pooled rows plus an environment indicator.
 
-    The datasets are pooled by ``pool_environments``: rows are concatenated
-    and a discrete column named ``env_name`` records the dataset index.
+    The datasets are pooled by ``pool_environments``: the pooled table
+    holds their rows one dataset after another, without copying them, and
+    a discrete column named ``env_name`` records the dataset index.
     ``table_fci`` learns on the pooled table, so arrowheads into that
     column are forbidden, queries on pairs with it use
     ``environment_test`` (with ``test`` as its fallback) and the others use

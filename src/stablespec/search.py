@@ -111,22 +111,18 @@ def stable_candidates(spec: InvarianceSpec, target: str, mode: str = "full",
 
 def split_train_validation(data: DataTable, seed: int):
     """Seeded shuffle split holding out ``VAL_FRACTION`` of the rows,
-    stratified by the environment column when one is present."""
+    stratified by the environment groups of ``DataTable.groups``: one
+    permutation per group, in group order. A pooled table splits into
+    pooled tables, one input table at a time (see ``take_groups``)."""
     rng = np.random.default_rng(seed)
-    groups: list[np.ndarray]
-    if data.env_column is not None:
-        env = data.column(data.env_column)
-        groups = [np.flatnonzero(env == v) for v in np.unique(env)]
-    else:
-        groups = [np.arange(data.n_rows)]
-    train_idx, val_idx = [], []
-    for g in groups:
-        perm = g[rng.permutation(len(g))]
-        cut = int(round(len(g) * (1.0 - VAL_FRACTION)))
-        train_idx.append(perm[:cut])
-        val_idx.append(perm[cut:])
-    train = data.take(np.sort(np.concatenate(train_idx)))
-    val = data.take(np.sort(np.concatenate(val_idx)))
+    train_rows, val_rows = [], []
+    for group in data.groups():
+        perm = rng.permutation(group.size)
+        cut = int(round(group.size * (1.0 - VAL_FRACTION)))
+        train_rows.append(perm[:cut])
+        val_rows.append(perm[cut:])
+    train = data.take_groups(train_rows)
+    val = data.take_groups(val_rows)
     if train.n_rows == 0 or val.n_rows == 0:
         raise DataError("split produced an empty partition")
     return train, val

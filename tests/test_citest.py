@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -917,6 +919,26 @@ class TestBatches:
         got = first_index(DataOracle(t, alpha=alpha), "E", "x", subsets)
         assert ("x", ["s0"]) in calls
         assert got == self.environment_loop(t, "x", subsets, alpha=alpha)
+
+    @pytest.mark.parametrize("query, message", [
+        (("a", "b", [["c", "d", "e"]]), "too few rows"),   # a batch error
+        (("a", "zz", [[]]), "no column 'zz'"),              # a bad name
+    ])
+    def test_kept_error_does_not_keep_the_table_alive(self, query, message):
+        # reference counting alone must free the table once the answer and
+        # the table are dropped: no cycle runs through the kept error
+        rng = np.random.default_rng(5)
+        t = DataTable({v: rng.normal(size=6) for v in "abcde"})
+        alive = weakref.ref(t)
+        gc.disable()
+        try:
+            got = firsts(fisher_z_test, t, [query], self.ALPHA)
+            assert isinstance(got[0], DataError) and \
+                message in str(got[0])
+            del got, t
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 class TestNullCalibration:

@@ -15,7 +15,7 @@ from stablespec.data import (
     COMPRESSED_SUFFIXES, SAMPLE_ROWS, SAVE_BLOCK_ROWS, DataError, DataTable,
     concat_tables, load_csv, pool_environments, save_csv,
 )
-from stablespec.search import simulate_benchmark
+from stablespec.search import simulate_benchmark, split_train_validation
 
 
 def exact_moments(columns, rows):
@@ -219,6 +219,85 @@ class TestPoolEnvironments:
             pool_environments([t, t], "a")
         with pytest.raises(DataError, match="schema mismatch"):
             pool_environments([t, DataTable({"b": [1.0]})], "E")
+
+    # ragged environments: 1 row, none, 3 rows, and enough rows that the
+    # moment sample keeps every third row
+    SIZES = (1, 0, 3, 2 * SAMPLE_ROWS + 5)
+
+    def pooled_and_concatenated(self):
+        """The pool of tables of ``SIZES`` rows, and the same rows built as
+        one table with an environment column."""
+        rng = np.random.default_rng(29)
+        tables = [DataTable({"a": rng.normal(size=n) + k,
+                             "d": rng.integers(0, 3, n).astype(float),
+                             "b": rng.normal(size=n) * (k + 1)},
+                            kinds={"d": 3})
+                  for k, n in enumerate(self.SIZES)]
+        env = np.repeat(np.arange(len(tables), dtype=float), self.SIZES)
+        whole = DataTable(
+            {**{n: np.concatenate([t.column(n) for t in tables])
+                for n in ("a", "d", "b")}, "E": env},
+            kinds={"d": 3, "E": len(tables)}, env_column="E")
+        return pool_environments(tables, "E"), whole
+
+    @staticmethod
+    def assert_same_moments(got, want):
+        for field, x, y in zip(data.Moments._fields, got, want):
+            assert (x.dtype, x.shape, x.tobytes()) == \
+                (y.dtype, y.shape, y.tobytes()), field
+
+    def test_moments_equal_the_concatenated_table_bit_for_bit(self):
+        pooled, whole = self.pooled_and_concatenated()
+        mom = pooled.moments()
+        self.assert_same_moments(mom, whole.moments())
+        # the empty table gives no group
+        assert mom.counts.tolist() == [1, 3, 2 * SAMPLE_ROWS + 5]
+        assert mom.sample_counts.tolist() == \
+            [1, 3, math.ceil((2 * SAMPLE_ROWS + 5) / 3)]
+        for got, want in zip(pooled.correlations(), whole.correlations()):
+            assert got.tobytes() == want.tobytes()
+
+    def test_rows_equal_the_concatenated_table(self):
+        pooled, whole = self.pooled_and_concatenated()
+        for name in whole.names:
+            np.testing.assert_array_equal(pooled.column(name),
+                                          whole.column(name))
+        assert pooled.column("E") is pooled.column("E")  # built once
+        index = np.array([4, 0, 3, 9, 4])
+        taken, want = pooled.take(index), whole.take(index)
+        for name in whole.names:
+            np.testing.assert_array_equal(taken.column(name),
+                                          want.column(name))
+        self.assert_same_moments(taken.moments(), want.moments())
+        np.testing.assert_array_equal(pooled.matrix(pooled.names),
+                                      whole.matrix(whole.names))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_split_equals_the_split_of_the_concatenated_table(self, seed):
+        pooled, whole = self.pooled_and_concatenated()
+        for got, want in zip(split_train_validation(pooled, seed),
+                             split_train_validation(whole, seed)):
+            assert got.n_rows == want.n_rows
+            self.assert_same_moments(got.moments(), want.moments())
+            for name in whole.names:
+                np.testing.assert_array_equal(got.column(name),
+                                              want.column(name))
+
+    def test_moments_and_split_build_no_pooled_column(self, monkeypatch):
+        pooled, _ = self.pooled_and_concatenated()
+        built = []
+        pooled_column = data._pooled_column
+        monkeypatch.setattr(data, "_pooled_column", lambda tables, name, env:
+                            built.append(name) or
+                            pooled_column(tables, name, env))
+        pooled.moments()
+        train, val = split_train_validation(pooled, 0)
+        train.moments()
+        val.moments()
+        assert built == []
+        val.column("a")
+        val.column("a")
+        assert built == ["a"]
 
 
 def _load_text(tmp_path, text, schema='{"columns": {}}'):

@@ -3,6 +3,7 @@ import hashlib
 import math
 import random
 import time
+import tracemalloc
 import weakref
 from itertools import combinations
 
@@ -382,6 +383,22 @@ class TestPooledFci:
         assert "X" in adj
         for e in pag.edges_at("E"):
             assert e.mark_at("E") != ARROW
+
+    def test_peak_memory_below_the_pooled_block(self):
+        # the learn-wide benchmark's tables, 3 x 20k rows of 10 columns:
+        # the pool keeps them as segments, so one Fisher-z run holds less
+        # than the k n floats that a pooled copy of their rows would take
+        inputs = bench_inputs()
+        scms, _ = inputs.wide_scm(7, 2)
+        tables = inputs.wide_tables(scms, 20_000, 0)
+        block = 8 * (len(tables[0].names) + 1) * sum(t.n_rows for t in tables)
+        tracemalloc.start()
+        try:
+            pooled_fci(tables, fisher_z_test, 0.01, "E")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < block
 
 
 class TestSettingRanges:

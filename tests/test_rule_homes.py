@@ -12,7 +12,9 @@ become masks once, at the public boundary of ``components`` and
 and a subgraph of the identification calculus is a scope mask, not a graph
 that ``MixedGraph`` builds. Column names become column positions once, at
 the name-level entry points of ``citest``: its position cores, which
-batched CI decisions run on, call none of them."""
+batched CI decisions run on, call none of them. The columns of tables
+that are pooled or concatenated are joined by ``data._pooled_column``
+alone."""
 
 import ast
 from pathlib import Path
@@ -136,3 +138,18 @@ def test_citest_position_cores_call_no_name_level_function():
              for name in called_names(functions[core]) &
              (takes_names | table_methods)}
     assert calls == set()
+
+
+def test_environment_tables_are_concatenated_in_one_function():
+    # a pool keeps its input tables as segments and builds a pooled
+    # column from them only when asked; concat_tables shares that function
+    def joins_columns(node):
+        if not (isinstance(node, ast.Call) and
+                ast.unparse(node.func).split(".")[-1] in
+                ("concatenate", "hstack", "append")):
+            return False
+        return any(isinstance(n, ast.Attribute) and
+                   n.attr in ("column", "_columns")
+                   for arg in node.args for n in ast.walk(arg))
+
+    assert sites(joins_columns) == {("data", "_pooled_column")}
