@@ -16,8 +16,8 @@ a pseudo-inverse that drops eigenvalues at or below ``MIN_UNEXPLAINED``,
 so a rank-deficient s (a level that never occurs, collinear columns) is
 allowed. A column of a or b is degenerate where its share of variance
 left unexplained by s and the columns of its block before it is at most
-``MIN_UNEXPLAINED``: the rank rule of ``data.cholesky``, which
-``residual_variances`` and the linear backend of ``estimate`` apply too,
+``MIN_UNEXPLAINED``: the rank rule of ``data.cholesky``, which the
+environment test and the linear backend of ``estimate`` apply too,
 stated on the correlation scale so that it survives the squared condition
 number of a Gram matrix.
 
@@ -57,34 +57,36 @@ answers on the pooled rows. The residual variances come from the
 per-environment correlation matrices a table computes once
 (``DataTable.correlations``), so a test costs one batched Cholesky
 factorization of m + 1 small matrices, whatever the row count.
-``fci.DataOracle`` sends every query on an environment pair here, through
-``environment_firsts``, which estimates the kurtosis only where it can
-change the decision.
+Each set of a pair with the environment column is routed here by
+``firsts_at``, which estimates the kurtosis only where it can change the
+decision.
 
-Batched CI decisions. ``firsts`` (Fisher-z, or any test set by set) and
-``environment_firsts`` take the conditioning sets of one size of many
-pairs at once, each pair's sets in order, and return for each pair the
-index of its first independent set. They check each query's names and put
-them at column positions once; ``firsts_at`` and ``environment_firsts_at``
-take queries at positions, as ``fci.DataOracle`` builds them, and check
-nothing. The batch is one array of rows [a, b, *s] of positions; the
-sets' submatrices are gathered from it with one fancy index and inverted
-with one stacked ``np.linalg.inv``, or factored with one stacked
-``data.cholesky``; the statistics are finished in numpy and compared with
-the critical values of (alpha, dof) (``critical_values``, computed once by
-bisection on the closed-form tails below, dof 0 for the normal tail). A
-statistic between them, whose tail is within ``CRITICAL_MARGIN`` of alpha,
-and an environment statistic whose kurtosis correction can carry it across
-them, takes its own p-value, so every decision is exactly ``p_value >=
-alpha``. A set that cannot be tested is an error of its own pair only,
-returned where that pair reaches it; a row's names are looked up only to
-name the column at fault, or to run a test other than Fisher-z. LAPACK
-runs the same routine on each matrix of a stack, so a set's statistic is
-the same in any batch; ``fisher_z_test`` and ``environment_test`` are
-batches of one and report the statistics that the decisions read. On the
-learn-wide benchmark's seed 0 this puts FCI's 1,448 decided tests in 14
-stacked inverses and 13 stacked factorizations, where one batch per edge
-took 169 and 34 and scored every set's p-value in Python.
+Batched CI decisions. ``firsts_at`` is the one batch entry: it takes the
+conditioning sets of one size of many pairs at once, at column positions
+as ``fci.DataOracle`` builds them (it checks nothing), each pair's sets in
+order, and returns for each pair the index of its first independent set.
+The batch is one array of rows [a, b, *s] of positions, and
+``_decisions`` routes each row to its test: the rows of pairs with the
+environment column are factored with one stacked ``data.cholesky`` call;
+the rows that the environment test leaves to the chosen test, and all
+the others, are one batch of it. Fisher-z gathers their submatrices with
+one fancy index and inverts them with one stacked ``np.linalg.inv``; any
+other test runs set by set, on the row's names. The statistics are
+finished in numpy and compared with the critical values of (alpha, dof)
+(``critical_values``, computed once by bisection on the closed-form tails
+below, dof 0 for the normal tail). A statistic between them, whose tail is
+within ``CRITICAL_MARGIN`` of alpha, and an environment statistic whose
+kurtosis correction can carry it across them, takes its own p-value, so
+every decision is exactly ``p_value >= alpha``. A set that cannot be
+tested is an error of its own pair only, returned where that pair reaches
+it; a row's names are looked up only to name the column at fault, or to
+run a test other than Fisher-z. LAPACK runs the same routine on each
+matrix of a stack, so a set's statistic is the same in any batch;
+``fisher_z_test`` and ``environment_test`` are batches of one and report
+the statistics that the decisions read. On the learn-wide benchmark's
+seed 0 this puts FCI's 1,448 decided tests in 16 calls, with 16 stacked
+inverses and 13 stacked factorizations, where one batch per edge took 169
+and 34 and scored every set's p-value in Python.
 
 All p-values come in closed form: the two-sided normal tail as
 ``erfc(z / sqrt 2)``, and the chi-square upper tail at integer degrees of
@@ -166,17 +168,6 @@ def _check_args(data: DataTable, a: str, b: str,
     return subsets
 
 
-def _positioned(data: DataTable, check: Callable, a: str, b: str,
-                subsets: Iterable[Iterable[str]]) -> tuple:
-    """The query (a, b, subsets) at column positions, each set a tuple in
-    ascending order of name, once ``check`` (``_check_args`` or
-    ``_check_environment_args``) has checked it: one name lookup per name
-    of the query."""
-    subsets = check(data, a, b, subsets)
-    at = data.positions
-    return (*at((a, b)), [tuple(at(s)) for s in subsets])
-
-
 def _positions(data: DataTable, rows: Iterable[Iterable[str]]) -> np.ndarray:
     """The column positions of the names of each of ``rows``, all of one
     length, as the rows of one array."""
@@ -242,45 +233,100 @@ class _Decisions(NamedTuple):
 
 def _decisions(test: Callable, data: DataTable, rows: np.ndarray,
                alpha: float) -> _Decisions:
-    """Whether ``test(data, a, b, s).p_value >= alpha`` for each row
-    [a, b, *s] of ``rows``, column positions with all s of one size.
-    Fisher-z decides the batch in numpy against its critical values; any
-    other test runs set by set, on the row's names, as the decisions are
-    resolved."""
-    if test is not fisher_z_test:
-        names = data.names
+    """Whether each row [a, b, *s] of ``rows``, column positions with all s
+    of one size, tests independent at alpha: by ``environment_test(data, a,
+    b, s, test)`` where a or b is the table's environment column, and by
+    ``test(data, a, b, s)`` elsewhere.
 
-        def tested(j: int) -> bool:
-            a, b, *cond = (names[v] for v in rows[j].tolist())
-            return test(data, a, b, cond).p_value >= alpha
-
-        return _Decisions(np.full(len(rows), -1), tested)
-    statistics, errors = _fisher_z_statistics(data, rows)
+    The environment rows are fitted in one ``_environment_parts`` call. The
+    kurtosis correction only shrinks the scale part, so the statistic lies
+    between the location part and the sum of both parts; the kurtosis is
+    estimated only where the critical values fall between them. The rows
+    that the environment test leaves to ``test``, and all the others, are
+    one batch of ``test``: Fisher-z decides it in numpy against its critical
+    values; any other test runs set by set, on the row's names, as the
+    decisions are resolved.
+    """
+    decided = np.full(len(rows), -1)
+    by_test = np.ones(len(rows), dtype=bool)  # the rows ``test`` answers
+    env = -1 if data.env_column is None else data.index[data.env_column]
+    envs = np.flatnonzero((rows[:, 0] == env) | (rows[:, 1] == env))
+    if len(envs):
+        pairs = rows[envs]
+        # [*s, x], x the side that is not the environment column
+        fit = np.column_stack([pairs[:, 2:], np.where(
+            pairs[:, 0] == env, pairs[:, 1], pairs[:, 0])])
+        parts = _environment_parts(data, fit)
+        decided[envs] = _bracketed(parts.location,
+                                   parts.location + parts.scale, parts.dof,
+                                   alpha)
+        by_test[envs] = parts.fallback
+    tested = np.flatnonzero(by_test)
+    if test is fisher_z_test:
+        statistics, errors = _fisher_z_statistics(data, rows[tested])
+        decided[tested] = _bracketed(statistics, statistics, 0, alpha)
+    names = data.names
 
     def resolve(j: int) -> bool | Exception:
-        if j in errors:
-            return errors[j]
-        return _fisher_z_result(float(statistics[j])).p_value >= alpha
+        if not by_test[j]:
+            i = int(np.searchsorted(envs, j))
+            return _environment_result(
+                data, fit[i, -1], fit[i, :-1], float(parts.location[i]),
+                float(parts.scale[i]), parts.dof).p_value >= alpha
+        if test is not fisher_z_test:
+            a, b, *cond = (names[v] for v in rows[j].tolist())
+            return test(data, a, b, cond).p_value >= alpha
+        i = int(np.searchsorted(tested, j))
+        if i in errors:
+            return errors[i]
+        return _fisher_z_result(float(statistics[i])).p_value >= alpha
 
-    return _Decisions(_bracketed(statistics, statistics, 0, alpha), resolve)
+    return _Decisions(decided, resolve)
 
 
-def _firsts(queries: Sequence,
-            decisions: Callable[[np.ndarray], _Decisions]) -> list:
-    """For each (a, b, sets) of ``queries``, at column positions (all sets
-    of all queries of one size), the index of the first set that
-    ``decisions(rows)`` finds independent, None if none is, or the error
-    of the first set that cannot be tested before it. One call of
-    ``decisions`` decides the sets of all queries, query after query, as
-    the rows [a, b, *s] of one array, so an error stays with its own
-    query."""
+def _caught(fn: Callable, *args):
+    """``fn(*args)``, or the error it raises because a set cannot be tested
+    (a ``DataError``, or a ``ValueError`` such as a NaN p-value or a
+    singular matrix), kept to be raised later. The error is kept without
+    its traceback, and so are the errors it chains to: a traceback's
+    frames lead back, through ``f_back``, to the caller that keeps the
+    error, and that cycle would keep a table alive until the cyclic
+    collector runs."""
+    try:
+        return fn(*args)
+    except (DataError, ValueError) as exc:
+        err: BaseException | None = exc
+        while err is not None:
+            err.__traceback__ = None
+            err = err.__cause__ or err.__context__
+        return exc
+
+
+def firsts_at(test: Callable, data: DataTable, queries: Sequence,
+              alpha: float) -> list:
+    """For each (a, b, sets) of ``queries``, the index of the first set
+    that tests independent at alpha (see ``_decisions``: the environment
+    test on a pair with the table's environment column, ``test`` on the
+    others), None if none does, or the error (a ``DataError`` or
+    ``ValueError``) of the first set before it that cannot be tested,
+    returned, not raised, so that it stays with its own query.
+
+    a and b are the positions of two columns of ``data`` and each set is a
+    tuple of the positions of other columns, all sets of one size; nothing
+    is checked. One ``_decisions`` call decides the sets of all queries,
+    query after query, as the rows [a, b, *s] of one array: Fisher-z with
+    one stacked ``np.linalg.inv``, the environment test with one stacked
+    Cholesky factorization, each statistic compared with the critical
+    values of alpha (``critical_values``); only a statistic between them
+    takes its own p-value."""
     counts = [len(sets) for _, _, sets in queries]
     out: list = [None] * len(queries)
     if not any(counts):
         return out
     # sets of different sizes fail to stack: an error of every query
-    batch = _caught(lambda: decisions(np.array(
-        [(a, b, *s) for a, b, sets in queries for s in sets], dtype=np.intp)))
+    batch = _caught(lambda: _decisions(test, data, np.array(
+        [(a, b, *s) for a, b, sets in queries for s in sets], dtype=np.intp),
+        alpha))
     if isinstance(batch, Exception):  # each query's first set raises it
         return [batch if count else None for count in counts]
     decided, resolve = batch
@@ -302,62 +348,6 @@ def _firsts(queries: Sequence,
                 break
             i += 1
     return out
-
-
-def _by_name(data: DataTable, queries: Sequence, check: Callable,
-             firsts_at: Callable[[list], list]) -> list:
-    """``firsts_at`` on queries (a, b, subsets) given by names: each query
-    is checked by ``check`` and put at column positions once (see
-    ``_positioned``); a query that fails its check gets the error as its
-    answer."""
-    at = [_caught(_positioned, data, check, *query) for query in queries]
-    got = iter(firsts_at([q for q in at if not isinstance(q, Exception)]))
-    return [q if isinstance(q, Exception) else next(got) for q in at]
-
-
-def _caught(fn: Callable, *args):
-    """``fn(*args)``, or the error it raises because a set cannot be tested
-    (a ``DataError``, or a ``ValueError`` such as a NaN p-value or a
-    singular matrix), kept to be raised later. The error is kept without
-    its traceback, and so are the errors it chains to: a traceback's
-    frames lead back, through ``f_back``, to the caller that keeps the
-    error, and that cycle would keep a table alive until the cyclic
-    collector runs."""
-    try:
-        return fn(*args)
-    except (DataError, ValueError) as exc:
-        err: BaseException | None = exc
-        while err is not None:
-            err.__traceback__ = None
-            err = err.__cause__ or err.__context__
-        return exc
-
-
-def firsts(test: Callable, data: DataTable, queries: Sequence,
-           alpha: float) -> list:
-    """For each (a, b, subsets) of ``queries`` (all sets of one size), the
-    index of the first set s of ``subsets`` with ``test(data, a, b,
-    s).p_value >= alpha``, None if there is none, or the error (a
-    ``DataError`` or ``ValueError``) that the test raises on a set before
-    that one, returned, not raised, so that it stays with its own query.
-
-    Each query is checked and put at column positions once, and
-    ``firsts_at`` decides them: Fisher-z decides the sets of all queries
-    in one batch, one stacked ``np.linalg.inv`` gives every statistic, and
-    each is compared with the critical values of alpha
-    (``critical_values``); only a statistic between them takes its own
-    p-value."""
-    return _by_name(data, queries, _check_args,
-                    lambda at: firsts_at(test, data, at, alpha))
-
-
-def firsts_at(test: Callable, data: DataTable, queries: Sequence,
-              alpha: float) -> list:
-    """``firsts`` on queries at column positions, which it does not check:
-    for each (a, b, sets) of ``queries``, a and b the positions of two
-    columns of ``data`` and each set a tuple of the positions of other
-    columns, all sets of one size."""
-    return _firsts(queries, lambda rows: _decisions(test, data, rows, alpha))
 
 
 def _fisher_z_statistics(data: DataTable, rows: np.ndarray
@@ -418,45 +408,13 @@ def fisher_z_test(data: DataTable, a: str, b: str,
                   s: Iterable[str] = ()) -> CITestResult:
     """Two-sided test of zero partial correlation of a and b given s, from
     the table's cached correlation matrix: a batch of one of the statistics
-    that ``firsts`` decides."""
+    that ``firsts_at`` decides."""
     [s] = _check_args(data, a, b, [s])
     statistics, errors = _fisher_z_statistics(data,
                                                _positions(data, [(a, b, *s)]))
     if errors:  # popped: no local keeps it, and its traceback no cycle
         raise errors.pop(0)
     return _fisher_z_result(float(statistics[0]))
-
-
-def _regression_rows(data: DataTable, x: str,
-                     subsets: Iterable[Iterable[str]]) -> np.ndarray:
-    """The row [*s, x] at column positions, s in the order given, of each
-    conditioning set s of ``subsets``, once x is known to lie outside
-    every set."""
-    subsets = [list(s) for s in subsets]
-    if any(x in s for s in subsets):
-        raise DataError(f"{x!r} must not appear in its own "
-                        "conditioning set")
-    return _positions(data, ([*s, x] for s in subsets))
-
-
-def residual_variances(data: DataTable, x: str,
-                       subsets: list[list[str]]) -> list[tuple | None]:
-    """Maximum-likelihood residual variances of the regression of x on s
-    with intercept, for each conditioning set s of ``subsets`` (all of one
-    size): (rows per environment, per-environment variances, pooled
-    variance over all rows), or None where s is degenerate within an
-    environment (a column of s constant there, or s collinear there).
-    ``_residual_variances`` computes them (see there).
-
-    Raises ``DataError`` if x or a name of a set is not a column of the
-    table, or x lies in a set; ``DegenerateDataError`` if the table has a
-    single environment, and ``DataError`` if an environment has no more
-    than |s| + 2 rows.
-    """
-    counts, sigma2, pooled = _residual_variances(
-        data, _regression_rows(data, x, subsets))
-    return [None if math.isnan(v) else (counts, s2, v)
-            for s2, v in zip(sigma2, pooled.tolist())]
 
 
 def _residual_variances(data: DataTable, rows: np.ndarray
@@ -523,26 +481,18 @@ def _unexplained_share(corr: np.ndarray, tol: float) -> np.ndarray:
     return share
 
 
-def residual_kurtosis(data: DataTable, x: str, s: Iterable[str] = ()
-                      ) -> float:
-    """Kurtosis E[r^4] / E[r^2]^2 of the residual r of the regression of x
-    on s with intercept, fitted within each environment, estimated on the
-    rows of ``DataTable.moments().sample``; the average over environments,
-    weighted by their rows there. 3 for Gaussian residuals.
+def _residual_kurtosis(data: DataTable, x: int, s: np.ndarray) -> float:
+    """Kurtosis E[r^4] / E[r^2]^2 of the residual r of the regression of
+    column x on the columns s with intercept, at column positions, fitted
+    within each environment, estimated on the rows of
+    ``DataTable.moments().sample``; the average over environments, weighted
+    by their rows there. 3 for Gaussian residuals.
 
     Each environment's residual is standardized by its own variance, so a
     change of scale between environments does not raise the estimate. s
     must not be degenerate within an environment (see
-    ``residual_variances``). Raises ``DataError`` if x or a name of s is
-    not a column of the table, or x lies in s.
+    ``_residual_variances``), and x must lie outside s.
     """
-    [row] = _regression_rows(data, x, [s])
-    return _residual_kurtosis(data, row[-1], row[:-1])
-
-
-def _residual_kurtosis(data: DataTable, x: int, s: np.ndarray) -> float:
-    """``residual_kurtosis`` of column x on the columns s, at column
-    positions."""
     mom = data.moments()
     r = mom.sample[:, x].copy()
     if len(s):
@@ -621,16 +571,6 @@ def _tested_side(data: DataTable, a: str, b: str) -> str:
     return b if a == env else a
 
 
-def _check_environment_args(data: DataTable, a: str, b: str,
-                            subsets: Iterable[Iterable[str]]
-                            ) -> list[list[str]]:
-    """``_check_args``, and then that one of a, b is the table's environment
-    column."""
-    subsets = _check_args(data, a, b, subsets)
-    _tested_side(data, a, b)
-    return subsets
-
-
 def _environment_result(data: DataTable, x: int, s: np.ndarray,
                         location: float, scale: float,
                         dof: int) -> CITestResult:
@@ -648,7 +588,7 @@ def environment_test(data: DataTable, a: str, b: str,
     """Test that the conditional of the non-environment side given s is the
     same in every environment; one of a, b must be the table's environment
     column (see the module docstring). A batch of one of the statistics
-    that ``environment_firsts`` decides.
+    that ``firsts_at`` decides.
 
     If that side is constant or a linear function of s within some
     environments but not all, its conditional plainly changes: p = 0.
@@ -666,65 +606,6 @@ def environment_test(data: DataTable, a: str, b: str,
     return _environment_result(data, row[0, -1], row[0, :-1],
                                float(parts.location[0]),
                                float(parts.scale[0]), parts.dof)
-
-
-def _environment_decisions(data: DataTable, rows: np.ndarray, alpha: float,
-                           fallback: Callable) -> _Decisions:
-    """Whether ``environment_test(data, a, b, s, fallback).p_value >=
-    alpha`` for each row [a, b, *s] of ``rows``, column positions with one
-    of a, b the table's environment column and all s of one size.
-
-    The kurtosis correction only shrinks the scale part, so the statistic
-    lies between the location part and the sum of both parts; the kurtosis
-    is estimated only where the critical values fall between them. The
-    rows that ``fallback`` answers are decided as one batch of it.
-    """
-    env = data.index[data.env_column]
-    xs = np.where(rows[:, 0] == env, rows[:, 1], rows[:, 0])
-    parts = _environment_parts(data, np.column_stack([rows[:, 2:], xs]))
-    decided = _bracketed(parts.location, parts.location + parts.scale,
-                         parts.dof, alpha)
-    back = np.flatnonzero(parts.fallback)
-    at = {j: i for i, j in enumerate(back.tolist())}
-    if at:
-        answer = _decisions(fallback, data, rows[back], alpha)
-        decided[back] = answer.decided
-
-    def resolve(j: int) -> bool | Exception:
-        if j in at:
-            return answer.resolve(at[j])
-        return _environment_result(
-            data, xs[j], rows[j, 2:], float(parts.location[j]),
-            float(parts.scale[j]), parts.dof).p_value >= alpha
-
-    return _Decisions(decided, resolve)
-
-
-def environment_firsts(data: DataTable, queries: Sequence, alpha: float,
-                       fallback: Callable = fisher_z_test) -> list:
-    """``firsts`` for the environment test: for each (a, b, subsets) of
-    ``queries`` (one of a, b the table's environment column, all sets of
-    one size), the index of the first set s of ``subsets`` with
-    ``environment_test(data, a, b, s, fallback).p_value >= alpha``, None
-    if there is none, or the error raised on a set before that one.
-
-    Each query is checked and put at column positions once, and
-    ``environment_firsts_at`` fits the sets of all queries as one batch:
-    one stacked Cholesky factorization gives both parts of every
-    likelihood ratio, and each is compared with the critical values of
-    alpha."""
-    return _by_name(data, queries, _check_environment_args,
-                    lambda at: environment_firsts_at(data, at, alpha,
-                                                     fallback))
-
-
-def environment_firsts_at(data: DataTable, queries: Sequence, alpha: float,
-                          fallback: Callable = fisher_z_test) -> list:
-    """``environment_firsts`` on queries at column positions, which it does
-    not check (see ``firsts_at``); one of a, b of each query is the
-    position of the table's environment column."""
-    return _firsts(queries, lambda rows: _environment_decisions(
-        data, rows, alpha, fallback))
 
 
 def degenerate_gaussian_test(data: DataTable, a: str, b: str,

@@ -275,7 +275,7 @@ def cmd_sweep(args) -> int:
     _finite("--grid-start", args.grid_start)
     _finite("--grid-stop", args.grid_stop)
     _count("--seed", args.seed)
-    _count("--grid-points", args.grid_points)
+    _positive("--grid-points", args.grid_points)
     _count("--max-observed", args.max_observed)
     _positive("--n-train", args.n_train)
     _positive("--n-test", args.n_test)

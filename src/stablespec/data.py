@@ -114,21 +114,31 @@ def embed(table: "DataTable") -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """All columns of ``table`` as one n x w design, side by side in
     ``names`` order: a continuous column as itself, a discrete column
     one-hot encoded with its last level dropped. Also returns, per column,
-    the positions of its columns in the design."""
+    the positions of its columns in the design. A pool fills the design's
+    rows segment by segment, each from its input table, and its
+    environment column from the table's index, so it builds no pooled
+    column."""
     index, start = {}, 0
     for name in table.names:
         index[name] = np.arange(start, start + table.width(name))
         start += table.width(name)
     design = np.zeros((table.n_rows, start))
-    rows = np.arange(table.n_rows)
-    for name, pos in index.items():
-        col = table.column(name)
-        if table.is_discrete(name):
-            codes = col.astype(int)
-            keep = codes < len(pos)
-            design[rows[keep], pos[0] + codes[keep]] = 1.0
-        else:
-            design[:, pos[0]] = col
+    end = 0
+    for e, part in enumerate(table._segments or (table,)):
+        block = design[end:end + part.n_rows]
+        end += part.n_rows
+        rows = np.arange(part.n_rows)
+        for name, pos in index.items():
+            if name in part.index:
+                col = part.column(name)
+            else:  # a pool's environment column
+                col = np.full(part.n_rows, float(e))
+            if table.is_discrete(name):
+                codes = col.astype(int)
+                keep = codes < len(pos)
+                block[rows[keep], pos[0] + codes[keep]] = 1.0
+            else:
+                block[:, pos[0]] = col
     return design, index
 
 
@@ -473,10 +483,10 @@ def pool_environments(tables: Iterable[DataTable],
 
     The pool keeps the input tables as its segments, without a copy: each
     table with rows is one environment group of ``moments()``, and
-    ``take_groups`` splits the pool table by table. A pooled column is
-    built from the segments only when a caller asks for it by ``column``
-    (as ``matrix``, ``take``, ``embedding`` and ``save_csv`` do), once per
-    column."""
+    ``take_groups`` splits the pool table by table, and ``embed`` fills
+    its design segment by segment. A pooled column is built from the
+    segments only when a caller asks for it by ``column`` (as ``matrix``,
+    ``take`` and ``save_csv`` do), once per column."""
     tables = list(tables)
     if len(tables) < 2:
         raise DataError("environment indicator would be constant; "

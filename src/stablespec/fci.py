@@ -18,11 +18,12 @@ arrowheads into its environment column; ``pooled_fci`` first pools
 per-environment datasets under an appended environment indicator column.
 
 ``DataOracle`` answers queries with a CI test on a table. Queries on a
-pair of the table's environment column and a continuous variable go to
-``citest.environment_test``, a test of whether that variable's conditional
-differs between environments (intercept, slope or scale); the chosen test
-answers all the others, and also the environment pairs that the
-environment test cannot fit (see ``citest``). So a mechanism change that
+pair of the table's environment column and a continuous variable are
+answered by ``citest.environment_test``, a test of whether that variable's
+conditional differs between environments (intercept, slope or scale); the
+chosen test answers all the others, and also the environment pairs that
+the environment test cannot fit. ``citest`` routes each set to its test,
+so the oracle does not tell the pairs apart. So a mechanism change that
 leaves a variable's mean alone, such as a change of scale, still makes the
 variable a child of the environment vertex, and a variable constant in one
 environment but not in another is a child of it.
@@ -40,12 +41,12 @@ sets of a whole level are known before any is answered, and one call asks
 them all, as GPU PC (cuPC) does. ``DataOracle`` puts each query's names at
 column positions once, from its pools, and enumerates its sets as
 position tuples; it streams them, pair after pair, into stacked calls of
-at most ``MAX_BATCH`` sets, one stream for the environment pairs and one
-for the others: batched CI decisions (see ``citest``), which gather each
-set's submatrix straight from its positions. Only a separating set found
-is put back into names. A pair decided in one call adds no further sets
-to the next. A query counts as one CI test if it is decided: the sets of a
-pair up to and including the first independent one.
+at most ``MAX_BATCH`` sets of ``citest.firsts_at``: batched CI decisions
+(see ``citest``), which gather each set's submatrix straight from its
+positions. Only a separating set found is put back into names. A pair
+decided in one call adds no further sets to the next. A query counts as
+one CI test if it is decided: the sets of a pair up to and including the
+first independent one.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from dataclasses import dataclass
 from itertools import combinations, filterfalse, islice
 from typing import Callable, Iterable, Sequence
 
-from .citest import environment_firsts_at, firsts_at, fisher_z_test
+from .citest import firsts_at, fisher_z_test
 from .data import DataError, DataTable, pool_environments
 from .graph import ARROW, CIRCLE, TAIL, Edge, MixedGraph
 from .separation import m_connected
@@ -100,11 +101,12 @@ class DataOracle:
     """CI oracle answering queries by a hypothesis test at level alpha on a
     table.
 
-    A query whose a or b is the table's environment column goes to
+    A query whose a or b is the table's environment column is answered by
     ``environment_test`` with ``test`` as its fallback (``test`` answers
     it when the other side is discrete or the per-environment regressions
-    cannot be fitted); every other query goes to ``test``. Raises
-    ``ValueError`` unless 0 < alpha < 1.
+    cannot be fitted); every other query by ``test``. ``citest.firsts_at``
+    routes each set to its test. Raises ``ValueError`` unless 0 < alpha <
+    1.
     """
 
     def __init__(self, table: DataTable, test: Callable = fisher_z_test,
@@ -123,41 +125,30 @@ class DataOracle:
 
         A query's names are put at column positions once, from its pools,
         and its sets are enumerated as tuples of positions, in the same
-        order; only a separating set found is put back into names. The
-        environment pairs form one stream and the other pairs another
-        (see ``_stream``): Fisher-z decides each stacked call with one
-        stacked inverse, the environment test with one stacked Cholesky
-        factorization (see ``citest``). A set that cannot be tested raises
-        only if its query reaches it, and the first such query, in order,
-        raises. A name that is not a column of the table raises
-        ``DataError``, and so does a query whose a and b are equal or lie
-        in its pools.
+        order; only a separating set found is put back into names. All
+        queries form one stream (see ``_stream``): within each stacked
+        call, Fisher-z decides its sets with one stacked inverse, the
+        environment test with one stacked Cholesky factorization (see
+        ``citest``). A set that cannot be tested raises only if its query
+        reaches it, and the first such query, in order, raises. A name that
+        is not a column of the table raises ``DataError``, and so does a
+        query whose a and b are equal or lie in its pools.
         """
-        table, test, alpha = self.table, self.test, self.alpha
-        streams: tuple[list, list] = ([], [])
-        at = table.positions
-        for k, (a, b, pools, size) in enumerate(queries):
+        table, at = self.table, self.table.positions
+        stream = []
+        for a, b, pools, size in queries:
             if a == b:
                 raise DataError("a and b must differ")
             if any(a in pool or b in pool for pool in pools):
                 raise DataError("a and b must not appear in the "
                                 "conditioning set")
             pools = [at(pool) for pool in pools]
-            streams[table.env_column in (a, b)].append(
-                (k, (*at((a, b)), _distinct_subsets(pools, size))))
-        out: list = [None] * len(queries)
-        for stream, decide in (
-                (streams[0], lambda chunk: firsts_at(test, table, chunk,
-                                                     alpha)),
-                (streams[1], lambda chunk: environment_firsts_at(
-                    table, chunk, alpha, test))):
-            for (k, _), answer in zip(stream, _stream(
-                    [query for _, query in stream], decide)):
-                if not isinstance(answer, Exception) and \
-                        answer[1] is not None:
-                    answer = answer[0], tuple(table.names[v]
-                                              for v in answer[1])
-                out[k] = answer
+            stream.append((*at((a, b)), _distinct_subsets(pools, size)))
+        out = _stream(stream, lambda chunk: firsts_at(
+            self.test, table, chunk, self.alpha))
+        for k, answer in enumerate(out):
+            if not isinstance(answer, Exception) and answer[1] is not None:
+                out[k] = answer[0], tuple(table.names[v] for v in answer[1])
         error = next((got for got in out if isinstance(got, Exception)),
                      None)
         if error is None:
@@ -174,10 +165,10 @@ def _stream(queries: Sequence[tuple], decide: Callable) -> list:
     on a set it reaches.
 
     The sets of all queries, query after query, are cut into calls of
-    ``decide`` (``citest.firsts_at`` or ``environment_firsts_at``) of at most
-    ``MAX_BATCH`` sets; a query cut at the end of one call continues in the
-    next unless it was decided. The stream stops at the first call that
-    returns an exception: every query before it is decided by then.
+    ``decide`` (``citest.firsts_at``) of at most ``MAX_BATCH`` sets; a
+    query cut at the end of one call continues in the next unless it was
+    decided. The stream stops at the first call that returns an
+    exception: every query before it is decided by then.
     """
     out: list = [(0, None)] * len(queries)
     todo = [(k, a, b, iter(subsets))

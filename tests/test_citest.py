@@ -10,14 +10,13 @@ import pytest
 from stablespec import citest, data
 from stablespec.citest import (
     CRITICAL_MARGIN, CITestResult, DegenerateDataError, chi2_sf,
-    critical_values, degenerate_gaussian_test, environment_firsts,
-    environment_test, firsts, fisher_z_test, normal_two_sided_p,
-    residual_kurtosis, residual_variances,
+    critical_values, degenerate_gaussian_test, environment_test, firsts_at,
+    fisher_z_test, normal_two_sided_p,
 )
 from stablespec.data import DataError, DataTable, pool_environments
 from stablespec.fci import DataOracle
 from stablespec.scm import shift_benchmark_scm
-from util import exact_table, first_index, near_copy
+from util import at_positions, exact_table, first_index, near_copy
 
 
 def rowwise_fisher_z(data, a, b, s):
@@ -393,6 +392,20 @@ def rowwise_kurtosis(data, x, s):
     return total / data.n_rows
 
 
+def residual_variances_of(data, x, subsets):
+    """``citest._residual_variances`` of x on each conditioning set of
+    ``subsets``, given by names: the rows per environment, the
+    per-environment variances (one row per set) and the pooled variances."""
+    return citest._residual_variances(
+        data, np.array(at_positions(data, [[*s, x] for s in subsets])))
+
+
+def residual_kurtosis_of(data, x, s):
+    """``citest._residual_kurtosis`` of x on the set s, given by names."""
+    row = np.array(at_positions(data, [*s, x]), dtype=np.intp)
+    return citest._residual_kurtosis(data, row[-1], row[:-1])
+
+
 def binomial_band(trials, p, level):
     """Smallest [lo, hi] holding a Binomial(trials, p) count with
     probability at least ``level``, (1 - level) / 2 cut from each tail."""
@@ -451,7 +464,7 @@ class TestEnvironmentTest:
             for _ in range(5):
                 v, *rest = rng.permutation(names)
                 s = sorted(rest[:rng.integers(0, 4)])
-                [(counts, per_env, pooled)] = residual_variances(t, v, [s])
+                counts, [per_env], [pooled] = residual_variances_of(t, v, [s])
                 want_env, want_pooled = rowwise_residual_variances(t, v, s)
                 assert counts.tolist() == \
                     [int(np.sum(env == e)) for e in range(3)]
@@ -468,33 +481,8 @@ class TestEnvironmentTest:
                 (1.0 + env) + env
             t = env_table({"x": x, "s0": s[:, 0], "s1": s[:, 1]}, env)
             for cond in ([], ["s0"], ["s0", "s1"]):
-                assert residual_kurtosis(t, "x", cond) == pytest.approx(
+                assert residual_kurtosis_of(t, "x", cond) == pytest.approx(
                     rowwise_kurtosis(t, "x", cond), rel=1e-9)
-
-    def test_residual_entries_name_an_unknown_column(self):
-        rng = np.random.default_rng(15)
-        env = np.repeat([0, 1], 100)
-        t = env_table({"X": rng.normal(size=200),
-                       "S": rng.normal(size=200)}, env)
-        for call in (lambda: residual_kurtosis(t, "Q"),
-                     lambda: residual_kurtosis(t, "X", ["Q"]),
-                     lambda: residual_variances(t, "Q", [[]]),
-                     lambda: residual_variances(t, "X", [["S"], ["Q"]])):
-            with pytest.raises(DataError, match="no column 'Q'"):
-                call()
-
-    def test_residual_entries_refuse_x_in_its_conditioning_set(self):
-        # regressed on itself, x leaves no residual: a kurtosis of 0 / 0
-        rng = np.random.default_rng(16)
-        env = np.repeat([0, 1], 100)
-        t = env_table({"X": rng.normal(size=200),
-                       "S": rng.normal(size=200)}, env)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for call in (lambda: residual_kurtosis(t, "X", ["X"]),
-                         lambda: residual_variances(t, "X", [["S", "X"]])):
-                with pytest.raises(DataError, match="'X' must not appear"):
-                    call()
 
     @pytest.mark.parametrize("noise", ["normal", "laplace"])
     def test_statistic_and_dof(self, noise):
@@ -504,14 +492,14 @@ class TestEnvironmentTest:
                        "s": rng.normal(size=1500),
                        "r": rng.normal(size=1500)}, env)
         got = environment_test(t, "E", "x", {"s", "r"})
-        [(counts, per_env, pooled)] = residual_variances(t, "x",
-                                                         [["r", "s"]])
+        counts, [per_env], [pooled] = residual_variances_of(t, "x",
+                                                            [["r", "s"]])
         within = float(counts @ per_env) / 1500
         location = 1500 * math.log(pooled / within)
         scale = 1500 * math.log(within) - float(counts @ np.log(per_env))
         lr = 1500 * math.log(pooled) - float(counts @ np.log(per_env))
         assert location + scale == pytest.approx(lr, rel=1e-12)
-        kurtosis = residual_kurtosis(t, "x", ["r", "s"])
+        kurtosis = residual_kurtosis_of(t, "x", ["r", "s"])
         inflation = max((kurtosis - 1.0) / 2.0, 1.0)
         if noise == "laplace":  # kurtosis 6
             assert inflation > 1.5
@@ -529,17 +517,18 @@ class TestEnvironmentTest:
         tied = np.where(env == 0, 2.0 * s, rng.normal(size=400))
         t = env_table({"fixed": fixed, "tied": tied, "s": s}, env)
         for x, cond in (("fixed", []), ("fixed", ["s"]), ("tied", ["s"])):
-            [(counts, per_env, pooled)] = residual_variances(t, x, [cond])
+            counts, [per_env], [pooled] = residual_variances_of(t, x, [cond])
             assert per_env[0] == 0.0 and per_env[1] > 0.0
             got = environment_test(t, "E", x, cond)
             assert got.p_value == 0.0 and got.statistic == math.inf
-            assert environment_firsts(t, [(x, "E", [cond])], 1e-300) == \
-                [None]
+            assert firsts_at(fisher_z_test, t,
+                             at_positions(t, [(x, "E", [cond])]),
+                             1e-300) == [None]
 
     def test_degenerate_in_every_environment_goes_to_the_fallback(self):
         env = np.repeat([0, 1, 2], 100)
         t = env_table({"x": np.array([0.5, 1.5, 0.7])[env]}, env)
-        [(_, per_env, _)] = residual_variances(t, "x", [[]])
+        _, [per_env], _ = residual_variances_of(t, "x", [[]])
         assert per_env.tolist() == [0.0, 0.0, 0.0]
         assert environment_test(t, "E", "x") == fisher_z_test(t, "E", "x")
 
@@ -548,7 +537,8 @@ class TestEnvironmentTest:
         env = np.repeat([0, 1], 200)
         s = np.where(env == 0, 0.1, rng.normal(size=400))
         t = env_table({"x": rng.normal(size=400), "s": s}, env)
-        assert residual_variances(t, "x", [["s"]]) == [None]
+        _, per_env, pooled = residual_variances_of(t, "x", [["s"]])
+        assert np.isnan(per_env).all() and np.isnan(pooled).all()
         assert environment_test(t, "E", "x", {"s"}) == \
             fisher_z_test(t, "E", "x", {"s"})
 
@@ -557,7 +547,8 @@ class TestEnvironmentTest:
         # both environments hold the same rows, so each leaves the share
         t = near_copy(factor * citest.MIN_UNEXPLAINED)
         pooled = pool_environments([t, t], "E")
-        [(counts, per_env, var)] = residual_variances(pooled, "a", [["s"]])
+        counts, [per_env], [var] = residual_variances_of(pooled, "a",
+                                                         [["s"]])
         if factor > 1.0:
             want = factor * citest.MIN_UNEXPLAINED * np.var(t.column("a"))
             np.testing.assert_allclose([*per_env, var], want, rtol=1e-3)
@@ -571,7 +562,8 @@ class TestEnvironmentTest:
         r = rng.normal(size=400)
         r[200:] = 2.0 * s[200:]
         t = env_table({"x": rng.normal(size=400), "s": s, "r": r}, env)
-        assert residual_variances(t, "x", [["r", "s"]]) == [None]
+        _, per_env, pooled = residual_variances_of(t, "x", [["r", "s"]])
+        assert np.isnan(per_env).all() and np.isnan(pooled).all()
         seen = []
 
         def spy(data, a, b, s):
@@ -596,19 +588,19 @@ class TestEnvironmentTest:
         x = 0.5 * s - 0.3 * q + rng.normal(size=400) * (1.0 + env)
         t = env_table({"x": x, "s": s, "q": q, "r": r}, env)
         subsets = [["q", "s"], ["r", "s"], ["q", "r"]]
-        alone = [residual_variances(t, "x", [c])[0] for c in subsets]
-        assert alone[1] is None
+        alone = [residual_variances_of(t, "x", [c]) for c in subsets]
+        assert np.isnan(alone[1][2][0])
         per_set = []
         share = citest._unexplained_share
         monkeypatch.setattr(citest, "_unexplained_share",
                             lambda *args: per_set.append(1) or share(*args))
-        got = residual_variances(t, "x", subsets)
+        counts, per_env, pooled = residual_variances_of(t, "x", subsets)
         assert len(per_set) == len(subsets)
-        assert got[1] is None
-        for g, want in zip(got[::2], alone[::2]):
-            assert g[0].tolist() == want[0].tolist()
-            assert g[1].tobytes() == want[1].tobytes()
-            assert g[2] == want[2]
+        assert np.isnan(pooled[1])
+        for j in (0, 2):
+            assert counts.tolist() == alone[j][0].tolist()
+            assert per_env[j].tobytes() == alone[j][1][0].tobytes()
+            assert pooled[j] == alone[j][2][0]
 
     def test_too_few_rows_in_an_environment(self):
         rng = np.random.default_rng(16)
@@ -616,7 +608,7 @@ class TestEnvironmentTest:
         t = env_table({"x": rng.normal(size=53), "s": rng.normal(size=53)},
                       env)
         with pytest.raises(DataError):
-            residual_variances(t, "x", [["s"]])  # 3 rows, |S| + 2 = 3
+            residual_variances_of(t, "x", [["s"]])  # 3 rows, |S| + 2 = 3
         assert environment_test(t, "E", "x", {"s"}) == \
             fisher_z_test(t, "E", "x", {"s"})
         assert environment_test(t, "E", "x").dof == 2
@@ -653,7 +645,7 @@ class TestEnvironmentTest:
             environment_test(one, "E", "x")
 
     def test_decision_agrees_with_the_p_value(self):
-        # environment_firsts skips the kurtosis where it cannot change
+        # firsts_at skips the kurtosis where it cannot change
         # the decision; heavy tails and a small scale change put some
         # decisions where it can
         calls = []
@@ -675,9 +667,10 @@ class TestEnvironmentTest:
                 for cond in ([], ["s"]):
                     p = environment_test(t, "E", "x", cond).p_value
                     for alpha in (0.001, 0.01, 0.05, 0.2, p, p * 1.001):
-                        assert environment_firsts(
-                            t, [("E", "x", [cond])], alpha) == \
-                            [0 if p >= alpha else None]
+                        assert firsts_at(
+                            fisher_z_test, t,
+                            at_positions(t, [("E", "x", [cond])]),
+                            alpha) == [0 if p >= alpha else None]
         finally:
             citest._residual_kurtosis = kurtosis
         # every environment_test call estimates it; some decisions did too
@@ -793,8 +786,8 @@ class TestBatches:
         for j, s in enumerate(subsets):
             p = environment_test(t, "E", "x", s).p_value
             for alpha, want in ((p, 0), (float(np.nextafter(p, 2.0)), None)):
-                got = environment_firsts(
-                    t, [("E", "x", [c]) for c in subsets], alpha)
+                got = firsts_at(fisher_z_test, t, at_positions(
+                    t, [("E", "x", [c]) for c in subsets]), alpha)
                 assert got[j] == want
 
     @pytest.mark.parametrize("seed", range(3))
@@ -804,8 +797,8 @@ class TestBatches:
         for j, s in enumerate(subsets):
             p = fisher_z_test(t, "a", "b", s).p_value
             for alpha, want in ((p, 0), (float(np.nextafter(p, 2.0)), None)):
-                got = firsts(fisher_z_test, t,
-                             [("a", "b", [c]) for c in subsets], alpha)
+                got = firsts_at(fisher_z_test, t, at_positions(
+                    t, [("a", "b", [c]) for c in subsets]), alpha)
                 assert got[j] == want
 
     def test_degenerate_set_raises_only_when_reached(self):
@@ -922,7 +915,6 @@ class TestBatches:
 
     @pytest.mark.parametrize("query, message", [
         (("a", "b", [["c", "d", "e"]]), "too few rows"),   # a batch error
-        (("a", "zz", [[]]), "no column 'zz'"),              # a bad name
     ])
     def test_kept_error_does_not_keep_the_table_alive(self, query, message):
         # reference counting alone must free the table once the answer and
@@ -932,13 +924,131 @@ class TestBatches:
         alive = weakref.ref(t)
         gc.disable()
         try:
-            got = firsts(fisher_z_test, t, [query], self.ALPHA)
+            got = firsts_at(fisher_z_test, t, at_positions(t, [query]),
+                            self.ALPHA)
             assert isinstance(got[0], DataError) and \
                 message in str(got[0])
             del got, t
             assert alive() is None
         finally:
             gc.enable()
+
+
+def decided(test, t, rows, alpha):
+    """Each row [a, b, *s] of names decided by one ``citest._decisions``
+    call: whether it tests independent, or the class and message of the
+    error of a set that cannot be tested."""
+    batch = citest._decisions(test, t, np.array(at_positions(t, rows)),
+                              alpha)
+    out = []
+    for j, d in enumerate(batch.decided.tolist()):
+        got = d == 1 if d != -1 else citest._caught(batch.resolve, j)
+        out.append((type(got), str(got)) if isinstance(got, Exception)
+                   else got)
+    return out
+
+
+def routed(test, t, rows, alpha):
+    """What ``decided`` should give: each row asked one at a time of
+    ``environment_test`` (with ``test`` as its fallback) if a or b is E,
+    and of ``test`` otherwise."""
+    def one(a, b, *s):
+        if "E" in (a, b):
+            return environment_test(t, a, b, s, test).p_value >= alpha
+        return test(t, a, b, s).p_value >= alpha
+
+    return [outcome(lambda: one(*row)) for row in rows]
+
+
+class TestDecisions:
+    """``citest._decisions`` routes each row of one batch to its test."""
+
+    ALPHA = 0.05
+
+    def test_degenerate_gaussian_as_the_test(self):
+        # a continuous x on E goes to the environment test, a discrete d on
+        # E falls back to the chosen test, and every other pair goes to it
+        rng = np.random.default_rng(47)
+        env = np.repeat([0, 1, 2], 400)
+        s = rng.normal(size=(1200, 2))
+        x = s[:, 0] + 0.4 * env + rng.normal(size=1200)
+        d = (s[:, 1] + rng.normal(size=1200) > 0.2 * env).astype(float)
+        t = DataTable({"x": x, "d": d, "s0": s[:, 0], "s1": s[:, 1],
+                       "z": rng.normal(size=1200), "E": env.astype(float)},
+                      kinds={"d": 2, "E": 3}, env_column="E")
+        rows = [("E", "x", "s0"), ("d", "E", "s1"), ("x", "d", "s0"),
+                ("E", "z", "s1"), ("s0", "z", "d"), ("d", "E", "s0")]
+        seen = []
+
+        def spy(data, a, b, s):
+            seen.append((a, b, *s))
+            return degenerate_gaussian_test(data, a, b, s)
+
+        got = decided(spy, t, rows, self.ALPHA)
+        assert got == routed(degenerate_gaussian_test, t, rows, self.ALPHA)
+        assert True in got and False in got
+        # the environment test answers the rows of x and z on E
+        assert sorted(seen) == sorted(rows[1:3] + rows[4:])
+
+    def test_discrete_side_of_an_environment_pair_falls_back(self):
+        rng = np.random.default_rng(53)
+        env = np.repeat([0, 1, 2], 300)
+        s = rng.normal(size=900)
+        x = 0.5 * s + rng.normal(size=900) * (1.0 + 0.5 * env)
+        d = (s + rng.normal(size=900) > 0.0).astype(float)
+        t = DataTable({"x": x, "d": d, "s": s, "E": env.astype(float)},
+                      kinds={"d": 2, "E": 3}, env_column="E")
+        rows = [("E", "d", "s"), ("E", "x", "s"), ("x", "d", "s")]
+        for alpha in (self.ALPHA, fisher_z_test(t, "E", "d", ["s"]).p_value):
+            got = decided(fisher_z_test, t, rows, alpha)
+            assert got == routed(fisher_z_test, t, rows, alpha)
+            assert got[0] == \
+                (fisher_z_test(t, "E", "d", ["s"]).p_value >= alpha)
+        # the scale change of x is seen by the environment test only
+        assert decided(fisher_z_test, t, rows[1:2], self.ALPHA) == [False]
+
+    def test_degenerate_set_in_a_mixed_batch_errors_for_its_query_only(self):
+        # c is constant: a Fisher-z set holding it, and an environment set
+        # holding it, whose fallback is Fisher-z, fail; the other queries of
+        # the same stacked call are decided, v's change of scale by the
+        # environment test, which sees it where Fisher-z does not
+        base = batch_table(2)
+        env = base.column("E")
+        noise = np.random.default_rng(59).normal(size=base.n_rows)
+        t = env_table({**{n: base.column(n) for n in base.names if n != "E"},
+                       "c": np.full(base.n_rows, 3.0),
+                       "v": noise * (1.0 + env)}, env)
+        singles = [[v] for v in ("s0", "s1", "s2", "s3")]
+        ind = [s for s in singles
+               if fisher_z_test(t, "a", "b", s).p_value >= self.ALPHA]
+        dep = [s for s in singles
+               if fisher_z_test(t, "a", "b", s).p_value < self.ALPHA]
+        assert ind and dep
+        bad = ["c"]
+        queries = [("a", "b", [*dep, bad, *ind]), ("E", "x", singles),
+                   ("a", "b", [*ind, bad]), ("x", "E", [*singles, bad]),
+                   ("E", "x", [bad, *singles]), ("a", "b", [*dep, *ind]),
+                   ("E", "v", singles)]
+        got = firsts_at(fisher_z_test, t, at_positions(t, queries),
+                        self.ALPHA)
+        error = (DegenerateDataError,
+                 "constant column in correlation matrix: c")
+        want = []
+        for a, b, sets in queries:
+            def independent(s, a=a, b=b):
+                return routed(fisher_z_test, t, [(a, b, *s)],
+                              self.ALPHA)[0]
+            first = next((i for i, s in enumerate(sets)
+                          if independent(s) is not False), None)
+            want.append(first if first is None or
+                        independent(sets[first]) is True
+                        else independent(sets[first]))
+        assert [(type(g), str(g)) if isinstance(g, Exception) else g
+                for g in got] == want
+        assert want[0] == want[4] == error
+        assert sum(w == error for w in want) < len(want)
+        assert want[-1] is None and \
+            fisher_z_test(t, "E", "v", singles[0]).p_value >= self.ALPHA
 
 
 class TestNullCalibration:
@@ -1045,7 +1155,8 @@ class TestCriticalValues:
             tail = citest.normal_two_sided_p
             monkeypatch.setattr(citest, "normal_two_sided_p",
                                 lambda z: calls.append(z) or tail(z))
-            got = firsts(fisher_z_test, t, queries, alpha)
+            got = firsts_at(fisher_z_test, t, at_positions(t, queries),
+                            alpha)
             monkeypatch.undo()
             assert got == [0 if r.p_value >= alpha else None
                            for r in results]

@@ -217,7 +217,7 @@ class TestNonFiniteFlags:
          "--seed must be a non-negative integer, not -1"),
         (["sweep", "--graph", "{pag}", "--grid-points", "-3",
           "--out", "{out}"],
-         "--grid-points must be a non-negative integer, not -3"),
+         "--grid-points must be a positive integer, not -3"),
         # sample sizes; before: "need at least one row", which named no
         # flag, after every training environment was simulated and fitted
         (["simulate", "--alpha", "4", "--n", "-5", "--out", "{out}.csv"],
@@ -253,6 +253,11 @@ class TestNonFiniteFlags:
         (["sweep", "--graph", "{pag}", "--max-observed", "-1",
           "--out", "{out}"],
          "--max-observed must be a non-negative integer, not -1"),
+        # an empty shift grid; before: "empty shift grid", which named no
+        # flag, after both training environments were simulated and fitted
+        (["sweep", "--graph", "{pag}", "--grid-points", "0",
+          "--out", "{out}"],
+         "--grid-points must be a positive integer, not 0"),
     ])
     def test_exits_two_naming_the_flag(self, workdir, tmp_path, capsys,
                                        flags, message):
@@ -560,10 +565,14 @@ class TestDiscreteSites:
         winner = capsys.readouterr().out.strip()
         log = (tmp_path / "a" / "log.txt").read_text()
 
-        def chosen_test_only(table, queries, alpha, test):
-            return citest.firsts_at(test, table, queries, alpha)
+        parts = citest._environment_parts
 
-        monkeypatch.setattr(fci, "environment_firsts_at", chosen_test_only)
+        def every_row_falls_back(table, rows):
+            return parts(table, rows)._replace(
+                fallback=np.ones(len(rows), dtype=bool))
+
+        monkeypatch.setattr(citest, "_environment_parts",
+                            every_row_falls_back)
         assert self.search(sites, tmp_path / "b") == 0
         assert capsys.readouterr().out.strip() == winner
         assert (tmp_path / "b" / "log.txt").read_text() == \

@@ -11,6 +11,7 @@ import pytest
 
 import stablespec
 from stablespec import data
+from stablespec.citest import degenerate_gaussian_test
 from stablespec.data import (
     COMPRESSED_SUFFIXES, SAMPLE_ROWS, SAVE_BLOCK_ROWS, DataError, DataTable,
     concat_tables, load_csv, pool_environments, save_csv,
@@ -282,6 +283,29 @@ class TestPoolEnvironments:
             for name in whole.names:
                 np.testing.assert_array_equal(got.column(name),
                                               want.column(name))
+
+    def test_embedding_equals_the_concatenated_table_bit_for_bit(
+            self, monkeypatch):
+        # the design is filled segment by segment, in row order, so its
+        # scatter and correlations are those of the concatenated table;
+        # no pooled column is built, also by a degenerate-Gaussian test
+        pooled, whole = self.pooled_and_concatenated()
+        built = []
+        pooled_column = data._pooled_column
+        monkeypatch.setattr(data, "_pooled_column", lambda tables, name, env:
+                            built.append(name) or
+                            pooled_column(tables, name, env))
+        design, index = data.embed(pooled)
+        want_design, want_index = data.embed(whole)
+        assert (design.shape, design.tobytes()) == \
+            (want_design.shape, want_design.tobytes())
+        assert {n: i.tolist() for n, i in index.items()} == \
+            {n: i.tolist() for n, i in want_index.items()}
+        got, want = pooled.embedding(), whole.embedding()
+        assert got.correlation.tobytes() == want.correlation.tobytes()
+        assert degenerate_gaussian_test(pooled, "a", "b", ["d"]) == \
+            degenerate_gaussian_test(whole, "a", "b", ["d"])
+        assert built == [] and pooled._columns == {}
 
     def test_moments_and_split_build_no_pooled_column(self, monkeypatch):
         pooled, _ = self.pooled_and_concatenated()

@@ -551,34 +551,31 @@ class TestPositionLevel:
 
     def test_position_decisions_equal_the_name_level_tests(
             self, monkeypatch):
-        # every set of the two levels that hold the most, decided by the
-        # batch decisions that the oracle streams sets into, at positions
+        # every set of the two levels that hold the most, decided at
+        # positions: each level's environment and other pairs in one
+        # ``citest._decisions`` call, as the oracle streams them
         pooled, levels, *_ = self.learn(monkeypatch)
         monkeypatch.undo()
         alpha, at = 0.01, pooled.index.__getitem__
-        tested = []
+        tested, on_env = [], 0
         for level in sorted(levels, key=lambda queries: -sum(
                 len(list(fci_module._distinct_subsets(pools, size)))
                 for _, _, pools, size in queries))[:2]:
+            rows, want = [], []
             for a, b, pools, size in level:
-                sets = list(fci_module._distinct_subsets(pools, size))
-                rows = np.array([(at(a), at(b), *map(at, s)) for s in sets],
-                                dtype=np.intp).reshape(len(sets), 2 + size)
-                if "E" in (a, b):
-                    batch = citest._environment_decisions(
-                        pooled, rows, alpha, fisher_z_test)
-                    want = [environment_test(pooled, a, b, s).p_value >=
-                            alpha for s in sets]
-                else:
-                    batch = citest._decisions(fisher_z_test, pooled, rows,
-                                              alpha)
-                    want = [fisher_z_test(pooled, a, b, s).p_value >= alpha
-                            for s in sets]
-                got = [bool(d == 1 or d == -1 and batch.resolve(j))
-                       for j, d in enumerate(batch.decided.tolist())]
-                assert got == want, (a, b, size)
-                tested += got
+                test = environment_test if "E" in (a, b) else fisher_z_test
+                for s in fci_module._distinct_subsets(pools, size):
+                    rows.append((at(a), at(b), *map(at, s)))
+                    want.append(test(pooled, a, b, s).p_value >= alpha)
+                    on_env += test is environment_test
+            batch = citest._decisions(fisher_z_test, pooled,
+                                      np.array(rows, dtype=np.intp), alpha)
+            got = [bool(d == 1 or d == -1 and batch.resolve(j))
+                   for j, d in enumerate(batch.decided.tolist())]
+            assert got == want
+            tested += got
         assert len(tested) > 500 and 0 < sum(tested) < len(tested)
+        assert 0 < on_env < len(tested)
 
 
 class TestBatchedOracle:
@@ -701,7 +698,8 @@ class TestBatchedOracle:
 
     def test_first_query_to_fail_raises_across_streams(self):
         # C and D are constant: the Fisher-z query on X-C and the
-        # environment query on E-D, whose fallback is Fisher-z, both fail
+        # environment query on E-D, whose fallback is Fisher-z, both fail,
+        # and whichever comes first in the one stream raises
         rng = np.random.default_rng(9)
         tables = [DataTable({"X": rng.normal(size=300),
                              "C": np.full(300, 2.0),

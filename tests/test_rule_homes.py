@@ -12,7 +12,10 @@ become masks once, at the public boundary of ``components`` and
 and a subgraph of the identification calculus is a scope mask, not a graph
 that ``MixedGraph`` builds. Column names become column positions once, at
 the name-level entry points of ``citest``: its position cores, which
-batched CI decisions run on, call none of them. The columns of tables
+batched CI decisions run on, call none of them. Which test answers a
+conditioning set is decided by ``citest._decisions``, behind
+``citest.firsts_at``, the one entry through which ``fci`` asks for CI
+decisions. The columns of tables
 that are pooled or concatenated are joined by ``data._pooled_column``
 alone."""
 
@@ -123,21 +126,40 @@ def test_citest_position_cores_call_no_name_level_function():
     tree = ast.parse((SRC / "citest.py").read_text())
     functions = {node.name: node for node in tree.body
                  if isinstance(node, ast.FunctionDef)}
-    cores = {"firsts_at", "environment_firsts_at", "_firsts", "_decisions",
-             "_fisher_z_statistics", "_residual_variances",
-             "_residual_kurtosis", "_environment_parts",
-             "_environment_result", "_environment_decisions"}
-    takes_names = {"_check_args", "_check_environment_args", "_positioned",
-                   "_positions", "_regression_rows", "_tested_side",
-                   "_by_name", "firsts", "environment_firsts",
-                   "fisher_z_test", "environment_test", "residual_variances",
-                   "residual_kurtosis", "degenerate_gaussian_test"}
+    cores = {"firsts_at", "_decisions", "_fisher_z_statistics",
+             "_residual_variances", "_residual_kurtosis",
+             "_environment_parts", "_environment_result"}
+    takes_names = {"_check_args", "_positions", "_tested_side",
+                   "fisher_z_test", "environment_test",
+                   "degenerate_gaussian_test"}
     assert cores | takes_names <= set(functions)
     table_methods = {"column", "is_discrete", "levels", "width"}
     calls = {(core, name) for core in cores
              for name in called_names(functions[core]) &
              (takes_names | table_methods)}
     assert calls == set()
+    # one batch entry, and three name-level entries, each one test
+    public = {name for name in functions if not name.startswith("_")}
+    assert {name for name in public
+            if "_check_args" in called_names(functions[name])} == \
+        {"fisher_z_test", "environment_test", "degenerate_gaussian_test"}
+    assert {name for name in functions
+            if "_decisions" in called_names(functions[name])} == \
+        {"firsts_at"}
+
+
+def test_fci_reaches_citest_only_through_the_batch_entry():
+    # which test answers a set is decided in citest: fci imports its one
+    # batch entry, and Fisher-z as the default test
+    tree = ast.parse((SRC / "fci.py").read_text())
+    imported = {(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert {name for module, name in imported if module == "citest"} == \
+        {"firsts_at", "fisher_z_test"}
+    assert ("citest" not in {alias.name for node in ast.walk(tree)
+                             if isinstance(node, (ast.Import, ast.ImportFrom))
+                             for alias in node.names})
 
 
 def test_environment_tables_are_concatenated_in_one_function():

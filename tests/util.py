@@ -180,6 +180,17 @@ def first_index(oracle, a, b, subsets):
     return None if found is None else tests - 1
 
 
+def at_positions(table, names):
+    """``names`` at the column positions of ``table``: a column name as its
+    position, and a list or tuple of names, nested to any depth, as a tuple
+    of positions. So a query ``(a, b, [s, ...])`` of names becomes one that
+    ``citest.firsts_at`` takes, and a list of rows ``[*s, x]``, once passed
+    to ``np.array``, the rows that ``citest._residual_variances`` takes."""
+    if isinstance(names, str):
+        return table.positions([names])[0]
+    return tuple(at_positions(table, name) for name in names)
+
+
 def exact_table(n=1000, seed=35):
     """A table without environments whose statistics are exact: integer
     columns, each a half and its negation, so every mean is 0 and every
