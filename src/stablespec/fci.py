@@ -34,11 +34,13 @@ sets it decided and the first given which a and b are independent, or
 None. The sets of a query are ``_distinct_subsets(pools, size)``, the
 subsets of ``size`` vertices of each pool in turn, each distinct subset
 once, and the oracle enumerates them itself. ``SeparationOracle`` answers
-by m-separation in a known graph. Both adjacency phases are one PC-stable
-level-wise search: at each size it reads the conditioning-set pools of
-every adjacent pair before it tests any (Colombo & Maathuis 2014), so the
-sets of a whole level are known before any is answered, and one call asks
-them all, as GPU PC (cuPC) does. ``DataOracle`` puts each query's names at
+by m-separation in a known graph: it puts each query's names at bits of
+the graph's mask index once and tests its sets as masks. Both adjacency
+phases are one PC-stable level-wise search: at each size it reads the
+conditioning-set pools of every adjacent pair before it tests any
+(Colombo & Maathuis 2014), so the sets of a whole level are known before
+any is answered, and one call asks them all, as GPU PC (cuPC) does.
+``DataOracle`` puts each query's names at
 column positions once, from its pools, and enumerates its sets as
 position tuples; it streams them, pair after pair, into stacked calls of
 at most ``MAX_BATCH`` sets of ``citest.firsts_at``: batched CI decisions
@@ -52,13 +54,13 @@ first independent one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, filterfalse, islice
+from itertools import chain, combinations, filterfalse, islice
 from typing import Callable, Iterable, Sequence
 
 from .citest import firsts_at, fisher_z_test
 from .data import DataError, DataTable, pool_environments
-from .graph import ARROW, CIRCLE, TAIL, Edge, MixedGraph
-from .separation import m_connected
+from .graph import ARROW, CIRCLE, TAIL, Edge, GraphError, MixedGraph
+from .separation import connected
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,8 @@ class Knowledge:
 
 
 class SeparationOracle:
-    """Exact CI oracle answering queries by m-separation in a known graph."""
+    """Exact CI oracle answering queries by m-separation in a known ADMG or
+    MAG."""
 
     def __init__(self, graph: MixedGraph):
         self.graph = graph
@@ -83,17 +86,38 @@ class SeparationOracle:
     def separating_sets(self, queries: Sequence[tuple]) -> list[tuple]:
         """For each (a, b, pools, size) of ``queries``, the number of sets
         of ``_distinct_subsets(pools, size)`` tested and the first that
-        m-separates a and b (None if none)."""
+        m-separates a and b (None if none).
+
+        A query's names are put at bits of the graph's mask index once,
+        from its pools, and its sets are enumerated as tuples of bits, in
+        the same order, each tested by ``separation.connected``; only a
+        separating set found is put back into names. Each query is checked
+        before its sets, as ``m_connected`` checks one: a graph that is not
+        an ADMG or MAG, equal a and b, an unknown name, or a or b in a pool
+        raises ``GraphError``.
+        """
+        g = self.graph
+        if g.kind not in ("ADMG", "MAG"):
+            raise GraphError(f"m_connected requires an ADMG or MAG, "
+                             f"got {g.kind}")
+        ix = g.masks()
+        bit, names = ix.bit, ix.names
         out = []
         for a, b, pools, size in queries:
-            tests = 0
-            for s in _distinct_subsets(pools, size):
+            if a == b:
+                raise GraphError("x and y must differ")
+            ix.mask(chain((a, b), *pools))
+            if any(a in pool or b in pool for pool in pools):
+                raise GraphError("x and y must not be in z")
+            x, y = bit[a].bit_length() - 1, bit[b]
+            tests, found = 0, None
+            for s in _distinct_subsets(
+                    [[bit[v] for v in pool] for pool in pools], size):
                 tests += 1
-                if not m_connected(self.graph, a, b, set(s)):
-                    out.append((tests, s))
+                if not connected(ix, x, y, sum(s)):
+                    found = tuple(names[v.bit_length() - 1] for v in s)
                     break
-            else:
-                out.append((tests, None))
+            out.append((tests, found))
         return out
 
 
@@ -261,8 +285,8 @@ MAX_BATCH = 256
 
 def _distinct_subsets(pools: Sequence[Sequence], size: int):
     """The subsets of ``size`` vertices of each of ``pools`` in turn, in
-    order, each distinct subset once; vertices are names or column
-    positions. A pool holds distinct vertices, so a subset of a later pool
+    order, each distinct subset once; vertices are names, column positions
+    or mask bits. A pool holds distinct vertices, so a subset of a later pool
     is a repeat iff it lies inside an earlier one."""
     earlier: list[set] = []
     for pool in pools:

@@ -17,8 +17,11 @@ set is its smallest name; for each vertex it holds the neighbour masks that
 the closures and walks read. Every closure by edge marks (ancestors,
 possible ancestors, definite c-components, buckets) is one loop, ``reach``,
 over one of those masks, and an induced subgraph is a scope mask that the
-loop does not leave. Graphs derived by mutilation or orientation keep the
-vertex set, so their masks number the vertices alike.
+loop does not leave. A test of one vertex against a whole-graph closure
+("is v an ancestor of z") needs no loop: the index also keeps, per step
+kind and built on first use, a membership table with one mask per vertex
+(``VertexMasks.reached_by``). Graphs derived by mutilation or orientation
+keep the vertex set, so their masks number the vertices alike.
 """
 
 from __future__ import annotations
@@ -260,10 +263,13 @@ class VertexMasks:
       * ``at``: any, arrow (an arrowhead at the neighbour);
       * ``bi``: arrow, arrow;
       * ``cc``: circle, circle.
+
+    ``reached_by(kind)`` is the membership table of the whole-graph
+    closures along one of those lists, built on its first call.
     """
 
     __slots__ = ("names", "bit", "all", "pa", "ppa", "pch", "ch_plus",
-                 "noarrow", "at", "bi", "cc")
+                 "noarrow", "at", "bi", "cc", "_tables")
 
     def __init__(self, g: MixedGraph):
         self.names = tuple(sorted(g.vertices))
@@ -278,6 +284,24 @@ class VertexMasks:
                         lists[k][i] |= b
         for k, masks in lists.items():
             setattr(self, k, masks)
+        self._tables: dict[str, tuple[int, ...]] = {}
+
+    def reached_by(self, kind: str) -> tuple[int, ...]:
+        """Per bit position i, the mask of the vertices v whose closure
+        ``reach(nbrs, 1 << v, all)`` along the list ``kind`` holds i: with
+        ``pa`` the descendants of i, with ``noarrow`` its possible
+        descendants, i itself included. A closure in the whole graph is the
+        union of its seed bits' closures, so i is in ``reach(nbrs, z,
+        all)`` iff ``z & table[i]``. Built on the first call per kind, from
+        one ``reach`` per vertex, and kept on the index."""
+        table = self._tables.get(kind)
+        if table is None:
+            nbrs, rows = getattr(self, kind), [0] * len(self.names)
+            for v in range(len(self.names)):
+                for i in positions(reach(nbrs, 1 << v, self.all)):
+                    rows[i] |= 1 << v
+            table = self._tables[kind] = tuple(rows)
+        return table
 
     def mask(self, vs: Iterable[str]) -> int:
         """The mask of the named vertices; GraphError names unknown ones."""

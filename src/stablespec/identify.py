@@ -136,14 +136,17 @@ def invariant_conditional_mag(p: MixedGraph, q: InvarianceQuery) -> bool:
 
 def _invariant(p: MixedGraph, ix: VertexMasks, x: int, y: int, z: int
                ) -> bool:
-    """``invariant_conditional_mag`` on masks of p's index."""
-    poss_an_z = reach(ix.noarrow, z, ix.all)
+    """``invariant_conditional_mag`` on masks of p's index. X is a
+    possible ancestor of z iff z meets its possible descendants, read from
+    the index's ``reached_by("noarrow")`` table, so no closure of z is
+    computed."""
+    pde = ix.reached_by("noarrow")
     for i in positions(x):
         mag, out_cut, in_cut = _invariance_masks(p, ix.names[i])
         xb = 1 << i
         if xb & z:
             g, cond = out_cut, z & ~xb
-        elif xb & poss_an_z:
+        elif z & pde[i]:
             g, cond = mag, z
         else:
             g, cond = in_cut, z

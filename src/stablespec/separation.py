@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .graph import (
-    ARROW, CIRCLE, TAIL, Edge, GraphError, MixedGraph, VertexMasks, reach,
+    ARROW, CIRCLE, TAIL, Edge, GraphError, MixedGraph, VertexMasks,
 )
 
 
@@ -41,10 +41,12 @@ def connected(ix: VertexMasks, x: int, y: int, z: int) -> bool:
     The walk's state is (vertex, whether the edge it arrived by has an
     arrowhead at it); which edges may leave a vertex depends on nothing
     else. ``into`` and ``out`` hold the states reached each way. The start
-    leaves by every edge, so both of its states count as reached.
+    leaves by every edge, so both of its states count as reached. A vertex
+    is an ancestor of z iff z meets its descendants, read from the index's
+    ``reached_by("pa")`` table: the walk computes no closure of z.
     """
     bi, ppa, pch, at, noarrow = ix.bi, ix.ppa, ix.pch, ix.at, ix.noarrow
-    anz = reach(ix.pa, z, ix.all)
+    de = ix.reached_by("pa")
     xb = 1 << x
     into = new_in = at[x]
     out = new_out = noarrow[x]
@@ -59,7 +61,7 @@ def connected(ix: VertexMasks, x: int, y: int, z: int) -> bool:
             i = low.bit_length() - 1
             if low & z:              # a collider in z: arrowheads only
                 step_in, step_out = bi[i], ppa[i]
-            elif low & anz:          # any edge
+            elif z & de[i]:          # an ancestor of z: any edge
                 step_in, step_out = at[i], noarrow[i]
             else:                    # a non-collider: no arrowhead here
                 step_in, step_out = pch[i], noarrow[i] & ~ppa[i]

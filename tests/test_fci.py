@@ -22,6 +22,7 @@ from stablespec.fci import (
 )
 from stablespec.graph import ARROW, CIRCLE, TAIL, GraphError, parse, serialize
 from stablespec.scm import shift_benchmark_scm
+from stablespec.separation import m_connected
 from oracles import (
     blocks_by_paths, mag_of_admg, possible_d_sep_by_paths, with_kind,
 )
@@ -423,6 +424,43 @@ class TestSettingRanges:
                 max_cond_size=-1)
         with pytest.raises(ValueError, match=message):
             pooled_fci(self.tables(), max_cond_size=-1)
+
+
+class TestSeparationOracle:
+    """The oracle tests each query's sets as masks of the graph's index;
+    the answers and faults are those of one ``m_connected`` call per
+    set."""
+
+    def test_matches_a_per_set_m_connected_loop(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            g = random_admg(rng, max_vertices=8, min_vertices=3)
+            per_set = PerSetOracle(
+                lambda a, b, s: not m_connected(g, a, b, s))
+            queries = []
+            for a, b in combinations(g.vertices, 2):
+                rest = [v for v in g.vertices if v not in (a, b)]
+                pools = [rng.sample(rest, rng.randint(0, len(rest)))
+                         for _ in range(rng.randint(1, 3))]
+                queries.extend((a, b, pools, size) for size in range(4))
+            assert SeparationOracle(g).separating_sets(queries) == \
+                per_set.separating_sets(queries)
+
+    def test_faults_raise_m_connected_errors_up_front(self):
+        admg = example_admg()
+        good = ("X1", "Y", [["X2"]], 1)
+        pag = fci(SeparationOracle(admg), admg.vertices)
+        for graph, query, a, b, z in (
+                (pag, good, "X1", "Y", ()),
+                (admg, ("Y", "Y", [["X2"]], 1), "Y", "Y", ()),
+                (admg, ("X1", "Y", [["X2"], ["Q"]], 0), "X1", "Y", {"Q"}),
+                (admg, ("X1", "Y", [["X2"], ["Y"]], 0), "X1", "Y", {"Y"})):
+            with pytest.raises(GraphError) as want:
+                m_connected(graph, a, b, z)
+            # raised before any set is tested, even at size 0
+            with pytest.raises(GraphError) as got:
+                SeparationOracle(graph).separating_sets([good, query])
+            assert str(got.value) == str(want.value)
 
 
 class TestDataOracle:

@@ -272,13 +272,25 @@ class TestAdjacencyIndex:
                     by_marks((ARROW,), no_arrow)(v)
                 assert index_neighbours(g, "pch", v) == \
                     by_marks(no_arrow, (ARROW,))(v)
+            ix = g.masks()
+            tables = {kind: ix.reached_by(kind) for kind in ("pa", "noarrow")}
+            for kind, table in tables.items():
+                assert ix.reached_by(kind) is table
             for k in (1, 2):
                 for seed in combinations(g.vertices, k):
-                    assert g.ancestors(seed) == closure_by_definition(
-                        seed, by_marks((ARROW,), (TAIL,)))
-                    assert possible_ancestors(g, seed) == \
-                        closure_by_definition(seed, by_marks(any_mark,
-                                                             no_arrow))
+                    closures = {
+                        "pa": closure_by_definition(
+                            seed, by_marks((ARROW,), (TAIL,))),
+                        "noarrow": closure_by_definition(
+                            seed, by_marks(any_mark, no_arrow))}
+                    assert g.ancestors(seed) == closures["pa"]
+                    assert possible_ancestors(g, seed) == closures["noarrow"]
+                    # one vertex against a closure: a lookup in the table
+                    z = ix.mask(seed)
+                    for kind, closure in closures.items():
+                        for i, v in enumerate(ix.names):
+                            assert (v in closure) == \
+                                bool(z & tables[kind][i]), (kind, seed, v)
 
     def test_parallel_edges_keep_their_order(self):
         for first, second in ((directed("A", "B"), bidirected("A", "B")),

@@ -10,9 +10,13 @@ are computed by ``citest.critical_values`` and read by
 become masks once, at the public boundary of ``components`` and
 ``identify``: their private mask cores call no function that takes names,
 and a subgraph of the identification calculus is a scope mask, not a graph
-that ``MixedGraph`` builds. Column names become column positions once, at
-the name-level entry points of ``citest``: its position cores, which
-batched CI decisions run on, call none of them. Which test answers a
+that ``MixedGraph`` builds. The exact oracle of ``fci`` maps a query's
+names to bits once and tests its sets by the mask core of m-connection,
+which, like the invariance core, reads ancestry from the index's
+membership tables instead of computing a closure per set. Column names
+become column positions once, at the name-level entry points of
+``citest``: its position cores, which batched CI decisions run on, call
+none of them. Which test answers a
 conditioning set is decided by ``citest._decisions``, behind
 ``citest.firsts_at``, the one entry through which ``fci`` asks for CI
 decisions. The columns of tables
@@ -119,6 +123,36 @@ def test_mask_cores_call_no_name_level_function():
              for name in called_names(node) & takes_names}
     assert calls == set()
     assert not hasattr(MixedGraph, "induced")
+
+
+def test_separation_oracle_tests_sets_as_masks():
+    # a separation function takes vertex names when it checks them or
+    # turns them into masks; the oracle maps a query's names to bits once
+    # and tests each set by the mask core
+    separation = ast.parse((SRC / "separation.py").read_text())
+    takes_names = {node.name for node in separation.body
+                   if isinstance(node, ast.FunctionDef)
+                   and called_names(node) & {"mask", "check_vertices"}}
+    assert {"m_connected", "m_connected_bruteforce",
+            "definite_connecting_paths"} <= takes_names
+    fci = ast.parse((SRC / "fci.py").read_text())
+    [oracle] = [node for node in fci.body
+                if isinstance(node, ast.ClassDef)
+                and node.name == "SeparationOracle"]
+    assert called_names(oracle) & takes_names == set()
+    assert "connected" in called_names(oracle)
+
+
+def test_ancestor_tests_read_the_membership_tables():
+    # "is this vertex a (possible) ancestor of z" is a table lookup: the
+    # per-set cores compute no closure of z
+    for module, name in (("separation", "connected"),
+                         ("identify", "_invariant")):
+        tree = ast.parse((SRC / f"{module}.py").read_text())
+        [core] = [node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == name]
+        assert "reach" not in called_names(core)
+        assert "reached_by" in called_names(core)
 
 
 def test_citest_position_cores_call_no_name_level_function():
