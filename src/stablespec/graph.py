@@ -20,14 +20,17 @@ over one of those masks, and an induced subgraph is a scope mask that the
 loop does not leave. A test of one vertex against a whole-graph closure
 ("is v an ancestor of z") needs no loop: the index also keeps, per step
 kind and built on first use, a membership table with one mask per vertex
-(``VertexMasks.reached_by``). Graphs derived by mutilation or orientation
-keep the vertex set, so their masks number the vertices alike.
+(``VertexMasks.reached_by``). Such a table of every vertex's closure is one
+depth-first pass over strongly connected components (``closures``), not
+one loop per vertex. Graphs derived by mutilation or orientation keep the
+vertex set, so their masks number the vertices alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
+from itertools import count
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
@@ -292,15 +295,17 @@ class VertexMasks:
         ``pa`` the descendants of i, with ``noarrow`` its possible
         descendants, i itself included. A closure in the whole graph is the
         union of its seed bits' closures, so i is in ``reach(nbrs, z,
-        all)`` iff ``z & table[i]``. Built on the first call per kind, from
-        one ``reach`` per vertex, and kept on the index."""
+        all)`` iff ``z & table[i]``. Entry i is i's closure along the
+        reversed list, so the table is built on the first call per kind by
+        one ``closures`` pass over the reversed list, and kept on the
+        index."""
         table = self._tables.get(kind)
         if table is None:
-            nbrs, rows = getattr(self, kind), [0] * len(self.names)
-            for v in range(len(self.names)):
-                for i in positions(reach(nbrs, 1 << v, self.all)):
-                    rows[i] |= 1 << v
-            table = self._tables[kind] = tuple(rows)
+            rev = [0] * len(self.names)
+            for v, m in enumerate(getattr(self, kind)):
+                for i in positions(m):
+                    rev[i] |= 1 << v
+            table = self._tables[kind] = tuple(closures(rev, self.all))
         return table
 
     def mask(self, vs: Iterable[str]) -> int:
@@ -351,6 +356,53 @@ def reach(nbrs: Sequence[int], seed: int, scope: int) -> int:
         new = nbrs[low.bit_length() - 1] & scope & ~out
         out |= new
         frontier |= new
+    return out
+
+
+def closures(nbrs: Sequence[int], scope: int) -> list[int]:
+    """Per bit position v, ``reach(nbrs, 1 << v, scope)`` for v in scope,
+    and 0 for v outside it, from one iterative depth-first search
+    (Tarjan's). The members of a strongly connected component share one
+    closure: the component plus the closures of the vertices it steps to,
+    whose components the search finishes first. So the table costs one OR
+    per edge, not one walk per vertex."""
+    out = [0] * len(nbrs)    # 0 until v's component is finished
+    num = [-1] * len(nbrs)   # discovery number; -1 while unvisited
+    low = [0] * len(nbrs)
+    order, stack, walk = count(), [], []
+
+    def visit(v):
+        num[v] = low[v] = next(order)
+        stack.append(v)
+        walk.append((v, positions(nbrs[v] & scope)))
+
+    for root in positions(scope):
+        if num[root] < 0:
+            visit(root)
+        while walk:
+            v, succ = walk[-1]
+            for w in succ:
+                if num[w] < 0:
+                    visit(w)
+                    break
+                if not out[w] and num[w] < low[v]:   # w is on the stack
+                    low[v] = num[w]
+            else:
+                walk.pop()
+                if walk and low[v] < low[walk[-1][0]]:
+                    low[walk[-1][0]] = low[v]
+                if low[v] == num[v]:   # v is the root of a component
+                    comp = 0
+                    while not comp >> v & 1:
+                        comp |= 1 << stack.pop()
+                    step = 0
+                    for w in positions(comp):
+                        step |= nbrs[w]
+                    closure = comp
+                    for w in positions(step & scope & ~comp):
+                        closure |= out[w]
+                    for w in positions(comp):
+                        out[w] = closure
     return out
 
 

@@ -12,11 +12,15 @@ conditioning set, and the answers repeat, so it keeps on the PAG each
 Q[c] of the joint and each simplified answer per target and decomposition
 pieces meeting the target, failures included.
 
-Both run on the PAG's mask index (``graph.VertexMasks``): ``_invariant``
-and ``_identify`` take vertex sets as masks and are the cores that the
-search calls once per conditioning set. Decomposition, bucket absorption
-and elimination, and Q[c] identification have only mask cores, which call
-each other; vertex names become masks once, in the public functions.
+Both are answered by one implementation on the PAG's mask index
+(``graph.VertexMasks``): a ``SearchContext`` holds what the answers for one
+PAG and one mutable set share, built on first use, and answers
+``invariant`` and ``identify`` for each conditioning set on masks. The
+search builds one context and asks it for every set, so each
+decomposition step is computed once per search; the public functions build
+one for a single query. Decomposition steps, bucket absorption and
+elimination, and Q[c] identification have only mask cores, which call each
+other; vertex names become masks once, in the public functions.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ from .expressions import (
 )
 from .graph import (
     ARROW, TAIL, GraphError, MixedGraph, REMOVE_INTO, REMOVE_VISIBLE_OUT_OF,
-    VertexMasks, blocks, mutilate, positions, possible_ancestors, reach,
+    VertexMasks, blocks, closures, mutilate, positions, possible_ancestors,
+    reach,
 )
 from .separation import connected, definite_connecting_paths, visible_edges
 
@@ -127,32 +132,13 @@ def invariant_conditional_mag(p: MixedGraph, q: InvarianceQuery) -> bool:
     X removed (otherwise). The MAGs depend only on (p, X) and are built
     once per PAG. On a learned PAG that no MAG fits, ``pag_to_mag`` reads
     some circle edges as undirected, and the checker may decline an
-    invariance the path oracle grants.
+    invariance the path oracle grants. Answered by a ``SearchContext`` of
+    one query.
     """
     ix = p.masks()
     ix.mask(q.x | q.y | q.z)
-    return _invariant(p, ix, ix.mask(q.x), ix.mask(q.y), ix.mask(q.z))
-
-
-def _invariant(p: MixedGraph, ix: VertexMasks, x: int, y: int, z: int
-               ) -> bool:
-    """``invariant_conditional_mag`` on masks of p's index. X is a
-    possible ancestor of z iff z meets its possible descendants, read from
-    the index's ``reached_by("noarrow")`` table, so no closure of z is
-    computed."""
-    pde = ix.reached_by("noarrow")
-    for i in positions(x):
-        mag, out_cut, in_cut = _invariance_masks(p, ix.names[i])
-        xb = 1 << i
-        if xb & z:
-            g, cond = out_cut, z & ~xb
-        elif z & pde[i]:
-            g, cond = mag, z
-        else:
-            g, cond = in_cut, z
-        if connected(g, i, y, cond):
-            return False
-    return True
+    return SearchContext(p, ix.mask(q.x)).invariant(ix.mask(q.y),
+                                                    ix.mask(q.z))
 
 
 # -- identification ---------------------------------------------------------
@@ -174,29 +160,17 @@ def _star(nbrs: Sequence[int], s: int, scope: int) -> int:
     return out & scope
 
 
-def _decompose(ix: VertexMasks, inv: Sequence[int], t: int, z: int):
-    """Split t into component-wise pieces (t_i, z_i) whose interventional
-    factors can be identified separately, one at a time: the pieces
-    partition t, so a caller may stop once those it needs are covered."""
-    ppa = ix.ppa
-    while t:
-        scope = t | z
-        x = t & -t   # the smallest name of t
-        cx = _pc(ix, inv, x, scope)
-        a = _star(ppa, cx, scope) & \
-            _star(ppa, _pc(ix, inv, scope & ~cx, scope), scope)
-        while a & ~z:
-            grown = x | _star(ix.pch, a & t, scope)
-            if grown == x:
-                raise RuntimeError("component growth stalled; malformed graph?")
-            x = grown
-            cx = _pc(ix, inv, x, scope)
-            a = _star(ppa, cx, scope) & \
-                _star(ppa, _pc(ix, inv, scope & ~cx, scope), scope)
-        t1 = cx & t
-        t2 = t & ~t1
-        yield t1, _region(ix, inv, x, scope) & ~t1
-        t, z = t2, _region(ix, inv, scope & ~cx, scope) & ~t2
+def _decomposition_step(ix: VertexMasks, inv: Sequence[int], x: int,
+                        scope: int) -> tuple[int, int, int, int]:
+    """One step of the decomposition of a target inside scope from the
+    seed x: the pc-component cx of x, the possible parents a that pa* of cx
+    shares with pa* of the pc-component of the rest, scope - cx, and the
+    regions of x and of the rest, each the circle-circle closure of its
+    pc-component inside scope."""
+    cx = _pc(ix, inv, x, scope)
+    rest = _pc(ix, inv, scope & ~cx, scope)
+    a = _star(ix.ppa, cx, scope) & _star(ix.ppa, rest, scope)
+    return cx, a, reach(ix.cc, cx, scope), reach(ix.cc, rest, scope)
 
 
 def _absorb(ix: VertexMasks, inv: Sequence[int], t: int, z: int
@@ -273,7 +247,8 @@ def identify_interventional(p: MixedGraph, x: Iterable[str],
     or the FAIL sentinel when the PAG does not determine one.
 
     A PAG that no MAG fits (a circle-tail edge, or arrowheads that close a
-    directed cycle) raises GraphError before any identification step.
+    directed cycle) raises GraphError before any identification step. With
+    x nonempty, answered by a ``SearchContext`` of one query.
     """
     x, y, z = frozenset(x), frozenset(y), frozenset(z)
     if x & y or y & z or x & z:
@@ -285,26 +260,127 @@ def identify_interventional(p: MixedGraph, x: Iterable[str],
     if not x:
         class_mag(p)   # raises GraphError when no MAG fits p
         return simplify(Factor(y, z), graph=p)
-    return _identify(p, ix, ix.mask(x), ix.mask(y), ix.mask(z))
+    return SearchContext(p, ix.mask(x)).identify(ix.mask(y), ix.mask(z))
 
 
-def _identify(p: MixedGraph, ix: VertexMasks, x: int, y: int, z: int):
-    """``identify_interventional`` on masks of p's index, x nonempty."""
-    class_mag(p)   # raises GraphError when no MAG fits p
-    inv = invisible(p)
-    scope = ix.all & ~x
-    d = reach(ix.noarrow, y | z, scope) & ~z
-    # the pieces partition d ⊇ y, so those after the last one meeting y
-    # do not matter
-    pieces, left = [], y
-    for di, zi in _decompose(ix, inv, d, z):
-        if di & y:
-            pieces.append((di, zi))
-            left &= ~di
-            if not left:
-                break
-    key = ("identified", y, tuple(pieces))
-    return p.memo(key, lambda: _identify_pieces(p, ix, inv, y, pieces))
+# -- one context per search ---------------------------------------------------
+
+
+class SearchContext:
+    """The two questions a search asks of a PAG p with mutable vertices m
+    (a mask of p's index) for each conditioning set, on masks:
+    ``invariant(y, z)`` and ``identify(y, z)``.
+
+    What the answers share is built on first use and kept for the
+    context's life, so a GraphError is raised by the question that first
+    needs the fact, as a per-set check would raise it:
+
+      * per mutable vertex, the mask indexes of its three MAGs and its row
+        of p's possible-descendant table;
+      * the PAG checks: that a MAG fits p, and p's invisible-edge masks;
+      * per vertex v, its possible descendants ``reach(noarrow, v, V - m)``
+        outside m, so the closure of a set is an OR of rows;
+      * per decomposition step, keyed by (grown seed, scope), the step's
+        pc-component, shared possible parents and two regions.
+
+    The step table is the search's, not a fact of p's memo: it is freed
+    when the search ends. The MAGs, Q[c] and simplified answers stay on
+    p's memo, shared by every search on p.
+    """
+
+    __slots__ = ("p", "ix", "m", "_positions", "_mutable", "_inv",
+                 "_closure", "_steps")
+
+    def __init__(self, p: MixedGraph, m: int):
+        self.p, self.ix, self.m = p, p.masks(), m
+        self._positions = tuple(positions(m))
+        self._mutable: dict[int, tuple] = {}
+        self._inv: tuple[int, ...] | None = None
+        self._closure: list[int] | None = None
+        self._steps: dict[tuple[int, int], tuple[int, int, int, int]] = {}
+
+    def _invariance_data(self, i: int) -> tuple:
+        """The three MAG mask indexes of the mutable vertex at bit i and
+        its row of the possible-descendant table, built on first use."""
+        data = self._mutable.get(i)
+        if data is None:
+            data = self._mutable[i] = (
+                *_invariance_masks(self.p, self.ix.names[i]),
+                self.ix.reached_by("noarrow")[i])
+        return data
+
+    def invariant(self, y: int, z: int) -> bool:
+        """``invariant_conditional_mag`` for shifts in m on masks. X is a
+        possible ancestor of z iff z meets X's possible descendants, a row
+        of the table, so no closure of z is computed."""
+        for i in self._positions:
+            mag, out_cut, in_cut, pde = self._invariance_data(i)
+            xb = 1 << i
+            if xb & z:
+                g, cond = out_cut, z & ~xb
+            elif z & pde:
+                g, cond = mag, z
+            else:
+                g, cond = in_cut, z
+            if connected(g, i, y, cond):
+                return False
+        return True
+
+    def identify(self, y: int, z: int):
+        """``identify_interventional`` of P_m(y | z) on masks, m nonempty
+        and z disjoint from m: the expression, or FAIL."""
+        p, ix = self.p, self.ix
+        if self._closure is None:
+            class_mag(p)   # raises GraphError when no MAG fits p
+            self._inv = invisible(p)
+            self._closure = closures(ix.noarrow, ix.all & ~self.m)
+        d = 0
+        for i in positions(y | z):
+            d |= self._closure[i]
+        d &= ~z
+        # the pieces partition d ⊇ y, so those after the last one meeting y
+        # do not matter
+        pieces, left = [], y
+        for di, zi in self.decompose(d, z):
+            if di & y:
+                pieces.append((di, zi))
+                left &= ~di
+                if not left:
+                    break
+        key = ("identified", y, tuple(pieces))
+        inv = self._inv
+        return p.memo(key, lambda: _identify_pieces(p, ix, inv, y, pieces))
+
+    def decompose(self, t: int, z: int):
+        """Split t into component-wise pieces (t_i, z_i) whose
+        interventional factors can be identified separately, one at a
+        time: the pieces partition t, so a caller may stop once those it
+        needs are covered. Each step is read from the step table."""
+        if self._inv is None:
+            self._inv = invisible(self.p)
+        pch = self.ix.pch
+        while t:
+            scope = t | z
+            x = t & -t   # the smallest name of t
+            cx, a, region_x, region_rest = self._step(x, scope)
+            while a & ~z:
+                grown = x | _star(pch, a & t, scope)
+                if grown == x:
+                    raise RuntimeError(
+                        "component growth stalled; malformed graph?")
+                x = grown
+                cx, a, region_x, region_rest = self._step(x, scope)
+            t1 = cx & t
+            t2 = t & ~t1
+            yield t1, region_x & ~t1
+            t, z = t2, region_rest & ~t2
+
+    def _step(self, x: int, scope: int) -> tuple[int, int, int, int]:
+        step = self._steps.get((x, scope))
+        if step is None:
+            step = self._steps[x, scope] = _decomposition_step(
+                self.ix, self._inv, x, scope)
+        return step
 
 
 def _identify_pieces(p: MixedGraph, ix: VertexMasks, inv: Sequence[int],

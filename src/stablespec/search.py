@@ -23,7 +23,7 @@ from .estimate import (
 )
 from .expressions import Factor
 from .graph import GraphError, MixedGraph
-from .identify import FAIL, InvarianceQuery, _identify, _invariant
+from .identify import FAIL, InvarianceQuery, SearchContext
 from .scm import shift_benchmark_scm
 
 SEARCH_MODES = ("full", "conditional-only", "single-env")
@@ -65,7 +65,10 @@ def stable_candidates(spec: InvarianceSpec, target: str, mode: str = "full",
     Conditioning sets Z range over subsets of the non-environment vertices
     minus the target. A Z whose conditional passes the invariance check
     yields a conditional candidate; otherwise (full mode) an identified
-    interventional expression over Z minus the mutable set is attempted.
+    interventional expression over Z minus the mutable set is attempted,
+    once per distinct Z minus the mutable set. Both questions are asked of
+    one ``SearchContext``, so what they share across conditioning sets
+    (MAGs, closures, decomposition steps) is computed once per search.
     """
     if mode not in SEARCH_MODES:
         raise GraphError(f"unknown search mode {mode!r}")
@@ -84,15 +87,15 @@ def stable_candidates(spec: InvarianceSpec, target: str, mode: str = "full",
             f"search budget of {max_observed}")
     m = spec.mutable
     InvarianceQuery(m, {target}, ())   # raises when the target is mutable
-    p = spec.pag
-    ix = p.masks()
+    ix = spec.pag.masks()
     mm, y = ix.mask(m), ix.bit[target]
+    context = SearchContext(spec.pag, mm)
     out: list[CandidateModel] = []
     seen: set[int] = set()   # each z - m already identified
     # bits sort as their names do, so the masks come in the names' order
     for bits in subsets_in_order(ix.bit[v] for v in observed):
         z = sum(bits)
-        if _invariant(p, ix, mm, y, z):
+        if context.invariant(y, z):
             zs = ix.names_of(z)
             out.append(CandidateModel("conditional", m, zs,
                                       Factor({target}, zs)))
@@ -102,7 +105,7 @@ def stable_candidates(spec: InvarianceSpec, target: str, mode: str = "full",
         if mode != "full" or not m or key in seen:
             continue
         seen.add(key)
-        expr = _identify(p, ix, mm, y, key)
+        expr = context.identify(y, key)
         if expr is not FAIL:
             out.append(CandidateModel("interventional", m, ix.names_of(key),
                                       expr))

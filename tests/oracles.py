@@ -18,10 +18,9 @@ from typing import Iterable
 
 import numpy as np
 
-from stablespec.components import invisible
 from stablespec.data import DataTable
 from stablespec.graph import ARROW, CIRCLE, TAIL, Edge, GraphError, MixedGraph
-from stablespec.identify import _decompose
+from stablespec.identify import SearchContext
 from stablespec.separation import (
     _path_vertices, _simple_paths, definite_connecting_paths, m_connected,
     visible_edges,
@@ -160,15 +159,15 @@ def decompose_targets(p: MixedGraph, t: Iterable[str],
                       z: Iterable[str]) -> list[tuple[set[str], set[str]]]:
     """Split t into component-wise pieces (t_i, z_i) whose interventional
     factors can be identified separately: the program's mask decomposition,
-    on names."""
+    on names, by a context of its own."""
     t, z = set(t), set(z)
     if t & z:
         raise GraphError("t and z must be disjoint")
     ix = p.masks()
     ix.mask(t | z)
     return [(set(ix.names_of(ti)), set(ix.names_of(zi)))
-            for ti, zi in _decompose(ix, invisible(p), ix.mask(t),
-                                     ix.mask(z))]
+            for ti, zi in SearchContext(p, 0).decompose(ix.mask(t),
+                                                        ix.mask(z))]
 
 
 # -- set-based references of the mask loops -------------------------------
@@ -287,7 +286,7 @@ def m_connected_by_sets(g: MixedGraph, x: str, y: str,
 
 def decompose_by_sets(p: MixedGraph, t: Iterable[str], z: Iterable[str]
                       ) -> list[tuple[set[str], set[str]]]:
-    """Reference for ``identify._decompose``, on induced subgraphs: grow a
+    """Reference for ``SearchContext.decompose``, on induced subgraphs: grow a
     piece from the smallest target until pa* of its pc-component and of
     the rest's meet only in z, then split it off with its region."""
     def star(sub, s, nbrs):

@@ -12,13 +12,19 @@ from stablespec.components import pag_to_mag
 from stablespec.fci import (
     SeparationOracle, fci, pooled_fci, possible_children_of_env,
 )
-from stablespec.graph import TAIL, GraphError, parse, possible_ancestors
+from stablespec.graph import (
+    ARROW, TAIL, GraphError, parse, possible_ancestors, serialize,
+)
 from stablespec.identify import (
-    FAIL, InvarianceQuery, NotIdentifiable, _absorb, _eliminate, _marginal,
-    identify_interventional, invariant_conditional, invariant_conditional_mag,
+    FAIL, InvarianceQuery, NotIdentifiable, SearchContext, _absorb,
+    _eliminate, _marginal, identify_interventional, invariant_conditional,
+    invariant_conditional_mag,
 )
 from stablespec.scm import DiscreteSCM, interventional_probability
-from oracles import decompose_targets, induced
+from stablespec.search import InvarianceSpec, stable_candidates
+from oracles import (
+    closure_by_sets, decompose_by_sets, decompose_targets, induced,
+)
 from util import (
     environment_tables, example_admg, example_pag, on_masks, random_admg,
 )
@@ -403,3 +409,56 @@ class TestIdentifyInterventional:
                         disagrees = True
                         break
                 assert disagrees, f"matched plain conditional given {w}"
+
+
+# Arrowheads that close a directed cycle: no MAG has these marks.
+CYCLIC_PAG = "vars: A,B,C,D\nA --> B\nB --> C\nC --> A\nD o-> A\n"
+
+
+def answer(expr):
+    return "FAIL" if expr is FAIL else to_json(expr)
+
+
+def all_subsets(vs):
+    vs = sorted(vs)
+    return [set(c) for k in range(len(vs) + 1) for c in combinations(vs, k)]
+
+
+class TestSearchContext:
+    """One context answers every conditioning set of a search as the
+    single-query functions answer each set on a fresh, equal PAG."""
+
+    def test_every_key_equals_a_single_query(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            admg = random_admg(rng, max_vertices=8, min_vertices=5)
+            p = fci(SeparationOracle(admg), admg.vertices)
+            *mutable, target = rng.sample(sorted(p.vertices),
+                                          rng.randint(2, 3))
+            fresh = parse(serialize(p))
+            ix = p.masks()
+            m, y = ix.mask(mutable), ix.bit[target]
+            context = SearchContext(p, m)
+            outside_m = induced(p, set(p.vertices) - set(mutable))
+            for z in all_subsets(set(p.vertices) - set(mutable) - {target}):
+                zm = ix.mask(z)
+                assert context.invariant(y, zm) == invariant_conditional_mag(
+                    fresh, InvarianceQuery(mutable, {target}, z))
+                assert answer(context.identify(y, zm)) == answer(
+                    identify_interventional(fresh, mutable, {target}, z))
+                d = closure_by_sets(outside_m, z | {target},
+                                    lambda here, there: there != ARROW) - z
+                assert [(ix.names_of(ti), ix.names_of(zi)) for ti, zi in
+                        context.decompose(ix.mask(d), zm)] == \
+                    decompose_by_sets(p, d, z)
+
+    def test_no_mag_fits_raises_graph_error(self):
+        p = parse(CYCLIC_PAG)
+        for mutable, target in (({"D"}, "B"), ({"A"}, "C")):
+            with pytest.raises(GraphError, match="close a directed cycle"):
+                stable_candidates(InvarianceSpec(p, mutable), target)
+        context = SearchContext(p, p.masks().mask({"D"}))
+        for _ in range(2):   # the failed check is not kept as passed
+            with pytest.raises(GraphError, match="close a directed cycle"):
+                context.identify(p.masks().bit["B"], 0)
+

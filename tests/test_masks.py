@@ -20,7 +20,7 @@ from stablespec.components import (
 )
 from stablespec.fci import SeparationOracle, fci
 from stablespec.graph import (
-    ARROW, CIRCLE, TAIL, Edge, GraphError, MixedGraph, directed,
+    ARROW, CIRCLE, TAIL, Edge, GraphError, MixedGraph, closures, directed,
     possible_ancestors, reach,
 )
 from stablespec.separation import m_connected
@@ -131,6 +131,51 @@ class TestAgainstSets:
                 z = random_subset(rng, set(p.vertices) - t, 0.4)
                 assert decompose_targets(p, t, z) == \
                     decompose_by_sets(p, t, z)
+
+
+def random_relation(rng, n: int) -> list[int]:
+    """Neighbour masks of a random directed relation on n bit positions:
+    cycles of every length, self-steps excluded."""
+    density = rng.uniform(0.05, 0.4)
+    return [sum(1 << j for j in range(n) if j != i and rng.random() < density)
+            for i in range(n)]
+
+
+def per_vertex(nbrs, scope):
+    """The closure table as one reach per vertex of scope."""
+    return [reach(nbrs, 1 << v, scope) if scope >> v & 1 else 0
+            for v in range(len(nbrs))]
+
+
+@pytest.mark.parametrize("seed", range(4))
+class TestClosureTables:
+    def test_random_relations_and_scopes(self, seed):
+        rng = random.Random(400 + seed)
+        for _ in range(100):
+            n = rng.randint(1, 14)
+            nbrs = random_relation(rng, n)
+            whole = (1 << n) - 1
+            for scope in (whole, rng.getrandbits(n), rng.getrandbits(n)):
+                assert closures(nbrs, scope) == per_vertex(nbrs, scope)
+
+    def test_graph_lists_and_membership_tables(self, seed):
+        # circle-circle and tail-tail edges make the no-arrow-there and
+        # circle lists symmetric, so they close cycles of every length
+        rng = random.Random(500 + seed)
+        for _ in range(40):
+            g = random_marks_pag(rng)
+            ix = g.masks()
+            for kind in ("pa", "ppa", "pch", "ch_plus", "noarrow", "at",
+                         "bi", "cc"):
+                nbrs = getattr(ix, kind)
+                for scope in (ix.all, ix.mask(random_subset(rng, g.vertices,
+                                                            0.6))):
+                    assert closures(nbrs, scope) == per_vertex(nbrs, scope)
+                table = ix.reached_by(kind)
+                for i in range(len(ix.names)):
+                    assert table[i] == sum(
+                        1 << v for v in range(len(ix.names))
+                        if reach(nbrs, 1 << v, ix.all) >> i & 1)
 
 
 class TestLongChain:

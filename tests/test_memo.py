@@ -10,7 +10,8 @@ from the graph's indexes, not through ``Edge`` methods. One
 ``stable_candidates`` call also identifies each Q[c] of the joint once,
 simplifies once per distinct set of pieces meeting the target, walks the
 MAG once per distinct separation question of ``simplify``, builds each
-graph's mask index at most once, and builds no induced subgraph.
+graph's mask index at most once, builds no induced subgraph, and computes
+each decomposition step once.
 """
 
 import random
@@ -349,6 +350,29 @@ class TestSearchWork:
         stable_candidates(InvarianceSpec(parse(text), mutable), target)
         assert top
         assert len(top) == len(set(top))
+
+    @pytest.mark.parametrize("text, mutable, target", SEARCHES,
+                             ids=SEARCH_IDS)
+    def test_decomposition_step_computed_once(self, monkeypatch, text,
+                                              mutable, target):
+        # the search's context keeps each step by (grown seed, scope); the
+        # table is the search's, so a second search computes its steps anew
+        steps = []
+        uncached = identify._decomposition_step
+
+        def spy(ix, inv, x, scope):
+            steps.append((x, scope))
+            return uncached(ix, inv, x, scope)
+
+        monkeypatch.setattr(identify, "_decomposition_step", spy)
+        pag = parse(text)
+        found = stable_candidates(InvarianceSpec(pag, mutable), target)
+        assert any(c.kind == "interventional" for c in found)
+        first = list(steps)
+        assert first and len(first) == len(set(first))
+        steps.clear()
+        stable_candidates(InvarianceSpec(pag, mutable), target)
+        assert steps == first
 
     @pytest.mark.parametrize("text, mutable, target", SEARCHES,
                              ids=SEARCH_IDS)

@@ -120,6 +120,7 @@ def test_mask_cores_call_no_name_level_function():
              for module in ("components", "identify")
              for node in trees[module].body
              if isinstance(node, ast.FunctionDef) and node.name[0] == "_"
+             or isinstance(node, ast.ClassDef) and node.name == "SearchContext"
              for name in called_names(node) & takes_names}
     assert calls == set()
     assert not hasattr(MixedGraph, "induced")
@@ -145,14 +146,27 @@ def test_separation_oracle_tests_sets_as_masks():
 
 def test_ancestor_tests_read_the_membership_tables():
     # "is this vertex a (possible) ancestor of z" is a table lookup: the
-    # per-set cores compute no closure of z
-    for module, name in (("separation", "connected"),
-                         ("identify", "_invariant")):
-        tree = ast.parse((SRC / f"{module}.py").read_text())
-        [core] = [node for node in tree.body
+    # per-set cores compute no closure of z. The search context's invariance
+    # check reads each mutable vertex's row, kept with its MAGs.
+    def function(body, name):
+        [node] = [node for node in body
                   if isinstance(node, ast.FunctionDef) and node.name == name]
-        assert "reach" not in called_names(core)
-        assert "reached_by" in called_names(core)
+        return node
+
+    separation = ast.parse((SRC / "separation.py").read_text())
+    core = function(separation.body, "connected")
+    assert "reach" not in called_names(core)
+    assert "reached_by" in called_names(core)
+    identify = ast.parse((SRC / "identify.py").read_text())
+    [context] = [node for node in identify.body
+                 if isinstance(node, ast.ClassDef)
+                 and node.name == "SearchContext"]
+    core = function(context.body, "invariant")
+    rows = function(context.body, "_invariance_data")
+    assert called_names(core) & {"reach", "closures", "reached_by"} == set()
+    assert "_invariance_data" in called_names(core)
+    assert "reached_by" in called_names(rows)
+    assert "reach" not in called_names(rows)
 
 
 def test_citest_position_cores_call_no_name_level_function():

@@ -21,7 +21,8 @@ from stablespec.fci import (
 )
 from stablespec.graph import GraphError, parse
 from stablespec.identify import (
-    FAIL, InvarianceQuery, identify_interventional, invariant_conditional_mag,
+    FAIL, InvarianceQuery, SearchContext, identify_interventional,
+    invariant_conditional_mag,
 )
 from stablespec.scm import LinearGaussianSCM, shift_benchmark_scm
 from stablespec.search import (
@@ -151,14 +152,14 @@ class TestStableCandidates:
             g = random_admg(random.Random(6), max_vertices=7, min_vertices=7)
             pag = fci(SeparationOracle(g), g.vertices)
             spec, env, target = InvarianceSpec(pag, {"V0", "V1"}), None, "V4"
-        # the search calls identification's mask core
-        calls, original = [], search._identify
+        # the search asks its context's per-key entry
+        calls, original = [], SearchContext.identify
 
-        def counted(pag, ix, m, y, z):
-            calls.append(ix.names_of(z))
-            return original(pag, ix, m, y, z)
+        def counted(context, y, z):
+            calls.append(context.ix.names_of(z))
+            return original(context, y, z)
 
-        monkeypatch.setattr(search, "_identify", counted)
+        monkeypatch.setattr(SearchContext, "identify", counted)
         got = stable_candidates(spec, target, "full", env=env)
         observed = set(spec.pag.vertices) - {target, env}
         want = {z - spec.mutable for z in subsets_in_order(observed)
