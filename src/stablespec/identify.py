@@ -7,20 +7,20 @@ the checker the program calls. ``invariant_conditional`` enumerates
 definite status paths in the PAG and is kept only as the test oracle for
 it. ``identify_interventional`` derives a symbolic expression for an
 interventional conditional from the observational joint, or reports
-failure when the PAG does not determine one. A search asks it for every
-conditioning set, and the answers repeat, so it keeps on the PAG each
-Q[c] of the joint and each simplified answer per target and decomposition
+failure when the PAG does not determine one; it keeps on the PAG each Q[c]
+of the joint and each simplified answer per target and decomposition
 pieces meeting the target, failures included.
 
 Both are answered by one implementation on the PAG's mask index
 (``graph.VertexMasks``): a ``SearchContext`` holds what the answers for one
 PAG and one mutable set share, built on first use, and answers
-``invariant`` and ``identify`` for each conditioning set on masks. The
-search builds one context and asks it for every set, so each
-decomposition step is computed once per search; the public functions build
-one for a single query. Decomposition steps, bucket absorption and
-elimination, and Q[c] identification have only mask cores, which call each
-other; vertex names become masks once, in the public functions.
+``invariant`` and ``identify`` for each conditioning set by mask
+arithmetic on its tables. A search builds one context and asks it for
+every set, so each decomposition step is computed once per search, and a
+set's decomposition stops at the piece that covers the target; the public
+functions build one per query. Decomposition steps, bucket absorption and
+elimination, and Q[c] identification have only mask cores, which call
+each other; vertex names become masks once, in the public functions.
 """
 
 from __future__ import annotations
@@ -109,20 +109,6 @@ def invariant_conditional(p: MixedGraph, q: InvarianceQuery) -> bool:
     return True
 
 
-def _invariance_masks(p: MixedGraph, x: str):
-    """The mask indexes of a class member keeping p's edges into x, of the
-    same MAG with the visible out-edges of x removed, and of it with every
-    edge into x removed; built once per (p, x). The MAGs have p's vertices,
-    so their masks number the vertices as p's do."""
-    def build():
-        r = pag_to_mag(p, {x})
-        return (r.masks(),
-                mutilate(r, REMOVE_VISIBLE_OUT_OF, {x},
-                         visibility_in=p).masks(),
-                mutilate(r, REMOVE_INTO, {x}).masks())
-    return p.memo(("invariance_masks", x), build)
-
-
 def invariant_conditional_mag(p: MixedGraph, q: InvarianceQuery) -> bool:
     """Is P(y|z) invariant to shifts in x, by m-separation in MAGs?
 
@@ -161,16 +147,16 @@ def _star(nbrs: Sequence[int], s: int, scope: int) -> int:
 
 
 def _decomposition_step(ix: VertexMasks, inv: Sequence[int], x: int,
-                        scope: int) -> tuple[int, int, int, int]:
+                        scope: int) -> list:
     """One step of the decomposition of a target inside scope from the
     seed x: the pc-component cx of x, the possible parents a that pa* of cx
-    shares with pa* of the pc-component of the rest, scope - cx, and the
-    regions of x and of the rest, each the circle-circle closure of its
-    pc-component inside scope."""
+    shares with pa* of the pc-component rest of scope - cx, and rest, as
+    [cx, a, rest, None, None]; ``SearchContext.decompose`` fills in the
+    regions, the circle-circle closures of cx and rest in scope, on use."""
     cx = _pc(ix, inv, x, scope)
     rest = _pc(ix, inv, scope & ~cx, scope)
-    a = _star(ix.ppa, cx, scope) & _star(ix.ppa, rest, scope)
-    return cx, a, reach(ix.cc, cx, scope), reach(ix.cc, rest, scope)
+    return [cx, _star(ix.ppa, cx, scope) & _star(ix.ppa, rest, scope), rest,
+            None, None]
 
 
 def _absorb(ix: VertexMasks, inv: Sequence[int], t: int, z: int
@@ -268,54 +254,65 @@ def identify_interventional(p: MixedGraph, x: Iterable[str],
 
 class SearchContext:
     """The two questions a search asks of a PAG p with mutable vertices m
-    (a mask of p's index) for each conditioning set, on masks:
-    ``invariant(y, z)`` and ``identify(y, z)``.
+    (a mask of p's index) for each conditioning set, answered by mask
+    arithmetic: ``invariant(y, z)`` and ``identify(y, z)``.
 
     What the answers share is built on first use and kept for the
     context's life, so a GraphError is raised by the question that first
     needs the fact, as a per-set check would raise it:
 
-      * per mutable vertex, the mask indexes of its three MAGs and its row
-        of p's possible-descendant table;
-      * the PAG checks: that a MAG fits p, and p's invisible-edge masks;
+      * one invariance row per mutable vertex;
+      * the PAG check that a MAG fits p;
       * per vertex v, its possible descendants ``reach(noarrow, v, V - m)``
         outside m, so the closure of a set is an OR of rows;
-      * per decomposition step, keyed by (grown seed, scope), the step's
-        pc-component, shared possible parents and two regions.
+      * per decomposition step, keyed by (grown seed, scope), the list
+        ``_decomposition_step`` returns, its regions filled in on use;
+      * per target and decomposition prefix, the answer.
 
-    The step table is the search's, not a fact of p's memo: it is freed
-    when the search ends. The MAGs, Q[c] and simplified answers stay on
-    p's memo, shared by every search on p.
+    The step and answer tables are the search's and are freed with it; the
+    MAGs, p's invisible-edge masks, Q[c] and simplified answers stay on p's
+    memo, shared by every search on p.
     """
 
-    __slots__ = ("p", "ix", "m", "_positions", "_mutable", "_inv",
-                 "_closure", "_steps")
+    __slots__ = ("p", "ix", "m", "_rows", "_inv", "_closure", "_steps",
+                 "_answers")
 
     def __init__(self, p: MixedGraph, m: int):
         self.p, self.ix, self.m = p, p.masks(), m
-        self._positions = tuple(positions(m))
-        self._mutable: dict[int, tuple] = {}
-        self._inv: tuple[int, ...] | None = None
+        self._rows: tuple[tuple, ...] | None = None
+        self._inv = invisible(p)
         self._closure: list[int] | None = None
-        self._steps: dict[tuple[int, int], tuple[int, int, int, int]] = {}
+        self._steps: dict[tuple[int, int], list] = {}
+        self._answers: dict[tuple, object] = {}
 
-    def _invariance_data(self, i: int) -> tuple:
-        """The three MAG mask indexes of the mutable vertex at bit i and
-        its row of the possible-descendant table, built on first use."""
-        data = self._mutable.get(i)
-        if data is None:
-            data = self._mutable[i] = (
-                *_invariance_masks(self.p, self.ix.names[i]),
-                self.ix.reached_by("noarrow")[i])
-        return data
+    def _invariance_rows(self) -> tuple[tuple, ...]:
+        """Per mutable vertex X at bit i: (1 << i, i, the mask indexes of a
+        class member keeping p's edges into X, of it with the visible
+        out-edges of X removed and of it with every edge into X removed,
+        X's row of p's possible-descendant table). The MAGs, kept on p's
+        memo, have p's vertices, so their masks number them as p's do."""
+        p, names = self.p, self.ix.names
+
+        def mags(x):
+            r = pag_to_mag(p, {x})
+            return (r.masks(), mutilate(r, REMOVE_VISIBLE_OUT_OF, {x},
+                                        visibility_in=p).masks(),
+                    mutilate(r, REMOVE_INTO, {x}).masks())
+        pde = self.ix.reached_by("noarrow")
+        self._rows = tuple(
+            (1 << i, i, *p.memo(("invariance_masks", names[i]),
+                                lambda: mags(names[i])), pde[i])
+            for i in positions(self.m))
+        return self._rows
 
     def invariant(self, y: int, z: int) -> bool:
         """``invariant_conditional_mag`` for shifts in m on masks. X is a
         possible ancestor of z iff z meets X's possible descendants, a row
         of the table, so no closure of z is computed."""
-        for i in self._positions:
-            mag, out_cut, in_cut, pde = self._invariance_data(i)
-            xb = 1 << i
+        rows = self._rows
+        if rows is None:
+            rows = self._invariance_rows()
+        for xb, i, mag, out_cut, in_cut, pde in rows:
             if xb & z:
                 g, cond = out_cut, z & ~xb
             elif z & pde:
@@ -328,59 +325,64 @@ class SearchContext:
 
     def identify(self, y: int, z: int):
         """``identify_interventional`` of P_m(y | z) on masks, m nonempty
-        and z disjoint from m: the expression, or FAIL."""
-        p, ix = self.p, self.ix
-        if self._closure is None:
+        and z disjoint from m: the expression, or FAIL, which the
+        decomposition's pieces up to the one covering y determine."""
+        p, ix, closure = self.p, self.ix, self._closure
+        if closure is None:
             class_mag(p)   # raises GraphError when no MAG fits p
-            self._inv = invisible(p)
-            self._closure = closures(ix.noarrow, ix.all & ~self.m)
-        d = 0
-        for i in positions(y | z):
-            d |= self._closure[i]
-        d &= ~z
-        # the pieces partition d ⊇ y, so those after the last one meeting y
-        # do not matter
-        pieces, left = [], y
-        for di, zi in self.decompose(d, z):
-            if di & y:
-                pieces.append((di, zi))
-                left &= ~di
-                if not left:
-                    break
-        key = ("identified", y, tuple(pieces))
-        inv = self._inv
-        return p.memo(key, lambda: _identify_pieces(p, ix, inv, y, pieces))
+            closure = self._closure = closures(ix.noarrow, ix.all & ~self.m)
+        d, s = 0, y | z
+        while s:
+            low = s & -s
+            s ^= low
+            d |= closure[low.bit_length() - 1]
+        key = (y, *self.decompose(d & ~z, z, y))
+        answer = self._answers.get(key)
+        if answer is None:
+            pieces = [piece for piece in key[1:] if piece[0] & y]
+            answer = self._answers[key] = p.memo(
+                ("identified", y, tuple(pieces)),
+                lambda: _identify_pieces(p, ix, self._inv, y, pieces))
+        return answer
 
-    def decompose(self, t: int, z: int):
+    def decompose(self, t: int, z: int, target: int | None = None
+                  ) -> list[tuple[int, int]]:
         """Split t into component-wise pieces (t_i, z_i) whose
-        interventional factors can be identified separately, one at a
-        time: the pieces partition t, so a caller may stop once those it
-        needs are covered. Each step is read from the step table."""
-        if self._inv is None:
-            self._inv = invisible(self.p)
-        pch = self.ix.pch
+        interventional factors can be identified separately, in order,
+        until they cover target (all of t by default): a prefix of t's
+        decomposition. A step's region is computed when a piece is split
+        off there, the rest's only when the walk goes on."""
+        ix, inv, steps = self.ix, self._inv, self._steps
+        left = t if target is None else target
+        pieces = []
         while t:
             scope = t | z
             x = t & -t   # the smallest name of t
-            cx, a, region_x, region_rest = self._step(x, scope)
-            while a & ~z:
-                grown = x | _star(pch, a & t, scope)
+            while True:
+                step = steps.get((x, scope))
+                if step is None:
+                    step = steps[x, scope] = _decomposition_step(ix, inv, x,
+                                                                 scope)
+                if not step[1] & ~z:
+                    break
+                grown = x | _star(ix.pch, step[1] & t, scope)
                 if grown == x:
                     raise RuntimeError(
                         "component growth stalled; malformed graph?")
                 x = grown
-                cx, a, region_x, region_rest = self._step(x, scope)
+            cx, _, rest, region_x, region_rest = step
+            if region_x is None:
+                region_x = step[3] = reach(ix.cc, cx, scope)
             t1 = cx & t
-            t2 = t & ~t1
-            yield t1, region_x & ~t1
-            t, z = t2, region_rest & ~t2
-
-    def _step(self, x: int, scope: int) -> tuple[int, int, int, int]:
-        step = self._steps.get((x, scope))
-        if step is None:
-            step = self._steps[x, scope] = _decomposition_step(
-                self.ix, self._inv, x, scope)
-        return step
+            pieces.append((t1, region_x & ~t1))
+            left &= ~t1
+            if not left:
+                break
+            t &= ~t1
+            if region_rest is None:
+                region_rest = step[4] = reach(ix.cc, rest, scope)
+            z = region_rest & ~t
+        return pieces
 
 
 def _identify_pieces(p: MixedGraph, ix: VertexMasks, inv: Sequence[int],

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -23,7 +22,7 @@ from .estimate import (
 )
 from .expressions import Factor
 from .graph import GraphError, MixedGraph
-from .identify import FAIL, InvarianceQuery, SearchContext
+from .identify import FAIL, SearchContext
 from .scm import shift_benchmark_scm
 
 SEARCH_MODES = ("full", "conditional-only", "single-env")
@@ -48,27 +47,19 @@ class SearchBudgetError(GraphError):
     """Exhaustive enumeration refused: too many candidate vertices."""
 
 
-def subsets_in_order(items: Iterable):
-    """All subsets, smaller sizes first, lexicographic within a size."""
-    items = sorted(items)
-    for size in range(len(items) + 1):
-        for combo in combinations(items, size):
-            yield frozenset(combo)
-
-
 def stable_candidates(spec: InvarianceSpec, target: str, mode: str = "full",
                       env: str | None = None,
                       max_observed: int = DEFAULT_MAX_OBSERVED
                       ) -> list[CandidateModel]:
     """Enumerate stable conditional and interventional candidates.
 
-    Conditioning sets Z range over subsets of the non-environment vertices
-    minus the target. A Z whose conditional passes the invariance check
-    yields a conditional candidate; otherwise (full mode) an identified
-    interventional expression over Z minus the mutable set is attempted,
-    once per distinct Z minus the mutable set. Both questions are asked of
-    one ``SearchContext``, so what they share across conditioning sets
-    (MAGs, closures, decomposition steps) is computed once per search.
+    Conditioning sets Z, as masks, range over subsets of the
+    non-environment vertices minus the target, which must not be mutable.
+    A Z whose conditional passes the invariance check yields a conditional
+    candidate; otherwise (full mode) an identified interventional
+    expression over Z minus the mutable set is attempted, once per distinct
+    Z minus the mutable set. Both questions are asked of one
+    ``SearchContext``, which builds what the sets share once per search.
     """
     if mode not in SEARCH_MODES:
         raise GraphError(f"unknown search mode {mode!r}")
@@ -86,29 +77,36 @@ def stable_candidates(spec: InvarianceSpec, target: str, mode: str = "full",
             f"{len(observed)} candidate vertices exceed the exhaustive "
             f"search budget of {max_observed}")
     m = spec.mutable
-    InvarianceQuery(m, {target}, ())   # raises when the target is mutable
+    if target in m:
+        raise GraphError(f"target {target!r} is in the mutable set "
+                         f"{sorted(m)}: it has no stable predictor")
     ix = spec.pag.masks()
     mm, y = ix.mask(m), ix.bit[target]
     context = SearchContext(spec.pag, mm)
+    # sets of size k in the names' order: each set of size k - 1, in order,
+    # plus each bit above its highest, as bits sort as their names do
+    bits = sorted(ix.bit[v] for v in observed)
+    above = [[b for b in bits if b >> n] for n in range(len(ix.names) + 1)]
     out: list[CandidateModel] = []
     seen: set[int] = set()   # each z - m already identified
-    # bits sort as their names do, so the masks come in the names' order
-    for bits in subsets_in_order(ix.bit[v] for v in observed):
-        z = sum(bits)
-        if context.invariant(y, z):
-            zs = ix.names_of(z)
-            out.append(CandidateModel("conditional", m, zs,
-                                      Factor({target}, zs)))
-            continue
-        # identification depends on z only through z - m
-        key = z & ~mm
-        if mode != "full" or not m or key in seen:
-            continue
-        seen.add(key)
-        expr = context.identify(y, key)
-        if expr is not FAIL:
-            out.append(CandidateModel("interventional", m, ix.names_of(key),
-                                      expr))
+    level = [0]
+    while level:
+        for z in level:
+            if context.invariant(y, z):
+                zs = ix.names_of(z)
+                out.append(CandidateModel("conditional", m, zs,
+                                          Factor({target}, zs)))
+                continue
+            # identification depends on z only through z - m
+            key = z & ~mm
+            if mode != "full" or not m or key in seen:
+                continue
+            seen.add(key)
+            expr = context.identify(y, key)
+            if expr is not FAIL:
+                out.append(CandidateModel("interventional", m,
+                                          ix.names_of(key), expr))
+        level = [z | b for z in level for b in above[z.bit_length()]]
     return out
 
 

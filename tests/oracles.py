@@ -2,8 +2,8 @@
 in PAGs, edge visibility by enumerating collider paths, Possible-D-SEP and
 skeleton blocks by enumerating simple paths, the MAG of an ADMG by
 exhaustive search for separating sets, target decomposition with its
-argument checks, equal-count binning of continuous columns, and small graph
-constructors.
+argument checks, the search's order of conditioning sets on names,
+equal-count binning of continuous columns, and small graph constructors.
 
 The ``*_by_sets`` procedures are the set-based forms of the program's mask
 loops: closures, pc-components, regions, the m-separation walk and target
@@ -168,6 +168,15 @@ def decompose_targets(p: MixedGraph, t: Iterable[str],
     return [(set(ix.names_of(ti)), set(ix.names_of(zi)))
             for ti, zi in SearchContext(p, 0).decompose(ix.mask(t),
                                                         ix.mask(z))]
+
+
+def subsets_in_order(items: Iterable):
+    """All subsets, smaller sizes first, lexicographic within a size: the
+    order in which ``stable_candidates`` visits conditioning sets."""
+    items = sorted(items)
+    for size in range(len(items) + 1):
+        for combo in combinations(items, size):
+            yield frozenset(combo)
 
 
 # -- set-based references of the mask loops -------------------------------

@@ -671,6 +671,19 @@ class TestSearch:
         log = (out / "log.txt").read_text()
         assert "mutable set: ['X1']" in log
 
+    @pytest.mark.parametrize("target, extra", [("X1", []),
+                                               ("Y", ["--mutable", "Y"])],
+                             ids=["derived", "explicit"])
+    def test_mutable_target_exits_two_naming_it(self, workdir, tmp_path,
+                                                capsys, target, extra):
+        # the derived mutable set is E's possible children, {X1}
+        argv = search_argv(workdir, tmp_path / "run", extra)
+        argv[argv.index("--target") + 1] = target
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"target {target!r} is in the mutable set" in err
+        assert "Traceback" not in err
+
     def test_single_env_requires_mutable(self, workdir, tmp_path):
         argv = ["search", "--graph", str(workdir / "pag.txt"),
                 "--data", str(workdir / "e1.csv"),

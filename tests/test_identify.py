@@ -428,29 +428,59 @@ class TestSearchContext:
     """One context answers every conditioning set of a search as the
     single-query functions answer each set on a fresh, equal PAG."""
 
-    def test_every_key_equals_a_single_query(self):
+    @staticmethod
+    def searches():
+        """(PAG, mutable vertices, target, [(z, d)]) on 40 oracle PAGs: every
+        conditioning set z with the target closure d of z outside the
+        mutable vertices."""
         rng = random.Random(11)
         for _ in range(40):
             admg = random_admg(rng, max_vertices=8, min_vertices=5)
             p = fci(SeparationOracle(admg), admg.vertices)
             *mutable, target = rng.sample(sorted(p.vertices),
                                           rng.randint(2, 3))
+            outside_m = induced(p, set(p.vertices) - set(mutable))
+            yield p, mutable, target, [
+                (z, closure_by_sets(outside_m, z | {target},
+                                    lambda here, there: there != ARROW) - z)
+                for z in all_subsets(set(p.vertices) - set(mutable)
+                                     - {target})]
+
+    def test_every_key_equals_a_single_query(self):
+        for p, mutable, target, sets in self.searches():
             fresh = parse(serialize(p))
             ix = p.masks()
             m, y = ix.mask(mutable), ix.bit[target]
             context = SearchContext(p, m)
-            outside_m = induced(p, set(p.vertices) - set(mutable))
-            for z in all_subsets(set(p.vertices) - set(mutable) - {target}):
+            for z, d in sets:
                 zm = ix.mask(z)
                 assert context.invariant(y, zm) == invariant_conditional_mag(
                     fresh, InvarianceQuery(mutable, {target}, z))
                 assert answer(context.identify(y, zm)) == answer(
                     identify_interventional(fresh, mutable, {target}, z))
-                d = closure_by_sets(outside_m, z | {target},
-                                    lambda here, there: there != ARROW) - z
                 assert [(ix.names_of(ti), ix.names_of(zi)) for ti, zi in
                         context.decompose(ix.mask(d), zm)] == \
                     decompose_by_sets(p, d, z)
+
+    def test_decomposition_stops_at_the_targets_piece(self):
+        # the pieces partition d, so a walk asked to cover the target stops
+        # at the piece that covers it: the full decomposition's prefix up to
+        # that piece, whether its steps are new or read from a table that
+        # the full walk filled
+        stopped = 0
+        for p, mutable, target, sets in self.searches():
+            ix = p.masks()
+            m, y = ix.mask(mutable), ix.bit[target]
+            context = SearchContext(p, m)
+            for z, d in sets:
+                zm, dm = ix.mask(z), ix.mask(d)
+                cut = SearchContext(p, m).decompose(dm, zm, y)
+                full = context.decompose(dm, zm)
+                [k] = [k for k, (ti, _) in enumerate(full) if ti & y]
+                assert cut == context.decompose(dm, zm, y) == full[:k + 1]
+                assert context.decompose(dm, zm, dm) == full
+                stopped += k + 1 < len(full)
+        assert stopped
 
     def test_no_mag_fits_raises_graph_error(self):
         p = parse(CYCLIC_PAG)

@@ -147,7 +147,7 @@ def test_separation_oracle_tests_sets_as_masks():
 def test_ancestor_tests_read_the_membership_tables():
     # "is this vertex a (possible) ancestor of z" is a table lookup: the
     # per-set cores compute no closure of z. The search context's invariance
-    # check reads each mutable vertex's row, kept with its MAGs.
+    # check reads each mutable vertex's row, built once with its MAGs.
     def function(body, name):
         [node] = [node for node in body
                   if isinstance(node, ast.FunctionDef) and node.name == name]
@@ -162,9 +162,9 @@ def test_ancestor_tests_read_the_membership_tables():
                  if isinstance(node, ast.ClassDef)
                  and node.name == "SearchContext"]
     core = function(context.body, "invariant")
-    rows = function(context.body, "_invariance_data")
+    rows = function(context.body, "_invariance_rows")
     assert called_names(core) & {"reach", "closures", "reached_by"} == set()
-    assert "_invariance_data" in called_names(core)
+    assert "_invariance_rows" in called_names(core)
     assert "reached_by" in called_names(rows)
     assert "reach" not in called_names(rows)
 

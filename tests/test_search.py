@@ -19,7 +19,7 @@ from stablespec.expressions import Factor, to_json
 from stablespec.fci import (
     Knowledge, SeparationOracle, fci, possible_children_of_env,
 )
-from stablespec.graph import GraphError, parse
+from stablespec.graph import GraphError, parse, serialize
 from stablespec.identify import (
     FAIL, InvarianceQuery, SearchContext, identify_interventional,
     invariant_conditional_mag,
@@ -28,8 +28,9 @@ from stablespec.scm import LinearGaussianSCM, shift_benchmark_scm
 from stablespec.search import (
     InvarianceSpec, SearchBudgetError, fit_candidates, search_stable_predictor,
     shift_sweep, simulate_benchmark, split_train_validation, stable_candidates,
-    subsets_in_order, unstable_baseline, unstable_candidate, write_sweep_csv,
+    unstable_baseline, unstable_candidate, write_sweep_csv,
 )
+from oracles import subsets_in_order
 from util import bench_inputs, example_pag, independence_oracle, random_admg
 
 
@@ -171,20 +172,49 @@ class TestStableCandidates:
             self.reference(spec, target, env)
 
     @staticmethod
-    def reference(spec, target, env):
-        """(kind, conditioning set) of each candidate, with identification
-        asked for every conditioning set."""
+    def reference(spec, target, env, mode="full"):
+        """(kind, conditioning set) of each candidate, with the sets listed
+        on names and identification asked for every conditioning set."""
         out = []
         m = spec.mutable
         for z in subsets_in_order(set(spec.pag.vertices) - {target, env}):
             if invariant_conditional_mag(spec.pag,
                                          InvarianceQuery(m, {target}, z)):
                 out.append(("conditional", z))
-            elif identify_interventional(spec.pag, m, {target},
-                                         z - m) is not FAIL and \
+            elif mode == "full" and m and identify_interventional(
+                    spec.pag, m, {target}, z - m) is not FAIL and \
                     ("interventional", z - m) not in out:
                 out.append(("interventional", z - m))
         return out
+
+    @pytest.mark.parametrize("mode", ["full", "conditional-only",
+                                      "single-env"])
+    def test_candidate_order_equals_reference(self, mode):
+        # random oracle PAGs with 1 to 3 mutable vertices; the reference
+        # runs on a fresh copy, so it shares no memo with the search
+        rng = random.Random(33)
+        kinds = set()
+        for _ in range(24):
+            g = random_admg(rng, max_vertices=8, min_vertices=6)
+            pag = fci(SeparationOracle(g), g.vertices)
+            *mutable, target = rng.sample(sorted(pag.vertices),
+                                          rng.randint(2, 4))
+            got = stable_candidates(InvarianceSpec(pag, mutable), target,
+                                    mode)
+            want = self.reference(
+                InvarianceSpec(parse(serialize(pag)), mutable), target, None,
+                mode)
+            assert [(c.kind, c.conditioning_set) for c in got] == want
+            kinds |= {kind for kind, _ in want}
+        assert kinds == ({"conditional", "interventional"} if mode == "full"
+                         else {"conditional"})
+
+    @pytest.mark.parametrize("mutable", ["X1", "Y"])
+    def test_mutable_target_rejected_naming_both(self, mutable):
+        spec = InvarianceSpec(example_pag(), {mutable, "Y"})
+        with pytest.raises(GraphError, match=r"target 'Y' is in the "
+                           r"mutable set \[.*'Y'.*\]"):
+            stable_candidates(spec, "Y")
 
     def test_interventional_sets_exclude_mutable(self):
         for c in stable_candidates(example_spec(), "Y", "full", env="E"):
