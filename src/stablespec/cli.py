@@ -5,7 +5,10 @@ Subcommands: learn-pag (structure learning from CSV data), identify
 stable-predictor search), simulate (benchmark sampling), sweep (train on the
 benchmark and score models across a shift grid), check (invariance of a
 single conditional). Options can come from a JSON config file, with
-command-line flags taking precedence. Exit codes: 0 success, 1 when the
+command-line flags taking precedence. A numeric flag's range is its
+argparse type, so a flag out of range fails at parse time as any argparse
+error does, and a config value out of range fails with its key named,
+before a command writes anything. Exit codes: 0 success, 1 when the
 result is FAIL (no stable candidate / not identifiable / not invariant),
 2 on bad input.
 """
@@ -46,35 +49,30 @@ def _csv_list(text: str) -> list[str]:
     return [t for t in (s.strip() for s in text.split(",")) if t]
 
 
-def _finite(flag: str, value: float) -> float:
-    if not math.isfinite(value):
-        raise InputError(f"{flag} must be a finite number, not {value}")
-    return value
+def _range(convert, ok, what: str):
+    """An argparse type: the flag's text converted by ``convert``, refused
+    unless ``ok`` holds of the value. argparse's error names the flag, and
+    ``_config_value``'s the config key."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, not {value}")
+        return value
+    parse.__name__ = convert.__name__   # "invalid int value: 'ten'"
+    return parse
 
 
-def _count(flag: str, value: int) -> int:
-    if value < 0:
-        raise InputError(f"{flag} must be a non-negative integer, not {value}")
-    return value
+_finite = _range(float, math.isfinite, "a finite number")
+_count = _range(int, lambda v: v >= 0, "a non-negative integer")
+_positive = _range(int, lambda v: v >= 1, "a positive integer")
+_level = _range(float, lambda v: 0 < v < 1, "between 0 and 1")
 
 
-def _positive(flag: str, value: int) -> int:
-    if value < 1:
-        raise InputError(f"{flag} must be a positive integer, not {value}")
-    return value
+def _finite_list(text: str) -> list[float]:
+    return [_finite(t) for t in _csv_list(text)]
 
 
-def _level(flag: str, value: float) -> float:
-    if not 0 < value < 1:
-        raise InputError(f"{flag} must be between 0 and 1, not {value}")
-    return value
-
-
-def _check_learn_flags(args):
-    """The structure-learning flags, checked before anything is written."""
-    _level("--alpha", args.alpha)
-    if args.max_cond_size is not None:
-        _count("--max-cond-size", args.max_cond_size)
+_finite_list.__name__ = "float list"   # "invalid float list value: '4,x'"
 
 
 def _load_tables(args) -> list[DataTable]:
@@ -126,7 +124,6 @@ def _learn(args, log: list[str]):
 
 
 def cmd_learn_pag(args) -> int:
-    _check_learn_flags(args)
     out = _run_dir(args)
     log: list[str] = []
     pag, _, report, _ = _learn(args, log)
@@ -210,10 +207,6 @@ def _candidates_json(candidates, winner) -> str:
 
 
 def cmd_search(args) -> int:
-    _count("--seed", args.seed)
-    _count("--max-observed", args.max_observed)
-    if not args.graph:
-        _check_learn_flags(args)
     out = _run_dir(args)
     log: list[str] = []
     if args.graph:
@@ -224,10 +217,6 @@ def cmd_search(args) -> int:
     else:
         pag, env, _, data = _learn(args, log)
     if args.mode == "single-env":
-        if not args.mutable:
-            raise InputError("mutable set required: single-environment "
-                             "search has no environment column to derive "
-                             "it from")
         env = None
     mutable = _resolve_mutable(args, pag, env)
     log.append(f"mutable set: {sorted(mutable)}")
@@ -261,25 +250,13 @@ def cmd_simulate(args) -> int:
         raise InputError("simulate needs --out")
     if args.alpha is None:
         raise InputError("simulate needs --alpha")
-    table = simulate_benchmark(_finite("--alpha", args.alpha),
-                               _positive("--n", args.n),
-                               _count("--seed", args.seed))
+    table = simulate_benchmark(args.alpha, args.n, args.seed)
     save_csv(table, args.out)
     return 0
 
 
 def cmd_sweep(args) -> int:
-    # flags are checked before any training environment is simulated
-    train_alphas = [_finite("--train-alphas", float(a))
-                    for a in _csv_list(args.train_alphas)]
-    _finite("--grid-start", args.grid_start)
-    _finite("--grid-stop", args.grid_stop)
-    _count("--seed", args.seed)
-    _positive("--grid-points", args.grid_points)
-    _count("--max-observed", args.max_observed)
-    _positive("--n-train", args.n_train)
-    _positive("--n-test", args.n_test)
-    if len(train_alphas) < 2:
+    if len(args.train_alphas) < 2:
         raise InputError("sweep simulates one dataset per --train-alphas "
                          "value; provide two or more datasets")
     if not args.graph:
@@ -288,7 +265,7 @@ def cmd_sweep(args) -> int:
     out = _run_dir(args)
     log: list[str] = []
     tables = []
-    for i, a in enumerate(train_alphas):
+    for i, a in enumerate(args.train_alphas):
         t = simulate_benchmark(a, args.n_train, args.seed + i)
         tables.append(t)
     data = pool_environments(tables, args.env)
@@ -334,10 +311,10 @@ def _add_data_flags(p):
     p.add_argument("--schema", action="append",
                    help="sidecar JSON schema for the matching --data")
     p.add_argument("--test", choices=sorted(CI_TESTS), default="fisher-z")
-    p.add_argument("--alpha", type=float, default=0.01,
+    p.add_argument("--alpha", type=_level, default=0.01,
                    help="CI test significance level")
     p.add_argument("--env", default="E", help="environment column name")
-    p.add_argument("--max-cond-size", type=int)
+    p.add_argument("--max-cond-size", type=_count)
 
 
 def _add_search_flags(p):
@@ -346,8 +323,9 @@ def _add_search_flags(p):
     p.add_argument("--mutable",
                    help="comma-separated mutable vertices; defaults to the "
                         "possible children of the environment vertex")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-observed", type=int, default=DEFAULT_MAX_OBSERVED)
+    p.add_argument("--seed", type=_count, default=0)
+    p.add_argument("--max-observed", type=_count,
+                   default=DEFAULT_MAX_OBSERVED)
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
@@ -385,22 +363,22 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--out", default="run")
 
     p = sub.add_parser("simulate", help="sample the shift benchmark")
-    p.add_argument("--alpha", type=float, help="confounding strength")
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--alpha", type=_finite, help="confounding strength")
+    p.add_argument("--n", type=_positive, default=1000)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--out", help="output CSV path")
 
     p = sub.add_parser("sweep",
                        help="train on the benchmark, score across shifts")
     _add_search_flags(p)
     p.add_argument("--env", default="E")
-    p.add_argument("--train-alphas", default="4,8",
+    p.add_argument("--train-alphas", type=_finite_list, default="4,8",
                    help="comma-separated training shift strengths")
-    p.add_argument("--n-train", type=int, default=50000)
-    p.add_argument("--n-test", type=int, default=10000)
-    p.add_argument("--grid-start", type=float, default=-5.0)
-    p.add_argument("--grid-stop", type=float, default=17.0)
-    p.add_argument("--grid-points", type=int, default=100)
+    p.add_argument("--n-train", type=_positive, default=50000)
+    p.add_argument("--n-test", type=_positive, default=10000)
+    p.add_argument("--grid-start", type=_finite, default=-5.0)
+    p.add_argument("--grid-stop", type=_finite, default=17.0)
+    p.add_argument("--grid-points", type=_positive, default=100)
     p.add_argument("--out", default="run")
     return top, sub.choices
 

@@ -72,8 +72,20 @@ class InvarianceQuery:
         object.__setattr__(self, "x", frozenset(x))
         object.__setattr__(self, "y", frozenset(y))
         object.__setattr__(self, "z", frozenset(z))
-        if self.x & self.y or self.y & self.z:
-            raise GraphError("require x ∩ y = y ∩ z = ∅")
+        _require_disjoint(self.x, self.y, self.z, ("xy", "yz"))
+
+
+def _require_disjoint(x: frozenset[str], y: frozenset[str],
+                      z: frozenset[str], pairs=("xy", "yz", "xz")):
+    """Raise GraphError naming, for each of the ``pairs`` of sets that
+    overlap, both sets and the vertices they share."""
+    sets = {"x": x, "y": y, "z": z}
+    role = {"x": "intervened", "y": "target", "z": "given"}
+    clashes = [f"{a} ({role[a]}) and {b} ({role[b]}) share "
+               + ", ".join(sorted(sets[a] & sets[b]))
+               for a, b in pairs if sets[a] & sets[b]]
+    if clashes:
+        raise GraphError("; ".join(clashes) + "; they must be disjoint")
 
 
 # -- invariance ----------------------------------------------------------
@@ -237,8 +249,7 @@ def identify_interventional(p: MixedGraph, x: Iterable[str],
     x nonempty, answered by a ``SearchContext`` of one query.
     """
     x, y, z = frozenset(x), frozenset(y), frozenset(z)
-    if x & y or y & z or x & z:
-        raise GraphError("x, y and z must be pairwise disjoint")
+    _require_disjoint(x, y, z)
     ix = p.masks()
     ix.mask(x | y | z)
     if not y:

@@ -174,13 +174,6 @@ def unstable_candidate(data: DataTable, target: str) -> CandidateModel:
     return CandidateModel("unstable", frozenset(), z, Factor({target}, z))
 
 
-def unstable_baseline(data: DataTable, target: str, backend: str,
-                      seed: int = 0) -> CandidateModel:
-    """The unstable candidate, fitted as ``fit_candidates`` fits."""
-    return fit_candidates([unstable_candidate(data, target)], data, target,
-                          backend, seed)[0]
-
-
 # -- simulation and sweeps ---------------------------------------------------
 
 

@@ -31,8 +31,8 @@ from stablespec.scm import (
     shift_benchmark_scm,
 )
 from stablespec.search import (
-    InvarianceSpec, search_stable_predictor, shift_sweep, stable_candidates,
-    unstable_baseline,
+    InvarianceSpec, fit_candidates, search_stable_predictor, shift_sweep,
+    stable_candidates, unstable_candidate,
 )
 from stablespec.separation import m_connected, m_connected_bruteforce
 from util import example_admg, example_pag, random_admg
@@ -77,7 +77,8 @@ def benchmark_models():
     full = search_stable_predictor(spec, "Y", data, "full", seed=0, env="E")
     cond = search_stable_predictor(spec, "Y", data, "conditional-only",
                                    seed=0, env="E")
-    base = unstable_baseline(data, "Y", "linear-gaussian", seed=0)
+    base = fit_candidates([unstable_candidate(data, "Y")], data, "Y",
+                          "linear-gaussian", seed=0)[0]
     return full, cond, base
 
 

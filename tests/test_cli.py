@@ -149,9 +149,21 @@ def small_data_flags(d: Path, constant: bool = False) -> list[str]:
     return flags + ["--schema", str(d / "plain.json")]
 
 
+def exit_two_stderr(argv, capsys) -> str:
+    """stderr of a run that must exit 2: argparse raises SystemExit(2) on a
+    flag, and ``main`` returns 2 on a config value."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    return capsys.readouterr().err
+
+
 class TestSettingRanges:
     # ``message`` is the error of the learner's own check, which a caller
-    # from Python meets; the CLI checks the flag first and names it
+    # from Python meets; the CLI refuses the value as it parses it, naming
+    # the flag or the config key
     @pytest.mark.parametrize("key, value, message", [
         ("alpha", "1.5", "alpha must be between 0 and 1, not 1.5"),
         ("alpha", "nan", "alpha must be between 0 and 1, not nan"),
@@ -170,14 +182,18 @@ class TestSettingRanges:
             cfg = tmp_path / "run.json"
             cfg.write_text(json.dumps({key: value}))
             argv = ["--config", str(cfg), *argv]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
+        err = exit_two_stderr(argv, capsys)
         if key == "alpha":
-            assert err == f"error: {flag} must be between 0 and 1, " \
-                f"not {float(value)}\n"
+            wording = f"argument {flag}: must be between 0 and 1, " \
+                f"not {float(value)}"
         else:
-            assert err == f"error: {flag} must be a non-negative integer, " \
-                f"not {value}\n"
+            wording = f"argument {flag}: must be a non-negative integer, " \
+                f"not {value}"
+        if via == "flag":
+            assert err.startswith("usage: stablespec learn-pag ")
+            assert err.endswith(f"\nstablespec learn-pag: error: {wording}\n")
+        else:
+            assert err == f"error: config key {key!r}: {wording}\n"
         assert not (tmp_path / "run").exists()
         table = DataTable({"A": [0.0, 1.0, 2.0], "B": [1.0, 0.0, 2.0]})
         setting = {key: float(value) if key == "alpha" else int(value)}
@@ -186,88 +202,146 @@ class TestSettingRanges:
         assert str(exc.value) == message
 
 
+# One row per range-typed flag of each command, and more for some: an argv
+# and a message, which is the flag followed by what its type says of the
+# value.
+RANGE_ROWS = [
+    (["simulate", "--alpha", "inf", "--out", "{out}.csv"],
+     "--alpha must be a finite number, not inf"),
+    (["simulate", "--alpha=-inf", "--out", "{out}.csv"],
+     "--alpha must be a finite number, not -inf"),
+    (["simulate", "--alpha", "nan", "--out", "{out}.csv"],
+     "--alpha must be a finite number, not nan"),
+    (["sweep", "--graph", "{pag}", "--train-alphas", "nan,4",
+      "--out", "{out}"],
+     "--train-alphas must be a finite number, not nan"),
+    (["sweep", "--graph", "{pag}", "--train-alphas", "4,inf",
+      "--out", "{out}"],
+     "--train-alphas must be a finite number, not inf"),
+    (["sweep", "--graph", "{pag}", "--grid-start", "nan",
+      "--out", "{out}"],
+     "--grid-start must be a finite number, not nan"),
+    (["sweep", "--graph", "{pag}", "--grid-stop", "inf",
+      "--out", "{out}"],
+     "--grid-stop must be a finite number, not inf"),
+    # negative counts; before: numpy's "expected non-negative integer"
+    # and "Number of samples, -3, must be non-negative."
+    (["simulate", "--alpha", "4", "--seed", "-1", "--out", "{out}.csv"],
+     "--seed must be a non-negative integer, not -1"),
+    (["search", "--graph", "{pag}", "--data", "{data}", "--schema",
+      "{schema}", "--seed", "-2", "--out", "{out}"],
+     "--seed must be a non-negative integer, not -2"),
+    (["sweep", "--graph", "{pag}", "--seed", "-1", "--out", "{out}"],
+     "--seed must be a non-negative integer, not -1"),
+    (["sweep", "--graph", "{pag}", "--grid-points", "-3",
+      "--out", "{out}"],
+     "--grid-points must be a positive integer, not -3"),
+    # sample sizes; before: "need at least one row", which named no
+    # flag, after every training environment was simulated and fitted
+    (["simulate", "--alpha", "4", "--n", "-5", "--out", "{out}.csv"],
+     "--n must be a positive integer, not -5"),
+    (["simulate", "--alpha", "4", "--n", "0", "--out", "{out}.csv"],
+     "--n must be a positive integer, not 0"),
+    (["sweep", "--graph", "{pag}", "--n-train", "0", "--out", "{out}"],
+     "--n-train must be a positive integer, not 0"),
+    (["sweep", "--graph", "{pag}", "--n-train", "200", "--n-test", "-1",
+      "--out", "{out}"],
+     "--n-test must be a positive integer, not -1"),
+    # bounded flags; before: the message of the library check, which
+    # named the parameter, not the flag, after the run directory was
+    # made
+    (["learn-pag", "--data", "{data}", "--schema", "{schema}",
+      "--max-cond-size", "-1", "--out", "{out}"],
+     "--max-cond-size must be a non-negative integer, not -1"),
+    (["search", "--data", "{data}", "--schema", "{schema}",
+      "--max-cond-size", "-1", "--out", "{out}"],
+     "--max-cond-size must be a non-negative integer, not -1"),
+    (["learn-pag", "--data", "{data}", "--schema", "{schema}",
+      "--alpha", "1.5", "--out", "{out}"],
+     "--alpha must be between 0 and 1, not 1.5"),
+    (["learn-pag", "--data", "{data}", "--schema", "{schema}",
+      "--alpha", "nan", "--out", "{out}"],
+     "--alpha must be between 0 and 1, not nan"),
+    (["search", "--data", "{data}", "--schema", "{schema}",
+      "--alpha", "0", "--out", "{out}"],
+     "--alpha must be between 0 and 1, not 0.0"),
+    (["search", "--graph", "{pag}", "--data", "{data}", "--schema",
+      "{schema}", "--max-observed", "-1", "--out", "{out}"],
+     "--max-observed must be a non-negative integer, not -1"),
+    (["sweep", "--graph", "{pag}", "--max-observed", "-1",
+      "--out", "{out}"],
+     "--max-observed must be a non-negative integer, not -1"),
+    # an empty shift grid; before: "empty shift grid", which named no
+    # flag, after both training environments were simulated and fitted
+    (["sweep", "--graph", "{pag}", "--grid-points", "0",
+      "--out", "{out}"],
+     "--grid-points must be a positive integer, not 0"),
+    # learning flags with --graph, which skips learning; before: not
+    # checked, so the search ran and exited 0
+    (["search", "--graph", "{pag}", "--data", "{data}", "--schema",
+      "{schema}", "--alpha", "5", "--out", "{out}"],
+     "--alpha must be between 0 and 1, not 5.0"),
+    (["search", "--graph", "{pag}", "--data", "{data}", "--schema",
+      "{schema}", "--max-cond-size", "-1", "--out", "{out}"],
+     "--max-cond-size must be a non-negative integer, not -1"),
+]
+
+
 class TestNonFiniteFlags:
-    @pytest.mark.parametrize("flags, message", [
-        (["simulate", "--alpha", "inf", "--out", "{out}.csv"],
-         "--alpha must be a finite number, not inf"),
-        (["simulate", "--alpha=-inf", "--out", "{out}.csv"],
-         "--alpha must be a finite number, not -inf"),
-        (["simulate", "--alpha", "nan", "--out", "{out}.csv"],
-         "--alpha must be a finite number, not nan"),
-        (["sweep", "--graph", "{pag}", "--train-alphas", "nan,4",
-          "--out", "{out}"],
-         "--train-alphas must be a finite number, not nan"),
-        (["sweep", "--graph", "{pag}", "--train-alphas", "4,inf",
-          "--out", "{out}"],
-         "--train-alphas must be a finite number, not inf"),
-        (["sweep", "--graph", "{pag}", "--grid-start", "nan",
-          "--out", "{out}"],
-         "--grid-start must be a finite number, not nan"),
-        (["sweep", "--graph", "{pag}", "--grid-stop", "inf",
-          "--out", "{out}"],
-         "--grid-stop must be a finite number, not inf"),
-        # negative counts; before: numpy's "expected non-negative integer"
-        # and "Number of samples, -3, must be non-negative."
-        (["simulate", "--alpha", "4", "--seed", "-1", "--out", "{out}.csv"],
-         "--seed must be a non-negative integer, not -1"),
-        (["search", "--graph", "{pag}", "--data", "{data}", "--schema",
-          "{schema}", "--seed", "-2", "--out", "{out}"],
-         "--seed must be a non-negative integer, not -2"),
-        (["sweep", "--graph", "{pag}", "--seed", "-1", "--out", "{out}"],
-         "--seed must be a non-negative integer, not -1"),
-        (["sweep", "--graph", "{pag}", "--grid-points", "-3",
-          "--out", "{out}"],
-         "--grid-points must be a positive integer, not -3"),
-        # sample sizes; before: "need at least one row", which named no
-        # flag, after every training environment was simulated and fitted
-        (["simulate", "--alpha", "4", "--n", "-5", "--out", "{out}.csv"],
-         "--n must be a positive integer, not -5"),
-        (["simulate", "--alpha", "4", "--n", "0", "--out", "{out}.csv"],
-         "--n must be a positive integer, not 0"),
-        (["sweep", "--graph", "{pag}", "--n-train", "0", "--out", "{out}"],
-         "--n-train must be a positive integer, not 0"),
-        (["sweep", "--graph", "{pag}", "--n-train", "200", "--n-test", "-1",
-          "--out", "{out}"],
-         "--n-test must be a positive integer, not -1"),
-        # bounded flags; before: the message of the library check, which
-        # named the parameter, not the flag, after the run directory was
-        # made
-        (["learn-pag", "--data", "{data}", "--schema", "{schema}",
-          "--max-cond-size", "-1", "--out", "{out}"],
-         "--max-cond-size must be a non-negative integer, not -1"),
-        (["search", "--data", "{data}", "--schema", "{schema}",
-          "--max-cond-size", "-1", "--out", "{out}"],
-         "--max-cond-size must be a non-negative integer, not -1"),
-        (["learn-pag", "--data", "{data}", "--schema", "{schema}",
-          "--alpha", "1.5", "--out", "{out}"],
-         "--alpha must be between 0 and 1, not 1.5"),
-        (["learn-pag", "--data", "{data}", "--schema", "{schema}",
-          "--alpha", "nan", "--out", "{out}"],
-         "--alpha must be between 0 and 1, not nan"),
-        (["search", "--data", "{data}", "--schema", "{schema}",
-          "--alpha", "0", "--out", "{out}"],
-         "--alpha must be between 0 and 1, not 0.0"),
-        (["search", "--graph", "{pag}", "--data", "{data}", "--schema",
-          "{schema}", "--max-observed", "-1", "--out", "{out}"],
-         "--max-observed must be a non-negative integer, not -1"),
-        (["sweep", "--graph", "{pag}", "--max-observed", "-1",
-          "--out", "{out}"],
-         "--max-observed must be a non-negative integer, not -1"),
-        # an empty shift grid; before: "empty shift grid", which named no
-        # flag, after both training environments were simulated and fitted
-        (["sweep", "--graph", "{pag}", "--grid-points", "0",
-          "--out", "{out}"],
-         "--grid-points must be a positive integer, not 0"),
-    ])
+    @staticmethod
+    def row_argv(workdir, out, flags) -> list[str]:
+        return [f.format(out=out, pag=workdir / "pag.txt",
+                         data=workdir / "e1.csv",
+                         schema=workdir / "plain.json") for f in flags]
+
+    @staticmethod
+    def assert_nothing_written(out):
+        assert not out.exists() and not Path(f"{out}.csv").exists()
+
+    @pytest.mark.parametrize("flags, message", RANGE_ROWS)
     def test_exits_two_naming_the_flag(self, workdir, tmp_path, capsys,
                                        flags, message):
         out = tmp_path / "run"
-        argv = [f.format(out=out, pag=workdir / "pag.txt",
-                         data=workdir / "e1.csv",
-                         schema=workdir / "plain.json") for f in flags]
-        assert main(argv) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert not out.exists() and not Path(f"{out}.csv").exists()
+        err = exit_two_stderr(self.row_argv(workdir, out, flags), capsys)
+        flag, wording = message.split(" ", 1)
+        assert err.startswith(f"usage: stablespec {flags[0]} ")
+        assert err.endswith(f"\nstablespec {flags[0]}: error: "
+                            f"argument {flag}: {wording}\n")
+        self.assert_nothing_written(out)
+
+    @pytest.mark.parametrize("flags, message", RANGE_ROWS)
+    def test_config_value_exits_two_naming_the_key(
+            self, workdir, tmp_path, capsys, flags, message):
+        # the row with its flag moved into the config file
+        out = tmp_path / "run"
+        argv = self.row_argv(workdir, out, flags)
+        flag, wording = message.split(" ", 1)
+        at = next(i for i, a in enumerate(argv)
+                  if a == flag or a.startswith(flag + "="))
+        if argv[at] == flag:
+            value = argv.pop(at + 1)
+        else:
+            value = argv[at].split("=", 1)[1]
+        del argv[at]
+        key = flag[2:].replace("-", "_")
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: value}))
+        err = exit_two_stderr(["--config", str(cfg), *argv], capsys)
+        assert err == f"error: config key {key!r}: " \
+            f"argument {flag}: {wording}\n"
+        self.assert_nothing_written(out)
+
+    def test_rows_cover_every_range_flag(self):
+        # a numeric flag takes a range type, and the rows test each one
+        _, commands = cli.build_parser()
+        typed = [(name, action) for name, parser in commands.items()
+                 for action in parser._actions if action.type is not None]
+        assert {action.type for _, action in typed} == {
+            cli._finite, cli._count, cli._positive, cli._level,
+            cli._finite_list}
+        assert {(name, action.option_strings[0]) for name, action in typed} \
+            == {(flags[0], message.split()[0])
+                for flags, message in RANGE_ROWS}
 
 
 class TestConstantColumn:
@@ -643,6 +717,24 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "circle-tail edge unsupported (selection bias)" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, shared", [
+    (["check", "--mutable", "Y", "--target", "Y"],
+     "x (intervened) and y (target) share Y"),
+    (["check", "--mutable", "X1", "--target", "Y", "--given", "Y"],
+     "y (target) and z (given) share Y"),
+    (["identify", "--mutable", "Y", "--target", "Y"],
+     "x (intervened) and y (target) share Y"),
+    (["identify", "--mutable", "X1", "--target", "Y", "--given", "X1,X3"],
+     "x (intervened) and z (given) share X1"),
+])
+def test_overlapping_sets_exit_two_naming_them(workdir, capsys, argv,
+                                               shared):
+    assert main([*argv, "--graph", str(workdir / "pag.txt")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {shared}; they must be disjoint\n"
 
 
 class TestSearch:

@@ -36,9 +36,11 @@ def P(targets, given=()):
 
 class TestInvarianceQuery:
     def test_overlap_rejected(self):
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match=r"^x \(intervened\) and "
+                           r"y \(target\) share A;"):
             InvarianceQuery({"A"}, {"A"}, set())
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match=r"^y \(target\) and "
+                           r"z \(given\) share A;"):
             InvarianceQuery(set(), {"A"}, {"A"})
 
     def test_x_may_overlap_z(self):
@@ -255,8 +257,12 @@ class TestIdentifyInterventional:
 
     def test_disjointness_enforced(self):
         p = example_pag()
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match=r"^x \(intervened\) and "
+                           r"y \(target\) share Y;"):
             identify_interventional(p, {"Y"}, {"Y"}, set())
+        with pytest.raises(GraphError, match=r"^x \(intervened\) and "
+                           r"z \(given\) share X1, X2;"):
+            identify_interventional(p, {"X1", "X2"}, {"Y"}, {"X1", "X2"})
 
     def test_expression_matches_oracle_on_running_example(self):
         p = example_pag()

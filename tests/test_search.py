@@ -28,7 +28,7 @@ from stablespec.scm import LinearGaussianSCM, shift_benchmark_scm
 from stablespec.search import (
     InvarianceSpec, SearchBudgetError, fit_candidates, search_stable_predictor,
     shift_sweep, simulate_benchmark, split_train_validation, stable_candidates,
-    unstable_baseline, unstable_candidate, write_sweep_csv,
+    unstable_candidate, write_sweep_csv,
 )
 from oracles import subsets_in_order
 from util import bench_inputs, example_pag, independence_oracle, random_admg
@@ -394,7 +394,8 @@ class TestSearch:
 
     def test_unstable_baseline_beats_stable_in_sample(self):
         data = pooled_benchmark_data(20000)
-        base = unstable_baseline(data, "Y", "linear-gaussian")
+        base = fit_candidates([unstable_candidate(data, "Y")], data, "Y",
+                              "linear-gaussian", seed=0)[0]
         assert base.kind == "unstable"
         assert base.conditioning_set == {"X1", "X2", "X3"}
         best = search_stable_predictor(example_spec(), "Y", data, "full",
@@ -540,7 +541,8 @@ class TestSimulateAndSweep:
         data = pooled_benchmark_data(20000)
         cond = search_stable_predictor(example_spec(), "Y", data,
                                        "conditional-only", seed=0, env="E")
-        base = unstable_baseline(data, "Y", "linear-gaussian", seed=0)
+        base = fit_candidates([unstable_candidate(data, "Y")], data, "Y",
+                              "linear-gaussian", seed=0)[0]
         rows = shift_sweep([("conditional", cond.estimator),
                             ("unstable", base.estimator)], [4.0, 8.0, 17.0],
                            n_test=n_test, seed=7)
