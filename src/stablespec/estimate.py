@@ -258,31 +258,6 @@ def validation_loss(model, data: DataTable, y: str) -> float:
     return float(np.mean(resid ** 2))
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks of a 1-d array, tied values sharing their mean rank."""
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    last = np.r_[first[1:], len(values)]   # one past each tie group
-    group = np.repeat(np.arange(len(first)), last - first)
-    ranks = np.empty(len(values))
-    ranks[order] = ((first + 1 + last) / 2.0)[group]
-    return ranks
-
-
-def rank_correlation(pred_a: Sequence[float],
-                     pred_b: Sequence[float]) -> float:
-    """Spearman correlation: Pearson correlation of the average ranks."""
-    a = np.asarray(pred_a, dtype=float)
-    b = np.asarray(pred_b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1 or len(a) < 2:
-        raise ValueError("need two equal-length lists of at least 2 values")
-    if np.ptp(a) == 0 or np.ptp(b) == 0:
-        raise ValueError("zero variance in ranks")
-    r = np.corrcoef(_average_ranks(a), _average_ranks(b))[0, 1]
-    return float(np.clip(r, -1.0, 1.0))
-
-
 @dataclass
 class CandidateModel:
     """One entry of the stability search's result list."""

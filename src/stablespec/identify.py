@@ -72,13 +72,14 @@ class InvarianceQuery:
         object.__setattr__(self, "x", frozenset(x))
         object.__setattr__(self, "y", frozenset(y))
         object.__setattr__(self, "z", frozenset(z))
-        _require_disjoint(self.x, self.y, self.z, ("xy", "yz"))
+        _require_query(self.x, self.y, self.z, ("xy", "yz"))
 
 
-def _require_disjoint(x: frozenset[str], y: frozenset[str],
-                      z: frozenset[str], pairs=("xy", "yz", "xz")):
+def _require_query(x: frozenset[str], y: frozenset[str],
+                   z: frozenset[str], pairs=("xy", "yz", "xz")):
     """Raise GraphError naming, for each of the ``pairs`` of sets that
-    overlap, both sets and the vertices they share."""
+    overlap, both sets and the vertices they share; or, for disjoint sets,
+    saying that the target y is empty."""
     sets = {"x": x, "y": y, "z": z}
     role = {"x": "intervened", "y": "target", "z": "given"}
     clashes = [f"{a} ({role[a]}) and {b} ({role[b]}) share "
@@ -86,6 +87,8 @@ def _require_disjoint(x: frozenset[str], y: frozenset[str],
                for a, b in pairs if sets[a] & sets[b]]
     if clashes:
         raise GraphError("; ".join(clashes) + "; they must be disjoint")
+    if not y:
+        raise GraphError("y must be nonempty")
 
 
 # -- invariance ----------------------------------------------------------
@@ -249,11 +252,9 @@ def identify_interventional(p: MixedGraph, x: Iterable[str],
     x nonempty, answered by a ``SearchContext`` of one query.
     """
     x, y, z = frozenset(x), frozenset(y), frozenset(z)
-    _require_disjoint(x, y, z)
+    _require_query(x, y, z)
     ix = p.masks()
     ix.mask(x | y | z)
-    if not y:
-        raise GraphError("y must be nonempty")
     if not x:
         class_mag(p)   # raises GraphError when no MAG fits p
         return simplify(Factor(y, z), graph=p)

@@ -271,17 +271,6 @@ class DiscreteSCM:
         return {v: cols[v] for v in self.observed}
 
 
-def interventional_probability(scm: DiscreteSCM, x: Mapping[str, int],
-                               y: Mapping[str, int],
-                               z: Mapping[str, int] | None = None) -> float:
-    """Exact P_x(y | z) by truncated factorization and enumeration."""
-    z = dict(z or {})
-    joint = scm.joint(intervention=x)
-    if z:
-        return joint.conditional(dict(y), z)
-    return joint.prob(dict(y))
-
-
 # -- the planted practice-pattern scenario ---------------------------------
 
 # per-site lab-timing tables: P(L=1 | outcome, site)

@@ -1,9 +1,9 @@
 """Path separation procedures on mixed graphs.
 
-Covers m-connection in ADMGs and MAGs (reachability over the graph's mask
-index, plus path enumeration kept as its oracle) and edge visibility, one
-vertex search per directed edge. The program reads a PAG's separations by ``m_connected`` in
-one MAG of its class; definite-status path enumeration in the PAG
+Covers m-connection in ADMGs and MAGs, by reachability over the graph's
+mask index, and edge visibility, one mask closure per directed edge. The
+program reads a PAG's separations by ``m_connected`` in one MAG of its
+class; definite-status path enumeration in the PAG
 (``definite_connecting_paths``) is kept only as the test oracle for that.
 """
 
@@ -12,7 +12,8 @@ from __future__ import annotations
 from typing import Iterable
 
 from .graph import (
-    ARROW, CIRCLE, TAIL, Edge, GraphError, MixedGraph, VertexMasks,
+    ARROW, CIRCLE, TAIL, Edge, GraphError, MixedGraph, VertexMasks, positions,
+    reach,
 )
 
 
@@ -110,24 +111,6 @@ def _path_vertices(x: str, edges: list[Edge]) -> list[str]:
     return out
 
 
-def m_connected_bruteforce(g: MixedGraph, x: str, y: str, z: Iterable[str]) -> bool:
-    """Oracle variant of m_connected: enumerate all simple paths.
-
-    An ADMG or MAG has no circle marks, so every inner vertex of a path has
-    a definite status and its definite-status connecting paths are exactly
-    its m-connecting paths.
-    """
-    if g.kind not in ("ADMG", "MAG"):
-        raise GraphError(f"m_connected requires an ADMG or MAG, got {g.kind}")
-    if x == y:
-        raise GraphError("x and y must differ")
-    z = set(z)
-    g.check_vertices({x, y} | z)
-    if x in z or y in z:
-        raise GraphError("x and y must not be in z")
-    return bool(definite_connecting_paths(g, x, y, z))
-
-
 # -- definite-status paths in PAGs ----------------------------------------
 
 
@@ -196,26 +179,17 @@ def visible_edges(g: MixedGraph) -> frozenset[Edge]:
 
 
 def _visible_edges(g: MixedGraph) -> frozenset[Edge]:
-    return frozenset(e for e in g.edges if e.is_directed
-                     and _visible(g, e.tail_end(), e.head_end()))
+    """Per directed edge a --> b, one reach from a across bidirected edges
+    into parents of b: a and the inner vertices of its collider paths. The
+    edge is visible when a vertex not adjacent to b has an edge into a
+    reached vertex."""
+    ix = g.masks()
+    into = [p | q for p, q in zip(ix.ppa, ix.bi)]   # edges with a head at i
 
+    def visible(a: int, b: int) -> bool:
+        far = ~(ix.noarrow[b] | ix.at[b])
+        return any(into[i] & far
+                   for i in positions(reach(ix.bi, a, ix.pa[b] | a)))
 
-def _visible(g: MixedGraph, a: str, b: str) -> bool:
-    """Search from a across bidirected edges into parents of b: the inner
-    vertices of a collider path into a. a --> b is visible when a vertex
-    not adjacent to b has an edge into a reached vertex."""
-    adjacency = g.adjacency
-    near_b = {w for w, _, _, _ in adjacency(b)}
-    parents_b = g.parents(b)
-    reached = {a}
-    frontier = [a]
-    while frontier:
-        for w, _, here, there in adjacency(frontier.pop()):
-            if here != ARROW:
-                continue
-            if w not in near_b:
-                return True
-            if there == ARROW and w in parents_b and w not in reached:
-                reached.add(w)
-                frontier.append(w)
-    return False
+    return frozenset(e for e in g.edges if e.is_directed and visible(
+        ix.bit[e.tail_end()], ix.bit[e.head_end()].bit_length() - 1))

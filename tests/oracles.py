@@ -2,7 +2,8 @@
 in PAGs, edge visibility by enumerating collider paths, Possible-D-SEP and
 skeleton blocks by enumerating simple paths, the MAG of an ADMG by
 exhaustive search for separating sets, target decomposition with its
-argument checks, the search's order of conditioning sets on names,
+argument checks, the search's order of conditioning sets on names, exact
+interventional probabilities of a discrete SCM, Spearman rank correlation,
 equal-count binning of continuous columns, and small graph constructors.
 
 The ``*_by_sets`` procedures are the set-based forms of the program's mask
@@ -14,13 +15,14 @@ index."""
 
 from collections import deque
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from stablespec.data import DataTable
 from stablespec.graph import ARROW, CIRCLE, TAIL, Edge, GraphError, MixedGraph
 from stablespec.identify import SearchContext
+from stablespec.scm import DiscreteSCM
 from stablespec.separation import (
     _path_vertices, _simple_paths, definite_connecting_paths, m_connected,
     visible_edges,
@@ -42,7 +44,9 @@ def definite_m_separated(g: MixedGraph, x: Iterable[str], y: Iterable[str],
     """True iff no definite-status m-connecting path joins x and y given z.
 
     Oracle for separation read in a MAG of g's class: it enumerates every
-    simple path.
+    simple path. An ADMG or MAG has no circle marks, so every inner vertex
+    of a path has a definite status, and this is also the oracle for
+    ``m_connected``.
     """
     x, y, z = set(x), set(y), set(z)
     if x & y or x & z or y & z:
@@ -177,6 +181,42 @@ def subsets_in_order(items: Iterable):
     for size in range(len(items) + 1):
         for combo in combinations(items, size):
             yield frozenset(combo)
+
+
+def interventional_probability(scm: DiscreteSCM, x: Mapping[str, int],
+                               y: Mapping[str, int],
+                               z: Mapping[str, int] | None = None) -> float:
+    """Exact P_x(y | z) by truncated factorization and enumeration."""
+    z = dict(z or {})
+    joint = scm.joint(intervention=x)
+    if z:
+        return joint.conditional(dict(y), z)
+    return joint.prob(dict(y))
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-d array, tied values sharing their mean rank."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    last = np.r_[first[1:], len(values)]   # one past each tie group
+    group = np.repeat(np.arange(len(first)), last - first)
+    ranks = np.empty(len(values))
+    ranks[order] = ((first + 1 + last) / 2.0)[group]
+    return ranks
+
+
+def rank_correlation(pred_a: Sequence[float],
+                     pred_b: Sequence[float]) -> float:
+    """Spearman correlation: Pearson correlation of the average ranks."""
+    a = np.asarray(pred_a, dtype=float)
+    b = np.asarray(pred_b, dtype=float)
+    if a.shape != b.shape or a.ndim != 1 or len(a) < 2:
+        raise ValueError("need two equal-length lists of at least 2 values")
+    if np.ptp(a) == 0 or np.ptp(b) == 0:
+        raise ValueError("zero variance in ranks")
+    r = np.corrcoef(_average_ranks(a), _average_ranks(b))[0, 1]
+    return float(np.clip(r, -1.0, 1.0))
 
 
 # -- set-based references of the mask loops -------------------------------

@@ -14,7 +14,7 @@ import pytest
 from stablespec.citest import degenerate_gaussian_test
 from stablespec.data import DataTable, concat_tables
 from stablespec.estimate import (
-    DiscreteExactModel, fit_expression, rank_correlation, validation_loss,
+    DiscreteExactModel, fit_expression, validation_loss,
 )
 from stablespec.expressions import (
     Factor, Product, Quotient, SumOver, evaluate, free_vars,
@@ -27,14 +27,16 @@ from stablespec.identify import (
     invariant_conditional_mag,
 )
 from stablespec.scm import (
-    DiscreteSCM, interventional_probability, practice_pattern_scm,
-    shift_benchmark_scm,
+    DiscreteSCM, practice_pattern_scm, shift_benchmark_scm,
 )
 from stablespec.search import (
     InvarianceSpec, fit_candidates, search_stable_predictor, shift_sweep,
     stable_candidates, unstable_candidate,
 )
-from stablespec.separation import m_connected, m_connected_bruteforce
+from stablespec.separation import m_connected
+from oracles import (
+    definite_m_separated, interventional_probability, rank_correlation,
+)
 from util import example_admg, example_pag, random_admg
 
 BENCH_KINDS = {"E": 2}
@@ -181,8 +183,8 @@ def test_criterion_4_separation_oracle(report):
                     if w in (x, y):
                         continue
                     z = set() if w is None else {w}
-                    if m_connected(g, x, y, z) != \
-                            m_connected_bruteforce(g, x, y, z):
+                    if m_connected(g, x, y, z) == \
+                            definite_m_separated(g, {x}, {y}, z):
                         mismatches += 1
                     checks += 1
     elapsed = time.monotonic() - start

@@ -719,6 +719,16 @@ class TestCheck:
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["check", "identify"])
+@pytest.mark.parametrize("target", ["", ","])
+def test_empty_target_exits_two(workdir, capsys, command, target):
+    assert main([command, "--graph", str(workdir / "pag.txt"),
+                 "--mutable", "X1", "--target", target]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: y must be nonempty\n"
+
+
 @pytest.mark.parametrize("argv, shared", [
     (["check", "--mutable", "Y", "--target", "Y"],
      "x (intervened) and y (target) share Y"),
@@ -735,6 +745,40 @@ def test_overlapping_sets_exit_two_naming_them(workdir, capsys, argv,
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {shared}; they must be disjoint\n"
+
+
+ISOLATED_ENV_PAG = "vars: E,X1,X2,X3,Y\nX1 --> Y\nX2 --> Y\nX3 --> Y\n"
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (lambda d, tmp: ["search", "--graph", str(d / "pag.txt"),
+                     "--out", str(tmp / "run")],
+     2, "error: no --data files given"),
+    (lambda d, tmp: search_argv(d, tmp / "run", [
+        "--data", str(d / "e1.csv"), "--schema", str(d / "plain.json")]),
+     2, "error: need one --schema per --data (or a single shared schema)"),
+    (lambda d, tmp: search_argv(d, tmp / "run", [
+        "--graph", str(tmp / "isolated.txt")]),
+     2, "error: environment vertex 'E' has no possible children; pass "
+        "--mutable explicitly"),
+    (lambda d, tmp: ["sweep", "--graph", str(d / "pag.txt"), "--mutable",
+                     "X3", "--n-train", "500", "--n-test", "100",
+                     "--grid-points", "2", "--out", str(tmp / "run")],
+     1, "FAIL: no stable candidate in full mode"),
+    (lambda d, tmp: ["--config", str(tmp / "list.json"),
+                     *search_argv(d, tmp / "run")],
+     2, "error: config file must hold a JSON object"),
+], ids=["search graph without data", "schema and data counts differ",
+        "environment without possible children", "sweep without a winner",
+        "config not an object"])
+def test_error_paths_exit_with_their_message(workdir, tmp_path, capsys, argv,
+                                             code, message):
+    (tmp_path / "isolated.txt").write_text(ISOLATED_ENV_PAG)
+    (tmp_path / "list.json").write_text("[1, 2]")
+    assert main(argv(workdir, tmp_path)) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == message + "\n"
 
 
 class TestSearch:

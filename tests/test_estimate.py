@@ -9,7 +9,7 @@ from stablespec import estimate
 from stablespec.data import MIN_UNEXPLAINED, DataError, DataTable
 from stablespec.estimate import (
     CandidateModel, DiscreteExactModel, EstimationError, LinearGaussianModel,
-    fit_expression, model_from_json, rank_correlation, validation_loss,
+    fit_expression, model_from_json, validation_loss,
 )
 from stablespec.expressions import (
     Constant, ExpressionError, Factor, Product, Quotient, SumOver, evaluate,
@@ -18,12 +18,9 @@ from stablespec.expressions import (
 from stablespec.fci import SeparationOracle, fci
 from stablespec.graph import parse
 from stablespec.identify import identify_interventional
-from stablespec.scm import (
-    DiscreteJoint, DiscreteSCM, interventional_probability,
-    shift_benchmark_scm,
-)
+from stablespec.scm import DiscreteJoint, DiscreteSCM, shift_benchmark_scm
 from stablespec.search import InvarianceSpec, stable_candidates
-from oracles import discretize
+from oracles import discretize, interventional_probability, rank_correlation
 from util import (
     ORACLE_ADMGS, example_admg, example_pag, linear_scm, near_copy,
 )

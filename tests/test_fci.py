@@ -33,6 +33,42 @@ from util import (
 )
 
 
+# Of 20,000 random_admg draws (Random(11), 3 to 7 vertices), the one on
+# which the tail-triangle rule (R8) fires.
+TAIL_TRIANGLE_ADMG = """\
+vars: V0,V1,V2,V3,V4,V5,V6
+V0 --> V2
+V0 --> V3
+V0 --> V6
+V1 --> V2
+V1 --> V6
+V1 <-> V4
+V2 --> V3
+V2 --> V4
+V2 --> V6
+V2 <-> V6
+V3 --> V5
+V3 <-> V5
+V4 --> V6
+V4 <-> V5
+V5 --> V6
+"""
+# The smallest of those draws on which the double-parent rule (R10)
+# fires; without it, V0 --> V4 keeps a circle at V0.
+DOUBLE_PARENT_ADMG = """\
+vars: V0,V1,V2,V3,V4
+V0 --> V2
+V0 --> V3
+V0 --> V4
+V0 <-> V1
+V0 <-> V2
+V1 --> V3
+V1 <-> V2
+V2 --> V4
+V3 --> V4
+"""
+
+
 class TestKnowledge:
     def test_forbidden_into(self):
         k = Knowledge(forbidden_into=["E", "E"])
@@ -112,15 +148,18 @@ class TestFciExactOracle:
         rng = random.Random(20240815)
         for _ in range(60):
             g = random_admg(rng, max_vertices=6)
-            mag = mag_of_admg(g)
-            pag = fci(SeparationOracle(g), g.vertices)
-            adj = lambda gr: {frozenset((e.a, e.b)) for e in gr.edges}
-            assert adj(pag) == adj(mag)
-            for e in pag.edges:
-                me = next(x for x in mag.edges if {x.a, x.b} == {e.a, e.b})
-                for v in (e.a, e.b):
-                    if e.mark_at(v) in (ARROW, TAIL):
-                        assert me.mark_at(v) == e.mark_at(v), (g, e, me)
+            assert_sound(g, fci(SeparationOracle(g), g.vertices))
+
+    @pytest.mark.parametrize("rule, admg", [
+        ("tail-triangle", TAIL_TRIANGLE_ADMG),
+        ("double-parent", DOUBLE_PARENT_ADMG),
+    ])
+    def test_rare_rule_fires_soundly(self, rule, admg):
+        g = parse(admg, "ADMG")
+        report: dict = {}
+        pag = fci(SeparationOracle(g), g.vertices, report=report)
+        assert report["rule_firings"][rule] > 0
+        assert_sound(g, pag)
 
     def test_chain_rule_into_forbidden_vertex_leaves_circles(self):
         # A *-> B <-* D is a collider and B separates both from E, so the
@@ -159,6 +198,19 @@ class TestFciExactOracle:
                       Knowledge(forbidden_into={env}))
             for e in pag.edges_at(env):
                 assert e.mark_at(env) != ARROW
+
+
+def assert_sound(g, pag):
+    """pag has the adjacencies of the MAG of the ADMG g, and each of its
+    tails and arrowheads is that MAG's mark."""
+    mag = mag_of_admg(g)
+    adj = lambda gr: {frozenset((e.a, e.b)) for e in gr.edges}
+    assert adj(pag) == adj(mag)
+    for e in pag.edges:
+        me = next(x for x in mag.edges if {x.a, x.b} == {e.a, e.b})
+        for v in (e.a, e.b):
+            if e.mark_at(v) in (ARROW, TAIL):
+                assert me.mark_at(v) == e.mark_at(v), (g, e, me)
 
 
 def random_marks(rng: random.Random) -> _Marks:

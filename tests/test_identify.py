@@ -8,6 +8,7 @@ from stablespec.expressions import (
     Factor, ONE, Product, Quotient, SumOver, conditional_of, evaluate,
     simplify, to_json,
 )
+from stablespec import identify as identify_module
 from stablespec.components import pag_to_mag
 from stablespec.fci import (
     SeparationOracle, fci, pooled_fci, possible_children_of_env,
@@ -20,10 +21,11 @@ from stablespec.identify import (
     _eliminate, _marginal, identify_interventional, invariant_conditional,
     invariant_conditional_mag,
 )
-from stablespec.scm import DiscreteSCM, interventional_probability
+from stablespec.scm import DiscreteSCM
 from stablespec.search import InvarianceSpec, stable_candidates
 from oracles import (
     closure_by_sets, decompose_by_sets, decompose_targets, induced,
+    interventional_probability,
 )
 from util import (
     environment_tables, example_admg, example_pag, on_masks, random_admg,
@@ -42,6 +44,10 @@ class TestInvarianceQuery:
         with pytest.raises(GraphError, match=r"^y \(target\) and "
                            r"z \(given\) share A;"):
             InvarianceQuery(set(), {"A"}, {"A"})
+
+    def test_empty_target_rejected(self):
+        with pytest.raises(GraphError, match=r"^y must be nonempty$"):
+            InvarianceQuery({"A"}, set(), set())
 
     def test_x_may_overlap_z(self):
         q = InvarianceQuery({"A"}, {"B"}, {"A"})
@@ -239,6 +245,48 @@ class TestIdentifyMarginal:
         assert got == Product([Quotient(q, chain), SumOver({"X2"}, chain)])
 
 
+# ADMGs whose PAGs identify a query only through the region split of the
+# marginal step, Q[c] = Q[R_B] Q[R_{c-R_B}] for a bucket B of c whose
+# region R_B is not all of c: found by searching random_admg draws. In the
+# first the two regions are disjoint; in the second they meet, and the
+# product is divided by Q of their intersection.
+DISJOINT_SPLIT_ADMG = """\
+vars: V0,V1,V2,V3,V4,V5,V6
+V0 --> V5
+V0 <-> V1
+V0 <-> V2
+V0 <-> V6
+V1 --> V2
+V1 --> V4
+V1 --> V6
+V1 <-> V3
+V2 --> V4
+V2 --> V6
+V3 --> V4
+V3 <-> V5
+V3 <-> V6
+V5 --> V6
+V5 <-> V6
+"""
+OVERLAPPING_SPLIT_ADMG = """\
+vars: V0,V1,V2,V3,V4,V5,V6,V7
+V0 --> V2
+V0 --> V5
+V0 --> V7
+V0 <-> V3
+V1 --> V5
+V1 <-> V2
+V1 <-> V7
+V2 --> V4
+V2 --> V7
+V2 <-> V3
+V2 <-> V6
+V3 --> V4
+V3 <-> V6
+V5 <-> V6
+"""
+
+
 class TestIdentifyInterventional:
     def test_running_example_expression(self):
         p = example_pag()
@@ -280,6 +328,42 @@ class TestIdentifyInterventional:
                             env = {"Y": y, "X1": x1, "X2": x2, "X3": x3}
                             got = evaluate(expr, joint, env)
                             assert got == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("admg, x, y, z, overlap", [
+        (DISJOINT_SPLIT_ADMG, {"V0", "V1"}, {"V4"}, {"V5"}, False),
+        (OVERLAPPING_SPLIT_ADMG, {"V1", "V2"}, {"V5"}, {"V6", "V7"}, True),
+    ], ids=["disjoint regions", "overlapping regions"])
+    def test_region_split_matches_oracle(self, monkeypatch, admg, x, y, z,
+                                         overlap):
+        g = parse(admg, "ADMG")
+        p = fci(SeparationOracle(g), g.vertices)
+        calls = []
+
+        def region(ix, inv, a, c):
+            calls.append((a, c, real(ix, inv, a, c)))
+            return calls[-1][2]
+
+        real = identify_module._region
+        monkeypatch.setattr(identify_module, "_region", region)
+        expr = identify_interventional(p, x, y, z)
+        # only the split calls _region: R_B of a bucket B, then, when R_B
+        # is not all of c, the region of the rest; a split that is tried
+        # and fails makes the query FAIL
+        splits = [(rb, rc) for (_, c, rb), (a, c2, rc) in zip(calls, calls[1:])
+                  if c2 == c and a == c & ~rb]
+        assert expr is not FAIL
+        assert any(bool(rb & rc) == overlap for rb, rc in splits)
+        names = sorted(g.vertices)
+        for seed in range(3):
+            scm = DiscreteSCM.random_for_admg(g, seed=seed)
+            joint = scm.joint()
+            for values in np.ndindex(*[2] * len(names)):
+                env = dict(zip(names, values))
+                want = interventional_probability(
+                    scm, {v: env[v] for v in x}, {v: env[v] for v in y},
+                    {v: env[v] for v in z})
+                assert evaluate(expr, joint, env) == \
+                    pytest.approx(want, abs=1e-9)
 
     def test_targets_split_across_pieces(self):
         # identify_interventional stops decomposing once the pieces meeting

@@ -13,7 +13,8 @@ and a subgraph of the identification calculus is a scope mask, not a graph
 that ``MixedGraph`` builds. The exact oracle of ``fci`` maps a query's
 names to bits once and tests its sets by the mask core of m-connection,
 which, like the invariance core, reads ancestry from the index's
-membership tables instead of computing a closure per set. Column names
+membership tables instead of computing a closure per set, and edge
+visibility is one mask reach per directed edge. Column names
 become column positions once, at the name-level entry points of
 ``citest``: its position cores, which batched CI decisions run on, call
 none of them. Which test answers a
@@ -134,8 +135,7 @@ def test_separation_oracle_tests_sets_as_masks():
     takes_names = {node.name for node in separation.body
                    if isinstance(node, ast.FunctionDef)
                    and called_names(node) & {"mask", "check_vertices"}}
-    assert {"m_connected", "m_connected_bruteforce",
-            "definite_connecting_paths"} <= takes_names
+    assert {"m_connected", "definite_connecting_paths"} <= takes_names
     fci = ast.parse((SRC / "fci.py").read_text())
     [oracle] = [node for node in fci.body
                 if isinstance(node, ast.ClassDef)
@@ -167,6 +167,17 @@ def test_ancestor_tests_read_the_membership_tables():
     assert "_invariance_rows" in called_names(core)
     assert "reached_by" in called_names(rows)
     assert "reach" not in called_names(rows)
+
+
+def test_edge_visibility_reads_the_mask_index():
+    # each directed edge's collider paths are one reach over the index's
+    # bidirected masks, not a walk over the adjacency lists
+    separation = ast.parse((SRC / "separation.py").read_text())
+    [core] = [node for node in separation.body
+              if isinstance(node, ast.FunctionDef)
+              and node.name == "_visible_edges"]
+    assert "reach" in called_names(core)
+    assert called_names(core) & {"adjacency", "parents"} == set()
 
 
 def test_citest_position_cores_call_no_name_level_function():

@@ -3,9 +3,9 @@ import pytest
 
 from stablespec.scm import (
     DiscreteJoint, DiscreteSCM, LinearGaussianSCM, SCMError,
-    UndefinedConditionalError, interventional_probability,
-    practice_pattern_scm, shift_benchmark_scm,
+    UndefinedConditionalError, practice_pattern_scm, shift_benchmark_scm,
 )
+from oracles import interventional_probability
 from util import example_admg
 
 
