@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import json
 import math
 import random
 import time
@@ -175,7 +176,7 @@ class TestFciExactOracle:
         # the orientation rules, and must say why. Bounding the
         # possible-d-sep pools by skeleton blocks took 29915 tests to 27091
         rng = random.Random(22)
-        tests, texts = 0, []
+        tests, texts, found = 0, [], []
         for _ in range(100):
             g = random_admg(rng, max_vertices=8)
             report: dict = {}
@@ -185,9 +186,26 @@ class TestFciExactOracle:
             assert sum(report["ci_tests_by_phase"].values()) == \
                 report["ci_tests"]
             texts.append(serialize(pag))
+            found.append([report["sepsets"], report["rule_firings"]])
         assert tests == 27091
         digest = hashlib.sha256("".join(texts).encode()).hexdigest()
         assert digest.startswith("80d4ea8a61f0e275")
+        # the separating sets and rule firings of the same draws
+        digest = hashlib.sha256(json.dumps(found).encode()).hexdigest()
+        assert digest.startswith("8411360928b90eff")
+
+    def test_pinned_data_pags_and_reports(self):
+        # what data FCI learns and reports on the first 500 pooled draws:
+        # the PAG, the CI-test counts, the separating sets and the rule
+        # firings, which a change to the adjacency search, the orientation
+        # rules or the oracle's stream would move
+        texts = []
+        for _, tables in pooled_draws(500):
+            report: dict = {}
+            pag = pooled_fci(tables, report=report)
+            texts.append(serialize(pag) + json.dumps(report))
+        digest = hashlib.sha256("".join(texts).encode()).hexdigest()
+        assert digest.startswith("fb5e7ca463f5577c")
 
     def test_knowledge_respected_on_random_admgs(self):
         rng = random.Random(7)
