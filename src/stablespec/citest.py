@@ -62,10 +62,10 @@ Each set of a pair with the environment column is routed here by
 decision.
 
 Batched CI decisions. ``firsts_at`` is the one batch entry: it takes the
-conditioning sets of one size of many pairs at once, at column positions
-as ``fci.DataOracle`` builds them (it checks nothing), each pair's sets in
-order, and returns for each pair the index of its first independent set.
-The batch is one array of rows [a, b, *s] of positions, and
+conditioning sets of one size of many pairs at once, as one array of rows
+[a, b, *s] of column positions that ``fci.DataOracle`` builds (it checks
+nothing), each pair's rows in order, with the number of rows of each
+pair, and returns for each pair the index of its first independent set.
 ``_decisions`` routes each row to its test: the rows of pairs with the
 environment column are factored with one stacked ``data.cholesky`` call;
 the rows that the environment test leaves to the chosen test, and all
@@ -302,31 +302,27 @@ def _caught(fn: Callable, *args):
         return exc
 
 
-def firsts_at(test: Callable, data: DataTable, queries: Sequence,
-              alpha: float) -> list:
-    """For each (a, b, sets) of ``queries``, the index of the first set
-    that tests independent at alpha (see ``_decisions``: the environment
-    test on a pair with the table's environment column, ``test`` on the
-    others), None if none does, or the error (a ``DataError`` or
-    ``ValueError``) of the first set before it that cannot be tested,
-    returned, not raised, so that it stays with its own query.
+def firsts_at(test: Callable, data: DataTable, rows: np.ndarray,
+              counts: Sequence[int], alpha: float) -> list:
+    """For each query, the index of its first set that tests independent
+    at alpha (see ``_decisions``: the environment test on a pair with the
+    table's environment column, ``test`` on the others), None if none
+    does, or the error (a ``DataError`` or ``ValueError``) of the first set
+    before it that cannot be tested, returned, not raised, so that it
+    stays with its own query.
 
-    a and b are the positions of two columns of ``data`` and each set is a
-    tuple of the positions of other columns, all sets of one size; nothing
-    is checked. One ``_decisions`` call decides the sets of all queries,
-    query after query, as the rows [a, b, *s] of one array: Fisher-z with
-    one stacked ``np.linalg.inv``, the environment test with one stacked
-    Cholesky factorization, each statistic compared with the critical
-    values of alpha (``critical_values``); only a statistic between them
-    takes its own p-value."""
-    counts = [len(sets) for _, _, sets in queries]
-    out: list = [None] * len(queries)
-    if not any(counts):
+    ``rows`` holds one row [a, b, *s] per set, the positions of columns of
+    ``data``, all s of one size, and ``counts`` the number of rows of each
+    query, whose rows follow the query before it; nothing is checked. One
+    ``_decisions`` call decides them all: Fisher-z with one stacked
+    ``np.linalg.inv``, the environment test with one stacked Cholesky
+    factorization, each statistic compared with the critical values of
+    alpha (``critical_values``); only a statistic between them takes its
+    own p-value."""
+    out: list = [None] * len(counts)
+    if not len(rows):
         return out
-    # sets of different sizes fail to stack: an error of every query
-    batch = _caught(lambda: _decisions(test, data, np.array(
-        [(a, b, *s) for a, b, sets in queries for s in sets], dtype=np.intp),
-        alpha))
+    batch = _caught(lambda: _decisions(test, data, rows, alpha))
     if isinstance(batch, Exception):  # each query's first set raises it
         return [batch if count else None for count in counts]
     decided, resolve = batch

@@ -17,49 +17,56 @@ of every skeleton within it. ``table_fci`` learns on one table, forbidding
 arrowheads into its environment column; ``pooled_fci`` first pools
 per-environment datasets under an appended environment indicator column.
 
-``DataOracle`` answers queries with a CI test on a table. Queries on a
-pair of the table's environment column and a continuous variable are
-answered by ``citest.environment_test``, a test of whether that variable's
-conditional differs between environments (intercept, slope or scale); the
-chosen test answers all the others, and also the environment pairs that
-the environment test cannot fit. ``citest`` routes each set to its test,
-so the oracle does not tell the pairs apart. So a mechanism change that
-leaves a variable's mean alone, such as a change of scale, still makes the
-variable a child of the environment vertex, and a variable constant in one
-environment but not in another is a child of it.
+A learn runs on one index: position i, and bit i of a mask, stand for the
+i-th name in sorted order, as in ``graph.VertexMasks``. Adjacency and each
+endpoint mark are a mask row per vertex (``_Marks``); the pools,
+Possible-D-SEP (a ``graph.reach`` over edge states), the blocks, the
+collider step and the rules of Zhang (2008) are mask arithmetic, applied
+in name order, the first refined mark winning. Names come back only in the
+PAG, the separating sets and the report.
 
-An oracle has one method, ``separating_sets(queries)``: for each query
-(a, b, pools, size) of one adjacency level, the number of conditioning
-sets it decided and the first given which a and b are independent, or
-None. The sets of a query are ``_distinct_subsets(pools, size)``, the
-subsets of ``size`` vertices of each pool in turn, each distinct subset
-once, and the oracle enumerates them itself. ``SeparationOracle`` answers
-by m-separation in a known graph: it puts each query's names at bits of
-the graph's mask index once and tests its sets as masks. Both adjacency
-phases are one PC-stable level-wise search: at each size it reads the
-conditioning-set pools of every adjacent pair before it tests any
-(Colombo & Maathuis 2014), so the sets of a whole level are known before
-any is answered, and one call asks them all, as GPU PC (cuPC) does.
-``DataOracle`` puts each query's names at
-column positions once, from its pools, and enumerates its sets as
-position tuples; it streams them, pair after pair, into stacked calls of
-at most ``MAX_BATCH`` sets of ``citest.firsts_at``: batched CI decisions
-(see ``citest``), which gather each set's submatrix straight from its
-positions. Only a separating set found is put back into names. A pair
-decided in one call adds no further sets to the next. A query counts as
-one CI test if it is decided: the sets of a pair up to and including the
-first independent one.
+An oracle's one method, ``bind(names)``, called once per learn with the
+sorted names, returns ``separating_sets(queries)``: for each query (a, b,
+pools, size) of one adjacency level, a and b positions and pools masks,
+the number of sets decided and the first given which a and b are
+independent, as a mask, or None. A query's sets are
+``_distinct_subsets(pools, size)``: the subsets of ``size`` vertices of
+each pool in turn, each distinct subset once. Both adjacency phases are
+one PC-stable level-wise search, which reads the pools of every adjacent
+pair before it tests any (Colombo & Maathuis 2014), so one call asks a
+whole level, as GPU PC (cuPC) does. ``SeparationOracle`` answers by
+m-separation in a known graph. ``DataOracle`` answers by a CI test on a
+table: ``citest.environment_test`` (does a variable's conditional differ
+between environments, in intercept, slope or scale) on a pair of the
+environment column and a continuous variable, the chosen test on the
+others and on the pairs the environment test cannot fit; ``citest``
+routes each set. So a variable whose scale, or whose constancy, differs
+between environments is a child of the environment vertex. The oracle
+builds each set's row [a, b, *s] of column positions from cached
+combination-index arrays over its pool's columns (``_subset_rows``) and
+streams them into stacked calls of ``citest.firsts_at`` of at most
+``MAX_BATCH`` sets (``_stream``); a pair decided in one call adds no sets
+to the next. A query counts as one CI test per set decided: up to and
+including its first independent one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, filterfalse, islice
+from functools import lru_cache
+from itertools import chain, combinations, count, filterfalse, islice, \
+    takewhile
+from math import comb
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .citest import firsts_at, fisher_z_test
 from .data import DataError, DataTable, pool_environments
-from .graph import ARROW, CIRCLE, TAIL, Edge, GraphError, MixedGraph
+from .graph import (
+    ARROW, CIRCLE, TAIL, Edge, GraphError, MixedGraph, blocks, positions,
+    reach,
+)
 from .separation import connected
 
 
@@ -77,217 +84,211 @@ class Knowledge:
 
 
 class SeparationOracle:
-    """Exact CI oracle answering queries by m-separation in a known ADMG or
-    MAG."""
+    """Exact CI oracle: m-separation in a known ADMG or MAG."""
 
     def __init__(self, graph: MixedGraph):
         self.graph = graph
 
-    def separating_sets(self, queries: Sequence[tuple]) -> list[tuple]:
-        """For each (a, b, pools, size) of ``queries``, the number of sets
-        of ``_distinct_subsets(pools, size)`` tested and the first that
-        m-separates a and b (None if none).
-
-        A query's names are put at bits of the graph's mask index once,
-        from its pools, and its sets are enumerated as tuples of bits, in
-        the same order, each tested by ``separation.connected``; only a
-        separating set found is put back into names. Each query is checked
-        before its sets, as ``m_connected`` checks one: a graph that is not
-        an ADMG or MAG, equal a and b, an unknown name, or a or b in a pool
-        raises ``GraphError``.
-        """
+    def bind(self, names: Sequence[str]) -> Callable:
+        """``separating_sets`` over ``names``: each set is a mask of the
+        graph's index, tested by ``separation.connected``. ``m_connected``'s
+        faults raise its ``GraphError``: a graph that is not an ADMG or MAG,
+        or a name it lacks, here; equal a and b, or a or b in a pool,
+        before any set of the level is tested."""
         g = self.graph
         if g.kind not in ("ADMG", "MAG"):
             raise GraphError(f"m_connected requires an ADMG or MAG, "
                              f"got {g.kind}")
         ix = g.masks()
-        bit, names = ix.bit, ix.names
-        out = []
-        for a, b, pools, size in queries:
-            if a == b:
-                raise GraphError("x and y must differ")
-            ix.mask(chain((a, b), *pools))
-            if any(a in pool or b in pool for pool in pools):
-                raise GraphError("x and y must not be in z")
-            x, y = bit[a].bit_length() - 1, bit[b]
-            tests, found = 0, None
-            for s in _distinct_subsets(
-                    [[bit[v] for v in pool] for pool in pools], size):
-                tests += 1
-                if not connected(ix, x, y, sum(s)):
-                    found = tuple(names[v.bit_length() - 1] for v in s)
-                    break
-            out.append((tests, found))
-        return out
+        ix.mask(names)
+        de = ix.reached_by("pa")
+        bits = [ix.bit[v] for v in names]
+        back = {bit: 1 << i for i, bit in enumerate(bits)}
+
+        def separating_sets(queries: Sequence[tuple]) -> list[tuple]:
+            _check(queries, GraphError, "x and y must differ",
+                   "x and y must not be in z")
+            out = []
+            for a, b, pools, size in queries:
+                x, y = bits[a].bit_length() - 1, bits[b]
+                tests, found = 0, None
+                for s in _distinct_subsets([[bits[i] for i in positions(p)]
+                                            for p in pools], size):
+                    tests += 1
+                    if not connected(ix, de, x, y, sum(s)):
+                        found = sum(back[v] for v in s)
+                        break
+                out.append((tests, found))
+            return out
+
+        return separating_sets
 
 
 class DataOracle:
-    """CI oracle answering queries by a hypothesis test at level alpha on a
-    table.
-
-    A query whose a or b is the table's environment column is answered by
-    ``environment_test`` with ``test`` as its fallback (``test`` answers
-    it when the other side is discrete or the per-environment regressions
-    cannot be fitted); every other query by ``test``. ``citest.firsts_at``
-    routes each set to its test. Raises ``ValueError`` unless 0 < alpha <
-    1.
-    """
+    """CI oracle answering queries by ``test`` at level alpha on a table,
+    with ``environment_test`` first on the environment pairs (see the
+    module docstring). Raises ``ValueError`` unless 0 < alpha < 1."""
 
     def __init__(self, table: DataTable, test: Callable = fisher_z_test,
                  alpha: float = 0.01):
         if not 0 < alpha < 1:
             raise ValueError(f"alpha must be between 0 and 1, not {alpha}")
-        self.table = table
-        self.test = test
-        self.alpha = alpha
+        self.table, self.test, self.alpha = table, test, alpha
 
-    def separating_sets(self, queries: Sequence[tuple]) -> list[tuple]:
-        """For each (a, b, pools, size) of ``queries``, the number of sets
-        of ``_distinct_subsets(pools, size)`` decided and the first given
-        which a and b test independent (None if none); the sets after it
-        are not decided.
+    def bind(self, names: Sequence[str]) -> Callable:
+        """``separating_sets`` over ``names``, columns of the table (else
+        ``DataError``), each pool put at its columns once. A set that cannot
+        be tested raises only if its query reaches it, the first such query
+        in order; equal a and b, or a or b in a pool, raise ``DataError``
+        before any set is decided."""
+        table, test, alpha = self.table, self.test, self.alpha
+        cols = table.positions(names)
+        back = {c: 1 << i for i, c in enumerate(cols)}
+        pool_cols: dict[int, np.ndarray] = {}
 
-        A query's names are put at column positions once, from its pools,
-        and its sets are enumerated as tuples of positions, in the same
-        order; only a separating set found is put back into names. All
-        queries form one stream (see ``_stream``): within each stacked
-        call, Fisher-z decides its sets with one stacked inverse, the
-        environment test with one stacked Cholesky factorization (see
-        ``citest``). A set that cannot be tested raises only if its query
-        reaches it, and the first such query, in order, raises. A name that
-        is not a column of the table raises ``DataError``, and so does a
-        query whose a and b are equal or lie in its pools.
-        """
-        table, at = self.table, self.table.positions
-        stream = []
-        for a, b, pools, size in queries:
-            if a == b:
-                raise DataError("a and b must differ")
-            if any(a in pool or b in pool for pool in pools):
-                raise DataError("a and b must not appear in the "
-                                "conditioning set")
-            pools = [at(pool) for pool in pools]
-            stream.append((*at((a, b)), _distinct_subsets(pools, size)))
-        out = _stream(stream, lambda chunk: firsts_at(
-            self.test, table, chunk, self.alpha))
-        for k, answer in enumerate(out):
-            if not isinstance(answer, Exception) and answer[1] is not None:
-                out[k] = answer[0], tuple(table.names[v] for v in answer[1])
-        error = next((got for got in out if isinstance(got, Exception)),
-                     None)
-        if error is None:
-            return out
-        try:
-            raise error
-        finally:  # its traceback holds this frame: break the cycle
-            error = answer = out = None
+        def at(pool: int) -> np.ndarray:
+            got = pool_cols.get(pool)
+            if got is None:
+                got = pool_cols[pool] = np.fromiter(
+                    map(cols.__getitem__, positions(pool)), np.intp)
+            return got
+
+        def decide(chunk: list) -> list:
+            counts = [len(sets) for _, _, sets in chunk]
+            rows = np.column_stack((
+                np.repeat([(a, b) for a, b, _ in chunk], counts, axis=0),
+                np.concatenate([sets for _, _, sets in chunk])))
+            return firsts_at(test, table, rows, counts, alpha)
+
+        def separating_sets(queries: Sequence[tuple]) -> list[tuple]:
+            _check(queries, DataError, "a and b must differ",
+                   "a and b must not appear in the conditioning set")
+            out = _stream([(cols[a], cols[b], _subset_rows(pools, size, at))
+                           for a, b, pools, size in queries], decide)
+            error = next((got for got in out
+                          if isinstance(got, Exception)), None)
+            if error is None:
+                return [(tests, s if s is None else sum(map(
+                    back.__getitem__, s.tolist()))) for tests, s in out]
+            try:
+                raise error
+            finally:  # its traceback holds this frame: break the cycle
+                error = out = None
+
+        return separating_sets
+
+
+def _check(queries: Sequence[tuple], error: type, differ: str, apart: str):
+    """Raise ``error`` at the first query with a = b or a or b in a pool."""
+    for a, b, pools, _ in queries:
+        ends = 1 << a | 1 << b
+        if a == b or any(pool & ends for pool in pools):
+            raise error(differ if a == b else apart)
 
 
 def _stream(queries: Sequence[tuple], decide: Callable) -> list:
-    """For each (a, b, subsets) of ``queries``, the number of sets decided
-    and the first independent one (None if none), or the exception raised
-    on a set it reaches.
-
-    The sets of all queries, query after query, are cut into calls of
-    ``decide`` (``citest.firsts_at``) of at most ``MAX_BATCH`` sets; a
-    query cut at the end of one call continues in the next unless it was
-    decided. The stream stops at the first call that returns an
-    exception: every query before it is decided by then.
-    """
+    """For each (a, b, blocks) of ``queries``, ``blocks`` yielding its sets
+    in order a sliceable block at a time, the number of sets decided and
+    the first independent one (None if none), or the exception raised on
+    a set it reaches. The sets of all queries, in turn, are cut into calls
+    of ``decide`` of at most ``MAX_BATCH`` sets, lists of (a, b, sets)
+    pieces; a query cut at the end of a call continues in the next unless
+    it was decided. The stream stops at the first exception of a query
+    not yet decided: every query before it is decided by then."""
     out: list = [(0, None)] * len(queries)
-    todo = [(k, a, b, iter(subsets))
-            for k, (a, b, subsets) in reversed(list(enumerate(queries)))]
+    todo = [(k, a, b, iter(blocks))
+            for k, (a, b, blocks) in enumerate(queries)][::-1]
+    held = None   # the rest of the top query's block that a call cut
     while todo:
         chunk, room = [], MAX_BATCH
         while todo and room:
             k, a, b, rest = todo[-1]
-            sets = list(islice(rest, room))
-            if len(sets) < room:
+            sets, held = (next(rest, None), None) if held is None else \
+                (held, None)
+            if sets is None:
                 todo.pop()
-            if sets:
-                chunk.append((k, a, b, sets))
-                room -= len(sets)
+                continue
+            if len(sets) > room:
+                sets, held = sets[:room], sets[room:]
+            chunk.append((k, a, b, sets))
+            room -= len(sets)
         if not chunk:
             break
         got = decide([(a, b, sets) for _, a, b, sets in chunk])
         for (k, _, _, sets), i in zip(chunk, got):
+            tests, found = out[k]
+            if found is not None:   # an earlier piece decided it
+                continue
             if isinstance(i, Exception):
                 out[k] = i
                 return out
-            tests = out[k][0]
-            if i is None:
-                out[k] = (tests + len(sets), None)
-            else:
-                out[k] = (tests + i + 1, sets[i])
-                if todo and todo[-1][0] == k:  # cut, but decided
-                    todo.pop()
+            out[k] = (tests + len(sets), None) if i is None else \
+                (tests + i + 1, sets[i])
+            if i is not None and todo and todo[-1][0] == k:  # cut, decided
+                todo.pop()
+                held = None
     return out
 
 
 class _Marks:
-    """Mutable endpoint-mark store during orientation.
+    """Mutable endpoint-mark store during orientation, as mask rows:
+    ``adj[v]`` holds v's neighbours; ``arrow[v]``, ``tail[v]`` and
+    ``circle[v]`` the neighbours u whose edge u-v has that mark at v;
+    ``arrow_to[u]``, ``tail_to[u]`` and ``circle_to[u]`` the same marks
+    from the other end, and ``bidirected[v]`` arrowheads at both ends.
+    Marks start as circles and are refined circle -> tail/arrow once: on
+    finite samples the rules can ask for the other refinement of a set
+    mark, and the first one stays. No arrowhead enters ``forbidden``."""
 
-    ``self.at[(a, b)]`` is the mark at b on the edge a-b. Marks start as
-    circles and may only be refined circle -> tail/arrow. A refined mark
-    stays: on finite samples the rules can ask for the other refinement of
-    a mark that is already set, and the first one is kept.
-    """
+    def __init__(self, adj: Sequence[int], forbidden: int = 0):
+        self.adj, self.forbidden = list(adj), forbidden
+        self.arrow, self.arrow_to, self.bidirected, self.tail, \
+            self.tail_to = ([0] * len(adj) for _ in range(5))
+        self.circle, self.circle_to = list(adj), list(adj)
 
-    def __init__(self, vertices: Sequence[str],
-                 skeleton: Iterable[Iterable[str]], knowledge: Knowledge):
-        self.vertices = tuple(vertices)
-        self.adj: dict[str, set[str]] = {v: set() for v in vertices}
-        self.at: dict[tuple[str, str], str] = {}
-        self.forbidden = knowledge.forbidden_into
-        for pair in skeleton:
-            a, b = sorted(pair)
-            self.adj[a].add(b)
-            self.adj[b].add(a)
-            self.at[(a, b)] = CIRCLE
-            self.at[(b, a)] = CIRCLE
+    def mark(self, a: int, b: int) -> str:
+        """The mark at b on the edge a-b."""
+        return ARROW if self.arrow[b] >> a & 1 else \
+            TAIL if self.tail[b] >> a & 1 else CIRCLE
 
-    def adjacent(self, a: str, b: str) -> bool:
-        return b in self.adj[a]
-
-    def mark(self, a: str, b: str) -> str:
-        return self.at[(a, b)]
-
-    def set_mark(self, a: str, b: str, mark: str) -> bool:
+    def set_mark(self, a: int, b: int, mark: str) -> bool:
         """Refine a circle at b on edge a-b; returns whether it changed."""
-        if self.at[(a, b)] != CIRCLE or (mark == ARROW and
-                                         b in self.forbidden):
+        if not self.circle[b] >> a & 1 or (mark == ARROW and
+                                           self.forbidden >> b & 1):
             return False
-        self.at[(a, b)] = mark
+        at, to = (self.arrow, self.arrow_to) if mark == ARROW else \
+            (self.tail, self.tail_to)
+        self.circle[b] ^= 1 << a
+        self.circle_to[a] ^= 1 << b
+        at[b] |= 1 << a
+        to[a] |= 1 << b
+        if mark == ARROW and self.arrow[a] >> b & 1:
+            self.bidirected[a] |= 1 << b
+            self.bidirected[b] |= 1 << a
         return True
 
-    def orient_directed(self, a: str, b: str) -> bool:
+    def orient_directed(self, a: int, b: int) -> bool:
         # a tail at a without the arrowhead at b would leave a circle-tail
         # edge, which only selection bias explains; leave both marks alone
-        if b in self.forbidden:
+        if self.forbidden >> b & 1:
             return False
-        changed = self.set_mark(b, a, TAIL)
-        changed |= self.set_mark(a, b, ARROW)
-        return changed
+        return self.set_mark(b, a, TAIL) | self.set_mark(a, b, ARROW)
 
-    def to_graph(self) -> MixedGraph:
-        edges = []
-        for a in self.vertices:
-            for b in self.adj[a]:
-                if a < b:
-                    edges.append(Edge(a, b, self.at[(b, a)], self.at[(a, b)]))
-        return MixedGraph(self.vertices, edges, kind="PAG")
+    def to_graph(self, names: Sequence[str]) -> MixedGraph:
+        edges = [Edge(names[a], names[b], self.mark(b, a), self.mark(a, b))
+                 for a, b in _pairs(self.adj)]
+        return MixedGraph(names, edges, kind="PAG")
 
 
-# conditioning sets per stacked call of ``DataOracle``, which bounds the
-# matrices one call stacks
+# conditioning sets per stacked call of ``DataOracle``: bounds its matrices
 MAX_BATCH = 256
 
 
 def _distinct_subsets(pools: Sequence[Sequence], size: int):
     """The subsets of ``size`` vertices of each of ``pools`` in turn, in
-    order, each distinct subset once; vertices are names, column positions
-    or mask bits. A pool holds distinct vertices, so a subset of a later pool
-    is a repeat iff it lies inside an earlier one."""
+    order, each distinct subset once; vertices are names, positions or mask
+    bits. A pool holds distinct vertices, so a subset of a later pool is a
+    repeat iff it lies inside an earlier one."""
     earlier: list[set] = []
     for pool in pools:
         subsets = combinations(pool, size)
@@ -297,337 +298,334 @@ def _distinct_subsets(pools: Sequence[Sequence], size: int):
         earlier.append(set(pool))
 
 
-def _pairs(adj: dict[str, set[str]]) -> list[tuple[str, str]]:
-    """The adjacent pairs (a, b) with a < b, in sorted order."""
-    return [(a, b) for a in sorted(adj) for b in sorted(adj[a]) if a < b]
+def _subset_rows(pools: Sequence[int], size: int,
+                 at: Callable[[int], np.ndarray]):
+    """``_distinct_subsets`` of the pools (masks), in order, as blocks of
+    at most ``MAX_BATCH`` rows: ``at(pool)``, the pool's columns, indexed by
+    ``_index_blocks``, less the subsets inside an earlier pool."""
+    for j, pool in enumerate(pools):
+        if j and not size:   # the one empty set lies inside the first pool
+            return
+        m = pool.bit_count()
+        if m < size:
+            continue
+        insides = []   # each earlier pool as a mask over this pool's places
+        for e in pools[:j]:
+            shared = pool & e
+            if shared == pool:
+                break
+            if shared.bit_count() >= size:
+                insides.append(sum(1 << (pool & (1 << i) - 1).bit_count()
+                                   for i in positions(shared)))
+        else:
+            cols = at(pool)
+            for index in _index_blocks(m, size, tuple(insides)):
+                if len(index):
+                    yield cols[index]
 
 
-def _adjacency_search(ci, adj: dict[str, set[str]],
-                      pools: Callable[[str, str], Sequence[Sequence[str]]],
+def _index_blocks(m: int, k: int, insides: tuple[int, ...]):
+    """The k-subsets of range(m) inside none of ``insides`` (masks over
+    range(m)), in ``combinations`` order, as index arrays of at most
+    ``MAX_BATCH`` rows built in turn; a lone block is built once, cached."""
+    if comb(m, k) <= MAX_BATCH:
+        return (_small_index(m, k, insides),)
+    subsets = combinations(range(m), k)
+    index = (np.fromiter(chain.from_iterable(islice(subsets, MAX_BATCH)),
+                         np.intp).reshape(-1, k) for _ in count())
+    return (_outside(block, m, insides) for block in takewhile(len, index))
+
+
+@lru_cache(maxsize=1024)
+def _small_index(m: int, k: int, insides: tuple[int, ...]) -> np.ndarray:
+    subsets = list(combinations(range(m), k))
+    index = _outside(np.array(subsets, np.intp).reshape(len(subsets), k), m,
+                     insides)
+    index.flags.writeable = False   # shared by every caller
+    return index
+
+
+def _outside(index: np.ndarray, m: int, insides: tuple[int, ...]):
+    for inside in insides:
+        members = np.array([inside >> i & 1 for i in range(m)], dtype=bool)
+        index = index[~members[index].all(axis=1)]
+    return index
+
+
+def _pairs(adj: Sequence[int]) -> list[tuple[int, int]]:
+    """The adjacent pairs (a, b) with a < b, in order."""
+    return [(a, b) for a in range(len(adj))
+            for b in positions(adj[a] & -(2 << a))]
+
+
+def _nonadjacent(adj: Sequence[int]) -> list[tuple[int, int]]:
+    """The nonadjacent pairs (a, c) with a < c, in order."""
+    full = (1 << len(adj)) - 1
+    return _pairs([full & ~row & ~(1 << v) for v, row in enumerate(adj)])
+
+
+def _adjacency_search(separating_sets: Callable, adj: list[int],
+                      pools: Callable[[int, int], tuple[int, ...]],
                       size: int, max_cond_size: int | None,
                       sepsets: dict, queries: list[int]):
     """PC-stable level-wise search from ``size`` up to ``max_cond_size``:
     remove from ``adj`` each edge a-b that a subset of ``size`` vertices of
-    one of ``pools(a, b)`` separates, and record that subset in
-    ``sepsets``. Each size reads the pools of every adjacent pair a < b
-    before it tests any; the search stops when every pool is shorter than
-    the size."""
+    one of ``pools(a, b)``, read for every pair a < b first, separates, and
+    record it in ``sepsets``; stop when every pool is shorter than size."""
     while max_cond_size is None or size <= max_cond_size:
         level = {(a, b): pools(a, b) for a, b in _pairs(adj)}
-        if all(len(pool) < size for ps in level.values() for pool in ps):
+        if all(pool.bit_count() < size for ps in level.values()
+               for pool in ps):
             return
-        answers = ci.separating_sets([(a, b, ps, size)
-                                      for (a, b), ps in level.items()])
+        answers = separating_sets([(a, b, ps, size)
+                                   for (a, b), ps in level.items()])
         for (a, b), (tests, sep) in zip(level, answers):
             queries[0] += tests
             if sep is not None:
-                adj[a].discard(b)
-                adj[b].discard(a)
-                sepsets[frozenset((a, b))] = frozenset(sep)
+                adj[a] &= ~(1 << b)
+                adj[b] &= ~(1 << a)
+                sepsets[a, b] = sep
         size += 1
 
 
-def _blocks(adj: dict[str, set[str]]) -> dict[frozenset, frozenset]:
-    """The block (biconnected component) of each edge of the undirected
-    graph ``adj``, as the vertices of its edges: two edges share a block
-    iff a simple cycle passes through both. Hopcroft & Tarjan's depth-first
-    search, without recursion."""
-    order: dict[str, int] = {}
-    low: dict[str, int] = {}
-    out: dict[frozenset, frozenset] = {}
-    edges: list[tuple[str, str]] = []
-    for root in adj:
-        if root in order:
-            continue
-        order[root] = low[root] = len(order)
-        # (vertex, its parent, its unvisited neighbours, where its tree
-        # edge sits on the edge stack)
-        frames = [(root, None, iter(adj[root]), 0)]
-        while frames:
-            v, parent, rest, start = frames[-1]
-            for w in rest:
-                if w not in order:
-                    order[w] = low[w] = len(order)
-                    frames.append((w, v, iter(adj[w]), len(edges)))
-                    edges.append((v, w))
-                    break
-                if w != parent and order[w] < order[v]:
-                    edges.append((v, w))
-                    low[v] = min(low[v], order[w])
-            else:
-                frames.pop()
-                if parent is None:
-                    continue
-                low[parent] = min(low[parent], low[v])
-                if low[v] >= order[parent]:
-                    # no edge below v climbs above parent: the edges pushed
-                    # since parent-v form its block
-                    vertices = frozenset(x for e in edges[start:] for x in e)
-                    out.update((frozenset(e), vertices)
-                               for e in edges[start:])
-                    del edges[start:]
+def _blocks(adj: Sequence[int]) -> dict[tuple[int, int], int]:
+    """The block (biconnected component) of each edge a-b, a < b, of the
+    undirected graph ``adj``: the mask of a, b and each v on a cycle
+    through a-b. By Menger's theorem v is on one iff no c other than v cuts
+    it from a and b: iff for every c, v is c or shares a component of the
+    graph without c with a (with b if c is a)."""
+    full = (1 << len(adj)) - 1
+    # per vertex c, each vertex's component of the graph without c
+    part = [[0] * len(adj) for _ in adj]
+    for c, row in enumerate(part):
+        for piece in blocks(adj, full & ~(1 << c)):
+            for x in positions(piece):
+                row[x] = piece
+    out = {}
+    for a, b in _pairs(adj):
+        block = full
+        for c, row in enumerate(part):
+            block &= row[b if c == a else a] | 1 << c
+        out[a, b] = block
     return out
 
 
 def _orient_colliders(marks: _Marks, sepsets: dict):
-    for a, b in combinations(marks.vertices, 2):
-        if marks.adjacent(a, b):
-            continue
-        sep = sepsets.get(frozenset((a, b)), frozenset())
-        for c in sorted(marks.adj[a] & marks.adj[b]):
-            if c not in sep:
-                marks.set_mark(a, c, ARROW)
-                marks.set_mark(b, c, ARROW)
+    adj = marks.adj
+    for a, b in _nonadjacent(adj):
+        for c in positions(adj[a] & adj[b] & ~sepsets.get((a, b), 0)):
+            marks.set_mark(a, c, ARROW)
+            marks.set_mark(b, c, ARROW)
 
 
-def _possible_d_sep(marks: _Marks) -> dict[str, set[str]]:
-    """Possible-D-SEP of each vertex x: the vertex b of every pair (a, b)
-    reached from the pairs (x, b), where (a, b) extends to (b, c) when c
-    is neither a nor x and b is a collider or a and c are adjacent."""
-    out = {}
-    for x in marks.vertices:
-        stack = [(x, b) for b in marks.adj[x]]
-        seen = set(stack)
-        while stack:
-            a, b = stack.pop()
-            for c in marks.adj[b] - {a, x}:
-                if (b, c) not in seen and (marks.adjacent(a, c) or (
-                        marks.mark(a, b) == ARROW == marks.mark(c, b))):
-                    seen.add((b, c))
-                    stack.append((b, c))
-        out[x] = {b for _, b in seen}
+def _possible_d_sep(marks: _Marks) -> list[int]:
+    """Possible-D-SEP of each vertex x, as a mask: the b of every edge
+    state (a, b), bit a n + b, that one ``graph.reach`` from the states (x,
+    b) finds, where (a, b) steps to (b, c) when c is neither a nor x (out
+    of scope) and b is a collider or a and c are adjacent."""
+    adj, arrow, n = marks.adj, marks.arrow, len(marks.adj)
+    steps = [0] * (n * n)
+    for a in range(n):
+        for b in positions(adj[a]):
+            # past a collider at b any c, else one adjacent to a
+            far = adj[a] | arrow[b] if arrow[b] >> a & 1 else adj[a]
+            steps[a * n + b] = (adj[b] & far & ~(1 << a)) << b * n
+    ends = sum(1 << a * n for a in range(n))  # the states that end at 0
+    everything = (1 << n * n) - 1
+    out = []
+    for x in range(n):
+        reached = reach(steps, adj[x] << x * n, everything & ~(ends << x))
+        got = 0
+        for a in range(n):
+            got |= reached >> a * n
+        out.append(got & (1 << n) - 1)
     return out
 
 
 # -- orientation rules -------------------------------------------------------
+# Each rule yields whether each refinement it asks for changed a mark. It
+# visits vertices and neighbours in name order and reads the rows as they
+# stand, so a mark it refines is seen by the rest of its pass.
 
 
-def _rule_chain(marks: _Marks) -> bool:
+def _rule_chain(marks: _Marks):
     # a *-> b o-* c with a, c nonadjacent: orient b -> c
-    changed = False
-    for b in marks.vertices:
-        for a in sorted(marks.adj[b]):
-            if marks.mark(a, b) != ARROW:
-                continue
-            for c in sorted(marks.adj[b] - {a}):
-                if marks.mark(c, b) == CIRCLE and not marks.adjacent(a, c):
-                    changed |= marks.orient_directed(b, c)
-    return changed
+    adj = marks.adj
+    for b in range(len(adj)):
+        far = 0
+        for a in positions(marks.arrow[b]):
+            far |= ~adj[a]
+        for c in positions(marks.circle[b] & far):
+            yield marks.orient_directed(b, c)
 
 
-def _rule_ancestor(marks: _Marks) -> bool:
+def _rule_ancestor(marks: _Marks):
     # a -> b *-> c or a *-> b -> c, with a *-o c: orient arrowhead at c
-    changed = False
-    for b in marks.vertices:
-        for a in sorted(marks.adj[b]):
-            if marks.mark(a, b) != ARROW:
-                continue
-            for c in sorted(marks.adj[b] - {a}):
-                if marks.mark(b, c) != ARROW or not marks.adjacent(a, c):
-                    continue
-                if marks.mark(a, c) != CIRCLE:
-                    continue
-                first_directed = marks.mark(b, a) == TAIL
-                second_directed = marks.mark(c, b) == TAIL
-                if first_directed or second_directed:
-                    changed |= marks.set_mark(a, c, ARROW)
-    return changed
+    tail = marks.tail
+    for b in range(len(tail)):
+        for a in positions(marks.arrow[b]):
+            cs = marks.arrow_to[b] & marks.circle_to[a]
+            if not tail[a] >> b & 1:   # else a -> b
+                cs &= tail[b]           # b -> c
+            for c in positions(cs):
+                yield marks.set_mark(a, c, ARROW)
 
 
-def _rule_double_collider(marks: _Marks) -> bool:
+def _rule_double_collider(marks: _Marks):
     # a *-> b <-* c, a *-o d o-* c, a, c nonadjacent, d *-o b: arrow at b
-    changed = False
-    for a, c in combinations(marks.vertices, 2):
-        if marks.adjacent(a, c):
-            continue
-        shared = marks.adj[a] & marks.adj[c]
-        bs = [b for b in shared
-              if marks.mark(a, b) == ARROW and marks.mark(c, b) == ARROW]
-        ds = [d for d in shared
-              if marks.mark(a, d) == CIRCLE and marks.mark(c, d) == CIRCLE]
-        for b in bs:
-            for d in ds:
-                if d != b and marks.adjacent(d, b) and \
-                        marks.mark(d, b) == CIRCLE:
-                    changed |= marks.set_mark(d, b, ARROW)
-    return changed
+    arrow_to, circle_to = marks.arrow_to, marks.circle_to
+    for a, c in _nonadjacent(marks.adj):
+        ds = circle_to[a] & circle_to[c]
+        for b in positions(arrow_to[a] & arrow_to[c]):
+            for d in positions(ds & marks.circle[b]):
+                yield marks.set_mark(d, b, ARROW)
 
 
-def _discriminating_paths(marks: _Marks, d: str, b: str, c: str):
-    """Simple paths d ... a b whose interior vertices are colliders on the
-    path and parents of c. A path is extended past an interior vertex only
-    along an edge with an arrowhead at that vertex, so no path is built
-    past a non-collider."""
-    allowed = {v for v in marks.adj[c]
-               if marks.mark(v, c) == ARROW and marks.mark(c, v) == TAIL}
-    stack = [(d, (d,))]
-    while stack:
-        cur, path = stack.pop()
-        for nxt in sorted(marks.adj[cur] - set(path)):
-            if cur != d and marks.mark(nxt, cur) != ARROW:
-                continue
-            if nxt == b:
-                if len(path) >= 2:
-                    yield path + (nxt,)
-                continue
-            if nxt not in allowed or nxt == c:
-                continue
-            # an interior vertex has an arrowhead from the path before it
-            if marks.mark(cur, nxt) != ARROW:
-                continue
-            stack.append((nxt, path + (nxt,)))
+def _discriminating_path(marks: _Marks, d: int, b: int, c: int):
+    """The a of the first discriminating path d *-> v <-> ... <-> a <-* b
+    for c, its inner vertices parents of c, that a depth-first search finds,
+    or None. One reach over the parents' bidirected edges finds every a;
+    of several, the search over simple paths, largest neighbour first,
+    picks the first."""
+    inner = marks.arrow[c] & marks.tail_to[c]
+    first = inner & marks.arrow_to[d]
+    if not first:
+        return None
+    ends = inner & marks.arrow_to[b]
+    hits = reach(marks.bidirected, first, inner) & ends
+    if not hits & (hits - 1):   # none or one
+        return hits.bit_length() - 1 if hits else None
+    stack = [(v, 1 << d | 1 << v) for v in positions(first)]
+    while True:
+        v, path = stack.pop()
+        if ends >> v & 1:
+            return v
+        stack.extend((w, path | 1 << w) for w in positions(
+            marks.bidirected[v] & inner & ~path))
 
 
-def _rule_discriminating(marks: _Marks, sepsets: dict) -> bool:
-    changed = False
-    for c in marks.vertices:
-        for b in sorted(marks.adj[c]):
-            # need a circle at b on the b-c edge
-            if marks.mark(c, b) != CIRCLE:
+def _rule_discriminating(marks: _Marks, sepsets: dict):
+    adj = marks.adj
+    full = (1 << len(adj)) - 1
+    for c in range(len(adj)):
+        for b in positions(adj[c]):
+            if not marks.circle[b] >> c & 1:   # need b-c circle at b
                 continue
-            for d in sorted(set(marks.vertices) - {b, c}):
-                if marks.adjacent(d, c):
+            for d in positions(full & ~adj[c] & ~(1 << c)):
+                a = _discriminating_path(marks, d, b, c)
+                if a is None:
                     continue
-                for path in _discriminating_paths(marks, d, b, c):
-                    sep = sepsets.get(frozenset((d, c)), frozenset())
-                    if b in sep:
-                        changed |= marks.orient_directed(b, c)
-                    else:
-                        a = path[-2]
-                        changed |= marks.set_mark(a, b, ARROW)
-                        changed |= marks.set_mark(b, a, ARROW)
-                        changed |= marks.set_mark(b, c, ARROW)
-                        changed |= marks.set_mark(c, b, ARROW)
-                    break
-    return changed
+                if sepsets.get((min(c, d), max(c, d)), 0) >> b & 1:
+                    yield marks.orient_directed(b, c)
+                else:
+                    yield marks.set_mark(a, b, ARROW)
+                    yield marks.set_mark(b, a, ARROW)
+                    yield marks.set_mark(b, c, ARROW)
+                    yield marks.set_mark(c, b, ARROW)
 
 
-def _pd_edges(marks: _Marks) -> dict[str, set[str]]:
+def _pd_edges(marks: _Marks) -> list[int]:
     """Potentially directed edge relation: x to y usable when the edge has
     no arrowhead at x and no tail at y."""
-    out: dict[str, set[str]] = {v: set() for v in marks.vertices}
-    for a in marks.vertices:
-        for b in marks.adj[a]:
-            if marks.mark(b, a) != ARROW and marks.mark(a, b) != TAIL:
-                out[a].add(b)
-    return out
+    return [adj & ~arrow & ~tail_to for adj, arrow, tail_to
+            in zip(marks.adj, marks.arrow, marks.tail_to)]
 
 
-def _rule_tail_triangle(marks: _Marks) -> bool:
+def _rule_tail_triangle(marks: _Marks):
     # a -> b -> c or a -o b -> c, with a o-> c: orient tail at a
-    changed = False
-    for a in marks.vertices:
-        for c in sorted(marks.adj[a]):
-            if marks.mark(c, a) != CIRCLE or marks.mark(a, c) != ARROW:
-                continue
-            for b in sorted(marks.adj[a] & marks.adj[c]):
-                if marks.mark(b, a) == TAIL and \
-                        marks.mark(a, b) in (ARROW, CIRCLE) and \
-                        marks.mark(c, b) == TAIL and \
-                        marks.mark(b, c) == ARROW:
-                    changed |= marks.set_mark(c, a, TAIL)
-                    break
-    return changed
+    arrow, arrow_to = marks.arrow, marks.arrow_to
+    for a in range(len(arrow)):
+        for c in positions(marks.circle[a] & arrow_to[a]):
+            if marks.tail[a] & (arrow_to[a] | marks.circle_to[a]) & \
+                    marks.tail_to[c] & arrow[c]:
+                yield marks.set_mark(c, a, TAIL)
 
 
-def _rule_uncovered_cycle(marks: _Marks) -> bool:
+def _rule_uncovered_cycle(marks: _Marks):
     # a o-> c with an uncovered p.d. path a, mu, ..., c, mu nonadjacent to
     # c: tail at a, which changes no p.d. edge, so pd is computed once
-    changed = False
-    pd = _pd_edges(marks)
-    for a in marks.vertices:
-        for c in sorted(marks.adj[a]):
-            if marks.mark(c, a) != CIRCLE or marks.mark(a, c) != ARROW:
-                continue
-            if any(not marks.adjacent(mu, c) and
-                   _pd_reaches(marks, pd, a, mu, c)
-                   for mu in sorted(pd[a] - {c})):
-                changed |= marks.set_mark(c, a, TAIL)
-    return changed
+    adj, pd = marks.adj, _pd_edges(marks)
+    for a in range(len(adj)):
+        for c in positions(marks.circle[a] & marks.arrow_to[a]):
+            if any(_pd_reaches(adj, pd, a, mu, c)
+                   for mu in positions(pd[a] & ~adj[c] & ~(1 << c))):
+                yield marks.set_mark(c, a, TAIL)
 
 
-def _rule_double_parent(marks: _Marks) -> bool:
+def _rule_double_parent(marks: _Marks):
     # a o-> c, b -> c <- d, uncovered p.d. paths a..b and a..d whose first
     # steps differ and are nonadjacent: tail at a
-    changed = False
-    pd = _pd_edges(marks)
-    for a in marks.vertices:
-        for c in sorted(marks.adj[a]):
-            if marks.mark(c, a) != CIRCLE or marks.mark(a, c) != ARROW:
-                continue
-            parents = [p for p in sorted(marks.adj[c] - {a})
-                       if marks.mark(p, c) == ARROW and
-                       marks.mark(c, p) == TAIL]
-            firsts = sorted(pd[a] - {c})
-            if any(mu != omega and not marks.adjacent(mu, omega) and
-                   _pd_reaches(marks, pd, a, omega, d)
+    adj, pd = marks.adj, _pd_edges(marks)
+    for a in range(len(adj)):
+        for c in positions(marks.circle[a] & marks.arrow_to[a]):
+            parents = list(positions(marks.arrow[c] & marks.tail_to[c] &
+                                     ~(1 << a)))
+            firsts = list(positions(pd[a] & ~(1 << c)))
+            if any(mu != omega and not adj[mu] >> omega & 1 and
+                   _pd_reaches(adj, pd, a, omega, d)
                    for b, d in combinations(parents, 2)
-                   for mu in firsts if _pd_reaches(marks, pd, a, mu, b)
+                   for mu in firsts if _pd_reaches(adj, pd, a, mu, b)
                    for omega in firsts):
-                changed |= marks.set_mark(c, a, TAIL)
-    return changed
+                yield marks.set_mark(c, a, TAIL)
 
 
-def _pd_reaches(marks: _Marks, pd: dict, a: str, first: str,
-                target: str) -> bool:
-    """Uncovered p.d. path from a through first to target (first may equal
-    target)."""
+def _pd_reaches(adj: Sequence[int], pd: Sequence[int], a: int, first: int,
+                target: int) -> bool:
+    """Uncovered p.d. path from a through first to target (which may be
+    first), over simple paths: a walk may be uncovered where no path is."""
     if first == target:
         return True
-    stack = [(first, (a, first))]
+    stack = [(a, first, 1 << a | 1 << first)]
     while stack:
-        cur, path = stack.pop()
-        for nxt in sorted(pd[cur] - set(path)):
-            if marks.adjacent(path[-2], nxt):
-                continue
-            if nxt == target:
-                return True
-            stack.append((nxt, path + (nxt,)))
+        before, v, path = stack.pop()
+        steps = pd[v] & ~path & ~adj[before]
+        if steps >> target & 1:
+            return True
+        stack.extend((v, w, path | 1 << w) for w in positions(steps))
     return False
 
 
 def fci(ci, variables: Sequence[str], knowledge: Knowledge | None = None,
         max_cond_size: int | None = None,
         report: dict | None = None) -> MixedGraph:
-    """Learn a PAG from a conditional-independence oracle.
-
-    ``ci.separating_sets(queries)`` decides the conditioning sets of one
-    size of every edge in one call (see the module docstring). The
-    returned PAG reflects the complete orientation rule set; rules that
-    only fire under selection bias are omitted since undirected and
-    circle-tail edges cannot arise without it. A ``report`` dict, when
-    given, is filled with the number of CI queries (of an edge, the sets
-    up to and including the first independent one), in all and per
+    """Learn a PAG from a conditional-independence oracle ``ci`` (see the
+    module docstring). The PAG reflects the complete orientation rule set;
+    rules that only fire under selection bias are omitted since undirected
+    and circle-tail edges cannot arise without it. A ``report`` dict, when
+    given, is filled with the number of CI queries, in all and per
     adjacency phase, the separating sets found, and per-rule firing
     counts. A negative ``max_cond_size`` raises ``ValueError``.
     """
     if max_cond_size is not None and max_cond_size < 0:
         raise ValueError(f"max_cond_size must be at least 0, not "
                          f"{max_cond_size}")
-    vs = sorted(set(variables))
-    knowledge = knowledge or Knowledge()
+    names = tuple(sorted(set(variables)))
+    forbidden = (knowledge or Knowledge()).forbidden_into
+    forbidden = sum(1 << i for i, v in enumerate(names) if v in forbidden)
+    separating_sets = ci.bind(names)
     queries = [0]
-    adj = {v: set(vs) - {v} for v in vs}
-    sepsets: dict[frozenset, frozenset] = {}
-    _adjacency_search(ci, adj, lambda a, b: (sorted(adj[a] - {b}),
-                                             sorted(adj[b] - {a})),
+    adj = [(1 << len(names)) - 1 & ~(1 << v) for v in range(len(names))]
+    sepsets: dict[tuple[int, int], int] = {}
+    _adjacency_search(separating_sets, adj,
+                      lambda a, b: (adj[a] & ~(1 << b), adj[b] & ~(1 << a)),
                       0, max_cond_size, sepsets, queries)
     skeleton_tests = queries[0]
 
     # provisional collider orientation to drive the possible-d-sep closure
-    marks = _Marks(vs, _pairs(adj), knowledge)
+    marks = _Marks(adj, forbidden)
     _orient_colliders(marks, sepsets)
     pdsep = _possible_d_sep(marks)
     # the phase only removes edges, so these blocks hold every later one's
-    blocks = _blocks(adj)
+    block_of = _blocks(adj)
 
     def pools(a, b):
-        block = blocks[frozenset((a, b))] - {a, b}
-        return sorted(pdsep[a] & block), sorted(pdsep[b] & block)
+        block = block_of[a, b] & ~(1 << a | 1 << b)
+        return pdsep[a] & block, pdsep[b] & block
 
-    _adjacency_search(ci, adj, pools, 1, max_cond_size, sepsets, queries)
+    _adjacency_search(separating_sets, adj, pools, 1, max_cond_size, sepsets,
+                      queries)
 
-    marks = _Marks(vs, _pairs(adj), knowledge)
+    marks = _Marks(adj, forbidden)
     _orient_colliders(marks, sepsets)
     rules = [("chain", _rule_chain), ("ancestor", _rule_ancestor),
              ("double-collider", _rule_double_collider),
@@ -640,7 +638,7 @@ def fci(ci, variables: Sequence[str], knowledge: Knowledge | None = None,
     while True:
         changed = False
         for name, rule in rules:
-            if rule(marks):
+            if any([*rule(marks)]):   # every refinement asked is tried
                 firings[name] += 1
                 changed = True
         if not changed:
@@ -650,11 +648,11 @@ def fci(ci, variables: Sequence[str], knowledge: Knowledge | None = None,
         report["ci_tests_by_phase"] = {
             "skeleton": skeleton_tests,
             "possible_d_sep": queries[0] - skeleton_tests}
-        report["sepsets"] = {",".join(sorted(pair)): sorted(s)
-                             for pair, s in sorted(sepsets.items(),
-                                                   key=lambda kv: sorted(kv[0]))}
+        report["sepsets"] = {f"{names[a]},{names[b]}":
+                             [names[v] for v in positions(s)]
+                             for (a, b), s in sorted(sepsets.items())}
         report["rule_firings"] = firings
-    return marks.to_graph()
+    return marks.to_graph(names)
 
 
 def table_fci(table: DataTable, test: Callable = fisher_z_test,

@@ -301,15 +301,17 @@ class SearchContext:
         """Per mutable vertex X at bit i: (1 << i, i, the mask indexes of a
         class member keeping p's edges into X, of it with the visible
         out-edges of X removed and of it with every edge into X removed,
-        X's row of p's possible-descendant table). The MAGs, kept on p's
-        memo, have p's vertices, so their masks number them as p's do."""
+        each with its descendant table, X's row of p's possible-descendant
+        table). The MAGs, kept on p's memo, have p's vertices, so their
+        masks number them as p's do."""
         p, names = self.p, self.ix.names
 
         def mags(x):
             r = pag_to_mag(p, {x})
-            return (r.masks(), mutilate(r, REMOVE_VISIBLE_OUT_OF, {x},
-                                        visibility_in=p).masks(),
-                    mutilate(r, REMOVE_INTO, {x}).masks())
+            return tuple((ix, ix.reached_by("pa")) for ix in (
+                r.masks(), mutilate(r, REMOVE_VISIBLE_OUT_OF, {x},
+                                    visibility_in=p).masks(),
+                mutilate(r, REMOVE_INTO, {x}).masks()))
         pde = self.ix.reached_by("noarrow")
         self._rows = tuple(
             (1 << i, i, *p.memo(("invariance_masks", names[i]),
@@ -326,12 +328,12 @@ class SearchContext:
             rows = self._invariance_rows()
         for xb, i, mag, out_cut, in_cut, pde in rows:
             if xb & z:
-                g, cond = out_cut, z & ~xb
+                (g, de), cond = out_cut, z & ~xb
             elif z & pde:
-                g, cond = mag, z
+                (g, de), cond = mag, z
             else:
-                g, cond = in_cut, z
-            if connected(g, i, y, cond):
+                (g, de), cond = in_cut, z
+            if connected(g, de, i, y, cond):
                 return False
         return True
 

@@ -9,7 +9,7 @@ class; definite-status path enumeration in the PAG
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .graph import (
     ARROW, CIRCLE, TAIL, Edge, GraphError, MixedGraph, VertexMasks, positions,
@@ -32,22 +32,25 @@ def m_connected(g: MixedGraph, x: str, y: str, z: Iterable[str]) -> bool:
     ix.mask((x, y, *z))
     if x in z or y in z:
         raise GraphError("x and y must not be in z")
-    return connected(ix, ix.bit[x].bit_length() - 1, ix.bit[y], ix.mask(z))
+    return connected(ix, ix.reached_by("pa"), ix.bit[x].bit_length() - 1,
+                     ix.bit[y], ix.mask(z))
 
 
-def connected(ix: VertexMasks, x: int, y: int, z: int) -> bool:
-    """``m_connected`` on the masks of an ADMG or MAG: x the bit position
-    of the start, y the mask of the ends, z the conditioning mask.
+def connected(ix: VertexMasks, de: Sequence[int], x: int, y: int,
+              z: int) -> bool:
+    """``m_connected`` on the masks of an ADMG or MAG: ``de`` the index's
+    descendant table ``ix.reached_by("pa")``, which a caller fetches once
+    per index, x the bit position of the start, y the mask of the ends, z
+    the conditioning mask.
 
     The walk's state is (vertex, whether the edge it arrived by has an
     arrowhead at it); which edges may leave a vertex depends on nothing
     else. ``into`` and ``out`` hold the states reached each way. The start
     leaves by every edge, so both of its states count as reached. A vertex
-    is an ancestor of z iff z meets its descendants, read from the index's
-    ``reached_by("pa")`` table: the walk computes no closure of z.
+    is an ancestor of z iff z meets its descendants, read from ``de``: the
+    walk computes no closure of z.
     """
     bi, ppa, pch, at, noarrow = ix.bi, ix.ppa, ix.pch, ix.at, ix.noarrow
-    de = ix.reached_by("pa")
     xb = 1 << x
     into = new_in = at[x]
     out = new_out = noarrow[x]

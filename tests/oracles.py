@@ -20,7 +20,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from stablespec.data import DataTable
-from stablespec.graph import ARROW, CIRCLE, TAIL, Edge, GraphError, MixedGraph
+from stablespec.graph import (
+    ARROW, CIRCLE, TAIL, Edge, GraphError, MixedGraph, positions,
+)
 from stablespec.identify import SearchContext
 from stablespec.scm import DiscreteSCM
 from stablespec.separation import (
@@ -83,29 +85,31 @@ def visible_by_definition(g: MixedGraph) -> set[Edge]:
     return out
 
 
-def possible_d_sep_by_paths(marks) -> dict[str, set[str]]:
+def possible_d_sep_by_paths(marks) -> list[int]:
     """Oracle for ``fci._possible_d_sep`` on a mark store: y is in x's set
     when a simple path joins them on which every inner vertex is a collider
     or has adjacent neighbors on the path (Spirtes, Glymour & Scheines
-    2000). It enumerates the paths from every vertex."""
-    out = {v: set(marks.adj[v]) for v in marks.vertices}
-    for x in marks.vertices:
-        queue = deque((n, (x, n)) for n in sorted(marks.adj[x]))
+    2000). It enumerates the paths from every vertex, over sets of
+    positions, and gives each vertex's set as a mask."""
+    adj = [set(positions(row)) for row in marks.adj]
+    out = [set(adj[v]) for v in range(len(adj))]
+    for x in range(len(adj)):
+        queue = deque((n, (x, n)) for n in sorted(adj[x]))
         seen = set()
         while queue:
             current, path = queue.popleft()
-            for nxt in sorted(marks.adj[current] - set(path)):
+            for nxt in sorted(adj[current] - set(path)):
                 a, b, c = path[-2], current, nxt
                 collider = marks.mark(a, b) == ARROW and \
                     marks.mark(c, b) == ARROW
-                if collider or marks.adjacent(a, c):
+                if collider or c in adj[a]:
                     out[x].add(nxt)
                     out[nxt].add(x)
                     key = (current, nxt, frozenset(path))
                     if key not in seen:
                         seen.add(key)
                         queue.append((nxt, path + (nxt,)))
-    return out
+    return [sum(1 << v for v in vs) for vs in out]
 
 
 def blocks_by_paths(adj: dict[str, set[str]]) -> dict[frozenset, frozenset]:

@@ -16,7 +16,9 @@ from stablespec.citest import (
 from stablespec.data import DataError, DataTable, pool_environments
 from stablespec.fci import DataOracle
 from stablespec.scm import shift_benchmark_scm
-from util import at_positions, exact_table, first_index, near_copy
+from util import (
+    at_positions, exact_table, first_index, near_copy, stacked,
+)
 
 
 def rowwise_fisher_z(data, a, b, s):
@@ -522,7 +524,7 @@ class TestEnvironmentTest:
             got = environment_test(t, "E", x, cond)
             assert got.p_value == 0.0 and got.statistic == math.inf
             assert firsts_at(fisher_z_test, t,
-                             at_positions(t, [(x, "E", [cond])]),
+                             *stacked(t, [(x, "E", [cond])]),
                              1e-300) == [None]
 
     def test_degenerate_in_every_environment_goes_to_the_fallback(self):
@@ -669,7 +671,7 @@ class TestEnvironmentTest:
                     for alpha in (0.001, 0.01, 0.05, 0.2, p, p * 1.001):
                         assert firsts_at(
                             fisher_z_test, t,
-                            at_positions(t, [("E", "x", [cond])]),
+                            *stacked(t, [("E", "x", [cond])]),
                             alpha) == [0 if p >= alpha else None]
         finally:
             citest._residual_kurtosis = kurtosis
@@ -786,7 +788,7 @@ class TestBatches:
         for j, s in enumerate(subsets):
             p = environment_test(t, "E", "x", s).p_value
             for alpha, want in ((p, 0), (float(np.nextafter(p, 2.0)), None)):
-                got = firsts_at(fisher_z_test, t, at_positions(
+                got = firsts_at(fisher_z_test, t, *stacked(
                     t, [("E", "x", [c]) for c in subsets]), alpha)
                 assert got[j] == want
 
@@ -797,7 +799,7 @@ class TestBatches:
         for j, s in enumerate(subsets):
             p = fisher_z_test(t, "a", "b", s).p_value
             for alpha, want in ((p, 0), (float(np.nextafter(p, 2.0)), None)):
-                got = firsts_at(fisher_z_test, t, at_positions(
+                got = firsts_at(fisher_z_test, t, *stacked(
                     t, [("a", "b", [c]) for c in subsets]), alpha)
                 assert got[j] == want
 
@@ -924,7 +926,7 @@ class TestBatches:
         alive = weakref.ref(t)
         gc.disable()
         try:
-            got = firsts_at(fisher_z_test, t, at_positions(t, [query]),
+            got = firsts_at(fisher_z_test, t, *stacked(t, [query]),
                             self.ALPHA)
             assert isinstance(got[0], DataError) and \
                 message in str(got[0])
@@ -1029,7 +1031,7 @@ class TestDecisions:
                    ("a", "b", [*ind, bad]), ("x", "E", [*singles, bad]),
                    ("E", "x", [bad, *singles]), ("a", "b", [*dep, *ind]),
                    ("E", "v", singles)]
-        got = firsts_at(fisher_z_test, t, at_positions(t, queries),
+        got = firsts_at(fisher_z_test, t, *stacked(t, queries),
                         self.ALPHA)
         error = (DegenerateDataError,
                  "constant column in correlation matrix: c")
@@ -1155,7 +1157,7 @@ class TestCriticalValues:
             tail = citest.normal_two_sided_p
             monkeypatch.setattr(citest, "normal_two_sided_p",
                                 lambda z: calls.append(z) or tail(z))
-            got = firsts_at(fisher_z_test, t, at_positions(t, queries),
+            got = firsts_at(fisher_z_test, t, *stacked(t, queries),
                             alpha)
             monkeypatch.undo()
             assert got == [0 if r.p_value >= alpha else None

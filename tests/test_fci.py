@@ -21,15 +21,17 @@ from stablespec.fci import (
     DataOracle, Knowledge, SeparationOracle, _Marks, fci,
     pooled_fci, possible_children_of_env,
 )
-from stablespec.graph import ARROW, CIRCLE, TAIL, GraphError, parse, serialize
+from stablespec.graph import (
+    ARROW, CIRCLE, TAIL, GraphError, parse, positions, serialize,
+)
 from stablespec.scm import shift_benchmark_scm
 from stablespec.separation import m_connected
 from oracles import (
     blocks_by_paths, mag_of_admg, possible_d_sep_by_paths, with_kind,
 )
 from util import (
-    CONFLICT_ADMG, PerSetOracle, complete_pag, example_admg, example_pag,
-    bench_inputs, exact_table, first_index, independence_oracle,
+    CONFLICT_ADMG, PerSetOracle, ask, complete_pag, example_admg,
+    example_pag, bench_inputs, exact_table, first_index, independence_oracle,
     pooled_draws, random_admg,
 )
 
@@ -78,25 +80,28 @@ class TestKnowledge:
 
 
 class TestMarks:
+    """Two adjacent vertices at positions 0 and 1 (A and B, A and E, B and
+    E), each mark a row over them."""
+
     def test_refined_mark_stays(self):
         # finite samples can ask for both refinements of one mark
-        m = _Marks(("A", "B"), [frozenset(("A", "B"))], Knowledge())
-        assert m.set_mark("A", "B", TAIL)
-        assert not m.set_mark("A", "B", ARROW)
-        assert not m.set_mark("A", "B", TAIL)
-        assert m.mark("A", "B") == TAIL and m.mark("B", "A") == CIRCLE
+        m = _Marks([0b10, 0b01])
+        assert m.set_mark(0, 1, TAIL)
+        assert not m.set_mark(0, 1, ARROW)
+        assert not m.set_mark(0, 1, TAIL)
+        assert m.mark(0, 1) == TAIL and m.mark(1, 0) == CIRCLE
+        assert (m.tail, m.tail_to, m.circle, m.circle_to) == \
+            ([0, 0b01], [0b10, 0], [0b10, 0], [0, 0b01])
 
     def test_knowledge_blocks_silently(self):
-        m = _Marks(("A", "E"), [frozenset(("A", "E"))],
-                   Knowledge(forbidden_into={"E"}))
-        assert not m.set_mark("A", "E", ARROW)
-        assert m.set_mark("E", "A", ARROW)
+        m = _Marks([0b10, 0b01], forbidden=0b10)
+        assert not m.set_mark(0, 1, ARROW)
+        assert m.set_mark(1, 0, ARROW)
 
     def test_blocked_arrowhead_leaves_the_tail_unset(self):
-        m = _Marks(("B", "E"), [frozenset(("B", "E"))],
-                   Knowledge(forbidden_into={"E"}))
-        assert not m.orient_directed("B", "E")
-        assert m.mark("E", "B") == CIRCLE and m.mark("B", "E") == CIRCLE
+        m = _Marks([0b10, 0b01], forbidden=0b10)
+        assert not m.orient_directed(0, 1)
+        assert m.mark(1, 0) == CIRCLE and m.mark(0, 1) == CIRCLE
 
 
 class TestFiniteSampleConflicts:
@@ -233,14 +238,22 @@ def assert_sound(g, pag):
 
 def random_marks(rng: random.Random) -> _Marks:
     """A mark store over 3 to 9 vertices: a random skeleton of random
-    density, each of its marks drawn from arrow, tail and circle."""
-    vs = [f"V{i}" for i in range(rng.randint(3, 9))]
+    density, each of its marks drawn from arrow, tail and circle, the mark
+    at b on a-b and then the one at a, per pair a < b."""
+    n = rng.randint(3, 9)
     density = rng.uniform(0.2, 0.7)
-    skeleton = [frozenset(p) for p in combinations(vs, 2)
+    skeleton = [p for p in combinations(range(n), 2)
                 if rng.random() < density]
-    marks = _Marks(vs, skeleton, Knowledge())
-    for key in marks.at:
-        marks.at[key] = rng.choice((ARROW, TAIL, CIRCLE))
+    adj = [0] * n
+    for a, b in skeleton:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    marks = _Marks(adj)
+    for a, b in skeleton:
+        for u, v in ((a, b), (b, a)):
+            mark = rng.choice((ARROW, TAIL, CIRCLE))
+            if mark != CIRCLE:
+                marks.set_mark(u, v, mark)
     return marks
 
 
@@ -252,12 +265,14 @@ class TestPossibleDSep:
             marks = random_marks(rng)
             got = fci_module._possible_d_sep(marks)
             want = possible_d_sep_by_paths(marks)
-            for x in marks.vertices:
-                assert want[x] <= got[x], (marks.at, x)
-                assert x not in got[x]
-                for y in marks.vertices:
-                    assert (y in got[x]) == (x in got[y]), (marks.at, x, y)
-            queries += len(marks.vertices)
+            vertices = range(len(marks.adj))
+            for x in vertices:
+                assert not want[x] & ~got[x], (marks.arrow, marks.tail, x)
+                assert not got[x] >> x & 1
+                for y in vertices:
+                    assert got[x] >> y & 1 == got[y] >> x & 1, \
+                        (marks.arrow, marks.tail, x, y)
+            queries += len(marks.adj)
 
     def test_closure_learns_what_the_path_definition_learns(
             self, monkeypatch):
@@ -287,6 +302,18 @@ class TestPossibleDSep:
         assert time.perf_counter() - start < 1.0
         assert pag == complete_pag(vs)
         assert report["ci_tests"] == 2835
+
+
+def blocks_of(adj: dict[str, set[str]]) -> dict[frozenset, frozenset]:
+    """``fci._blocks`` of the undirected graph ``adj`` over names, its
+    vertices at positions in name order, with each edge and block put
+    back into names."""
+    names = sorted(adj)
+    got = fci_module._blocks([sum(1 << names.index(w) for w in adj[v])
+                              for v in names])
+    return {frozenset((names[a], names[b])):
+            frozenset(names[v] for v in positions(block))
+            for (a, b), block in got.items()}
 
 
 def random_skeleton(rng: random.Random) -> dict[str, set[str]]:
@@ -324,7 +351,7 @@ class TestBlocks:
                                                      "F"},
                "D": {"C", "E"}, "E": {"C", "D"}, "F": {"C"}, "G": set()}
         abc, cde = frozenset("ABC"), frozenset("CDE")
-        assert fci_module._blocks(adj) == {
+        assert blocks_of(adj) == {
             frozenset("AB"): abc, frozenset("AC"): abc,
             frozenset("BC"): abc, frozenset("CD"): cde,
             frozenset("CE"): cde, frozenset("DE"): cde,
@@ -335,7 +362,7 @@ class TestBlocks:
         bridges = isolated = split = 0
         for _ in range(400):
             adj = random_skeleton(rng)
-            got = fci_module._blocks(adj)
+            got = blocks_of(adj)
             assert got == blocks_by_paths(adj), adj
             bridges += sum(len(block) == 2 for block in got.values())
             isolated += sum(not ns for ns in adj.values())
@@ -352,7 +379,7 @@ class TestBlockBound:
     @staticmethod
     def unbounded(monkeypatch):
         monkeypatch.setattr(fci_module, "_blocks", lambda adj: {
-            frozenset((a, b)): frozenset(adj) for a in adj for b in adj[a]})
+            pair: (1 << len(adj)) - 1 for pair in fci_module._pairs(adj)})
 
     def test_oracle_learns_what_the_whole_pools_learn(self, monkeypatch):
         # 400 ADMGs besides the pinned 100, sparse ones among them, whose
@@ -513,8 +540,8 @@ class TestSeparationOracle:
                 pools = [rng.sample(rest, rng.randint(0, len(rest)))
                          for _ in range(rng.randint(1, 3))]
                 queries.extend((a, b, pools, size) for size in range(4))
-            assert SeparationOracle(g).separating_sets(queries) == \
-                per_set.separating_sets(queries)
+            assert ask(SeparationOracle(g), queries) == \
+                ask(per_set, queries)
 
     def test_faults_raise_m_connected_errors_up_front(self):
         admg = example_admg()
@@ -529,7 +556,7 @@ class TestSeparationOracle:
                 m_connected(graph, a, b, z)
             # raised before any set is tested, even at size 0
             with pytest.raises(GraphError) as got:
-                SeparationOracle(graph).separating_sets([good, query])
+                ask(SeparationOracle(graph), [good, query])
             assert str(got.value) == str(want.value)
 
 
@@ -597,7 +624,7 @@ class TestDataOracle:
                 (("a", "b", [["c", "Q"]], 1), "no column 'Q'"),
                 (("Q", "b", [["c"]], 0), "no column 'Q'")):
             with pytest.raises(DataError, match=message):
-                ind.separating_sets([("a", "b", [["c"]], 1), query])
+                ask(ind, [("a", "b", [["c"]], 1), query])
 
 
 def wide_pooled(structure_seed, parameter_seed, rows, seed):
@@ -607,17 +634,18 @@ def wide_pooled(structure_seed, parameter_seed, rows, seed):
 
 
 class TestPositionLevel:
-    """Data FCI puts each query's names at column positions once and
-    decides its sets at positions: no set is checked or looked up by name.
-    On the learn-wide benchmark's seed-0 tables."""
+    """Data FCI puts the learn's names at column positions once, and each
+    pool's positions at columns once; it decides its sets at positions:
+    no set is checked or looked up by name. On the learn-wide benchmark's
+    seed-0 tables."""
 
     KNOWLEDGE = Knowledge(forbidden_into={"E"})
 
     @staticmethod
     def learn(monkeypatch):
-        """Learn on the tables with every query, the size of every set
-        pulled from the pools, every ``citest._check_args`` call and every
-        name lookup in the table's index recorded."""
+        """Learn on the tables with every level's queries, the size of
+        every set built from the pools, every ``citest._check_args`` call
+        and every name lookup in the table's index recorded."""
         pooled = wide_pooled(7, 2, 20_000, 0)
         asked, pulled, checks, lookups = [], [], [], []
 
@@ -628,32 +656,38 @@ class TestPositionLevel:
 
         pooled.index = Index(pooled.index)
         oracle = DataOracle(pooled)
-        separating_sets = oracle.separating_sets
-        subsets, check_args = fci_module._distinct_subsets, citest._check_args
+        bind = oracle.bind
+        rows, check_args = fci_module._subset_rows, citest._check_args
 
-        def counted(pools, size):
-            for s in subsets(pools, size):
-                pulled.append(size)
-                yield s
+        def bound(names):
+            separating_sets = bind(names)
+            return lambda queries: (asked.append(queries) or
+                                    separating_sets(queries))
 
-        monkeypatch.setattr(oracle, "separating_sets", lambda queries: (
-            asked.append(queries) or separating_sets(queries)))
-        monkeypatch.setattr(fci_module, "_distinct_subsets", counted)
+        def counted(pools, size, at):
+            for block in rows(pools, size, at):
+                pulled.extend([size] * len(block))
+                yield block
+
+        monkeypatch.setattr(oracle, "bind", bound)
+        monkeypatch.setattr(fci_module, "_subset_rows", counted)
         monkeypatch.setattr(citest, "_check_args", lambda *args: (
             checks.append(args) or check_args(*args)))
         report = {}
         fci(oracle, pooled.names, TestPositionLevel.KNOWLEDGE, report=report)
         return pooled, asked, pulled, checks, lookups, report
 
-    def test_names_are_looked_up_per_query_not_per_set(self, monkeypatch):
-        _, levels, pulled, checks, lookups, report = self.learn(monkeypatch)
+    def test_names_are_looked_up_per_learn_not_per_set(self, monkeypatch):
+        pooled, levels, pulled, checks, lookups, report = \
+            self.learn(monkeypatch)
         assert checks == []
         queries = [q for level in levels for q in level]
-        # each query's pair and pool names once, and the environment
-        # column once per stacked call, of which there are fewer than
-        # queries: fewer than mapping the names of each set pulled
-        names = sum(2 + sum(map(len, pools)) for _, _, pools, _ in queries)
-        assert len(lookups) <= names + len(queries) < \
+        # each name once, and the environment column once per stacked
+        # call, of which there are fewer than queries: fewer than mapping
+        # the names of each query, let alone of each set built
+        names = sum(2 + sum(p.bit_count() for p in pools)
+                    for _, _, pools, _ in queries)
+        assert len(lookups) <= len(pooled.names) + len(queries) < names < \
             sum(2 + size for size in pulled)
         assert len(pulled) >= report["ci_tests"] > 1000
 
@@ -664,15 +698,21 @@ class TestPositionLevel:
         # ``citest._decisions`` call, as the oracle streams them
         pooled, levels, *_ = self.learn(monkeypatch)
         monkeypatch.undo()
-        alpha, at = 0.01, pooled.index.__getitem__
+        alpha, at, names = 0.01, pooled.index.__getitem__, sorted(
+            pooled.names)
+
+        def sets(pools, size):
+            return list(fci_module._distinct_subsets(
+                [[names[i] for i in positions(p)] for p in pools], size))
+
         tested, on_env = [], 0
         for level in sorted(levels, key=lambda queries: -sum(
-                len(list(fci_module._distinct_subsets(pools, size)))
-                for _, _, pools, size in queries))[:2]:
+                len(sets(pools, size)) for _, _, pools, size in queries))[:2]:
             rows, want = [], []
             for a, b, pools, size in level:
+                a, b = names[a], names[b]
                 test = environment_test if "E" in (a, b) else fisher_z_test
-                for s in fci_module._distinct_subsets(pools, size):
+                for s in sets(pools, size):
                     rows.append((at(a), at(b), *map(at, s)))
                     want.append(test(pooled, a, b, s).p_value >= alpha)
                     on_env += test is environment_test
@@ -684,6 +724,37 @@ class TestPositionLevel:
             tested += got
         assert len(tested) > 500 and 0 < sum(tested) < len(tested)
         assert 0 < on_env < len(tested)
+
+
+class TestSubsetRows:
+    """The data oracle builds a query's sets as rows of column positions,
+    from combination-index arrays, in ``_distinct_subsets``' order and with
+    its repeat rule."""
+
+    def test_rows_are_the_distinct_subsets_in_order(self):
+        # pools over up to 30 positions, some long enough that a pool's
+        # subsets span several blocks, some inside or equal to an earlier
+        # one; column i + 100 stands for position i
+        rng = random.Random(36)
+        cut = 0
+        for _ in range(300):
+            n = rng.randint(1, 30)
+            pools = [sum(1 << i for i in rng.sample(range(n), rng.randint(
+                0, min(n, 14)))) for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.2:
+                pools.append(pools[0] & rng.getrandbits(n))
+            size = rng.randint(0, 5)
+            got = list(fci_module._subset_rows(
+                pools, size,
+                lambda p: np.array([i + 100 for i in positions(p)])))
+            assert all(0 < len(block) <= fci_module.MAX_BATCH
+                       for block in got)
+            want = fci_module._distinct_subsets(
+                [[i + 100 for i in positions(p)] for p in pools], size)
+            assert [tuple(row) for block in got
+                    for row in block.tolist()] == list(want)
+            cut += len(got) > len(pools)
+        assert cut >= 10
 
 
 class TestBatchedOracle:
@@ -716,22 +787,27 @@ class TestBatchedOracle:
         pooled = wide_pooled(7, 2, rows, 0)
         oracle = DataOracle(pooled)
         levels, inverses, pulled = [], [], [0]
-        separating_sets, inv = oracle.separating_sets, np.linalg.inv
-        subsets = fci_module._distinct_subsets
+        bind, inv = oracle.bind, np.linalg.inv
+        rows = fci_module._subset_rows
 
-        def counted(pools, size):
-            for s in subsets(pools, size):
-                pulled[0] += 1
-                yield s
+        def counted(pools, size, at):
+            for block in rows(pools, size, at):
+                pulled[0] += len(block)
+                yield block
 
-        def level(queries):
-            pulled[0], before = 0, len(inverses)
-            got = separating_sets(queries)
-            levels.append((pulled[0], len(inverses) - before))
-            return got
+        def bound(names):
+            separating_sets = bind(names)
 
-        monkeypatch.setattr(oracle, "separating_sets", level)
-        monkeypatch.setattr(fci_module, "_distinct_subsets", counted)
+            def level(queries):
+                pulled[0], before = 0, len(inverses)
+                got = separating_sets(queries)
+                levels.append((pulled[0], len(inverses) - before))
+                return got
+
+            return level
+
+        monkeypatch.setattr(oracle, "bind", bound)
+        monkeypatch.setattr(fci_module, "_subset_rows", counted)
         monkeypatch.setattr(np.linalg, "inv", lambda m: (
             inverses.append(m.shape) or inv(m)))
         report = {}
@@ -758,8 +834,9 @@ class TestBatchedOracle:
                           if (a, b, s) in independent), None)
                     for a, b, sets in chunk]
 
-        queries = [("A", "B", iter(long)), ("A", "C", iter(long[:10])),
-                   ("A", "D", iter(long + long)), ("A", "E", iter(long[:50]))]
+        # each query's sets come in blocks, which a call may cut
+        queries = [("A", "B", [long]), ("A", "C", [long[:10]]),
+                   ("A", "D", [long, long]), ("A", "E", [long[:50]])]
         got = fci_module._stream(queries, decide)
         cap = fci_module.MAX_BATCH
         # A-B continues in the second call; A-D, decided at its set 100
@@ -787,22 +864,22 @@ class TestBatchedOracle:
             # the bad set shares one stacked call with the other query and
             # with the independent set before it; each set is a pool of
             # its own, and a repeated one is asked once
-            assert oracle.separating_sets(
-                [("a", "b", [dep, ind, bad], 2),
-                 ("a", "b", [dep, dep], 2)]) == [(2, ind), (1, None)]
+            assert ask(oracle, [("a", "b", [dep, ind, bad], 2),
+                                ("a", "b", [dep, dep], 2)]) == \
+                [(2, tuple(sorted(ind))), (1, None)]
             assert len(calls) == 1
             for queries in ([("a", "b", [dep, dep], 2),
                              ("a", "b", [dep, bad], 2)],
                             [("a", "b", [bad, ind], 2),
                              ("a", "b", [ind], 2)]):
                 with pytest.raises(DegenerateDataError, match=message):
-                    oracle.separating_sets(queries)
+                    ask(oracle, queries)
         # the first query, in order, that reaches a bad set raises
         for first, then, message in ((constant, singular, "matrix: c"),
                                      (singular, constant, "singular")):
             with pytest.raises(DegenerateDataError, match=message):
-                oracle.separating_sets([("a", "b", [dep, first], 2),
-                                        ("a", "b", [then], 2)])
+                ask(oracle, [("a", "b", [dep, first], 2),
+                             ("a", "b", [then], 2)])
 
     def test_first_query_to_fail_raises_across_streams(self):
         # C and D are constant: the Fisher-z query on X-C and the
@@ -820,7 +897,7 @@ class TestBatchedOracle:
             with pytest.raises(DegenerateDataError,
                                match="constant column in correlation "
                                      f"matrix: {name}"):
-                oracle.separating_sets(queries)
+                ask(oracle, queries)
 
     def test_oracle_keeps_no_reference_cycle(self):
         # with the cyclic collector off, dropping the oracle and the table

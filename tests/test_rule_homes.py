@@ -10,11 +10,15 @@ are computed by ``citest.critical_values`` and read by
 become masks once, at the public boundary of ``components`` and
 ``identify``: their private mask cores call no function that takes names,
 and a subgraph of the identification calculus is a scope mask, not a graph
-that ``MixedGraph`` builds. The exact oracle of ``fci`` maps a query's
-names to bits once and tests its sets by the mask core of m-connection,
-which, like the invariance core, reads ancestry from the index's
-membership tables instead of computing a closure per set, and edge
-visibility is one mask reach per directed edge. Column names
+that ``MixedGraph`` builds. ``fci`` puts a learn's names at positions
+once: its cores (the adjacency search, Possible-D-SEP, the blocks, the
+collider step, the rules and their path searches) read mask rows and call
+no function that takes names, and its exact oracle maps the positions to
+a graph's bits once per learn and tests each set by the mask core of
+m-connection, which, like the invariance core, reads ancestry from a
+membership table that its caller fetches once per index instead of
+computing a closure per set. Edge visibility is one mask reach per
+directed edge. Column names
 become column positions once, at the name-level entry points of
 ``citest``: its position cores, which batched CI decisions run on, call
 none of them. Which test answers a
@@ -144,10 +148,42 @@ def test_separation_oracle_tests_sets_as_masks():
     assert "connected" in called_names(oracle)
 
 
+def test_fci_cores_call_no_name_level_function():
+    # a learn's names become positions once, in ``fci`` and the oracles'
+    # ``bind``; the cores read mask rows, and sort nothing, since bit order
+    # is name order. Names come back in ``to_graph`` and the report
+    fci = ast.parse((SRC / "fci.py").read_text())
+    functions = {node.name: node for node in ast.walk(fci)
+                 if isinstance(node, ast.FunctionDef)}
+    # the graph's name-level functions, and fci's functions that call them
+    takes_names = {"mask", "names_of", "check_vertices", "adjacency",
+                   "adjacent", "edges_at", "edges_between", "edge",
+                   "parents", "children", "ancestors", "Edge", "MixedGraph"}
+    takes_names |= {name for name, node in functions.items()
+                    if called_names(node) & takes_names}
+    assert {"to_graph", "possible_children_of_env"} <= takes_names
+    cores = {"_adjacency_search", "_possible_d_sep", "_blocks",
+             "_orient_colliders", "_discriminating_path", "_pd_edges",
+             "_pd_reaches", "_pairs", "_nonadjacent", "mark", "set_mark",
+             "orient_directed"}
+    cores |= {name for name in functions if name.startswith("_rule_")}
+    assert len(cores) == 19 and cores <= set(functions)
+    calls = {(core, name) for core in cores
+             for name in called_names(functions[core]) &
+             (takes_names | {"sorted"})}
+    assert calls == set()
+    # Possible-D-SEP and the discriminating paths walk the rows by reach
+    assert {name for name in cores
+            if "reach" in called_names(functions[name])} == \
+        {"_possible_d_sep", "_discriminating_path"}
+
+
 def test_ancestor_tests_read_the_membership_tables():
     # "is this vertex a (possible) ancestor of z" is a table lookup: the
-    # per-set cores compute no closure of z. The search context's invariance
-    # check reads each mutable vertex's row, built once with its MAGs.
+    # per-set cores compute no closure of z, and the m-connection core is
+    # handed the descendant table, which its callers fetch once per index.
+    # The search context's invariance check reads each mutable vertex's
+    # row, built once with its MAGs and their tables.
     def function(body, name):
         [node] = [node for node in body
                   if isinstance(node, ast.FunctionDef) and node.name == name]
@@ -155,8 +191,17 @@ def test_ancestor_tests_read_the_membership_tables():
 
     separation = ast.parse((SRC / "separation.py").read_text())
     core = function(separation.body, "connected")
-    assert "reach" not in called_names(core)
-    assert "reached_by" in called_names(core)
+    assert called_names(core) & {"reach", "closures", "reached_by"} == set()
+    assert "reached_by" in called_names(function(separation.body,
+                                                 "m_connected"))
+    fci = ast.parse((SRC / "fci.py").read_text())
+    [oracle] = [node for node in fci.body if isinstance(node, ast.ClassDef)
+                and node.name == "SeparationOracle"]
+    bind = function(oracle.body, "bind")
+    per_level = function(bind.body, "separating_sets")
+    assert "reached_by" in called_names(bind)
+    assert "connected" in called_names(per_level)
+    assert "reached_by" not in called_names(per_level)
     identify = ast.parse((SRC / "identify.py").read_text())
     [context] = [node for node in identify.body
                  if isinstance(node, ast.ClassDef)

@@ -4,7 +4,7 @@ import importlib.util
 import math
 import random
 from dataclasses import replace
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +12,9 @@ import numpy as np
 from stablespec.components import invisible
 from stablespec.data import DataTable
 from stablespec.fci import _distinct_subsets
-from stablespec.graph import ARROW, CIRCLE, TAIL, Edge, MixedGraph, parse
+from stablespec.graph import (
+    ARROW, CIRCLE, TAIL, Edge, MixedGraph, parse, positions,
+)
 from stablespec.scm import LinearGaussianSCM
 
 # Running example: a five-variable system with one latent confounder.
@@ -151,44 +153,71 @@ def random_admg(rng, max_vertices: int = 7, min_vertices: int = 2,
 
 class PerSetOracle:
     """CI oracle whose ``separating_sets`` asks ``independent(a, b, s)`` of
-    one conditioning set at a time."""
+    one conditioning set of names at a time."""
 
     def __init__(self, independent):
         self.independent = independent
 
-    def separating_sets(self, queries):
-        out = []
-        for a, b, pools, size in queries:
-            tests, found = 0, None
-            for s in _distinct_subsets(pools, size):
-                tests += 1
-                if self.independent(a, b, set(s)):
-                    found = s
-                    break
-            out.append((tests, found))
-        return out
+    def bind(self, names):
+        def separating_sets(queries):
+            out = []
+            for a, b, pools, size in queries:
+                tests, found = 0, None
+                for s in _distinct_subsets([list(positions(pool))
+                                            for pool in pools], size):
+                    tests += 1
+                    if self.independent(names[a], names[b],
+                                        {names[i] for i in s}):
+                        found = sum(1 << i for i in s)
+                        break
+                out.append((tests, found))
+            return out
+
+        return separating_sets
+
+
+def ask(oracle, queries):
+    """``oracle``'s answers to queries of names (a, b, pools, size): bound
+    to the sorted names that the queries hold, each pool a set, and each
+    separating set found put back into a tuple of names in name order."""
+    names = sorted({v for a, b, pools, _ in queries
+                    for v in (a, b, *chain(*pools))})
+    at = {v: i for i, v in enumerate(names)}
+    got = oracle.bind(names)([
+        (at[a], at[b], [sum(1 << at[v] for v in pool) for pool in pools],
+         size) for a, b, pools, size in queries])
+    return [(tests, None if found is None else
+             tuple(names[i] for i in positions(found)))
+            for tests, found in got]
 
 
 def first_index(oracle, a, b, subsets):
     """Index of the first of ``subsets`` (sets of one size) given which
     ``oracle`` finds a and b independent, None if none: a query of one
-    pair whose pools are the sets themselves, each in ascending order of
-    name, so that it asks them in order, a repeated set once."""
-    subsets = [sorted(s) for s in subsets]
-    size = len(subsets[0]) if subsets else 0
-    [(tests, found)] = oracle.separating_sets([(a, b, subsets, size)])
+    pair whose pools are the sets themselves, so that it asks them in
+    order, a repeated set once."""
+    size = len(next(iter(subsets), ()))
+    [(tests, found)] = ask(oracle, [(a, b, subsets, size)])
     return None if found is None else tests - 1
 
 
 def at_positions(table, names):
     """``names`` at the column positions of ``table``: a column name as its
     position, and a list or tuple of names, nested to any depth, as a tuple
-    of positions. So a query ``(a, b, [s, ...])`` of names becomes one that
-    ``citest.firsts_at`` takes, and a list of rows ``[*s, x]``, once passed
-    to ``np.array``, the rows that ``citest._residual_variances`` takes."""
+    of positions. So a list of rows ``[*s, x]`` of names, once passed to
+    ``np.array``, is the rows that ``citest._residual_variances`` takes."""
     if isinstance(names, str):
         return table.positions([names])[0]
     return tuple(at_positions(table, name) for name in names)
+
+
+def stacked(table, queries):
+    """The rows [a, b, *s] of column positions and the per-query counts
+    that ``citest.firsts_at`` takes, for ``queries`` (a, b, [s, ...]) of
+    names."""
+    queries = at_positions(table, queries)
+    rows = [(a, b, *s) for a, b, sets in queries for s in sets]
+    return np.array(rows, dtype=np.intp), [len(sets) for _, _, sets in queries]
 
 
 def exact_table(n=1000, seed=35):
