@@ -184,7 +184,7 @@ def ask(oracle, queries):
                     for v in (a, b, *chain(*pools))})
     at = {v: i for i, v in enumerate(names)}
     got = oracle.bind(names)([
-        (at[a], at[b], [sum(1 << at[v] for v in pool) for pool in pools],
+        (at[a], at[b], [sum(1 << at[v] for v in set(pool)) for pool in pools],
          size) for a, b, pools, size in queries])
     return [(tests, None if found is None else
              tuple(names[i] for i in positions(found)))
