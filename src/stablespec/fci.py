@@ -600,8 +600,8 @@ def fci(ci, variables: Sequence[str], knowledge: Knowledge | None = None,
         raise ValueError(f"max_cond_size must be at least 0, not "
                          f"{max_cond_size}")
     names = tuple(sorted(set(variables)))
-    forbidden = (knowledge or Knowledge()).forbidden_into
-    forbidden = sum(1 << i for i, v in enumerate(names) if v in forbidden)
+    into = (knowledge or Knowledge()).forbidden_into
+    forbidden = sum(1 << i for i, v in enumerate(names) if v in into)
     separating_sets = ci.bind(names)
     queries = [0]
     adj = [(1 << len(names)) - 1 & ~(1 << v) for v in range(len(names))]
