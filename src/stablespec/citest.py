@@ -63,9 +63,10 @@ decision.
 
 Batched CI decisions. ``firsts_at`` is the one batch entry: it takes the
 conditioning sets of one size of many pairs at once, as one array of rows
-[a, b, *s] of column positions that ``fci.DataOracle`` builds (it checks
-nothing), each pair's rows in order, with the number of rows of each
-pair, and returns for each pair the index of its first independent set.
+[a, b, *s] of column positions that ``fci`` builds and ``fci.DataOracle``
+puts at the table's columns (it checks nothing), each pair's rows in
+order, with the number of rows of each pair, and returns for each pair
+the index of its first independent set.
 ``_decisions`` routes each row to its test: the rows of pairs with the
 environment column are factored with one stacked ``data.cholesky`` call;
 the rows that the environment test leaves to the chosen test, and all
@@ -313,7 +314,10 @@ def firsts_at(test: Callable, data: DataTable, rows: np.ndarray,
 
     ``rows`` holds one row [a, b, *s] per set, the positions of columns of
     ``data``, all s of one size, and ``counts`` the number of rows of each
-    query, whose rows follow the query before it; nothing is checked. One
+    query, whose rows follow the query before it; nothing is checked. This
+    is the contract of the ``firsts`` that an fci oracle's ``bind``
+    returns, on learn positions: ``fci.DataOracle``'s puts fci's rows at
+    the table's columns and calls this. One
     ``_decisions`` call decides them all: Fisher-z with one stacked
     ``np.linalg.inv``, the environment test with one stacked Cholesky
     factorization, each statistic compared with the critical values of

@@ -26,43 +26,46 @@ in name order, the first refined mark winning. Names come back only in the
 PAG, the separating sets and the report.
 
 An oracle's one method, ``bind(names)``, called once per learn with the
-sorted names, returns ``separating_sets(queries)``: for each query (a, b,
-pools, size) of one adjacency level, a and b positions and pools masks,
-the number of sets decided and the first given which a and b are
-independent, as a mask, or None. A query's sets are
-``_distinct_subsets(pools, size)``: the subsets of ``size`` vertices of
-each pool in turn, each distinct subset once. Both adjacency phases are
-one PC-stable level-wise search, which reads the pools of every adjacent
-pair before it tests any (Colombo & Maathuis 2014), so one call asks a
-whole level, as GPU PC (cuPC) does. ``SeparationOracle`` answers by
-m-separation in a known graph. ``DataOracle`` answers by a CI test on a
-table: ``citest.environment_test`` (does a variable's conditional differ
-between environments, in intercept, slope or scale) on a pair of the
-environment column and a continuous variable, the chosen test on the
-others and on the pairs the environment test cannot fit; ``citest``
-routes each set. So a variable whose scale, or whose constancy, differs
-between environments is a child of the environment vertex. The oracle
-builds each set's row [a, b, *s] of column positions from cached
-combination-index arrays over its pool's columns (``_subset_rows``) and
-streams them into stacked calls of ``citest.firsts_at`` of at most
-``MAX_BATCH`` sets (``_stream``); a pair decided in one call adds no sets
-to the next. A query counts as one CI test per set decided: up to and
-including its first independent one.
+sorted names, returns ``firsts(rows, counts)``, the contract of
+``citest.firsts_at``: rows [a, b, *s] of positions, all s of one size,
+``counts`` the number of rows of each query in turn, and per query the
+index of its first row whose s separates a and b, None, or the error of
+a set it cannot test, returned. ``fci`` alone enumerates, batches and
+counts the sets (``_stream``). Both adjacency phases are one PC-stable
+level-wise search, which reads the pools of every adjacent pair before it
+tests any (Colombo & Maathuis 2014), so one stream asks a whole level, as
+GPU PC (cuPC) does. A query (a, b, pools, size) of a level, pools masks,
+asks the subsets of ``size`` vertices of each pool in turn, each distinct
+subset once, built from cached combination-index arrays
+(``_subset_rows``); they are cut into calls of ``firsts`` of at most
+``MAX_BATCH`` sets, one piece per query, and a pair decided in one call
+adds no sets to the next. A query counts as one CI test per set decided:
+up to and including its first separating one, which is recorded as a
+mask; the first query to reach a set that cannot be tested raises its
+error. ``SeparationOracle`` answers by m-separation in a known graph,
+each row by ``separation.connected``. ``DataOracle`` answers by a CI test
+on a table, the rows put at the table's columns and decided by
+``citest.firsts_at`` in stacked calls: ``citest.environment_test`` (does
+a variable's conditional differ between environments, in intercept, slope
+or scale) on a pair of the environment column and a continuous variable,
+the chosen test on the others and on the pairs the environment test
+cannot fit; ``citest`` routes each set. So a variable whose scale, or
+whose constancy, differs between environments is a child of the
+environment vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, count, filterfalse, islice, \
-    takewhile
+from itertools import chain, combinations, count, islice, takewhile
 from math import comb
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .citest import firsts_at, fisher_z_test
-from .data import DataError, DataTable, pool_environments
+from .data import DataTable, pool_environments
 from .graph import (
     ARROW, CIRCLE, TAIL, Edge, GraphError, MixedGraph, blocks, positions,
     reach,
@@ -90,11 +93,10 @@ class SeparationOracle:
         self.graph = graph
 
     def bind(self, names: Sequence[str]) -> Callable:
-        """``separating_sets`` over ``names``: each set is a mask of the
-        graph's index, tested by ``separation.connected``. ``m_connected``'s
-        faults raise its ``GraphError``: a graph that is not an ADMG or MAG,
-        or a name it lacks, here; equal a and b, or a or b in a pool,
-        before any set of the level is tested."""
+        """``firsts`` over ``names`` (see the module docstring): each row's
+        set, a mask of the graph's index, tested by ``separation.connected``
+        up to its query's first separating one. A graph that is not an ADMG
+        or MAG, or a name it lacks, raises ``m_connected``'s GraphError."""
         g = self.graph
         if g.kind not in ("ADMG", "MAG"):
             raise GraphError(f"m_connected requires an ADMG or MAG, "
@@ -102,26 +104,20 @@ class SeparationOracle:
         ix = g.masks()
         ix.mask(names)
         de = ix.reached_by("pa")
-        bits = [ix.bit[v] for v in names]
-        back = {bit: 1 << i for i, bit in enumerate(bits)}
+        bits = np.array([ix.bit[v] for v in names], dtype=object)
+        at = np.array([bit.bit_length() - 1 for bit in bits], np.intp)
 
-        def separating_sets(queries: Sequence[tuple]) -> list[tuple]:
-            _check(queries, GraphError, "x and y must differ",
-                   "x and y must not be in z")
-            out = []
-            for a, b, pools, size in queries:
-                x, y = bits[a].bit_length() - 1, bits[b]
-                tests, found = 0, None
-                for s in _distinct_subsets([[bits[i] for i in positions(p)]
-                                            for p in pools], size):
-                    tests += 1
-                    if not connected(ix, de, x, y, sum(s)):
-                        found = sum(back[v] for v in s)
-                        break
-                out.append((tests, found))
+        def firsts(rows: np.ndarray, counts: Sequence[int]) -> list:
+            xs, ys = at[rows[:, 0]].tolist(), bits[rows[:, 1]].tolist()
+            zs, out, end = bits[rows[:, 2:]].sum(axis=1).tolist(), [], 0
+            for count in counts:
+                start, end = end, end + count
+                out.append(next((j - start for j in range(start, end)
+                                 if not connected(ix, de, xs[j], ys[j],
+                                                  zs[j])), None))
             return out
 
-        return separating_sets
+        return firsts
 
 
 class DataOracle:
@@ -136,71 +132,34 @@ class DataOracle:
         self.table, self.test, self.alpha = table, test, alpha
 
     def bind(self, names: Sequence[str]) -> Callable:
-        """``separating_sets`` over ``names``, columns of the table (else
-        ``DataError``), each pool put at its columns once. A set that cannot
-        be tested raises only if its query reaches it, the first such query
-        in order; equal a and b, or a or b in a pool, raise ``DataError``
-        before any set is decided."""
+        """``firsts`` over ``names``, columns of the table (else
+        ``DataError``): ``citest.firsts_at`` on the rows put at their
+        columns."""
         table, test, alpha = self.table, self.test, self.alpha
-        cols = table.positions(names)
-        back = {c: 1 << i for i, c in enumerate(cols)}
-        pool_cols: dict[int, np.ndarray] = {}
+        cols = np.array(table.positions(names), np.intp)
 
-        def at(pool: int) -> np.ndarray:
-            got = pool_cols.get(pool)
-            if got is None:
-                got = pool_cols[pool] = np.fromiter(
-                    map(cols.__getitem__, positions(pool)), np.intp)
-            return got
+        def firsts(rows: np.ndarray, counts: Sequence[int]) -> list:
+            return firsts_at(test, table, cols[rows], counts, alpha)
 
-        def decide(chunk: list) -> list:
-            counts = [len(sets) for _, _, sets in chunk]
-            rows = np.column_stack((
-                np.repeat([(a, b) for a, b, _ in chunk], counts, axis=0),
-                np.concatenate([sets for _, _, sets in chunk])))
-            return firsts_at(test, table, rows, counts, alpha)
-
-        def separating_sets(queries: Sequence[tuple]) -> list[tuple]:
-            _check(queries, DataError, "a and b must differ",
-                   "a and b must not appear in the conditioning set")
-            out = _stream([(cols[a], cols[b], _subset_rows(pools, size, at))
-                           for a, b, pools, size in queries], decide)
-            error = next((got for got in out
-                          if isinstance(got, Exception)), None)
-            if error is None:
-                return [(tests, s if s is None else sum(map(
-                    back.__getitem__, s.tolist()))) for tests, s in out]
-            try:
-                raise error
-            finally:  # its traceback holds this frame: break the cycle
-                error = out = None
-
-        return separating_sets
+        return firsts
 
 
-def _check(queries: Sequence[tuple], error: type, differ: str, apart: str):
-    """Raise ``error`` at the first query with a = b or a or b in a pool."""
-    for a, b, pools, _ in queries:
-        ends = 1 << a | 1 << b
-        if a == b or any(pool & ends for pool in pools):
-            raise error(differ if a == b else apart)
-
-
-def _stream(queries: Sequence[tuple], decide: Callable) -> list:
-    """For each (a, b, blocks) of ``queries``, ``blocks`` yielding its sets
-    in order a sliceable block at a time, the number of sets decided and
-    the first independent one (None if none), or the exception raised on
-    a set it reaches. The sets of all queries, in turn, are cut into calls
-    of ``decide`` of at most ``MAX_BATCH`` sets, lists of (a, b, sets)
-    pieces; a query cut at the end of a call continues in the next unless
-    it was decided. The stream stops at the first exception of a query
-    not yet decided: every query before it is decided by then."""
-    out: list = [(0, None)] * len(queries)
-    todo = [(k, a, b, iter(blocks))
-            for k, (a, b, blocks) in enumerate(queries)][::-1]
+def _stream(firsts: Callable, queries: Sequence[tuple]) -> list[tuple]:
+    """For each query (a, b, pools, size) of one adjacency level, a and b
+    positions and pools masks, the number of sets decided and the first
+    separating one, as a mask, or None. The query's sets, its
+    ``_subset_rows`` blocks, and those of the queries after it are cut
+    into calls of ``firsts`` of at most ``MAX_BATCH`` rows [a, b, *s], one
+    piece of consecutive sets per query; a query cut at the end of a call
+    continues in the next unless it was decided. The first query to reach
+    a set that cannot be tested raises its error: every query before it is
+    decided by then."""
+    out = [(0, None)] * len(queries)
+    todo = [(k, a, b, _subset_rows(pools, size))
+            for k, (a, b, pools, size) in enumerate(queries)][::-1]
     held = None   # the rest of the top query's block that a call cut
     while todo:
-        chunk, room = [], MAX_BATCH
+        chunk, room = [], MAX_BATCH   # (k, a, b, blocks) per query
         while todo and room:
             k, a, b, rest = todo[-1]
             sets, held = (next(rest, None), None) if held is None else \
@@ -210,21 +169,33 @@ def _stream(queries: Sequence[tuple], decide: Callable) -> list:
                 continue
             if len(sets) > room:
                 sets, held = sets[:room], sets[room:]
-            chunk.append((k, a, b, sets))
+            if chunk and chunk[-1][0] == k:
+                chunk[-1][3].append(sets)
+            else:
+                chunk.append((k, a, b, [sets]))
             room -= len(sets)
         if not chunk:
             break
-        got = decide([(a, b, sets) for _, a, b, sets in chunk])
-        for (k, _, _, sets), i in zip(chunk, got):
-            tests, found = out[k]
-            if found is not None:   # an earlier piece decided it
-                continue
+        counts = [sum(map(len, blocks)) for _, _, _, blocks in chunk]
+        rows = np.column_stack((
+            np.repeat([(a, b) for _, a, b, _ in chunk], counts, axis=0),
+            np.concatenate([sets for *_, blocks in chunk for sets in blocks])))
+        got = firsts(rows, counts)
+        end = 0
+        for (k, *_), count, i in zip(chunk, counts, got):
+            start, end = end, end + count
             if isinstance(i, Exception):
-                out[k] = i
-                return out
-            out[k] = (tests + len(sets), None) if i is None else \
-                (tests + i + 1, sets[i])
-            if i is not None and todo and todo[-1][0] == k:  # cut, decided
+                try:
+                    raise i
+                finally:  # its traceback holds this frame: break the cycle
+                    i = got = None
+            tests = out[k][0]
+            if i is None:
+                out[k] = (tests + count, None)
+                continue
+            out[k] = (tests + i + 1, sum(1 << v for v in rows[start + i, 2:]
+                                         .tolist()))
+            if todo and todo[-1][0] == k:   # cut, decided
                 todo.pop()
                 held = None
     return out
@@ -280,29 +251,16 @@ class _Marks:
         return MixedGraph(names, edges, kind="PAG")
 
 
-# conditioning sets per stacked call of ``DataOracle``: bounds its matrices
+# rows per call of an oracle's ``firsts``: bounds the data oracle's matrices
 MAX_BATCH = 256
 
 
-def _distinct_subsets(pools: Sequence[Sequence], size: int):
-    """The subsets of ``size`` vertices of each of ``pools`` in turn, in
-    order, each distinct subset once; vertices are names, positions or mask
-    bits. A pool holds distinct vertices, so a subset of a later pool is a
-    repeat iff it lies inside an earlier one."""
-    earlier: list[set] = []
-    for pool in pools:
-        subsets = combinations(pool, size)
-        for done in earlier:
-            subsets = filterfalse(done.issuperset, subsets)
-        yield from subsets
-        earlier.append(set(pool))
-
-
-def _subset_rows(pools: Sequence[int], size: int,
-                 at: Callable[[int], np.ndarray]):
-    """``_distinct_subsets`` of the pools (masks), in order, as blocks of
-    at most ``MAX_BATCH`` rows: ``at(pool)``, the pool's columns, indexed by
-    ``_index_blocks``, less the subsets inside an earlier pool."""
+def _subset_rows(pools: Sequence[int], size: int):
+    """The subsets of ``size`` positions of each of ``pools`` (masks) in
+    turn, in ``combinations`` order, each distinct subset once, as blocks of
+    at most ``MAX_BATCH`` rows: the pool's positions, indexed by
+    ``_index_blocks``, less the subsets inside an earlier pool (a subset of
+    a later pool is a repeat iff it lies inside an earlier one)."""
     for j, pool in enumerate(pools):
         if j and not size:   # the one empty set lies inside the first pool
             return
@@ -318,10 +276,10 @@ def _subset_rows(pools: Sequence[int], size: int,
                 insides.append(sum(1 << (pool & (1 << i) - 1).bit_count()
                                    for i in positions(shared)))
         else:
-            cols = at(pool)
+            at = np.fromiter(positions(pool), np.intp, m)
             for index in _index_blocks(m, size, tuple(insides)):
                 if len(index):
-                    yield cols[index]
+                    yield at[index]
 
 
 def _index_blocks(m: int, k: int, insides: tuple[int, ...]):
@@ -364,7 +322,7 @@ def _nonadjacent(adj: Sequence[int]) -> list[tuple[int, int]]:
     return _pairs([full & ~row & ~(1 << v) for v, row in enumerate(adj)])
 
 
-def _adjacency_search(separating_sets: Callable, adj: list[int],
+def _adjacency_search(firsts: Callable, adj: list[int],
                       pools: Callable[[int, int], tuple[int, ...]],
                       size: int, max_cond_size: int | None,
                       sepsets: dict, queries: list[int]):
@@ -377,7 +335,7 @@ def _adjacency_search(separating_sets: Callable, adj: list[int],
         if all(pool.bit_count() < size for ps in level.values()
                for pool in ps):
             return
-        answers = separating_sets([(a, b, ps, size)
+        answers = _stream(firsts, [(a, b, ps, size)
                                    for (a, b), ps in level.items()])
         for (a, b), (tests, sep) in zip(level, answers):
             queries[0] += tests
@@ -558,12 +516,12 @@ def _rule_double_parent(marks: _Marks):
     adj, pd = marks.adj, _pd_edges(marks)
     for a in range(len(adj)):
         for c in positions(marks.circle[a] & marks.arrow_to[a]):
-            parents = list(positions(marks.arrow[c] & marks.tail_to[c] &
-                                     ~(1 << a)))
+            parents = marks.arrow[c] & marks.tail_to[c] & ~(1 << a)
             firsts = list(positions(pd[a] & ~(1 << c)))
             if any(mu != omega and not adj[mu] >> omega & 1 and
                    _pd_reaches(adj, pd, a, omega, d)
-                   for b, d in combinations(parents, 2)
+                   for b in positions(parents)
+                   for d in positions(parents & -(2 << b))
                    for mu in firsts if _pd_reaches(adj, pd, a, mu, b)
                    for omega in firsts):
                 yield marks.set_mark(c, a, TAIL)
@@ -594,19 +552,23 @@ def fci(ci, variables: Sequence[str], knowledge: Knowledge | None = None,
     and circle-tail edges cannot arise without it. A ``report`` dict, when
     given, is filled with the number of CI queries, in all and per
     adjacency phase, the separating sets found, and per-rule firing
-    counts. A negative ``max_cond_size`` raises ``ValueError``.
+    counts. A negative ``max_cond_size`` raises ``ValueError``, and a
+    ``knowledge`` vertex not among ``variables`` a ``GraphError``.
     """
     if max_cond_size is not None and max_cond_size < 0:
         raise ValueError(f"max_cond_size must be at least 0, not "
                          f"{max_cond_size}")
     names = tuple(sorted(set(variables)))
     into = (knowledge or Knowledge()).forbidden_into
+    if not into <= set(names):
+        raise GraphError(f"forbidden_into names unknown vertices: "
+                         f"{sorted(into - set(names))}")
     forbidden = sum(1 << i for i, v in enumerate(names) if v in into)
-    separating_sets = ci.bind(names)
+    firsts = ci.bind(names)
     queries = [0]
     adj = [(1 << len(names)) - 1 & ~(1 << v) for v in range(len(names))]
     sepsets: dict[tuple[int, int], int] = {}
-    _adjacency_search(separating_sets, adj,
+    _adjacency_search(firsts, adj,
                       lambda a, b: (adj[a] & ~(1 << b), adj[b] & ~(1 << a)),
                       0, max_cond_size, sepsets, queries)
     skeleton_tests = queries[0]
@@ -622,8 +584,7 @@ def fci(ci, variables: Sequence[str], knowledge: Knowledge | None = None,
         block = block_of[a, b] & ~(1 << a | 1 << b)
         return pdsep[a] & block, pdsep[b] & block
 
-    _adjacency_search(separating_sets, adj, pools, 1, max_cond_size, sepsets,
-                      queries)
+    _adjacency_search(firsts, adj, pools, 1, max_cond_size, sepsets, queries)
 
     marks = _Marks(adj, forbidden)
     _orient_colliders(marks, sepsets)

@@ -2,9 +2,10 @@
 in PAGs, edge visibility by enumerating collider paths, Possible-D-SEP and
 skeleton blocks by enumerating simple paths, the MAG of an ADMG by
 exhaustive search for separating sets, target decomposition with its
-argument checks, the search's order of conditioning sets on names, exact
-interventional probabilities of a discrete SCM, Spearman rank correlation,
-equal-count binning of continuous columns, and small graph constructors.
+argument checks, the search's order of conditioning sets on names, the
+sets that fci asks of one query, exact interventional probabilities of a
+discrete SCM, Spearman rank correlation, equal-count binning of
+continuous columns, and small graph constructors.
 
 The ``*_by_sets`` procedures are the set-based forms of the program's mask
 loops: closures, pc-components, regions, the m-separation walk and target
@@ -185,6 +186,18 @@ def subsets_in_order(items: Iterable):
     for size in range(len(items) + 1):
         for combo in combinations(items, size):
             yield frozenset(combo)
+
+
+def distinct_subsets(pools: Sequence[Iterable], size: int):
+    """The subsets of ``size`` vertices of each of ``pools`` in turn, in
+    ``combinations`` order over the sorted pool, each distinct subset once:
+    the sets that fci asks of one query, by enumeration."""
+    seen = set()
+    for pool in pools:
+        for s in combinations(sorted(pool), size):
+            if frozenset(s) not in seen:
+                seen.add(frozenset(s))
+                yield s
 
 
 def interventional_probability(scm: DiscreteSCM, x: Mapping[str, int],

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import time
 import tracemalloc
 import weakref
@@ -27,7 +28,8 @@ from stablespec.graph import (
 from stablespec.scm import shift_benchmark_scm
 from stablespec.separation import m_connected
 from oracles import (
-    blocks_by_paths, mag_of_admg, possible_d_sep_by_paths, with_kind,
+    blocks_by_paths, distinct_subsets, mag_of_admg, possible_d_sep_by_paths,
+    with_kind,
 )
 from util import (
     CONFLICT_ADMG, PerSetOracle, ask, complete_pag, example_admg,
@@ -77,6 +79,15 @@ class TestKnowledge:
         k = Knowledge(forbidden_into=["E", "E"])
         assert k.forbidden_into == frozenset({"E"})
         assert Knowledge().forbidden_into == frozenset()
+
+    def test_vertices_outside_the_variables_raise(self):
+        # a misspelt environment name would otherwise drop the constraint
+        admg = example_admg()
+        for vs in ({"e"}, {"E", "e", "Q"}):
+            with pytest.raises(GraphError, match=re.escape(
+                    f"forbidden_into names unknown vertices: "
+                    f"{sorted(vs - {'E'})}")):
+                fci(SeparationOracle(admg), admg.vertices, Knowledge(vs))
 
 
 class TestMarks:
@@ -526,7 +537,7 @@ class TestSettingRanges:
 class TestSeparationOracle:
     """The oracle tests each query's sets as masks of the graph's index;
     the answers and faults are those of one ``m_connected`` call per
-    set."""
+    set, and it tests no set past a query's first separating one."""
 
     def test_matches_a_per_set_m_connected_loop(self):
         rng = random.Random(31)
@@ -534,14 +545,38 @@ class TestSeparationOracle:
             g = random_admg(rng, max_vertices=8, min_vertices=3)
             per_set = PerSetOracle(
                 lambda a, b, s: not m_connected(g, a, b, s))
-            queries = []
+            levels = [[] for _ in range(4)]   # one size per stream
             for a, b in combinations(g.vertices, 2):
                 rest = [v for v in g.vertices if v not in (a, b)]
                 pools = [rng.sample(rest, rng.randint(0, len(rest)))
                          for _ in range(rng.randint(1, 3))]
-                queries.extend((a, b, pools, size) for size in range(4))
-            assert ask(SeparationOracle(g), queries) == \
-                ask(per_set, queries)
+                for size, queries in enumerate(levels):
+                    queries.append((a, b, pools, size))
+            for queries in levels:
+                assert ask(SeparationOracle(g), queries) == \
+                    ask(per_set, queries)
+
+    def test_one_connected_call_per_ci_test(self, monkeypatch):
+        # the pinned draws of TestFciExactOracle and the benchmark's wide
+        # system at 15 observed variables: fci's stream gives each query at
+        # most one piece per call, so each set tested is a CI test counted
+        calls = []
+        connected = fci_module.connected
+        monkeypatch.setattr(fci_module, "connected", lambda *args: (
+            calls.append(args) or connected(*args)))
+        rng = random.Random(22)
+        graphs = [random_admg(rng, max_vertices=8) for _ in range(100)]
+        inputs = bench_inputs()
+        inputs.N_OBSERVED = 15
+        inputs.N_LATENT = inputs.N_SHIFTED = 3
+        graphs.append(inputs.wide_scm(0, 0)[1])
+        for g in graphs:
+            del calls[:]
+            report: dict = {}
+            fci(SeparationOracle(g), g.vertices,
+                Knowledge(forbidden_into={g.vertices[0]}), report=report)
+            assert len(calls) == report["ci_tests"]
+        assert len(calls) == 24859
 
     def test_faults_raise_m_connected_errors_up_front(self):
         admg = example_admg()
@@ -549,9 +584,7 @@ class TestSeparationOracle:
         pag = fci(SeparationOracle(admg), admg.vertices)
         for graph, query, a, b, z in (
                 (pag, good, "X1", "Y", ()),
-                (admg, ("Y", "Y", [["X2"]], 1), "Y", "Y", ()),
-                (admg, ("X1", "Y", [["X2"], ["Q"]], 0), "X1", "Y", {"Q"}),
-                (admg, ("X1", "Y", [["X2"], ["Y"]], 0), "X1", "Y", {"Y"})):
+                (admg, ("X1", "Y", [["X2"], ["Q"]], 0), "X1", "Y", {"Q"})):
             with pytest.raises(GraphError) as want:
                 m_connected(graph, a, b, z)
             # raised before any set is tested, even at size 0
@@ -619,8 +652,6 @@ class TestDataOracle:
                        "c": rng.normal(size=200)})
         ind = DataOracle(t, alpha=0.01)
         for query, message in (
-                (("a", "a", [["c"]], 1), "must differ"),
-                (("a", "b", [["c"], ["b", "c"]], 1), "must not appear"),
                 (("a", "b", [["c", "Q"]], 1), "no column 'Q'"),
                 (("Q", "b", [["c"]], 0), "no column 'Q'")):
             with pytest.raises(DataError, match=message):
@@ -635,7 +666,7 @@ def wide_pooled(structure_seed, parameter_seed, rows, seed):
 
 class TestPositionLevel:
     """Data FCI puts the learn's names at column positions once, and each
-    pool's positions at columns once; it decides its sets at positions:
+    call's rows at columns by one index; it decides its sets at positions:
     no set is checked or looked up by name. On the learn-wide benchmark's
     seed-0 tables."""
 
@@ -656,20 +687,16 @@ class TestPositionLevel:
 
         pooled.index = Index(pooled.index)
         oracle = DataOracle(pooled)
-        bind = oracle.bind
-        rows, check_args = fci_module._subset_rows, citest._check_args
+        stream, rows = fci_module._stream, fci_module._subset_rows
+        check_args = citest._check_args
 
-        def bound(names):
-            separating_sets = bind(names)
-            return lambda queries: (asked.append(queries) or
-                                    separating_sets(queries))
-
-        def counted(pools, size, at):
-            for block in rows(pools, size, at):
+        def counted(pools, size):
+            for block in rows(pools, size):
                 pulled.extend([size] * len(block))
                 yield block
 
-        monkeypatch.setattr(oracle, "bind", bound)
+        monkeypatch.setattr(fci_module, "_stream", lambda firsts, queries: (
+            asked.append(queries) or stream(firsts, queries)))
         monkeypatch.setattr(fci_module, "_subset_rows", counted)
         monkeypatch.setattr(citest, "_check_args", lambda *args: (
             checks.append(args) or check_args(*args)))
@@ -702,7 +729,7 @@ class TestPositionLevel:
             pooled.names)
 
         def sets(pools, size):
-            return list(fci_module._distinct_subsets(
+            return list(distinct_subsets(
                 [[names[i] for i in positions(p)] for p in pools], size))
 
         tested, on_env = [], 0
@@ -727,14 +754,14 @@ class TestPositionLevel:
 
 
 class TestSubsetRows:
-    """The data oracle builds a query's sets as rows of column positions,
-    from combination-index arrays, in ``_distinct_subsets``' order and with
-    its repeat rule."""
+    """fci streams a query's sets as rows [a, b, *s] of positions, built
+    from combination-index arrays: each distinct subset of a pool once, in
+    order, and at most ``MAX_BATCH`` rows per call."""
 
     def test_rows_are_the_distinct_subsets_in_order(self):
         # pools over up to 30 positions, some long enough that a pool's
-        # subsets span several blocks, some inside or equal to an earlier
-        # one; column i + 100 stands for position i
+        # subsets span several calls, some inside or equal to an earlier
+        # one; a and b are positions 30 and 31
         rng = random.Random(36)
         cut = 0
         for _ in range(300):
@@ -744,16 +771,21 @@ class TestSubsetRows:
             if rng.random() < 0.2:
                 pools.append(pools[0] & rng.getrandbits(n))
             size = rng.randint(0, 5)
-            got = list(fci_module._subset_rows(
-                pools, size,
-                lambda p: np.array([i + 100 for i in positions(p)])))
-            assert all(0 < len(block) <= fci_module.MAX_BATCH
-                       for block in got)
-            want = fci_module._distinct_subsets(
-                [[i + 100 for i in positions(p)] for p in pools], size)
-            assert [tuple(row) for block in got
-                    for row in block.tolist()] == list(want)
-            cut += len(got) > len(pools)
+            calls = []
+
+            def firsts(rows, counts):
+                calls.append((rows, counts))
+                return [None] * len(counts)
+
+            got = fci_module._stream(firsts, [(30, 31, pools, size)])
+            want = list(distinct_subsets(map(positions, pools), size))
+            assert got == [(len(want), None)]
+            assert all(len(counts) == 1 and 0 < len(rows) == counts[0]
+                       <= fci_module.MAX_BATCH for rows, counts in calls)
+            assert [tuple(row) for rows, _ in calls
+                    for row in rows.tolist()] == \
+                [(30, 31, *subset) for subset in want]
+            cut += len(calls) > 1
         assert cut >= 10
 
 
@@ -787,26 +819,21 @@ class TestBatchedOracle:
         pooled = wide_pooled(7, 2, rows, 0)
         oracle = DataOracle(pooled)
         levels, inverses, pulled = [], [], [0]
-        bind, inv = oracle.bind, np.linalg.inv
+        stream, inv = fci_module._stream, np.linalg.inv
         rows = fci_module._subset_rows
 
-        def counted(pools, size, at):
-            for block in rows(pools, size, at):
+        def counted(pools, size):
+            for block in rows(pools, size):
                 pulled[0] += len(block)
                 yield block
 
-        def bound(names):
-            separating_sets = bind(names)
+        def level(firsts, queries):
+            pulled[0], before = 0, len(inverses)
+            got = stream(firsts, queries)
+            levels.append((pulled[0], len(inverses) - before))
+            return got
 
-            def level(queries):
-                pulled[0], before = 0, len(inverses)
-                got = separating_sets(queries)
-                levels.append((pulled[0], len(inverses) - before))
-                return got
-
-            return level
-
-        monkeypatch.setattr(oracle, "bind", bound)
+        monkeypatch.setattr(fci_module, "_stream", level)
         monkeypatch.setattr(fci_module, "_subset_rows", counted)
         monkeypatch.setattr(np.linalg, "inv", lambda m: (
             inverses.append(m.shape) or inv(m)))
@@ -821,32 +848,43 @@ class TestBatchedOracle:
         assert 10 * len(inverses) < report["ci_tests"]
 
     def test_batches_are_capped(self):
-        # 13 candidates give 286 subsets of size 3: more than one call holds
-        pool = [f"C{k:02d}" for k in range(13)]
-        long = list(fci_module._distinct_subsets([pool, pool], 3))
-        assert len(long) == 286
-        independent = {("A", "C", long[3]), ("A", "D", long[100])}
+        # a pool of 13 candidates, positions 6 to 18, gives 286 subsets of
+        # size 3: more than one call holds them. A pool of three stands
+        # for one set, and a repeated pool adds no sets
+        long = list(combinations(range(6, 19), 3))
+        pool = sum(1 << v for v in range(6, 19))
+
+        def pools(sets):
+            return [sum(1 << v for v in s) for s in sets]
+
+        independent = {(0, 2, long[3]), (0, 3, long[100])}
         calls = []
 
-        def decide(chunk):
-            calls.append([(a, b, len(sets)) for a, b, sets in chunk])
-            return [next((i for i, s in enumerate(sets)
-                          if (a, b, s) in independent), None)
-                    for a, b, sets in chunk]
+        def firsts(rows, counts):
+            rows, out, end = rows.tolist(), [], 0
+            calls.append([])
+            for count in counts:
+                start, end = end, end + count
+                (a, b, *_), piece = rows[start], rows[start:end]
+                calls[-1].append((a, b, count))
+                out.append(next((i for i, (_, _, *s) in enumerate(piece)
+                                 if (a, b, tuple(s)) in independent), None))
+            return out
 
-        # each query's sets come in blocks, which a call may cut
-        queries = [("A", "B", [long]), ("A", "C", [long[:10]]),
-                   ("A", "D", [long, long]), ("A", "E", [long[:50]])]
-        got = fci_module._stream(queries, decide)
+        # each of A-C's and A-E's sets is a block of its own, which a call
+        # merges into one piece per query
+        queries = [(0, 1, [pool], 3), (0, 2, pools(long[:10]), 3),
+                   (0, 3, [pool, pool], 3), (0, 4, pools(long[:50]), 3)]
+        got = fci_module._stream(firsts, queries)
         cap = fci_module.MAX_BATCH
         # A-B continues in the second call; A-D, decided at its set 100
         # there, adds no further sets to the third
-        assert calls == [[("A", "B", cap)],
-                         [("A", "B", 286 - cap), ("A", "C", 10),
-                          ("A", "D", cap - (286 - cap) - 10)],
-                         [("A", "E", 50)]]
-        assert got == [(286, None), (4, long[3]), (101, long[100]),
-                       (50, None)]
+        assert calls == [[(0, 1, cap)],
+                         [(0, 1, 286 - cap), (0, 2, 10),
+                          (0, 3, cap - (286 - cap) - 10)],
+                         [(0, 4, 50)]]
+        assert got == [(286, None), (4, pools([long[3]])[0]),
+                       (101, pools([long[100]])[0]), (50, None)]
 
     def test_degenerate_set_raises_only_for_its_own_query(self, monkeypatch):
         t = exact_table()

@@ -13,11 +13,13 @@ and a subgraph of the identification calculus is a scope mask, not a graph
 that ``MixedGraph`` builds. ``fci`` puts a learn's names at positions
 once: its cores (the adjacency search, Possible-D-SEP, the blocks, the
 collider step, the rules and their path searches) read mask rows and call
-no function that takes names, and its exact oracle maps the positions to
-a graph's bits once per learn and tests each set by the mask core of
-m-connection, which, like the invariance core, reads ancestry from a
-membership table that its caller fetches once per index instead of
-computing a closure per set. Edge visibility is one mask reach per
+no function that takes names. ``fci`` alone enumerates the conditioning
+sets, by combination-index arrays, and streams them to an oracle's
+per-call ``firsts``; its exact oracle maps the positions to a graph's bits
+once per learn and tests each set by the mask core of m-connection,
+which, like the invariance core, reads ancestry from a membership table
+that its caller fetches once per index instead of computing a closure per
+set. Edge visibility is one mask reach per
 directed edge. Column names
 become column positions once, at the name-level entry points of
 ``citest``: its position cores, which batched CI decisions run on, call
@@ -198,10 +200,10 @@ def test_ancestor_tests_read_the_membership_tables():
     [oracle] = [node for node in fci.body if isinstance(node, ast.ClassDef)
                 and node.name == "SeparationOracle"]
     bind = function(oracle.body, "bind")
-    per_level = function(bind.body, "separating_sets")
+    per_call = function(bind.body, "firsts")
     assert "reached_by" in called_names(bind)
-    assert "connected" in called_names(per_level)
-    assert "reached_by" not in called_names(per_level)
+    assert "connected" in called_names(per_call)
+    assert "reached_by" not in called_names(per_call)
     identify = ast.parse((SRC / "identify.py").read_text())
     [context] = [node for node in identify.body
                  if isinstance(node, ast.ClassDef)
@@ -212,6 +214,28 @@ def test_ancestor_tests_read_the_membership_tables():
     assert "_invariance_rows" in called_names(core)
     assert "reached_by" in called_names(rows)
     assert "reach" not in called_names(rows)
+
+
+def test_fci_alone_enumerates_the_conditioning_sets():
+    # one enumerator serves every oracle: only the combination-index
+    # builders call ``combinations``, and no oracle's ``bind``, the tests'
+    # per-set oracle included, builds, streams or enumerates the sets
+    def calls_combinations(node):
+        return isinstance(node, ast.Call) and \
+            ast.unparse(node.func).split(".")[-1] == "combinations"
+
+    assert sites(calls_combinations) == {("fci", "_index_blocks"),
+                                         ("fci", "_small_index")}
+    trees = [ast.parse(path.read_text()) for path in
+             (SRC / "fci.py", Path(__file__).parent / "util.py")]
+    binds = {(cls.name, node) for tree in trees for cls in tree.body
+             if isinstance(cls, ast.ClassDef) for node in cls.body
+             if isinstance(node, ast.FunctionDef) and node.name == "bind"}
+    assert {name for name, _ in binds} == {"SeparationOracle", "DataOracle",
+                                           "PerSetOracle"}
+    for _, bind in binds:
+        assert called_names(bind) & {"_subset_rows", "_stream",
+                                     "combinations"} == set()
 
 
 def test_edge_visibility_reads_the_mask_index():

@@ -11,7 +11,7 @@ import numpy as np
 
 from stablespec.components import invisible
 from stablespec.data import DataTable
-from stablespec.fci import _distinct_subsets
+from stablespec.fci import _stream
 from stablespec.graph import (
     ARROW, CIRCLE, TAIL, Edge, MixedGraph, parse, positions,
 )
@@ -152,38 +152,35 @@ def random_admg(rng, max_vertices: int = 7, min_vertices: int = 2,
 
 
 class PerSetOracle:
-    """CI oracle whose ``separating_sets`` asks ``independent(a, b, s)`` of
-    one conditioning set of names at a time."""
+    """CI oracle whose ``firsts`` asks ``independent(a, b, s)`` of one
+    conditioning set of names at a time, up to each query's first
+    independent one."""
 
     def __init__(self, independent):
         self.independent = independent
 
     def bind(self, names):
-        def separating_sets(queries):
-            out = []
-            for a, b, pools, size in queries:
-                tests, found = 0, None
-                for s in _distinct_subsets([list(positions(pool))
-                                            for pool in pools], size):
-                    tests += 1
-                    if self.independent(names[a], names[b],
-                                        {names[i] for i in s}):
-                        found = sum(1 << i for i in s)
-                        break
-                out.append((tests, found))
+        def firsts(rows, counts):
+            rows, out, end = rows.tolist(), [], 0
+            for count in counts:
+                start, end = end, end + count
+                out.append(next((i for i, (a, b, *s) in enumerate(
+                    rows[start:end]) if self.independent(
+                        names[a], names[b], {names[v] for v in s})), None))
             return out
 
-        return separating_sets
+        return firsts
 
 
 def ask(oracle, queries):
-    """``oracle``'s answers to queries of names (a, b, pools, size): bound
-    to the sorted names that the queries hold, each pool a set, and each
-    separating set found put back into a tuple of names in name order."""
+    """``oracle``'s answers to queries of names (a, b, pools, size), asked
+    through fci's one driver: bound to the sorted names that the queries
+    hold, each pool a set, and each separating set found put back into a
+    tuple of names in name order."""
     names = sorted({v for a, b, pools, _ in queries
                     for v in (a, b, *chain(*pools))})
     at = {v: i for i, v in enumerate(names)}
-    got = oracle.bind(names)([
+    got = _stream(oracle.bind(names), [
         (at[a], at[b], [sum(1 << at[v] for v in set(pool)) for pool in pools],
          size) for a, b, pools, size in queries])
     return [(tests, None if found is None else
