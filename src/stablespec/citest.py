@@ -70,8 +70,15 @@ the index of its first independent set.
 ``_decisions`` routes each row to its test: the rows of pairs with the
 environment column are factored with one stacked ``data.cholesky`` call;
 the rows that the environment test leaves to the chosen test, and all
-the others, are one batch of it. Fisher-z gathers their submatrices with
-one fancy index and inverts them with one stacked ``np.linalg.inv``; any
+the others, are one batch of it. Fisher-z screens it
+(``_fisher_z_screen``): it gathers the [*s, a, b] submatrices with one
+fancy index and factors them with one stacked ``data.cholesky`` call,
+whose last 2 x 2 block gives each partial correlation, and decides each
+statistic st on st (1 -+ ``SCREEN_DELTA``), a bracket that holds the
+statistic of the inverse. The rows it leaves (a statistic within that
+bracket of a critical value, a constant column, a small pivot, |r| near
+1, a failed factorization, too few rows) are inverted with one stacked
+``np.linalg.inv``, which defines every statistic that is reported; any
 other test runs set by set, on the row's names. The statistics are
 finished in numpy and compared with the critical values of (alpha, dof)
 (``critical_values``, computed once by bisection on the closed-form tails
@@ -84,10 +91,12 @@ it; a row's names are looked up only to name the column at fault, or to
 run a test other than Fisher-z. LAPACK runs the same routine on each
 matrix of a stack, so a set's statistic is the same in any batch;
 ``fisher_z_test`` and ``environment_test`` are batches of one and report
-the statistics that the decisions read. On the learn-wide benchmark's
-seed 0 this puts FCI's 1,448 decided tests in 16 calls, with 16 stacked
-inverses and 13 stacked factorizations, where one batch per edge took 169
-and 34 and scored every set's p-value in Python.
+the statistics that the decisions read, and every screened decision is
+the one the inverse's statistic gives. On the learn-wide benchmark's seed
+0 this puts FCI's 1,448 decided tests in 16 calls, with 16 stacked
+Fisher-z factorizations, no inverse, and 13 stacked factorizations for
+the environment test, where one batch per edge took 169 inverses and 34
+factorizations and scored every set's p-value in Python.
 
 All p-values come in closed form: the two-sided normal tail as
 ``erfc(z / sqrt 2)``, and the chi-square upper tail at integer degrees of
@@ -245,8 +254,9 @@ def _decisions(test: Callable, data: DataTable, rows: np.ndarray,
     estimated only where the critical values fall between them. The rows
     that the environment test leaves to ``test``, and all the others, are
     one batch of ``test``: Fisher-z decides it in numpy against its critical
-    values; any other test runs set by set, on the row's names, as the
-    decisions are resolved.
+    values, by ``_fisher_z_screen`` and, for the rows that the screen
+    leaves, by ``_fisher_z_statistics``; any other test runs set by set, on
+    the row's names, as the decisions are resolved.
     """
     decided = np.full(len(rows), -1)
     by_test = np.ones(len(rows), dtype=bool)  # the rows ``test`` answers
@@ -263,7 +273,9 @@ def _decisions(test: Callable, data: DataTable, rows: np.ndarray,
                                    alpha)
         by_test[envs] = parts.fallback
     tested = np.flatnonzero(by_test)
-    if test is fisher_z_test:
+    if test is fisher_z_test:   # the inverse decides what the screen leaves
+        decided[tested] = _fisher_z_screen(data, rows[tested], alpha)
+        tested = tested[decided[tested] == -1]
         statistics, errors = _fisher_z_statistics(data, rows[tested])
         decided[tested] = _bracketed(statistics, statistics, 0, alpha)
     names = data.names
@@ -319,7 +331,8 @@ def firsts_at(test: Callable, data: DataTable, rows: np.ndarray,
     returns, on learn positions: ``fci.DataOracle``'s puts fci's rows at
     the table's columns and calls this. One
     ``_decisions`` call decides them all: Fisher-z with one stacked
-    ``np.linalg.inv``, the environment test with one stacked Cholesky
+    Cholesky factorization and one stacked ``np.linalg.inv`` of the rows
+    that screen leaves, the environment test with one stacked Cholesky
     factorization, each statistic compared with the critical values of
     alpha (``critical_values``); only a statistic between them takes its
     own p-value."""
@@ -348,6 +361,78 @@ def firsts_at(test: Callable, data: DataTable, rows: np.ndarray,
                 break
             i += 1
     return out
+
+
+# The Fisher-z screen (``_fisher_z_screen``). The screen and the inverse
+# read the partial correlation r from the same correlation submatrix through
+# backward-stable LAPACK factorizations, so to first order each r is within
+# eps = k u / share of the exact one: u = 2^-53, k the matrix size, and share
+# its smallest squared pivot, the least share of a column's variance that
+# the columns before it leave, whose inverse bounds how far s amplifies a
+# rounding error in the partial covariance of a and b. With share >=
+# SCREEN_MIN_SHARE and k <= 32, eps <= 3.6e-12. The statistic is
+# sqrt(n - |s| - 3) |atanh r|, and atanh multiplies an error in r by
+# 1 / (1 - r^2), so the two statistics differ by at most a relative
+# 2 eps / ((1 - r^2) atanh |r|): below 7.3e-9 for SCREEN_MIN_R <= |r| <=
+# SCREEN_MAX_R, a fourteenth of SCREEN_DELTA. Below SCREEN_MIN_R they differ
+# by at most sqrt(n - |s| - 3) 7.2e-12, a fourteenth of the bracket's
+# half-width there, which stays at SCREEN_DELTA sqrt(n - |s| - 3)
+# SCREEN_MIN_R. (The margin of fourteen also covers k up to about 450.) So
+# the inverse's statistic lies within the bracket around the screened one,
+# and where no critical value does either (``_bracketed``), the decision is
+# the inverse's.
+SCREEN_DELTA = 1e-7
+SCREEN_MIN_SHARE = 1e-3
+SCREEN_MIN_R = 1e-3
+SCREEN_MAX_R = 1.0 - 1e-4
+
+
+def _fisher_z_screen(data: DataTable, rows: np.ndarray,
+                     alpha: float) -> np.ndarray:
+    """Fisher-z decisions on each row [a, b, *s] of ``rows``, column
+    positions with all s of one size, as ``_bracketed`` gives them: 1 or 0
+    where the screen decides, -1 where the inverse must
+    (``_fisher_z_statistics``).
+
+    The [*s, a, b] submatrices of the table's correlation matrix are
+    gathered by one fancy index and factored by one stacked
+    ``data.cholesky`` call; the last 2 x 2 block [[l_aa, 0], [l_ba, l_bb]]
+    of a factor gives r = l_ba / sqrt(l_ba^2 + l_bb^2), and the statistic st
+    is decided on st (1 -+ SCREEN_DELTA), a bracket at least SCREEN_DELTA
+    sqrt(n - |s| - 3) SCREEN_MIN_R wide on each side (see the constants).
+    The inverse decides a row whose bracket holds a critical value, one
+    holding a constant column, one whose smallest squared pivot is below
+    SCREEN_MIN_SHARE or whose |r| is above SCREEN_MAX_R, every row where
+    the stacked factorization fails, and every row where n <= |s| + 3.
+    """
+    decided = np.full(len(rows), -1)
+    n, size = data.n_rows, rows.shape[1] - 2
+    if n <= size + 3:
+        return decided
+    corr = data.correlation()
+    constant = np.isnan(corr.diagonal())
+    screened = np.flatnonzero(~constant[rows].any(axis=1)) \
+        if constant.any() else slice(None)
+    order = rows[screened]
+    if not len(order):
+        return decided
+    order = np.concatenate((order[:, 2:], order[:, :2]), axis=1)  # [*s, a, b]
+    chol = cholesky(corr[order[:, :, None], order[:, None, :]])
+    if chol is None:   # some matrix is singular: the inverse says which
+        return decided
+    k = size + 2
+    pivots = chol.reshape(-1, k * k)[:, ::k + 1]
+    ba, bb = chol[:, -1, -2], chol[:, -1, -1]
+    r = np.abs(ba) / np.sqrt(ba * ba + bb * bb)
+    root = math.sqrt(n - size - 3)
+    with np.errstate(divide="ignore"):
+        st = root * np.arctanh(r)
+    # NaN where a guard holds: ``_bracketed`` leaves it to the inverse
+    st[(pivots.min(axis=1) < math.sqrt(SCREEN_MIN_SHARE)) |
+       (r > SCREEN_MAX_R)] = np.nan
+    half = SCREEN_DELTA * np.maximum(st, root * SCREEN_MIN_R)
+    decided[screened] = _bracketed(st - half, st + half, 0, alpha)
+    return decided
 
 
 def _fisher_z_statistics(data: DataTable, rows: np.ndarray

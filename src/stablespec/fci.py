@@ -282,16 +282,37 @@ def _subset_rows(pools: Sequence[int], size: int):
                     yield at[index]
 
 
+# elements (rows times set size) of the largest combination-index array
+# kept whole: 1 MB, and at most 32 of them are kept
+CACHED_INDEX = 1 << 17
+
+
 def _index_blocks(m: int, k: int, insides: tuple[int, ...]):
     """The k-subsets of range(m) inside none of ``insides`` (masks over
     range(m)), in ``combinations`` order, as index arrays of at most
-    ``MAX_BATCH`` rows built in turn; a lone block is built once, cached."""
-    if comb(m, k) <= MAX_BATCH:
+    ``MAX_BATCH`` rows. A lone block is built once, cached; so is the index
+    of all k-subsets up to ``CACHED_INDEX`` elements, cut into blocks as a
+    query reaches them; a larger one is built a block at a time."""
+    n = comb(m, k)
+    if n <= MAX_BATCH:
         return (_small_index(m, k, insides),)
-    subsets = combinations(range(m), k)
-    index = (np.fromiter(chain.from_iterable(islice(subsets, MAX_BATCH)),
-                         np.intp).reshape(-1, k) for _ in count())
-    return (_outside(block, m, insides) for block in takewhile(len, index))
+    if n * k <= CACHED_INDEX:
+        index = _subsets(m, k)
+        blocks = (index[i:i + MAX_BATCH] for i in range(0, n, MAX_BATCH))
+    else:
+        subsets = combinations(range(m), k)
+        blocks = takewhile(len, (
+            np.fromiter(chain.from_iterable(islice(subsets, MAX_BATCH)),
+                        np.intp).reshape(-1, k) for _ in count()))
+    return (_outside(block, m, insides) for block in blocks)
+
+
+@lru_cache(maxsize=32)
+def _subsets(m: int, k: int) -> np.ndarray:
+    index = np.fromiter(chain.from_iterable(combinations(range(m), k)),
+                        np.intp).reshape(-1, k)
+    index.flags.writeable = False   # shared by every caller
+    return index
 
 
 @lru_cache(maxsize=1024)

@@ -962,6 +962,94 @@ def routed(test, t, rows, alpha):
     return [outcome(lambda: one(*row)) for row in rows]
 
 
+class TestFisherZScreen:
+    """``firsts_at`` with Fisher-z, which decides most sets on a stacked
+    Cholesky factor and hands the rest to the inverse, against
+    ``fisher_z_test`` asked one set at a time."""
+
+    def table(self, n=2000):
+        # near is s1 up to a share of 1e-4 of its variance, and twin is a
+        # up to a share of 1e-6: the screen leaves both to the inverse
+        rng = np.random.default_rng(38)
+        s0, s1, s2, e1, e2, e3, e4 = rng.normal(size=(7, n))
+        a = 0.5 * s0 + e1
+        return DataTable({"s0": s0, "s1": s1, "s2": s2, "a": a,
+                          "b": 0.5 * s0 + 0.05 * s1 + e2,
+                          "near": s1 + 1e-2 * e3, "twin": a + 1e-3 * e4,
+                          "c": np.full(n, 3.0)})
+
+    def check(self, monkeypatch, t, queries, alpha):
+        """Asserts that one ``firsts_at`` call on ``queries`` (a, b, [s,
+        ...]) of names decides what the loop decides, an error as the
+        error the loop raises; returns the rows, as names, that the inverse
+        got."""
+        inverted, statistics = [], citest._fisher_z_statistics
+
+        def spy(data, rows):
+            inverted.extend(tuple(data.names[v] for v in row)
+                            for row in rows.tolist())
+            return statistics(data, rows)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(citest, "_fisher_z_statistics", spy)
+            got = firsts_at(fisher_z_test, t, *stacked(t, queries), alpha)
+        want = [outcome(lambda: loop_first(
+            lambda s: fisher_z_test(t, a, b, s).p_value >= alpha, sets))
+            for a, b, sets in queries]
+        assert [(type(g), str(g)) if isinstance(g, Exception) else g
+                for g in got] == want
+        return set(inverted)
+
+    def test_alpha_at_a_p_value_takes_the_bracket_path(self, monkeypatch):
+        t = self.table()
+        subsets = [["s0"], ["s1"], ["s2"], ["near"]]
+        queries = [("a", "b", [s]) for s in subsets]
+        for s in subsets:
+            p = fisher_z_test(t, "a", "b", s).p_value
+            found = set()
+            for alpha in (p, float(np.nextafter(p, 2.0))):
+                found.add(tuple(self.check(monkeypatch, t, queries, alpha)))
+            # at its own p-value, and a step above, only this set's
+            # statistic lies near the critical value
+            assert found == {(("a", "b", *s),)}
+
+    def test_guards_take_the_inverse_path(self, monkeypatch):
+        t = self.table()
+        near_collinear = ("a", "b", ["near", "s1"])
+        near_one = ("a", "twin", ["s0", "s2"])
+        plain = ("a", "b", ["s0", "s2"])
+        r = fisher_z_test(t, *near_one[:2], near_one[2]).statistic
+        assert math.tanh(r / math.sqrt(t.n_rows - 5)) > citest.SCREEN_MAX_R
+        for alpha in (0.01, 0.5):
+            inverted = self.check(monkeypatch, t, [
+                (a, b, [s]) for a, b, s in (near_collinear, near_one,
+                                            plain)], alpha)
+            assert inverted == {("a", "b", "near", "s1"),
+                                ("a", "twin", "s0", "s2")}
+
+    def test_constant_column_is_an_error_of_its_own_query(self,
+                                                           monkeypatch):
+        t = self.table()
+        inverted = self.check(monkeypatch, t, [
+            ("a", "b", [["c"], ["s0"]]), ("a", "b", [["s0"], ["c"]]),
+            ("a", "b", [["s2"]])], 0.05)
+        assert inverted == {("a", "b", "c")}
+
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_rows_at_and_below_the_set_size(self, monkeypatch, size):
+        # on five rows, sets of one leave one degree of freedom, n = |s| + 4,
+        # and the screen decides them; sets of two leave too few rows, an
+        # error of every query of the call
+        t = self.table(n=5)
+        queries = [("a", "b", [["s0", "s1", "s2"][i:i + size]])
+                   for i in range(2)]
+        for alpha in (0.01, 0.5, 0.99):
+            inverted = self.check(monkeypatch, t, queries, alpha)
+            assert inverted == (set() if size == 1 else
+                                {("a", "b", "s0", "s1"),
+                                 ("a", "b", "s1", "s2")})
+
+
 class TestDecisions:
     """``citest._decisions`` routes each row of one batch to its test."""
 

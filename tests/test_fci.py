@@ -809,43 +809,77 @@ class TestBatchedOracle:
             assert batched == looped
             assert looped["ci_tests"] == len(calls)
 
-    def test_one_inverse_per_batch(self, monkeypatch):
+    def test_one_screen_factorization_per_call(self, monkeypatch):
         # at 20,000 rows this is the learn-wide benchmark at seed 0
         for rows in (2000, 20_000):
             with monkeypatch.context() as patch:
-                self.check_one_inverse_per_level(patch, rows)
+                self.check_one_factorization_per_call(patch, rows)
 
-    def check_one_inverse_per_level(self, monkeypatch, rows):
+    def check_one_factorization_per_call(self, monkeypatch, rows):
         pooled = wide_pooled(7, 2, rows, 0)
         oracle = DataOracle(pooled)
-        levels, inverses, pulled = [], [], [0]
-        stream, inv = fci_module._stream, np.linalg.inv
-        rows = fci_module._subset_rows
+        levels, calls, pulled = [], [], [0]
+        screening = [False]
+        stream, subset_rows = fci_module._stream, fci_module._subset_rows
+        decisions, screen = citest._decisions, citest._fisher_z_screen
+        factor, inv = citest.cholesky, np.linalg.inv
 
         def counted(pools, size):
-            for block in rows(pools, size):
+            for block in subset_rows(pools, size):
                 pulled[0] += len(block)
                 yield block
 
         def level(firsts, queries):
-            pulled[0], before = 0, len(inverses)
+            pulled[0], before = 0, len(calls)
             got = stream(firsts, queries)
-            levels.append((pulled[0], len(inverses) - before))
+            levels.append((pulled[0], sum(c["factored"]
+                                          for c in calls[before:])))
             return got
+
+        def decide(*args):
+            # per call: Fisher-z factorizations, the rows the screen
+            # leaves, and the matrices inverted
+            calls.append({"factored": 0, "left": 0, "inverted": 0})
+            return decisions(*args)
+
+        def screened(*args):
+            screening[0] = True
+            try:
+                got = screen(*args)
+            finally:
+                screening[0] = False
+            calls[-1]["left"] += int((got == -1).sum())
+            return got
+
+        def factored(a, *rest):
+            calls[-1]["factored"] += screening[0]
+            return factor(a, *rest)
+
+        def inverted(m):
+            calls[-1]["inverted"] += len(m) if m.ndim == 3 else 1
+            return inv(m)
 
         monkeypatch.setattr(fci_module, "_stream", level)
         monkeypatch.setattr(fci_module, "_subset_rows", counted)
-        monkeypatch.setattr(np.linalg, "inv", lambda m: (
-            inverses.append(m.shape) or inv(m)))
+        monkeypatch.setattr(citest, "_decisions", decide)
+        monkeypatch.setattr(citest, "_fisher_z_screen", screened)
+        monkeypatch.setattr(citest, "cholesky", factored)
+        monkeypatch.setattr(np.linalg, "inv", inverted)
         report = {}
         fci(oracle, pooled.names, self.KNOWLEDGE, report=report)
-        # at most one stacked inverse per (phase, size) level and per
-        # further MAX_BATCH sets, and each stacks the sets of many pairs
+        # at most one stacked factorization of Fisher-z rows per call, and
+        # the inverse gets only the rows that the screen leaves
+        assert calls and all(c["factored"] <= 1 and
+                             c["inverted"] == c["left"] for c in calls)
+        # at most one factorization per (phase, size) level and per further
+        # MAX_BATCH sets, and each stacks the sets of many pairs
         for pulled, stacked in levels:
             assert stacked <= 1 + pulled // fci_module.MAX_BATCH
-        assert 0 < len(inverses) <= len(levels) + \
+        factorizations = sum(c["factored"] for c in calls)
+        assert 0 < factorizations <= len(levels) + \
             sum(pulled for pulled, _ in levels) // fci_module.MAX_BATCH
-        assert 10 * len(inverses) < report["ci_tests"]
+        assert 10 * factorizations < report["ci_tests"]
+        assert 10 * sum(c["left"] for c in calls) < report["ci_tests"]
 
     def test_batches_are_capped(self):
         # a pool of 13 candidates, positions 6 to 18, gives 286 subsets of

@@ -1,10 +1,12 @@
 """Each numeric rule of the package is decided in one function: a column
 is constant by ``data.correlation`` (the only reader of ``CONSTANT_RTOL``),
 a column is a linear combination of others by ``data.cholesky`` (the only
-caller of ``np.linalg.cholesky``), a partial correlation is read from a
+caller of ``np.linalg.cholesky``), a Fisher-z decision is screened on a
+stacked Cholesky factor by ``citest._fisher_z_screen`` (the only reader of
+the screen's bound and guards), and a partial correlation is read from a
 precision matrix by ``citest._fisher_z_statistics`` (the only caller of
-``np.linalg.inv``), which every Fisher-z test and decision goes through,
-and the critical values that batched CI decisions compare statistics with
+``np.linalg.inv``), which every Fisher-z test and every decision that the
+screen leaves goes through, and the critical values that batched CI decisions compare statistics with
 are computed by ``citest.critical_values`` and read by
 ``citest._bracketed`` alone. Vertex names
 become masks once, at the public boundary of ``components`` and
@@ -73,6 +75,15 @@ def test_inv_is_called_only_in_the_batched_fisher_z_test():
             ast.unparse(node.func).endswith("linalg.inv")
 
     assert sites(calls_inv) == {("citest", "_fisher_z_statistics")}
+
+
+def test_the_fisher_z_screen_is_bounded_in_one_function():
+    # the screen's relative bound and its guards are read where it decides
+    def reads_screen_constant(node):
+        return isinstance(node, ast.Name) and node.id.startswith("SCREEN_") \
+            and isinstance(node.ctx, ast.Load)
+
+    assert sites(reads_screen_constant) == {("citest", "_fisher_z_screen")}
 
 
 def test_critical_values_are_computed_in_one_function():
@@ -225,7 +236,8 @@ def test_fci_alone_enumerates_the_conditioning_sets():
             ast.unparse(node.func).split(".")[-1] == "combinations"
 
     assert sites(calls_combinations) == {("fci", "_index_blocks"),
-                                         ("fci", "_small_index")}
+                                         ("fci", "_small_index"),
+                                         ("fci", "_subsets")}
     trees = [ast.parse(path.read_text()) for path in
              (SRC / "fci.py", Path(__file__).parent / "util.py")]
     binds = {(cls.name, node) for tree in trees for cls in tree.body
