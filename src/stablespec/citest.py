@@ -332,7 +332,7 @@ def firsts_at(test: Callable, data: DataTable, rows: np.ndarray,
     the table's columns and calls this. One
     ``_decisions`` call decides them all: Fisher-z with one stacked
     Cholesky factorization and one stacked ``np.linalg.inv`` of the rows
-    that screen leaves, the environment test with one stacked Cholesky
+    that the screen leaves, the environment test with one stacked Cholesky
     factorization, each statistic compared with the critical values of
     alpha (``critical_values``); only a statistic between them takes its
     own p-value."""

@@ -310,16 +310,14 @@ def _index_blocks(m: int, k: int, insides: tuple[int, ...]):
 @lru_cache(maxsize=32)
 def _subsets(m: int, k: int) -> np.ndarray:
     index = np.fromiter(chain.from_iterable(combinations(range(m), k)),
-                        np.intp).reshape(-1, k)
+                        np.intp).reshape(comb(m, k), k)
     index.flags.writeable = False   # shared by every caller
     return index
 
 
 @lru_cache(maxsize=1024)
 def _small_index(m: int, k: int, insides: tuple[int, ...]) -> np.ndarray:
-    subsets = list(combinations(range(m), k))
-    index = _outside(np.array(subsets, np.intp).reshape(len(subsets), k), m,
-                     insides)
+    index = _outside(_subsets(m, k), m, insides)
     index.flags.writeable = False   # shared by every caller
     return index
 

@@ -236,7 +236,6 @@ def test_fci_alone_enumerates_the_conditioning_sets():
             ast.unparse(node.func).split(".")[-1] == "combinations"
 
     assert sites(calls_combinations) == {("fci", "_index_blocks"),
-                                         ("fci", "_small_index"),
                                          ("fci", "_subsets")}
     trees = [ast.parse(path.read_text()) for path in
              (SRC / "fci.py", Path(__file__).parent / "util.py")]
