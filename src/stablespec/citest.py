@@ -93,10 +93,11 @@ matrix of a stack, so a set's statistic is the same in any batch;
 ``fisher_z_test`` and ``environment_test`` are batches of one and report
 the statistics that the decisions read, and every screened decision is
 the one the inverse's statistic gives. On the learn-wide benchmark's seed
-0 this puts FCI's 1,448 decided tests in 16 calls, with 16 stacked
-Fisher-z factorizations, no inverse, and 13 stacked factorizations for
-the environment test, where one batch per edge took 169 inverses and 34
-factorizations and scored every set's p-value in Python.
+0 this puts FCI's 1,448 decided tests in 13 calls, one per adjacency
+level, with 13 stacked Fisher-z factorizations, no inverse, and 13
+stacked factorizations for the environment test, where one batch per
+edge took 169 inverses and 34 factorizations and scored every set's
+p-value in Python.
 
 All p-values come in closed form: the two-sided normal tail as
 ``erfc(z / sqrt 2)``, and the chi-square upper tail at integer degrees of

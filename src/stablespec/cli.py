@@ -84,7 +84,13 @@ def _load_tables(args) -> list[DataTable]:
     if len(schemas) != len(args.data):
         raise InputError("need one --schema per --data (or a single shared "
                          "schema)")
-    return [load_csv(d, s) for d, s in zip(args.data, schemas)]
+    tables = []
+    for path, schema in zip(args.data, schemas):
+        table = load_csv(path, schema)
+        if not table.n_rows:
+            raise InputError(f"--data {path!r} has no data rows")
+        tables.append(table)
+    return tables
 
 
 def _run_dir(args) -> str:
@@ -107,26 +113,25 @@ def _pooled(tables: list[DataTable], env_name: str) -> DataTable:
         pool_environments(tables, env_name)
 
 
-def _learn(args, log: list[str]):
-    """Shared structure-learning step; returns (pag, env name or None,
-    report dict, the table learned on)."""
-    tables = _load_tables(args)
-    data = _pooled(tables, args.env)
-    if len(tables) > 1:
-        log.append(f"pooled structure learning over {len(tables)} datasets, "
-                   f"environment column {args.env!r}")
+def _learn(args, data: DataTable, log: list[str]):
+    """Shared structure-learning step on the loaded table ``data``;
+    returns (pag, report dict)."""
+    if len(args.data) > 1:
+        log.append(f"pooled structure learning over {len(args.data)} "
+                   f"datasets, environment column {args.env!r}")
     else:
         log.append("structure learning over one dataset")
     report: dict = {}
     pag = table_fci(data, CI_TESTS[args.test], args.alpha,
                     args.max_cond_size, report)
-    return pag, data.env_column, report, data
+    return pag, report
 
 
 def cmd_learn_pag(args) -> int:
+    data = _pooled(_load_tables(args), args.env)
     out = _run_dir(args)
     log: list[str] = []
-    pag, _, report, _ = _learn(args, log)
+    pag, report = _learn(args, data, log)
     _write(os.path.join(out, "graph.txt"), serialize(pag))
     _write(os.path.join(out, "report.json"), _json_dumps(report))
     log.append(f"graph written with {len(pag.edges)} edges, "
@@ -206,16 +211,28 @@ def _candidates_json(candidates, winner) -> str:
                         "winner": winner.label() if winner else None})
 
 
+def _check_target(target: str, data: DataTable):
+    """The search target must be a data column other than the environment
+    column; checked before anything is learned or searched."""
+    if target == data.env_column:
+        raise InputError(f"--target {target!r} is the environment column, "
+                         "not a variable to predict")
+    if target not in data.names:
+        raise InputError(f"--target {target!r} is not a data column")
+
+
 def cmd_search(args) -> int:
+    data = _pooled(_load_tables(args), args.env)
+    _check_target(args.target, data)
     out = _run_dir(args)
     log: list[str] = []
     if args.graph:
         pag = _read_graph(args.graph)
         env = args.env if args.env in pag.vertices else None
-        data = _pooled(_load_tables(args), args.env)
         log.append(f"graph loaded from {args.graph}")
     else:
-        pag, env, _, data = _learn(args, log)
+        pag, _ = _learn(args, data, log)
+        env = data.env_column
     if args.mode == "single-env":
         env = None
     mutable = _resolve_mutable(args, pag, env)
@@ -262,13 +279,14 @@ def cmd_sweep(args) -> int:
     if not args.graph:
         raise InputError("sweep needs --graph (a PAG over the benchmark "
                          "variables plus the environment vertex)")
-    out = _run_dir(args)
-    log: list[str] = []
     tables = []
     for i, a in enumerate(args.train_alphas):
         t = simulate_benchmark(a, args.n_train, args.seed + i)
         tables.append(t)
     data = pool_environments(tables, args.env)
+    _check_target(args.target, data)
+    out = _run_dir(args)
+    log: list[str] = []
     pag = _read_graph(args.graph)
     mutable = _resolve_mutable(args, pag, args.env)
     _check_columns(pag, data, args.env)

@@ -156,7 +156,9 @@ class DataTable:
     """Immutable column-major table with per-column kinds.
 
     ``kinds[name]`` is either the string "continuous" or an integer level
-    count for a discrete column whose values lie in [0, levels).
+    count for a discrete column whose values lie in [0, levels); a column
+    that ``kinds`` omits is continuous, and a name in ``kinds`` that is not
+    a column raises ``DataError``.
 
     Columns are stored as read-only views of the arrays passed in, without a
     copy, so callers must not mutate those arrays afterwards. A pooled table
@@ -196,6 +198,10 @@ class DataTable:
             arr.flags.writeable = False
             arrays[name] = arr
         kinds = dict(kinds or {})
+        unknown = sorted(set(kinds) - set(names))
+        if unknown:
+            raise DataError(f"kinds name columns not in the table: "
+                            f"{', '.join(map(repr, unknown))}")
         checked: dict[str, object] = {}
         for name in names:
             kind = kinds.get(name, CONTINUOUS)
@@ -293,49 +299,67 @@ class DataTable:
         order, from one pass over the rows, computed once per table.
 
         Each environment group of ``groups()`` is copied, column-major,
-        into one (k, n_e) block g, reused from group to group, so that the
+        into one (k', n_e) block g, reused from group to group, so that the
         group's means are sums along contiguous rows (numpy sums those
         pairwise), g is centred in place, and its centred Gram matrix is
         one product g g^T. A pooled table copies each group from its input
-        table and fills the environment row with the group's value, so it
-        builds no pooled column. At most one group's rows are copied at a
-        time, so a table of n rows costs k n_e fresh floats, not k n.
-        Discrete columns enter as their numeric codes. The pooled scatter
-        is the sum over groups of G_e + n_e d_e d_e^T, with d_e the group
-        mean minus the pooled mean. A rounded mean misses the group's true
-        mean by up to an ulp of the mean, which on a column whose mean is
-        far larger than its spread is a sizeable share of d_e; so d_e also
-        adds the mean of the centred block, the drift that rounding left in
-        it.
+        table, so it builds no pooled column. At most one group's rows are
+        copied at a time, so a table of n rows costs k' n_e fresh floats,
+        not k n. The environment column is constant within each group, so
+        it is left out of the block (k' = k - 1): its mean is the group's
+        value, and its drift, Gram row and column and sample column are
+        zeros, as centring it would give exactly. Discrete columns enter as
+        their numeric codes. The pooled scatter is the sum over groups of
+        G_e + n_e d_e d_e^T, with d_e the group mean minus the pooled mean.
+        A rounded mean misses the group's true mean by up to an ulp of the
+        mean, which on a column whose mean is far larger than its spread is
+        a sizeable share of d_e; so d_e also adds the mean of the centred
+        block, the drift that rounding left in it. A table without rows
+        raises ``DataError``.
         """
         if self._moments is None:
+            if not self.n_rows:
+                raise DataError("moments need at least one row")
             groups = self.groups()
             counts = np.array([group.size for group in groups], dtype=int)
             k = len(self.names)
-            means, drift = np.empty((2, len(counts), k))
-            grams = np.empty((len(counts), k, k))
+            # the block's columns fill the first j places of each array, in
+            # ``names`` order, and the environment column the last
+            names = [n for n in self.names if n != self.env_column]
+            j = len(names)
+            means, drift = np.zeros((2, len(counts), k))
+            grams = np.zeros((len(counts), k, k))
+            if j < k:
+                means[:, j] = [group.value for group in groups]
             steps = [max(math.ceil(c / SAMPLE_ROWS), 1)
                      for c in counts.tolist()]
             sample_counts = np.array([-(-c // step) for c, step
                                       in zip(counts.tolist(), steps)],
                                      dtype=int)
-            sample = np.empty((sample_counts.sum(), k))
+            sample = np.zeros((sample_counts.sum(), k))
             starts = np.concatenate([[0], np.cumsum(sample_counts)])
-            block = np.empty((k, counts.max(initial=0)))
-            for e, (value, part, rows, size) in enumerate(groups):
+            block = np.empty((j, counts.max()))
+            for e, (_, part, rows, size) in enumerate(groups):
                 g = block[:, :size]
-                for row, name in zip(g, self.names):
-                    if name not in part.index:  # a pool's environment column
-                        row.fill(value)
-                    elif isinstance(rows, slice):
+                for row, name in zip(g, names):
+                    if isinstance(rows, slice):
                         row[:] = part.column(name)[rows]
                     else:
                         np.take(part.column(name), rows, out=row)
-                g.mean(axis=1, out=means[e])
-                g -= means[e][:, None]
-                g.mean(axis=1, out=drift[e])
-                grams[e] = g @ g.T
-                sample[starts[e]:starts[e + 1]] = g[:, ::steps[e]].T
+                g.mean(axis=1, out=means[e, :j])
+                g -= means[e, :j, None]
+                g.mean(axis=1, out=drift[e, :j])
+                grams[e, :j, :j] = g @ g.T
+                sample[starts[e]:starts[e + 1], :j] = g[:, ::steps[e]].T
+            if self.env_column not in (None, self.names[-1]):
+                # move the environment column to its place in ``names``;
+                # ``take`` keeps the arrays C-contiguous, where a strided
+                # copy would make the products below sum in another order
+                order = np.insert(np.arange(j), self.index[self.env_column],
+                                  j)
+                means, drift, sample = (a.take(order, axis=1)
+                                        for a in (means, drift, sample))
+                grams = grams.take(order, axis=1).take(order, axis=2)
             mean = counts @ means / self.n_rows
             d = means - mean + drift
             scatter = grams.sum(axis=0) + (counts[:, None] * d).T @ d

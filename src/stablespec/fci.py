@@ -37,9 +37,10 @@ tests any (Colombo & Maathuis 2014), so one stream asks a whole level, as
 GPU PC (cuPC) does. A query (a, b, pools, size) of a level, pools masks,
 asks the subsets of ``size`` vertices of each pool in turn, each distinct
 subset once, built from cached combination-index arrays
-(``_subset_rows``); they are cut into calls of ``firsts`` of at most
-``MAX_BATCH`` sets, one piece per query, and a pair decided in one call
-adds no sets to the next. A query counts as one CI test per set decided:
+(``_subset_rows``); they are cut into calls of ``firsts`` of as many sets
+as fill ``MAX_BATCH`` * 64 matrix elements, (|s| + 2)^2 per set, but never
+fewer than ``MAX_BATCH``, one piece per query, and a pair decided in one
+call adds no sets to the next. A query counts as one CI test per set decided:
 up to and including its first separating one, which is recorded as a
 mask; the first query to reach a set that cannot be tested raises its
 error. ``SeparationOracle`` answers by m-separation in a known graph,
@@ -149,17 +150,24 @@ def _stream(firsts: Callable, queries: Sequence[tuple]) -> list[tuple]:
     positions and pools masks, the number of sets decided and the first
     separating one, as a mask, or None. The query's sets, its
     ``_subset_rows`` blocks, and those of the queries after it are cut
-    into calls of ``firsts`` of at most ``MAX_BATCH`` rows [a, b, *s], one
-    piece of consecutive sets per query; a query cut at the end of a call
-    continues in the next unless it was decided. The first query to reach
-    a set that cannot be tested raises its error: every query before it is
-    decided by then."""
+    into calls of ``firsts`` of rows [a, b, *s], one piece of consecutive
+    sets per query; a query cut at the end of a call continues in the next
+    unless it was decided. A call holds as many rows as fill
+    ``MAX_BATCH`` * 64 matrix elements, a row standing for the
+    (size + 2)^2 elements of its correlation submatrix, but never fewer
+    than ``MAX_BATCH``: so a level of small sets, which PC-stable asks all
+    at once, is one call where a cap of ``MAX_BATCH`` rows cut it into
+    several, and from size 6 up the cap is ``MAX_BATCH`` rows. The first
+    query to reach a set that cannot be tested raises its error: every
+    query before it is decided by then."""
     out = [(0, None)] * len(queries)
     todo = [(k, a, b, _subset_rows(pools, size))
             for k, (a, b, pools, size) in enumerate(queries)][::-1]
+    size = max((size for *_, size in queries), default=0)
+    cap = max(MAX_BATCH, MAX_BATCH * 64 // (size + 2) ** 2)
     held = None   # the rest of the top query's block that a call cut
     while todo:
-        chunk, room = [], MAX_BATCH   # (k, a, b, blocks) per query
+        chunk, room = [], cap   # (k, a, b, blocks) per query
         while todo and room:
             k, a, b, rest = todo[-1]
             sets, held = (next(rest, None), None) if held is None else \
@@ -251,7 +259,10 @@ class _Marks:
         return MixedGraph(names, edges, kind="PAG")
 
 
-# rows per call of an oracle's ``firsts``: bounds the data oracle's matrices
+# rows per block of ``_index_blocks``, and the fewest rows per call of an
+# oracle's ``firsts``; a call holds as many rows as fill MAX_BATCH * 64
+# matrix elements (see ``_stream``), which bounds the data oracle's stacked
+# matrices
 MAX_BATCH = 256
 
 

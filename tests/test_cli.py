@@ -5,6 +5,7 @@ import random
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -466,6 +467,78 @@ class TestPooling:
             "V2 o-> V1\n")
 
 
+class TestEmptyData:
+    @pytest.mark.parametrize("command", [["learn-pag"],
+                                         ["search", "--target", "A"]])
+    @pytest.mark.parametrize("first", ["empty.csv", "full.csv"],
+                             ids=["both empty", "one empty"])
+    def test_file_without_rows_exits_two_naming_it(self, tmp_path, capsys,
+                                                   command, first):
+        # before: two header-only files warned from moments() and blamed
+        # the conditioning set size, and one beside a data file blamed a
+        # constant environment column
+        rng = np.random.default_rng(5)
+        save_csv(DataTable({"A": rng.normal(size=50),
+                            "B": rng.normal(size=50)}),
+                 str(tmp_path / "full.csv"))
+        (tmp_path / "empty.csv").write_text("A,B\n")
+        (tmp_path / "plain.json").write_text('{"columns": {}}')
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*command, "--data", str(tmp_path / first),
+                         "--data", str(tmp_path / "empty.csv"),
+                         "--schema", str(tmp_path / "plain.json"),
+                         "--out", str(out)]) == 2
+        empty = str(tmp_path / "empty.csv")
+        assert capsys.readouterr().err == \
+            f"error: --data {empty!r} has no data rows\n"
+        assert not out.exists()
+
+
+class TestSearchTarget:
+    @pytest.mark.parametrize("graph", [True, False],
+                             ids=["given graph", "learned graph"])
+    @pytest.mark.parametrize("target, message", [
+        ("E", "is the environment column, not a variable to predict"),
+        ("Q", "is not a data column"),
+    ])
+    def test_bad_target_exits_two_before_learning(
+            self, workdir, tmp_path, capsys, monkeypatch, graph, target,
+            message):
+        # before: the PAG was learned first, and then fitting refused the
+        # discrete column E, or the search failed on a target it lacked
+        def learn(*args):
+            raise AssertionError("learned before the target was checked")
+
+        monkeypatch.setattr(cli, "table_fci", learn)
+        out = tmp_path / "run"
+        argv = search_argv(workdir, out)
+        if not graph:
+            argv.remove("--graph")
+            argv.remove(str(workdir / "pag.txt"))
+        argv[argv.index("--target") + 1] = target
+        assert main(argv) == 2
+        assert capsys.readouterr().err == \
+            f"error: --target {target!r} {message}\n"
+        assert not out.exists()
+
+    def test_single_table_environment_column_is_refused(self, tmp_path,
+                                                         capsys):
+        rng = np.random.default_rng(6)
+        save_csv(DataTable({"A": rng.normal(size=50),
+                            "G": rng.integers(0, 2, 50)}, {"G": 2}),
+                 str(tmp_path / "d.csv"))
+        (tmp_path / "env.json").write_text(
+            '{"columns": {"G": 2}, "env_column": "G"}')
+        assert main(["search", "--data", str(tmp_path / "d.csv"),
+                     "--schema", str(tmp_path / "env.json"),
+                     "--target", "G", "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == \
+            "error: --target 'G' is the environment column, not a " \
+            "variable to predict\n"
+
+
 class TestLearnPag:
     def test_writes_graph_and_report(self, workdir, tmp_path):
         out = tmp_path / "run"
@@ -896,16 +969,18 @@ class TestSearch:
 
     def test_graph_vertex_missing_from_data_exits_two(self, workdir,
                                                       tmp_path, capsys):
-        (tmp_path / "abc.txt").write_text("vars: A,B,C\nA o-> B\nB --> C\n")
-        argv = ["search", "--graph", str(tmp_path / "abc.txt"),
+        # the target is a data column: a target that is not one is refused
+        # before the graph is read (see TestSearchTarget)
+        (tmp_path / "aby.txt").write_text("vars: A,B,Y\nA o-> B\nB --> Y\n")
+        argv = ["search", "--graph", str(tmp_path / "aby.txt"),
                 "--data", str(workdir / "e1.csv"),
                 "--data", str(workdir / "e2.csv"),
                 "--schema", str(workdir / "plain.json"),
-                "--target", "C", "--mutable", "A",
+                "--target", "Y", "--mutable", "A",
                 "--out", str(tmp_path / "run")]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert "no data column for graph vertices: A, B, C" in err
+        assert "no data column for graph vertices: A, B" in err
         assert "Traceback" not in err
 
     def test_env_vertex_needs_a_column_only_when_conditioned_on(
@@ -1003,6 +1078,26 @@ class TestSweep:
         assert alpha == "-5.000000"
         assert model == "interventional[X2,X3]"
         assert len(mse.split(".")[1]) == 6
+
+    @pytest.mark.parametrize("target, message", [
+        ("E", "is the environment column, not a variable to predict"),
+        ("Q", "is not a data column"),
+    ])
+    def test_bad_target_exits_two_before_the_search(
+            self, workdir, tmp_path, capsys, monkeypatch, target, message):
+        # before: E failed in fitting with "use the discrete backend", a
+        # flag sweep does not have, and Q as an unknown graph vertex
+        def search(*args):
+            raise AssertionError("searched before the target was checked")
+
+        monkeypatch.setattr(cli, "stable_candidates", search)
+        out = tmp_path / "run"
+        assert main(["sweep", "--graph", str(workdir / "pag.txt"),
+                     "--target", target, "--n-train", "500",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: --target {target!r} {message}\n"
+        assert not out.exists()
 
     def test_graph_vertex_missing_from_data_exits_two(self, tmp_path,
                                                       capsys):

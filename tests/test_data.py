@@ -47,6 +47,12 @@ class TestDataTable:
             t.positions(["b", "Q"])
         assert t.positions(["b", "a", "b"]) == [1, 0, 1]
 
+    def test_unknown_kind_name_is_a_data_error(self):
+        # a misspelt name would leave its discrete column continuous
+        with pytest.raises(DataError, match="kinds name columns not in the "
+                                            "table: 'y', 'zz'"):
+            DataTable({"a": [1.0, 2.0]}, {"zz": 3, "a": 2, "y": 2})
+
     def test_length_mismatch(self):
         with pytest.raises(DataError):
             DataTable({"a": [1.0], "b": [1.0, 2.0]})
@@ -181,6 +187,47 @@ class TestDataTable:
         want = np.concatenate([g0 - g0.mean(), (g1 - g1.mean())[::2]])
         np.testing.assert_allclose(mom.sample[:, t.index["a"]], want)
         assert not mom.sample[:, t.index["e"]].any()
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["plain", "pool"])
+    def test_environment_moments_are_its_codes_and_zeros(self, pooled):
+        # the environment column is constant within each group: its means
+        # are the codes, and its Gram rows and columns and its sample
+        # column exact zeros; the groups differ in size, and the plain
+        # table's rows are not grouped, with the column between others
+        rng = np.random.default_rng(39)
+        sizes = [700, 40, 2 * SAMPLE_ROWS + 9]
+        parts = [{"a": rng.normal(5.0 * e, 1.0 + e, n),
+                  "b": rng.normal(-3.0, 2.0, n)} for e, n in enumerate(sizes)]
+        if pooled:
+            t = pool_environments([DataTable(p) for p in parts], "E")
+        else:
+            order = rng.permutation(sum(sizes))
+            cols = {n: np.concatenate([p[n] for p in parts])[order]
+                    for n in "ab"}
+            t = DataTable({"a": cols["a"], "E": np.repeat(
+                [0.0, 1.0, 2.0], sizes)[order], "b": cols["b"]},
+                kinds={"E": 3}, env_column="E")
+        mom, e = t.moments(), t.index["E"]
+        assert mom.counts.tolist() == sizes
+        assert mom.means[:, e].tolist() == [0.0, 1.0, 2.0]
+        assert mom.mean[e] == (sizes[1] + 2 * sizes[2]) / sum(sizes)
+        assert not mom.grams[:, e].any() and not mom.grams[:, :, e].any()
+        assert not mom.sample[:, e].any()
+        # C-contiguous wherever E stands: the pooled mean and scatter are
+        # products of these arrays, and a strided copy sums in another order
+        assert all(a.flags.c_contiguous for a in mom)
+        # without a drift in E, the pooled scatter is the exact one
+        columns = [t.column(name) for name in t.names]
+        mean, scatter = exact_moments(columns, np.ones(t.n_rows, bool))
+        np.testing.assert_allclose(mom.mean, mean, rtol=1e-13)
+        np.testing.assert_allclose(mom.scatter, scatter, rtol=1e-13)
+
+    def test_moments_of_a_table_without_rows_raise(self):
+        t = DataTable({"a": [], "b": []})
+        with pytest.raises(DataError, match="moments need at least one row"):
+            t.moments()
+        with pytest.raises(DataError, match="at least two rows"):
+            t.correlations()
 
     def test_table_without_environment_is_one_group(self):
         t = DataTable({"a": [1.0, 2.0, 4.0], "b": [0.0, 1.0, 1.0]})

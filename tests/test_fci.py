@@ -664,6 +664,14 @@ def wide_pooled(structure_seed, parameter_seed, rows, seed):
     return pool_environments(inputs.wide_tables(scms, rows, seed), "E")
 
 
+def row_cap(size):
+    """The most rows that ``fci._stream`` puts in one call at set size
+    ``size``: ``MAX_BATCH`` * 64 matrix elements, but never fewer than
+    ``MAX_BATCH`` rows."""
+    cap = fci_module.MAX_BATCH
+    return max(cap, cap * 64 // (size + 2) ** 2)
+
+
 class TestPositionLevel:
     """Data FCI puts the learn's names at column positions once, and each
     call's rows at columns by one index; it decides its sets at positions:
@@ -756,7 +764,8 @@ class TestPositionLevel:
 class TestSubsetRows:
     """fci streams a query's sets as rows [a, b, *s] of positions, built
     from combination-index arrays: each distinct subset of a pool once, in
-    order, and at most ``MAX_BATCH`` rows per call."""
+    order, and at most ``row_cap(size)`` rows per call, every call but the
+    last full."""
 
     def test_rows_are_the_distinct_subsets_in_order(self):
         # pools over up to 30 positions, some long enough that a pool's
@@ -781,7 +790,8 @@ class TestSubsetRows:
             want = list(distinct_subsets(map(positions, pools), size))
             assert got == [(len(want), None)]
             assert all(len(counts) == 1 and 0 < len(rows) == counts[0]
-                       <= fci_module.MAX_BATCH for rows, counts in calls)
+                       <= row_cap(size) for rows, counts in calls)
+            assert all(len(rows) == row_cap(size) for rows, _ in calls[:-1])
             assert [tuple(row) for rows, _ in calls
                     for row in rows.tolist()] == \
                 [(30, 31, *subset) for subset in want]
@@ -832,8 +842,8 @@ class TestBatchedOracle:
         def level(firsts, queries):
             pulled[0], before = 0, len(calls)
             got = stream(firsts, queries)
-            levels.append((pulled[0], sum(c["factored"]
-                                          for c in calls[before:])))
+            levels.append((pulled[0], row_cap(queries[0][3]),
+                           sum(c["factored"] for c in calls[before:])))
             return got
 
         def decide(*args):
@@ -872,21 +882,22 @@ class TestBatchedOracle:
         assert calls and all(c["factored"] <= 1 and
                              c["inverted"] == c["left"] for c in calls)
         # at most one factorization per (phase, size) level and per further
-        # MAX_BATCH sets, and each stacks the sets of many pairs
-        for pulled, stacked in levels:
-            assert stacked <= 1 + pulled // fci_module.MAX_BATCH
+        # call's worth of sets, and each stacks the sets of many pairs
+        for pulled, cap, stacked in levels:
+            assert stacked <= 1 + pulled // cap
         factorizations = sum(c["factored"] for c in calls)
-        assert 0 < factorizations <= len(levels) + \
-            sum(pulled for pulled, _ in levels) // fci_module.MAX_BATCH
+        assert 0 < factorizations <= sum(1 + pulled // cap
+                                         for pulled, cap, _ in levels)
         assert 10 * factorizations < report["ci_tests"]
         assert 10 * sum(c["left"] for c in calls) < report["ci_tests"]
 
     def test_batches_are_capped(self):
-        # a pool of 13 candidates, positions 6 to 18, gives 286 subsets of
-        # size 3: more than one call holds them. A pool of three stands
-        # for one set, and a repeated pool adds no sets
-        long = list(combinations(range(6, 19), 3))
-        pool = sum(1 << v for v in range(6, 19))
+        # a pool of 17 candidates, positions 6 to 22, gives 680 subsets of
+        # size 3, more than the 655 rows (16,384 matrix elements of 25
+        # each) that one call holds. A pool of three stands for one set,
+        # and a repeated pool adds no sets
+        long = list(combinations(range(6, 23), 3))
+        pool = sum(1 << v for v in range(6, 23))
 
         def pools(sets):
             return [sum(1 << v for v in s) for s in sets]
@@ -910,15 +921,44 @@ class TestBatchedOracle:
         queries = [(0, 1, [pool], 3), (0, 2, pools(long[:10]), 3),
                    (0, 3, [pool, pool], 3), (0, 4, pools(long[:50]), 3)]
         got = fci_module._stream(firsts, queries)
-        cap = fci_module.MAX_BATCH
+        cap = row_cap(3)
+        assert cap == 655
         # A-B continues in the second call; A-D, decided at its set 100
         # there, adds no further sets to the third
         assert calls == [[(0, 1, cap)],
-                         [(0, 1, 286 - cap), (0, 2, 10),
-                          (0, 3, cap - (286 - cap) - 10)],
+                         [(0, 1, 680 - cap), (0, 2, 10),
+                          (0, 3, cap - (680 - cap) - 10)],
                          [(0, 4, 50)]]
-        assert got == [(286, None), (4, pools([long[3]])[0]),
+        assert got == [(680, None), (4, pools([long[3]])[0]),
                        (101, pools([long[100]])[0]), (50, None)]
+        # from size 6 up a call holds MAX_BATCH rows: the 330 subsets of
+        # size 7 of 11 candidates take two calls
+        del calls[:]
+        big = fci_module._stream(firsts, [(0, 1, [(1 << 11) - 1 << 6], 7)])
+        assert row_cap(6) == row_cap(7) == fci_module.MAX_BATCH
+        assert calls == [[(0, 1, fci_module.MAX_BATCH)],
+                         [(0, 1, 330 - fci_module.MAX_BATCH)]]
+        assert big == [(330, None)]
+
+    def test_one_call_per_level_on_the_learn_wide_tables(self, monkeypatch):
+        # the learn-wide benchmark at seed 0: each of its 13 adjacency
+        # levels fits in one call of ``firsts``
+        pooled = wide_pooled(7, 2, 20_000, 0)
+        levels, calls = [], []
+        stream, bind = fci_module._stream, DataOracle.bind
+
+        def counted(self, names):
+            firsts = bind(self, names)
+            return lambda rows, counts: (calls.append(len(rows)) or
+                                         firsts(rows, counts))
+
+        monkeypatch.setattr(fci_module, "_stream", lambda firsts, queries: (
+            levels.append(queries) or stream(firsts, queries)))
+        monkeypatch.setattr(DataOracle, "bind", counted)
+        fci(DataOracle(pooled), pooled.names, self.KNOWLEDGE)
+        assert len(levels) == len(calls) == 13
+        # a cap of MAX_BATCH rows cut three of them
+        assert sum(n > fci_module.MAX_BATCH for n in calls) == 3
 
     def test_degenerate_set_raises_only_for_its_own_query(self, monkeypatch):
         t = exact_table()

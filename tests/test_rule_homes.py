@@ -17,7 +17,8 @@ once: its cores (the adjacency search, Possible-D-SEP, the blocks, the
 collider step, the rules and their path searches) read mask rows and call
 no function that takes names. ``fci`` alone enumerates the conditioning
 sets, by combination-index arrays, and streams them to an oracle's
-per-call ``firsts``; its exact oracle maps the positions to a graph's bits
+per-call ``firsts``, in calls whose size ``fci._stream`` alone derives
+from ``MAX_BATCH``; its exact oracle maps the positions to a graph's bits
 once per learn and tests each set by the mask core of m-connection,
 which, like the invariance core, reads ancestry from a membership table
 that its caller fetches once per index instead of computing a closure per
@@ -99,6 +100,18 @@ def test_critical_values_are_computed_in_one_function():
 
     assert sites(reads_margin) == {("citest", "critical_values")}
     assert sites(calls_critical_values) == {("citest", "_bracketed")}
+
+
+def test_the_call_cap_is_read_where_calls_and_blocks_are_cut():
+    # ``_stream`` derives a call's row cap from MAX_BATCH, and
+    # ``_index_blocks`` cuts combination-index arrays into blocks of it
+    def reads_max_batch(node):
+        if isinstance(node, ast.Name):
+            return node.id == "MAX_BATCH" and isinstance(node.ctx, ast.Load)
+        return isinstance(node, ast.Attribute) and node.attr == "MAX_BATCH"
+
+    assert sites(reads_max_batch) == {("fci", "_stream"),
+                                      ("fci", "_index_blocks")}
 
 
 def test_constant_rtol_is_read_only_in_data_correlation():
