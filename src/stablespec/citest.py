@@ -95,9 +95,7 @@ the statistics that the decisions read, and every screened decision is
 the one the inverse's statistic gives. On the learn-wide benchmark's seed
 0 this puts FCI's 1,448 decided tests in 13 calls, one per adjacency
 level, with 13 stacked Fisher-z factorizations, no inverse, and 13
-stacked factorizations for the environment test, where one batch per
-edge took 169 inverses and 34 factorizations and scored every set's
-p-value in Python.
+stacked factorizations for the environment test.
 
 All p-values come in closed form: the two-sided normal tail as
 ``erfc(z / sqrt 2)``, and the chi-square upper tail at integer degrees of
@@ -516,9 +514,8 @@ def _residual_variances(data: DataTable, rows: np.ndarray
     [*s, x]. A row's m + 1 matrices, one per environment and the pooled
     one, come from ``DataTable.correlations``, and the (m + 1) k matrices
     of k rows are factored in one stacked ``data.cholesky`` call. Where
-    that call fails, each row is factored alone, and where that fails too,
-    s alone is factored and the share is 1 - |L_s^-1 r|^2, with r the
-    correlations of x with s. A variance is 0 where x is constant, or a
+    that call fails, each matrix of each row is factored alone, and where
+    that fails too, its s alone. A variance is 0 where x is constant, or a
     linear function of s, within that environment (up to rounding, see
     ``MIN_UNEXPLAINED``).
 
@@ -552,18 +549,17 @@ def _residual_variances(data: DataTable, rows: np.ndarray
 
 def _unexplained_share(corr: np.ndarray, tol: float) -> np.ndarray:
     """Share of the last column's variance left unexplained by the others,
-    in each of a stack of correlation matrices; NaN throughout if the
-    others are degenerate in one of them."""
-    chol = cholesky(corr, tol)
-    if chol is not None:
-        return chol[:, -1, -1] ** 2
-    ls = cholesky(corr[:, :-1, :-1], tol)
-    if ls is None:
-        return np.full(len(corr), np.nan)
-    # r, and so the share, is NaN where x is constant within a group
-    z = np.linalg.solve(ls, corr[:, :-1, -1:])
-    share = corr[:, -1, -1] - np.sum(z * z, axis=(1, 2))
-    share[~(share > MIN_UNEXPLAINED)] = 0.0
+    in each of a stack of correlation matrices, each factored alone: the
+    squared last pivot, 0 where only the others factor (the last column
+    constant, or a linear function of them), and NaN throughout if the
+    others do not factor in one of them."""
+    share = np.zeros(len(corr))
+    for i, c in enumerate(corr):
+        chol = cholesky(c, tol)
+        if chol is not None:
+            share[i] = chol[-1, -1] ** 2
+        elif cholesky(c[:-1, :-1], tol) is None:
+            return np.full(len(corr), np.nan)
     return share
 
 

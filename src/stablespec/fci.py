@@ -214,15 +214,15 @@ class _Marks:
     ``adj[v]`` holds v's neighbours; ``arrow[v]``, ``tail[v]`` and
     ``circle[v]`` the neighbours u whose edge u-v has that mark at v;
     ``arrow_to[u]``, ``tail_to[u]`` and ``circle_to[u]`` the same marks
-    from the other end, and ``bidirected[v]`` arrowheads at both ends.
-    Marks start as circles and are refined circle -> tail/arrow once: on
-    finite samples the rules can ask for the other refinement of a set
-    mark, and the first one stays. No arrowhead enters ``forbidden``."""
+    from the other end. Marks start as circles and are refined circle ->
+    tail/arrow once: on finite samples the rules can ask for the other
+    refinement of a set mark, and the first one stays. No arrowhead enters
+    ``forbidden``."""
 
     def __init__(self, adj: Sequence[int], forbidden: int = 0):
         self.adj, self.forbidden = list(adj), forbidden
-        self.arrow, self.arrow_to, self.bidirected, self.tail, \
-            self.tail_to = ([0] * len(adj) for _ in range(5))
+        self.arrow, self.arrow_to, self.tail, self.tail_to = \
+            ([0] * len(adj) for _ in range(4))
         self.circle, self.circle_to = list(adj), list(adj)
 
     def mark(self, a: int, b: int) -> str:
@@ -241,9 +241,6 @@ class _Marks:
         self.circle_to[a] ^= 1 << b
         at[b] |= 1 << a
         to[a] |= 1 << b
-        if mark == ARROW and self.arrow[a] >> b & 1:
-            self.bidirected[a] |= 1 << b
-            self.bidirected[b] |= 1 << a
         return True
 
     def orient_directed(self, a: int, b: int) -> bool:
@@ -469,45 +466,37 @@ def _rule_double_collider(marks: _Marks):
                 yield marks.set_mark(d, b, ARROW)
 
 
-def _discriminating_path(marks: _Marks, d: int, b: int, c: int):
-    """The a of the first discriminating path d *-> v <-> ... <-> a <-* b
-    for c, its inner vertices parents of c, that a depth-first search finds,
-    or None. One reach over the parents' bidirected edges finds every a;
-    of several, the search over simple paths, largest neighbour first,
-    picks the first."""
+def _discriminating_path(marks: _Marks, bidirected: list[int], d: int,
+                         b: int, c: int) -> int:
+    """The mask of every a that ends a discriminating path d *-> v <-> ...
+    <-> a <-* b for c, its inner vertices parents of c: one reach over the
+    bidirected edges among c's parents. ``bidirected`` is filled with the
+    rows arrow[v] & arrow_to[v] once a path can start; R4's refinements on
+    b-c and a-b change none of them among c's parents."""
     inner = marks.arrow[c] & marks.tail_to[c]
     first = inner & marks.arrow_to[d]
-    if not first:
-        return None
-    ends = inner & marks.arrow_to[b]
-    hits = reach(marks.bidirected, first, inner) & ends
-    if not hits & (hits - 1):   # none or one
-        return hits.bit_length() - 1 if hits else None
-    stack = [(v, 1 << d | 1 << v) for v in positions(first)]
-    while True:
-        v, path = stack.pop()
-        if ends >> v & 1:
-            return v
-        stack.extend((w, path | 1 << w) for w in positions(
-            marks.bidirected[v] & inner & ~path))
+    if first and not bidirected:
+        bidirected.extend(map(int.__and__, marks.arrow, marks.arrow_to))
+    return reach(bidirected, first, inner) & marks.arrow_to[b]
 
 
 def _rule_discriminating(marks: _Marks, sepsets: dict):
+    # discriminating paths d ... a, b, c for b, with b o-* c: b -> c if b
+    # is in Sepset(c, d), else a <-> b <-> c for each of their ends a
     adj = marks.adj
     full = (1 << len(adj)) - 1
     for c in range(len(adj)):
         for b in positions(adj[c]):
-            if not marks.circle[b] >> c & 1:   # need b-c circle at b
-                continue
+            bidirected = []
             for d in positions(full & ~adj[c] & ~(1 << c)):
-                a = _discriminating_path(marks, d, b, c)
-                if a is None:
-                    continue
-                if sepsets.get((min(c, d), max(c, d)), 0) >> b & 1:
+                if not marks.circle[b] >> c & 1:   # need b-c circle at b
+                    break
+                ends = _discriminating_path(marks, bidirected, d, b, c)
+                if ends and sepsets.get((min(c, d), max(c, d)), 0) >> b & 1:
                     yield marks.orient_directed(b, c)
-                else:
-                    yield marks.set_mark(a, b, ARROW)
-                    yield marks.set_mark(b, a, ARROW)
+                elif ends:
+                    for a in positions(ends):
+                        yield marks.set_mark(a, b, ARROW)
                     yield marks.set_mark(b, c, ARROW)
                     yield marks.set_mark(c, b, ARROW)
 

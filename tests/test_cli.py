@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import random
@@ -633,16 +634,48 @@ class TestLearnPag:
         assert (tmp_path / "one" / "graph.txt").read_bytes() == graph
 
 
+# sha256 prefixes of the files ``readme_run`` writes, its own path in them
+# replaced by "<run>"
+README_DIGESTS = {
+    "env1.csv": "056bebafe82f6b9e",
+    "env2.csv": "425a6b7e27b72500",
+    "pag.txt": "c30f025e39018f5b",
+    "run/graph.txt": "c30f025e39018f5b",
+    "run/log.txt": "df68701207166b38",
+    "run/report.json": "ea3b1440119fb7c1",
+    "run-learned/candidates.json": "390e50210943ad9f",
+    "run-learned/graph.txt": "c30f025e39018f5b",
+    "run-learned/log.txt": "b3d2de3ba35e05ec",
+    "schema.json": "7d9af1d8236a89de",
+    "search/candidates.json": "390e50210943ad9f",
+    "search/graph.txt": "c30f025e39018f5b",
+    "search/log.txt": "59cb5e0eb035cac7",
+    "sweep/log.txt": "1e20121869b181d1",
+    "sweep/metrics.csv": "0345510465ab46a6",
+}
+
+
 @pytest.fixture(scope="module")
 def readme_run(tmp_path_factory):
-    """The README's CLI flow up to learn-pag, with the README's own flags:
-    two simulated environments, a schema and a learned graph in run/."""
+    """The README's CLI flows that write files, with the README's own
+    flags: two simulated environments, a schema, a graph learned into run/,
+    the search on the README's PAG and on the learned graph, and the sweep.
+    The search on pag.txt and the sweep write to search/ and sweep/ where
+    the README reuses run/, so that no file overwrites another."""
     d = tmp_path_factory.mktemp("readme")
     for alpha, seed, name in (("4", "1", "env1.csv"), ("8", "2", "env2.csv")):
         assert main(["simulate", "--alpha", alpha, "--n", "50000",
                      "--seed", seed, "--out", str(d / name)]) == 0
     (d / "schema.json").write_text('{"columns": {}}\n')
+    (d / "pag.txt").write_text(PAG_TEXT)
+    pag = ["--graph", str(d / "pag.txt")]
     assert main(["learn-pag", *readme_data(d), "--out", str(d / "run")]) == 0
+    assert main(["search", *pag, *readme_data(d), "--target", "Y",
+                 "--out", str(d / "search")]) == 0
+    assert main(["search", *readme_data(d), "--target", "Y",
+                 "--out", str(d / "run-learned")]) == 0
+    assert main(["sweep", *pag, "--grid-points", "100",
+                 "--out", str(d / "sweep")]) == 0
     return d
 
 
@@ -671,6 +704,15 @@ class TestReadmeFlow:
                      "--out", str(out)]) == 0
         assert capsys.readouterr().out.strip() == "interventional[X2,X3]"
         assert "mutable set: ['X1']" in (out / "log.txt").read_text()
+
+    def test_run_directories_are_pinned(self, readme_run):
+        # every file the flows write, byte for byte, with the run's own
+        # path, which the logs name, replaced by a fixed token
+        token = str(readme_run).encode()
+        digests = {str(p.relative_to(readme_run)): hashlib.sha256(
+            p.read_bytes().replace(token, b"<run>")).hexdigest()[:16]
+            for p in sorted(readme_run.rglob("*")) if p.is_file()}
+        assert digests == README_DIGESTS
 
 
 PRACTICE_LEVELS = {"A": 2, "Y": 2, "B": 2, "L": 2}

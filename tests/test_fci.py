@@ -115,6 +115,48 @@ class TestMarks:
         assert m.mark(1, 0) == CIRCLE and m.mark(0, 1) == CIRCLE
 
 
+def marks_of(n: int, edges) -> _Marks:
+    """A mark store over positions 0 to n - 1 holding each edge (u, v, mark
+    at u, mark at v)."""
+    adj = [0] * n
+    for u, v, _, _ in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    marks = _Marks(adj)
+    for u, v, at_u, at_v in edges:
+        for x, y, mark in ((v, u, at_u), (u, v, at_v)):
+            if mark != CIRCLE:
+                marks.set_mark(x, y, mark)
+    return marks
+
+
+class TestDiscriminatingRule:
+    """R4 on positions a1 = 0, a2 = 1, b = 2, c = 3 and the path starts
+    d = 4 and 5: a1 and a2 are parents of c, b o-> a1, b o-> a2, b o-o c,
+    and no d is adjacent to c."""
+
+    EDGES = [(0, 3, TAIL, ARROW), (1, 3, TAIL, ARROW), (2, 0, CIRCLE, ARROW),
+             (2, 1, CIRCLE, ARROW), (2, 3, CIRCLE, CIRCLE)]
+
+    def test_every_end_of_the_paths_gets_an_arrowhead(self):
+        # d o-> a1 and d o-> a2: two discriminating paths for b, one per end
+        marks = marks_of(5, self.EDGES + [(4, 0, CIRCLE, ARROW),
+                                          (4, 1, CIRCLE, ARROW)])
+        assert any([*fci_module._rule_discriminating(marks, {})])
+        assert [marks.mark(a, 2) for a in (0, 1, 3)] == [ARROW] * 3
+        assert marks.mark(2, 3) == ARROW
+
+    def test_no_path_acts_once_the_circle_at_b_is_refined(self):
+        # d = 4 reaches a1 and has b in Sepset(c, d): b --> c. Then d = 5,
+        # which reaches a2 without b in its sepset, no longer finds b o-* c
+        marks = marks_of(6, self.EDGES + [(4, 0, CIRCLE, ARROW),
+                                          (5, 1, CIRCLE, ARROW)])
+        refined = [*fci_module._rule_discriminating(marks, {(3, 4): 1 << 2})]
+        assert refined == [True]
+        assert (marks.mark(3, 2), marks.mark(2, 3)) == (TAIL, ARROW)
+        assert marks.mark(0, 2) == marks.mark(1, 2) == CIRCLE
+
+
 class TestFiniteSampleConflicts:
     def test_conflicting_orientation_keeps_the_first_mark(self):
         # the last draw's rules ask for both refinements of one mark
@@ -214,14 +256,15 @@ class TestFciExactOracle:
         # what data FCI learns and reports on the first 500 pooled draws:
         # the PAG, the CI-test counts, the separating sets and the rule
         # firings, which a change to the adjacency search, the orientation
-        # rules or the oracle's stream would move
+        # rules or the oracle's stream would move. Checking R4's circle at b
+        # before each path took an arrowhead off draw 68's V4 <-> V5
         texts = []
         for _, tables in pooled_draws(500):
             report: dict = {}
             pag = pooled_fci(tables, report=report)
             texts.append(serialize(pag) + json.dumps(report))
         digest = hashlib.sha256("".join(texts).encode()).hexdigest()
-        assert digest.startswith("fb5e7ca463f5577c")
+        assert digest.startswith("d2989844978adeab")
 
     def test_knowledge_respected_on_random_admgs(self):
         rng = random.Random(7)
