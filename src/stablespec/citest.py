@@ -3,7 +3,7 @@
 ``fisher_z_test`` is the classic partial-correlation test for continuous
 columns. It reads the correlation matrix a table computes once over all of
 its columns (``DataTable.correlation``), so after the first test on a table
-each test inverts only the |S|+2 square submatrix, whatever the row count.
+each test factors only the |S|+2 square submatrix, whatever the row count.
 ``degenerate_gaussian_test`` handles mixed continuous/discrete columns by
 one-hot embedding discrete levels (dropping the last) and comparing Gaussian
 likelihoods with and without the a-b dependence: a Bartlett-corrected
@@ -16,8 +16,8 @@ a pseudo-inverse that drops eigenvalues at or below ``MIN_UNEXPLAINED``,
 so a rank-deficient s (a level that never occurs, collinear columns) is
 allowed. A column of a or b is degenerate where its share of variance
 left unexplained by s and the columns of its block before it is at most
-``MIN_UNEXPLAINED``: the rank rule of ``data.cholesky``, which the
-environment test and the linear backend of ``estimate`` apply too,
+``MIN_UNEXPLAINED``: the rank rule of ``data.cholesky``, which Fisher-z,
+the environment test and the linear backend of ``estimate`` apply too,
 stated on the correlation scale so that it survives the squared condition
 number of a Gram matrix.
 
@@ -70,16 +70,11 @@ the index of its first independent set.
 ``_decisions`` routes each row to its test: the rows of pairs with the
 environment column are factored with one stacked ``data.cholesky`` call;
 the rows that the environment test leaves to the chosen test, and all
-the others, are one batch of it. Fisher-z screens it
-(``_fisher_z_screen``): it gathers the [*s, a, b] submatrices with one
+the others, are one batch of it. Fisher-z
+(``_fisher_z_statistics``) gathers the [*s, a, b] submatrices with one
 fancy index and factors them with one stacked ``data.cholesky`` call,
-whose last 2 x 2 block gives each partial correlation, and decides each
-statistic st on st (1 -+ ``SCREEN_DELTA``), a bracket that holds the
-statistic of the inverse. The rows it leaves (a statistic within that
-bracket of a critical value, a constant column, a small pivot, |r| near
-1, a failed factorization, too few rows) are inverted with one stacked
-``np.linalg.inv``, which defines every statistic that is reported; any
-other test runs set by set, on the row's names. The statistics are
+whose last row gives each partial correlation; any other test runs set by
+set, on the row's names. The statistics are
 finished in numpy and compared with the critical values of (alpha, dof)
 (``critical_values``, computed once by bisection on the closed-form tails
 below, dof 0 for the normal tail). A statistic between them, whose tail is
@@ -91,11 +86,7 @@ it; a row's names are looked up only to name the column at fault, or to
 run a test other than Fisher-z. LAPACK runs the same routine on each
 matrix of a stack, so a set's statistic is the same in any batch;
 ``fisher_z_test`` and ``environment_test`` are batches of one and report
-the statistics that the decisions read, and every screened decision is
-the one the inverse's statistic gives. On the learn-wide benchmark's seed
-0 this puts FCI's 1,448 decided tests in 13 calls, one per adjacency
-level, with 13 stacked Fisher-z factorizations, no inverse, and 13
-stacked factorizations for the environment test.
+the statistics that the decisions read.
 
 All p-values come in closed form: the two-sided normal tail as
 ``erfc(z / sqrt 2)``, and the chi-square upper tail at integer degrees of
@@ -253,9 +244,9 @@ def _decisions(test: Callable, data: DataTable, rows: np.ndarray,
     estimated only where the critical values fall between them. The rows
     that the environment test leaves to ``test``, and all the others, are
     one batch of ``test``: Fisher-z decides it in numpy against its critical
-    values, by ``_fisher_z_screen`` and, for the rows that the screen
-    leaves, by ``_fisher_z_statistics``; any other test runs set by set, on
-    the row's names, as the decisions are resolved.
+    values, from the statistics of one ``_fisher_z_statistics`` call; any
+    other test runs set by set, on the row's names, as the decisions are
+    resolved.
     """
     decided = np.full(len(rows), -1)
     by_test = np.ones(len(rows), dtype=bool)  # the rows ``test`` answers
@@ -272,9 +263,7 @@ def _decisions(test: Callable, data: DataTable, rows: np.ndarray,
                                    alpha)
         by_test[envs] = parts.fallback
     tested = np.flatnonzero(by_test)
-    if test is fisher_z_test:   # the inverse decides what the screen leaves
-        decided[tested] = _fisher_z_screen(data, rows[tested], alpha)
-        tested = tested[decided[tested] == -1]
+    if test is fisher_z_test:
         statistics, errors = _fisher_z_statistics(data, rows[tested])
         decided[tested] = _bracketed(statistics, statistics, 0, alpha)
     names = data.names
@@ -329,12 +318,10 @@ def firsts_at(test: Callable, data: DataTable, rows: np.ndarray,
     is the contract of the ``firsts`` that an fci oracle's ``bind``
     returns, on learn positions: ``fci.DataOracle``'s puts fci's rows at
     the table's columns and calls this. One
-    ``_decisions`` call decides them all: Fisher-z with one stacked
-    Cholesky factorization and one stacked ``np.linalg.inv`` of the rows
-    that the screen leaves, the environment test with one stacked Cholesky
-    factorization, each statistic compared with the critical values of
-    alpha (``critical_values``); only a statistic between them takes its
-    own p-value."""
+    ``_decisions`` call decides them all: Fisher-z and the environment
+    test each with one stacked Cholesky factorization, each statistic
+    compared with the critical values of alpha (``critical_values``); only
+    a statistic between them takes its own p-value."""
     out: list = [None] * len(counts)
     if not len(rows):
         return out
@@ -362,90 +349,22 @@ def firsts_at(test: Callable, data: DataTable, rows: np.ndarray,
     return out
 
 
-# The Fisher-z screen (``_fisher_z_screen``). The screen and the inverse
-# read the partial correlation r from the same correlation submatrix through
-# backward-stable LAPACK factorizations, so to first order each r is within
-# eps = k u / share of the exact one: u = 2^-53, k the matrix size, and share
-# its smallest squared pivot, the least share of a column's variance that
-# the columns before it leave, whose inverse bounds how far s amplifies a
-# rounding error in the partial covariance of a and b. With share >=
-# SCREEN_MIN_SHARE and k <= 32, eps <= 3.6e-12. The statistic is
-# sqrt(n - |s| - 3) |atanh r|, and atanh multiplies an error in r by
-# 1 / (1 - r^2), so the two statistics differ by at most a relative
-# 2 eps / ((1 - r^2) atanh |r|): below 7.3e-9 for SCREEN_MIN_R <= |r| <=
-# SCREEN_MAX_R, a fourteenth of SCREEN_DELTA. Below SCREEN_MIN_R they differ
-# by at most sqrt(n - |s| - 3) 7.2e-12, a fourteenth of the bracket's
-# half-width there, which stays at SCREEN_DELTA sqrt(n - |s| - 3)
-# SCREEN_MIN_R. (The margin of fourteen also covers k up to about 450.) So
-# the inverse's statistic lies within the bracket around the screened one,
-# and where no critical value does either (``_bracketed``), the decision is
-# the inverse's.
-SCREEN_DELTA = 1e-7
-SCREEN_MIN_SHARE = 1e-3
-SCREEN_MIN_R = 1e-3
-SCREEN_MAX_R = 1.0 - 1e-4
-
-
-def _fisher_z_screen(data: DataTable, rows: np.ndarray,
-                     alpha: float) -> np.ndarray:
-    """Fisher-z decisions on each row [a, b, *s] of ``rows``, column
-    positions with all s of one size, as ``_bracketed`` gives them: 1 or 0
-    where the screen decides, -1 where the inverse must
-    (``_fisher_z_statistics``).
-
-    The [*s, a, b] submatrices of the table's correlation matrix are
-    gathered by one fancy index and factored by one stacked
-    ``data.cholesky`` call; the last 2 x 2 block [[l_aa, 0], [l_ba, l_bb]]
-    of a factor gives r = l_ba / sqrt(l_ba^2 + l_bb^2), and the statistic st
-    is decided on st (1 -+ SCREEN_DELTA), a bracket at least SCREEN_DELTA
-    sqrt(n - |s| - 3) SCREEN_MIN_R wide on each side (see the constants).
-    The inverse decides a row whose bracket holds a critical value, one
-    holding a constant column, one whose smallest squared pivot is below
-    SCREEN_MIN_SHARE or whose |r| is above SCREEN_MAX_R, every row where
-    the stacked factorization fails, and every row where n <= |s| + 3.
-    """
-    decided = np.full(len(rows), -1)
-    n, size = data.n_rows, rows.shape[1] - 2
-    if n <= size + 3:
-        return decided
-    corr = data.correlation()
-    constant = np.isnan(corr.diagonal())
-    screened = np.flatnonzero(~constant[rows].any(axis=1)) \
-        if constant.any() else slice(None)
-    order = rows[screened]
-    if not len(order):
-        return decided
-    order = np.concatenate((order[:, 2:], order[:, :2]), axis=1)  # [*s, a, b]
-    chol = cholesky(corr[order[:, :, None], order[:, None, :]])
-    if chol is None:   # some matrix is singular: the inverse says which
-        return decided
-    k = size + 2
-    pivots = chol.reshape(-1, k * k)[:, ::k + 1]
-    ba, bb = chol[:, -1, -2], chol[:, -1, -1]
-    r = np.abs(ba) / np.sqrt(ba * ba + bb * bb)
-    root = math.sqrt(n - size - 3)
-    with np.errstate(divide="ignore"):
-        st = root * np.arctanh(r)
-    # NaN where a guard holds: ``_bracketed`` leaves it to the inverse
-    st[(pivots.min(axis=1) < math.sqrt(SCREEN_MIN_SHARE)) |
-       (r > SCREEN_MAX_R)] = np.nan
-    half = SCREEN_DELTA * np.maximum(st, root * SCREEN_MIN_R)
-    decided[screened] = _bracketed(st - half, st + half, 0, alpha)
-    return decided
-
-
 def _fisher_z_statistics(data: DataTable, rows: np.ndarray
                          ) -> tuple[np.ndarray, dict[int, Exception]]:
     """The Fisher-z statistic of each row [a, b, *s] of ``rows``, column
     positions with all s of one size, and the error of each row whose test
     cannot be run (its statistic is NaN).
 
-    The |s|+2 square submatrices of the table's correlation matrix are
-    gathered by one fancy index and inverted by one stacked
-    ``np.linalg.inv``, except those holding a NaN (a constant column); if
-    that call fails, each is inverted alone, and a singular one is an
-    error. LAPACK runs the same routine on each matrix of a stack, so a
-    row's statistic is the same in any batch.
+    The [*s, a, b] submatrices of the table's correlation matrix are
+    gathered by one fancy index, except those holding a constant column,
+    and factored by one stacked ``data.cholesky`` call under the rank rule
+    of ``MIN_UNEXPLAINED``; the last row [l_ba, l_bb] of a factor gives
+    |r| = |l_ba| / sqrt(l_ba^2 + l_bb^2). If that call fails, each matrix
+    is factored alone. Where it does not factor but [*s, a] and [*s, b] do,
+    b is a linear function of s and a up to the rank rule: |r| = 1. Any
+    other is singular, an error. |r| is clipped at 1 - 1e-12. LAPACK runs
+    the same routine on each matrix of a stack, so a row's statistic is the
+    same in any batch.
     """
     if not len(rows):
         return np.empty(0), {}
@@ -453,34 +372,37 @@ def _fisher_z_statistics(data: DataTable, rows: np.ndarray
     n, size = data.n_rows, rows.shape[1] - 2
     if n <= size + 3:
         raise DataError("too few rows for the conditioning set size")
-    # broadcast index arrays: np.ix_ would cost more than the lookup itself
-    corr = data.correlation()[rows[:, :, None], rows[:, None, :]]
+    corr = data.correlation()
+    constant = np.isnan(corr.diagonal())[rows]
     errors: dict[int, Exception] = {}
-    for j in np.flatnonzero(np.isnan(corr).any(axis=(1, 2))).tolist():
-        k = np.isnan(corr[j].diagonal()).argmax()
+    for j in np.flatnonzero(constant.any(axis=1)).tolist():
         errors[j] = DegenerateDataError(
             f"constant column in correlation matrix: "
-            f"{data.names[rows[j, k]]}")
-    ok = np.ones(len(rows), dtype=bool)
-    ok[list(errors)] = False
-    prec = np.full((len(rows), 2, 2), np.nan)
-    try:  # the a-b block of each precision matrix
-        if errors:
-            prec[ok] = np.linalg.inv(corr[ok])[:, :2, :2]
-        else:
-            prec = np.linalg.inv(corr)[:, :2, :2]
-    except np.linalg.LinAlgError:
-        for j in np.flatnonzero(ok).tolist():
-            try:
-                prec[j] = np.linalg.inv(corr[j])[:2, :2]
-            except np.linalg.LinAlgError:
+            f"{data.names[rows[j, constant[j].argmax()]]}")
+    ok = np.flatnonzero(~constant.any(axis=1)) if errors else slice(None)
+    order = np.concatenate((rows[ok, 2:], rows[ok, :2]), axis=1)  # [*s, a, b]
+    # broadcast index arrays: np.ix_ would cost more than the lookup itself
+    sub = corr[order[:, :, None], order[:, None, :]]
+    tol = math.sqrt(MIN_UNEXPLAINED)
+    last = np.full((len(rows), 2), np.nan)  # [l_ba, l_bb] of each factor
+    chol = cholesky(sub, tol)
+    if chol is not None:
+        last[ok] = chol[:, -1, -2:]
+    else:
+        sb = np.r_[:size, size + 1]
+        for j, m in zip(np.arange(len(rows))[ok].tolist(), sub):
+            chol = cholesky(m, tol)
+            if chol is not None:
+                last[j] = chol[-1, -2:]
+            elif cholesky(m[:-1, :-1], tol) is not None and \
+                    cholesky(m[sb[:, None], sb], tol) is not None:
+                last[j] = 1.0, 0.0
+            else:
                 errors[j] = DegenerateDataError(
                     "singular covariance submatrix")
-    with np.errstate(invalid="ignore", divide="ignore"):
-        r = -prec[:, 0, 1] / np.sqrt(prec[:, 0, 0] * prec[:, 1, 1])
-        # np.clip, without its dispatch cost; NaN stays NaN
-        r = np.minimum(np.maximum(r, -1.0 + 1e-12), 1.0 - 1e-12)
-        return math.sqrt(n - size - 3) * np.abs(np.arctanh(r)), errors
+    ba, bb = last.T
+    r = np.minimum(np.abs(ba) / np.sqrt(ba * ba + bb * bb), 1.0 - 1e-12)
+    return math.sqrt(n - size - 3) * np.arctanh(r), errors
 
 
 def _fisher_z_result(statistic: float) -> CITestResult:

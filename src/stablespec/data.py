@@ -91,7 +91,7 @@ def cholesky(a: np.ndarray, tol: float = 0.0) -> np.ndarray | None:
     # a NaN in the lower triangle reaches a pivot and fails the comparison;
     # the strided view reads the pivots cheaper than np.diagonal
     k = a.shape[-1]
-    if k and not chol.reshape(-1, k * k)[:, ::k + 1].min() > tol:
+    if chol.size and not chol.reshape(-1, k * k)[:, ::k + 1].min() > tol:
         return None
     return chol
 

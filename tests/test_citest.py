@@ -1,8 +1,12 @@
+import decimal
 import gc
 import itertools
 import math
+import operator
 import warnings
 import weakref
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,17 +25,43 @@ from util import (
 )
 
 
-def rowwise_fisher_z(data, a, b, s):
-    """Reference Fisher-z test: the correlation matrix of the stacked
-    [a, b, *s] rows, recomputed for every test."""
-    s = sorted(s)
-    n = data.n_rows
-    # each variable a contiguous row, so its mean is numpy's pairwise sum
-    corr = np.corrcoef(np.ascontiguousarray(data.matrix([a, b, *s]).T))
-    prec = np.linalg.inv(corr)
-    r = -prec[0, 1] / math.sqrt(prec[0, 0] * prec[1, 1])
-    r = min(max(r, -1.0 + 1e-12), 1.0 - 1e-12)
-    statistic = math.sqrt(n - len(s) - 3) * abs(math.atanh(r))
+def exact_scatter(data):
+    """The centred scatter matrix of the columns of ``data``, in ``names``
+    order, scaled by a positive factor per column so that every entry is
+    an exact integer: each column is its values' integer numerators over
+    one power of two, and n sum x_j x_k - sum x_j sum x_k is summed in
+    Python integers. A partial correlation is the same on either scale."""
+    numerators = []
+    for name in data.names:
+        ratios = [x.as_integer_ratio() for x in data.column(name).tolist()]
+        den = max(d for _, d in ratios)
+        numerators.append([m * (den // d) for m, d in ratios])
+    n, sums = data.n_rows, [sum(col) for col in numerators]
+    return [[n * sum(map(operator.mul, x, y)) - sx * sy
+             for y, sy in zip(numerators, sums)]
+            for x, sx in zip(numerators, sums)]
+
+
+def exact_fisher_z(data, scatter, a, b, s):
+    """Reference Fisher-z test: the statistic of a and b given s from the
+    exact partial correlation of ``exact_scatter``'s matrix, r^2 as a
+    fraction and atanh |r| in 40-digit decimals, clipped as the test clips
+    it; and its two-sided normal tail. Rounding the statistic and taking
+    ``math.erfc`` adds a relative error of about z^2 1e-16 to the tail."""
+    idx = data.positions([*s, a, b])
+    m = [[Fraction(scatter[i][j]) for j in idx] for i in idx]
+    for k in range(len(s)):   # partial out s, one column at a time
+        for i in range(k + 1, len(idx)):
+            for j in range(k + 1, len(idx)):
+                m[i][j] -= m[i][k] * m[k][j] / m[k][k]
+    r2 = m[-1][-2] ** 2 / (m[-2][-2] * m[-1][-1])
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        r = (Decimal(r2.numerator) / r2.denominator).sqrt()
+        r = min(r, 1 - Decimal("1e-12"))
+        z = ((1 + r) / (1 - r)).ln() / 2 * \
+            Decimal(data.n_rows - len(s) - 3).sqrt()
+    statistic = float(z)
     return statistic, math.erfc(statistic / math.sqrt(2.0))
 
 
@@ -133,15 +163,18 @@ class TestFisherZ:
                 rng.integers(0, 2, n)
             cols["m"] = rng.integers(0, 4, n).astype(float)
             t = DataTable(cols, kinds={"k": 3, "m": 4})
+            scatter = exact_scatter(t)
             for _ in range(10):
                 a, b, *rest = rng.permutation(names)
                 s = list(rest[:rng.integers(0, 4)])
                 got = fisher_z_test(t, a, b, s)
-                statistic, p = rowwise_fisher_z(t, a, b, s)
+                statistic, p = exact_fisher_z(t, scatter, a, b, s)
                 assert got.statistic == pytest.approx(statistic, rel=1e-12,
                                                       abs=1e-12)
-                assert got.p_value == pytest.approx(p, rel=1e-12,
-                                                    abs=1e-300)
+                # the statistic's relative error, carried through the
+                # normal tail: d ln p / dz is about -z
+                assert got.p_value == pytest.approx(
+                    p, rel=max(statistic, 1.0) ** 2 * 1e-12, abs=1e-300)
 
     def test_correlation_computed_once_per_table(self):
         rng = np.random.default_rng(2)
@@ -963,13 +996,12 @@ def routed(test, t, rows, alpha):
 
 
 class TestFisherZScreen:
-    """``firsts_at`` with Fisher-z, which decides most sets on a stacked
-    Cholesky factor and hands the rest to the inverse, against
-    ``fisher_z_test`` asked one set at a time."""
+    """``firsts_at`` with Fisher-z, which decides every set on one stacked
+    Cholesky factor, against ``fisher_z_test`` asked one set at a time."""
 
     def table(self, n=2000):
         # near is s1 up to a share of 1e-4 of its variance, and twin is a
-        # up to a share of 1e-6: the screen leaves both to the inverse
+        # up to a share of 1e-6, both above the rank rule
         rng = np.random.default_rng(38)
         s0, s1, s2, e1, e2, e3, e4 = rng.normal(size=(7, n))
         a = 0.5 * s0 + e1
@@ -981,73 +1013,94 @@ class TestFisherZScreen:
     def check(self, monkeypatch, t, queries, alpha):
         """Asserts that one ``firsts_at`` call on ``queries`` (a, b, [s,
         ...]) of names decides what the loop decides, an error as the
-        error the loop raises; returns the rows, as names, that the inverse
-        got."""
-        inverted, statistics = [], citest._fisher_z_statistics
+        error the loop raises; returns the statistics that took their own
+        p-value in that call."""
+        own, result = [], citest._fisher_z_result
 
-        def spy(data, rows):
-            inverted.extend(tuple(data.names[v] for v in row)
-                            for row in rows.tolist())
-            return statistics(data, rows)
+        def spy(statistic):
+            own.append(statistic)
+            return result(statistic)
 
         with monkeypatch.context() as patch:
-            patch.setattr(citest, "_fisher_z_statistics", spy)
+            patch.setattr(citest, "_fisher_z_result", spy)
             got = firsts_at(fisher_z_test, t, *stacked(t, queries), alpha)
         want = [outcome(lambda: loop_first(
             lambda s: fisher_z_test(t, a, b, s).p_value >= alpha, sets))
             for a, b, sets in queries]
         assert [(type(g), str(g)) if isinstance(g, Exception) else g
                 for g in got] == want
-        return set(inverted)
+        return own
 
     def test_alpha_at_a_p_value_takes_the_bracket_path(self, monkeypatch):
         t = self.table()
         subsets = [["s0"], ["s1"], ["s2"], ["near"]]
         queries = [("a", "b", [s]) for s in subsets]
         for s in subsets:
-            p = fisher_z_test(t, "a", "b", s).p_value
-            found = set()
+            statistic = fisher_z_test(t, "a", "b", s).statistic
+            p = normal_two_sided_p(statistic)
             for alpha in (p, float(np.nextafter(p, 2.0))):
-                found.add(tuple(self.check(monkeypatch, t, queries, alpha)))
-            # at its own p-value, and a step above, only this set's
-            # statistic lies near the critical value
-            assert found == {(("a", "b", *s),)}
+                # at its own p-value, and a step above, only this set's
+                # statistic lies near the critical value
+                assert self.check(monkeypatch, t, queries, alpha) == \
+                    [statistic]
 
-    def test_guards_take_the_inverse_path(self, monkeypatch):
+    def test_near_collinear_and_near_one_rows_match_the_loop(
+            self, monkeypatch):
         t = self.table()
         near_collinear = ("a", "b", ["near", "s1"])
         near_one = ("a", "twin", ["s0", "s2"])
         plain = ("a", "b", ["s0", "s2"])
         r = fisher_z_test(t, *near_one[:2], near_one[2]).statistic
-        assert math.tanh(r / math.sqrt(t.n_rows - 5)) > citest.SCREEN_MAX_R
+        assert math.tanh(r / math.sqrt(t.n_rows - 5)) > 1.0 - 1e-4
         for alpha in (0.01, 0.5):
-            inverted = self.check(monkeypatch, t, [
+            assert self.check(monkeypatch, t, [
                 (a, b, [s]) for a, b, s in (near_collinear, near_one,
-                                            plain)], alpha)
-            assert inverted == {("a", "b", "near", "s1"),
-                                ("a", "twin", "s0", "s2")}
+                                            plain)], alpha) == []
 
     def test_constant_column_is_an_error_of_its_own_query(self,
                                                            monkeypatch):
         t = self.table()
-        inverted = self.check(monkeypatch, t, [
+        self.check(monkeypatch, t, [
             ("a", "b", [["c"], ["s0"]]), ("a", "b", [["s0"], ["c"]]),
             ("a", "b", [["s2"]])], 0.05)
-        assert inverted == {("a", "b", "c")}
 
     @pytest.mark.parametrize("size", [1, 2])
     def test_rows_at_and_below_the_set_size(self, monkeypatch, size):
         # on five rows, sets of one leave one degree of freedom, n = |s| + 4,
-        # and the screen decides them; sets of two leave too few rows, an
-        # error of every query of the call
+        # and are decided; sets of two leave too few rows, an error of every
+        # query of the call
         t = self.table(n=5)
         queries = [("a", "b", [["s0", "s1", "s2"][i:i + size]])
                    for i in range(2)]
         for alpha in (0.01, 0.5, 0.99):
-            inverted = self.check(monkeypatch, t, queries, alpha)
-            assert inverted == (set() if size == 1 else
-                                {("a", "b", "s0", "s1"),
-                                 ("a", "b", "s1", "s2")})
+            self.check(monkeypatch, t, queries, alpha)
+        if size == 2:
+            with pytest.raises(DataError, match="too few rows"):
+                fisher_z_test(t, *queries[0][:2], queries[0][2][0])
+
+    def test_set_that_determines_a_side(self, monkeypatch):
+        # a = w0 b + w1 c: given {b, c}, a is fixed, so a and d cannot be
+        # tested; given {c}, a and b determine each other, |r| = 1
+        singular = (DegenerateDataError, "singular covariance submatrix")
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            b, c, d, f = rng.normal(size=(4, 500))
+            w0, w1 = rng.normal(size=2)
+            t = DataTable({"a": w0 * b + w1 * c, "b": b, "c": c,
+                           "d": d + b, "f": f})
+            assert outcome(lambda: fisher_z_test(t, "a", "d", ["b", "c"])) \
+                == singular
+            assert fisher_z_test(t, "a", "b", ["c"]).p_value < 1e-40
+            # in one batch the error stays with its own query
+            queries = [("d", "f", [["b", "c"]]), ("a", "d", [["b", "c"]]),
+                       ("a", "d", [["c", "f"], ["b", "c"]]),
+                       ("a", "d", [["b", "f"], ["c", "f"]])]
+            got = firsts_at(fisher_z_test, t, *stacked(t, queries), 0.05)
+            assert [isinstance(g, DegenerateDataError) for g in got] == \
+                [False, True, True, False]
+            self.check(monkeypatch, t, queries, 0.05)
+            self.check(monkeypatch, t, [("a", "b", [["c"]]),
+                                        ("a", "b", [["d"], ["f"]])], 0.05)
 
 
 class TestDecisions:

@@ -872,9 +872,9 @@ class TestBatchedOracle:
         pooled = wide_pooled(7, 2, rows, 0)
         oracle = DataOracle(pooled)
         levels, calls, pulled = [], [], [0]
-        screening = [False]
+        in_fisher_z = [False]
         stream, subset_rows = fci_module._stream, fci_module._subset_rows
-        decisions, screen = citest._decisions, citest._fisher_z_screen
+        decisions, statistics = citest._decisions, citest._fisher_z_statistics
         factor, inv = citest.cholesky, np.linalg.inv
 
         def counted(pools, size):
@@ -890,22 +890,20 @@ class TestBatchedOracle:
             return got
 
         def decide(*args):
-            # per call: Fisher-z factorizations, the rows the screen
-            # leaves, and the matrices inverted
-            calls.append({"factored": 0, "left": 0, "inverted": 0})
+            # per call: stacked Fisher-z factorizations, and matrices
+            # inverted
+            calls.append({"factored": 0, "inverted": 0})
             return decisions(*args)
 
-        def screened(*args):
-            screening[0] = True
+        def fisher_z(*args):
+            in_fisher_z[0] = True
             try:
-                got = screen(*args)
+                return statistics(*args)
             finally:
-                screening[0] = False
-            calls[-1]["left"] += int((got == -1).sum())
-            return got
+                in_fisher_z[0] = False
 
         def factored(a, *rest):
-            calls[-1]["factored"] += screening[0]
+            calls[-1]["factored"] += in_fisher_z[0] and a.ndim == 3
             return factor(a, *rest)
 
         def inverted(m):
@@ -915,15 +913,15 @@ class TestBatchedOracle:
         monkeypatch.setattr(fci_module, "_stream", level)
         monkeypatch.setattr(fci_module, "_subset_rows", counted)
         monkeypatch.setattr(citest, "_decisions", decide)
-        monkeypatch.setattr(citest, "_fisher_z_screen", screened)
+        monkeypatch.setattr(citest, "_fisher_z_statistics", fisher_z)
         monkeypatch.setattr(citest, "cholesky", factored)
         monkeypatch.setattr(np.linalg, "inv", inverted)
         report = {}
         fci(oracle, pooled.names, self.KNOWLEDGE, report=report)
         # at most one stacked factorization of Fisher-z rows per call, and
-        # the inverse gets only the rows that the screen leaves
-        assert calls and all(c["factored"] <= 1 and
-                             c["inverted"] == c["left"] for c in calls)
+        # no inverse
+        assert calls and all(c["factored"] <= 1 and c["inverted"] == 0
+                             for c in calls)
         # at most one factorization per (phase, size) level and per further
         # call's worth of sets, and each stacks the sets of many pairs
         for pulled, cap, stacked in levels:
@@ -932,7 +930,6 @@ class TestBatchedOracle:
         assert 0 < factorizations <= sum(1 + pulled // cap
                                          for pulled, cap, _ in levels)
         assert 10 * factorizations < report["ci_tests"]
-        assert 10 * sum(c["left"] for c in calls) < report["ci_tests"]
 
     def test_batches_are_capped(self):
         # a pool of 17 candidates, positions 6 to 22, gives 680 subsets of
