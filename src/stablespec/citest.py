@@ -1,25 +1,20 @@
 """Conditional independence tests on tabular data.
 
 ``fisher_z_test`` is the classic partial-correlation test for continuous
-columns. It reads the correlation matrix a table computes once over all of
-its columns (``DataTable.correlation``), so after the first test on a table
-each test factors only the |S|+2 square submatrix, whatever the row count.
-``degenerate_gaussian_test`` handles mixed continuous/discrete columns by
-one-hot embedding discrete levels (dropping the last) and comparing Gaussian
-likelihoods with and without the a-b dependence: a Bartlett-corrected
-Wilks statistic over the canonical correlations of a and b given s. It
-reads the correlation matrix of the embedding of all columns, which a
-table computes once from one centred scatter (``DataTable.embedding``), so
-after the first test on a table each test costs O(w^3) in the embedded
-width w of [s, a, b], whatever the row count. s is partialled out through
-a pseudo-inverse that drops eigenvalues at or below ``MIN_UNEXPLAINED``,
-so a rank-deficient s (a level that never occurs, collinear columns) is
-allowed. A column of a or b is degenerate where its share of variance
-left unexplained by s and the columns of its block before it is at most
-``MIN_UNEXPLAINED``: the rank rule of ``data.cholesky``, which Fisher-z,
-the environment test and the linear backend of ``estimate`` apply too,
-stated on the correlation scale so that it survives the squared condition
-number of a Gram matrix.
+columns, on the correlation matrix a table computes once over all of its
+columns (``DataTable.correlation``). ``degenerate_gaussian_test`` handles
+mixed continuous/discrete columns by one-hot embedding discrete levels
+(dropping the last) and comparing Gaussian likelihoods with and without
+the a-b dependence: a Bartlett-corrected Wilks statistic, on the
+correlation matrix of the embedding (``DataTable.embedding``). A test
+factors one submatrix, whatever the row count, under the rank rule of
+``data.cholesky``, which the environment test and ``estimate`` apply too:
+a column is degenerate where its share of variance left unexplained by
+the columns before it is at most ``MIN_UNEXPLAINED``, on the correlation
+scale so that it survives the squared condition number of a Gram matrix.
+A degenerate a or b is an error of both tests; a degenerate column of s
+(a level that never occurs, collinear columns) is dropped by the
+degenerate-Gaussian test and is an error of Fisher-z.
 
 ``environment_test`` is the test for a pair whose one side is the table's
 environment column E and whose other side is a continuous variable X: it
@@ -55,38 +50,29 @@ every environment (S degenerate there, an environment with too few rows
 for |S|, X degenerate everywhere, a single environment), ``fallback``
 answers on the pooled rows. The residual variances come from the
 per-environment correlation matrices a table computes once
-(``DataTable.correlations``), so a test costs one batched Cholesky
-factorization of m + 1 small matrices, whatever the row count.
-Each set of a pair with the environment column is routed here by
-``firsts_at``, which estimates the kurtosis only where it can change the
-decision.
+(``DataTable.correlations``), so a test factors m + 1 small matrices,
+whatever the row count.
 
 Batched CI decisions. ``firsts_at`` is the one batch entry: it takes the
 conditioning sets of one size of many pairs at once, as one array of rows
 [a, b, *s] of column positions that ``fci`` builds and ``fci.DataOracle``
 puts at the table's columns (it checks nothing), each pair's rows in
 order, with the number of rows of each pair, and returns for each pair
-the index of its first independent set.
-``_decisions`` routes each row to its test: the rows of pairs with the
-environment column are factored with one stacked ``data.cholesky`` call;
-the rows that the environment test leaves to the chosen test, and all
-the others, are one batch of it. Fisher-z
-(``_fisher_z_statistics``) gathers the [*s, a, b] submatrices with one
-fancy index and factors them with one stacked ``data.cholesky`` call,
-whose last row gives each partial correlation; any other test runs set by
-set, on the row's names. The statistics are
+the index of its first independent set. ``_decisions`` routes each row to
+its test: the environment test, or the chosen test on the others and on
+the rows the environment test leaves to it. Each test gathers its
+submatrices with one fancy index per shape and factors them with one
+stacked ``data.cholesky`` call (``_factor_tails``). The statistics are
 finished in numpy and compared with the critical values of (alpha, dof)
-(``critical_values``, computed once by bisection on the closed-form tails
-below, dof 0 for the normal tail). A statistic between them, whose tail is
-within ``CRITICAL_MARGIN`` of alpha, and an environment statistic whose
-kurtosis correction can carry it across them, takes its own p-value, so
-every decision is exactly ``p_value >= alpha``. A set that cannot be
+(``critical_values``). A statistic between them, whose tail is within
+``CRITICAL_MARGIN`` of alpha, and an environment statistic whose kurtosis
+correction can carry it across them, takes its own p-value, so every
+decision is exactly ``p_value >= alpha``. A set that cannot be
 tested is an error of its own pair only, returned where that pair reaches
-it; a row's names are looked up only to name the column at fault, or to
-run a test other than Fisher-z. LAPACK runs the same routine on each
-matrix of a stack, so a set's statistic is the same in any batch;
-``fisher_z_test`` and ``environment_test`` are batches of one and report
-the statistics that the decisions read.
+it; a row's names are looked up only to name the column at fault. LAPACK
+runs the same routine on each matrix of a stack, so a set's statistic is
+the same in any batch; the three tests are batches of one and report the
+statistics that the decisions read.
 
 All p-values come in closed form: the two-sided normal tail as
 ``erfc(z / sqrt 2)``, and the chi-square upper tail at integer degrees of
@@ -152,20 +138,18 @@ def chi2_sf(x: float, dof: int) -> float:
 
 
 def _check_args(data: DataTable, a: str, b: str,
-                subsets: Iterable[Iterable[str]]) -> list[list[str]]:
-    """Each conditioning set of ``subsets`` as a sorted list of distinct
-    names, once a and b are known to differ, to be columns and to lie
-    outside every set."""
-    subsets = [sorted(set(s)) for s in subsets]
+                s: Iterable[str]) -> list[str]:
+    """The conditioning set s as a sorted list of distinct names, once a
+    and b are known to differ, to be columns and to lie outside s."""
+    s = sorted(set(s))
     if a == b:
         raise DataError("a and b must differ")
-    names = set().union(*subsets)
-    if a in names or b in names:
+    if a in s or b in s:
         raise DataError("a and b must not appear in the conditioning set")
-    if not names.union((a, b)) <= data.index.keys():
-        for name in (a, b, *(name for s in subsets for name in s)):
+    if not {a, b, *s} <= data.index.keys():
+        for name in (a, b, *s):
             data.column(name)
-    return subsets
+    return s
 
 
 def _positions(data: DataTable, rows: Iterable[Iterable[str]]) -> np.ndarray:
@@ -212,12 +196,17 @@ def critical_values(alpha: float, dof: int) -> tuple[float, float]:
     return low, crossing(alpha * (1.0 - CRITICAL_MARGIN))[1]
 
 
-def _bracketed(least: np.ndarray, most: np.ndarray, dof: int,
+def _bracketed(least: np.ndarray, most: np.ndarray, dof: int | np.ndarray,
                alpha: float) -> np.ndarray:
-    """For statistics known to lie in [least, most]: 1 where the p-value is
-    at least alpha, 0 where it is below alpha, and -1 where only the
-    statistic's own p-value decides (near the critical value, or NaN)."""
-    low, high = critical_values(alpha, dof)
+    """For statistics in [least, most] with ``dof`` degrees of freedom, one
+    for all or one each: 1 where the p-value is at least alpha, 0 where it
+    is below, and -1 where only the statistic's own p-value decides."""
+    if isinstance(dof, int):
+        low, high = critical_values(alpha, dof)
+    else:  # one pair of critical values per distinct dof
+        dofs, at = np.unique(dof, return_inverse=True)
+        low, high = np.array([critical_values(alpha, d) for d in
+                              dofs.tolist()]).reshape(-1, 2)[at].T
     return np.where(most <= low, 1, np.where(least >= high, 0, -1))
 
 
@@ -235,19 +224,12 @@ def _decisions(test: Callable, data: DataTable, rows: np.ndarray,
                alpha: float) -> _Decisions:
     """Whether each row [a, b, *s] of ``rows``, column positions with all s
     of one size, tests independent at alpha: by ``environment_test(data, a,
-    b, s, test)`` where a or b is the table's environment column, and by
-    ``test(data, a, b, s)`` elsewhere.
-
-    The environment rows are fitted in one ``_environment_parts`` call. The
-    kurtosis correction only shrinks the scale part, so the statistic lies
-    between the location part and the sum of both parts; the kurtosis is
-    estimated only where the critical values fall between them. The rows
-    that the environment test leaves to ``test``, and all the others, are
-    one batch of ``test``: Fisher-z decides it in numpy against its critical
-    values, from the statistics of one ``_fisher_z_statistics`` call; any
-    other test runs set by set, on the row's names, as the decisions are
-    resolved.
-    """
+    b, s, test)`` where a or b is the table's environment column, else by
+    ``test``, ``fisher_z_test`` or ``degenerate_gaussian_test``. The
+    kurtosis correction only shrinks the scale part, so the environment
+    statistic lies between the location part and the sum of both parts;
+    the kurtosis is estimated only where the critical values fall between
+    them."""
     decided = np.full(len(rows), -1)
     by_test = np.ones(len(rows), dtype=bool)  # the rows ``test`` answers
     env = -1 if data.env_column is None else data.index[data.env_column]
@@ -265,8 +247,13 @@ def _decisions(test: Callable, data: DataTable, rows: np.ndarray,
     tested = np.flatnonzero(by_test)
     if test is fisher_z_test:
         statistics, errors = _fisher_z_statistics(data, rows[tested])
-        decided[tested] = _bracketed(statistics, statistics, 0, alpha)
-    names = data.names
+        dofs = 0
+    elif test is degenerate_gaussian_test:
+        statistics, dofs, errors = _degenerate_gaussian_statistics(
+            data, rows[tested])
+    else:
+        raise ValueError(f"not a CI test that citest batches: {test!r}")
+    decided[tested] = _bracketed(statistics, statistics, dofs, alpha)
 
     def resolve(j: int) -> bool | Exception:
         if not by_test[j]:
@@ -274,13 +261,12 @@ def _decisions(test: Callable, data: DataTable, rows: np.ndarray,
             return _environment_result(
                 data, fit[i, -1], fit[i, :-1], float(parts.location[i]),
                 float(parts.scale[i]), parts.dof).p_value >= alpha
-        if test is not fisher_z_test:
-            a, b, *cond = (names[v] for v in rows[j].tolist())
-            return test(data, a, b, cond).p_value >= alpha
         i = int(np.searchsorted(tested, j))
         if i in errors:
             return errors[i]
-        return _fisher_z_result(float(statistics[i])).p_value >= alpha
+        if test is fisher_z_test:
+            return _fisher_z_result(float(statistics[i])).p_value >= alpha
+        return chi2_sf(float(statistics[i]), int(dofs[i])) >= alpha
 
     return _Decisions(decided, resolve)
 
@@ -306,22 +292,18 @@ def _caught(fn: Callable, *args):
 def firsts_at(test: Callable, data: DataTable, rows: np.ndarray,
               counts: Sequence[int], alpha: float) -> list:
     """For each query, the index of its first set that tests independent
-    at alpha (see ``_decisions``: the environment test on a pair with the
-    table's environment column, ``test`` on the others), None if none
-    does, or the error (a ``DataError`` or ``ValueError``) of the first set
-    before it that cannot be tested, returned, not raised, so that it
-    stays with its own query.
+    at alpha (see ``_decisions``), None if none does, or the error (a
+    ``DataError`` or ``ValueError``) of the first set before it that cannot
+    be tested, returned, not raised, so that it stays with its own query.
 
     ``rows`` holds one row [a, b, *s] per set, the positions of columns of
     ``data``, all s of one size, and ``counts`` the number of rows of each
     query, whose rows follow the query before it; nothing is checked. This
     is the contract of the ``firsts`` that an fci oracle's ``bind``
     returns, on learn positions: ``fci.DataOracle``'s puts fci's rows at
-    the table's columns and calls this. One
-    ``_decisions`` call decides them all: Fisher-z and the environment
-    test each with one stacked Cholesky factorization, each statistic
-    compared with the critical values of alpha (``critical_values``); only
-    a statistic between them takes its own p-value."""
+    the table's columns and calls this. One ``_decisions`` call decides
+    them all; only a statistic between the critical values of alpha takes
+    its own p-value."""
     out: list = [None] * len(counts)
     if not len(rows):
         return out
@@ -349,23 +331,54 @@ def firsts_at(test: Callable, data: DataTable, rows: np.ndarray,
     return out
 
 
+def _factor_tails(corr: np.ndarray, order: np.ndarray, da: int, db: int,
+                  reduce: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of b, at the columns of a and b, (k, db, da + db), of the
+    Cholesky factors of the [*s, *a, *b] submatrices at the rows of
+    ``order``, in ``corr`` or in each matrix of a stack ``corr`` (matrix by
+    matrix); and a code, 0 where a factor exists, else (rows NaN) 2 where
+    [*s, *a] does not factor, 3 where [*s, *b] does not, 1 where both do
+    (a and b determine each other). If the stacked ``data.cholesky`` call
+    fails, each is factored alone; with ``reduce``, each column of s whose
+    pivot given the kept ones before it is at most ``tol`` is dropped."""
+    # broadcast index arrays: np.ix_ would cost more than the lookup itself
+    sub = corr[..., order[:, :, None], order[:, None, :]]
+    sub = sub.reshape(-1, *sub.shape[-2:])
+    tol, w = math.sqrt(MIN_UNEXPLAINED), da + db
+    codes = np.zeros(len(sub), dtype=int)
+    chol = cholesky(sub, tol)
+    if chol is not None:
+        return chol[:, -db:, -w:], codes
+    tails = np.full((len(sub), db, w), np.nan)
+    for j, m in enumerate(sub):
+        if reduce:
+            keep: list[int] = []
+            for i in range(len(m) - w):
+                if cholesky(m[np.ix_(keep + [i], keep + [i])],
+                            tol) is not None:
+                    keep.append(i)
+            keep += range(len(m) - w, len(m))
+            m = m[np.ix_(keep, keep)]
+        chol, k = cholesky(m, tol), len(m) - w
+        if chol is not None:
+            tails[j] = chol[-db:, -w:]
+        else:
+            sb = np.r_[:k, k + da:k + w]
+            codes[j] = 2 if cholesky(m[:-db, :-db], tol) is None else \
+                3 if cholesky(m[sb[:, None], sb], tol) is None else 1
+    return tails, codes
+
+
 def _fisher_z_statistics(data: DataTable, rows: np.ndarray
                          ) -> tuple[np.ndarray, dict[int, Exception]]:
     """The Fisher-z statistic of each row [a, b, *s] of ``rows``, column
-    positions with all s of one size, and the error of each row whose test
-    cannot be run (its statistic is NaN).
-
-    The [*s, a, b] submatrices of the table's correlation matrix are
-    gathered by one fancy index, except those holding a constant column,
-    and factored by one stacked ``data.cholesky`` call under the rank rule
-    of ``MIN_UNEXPLAINED``; the last row [l_ba, l_bb] of a factor gives
-    |r| = |l_ba| / sqrt(l_ba^2 + l_bb^2). If that call fails, each matrix
-    is factored alone. Where it does not factor but [*s, a] and [*s, b] do,
-    b is a linear function of s and a up to the rank rule: |r| = 1. Any
-    other is singular, an error. |r| is clipped at 1 - 1e-12. LAPACK runs
-    the same routine on each matrix of a stack, so a row's statistic is the
-    same in any batch.
-    """
+    positions with all s of one size, and the error of each row that cannot
+    be tested (its statistic is NaN). The [*s, a, b] submatrices of the
+    table's correlation matrix without a constant column go to one
+    ``_factor_tails`` call: the last row [l_ba, l_bb] of a factor gives |r|
+    = |l_ba| / sqrt(l_ba^2 + l_bb^2), 1 where a and b determine each other
+    given s, clipped at 1 - 1e-12; any other that does not factor is an
+    error."""
     if not len(rows):
         return np.empty(0), {}
     # discrete columns are used as plain numeric codes here
@@ -381,25 +394,14 @@ def _fisher_z_statistics(data: DataTable, rows: np.ndarray
             f"{data.names[rows[j, constant[j].argmax()]]}")
     ok = np.flatnonzero(~constant.any(axis=1)) if errors else slice(None)
     order = np.concatenate((rows[ok, 2:], rows[ok, :2]), axis=1)  # [*s, a, b]
-    # broadcast index arrays: np.ix_ would cost more than the lookup itself
-    sub = corr[order[:, :, None], order[:, None, :]]
-    tol = math.sqrt(MIN_UNEXPLAINED)
     last = np.full((len(rows), 2), np.nan)  # [l_ba, l_bb] of each factor
-    chol = cholesky(sub, tol)
-    if chol is not None:
-        last[ok] = chol[:, -1, -2:]
-    else:
-        sb = np.r_[:size, size + 1]
-        for j, m in zip(np.arange(len(rows))[ok].tolist(), sub):
-            chol = cholesky(m, tol)
-            if chol is not None:
-                last[j] = chol[-1, -2:]
-            elif cholesky(m[:-1, :-1], tol) is not None and \
-                    cholesky(m[sb[:, None], sb], tol) is not None:
-                last[j] = 1.0, 0.0
-            else:
-                errors[j] = DegenerateDataError(
-                    "singular covariance submatrix")
+    tails, codes = _factor_tails(corr, order, 1, 1, False)
+    last[ok] = tails[:, 0]
+    if codes.any():
+        at = np.arange(len(rows))[ok]
+        last[at[codes == 1]] = 1.0, 0.0
+        for j in at[codes > 1].tolist():
+            errors[j] = DegenerateDataError("singular covariance submatrix")
     ba, bb = last.T
     r = np.minimum(np.abs(ba) / np.sqrt(ba * ba + bb * bb), 1.0 - 1e-12)
     return math.sqrt(n - size - 3) * np.arctanh(r), errors
@@ -415,7 +417,7 @@ def fisher_z_test(data: DataTable, a: str, b: str,
     """Two-sided test of zero partial correlation of a and b given s, from
     the table's cached correlation matrix: a batch of one of the statistics
     that ``firsts_at`` decides."""
-    [s] = _check_args(data, a, b, [s])
+    s = _check_args(data, a, b, s)
     statistics, errors = _fisher_z_statistics(data,
                                                _positions(data, [(a, b, *s)]))
     if errors:  # popped: no local keeps it, and its traceback no cycle
@@ -431,15 +433,11 @@ def _residual_variances(data: DataTable, rows: np.ndarray
     variances (k, m) and the pooled variance over all rows (k,); NaN in a
     row where s is degenerate within an environment.
 
-    The share of var(x) that s leaves unexplained is the square of the last
-    diagonal entry of the Cholesky factor of the correlation matrix of
-    [*s, x]. A row's m + 1 matrices, one per environment and the pooled
-    one, come from ``DataTable.correlations``, and the (m + 1) k matrices
-    of k rows are factored in one stacked ``data.cholesky`` call. Where
-    that call fails, each matrix of each row is factored alone, and where
-    that fails too, its s alone. A variance is 0 where x is constant, or a
-    linear function of s, within that environment (up to rounding, see
-    ``MIN_UNEXPLAINED``).
+    The share of var(x) that s leaves unexplained is the squared last
+    pivot of the factor of [*s, x] in each matrix of
+    ``DataTable.correlations``, all from one ``_factor_tails`` call: 0
+    where x is constant, or a linear function of s, within that
+    environment (up to rounding, see ``MIN_UNEXPLAINED``).
 
     Raises ``DegenerateDataError`` if the table has a single environment,
     and ``DataError`` if an environment has no more than |s| + 2 rows.
@@ -453,36 +451,14 @@ def _residual_variances(data: DataTable, rows: np.ndarray
     if counts.min() <= rows.shape[1] + 1:
         raise DataError("an environment has too few rows for the "
                         "conditioning set size")
-    groups = np.arange(len(counts) + 1)[:, None, None]
-    # (k, m + 1, |s| + 1, |s| + 1): the blocks of one row side by side
-    corr = data.correlations()[groups, rows[:, None, :, None],
-                               rows[:, None, None, :]]
-    tol = math.sqrt(MIN_UNEXPLAINED)
-    chol = cholesky(corr.reshape(-1, *corr.shape[2:]), tol)
-    if chol is not None:
-        shares = (chol[:, -1, -1] ** 2).reshape(corr.shape[:2])
-    else:
-        shares = np.array([_unexplained_share(c, tol) for c in corr])
+    tails, codes = _factor_tails(data.correlations(), rows, 0, 1, False)
+    shape = (len(counts) + 1, len(rows))  # the pooled matrix, then groups
+    shares = np.where(codes == 3, 0.0, tails[:, 0, 0] ** 2).reshape(shape).T
+    shares[(codes == 2).reshape(shape).any(axis=0)] = np.nan
     xs = rows[:, -1]
     sigma2 = mom.grams[:, xs, xs].T / counts * shares[:, 1:]
     pooled = mom.scatter[xs, xs] / data.n_rows * shares[:, 0]
     return counts, sigma2, pooled
-
-
-def _unexplained_share(corr: np.ndarray, tol: float) -> np.ndarray:
-    """Share of the last column's variance left unexplained by the others,
-    in each of a stack of correlation matrices, each factored alone: the
-    squared last pivot, 0 where only the others factor (the last column
-    constant, or a linear function of them), and NaN throughout if the
-    others do not factor in one of them."""
-    share = np.zeros(len(corr))
-    for i, c in enumerate(corr):
-        chol = cholesky(c, tol)
-        if chol is not None:
-            share[i] = chol[-1, -1] ** 2
-        elif cholesky(c[:-1, :-1], tol) is None:
-            return np.full(len(corr), np.nan)
-    return share
 
 
 def _residual_kurtosis(data: DataTable, x: int, s: np.ndarray) -> float:
@@ -602,7 +578,7 @@ def environment_test(data: DataTable, a: str, b: str,
     environment has too few rows for |s|, or if the table has a single
     environment.
     """
-    [s] = _check_args(data, a, b, [s])
+    s = _check_args(data, a, b, s)
     row = _positions(data, [[*s, _tested_side(data, a, b)]])
     parts = _environment_parts(data, row)
     if parts.fallback[0]:
@@ -612,50 +588,71 @@ def environment_test(data: DataTable, a: str, b: str,
                                float(parts.scale[0]), parts.dof)
 
 
+def _degenerate_gaussian_statistics(data: DataTable, rows: np.ndarray
+                                    ) -> tuple[np.ndarray, np.ndarray,
+                                               dict[int, Exception]]:
+    """The degenerate-Gaussian statistic and dof of each row [a, b, *s] of
+    ``rows``, as ``_fisher_z_statistics``. A column enters as its columns
+    in ``DataTable.embedding()``, whose index gives the widths, without the
+    constant ones of s; the submatrices of each shape go to one
+    ``_factor_tails`` call. From the rows [L_ba, L_bb] of b of a factor,
+    -log Lambda is log1p(|L_ba|^2 / L_bb^2) for db = 1, Fisher-z's
+    -log(1 - r^2), else log det(L_ba L_ba^T + L_bb L_bb^T) - 2 sum log
+    diag(L_bb); the statistic is -(n - ds - 1 - (da + db + 1) / 2) log
+    Lambda with da db dof, ds counting every column of s."""
+    n, emb = data.n_rows, data.embedding()
+    widths = np.array([len(emb.index[name]) for name in data.names])
+    cols = np.full((len(widths), widths.max()), -1)  # -1 past a width
+    for p, name in enumerate(data.names):
+        cols[p, :widths[p]] = emb.index[name]
+    constant = np.isnan(emb.correlation.diagonal())
+    da, db = widths[rows[:, 0]], widths[rows[:, 1]]
+    ds = widths[rows[:, 2:]].sum(axis=1)
+    few = n <= ds + da + db + 2
+    fixed = (constant[cols] & (cols >= 0)).any(axis=1)[rows[:, :2]]
+    errors: dict[int, Exception] = {}
+    for j in np.flatnonzero(few | fixed.any(axis=1)).tolist():
+        side = data.names[rows[j, fixed[j].argmax()]]
+        errors[j] = DataError("too few rows for the embedded covariance") \
+            if few[j] else DegenerateDataError(
+                f"constant embedded column: {side}")
+    # [*s, *a, *b], -1 past a width and at a constant column of s
+    order = np.concatenate((np.where(constant[cols], -1, cols)[rows[:, 2:]],
+                            cols[rows[:, :2]]), axis=1)
+    ok = np.flatnonzero(~few & ~fixed.any(axis=1))
+    shapes, of = np.unique(np.c_[(order >= 0).sum(axis=(1, 2)), da, db][ok],
+                           axis=0, return_inverse=True)
+    statistics = np.full(len(rows), np.nan)
+    for g, (_, wa, wb) in enumerate(shapes.tolist()):
+        group = ok[of == g]
+        tails, codes = _factor_tails(emb.correlation, order[group][
+            order[group] >= 0].reshape(len(group), -1), wa, wb, True)
+        lb, done = tails[codes == 0], group[codes == 0]
+        pivots = np.diagonal(lb[:, :, wa:], axis1=1, axis2=2)
+        if wb == 1:  # log1p keeps the digits of a Lambda near 1
+            statistics[done] = np.log1p(
+                (lb[:, 0, :wa] ** 2).sum(axis=1) / pivots[:, 0] ** 2)
+        else:
+            gram = cholesky(lb @ lb.transpose(0, 2, 1))
+            statistics[done] = 2.0 * (np.log(np.diagonal(
+                gram, axis1=1, axis2=2)) - np.log(pivots)).sum(axis=1)
+        statistics[group[codes == 1]] = -math.log1p(-(1.0 - 1e-12) ** 2)
+        for j, side in zip(group[codes > 1].tolist(), codes[codes > 1] - 2):
+            errors[j] = DegenerateDataError(
+                f"singular embedded covariance: {data.names[rows[j, side]]}")
+    return statistics * (n - ds - 1 - (da + db + 1) / 2.0), da * db, errors
+
+
 def degenerate_gaussian_test(data: DataTable, a: str, b: str,
                              s: Iterable[str] = ()) -> CITestResult:
     """Likelihood-ratio test of a independent of b given s under a Gaussian
     likelihood on the one-hot embedded columns, from the table's cached
-    ``DataTable.embedding()`` (see the module docstring)."""
-    [s] = _check_args(data, a, b, [s])
-    da, db = data.width(a), data.width(b)
-    ds = 1 + sum(map(data.width, s))  # with the intercept
-    n = data.n_rows
-    if n <= ds + da + db + 1:
-        raise DataError("too few rows for the embedded covariance")
-    emb = data.embedding()
-    ea, eb = emb.index[a], emb.index[b]
-    es = np.concatenate([np.empty(0, dtype=int)] +
-                        [emb.index[name] for name in s])
-    constant = np.isnan(np.diagonal(emb.correlation))
-    for name, columns in ((a, ea), (b, eb)):
-        if constant[columns].any():
-            raise DegenerateDataError(f"constant embedded column: {name}")
-    es = es[~constant[es]]  # explained by the intercept
-    idx = np.concatenate([es, ea, eb])
-    corr = emb.correlation[idx[:, None], idx]
-    k = len(es)
-    resid = corr[k:, k:]
-    if k:
-        # partial out s through a pseudo-inverse of its correlation matrix
-        w, v = np.linalg.eigh(corr[:k, :k])
-        keep = w > MIN_UNEXPLAINED
-        z = (v[:, keep] / np.sqrt(w[keep])).T @ corr[:k, k:]
-        resid = resid - z.T @ z
-    # whiten each residual block; the squared pivots of its Cholesky factor
-    # are the shares of its columns left unexplained by s and the columns
-    # before them
-    tol = math.sqrt(MIN_UNEXPLAINED)
-    la, lb = cholesky(resid[:da, :da], tol), cholesky(resid[da:, da:], tol)
-    if la is None or lb is None:
-        raise DegenerateDataError("singular embedded covariance")
-    # canonical correlations: singular values of La^-1 R_ab Lb^-T
-    cross = np.linalg.solve(la, np.linalg.solve(lb, resid[da:, :da]).T)
-    rho = np.linalg.svd(cross, compute_uv=False)
-    rho = np.clip(rho, 0.0, 1.0 - 1e-12)
-    # Bartlett-corrected Wilks lambda against a chi-square reference
-    scale = n - (ds - 1) - 1 - (da + db + 1) / 2.0
-    statistic = -scale * float(np.sum(np.log1p(-rho ** 2)))
-    dof = da * db
-    p = chi2_sf(statistic, dof)
-    return CITestResult(p_value=float(p), statistic=float(statistic), dof=dof)
+    ``DataTable.embedding()`` (see the module docstring): a batch of one of
+    the statistics that ``firsts_at`` decides."""
+    s = _check_args(data, a, b, s)
+    statistics, dofs, errors = _degenerate_gaussian_statistics(
+        data, _positions(data, [(a, b, *s)]))
+    if errors:  # popped: no local keeps it, and its traceback no cycle
+        raise errors.pop(0)
+    statistic, dof = float(statistics[0]), int(dofs[0])
+    return CITestResult(chi2_sf(statistic, dof), statistic, dof)

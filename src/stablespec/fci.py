@@ -65,7 +65,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .citest import firsts_at, fisher_z_test
+from .citest import degenerate_gaussian_test, firsts_at, fisher_z_test
 from .data import DataTable, pool_environments
 from .graph import (
     ARROW, CIRCLE, TAIL, Edge, GraphError, MixedGraph, blocks, positions,
@@ -124,12 +124,15 @@ class SeparationOracle:
 class DataOracle:
     """CI oracle answering queries by ``test`` at level alpha on a table,
     with ``environment_test`` first on the environment pairs (see the
-    module docstring). Raises ``ValueError`` unless 0 < alpha < 1."""
+    module docstring). Raises ``ValueError`` unless 0 < alpha < 1 and
+    ``citest`` batches ``test``."""
 
     def __init__(self, table: DataTable, test: Callable = fisher_z_test,
                  alpha: float = 0.01):
         if not 0 < alpha < 1:
             raise ValueError(f"alpha must be between 0 and 1, not {alpha}")
+        if test not in (fisher_z_test, degenerate_gaussian_test):
+            raise ValueError(f"citest batches no test {test!r}")
         self.table, self.test, self.alpha = table, test, alpha
 
     def bind(self, names: Sequence[str]) -> Callable:

@@ -625,12 +625,15 @@ class TestEnvironmentTest:
         subsets = [["q", "s"], ["r", "s"], ["q", "r"]]
         alone = [residual_variances_of(t, "x", [c]) for c in subsets]
         assert np.isnan(alone[1][2][0])
-        per_set = []
-        share = citest._unexplained_share
-        monkeypatch.setattr(citest, "_unexplained_share",
-                            lambda *args: per_set.append(1) or share(*args))
+        factored = []
+        factor = citest.cholesky
+        monkeypatch.setattr(citest, "cholesky", lambda m, *tol: (
+            factored.append(m.ndim) or factor(m, *tol)))
         counts, per_env, pooled = residual_variances_of(t, "x", subsets)
-        assert len(per_set) == len(subsets)
+        # the stack fails, then each set's pooled and two environment
+        # matrices are factored alone
+        assert factored.count(3) == 1 and \
+            factored.count(2) >= 3 * len(subsets)
         assert np.isnan(pooled[1])
         for j in (0, 2):
             assert counts.tolist() == alone[j][0].tolist()
@@ -1103,14 +1106,130 @@ class TestFisherZScreen:
                                         ("a", "b", [["d"], ["f"]])], 0.05)
 
 
+class TestDegenerateGaussianBatch:
+    """``firsts_at`` with the degenerate-Gaussian test, which factors the
+    sets of each embedded shape in one stack, against
+    ``degenerate_gaussian_test`` asked one set at a time."""
+
+    @staticmethod
+    def check(t, queries, alpha):
+        """Asserts that one ``firsts_at`` call on ``queries`` (a, b, [s,
+        ...]) of names decides what the loop decides, an error as the error
+        the loop raises, and returns that."""
+        got = firsts_at(degenerate_gaussian_test, t, *stacked(t, queries),
+                        alpha)
+        want = [outcome(lambda: loop_first(
+            lambda s: degenerate_gaussian_test(t, a, b, s).p_value >= alpha,
+            sets)) for a, b, sets in queries]
+        assert [(type(g), str(g)) if isinstance(g, Exception) else g
+                for g in got] == want
+        return want
+
+    @pytest.mark.parametrize("n", [200, 5000])
+    def test_random_queries_match_the_loop(self, n):
+        # "gap" and "top" in s are rank-deficient (a level that never
+        # occurs, levels that sum to 1); as a side they are degenerate
+        rng = np.random.default_rng(n + 1)
+        t = TestDegenerateGaussian.mixed_table(rng, n)
+        answers = []
+        for size in range(4):
+            queries = []
+            for _ in range(30):
+                a, b, *rest = rng.permutation(t.names).tolist()
+                queries.append((a, b, [sorted(rng.permutation(rest)[:size])
+                                       for _ in range(rng.integers(1, 4))]))
+            for alpha in (0.01, 0.2):
+                answers += self.check(t, queries, alpha)
+        errors = {w for w in answers if isinstance(w, tuple)}
+        assert errors == {
+            (DegenerateDataError, "constant embedded column: gap"),
+            (DegenerateDataError, "singular embedded covariance: top")}
+        assert None in answers and 0 in answers and \
+            {1, 2} & set(answers)
+
+    def test_too_few_rows_is_an_error_of_its_own_query(self):
+        # d4 (3 embedded columns) and d3 (2) given {d2, gap, top} (5) need
+        # more than 1 + 3 + 2 + 5 + 1 = 12 rows, the intercept and one more
+        # counted; c1 and c2 given either set need at most 9
+        t = TestDegenerateGaussian.mixed_table(np.random.default_rng(3), 12)
+        queries = [("d4", "d3", [["d2", "gap", "top"]]),
+                   ("c1", "c2", [["c3", "d2", "gap"], ["d2", "gap", "top"]])]
+        for alpha in (0.01, 0.5, 0.99):
+            got = self.check(t, queries, alpha)
+            assert got[0] == (DataError,
+                              "too few rows for the embedded covariance")
+            assert got[1] in (0, 1, None)
+
+    def test_decisions_agree_at_each_p_value(self):
+        # at alpha = p a set is independent, one step above p it is not;
+        # each query holds one set, of several shapes, and all are decided
+        # in one batch
+        t = TestDegenerateGaussian.mixed_table(np.random.default_rng(11),
+                                               1000)
+        queries = [("c1", "c3", ["c2"]), ("d2", "d3", ["top"]),
+                   ("d3", "d4", ["gap"]), ("c1", "d4", ["d2"]),
+                   ("c3", "d2", ["top"]), ("d3", "c1", ["d4"])]
+        for j, (a, b, s) in enumerate(queries):
+            p = degenerate_gaussian_test(t, a, b, s).p_value
+            assert 0.0 < p < 1.0
+            for alpha, want in ((p, 0), (float(np.nextafter(p, 2.0)), None)):
+                got = firsts_at(degenerate_gaussian_test, t, *stacked(
+                    t, [(a, b, [s]) for a, b, s in queries]), alpha)
+                assert got[j] == want
+
+    def test_batch_of_environment_rows_only(self):
+        # the environment test answers every row, so the batch of
+        # degenerate-Gaussian statistics is empty
+        t = batch_table(1)
+        subsets = [["s0"], ["s1"], ["a"]]
+        got = firsts_at(degenerate_gaussian_test, t,
+                        *stacked(t, [("E", "x", subsets)]), 0.05)
+        assert got == [loop_first(lambda s: environment_test(
+            t, "E", "x", s, degenerate_gaussian_test).p_value >= 0.05,
+            subsets)]
+
+    def test_one_stacked_factorization_per_shape(self, monkeypatch):
+        # each embedded shape (kept columns of s, of a, of b) is factored in
+        # one stack, and where b has several columns its Gram matrices in
+        # one more; no matrix is factored alone
+        rng = np.random.default_rng(13)
+        t = TestDegenerateGaussian.mixed_table(rng, 5000)
+        emb = t.embedding()
+        kept = ~np.isnan(emb.correlation.diagonal())
+        for size in range(4):
+            queries = []
+            for _ in range(40):
+                # "gap" in s, not "top", whose levels sum to 1 and would
+                # fail a stack
+                a, b, *rest = rng.permutation(t.names[:6]).tolist()
+                rest.append("gap")
+                queries.append((a, b, [sorted(rng.permutation(rest)[:size])
+                                       for _ in range(3)]))
+            shapes = {(sum(kept[emb.index[v]].sum() for v in s),
+                       len(emb.index[a]), len(emb.index[b]))
+                      for a, b, sets in queries for s in sets}
+            factored = []
+            factor = citest.cholesky
+            with monkeypatch.context() as patch:
+                patch.setattr(citest, "cholesky", lambda m, *tol: (
+                    factored.append(m.shape) or factor(m, *tol)))
+                got = firsts_at(degenerate_gaussian_test, t,
+                                *stacked(t, queries), 0.05)
+            assert not any(isinstance(g, Exception) for g in got)
+            assert all(len(shape) == 3 for shape in factored)
+            assert len(shapes) <= len(factored) <= 2 * len(shapes)
+            assert sum(shape[0] for shape in factored) >= 40 * 3
+
+
 class TestDecisions:
     """``citest._decisions`` routes each row of one batch to its test."""
 
     ALPHA = 0.05
 
-    def test_degenerate_gaussian_as_the_test(self):
+    def test_degenerate_gaussian_as_the_test(self, monkeypatch):
         # a continuous x on E goes to the environment test, a discrete d on
-        # E falls back to the chosen test, and every other pair goes to it
+        # E falls back to the chosen test, and every other pair goes to its
+        # batched statistics
         rng = np.random.default_rng(47)
         env = np.repeat([0, 1, 2], 400)
         s = rng.normal(size=(1200, 2))
@@ -1122,12 +1241,16 @@ class TestDecisions:
         rows = [("E", "x", "s0"), ("d", "E", "s1"), ("x", "d", "s0"),
                 ("E", "z", "s1"), ("s0", "z", "d"), ("d", "E", "s0")]
         seen = []
+        statistics = citest._degenerate_gaussian_statistics
 
-        def spy(data, a, b, s):
-            seen.append((a, b, *s))
-            return degenerate_gaussian_test(data, a, b, s)
+        def spy(data, rows):
+            seen.extend(tuple(data.names[v] for v in row)
+                        for row in rows.tolist())
+            return statistics(data, rows)
 
-        got = decided(spy, t, rows, self.ALPHA)
+        with monkeypatch.context() as patch:
+            patch.setattr(citest, "_degenerate_gaussian_statistics", spy)
+            got = decided(degenerate_gaussian_test, t, rows, self.ALPHA)
         assert got == routed(degenerate_gaussian_test, t, rows, self.ALPHA)
         assert True in got and False in got
         # the environment test answers the rows of x and z on E

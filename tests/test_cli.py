@@ -360,6 +360,31 @@ class TestConstantColumn:
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+    @pytest.mark.parametrize("command", [["learn-pag"],
+                                         ["search", "--target", "A"]])
+    def test_singular_embedding_names_the_column(self, tmp_path, capsys,
+                                                 command):
+        # K declares 3 levels and takes only 0 and 1, so its two embedded
+        # columns sum to 1: the degenerate-Gaussian test cannot test it,
+        # while Fisher-z reads its codes
+        rng = np.random.default_rng(4)
+        flags = []
+        for k in (1, 2):
+            a = rng.normal(size=300)
+            save_csv(DataTable({"A": a, "B": a + rng.normal(size=300),
+                                "K": rng.integers(0, 2, 300).astype(float)}),
+                     str(tmp_path / f"d{k}.csv"))
+            flags += ["--data", str(tmp_path / f"d{k}.csv")]
+        (tmp_path / "k.json").write_text('{"columns": {"K": 3}}')
+        flags += ["--schema", str(tmp_path / "k.json")]
+        assert main([*command, *flags, "--test", "degenerate-gaussian",
+                     "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == \
+            "error: singular embedded covariance: K\n"
+        assert main(["learn-pag", *flags, "--test", "fisher-z",
+                     "--out", str(tmp_path / "fz")]) == 0
+
+
 class TestNonFiniteCells:
     @pytest.mark.parametrize("command", [["learn-pag"],
                                          ["search", "--graph", "{pag}"]])

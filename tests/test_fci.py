@@ -14,7 +14,8 @@ import pytest
 
 from stablespec import citest, fci as fci_module
 from stablespec.citest import (
-    DegenerateDataError, environment_test, fisher_z_test,
+    DegenerateDataError, degenerate_gaussian_test, environment_test,
+    fisher_z_test,
 )
 from stablespec.components import class_mag
 from stablespec.data import DataError, DataTable, pool_environments
@@ -644,21 +645,25 @@ class TestDataOracle:
         ind = DataOracle(t, alpha=0.01)
         assert first_index(ind, "a", "b", [set()]) == 0
 
-    def test_environment_pairs_go_to_the_environment_test(self):
-        # E changes only the scale of X; the chosen test sees none of the
-        # queries on an environment pair
+    def test_environment_pairs_go_to_the_environment_test(self,
+                                                          monkeypatch):
+        # E changes only the scale of X; the chosen test's statistics see
+        # none of the queries on an environment pair
         rng = np.random.default_rng(6)
         tables = [DataTable({"X": scale * rng.normal(size=5000),
                              "Y": rng.normal(size=5000)})
                   for scale in (1.0, 2.0)]
         pooled = pool_environments(tables, "E")
         seen = []
+        statistics = citest._fisher_z_statistics
 
-        def spy(table, a, b, s):
-            seen.append((a, b))
-            return fisher_z_test(table, a, b, s)
+        def spy(table, rows):
+            seen.extend((table.names[a], table.names[b])
+                        for a, b, *_ in rows.tolist())
+            return statistics(table, rows)
 
-        ind = DataOracle(pooled, test=spy, alpha=0.01)
+        monkeypatch.setattr(citest, "_fisher_z_statistics", spy)
+        ind = DataOracle(pooled, alpha=0.01)
         assert first_index(ind, "E", "X", [set()]) is None
         assert first_index(ind, "X", "E", [{"Y"}]) is None
         assert first_index(ind, "E", "Y", [set()]) == 0
@@ -666,6 +671,21 @@ class TestDataOracle:
         assert first_index(ind, "X", "Y", [{"E"}]) == 0
         assert seen == [("X", "Y")]
         assert fisher_z_test(pooled, "E", "X").p_value >= 0.01
+
+    def test_refuses_a_test_it_cannot_batch(self):
+        # citest batches Fisher-z and the degenerate-Gaussian test; any
+        # other callable would have no statistics to decide from
+        t = DataTable({"a": np.arange(10.0), "b": np.arange(10.0) % 3})
+
+        def per_set(table, a, b, s):
+            return fisher_z_test(table, a, b, s)
+
+        for learn in (lambda: DataOracle(t, test=per_set),
+                      lambda: pooled_fci([t, t], test=per_set)):
+            with pytest.raises(ValueError, match="citest batches no test "
+                               "<function TestDataOracle"):
+                learn()
+        DataOracle(t, test=degenerate_gaussian_test)
 
     def test_columns_degenerate_in_one_environment(self):
         # at site 0 the flag F never takes level 1 and W is fixed; both

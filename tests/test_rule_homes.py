@@ -1,13 +1,15 @@
 """Each numeric rule of the package is decided in one function: a column
 is constant by ``data.correlation`` (the only reader of ``CONSTANT_RTOL``),
 a column is a linear combination of others by ``data.cholesky`` (the only
-caller of ``np.linalg.cholesky``), a partial correlation is read from the
-last row of a Cholesky factor by ``citest._fisher_z_statistics``, which
-every Fisher-z test and every Fisher-z decision goes through (no function
-inverts a matrix), and the critical values that batched CI decisions
-compare statistics with are computed by ``citest.critical_values`` and
-read by ``citest._bracketed`` alone. Vertex names
-become masks once, at the public boundary of ``components`` and
+caller of ``np.linalg.cholesky``, whose tolerance is the one rank rule of
+the CI tests: ``citest`` takes no eigendecomposition or SVD), the
+statistics of the Gaussian CI tests are read from the rows of stacked
+Cholesky factors that ``citest._factor_tails`` takes, which every
+Fisher-z and degenerate-Gaussian test and decision goes through (no
+function inverts a matrix), and the critical values that batched CI
+decisions compare statistics with are computed by
+``citest.critical_values`` and read by ``citest._bracketed`` alone. Vertex
+names become masks once, at the public boundary of ``components`` and
 ``identify``: their private mask cores call no function that takes names,
 and a subgraph of the identification calculus is a scope mask, not a graph
 that ``MixedGraph`` builds. ``fci`` puts a learn's names at positions
@@ -74,6 +76,15 @@ def test_inv_is_called_nowhere():
             ast.unparse(node.func).endswith("linalg.inv")
 
     assert sites(calls_inv) == set()
+
+
+def test_citest_takes_no_eigendecomposition_or_svd():
+    # a set's rank is decided by ``data.cholesky``'s tolerance alone
+    def decomposes(node):
+        return isinstance(node, ast.Call) and \
+            ast.unparse(node.func).split(".")[-1] in ("eigh", "eig", "svd")
+
+    assert {module for module, _ in sites(decomposes)} <= {"estimate"}
 
 
 def test_critical_values_are_computed_in_one_function():
@@ -267,7 +278,8 @@ def test_citest_position_cores_call_no_name_level_function():
     tree = ast.parse((SRC / "citest.py").read_text())
     functions = {node.name: node for node in tree.body
                  if isinstance(node, ast.FunctionDef)}
-    cores = {"firsts_at", "_decisions", "_fisher_z_statistics",
+    cores = {"firsts_at", "_decisions", "_factor_tails",
+             "_fisher_z_statistics", "_degenerate_gaussian_statistics",
              "_residual_variances", "_residual_kurtosis",
              "_environment_parts", "_environment_result"}
     takes_names = {"_check_args", "_positions", "_tested_side",
@@ -291,13 +303,14 @@ def test_citest_position_cores_call_no_name_level_function():
 
 def test_fci_reaches_citest_only_through_the_batch_entry():
     # which test answers a set is decided in citest: fci imports its one
-    # batch entry, and Fisher-z as the default test
+    # batch entry, and the two tests that it batches, Fisher-z the default,
+    # to refuse any other
     tree = ast.parse((SRC / "fci.py").read_text())
     imported = {(node.module, alias.name) for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
     assert {name for module, name in imported if module == "citest"} == \
-        {"firsts_at", "fisher_z_test"}
+        {"firsts_at", "fisher_z_test", "degenerate_gaussian_test"}
     assert ("citest" not in {alias.name for node in ast.walk(tree)
                              if isinstance(node, (ast.Import, ast.ImportFrom))
                              for alias in node.names})
