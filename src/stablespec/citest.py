@@ -41,37 +41,36 @@ residuals the two parts are correlated (a group's mean and variance move
 together), so the test is somewhat liberal: in simulations with three
 environments of 500 rows it rejected 6 to 8% at level 0.05 for exponential
 or chi-square(3) noise, and a rare 0/1 flag declared continuous is as
-skewed. A discrete X is answered by the
-``fallback`` test (the one chosen for the other pairs), since its variance
-is tied to its level probabilities. Where X is constant, or a linear
-function of S, within some environments but not all, the conditional
-plainly changes and p = 0. Where the regression cannot be fitted within
-every environment (S degenerate there, an environment with too few rows
-for |S|, X degenerate everywhere, a single environment), ``fallback``
-answers on the pooled rows. The residual variances come from the
-per-environment correlation matrices a table computes once
-(``DataTable.correlations``), so a test factors m + 1 small matrices,
-whatever the row count.
+skewed. A discrete X is answered by the ``fallback`` test (the one chosen
+for the other pairs), since its variance is tied to its level
+probabilities. Where X is constant, or a linear function of S, within some
+environments but not all, the conditional plainly changes and p = 0. Where
+the regression cannot be fitted within every environment (S degenerate
+there, an environment with too few rows for |S|, X degenerate everywhere,
+a single environment), ``fallback`` answers on the pooled rows. The
+residual variances come from the per-environment correlation matrices a
+table computes once (``DataTable.correlations``), so a test factors m + 1
+small matrices, whatever the row count.
 
 Batched CI decisions. ``firsts_at`` is the one batch entry: it takes the
 conditioning sets of one size of many pairs at once, as one array of rows
 [a, b, *s] of column positions that ``fci`` builds and ``fci.DataOracle``
 puts at the table's columns (it checks nothing), each pair's rows in
-order, with the number of rows of each pair, and returns for each pair
-the index of its first independent set. ``_decisions`` routes each row to
-its test: the environment test, or the chosen test on the others and on
-the rows the environment test leaves to it. Each test gathers its
-submatrices with one fancy index per shape and factors them with one
-stacked ``data.cholesky`` call (``_factor_tails``). The statistics are
-finished in numpy and compared with the critical values of (alpha, dof)
+order, with the number of rows of each pair, and returns for each pair the
+index of its first independent set. ``_decisions`` routes each row to its
+test: the environment test, or the chosen test on the others and on the
+rows the environment test leaves to it. Each test gathers its submatrices
+with one fancy index per shape and factors them with one stacked
+``data.cholesky`` call (``_factor_tails``). The statistics are finished in
+numpy and compared with the critical values of (alpha, dof)
 (``critical_values``). A statistic between them, whose tail is within
 ``CRITICAL_MARGIN`` of alpha, and an environment statistic whose kurtosis
 correction can carry it across them, takes its own p-value, so every
-decision is exactly ``p_value >= alpha``. A set that cannot be
-tested is an error of its own pair only, returned where that pair reaches
-it; a row's names are looked up only to name the column at fault. LAPACK
-runs the same routine on each matrix of a stack, so a set's statistic is
-the same in any batch; the three tests are batches of one and report the
+decision is exactly ``p_value >= alpha``. A set that cannot be tested is
+an error of its own pair only, returned where that pair reaches it; a
+row's names are looked up only to name the column at fault. LAPACK runs
+the same routine on each matrix of a stack, so a set's statistic is the
+same in any batch; the three tests are batches of one and report the
 statistics that the decisions read.
 
 All p-values come in closed form: the two-sided normal tail as
@@ -89,9 +88,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .data import (
-    CONTINUOUS, MIN_UNEXPLAINED, DataError, DataTable, cholesky,
-)
+from .data import (CONTINUOUS, MIN_UNEXPLAINED, DataError, DataTable,
+                   cholesky)
 
 
 class DegenerateDataError(DataError):
@@ -119,14 +117,16 @@ def normal_two_sided_p(z: float) -> float:
 def chi2_sf(x: float, dof: int) -> float:
     """P(chi-square with integer ``dof`` degrees of freedom >= x).
 
-    Q(dof, x) = [dof odd] erfc(sqrt(x/2)) + sum over a = 1 or 3/2, a + 1,
-    ..., up to dof/2 of exp(-x/2) (x/2)^(a-1) / Gamma(a); every term is
-    positive, so the sum loses no precision to cancellation.
+    Q(dof, x) = [dof odd] erfc(sqrt(x/2)) + sum over a = 1 or 3/2, a + 1, ...,
+    up to dof/2 of exp(-x/2) (x/2)^(a-1) / Gamma(a); every term is positive, so
+    the sum loses no precision to cancellation. 0 at x = inf.
     """
     if dof < 1:
         raise ValueError("dof must be >= 1")
     if x <= 0.0:
         return 1.0
+    if x == math.inf:
+        return 0.0
     h = 0.5 * x
     log_h = math.log(h)
     p = math.erfc(math.sqrt(h)) if dof % 2 else 0.0
@@ -167,14 +167,13 @@ CRITICAL_MARGIN = 1e-9
 @functools.lru_cache(maxsize=1024)
 def critical_values(alpha: float, dof: int) -> tuple[float, float]:
     """Statistics (low, high) around the level-alpha critical value of the
-    chi-square tail with ``dof`` degrees of freedom, or of the two-sided
-    normal tail for dof 0: the tail is at least alpha (1 + CRITICAL_MARGIN)
-    at low and below alpha (1 - CRITICAL_MARGIN) at high, so the two lie
-    within about 1e-8 of each other. Both tails fall as the statistic
-    grows, so every statistic at most low has a p-value of at least alpha
-    and every one at least high a p-value below alpha. Found by bisection,
-    once per (alpha, dof); low is -inf when alpha is within the margin of 1.
-    """
+    chi-square tail with ``dof`` degrees of freedom, or of the two-sided normal
+    tail for dof 0: the tail is at least alpha (1 + CRITICAL_MARGIN) at low and
+    below alpha (1 - CRITICAL_MARGIN) at high, so the two lie within about 1e-8
+    of each other. Both tails fall as the statistic grows, so every statistic
+    at most low has a p-value of at least alpha and every one at least high a
+    p-value below alpha. Found by bisection, once per (alpha, dof); low is -inf
+    when alpha is within the margin of 1."""
     def tail(x: float) -> float:
         return normal_two_sided_p(x) if dof == 0 else chi2_sf(x, dof)
 
@@ -211,13 +210,23 @@ def _bracketed(least: np.ndarray, most: np.ndarray, dof: int | np.ndarray,
 
 
 class _Decisions(NamedTuple):
-    """Decisions on a batch of conditioning sets: ``decided[j]`` is 1 if set
-    j tests independent, 0 if dependent, and -1 if ``resolve(j)`` must say.
-    Where set j's test cannot be run, ``resolve(j)`` returns or raises the
-    error."""
+    """Decisions on a batch of conditioning sets: ``decided[j]`` is 1 if set j
+    tests independent, 0 if dependent, and -1 if ``resolve(j)`` must say. Where
+    set j's test cannot be run, ``resolve(j)`` returns or raises the error."""
 
     decided: np.ndarray
     resolve: Callable[[int], bool | Exception]
+
+
+def batched_statistics(test: Callable) -> Callable:
+    """The statistics, dof (0: normal tail) and errors of rows that
+    ``_decisions`` reads for ``test``; ``ValueError`` unless citest batches
+    it: ``fisher_z_test`` or ``degenerate_gaussian_test``."""
+    if test is fisher_z_test:
+        return _fisher_z_statistics
+    if test is degenerate_gaussian_test:
+        return _degenerate_gaussian_statistics
+    raise ValueError(f"citest batches no test {test!r}")
 
 
 def _decisions(test: Callable, data: DataTable, rows: np.ndarray,
@@ -225,11 +234,10 @@ def _decisions(test: Callable, data: DataTable, rows: np.ndarray,
     """Whether each row [a, b, *s] of ``rows``, column positions with all s
     of one size, tests independent at alpha: by ``environment_test(data, a,
     b, s, test)`` where a or b is the table's environment column, else by
-    ``test``, ``fisher_z_test`` or ``degenerate_gaussian_test``. The
-    kurtosis correction only shrinks the scale part, so the environment
-    statistic lies between the location part and the sum of both parts;
-    the kurtosis is estimated only where the critical values fall between
-    them."""
+    ``test`` (see ``batched_statistics``). The kurtosis correction only
+    shrinks the scale part, so the environment statistic lies between the
+    location part and the sum of both parts; the kurtosis is estimated
+    only where the critical values fall between them."""
     decided = np.full(len(rows), -1)
     by_test = np.ones(len(rows), dtype=bool)  # the rows ``test`` answers
     env = -1 if data.env_column is None else data.index[data.env_column]
@@ -240,19 +248,11 @@ def _decisions(test: Callable, data: DataTable, rows: np.ndarray,
         fit = np.column_stack([pairs[:, 2:], np.where(
             pairs[:, 0] == env, pairs[:, 1], pairs[:, 0])])
         parts = _environment_parts(data, fit)
-        decided[envs] = _bracketed(parts.location,
-                                   parts.location + parts.scale, parts.dof,
-                                   alpha)
+        decided[envs] = _bracketed(parts.location, parts.location +
+                                   parts.scale, parts.dof, alpha)
         by_test[envs] = parts.fallback
     tested = np.flatnonzero(by_test)
-    if test is fisher_z_test:
-        statistics, errors = _fisher_z_statistics(data, rows[tested])
-        dofs = 0
-    elif test is degenerate_gaussian_test:
-        statistics, dofs, errors = _degenerate_gaussian_statistics(
-            data, rows[tested])
-    else:
-        raise ValueError(f"not a CI test that citest batches: {test!r}")
+    statistics, dofs, errors = batched_statistics(test)(data, rows[tested])
     decided[tested] = _bracketed(statistics, statistics, dofs, alpha)
 
     def resolve(j: int) -> bool | Exception:
@@ -272,13 +272,12 @@ def _decisions(test: Callable, data: DataTable, rows: np.ndarray,
 
 
 def _caught(fn: Callable, *args):
-    """``fn(*args)``, or the error it raises because a set cannot be tested
-    (a ``DataError``, or a ``ValueError`` such as a NaN p-value or a
-    singular matrix), kept to be raised later. The error is kept without
-    its traceback, and so are the errors it chains to: a traceback's
-    frames lead back, through ``f_back``, to the caller that keeps the
-    error, and that cycle would keep a table alive until the cyclic
-    collector runs."""
+    """``fn(*args)``, or the error it raises because a set cannot be tested (a
+    ``DataError``, or a ``ValueError`` such as a NaN p-value or a singular
+    matrix), kept to be raised later. The error is kept without its traceback,
+    and so are the errors it chains to: a traceback's frames lead back, through
+    ``f_back``, to the caller that keeps the error, and that cycle would keep a
+    table alive until the cyclic collector runs."""
     try:
         return fn(*args)
     except (DataError, ValueError) as exc:
@@ -291,19 +290,20 @@ def _caught(fn: Callable, *args):
 
 def firsts_at(test: Callable, data: DataTable, rows: np.ndarray,
               counts: Sequence[int], alpha: float) -> list:
-    """For each query, the index of its first set that tests independent
-    at alpha (see ``_decisions``), None if none does, or the error (a
-    ``DataError`` or ``ValueError``) of the first set before it that cannot
-    be tested, returned, not raised, so that it stays with its own query.
+    """For each query, the index of its first set that tests independent at
+    alpha (see ``_decisions``), None if none does, or the error (a
+    ``DataError`` or ``ValueError``) of the first set before it that cannot be
+    tested, returned, not raised, so that it stays with its own query. Raises
+    ``ValueError`` for a test that citest does not batch.
 
     ``rows`` holds one row [a, b, *s] per set, the positions of columns of
     ``data``, all s of one size, and ``counts`` the number of rows of each
-    query, whose rows follow the query before it; nothing is checked. This
-    is the contract of the ``firsts`` that an fci oracle's ``bind``
-    returns, on learn positions: ``fci.DataOracle``'s puts fci's rows at
-    the table's columns and calls this. One ``_decisions`` call decides
-    them all; only a statistic between the critical values of alpha takes
-    its own p-value."""
+    query, whose rows follow the query before it; nothing is checked. This is
+    the contract of the ``firsts`` that an fci oracle's ``bind`` returns, on
+    learn positions: ``fci.DataOracle``'s puts fci's rows at the table's
+    columns and calls this. One ``_decisions`` call decides them all; only a
+    statistic between the critical values of alpha takes its own p-value."""
+    batched_statistics(test)  # raised here, not kept as a set's error
     out: list = [None] * len(counts)
     if not len(rows):
         return out
@@ -332,24 +332,24 @@ def firsts_at(test: Callable, data: DataTable, rows: np.ndarray,
 
 
 def _factor_tails(corr: np.ndarray, order: np.ndarray, da: int, db: int,
-                  reduce: bool) -> tuple[np.ndarray, np.ndarray]:
+                  reduce: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """The rows of b, at the columns of a and b, (k, db, da + db), of the
-    Cholesky factors of the [*s, *a, *b] submatrices at the rows of
-    ``order``, in ``corr`` or in each matrix of a stack ``corr`` (matrix by
-    matrix); and a code, 0 where a factor exists, else (rows NaN) 2 where
-    [*s, *a] does not factor, 3 where [*s, *b] does not, 1 where both do
-    (a and b determine each other). If the stacked ``data.cholesky`` call
-    fails, each is factored alone; with ``reduce``, each column of s whose
-    pivot given the kept ones before it is at most ``tol`` is dropped."""
+    Cholesky factors of the [*s, *a, *b] submatrices at the rows of ``order``,
+    in ``corr`` or in each matrix of a stack ``corr`` (matrix by matrix); and
+    None if one stacked ``data.cholesky`` call factors them all, else each is
+    factored alone (with ``reduce``, each column of s whose pivot given the
+    kept ones before it is at most ``tol`` dropped) with a code: 0, else (rows
+    NaN) 2 where [*s, *a] does not factor, 3 where [*s, *b] does not, 1 where
+    both do (a and b determine each other)."""
     # broadcast index arrays: np.ix_ would cost more than the lookup itself
     sub = corr[..., order[:, :, None], order[:, None, :]]
     sub = sub.reshape(-1, *sub.shape[-2:])
     tol, w = math.sqrt(MIN_UNEXPLAINED), da + db
-    codes = np.zeros(len(sub), dtype=int)
     chol = cholesky(sub, tol)
     if chol is not None:
-        return chol[:, -db:, -w:], codes
+        return chol[:, -db:, -w:], None
     tails = np.full((len(sub), db, w), np.nan)
+    codes = np.zeros(len(sub), dtype=int)
     for j, m in enumerate(sub):
         if reduce:
             keep: list[int] = []
@@ -370,17 +370,16 @@ def _factor_tails(corr: np.ndarray, order: np.ndarray, da: int, db: int,
 
 
 def _fisher_z_statistics(data: DataTable, rows: np.ndarray
-                         ) -> tuple[np.ndarray, dict[int, Exception]]:
+                         ) -> tuple[np.ndarray, int, dict[int, Exception]]:
     """The Fisher-z statistic of each row [a, b, *s] of ``rows``, column
-    positions with all s of one size, and the error of each row that cannot
-    be tested (its statistic is NaN). The [*s, a, b] submatrices of the
+    positions with all s of one size, dof 0, and the error of each row that
+    cannot be tested (its statistic is NaN). The [*s, a, b] submatrices of the
     table's correlation matrix without a constant column go to one
-    ``_factor_tails`` call: the last row [l_ba, l_bb] of a factor gives |r|
-    = |l_ba| / sqrt(l_ba^2 + l_bb^2), 1 where a and b determine each other
-    given s, clipped at 1 - 1e-12; any other that does not factor is an
-    error."""
+    ``_factor_tails`` call: the last row [l_ba, l_bb] of a factor gives |r| =
+    |l_ba| / sqrt(l_ba^2 + l_bb^2), 1 where a and b determine each other given
+    s, clipped at 1 - 1e-12; any other that does not factor is an error."""
     if not len(rows):
-        return np.empty(0), {}
+        return np.empty(0), 0, {}
     # discrete columns are used as plain numeric codes here
     n, size = data.n_rows, rows.shape[1] - 2
     if n <= size + 3:
@@ -397,14 +396,14 @@ def _fisher_z_statistics(data: DataTable, rows: np.ndarray
     last = np.full((len(rows), 2), np.nan)  # [l_ba, l_bb] of each factor
     tails, codes = _factor_tails(corr, order, 1, 1, False)
     last[ok] = tails[:, 0]
-    if codes.any():
+    if codes is not None:
         at = np.arange(len(rows))[ok]
         last[at[codes == 1]] = 1.0, 0.0
         for j in at[codes > 1].tolist():
             errors[j] = DegenerateDataError("singular covariance submatrix")
     ba, bb = last.T
     r = np.minimum(np.abs(ba) / np.sqrt(ba * ba + bb * bb), 1.0 - 1e-12)
-    return math.sqrt(n - size - 3) * np.arctanh(r), errors
+    return math.sqrt(n - size - 3) * np.arctanh(r), 0, errors
 
 
 def _fisher_z_result(statistic: float) -> CITestResult:
@@ -418,8 +417,8 @@ def fisher_z_test(data: DataTable, a: str, b: str,
     the table's cached correlation matrix: a batch of one of the statistics
     that ``firsts_at`` decides."""
     s = _check_args(data, a, b, s)
-    statistics, errors = _fisher_z_statistics(data,
-                                               _positions(data, [(a, b, *s)]))
+    statistics, _, errors = _fisher_z_statistics(
+        data, _positions(data, [(a, b, *s)]))
     if errors:  # popped: no local keeps it, and its traceback no cycle
         raise errors.pop(0)
     return _fisher_z_result(float(statistics[0]))
@@ -453,8 +452,10 @@ def _residual_variances(data: DataTable, rows: np.ndarray
                         "conditioning set size")
     tails, codes = _factor_tails(data.correlations(), rows, 0, 1, False)
     shape = (len(counts) + 1, len(rows))  # the pooled matrix, then groups
-    shares = np.where(codes == 3, 0.0, tails[:, 0, 0] ** 2).reshape(shape).T
-    shares[(codes == 2).reshape(shape).any(axis=0)] = np.nan
+    shares = (tails[:, 0, 0] ** 2).reshape(shape).T
+    if codes is not None:  # x a linear function of s; s degenerate
+        shares[codes.reshape(shape).T == 3] = 0.0
+        shares[(codes == 2).reshape(shape).any(axis=0)] = np.nan
     xs = rows[:, -1]
     sigma2 = mom.grams[:, xs, xs].T / counts * shares[:, 1:]
     pooled = mom.scatter[xs, xs] / data.n_rows * shares[:, 0]
@@ -570,14 +571,12 @@ def environment_test(data: DataTable, a: str, b: str,
     column (see the module docstring). A batch of one of the statistics
     that ``firsts_at`` decides.
 
-    If that side is constant or a linear function of s within some
-    environments but not all, its conditional plainly changes: p = 0.
-    ``fallback`` answers the query on the pooled rows if that side is
-    discrete, if it is constant or a linear function of s within every
-    environment, if s is degenerate within an environment, if an
-    environment has too few rows for |s|, or if the table has a single
-    environment.
-    """
+    If that side is constant or a linear function of s within some environments
+    but not all, its conditional plainly changes: p = 0. ``fallback`` answers
+    the query on the pooled rows if that side is discrete, if it is constant or
+    a linear function of s within every environment, if s is degenerate within
+    an environment, if an environment has too few rows for |s|, or if the table
+    has a single environment."""
     s = _check_args(data, a, b, s)
     row = _positions(data, [[*s, _tested_side(data, a, b)]])
     parts = _environment_parts(data, row)
@@ -592,14 +591,15 @@ def _degenerate_gaussian_statistics(data: DataTable, rows: np.ndarray
                                     ) -> tuple[np.ndarray, np.ndarray,
                                                dict[int, Exception]]:
     """The degenerate-Gaussian statistic and dof of each row [a, b, *s] of
-    ``rows``, as ``_fisher_z_statistics``. A column enters as its columns
-    in ``DataTable.embedding()``, whose index gives the widths, without the
+    ``rows``, as ``_fisher_z_statistics``. A column enters as its columns in
+    ``DataTable.embedding()``, whose index gives the widths, without the
     constant ones of s; the submatrices of each shape go to one
-    ``_factor_tails`` call. From the rows [L_ba, L_bb] of b of a factor,
-    -log Lambda is log1p(|L_ba|^2 / L_bb^2) for db = 1, Fisher-z's
-    -log(1 - r^2), else log det(L_ba L_ba^T + L_bb L_bb^T) - 2 sum log
-    diag(L_bb); the statistic is -(n - ds - 1 - (da + db + 1) / 2) log
-    Lambda with da db dof, ds counting every column of s."""
+    ``_factor_tails`` call. From the rows [L_ba, L_bb] of b of a factor, -log
+    Lambda is log1p(|L_ba|^2 / L_bb^2) for db = 1, Fisher-z's -log(1 - r^2),
+    else log det(L_ba L_ba^T + L_bb L_bb^T) - 2 sum log diag(L_bb); the
+    statistic is -(n - ds - 1 - (da + db + 1) / 2) log Lambda with da db dof,
+    ds counting every column of s, and inf (p = 0) where a and b determine each
+    other given s."""
     n, emb = data.n_rows, data.embedding()
     widths = np.array([len(emb.index[name]) for name in data.names])
     cols = np.full((len(widths), widths.max()), -1)  # -1 past a width
@@ -627,6 +627,7 @@ def _degenerate_gaussian_statistics(data: DataTable, rows: np.ndarray
         group = ok[of == g]
         tails, codes = _factor_tails(emb.correlation, order[group][
             order[group] >= 0].reshape(len(group), -1), wa, wb, True)
+        codes = np.zeros(len(group), int) if codes is None else codes
         lb, done = tails[codes == 0], group[codes == 0]
         pivots = np.diagonal(lb[:, :, wa:], axis1=1, axis2=2)
         if wb == 1:  # log1p keeps the digits of a Lambda near 1
@@ -636,7 +637,7 @@ def _degenerate_gaussian_statistics(data: DataTable, rows: np.ndarray
             gram = cholesky(lb @ lb.transpose(0, 2, 1))
             statistics[done] = 2.0 * (np.log(np.diagonal(
                 gram, axis1=1, axis2=2)) - np.log(pivots)).sum(axis=1)
-        statistics[group[codes == 1]] = -math.log1p(-(1.0 - 1e-12) ** 2)
+        statistics[group[codes == 1]] = math.inf  # p = 0: dependent
         for j, side in zip(group[codes > 1].tolist(), codes[codes > 1] - 2):
             errors[j] = DegenerateDataError(
                 f"singular embedded covariance: {data.names[rows[j, side]]}")

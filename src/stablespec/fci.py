@@ -65,7 +65,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .citest import degenerate_gaussian_test, firsts_at, fisher_z_test
+from .citest import batched_statistics, firsts_at, fisher_z_test
 from .data import DataTable, pool_environments
 from .graph import (
     ARROW, CIRCLE, TAIL, Edge, GraphError, MixedGraph, blocks, positions,
@@ -131,8 +131,7 @@ class DataOracle:
                  alpha: float = 0.01):
         if not 0 < alpha < 1:
             raise ValueError(f"alpha must be between 0 and 1, not {alpha}")
-        if test not in (fisher_z_test, degenerate_gaussian_test):
-            raise ValueError(f"citest batches no test {test!r}")
+        batched_statistics(test)  # raises for a test citest cannot batch
         self.table, self.test, self.alpha = table, test, alpha
 
     def bind(self, names: Sequence[str]) -> Callable:

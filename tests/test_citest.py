@@ -801,7 +801,7 @@ class TestBatches:
             assert got == self.fisher_loop(t, "a", "b", subsets)
             found.append(got)
             # every statistic of the batch, bit for bit
-            statistics, errors = citest._fisher_z_statistics(
+            statistics, _, errors = citest._fisher_z_statistics(
                 t, citest._positions(t, [("a", "b", *sorted(s))
                                          for s in subsets]))
             assert not errors and statistics.tolist() == \
@@ -1219,6 +1219,43 @@ class TestDegenerateGaussianBatch:
             assert all(len(shape) == 3 for shape in factored)
             assert len(shapes) <= len(factored) <= 2 * len(shapes)
             assert sum(shape[0] for shape in factored) >= 40 * 3
+
+    def test_sides_that_determine_each_other_test_dependent(self):
+        # "w" and "v" relabel one another's 31 levels, so all 30 canonical
+        # correlations are 1; at the fewest rows the test allows (n > 1 + 30
+        # + 30 + 1, and one more for c in s) a statistic built from one
+        # clipped correlation would sit near its dof of 900. Batched with
+        # the sets of mixed_table's columns, each is dependent at any alpha
+        n = 64
+        t = TestDegenerateGaussian.mixed_table(np.random.default_rng(17), n)
+        w = np.arange(n) % 31
+        t = DataTable({**{v: t.column(v) for v in t.names},
+                       "w": w.astype(float), "v": (w * 7 % 31).astype(float)},
+                      {**{v: t.kinds[v] for v in t.names if
+                          t.is_discrete(v)}, "w": 31, "v": 31})
+        for s in ([], ["c1"]):
+            got = degenerate_gaussian_test(t, "w", "v", s)
+            assert (got.p_value, got.statistic, got.dof) == (0.0, math.inf,
+                                                             900)
+        others = [[("c1", "c2", [[]]), ("d3", "c3", [[]])],
+                  [("c1", "c2", [["d2"]]), ("d3", "c3", [["c2"], ["d4"]])]]
+        for s in ([], ["c1"]):
+            queries = [("w", "v", [s]), *others[len(s)], ("v", "w", [s])]
+            for alpha in (0.01, 0.99, 1.0 - 1e-12):
+                got = self.check(t, queries, alpha)
+                assert got[0] is None and got[-1] is None
+
+    def test_a_test_citest_does_not_batch_raises(self):
+        # a programming error, raised before any work rather than kept as
+        # an error of each query
+        t = batch_table(1)
+
+        def per_set(table, a, b, s):
+            return fisher_z_test(table, a, b, s)
+
+        for queries in ([("E", "x", [["s0"]]), ("a", "b", [["s1"]])], []):
+            with pytest.raises(ValueError, match="citest batches no test"):
+                firsts_at(per_set, t, *stacked(t, queries), 0.05)
 
 
 class TestDecisions:

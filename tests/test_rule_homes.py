@@ -303,14 +303,14 @@ def test_citest_position_cores_call_no_name_level_function():
 
 def test_fci_reaches_citest_only_through_the_batch_entry():
     # which test answers a set is decided in citest: fci imports its one
-    # batch entry, and the two tests that it batches, Fisher-z the default,
-    # to refuse any other
+    # batch entry, Fisher-z as the default test, and the function that
+    # refuses a test citest does not batch
     tree = ast.parse((SRC / "fci.py").read_text())
     imported = {(node.module, alias.name) for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
     assert {name for module, name in imported if module == "citest"} == \
-        {"firsts_at", "fisher_z_test", "degenerate_gaussian_test"}
+        {"firsts_at", "fisher_z_test", "batched_statistics"}
     assert ("citest" not in {alias.name for node in ast.walk(tree)
                              if isinstance(node, (ast.Import, ast.ImportFrom))
                              for alias in node.names})
