@@ -88,8 +88,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .data import (CONTINUOUS, MIN_UNEXPLAINED, DataError, DataTable,
-                   cholesky)
+from .data import MIN_UNEXPLAINED, DataError, DataTable, cholesky
 
 
 class DegenerateDataError(DataError):
@@ -238,30 +237,39 @@ def _decisions(test: Callable, data: DataTable, rows: np.ndarray,
     shrinks the scale part, so the environment statistic lies between the
     location part and the sum of both parts; the kurtosis is estimated
     only where the critical values fall between them."""
-    decided = np.full(len(rows), -1)
-    by_test = np.ones(len(rows), dtype=bool)  # the rows ``test`` answers
-    env = -1 if data.env_column is None else data.index[data.env_column]
-    envs = np.flatnonzero((rows[:, 0] == env) | (rows[:, 1] == env))
-    if len(envs):
-        pairs = rows[envs]
-        # [*s, x], x the side that is not the environment column
-        fit = np.column_stack([pairs[:, 2:], np.where(
-            pairs[:, 0] == env, pairs[:, 1], pairs[:, 0])])
+    statistics_of = batched_statistics(test)
+    env = data.env_position
+    on_env = None if env is None else (rows[:, 0] == env) | (rows[:, 1] == env)
+    if on_env is None or not on_env.any():
+        on_env = by_test = None  # ``test`` answers every row
+        tested = rows
+    else:
+        pairs = rows[on_env]
+        # [*s, x], x the side that is not the environment column: one of a
+        # and b is env, so x = a + b - env
+        fit = np.concatenate(
+            (pairs[:, 2:], (pairs[:, 0] + pairs[:, 1] - env)[:, None]),
+            axis=1)
         parts = _environment_parts(data, fit)
-        decided[envs] = _bracketed(parts.location, parts.location +
-                                   parts.scale, parts.dof, alpha)
-        by_test[envs] = parts.fallback
-    tested = np.flatnonzero(by_test)
-    statistics, dofs, errors = batched_statistics(test)(data, rows[tested])
-    decided[tested] = _bracketed(statistics, statistics, dofs, alpha)
+        decided = np.empty(len(rows), dtype=int)
+        decided[on_env] = _bracketed(parts.location, parts.location +
+                                     parts.scale, parts.dof, alpha)
+        by_test = ~on_env  # the rows ``test`` answers
+        by_test[on_env] = parts.fallback
+        tested = rows[by_test]
+    statistics, dofs, errors = statistics_of(data, tested)
+    if by_test is None:
+        decided = _bracketed(statistics, statistics, dofs, alpha)
+    else:
+        decided[by_test] = _bracketed(statistics, statistics, dofs, alpha)
 
     def resolve(j: int) -> bool | Exception:
-        if not by_test[j]:
-            i = int(np.searchsorted(envs, j))
+        if by_test is not None and not by_test[j]:
+            i = int(np.count_nonzero(on_env[:j]))
             return _environment_result(
                 data, fit[i, -1], fit[i, :-1], float(parts.location[i]),
                 float(parts.scale[i]), parts.dof).p_value >= alpha
-        i = int(np.searchsorted(tested, j))
+        i = j if by_test is None else int(np.count_nonzero(by_test[:j]))
         if i in errors:
             return errors[i]
         if test is fisher_z_test:
@@ -384,23 +392,27 @@ def _fisher_z_statistics(data: DataTable, rows: np.ndarray
     n, size = data.n_rows, rows.shape[1] - 2
     if n <= size + 3:
         raise DataError("too few rows for the conditioning set size")
-    corr = data.correlation()
-    constant = np.isnan(corr.diagonal())[rows]
+    corr, constant = data.correlation(), data.constant()
     errors: dict[int, Exception] = {}
-    for j in np.flatnonzero(constant.any(axis=1)).tolist():
-        errors[j] = DegenerateDataError(
-            f"constant column in correlation matrix: "
-            f"{data.names[rows[j, constant[j].argmax()]]}")
-    ok = np.flatnonzero(~constant.any(axis=1)) if errors else slice(None)
+    ok = slice(None)
+    if constant.any():
+        fixed = constant[rows]
+        for j in np.flatnonzero(fixed.any(axis=1)).tolist():
+            errors[j] = DegenerateDataError(
+                f"constant column in correlation matrix: "
+                f"{data.names[rows[j, fixed[j].argmax()]]}")
+        ok = np.flatnonzero(~fixed.any(axis=1))
     order = np.concatenate((rows[ok, 2:], rows[ok, :2]), axis=1)  # [*s, a, b]
-    last = np.full((len(rows), 2), np.nan)  # [l_ba, l_bb] of each factor
     tails, codes = _factor_tails(corr, order, 1, 1, False)
-    last[ok] = tails[:, 0]
+    last = tails[:, 0]  # [l_ba, l_bb] of each factor
     if codes is not None:
+        last[codes == 1] = 1.0, 0.0
         at = np.arange(len(rows))[ok]
-        last[at[codes == 1]] = 1.0, 0.0
         for j in at[codes > 1].tolist():
             errors[j] = DegenerateDataError("singular covariance submatrix")
+    if len(last) < len(rows):
+        last = np.full((len(rows), 2), np.nan)
+        last[ok] = tails[:, 0]
     ba, bb = last.T
     r = np.minimum(np.abs(ba) / np.sqrt(ba * ba + bb * bb), 1.0 - 1e-12)
     return math.sqrt(n - size - 3) * np.arctanh(r), 0, errors
@@ -456,10 +468,8 @@ def _residual_variances(data: DataTable, rows: np.ndarray
     if codes is not None:  # x a linear function of s; s degenerate
         shares[codes.reshape(shape).T == 3] = 0.0
         shares[(codes == 2).reshape(shape).any(axis=0)] = np.nan
-    xs = rows[:, -1]
-    sigma2 = mom.grams[:, xs, xs].T / counts * shares[:, 1:]
-    pooled = mom.scatter[xs, xs] / data.n_rows * shares[:, 0]
-    return counts, sigma2, pooled
+    variances = mom.variances[rows[:, -1]] * shares  # pooled, then groups
+    return counts, variances[:, 1:], variances[:, 0]
 
 
 def _residual_kurtosis(data: DataTable, x: int, s: np.ndarray) -> float:
@@ -507,40 +517,51 @@ def _environment_parts(data: DataTable, rows: np.ndarray
     [*s, x] of ``rows``, column positions with all s of one size, from one
     ``_residual_variances`` call on the rows whose x is continuous."""
     k = len(rows)
-    discrete = np.array([data.kinds[name] != CONTINUOUS
-                         for name in data.names])
-    fallback = discrete[rows[:, -1]]
-    fit = np.flatnonzero(~fallback)
+    fallback = data.discrete()[rows[:, -1]]
+    fit = np.flatnonzero(~fallback) if fallback.any() else None
     try:
         counts, sigma2, pooled = _residual_variances(
-            data, rows if len(fit) == k else rows[fit])
+            data, rows if fit is None else rows[fit])
     except DataError:
         nan = np.full(k, np.nan)
         return _EnvironmentParts(nan, nan, np.ones(k, dtype=bool), 0)
     n = data.n_rows
-    with np.errstate(divide="ignore", invalid="ignore"):
-        weighted, logs = sigma2 * counts, np.log(sigma2) * counts
-        within, log_sum = weighted[:, 0], logs[:, 0]
-        for e in range(1, len(counts)):  # summed in environment order
-            within = within + weighted[:, e]
-            log_sum = log_sum + logs[:, e]
-        within = within / n
-        location = np.maximum(n * np.log(pooled / within), 0.0)
-        scale = np.maximum(n * np.log(within) - log_sum, 0.0)
-    # x constant, or a linear function of s, within some environment: its
-    # conditional plainly changes if it varies in another, and the fallback
-    # answers if it varies in none; so does it where s is degenerate
-    lowest, highest = sigma2.min(axis=1), sigma2.max(axis=1)
-    changed = (lowest == 0.0) & (highest > 0.0)
-    location[changed], scale[changed] = np.inf, 0.0
-    fallback[fit[np.isnan(pooled) | (lowest == 0.0) & ~(highest > 0.0)]] = \
-        True
-    if len(fit) < k:  # one entry per row again
+    if sigma2.min(initial=np.inf) > 0.0 and pooled.min(initial=np.inf) > 0.0:
+        location, scale = _ratio_parts(n, counts, sigma2, pooled)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            location, scale = _ratio_parts(n, counts, sigma2, pooled)
+        # x constant, or a linear function of s, within some environment:
+        # its conditional plainly changes if it varies in another, and the
+        # fallback answers if it varies in none; so does it where s is
+        # degenerate
+        lowest, highest = sigma2.min(axis=1), sigma2.max(axis=1)
+        changed = (lowest == 0.0) & (highest > 0.0)
+        location[changed], scale[changed] = np.inf, 0.0
+        degenerate = np.isnan(pooled) | (lowest == 0.0) & ~(highest > 0.0)
+        fallback[degenerate if fit is None else fit[degenerate]] = True
+    if fit is not None:  # one entry per row again
         parts = np.full((2, k), np.nan)
         parts[:, fit] = location, scale
         location, scale = parts
     return _EnvironmentParts(location, scale, fallback,
                              (len(counts) - 1) * (rows.shape[1] + 1))
+
+
+def _ratio_parts(n: int, counts: np.ndarray, sigma2: np.ndarray,
+                 pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The location and scale parts of the likelihood ratio (see the module
+    docstring) from the residual variances, per environment (k, m) and
+    pooled (k,), of a table of n rows, ``counts`` per environment; the
+    environments summed in order."""
+    weighted, logs = sigma2 * counts, np.log(sigma2) * counts
+    within, log_sum = weighted[:, 0], logs[:, 0]
+    for e in range(1, len(counts)):
+        within = within + weighted[:, e]
+        log_sum = log_sum + logs[:, e]
+    within = within / n
+    return (np.maximum(n * np.log(pooled / within), 0.0),
+            np.maximum(n * np.log(within) - log_sum, 0.0))
 
 
 def _tested_side(data: DataTable, a: str, b: str) -> str:
@@ -601,24 +622,20 @@ def _degenerate_gaussian_statistics(data: DataTable, rows: np.ndarray
     ds counting every column of s, and inf (p = 0) where a and b determine each
     other given s."""
     n, emb = data.n_rows, data.embedding()
-    widths = np.array([len(emb.index[name]) for name in data.names])
-    cols = np.full((len(widths), widths.max()), -1)  # -1 past a width
-    for p, name in enumerate(data.names):
-        cols[p, :widths[p]] = emb.index[name]
-    constant = np.isnan(emb.correlation.diagonal())
+    widths = emb.widths
     da, db = widths[rows[:, 0]], widths[rows[:, 1]]
     ds = widths[rows[:, 2:]].sum(axis=1)
     few = n <= ds + da + db + 2
-    fixed = (constant[cols] & (cols >= 0)).any(axis=1)[rows[:, :2]]
+    fixed = emb.constant[rows[:, :2]]
     errors: dict[int, Exception] = {}
     for j in np.flatnonzero(few | fixed.any(axis=1)).tolist():
         side = data.names[rows[j, fixed[j].argmax()]]
         errors[j] = DataError("too few rows for the embedded covariance") \
             if few[j] else DegenerateDataError(
                 f"constant embedded column: {side}")
-    # [*s, *a, *b], -1 past a width and at a constant column of s
-    order = np.concatenate((np.where(constant[cols], -1, cols)[rows[:, 2:]],
-                            cols[rows[:, :2]]), axis=1)
+    # [*s, *a, *b], -1 past a width and where s drops a column
+    order = np.concatenate((emb.kept[rows[:, 2:]], emb.columns[rows[:, :2]]),
+                           axis=1)
     ok = np.flatnonzero(~few & ~fixed.any(axis=1))
     shapes, of = np.unique(np.c_[(order >= 0).sum(axis=(1, 2)), da, db][ok],
                            axis=0, return_inverse=True)

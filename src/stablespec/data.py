@@ -52,7 +52,9 @@ class Moments(NamedTuple):
     most ``SAMPLE_ROWS`` per group, centred at their group's mean, group
     after group; ``sample_counts[e]`` of them belong to group e.
     ``moments()`` computes them from column-major copies of the groups;
-    ``sample`` is a row-major (r, k) array all the same.
+    ``sample`` is a row-major (r, k) array all the same. ``variances``
+    holds each column's variance with divisor n, over all rows and within
+    each group: the diagonals of ``scatter`` and ``grams``, over the rows.
     """
 
     counts: np.ndarray          # (m,) rows per group
@@ -62,6 +64,7 @@ class Moments(NamedTuple):
     scatter: np.ndarray         # (k, k) pooled centred Gram matrix
     sample: np.ndarray          # (r, k) group-centred rows, group after group
     sample_counts: np.ndarray   # (m,) rows of ``sample`` per group
+    variances: np.ndarray       # (k, m + 1) pooled, then per group
 
 
 def correlation(cov: np.ndarray, mean: np.ndarray) -> np.ndarray:
@@ -103,11 +106,19 @@ class Embedding(NamedTuple):
     ``names`` order: one for a continuous column, levels - 1 for a
     discrete one. The row and column of an embedded column that is constant
     (up to rounding, see ``correlation``) are NaN: a constant continuous
-    column, or a level that no row, or every row, takes.
+    column, or a level that no row, or every row, takes. ``columns`` holds
+    the same positions by column position, and ``kept`` those that a
+    conditioning set keeps: not constant, and not a linear combination of
+    the column's kept embedded columns before it (by ``cholesky``), as the
+    last one is where a column's last level never occurs.
     """
 
     index: dict[str, np.ndarray]
     correlation: np.ndarray     # (w, w)
+    widths: np.ndarray          # (k,) embedded columns per column
+    columns: np.ndarray         # (k, most width) positions, -1 past a width
+    kept: np.ndarray            # as ``columns``, -1 where a set drops one
+    constant: np.ndarray        # (k,) whether a column has a constant one
 
 
 def embed(table: "DataTable") -> tuple[np.ndarray, dict[str, np.ndarray]]:
@@ -240,9 +251,13 @@ class DataTable:
         self._columns = columns
         self._segments = segments
         self.index = {name: i for i, name in enumerate(self.names)}
+        self.env_position = None if env_column is None else \
+            self.index[env_column]
+        self._discrete: np.ndarray | None = None
         self._moments: Moments | None = None
         self._corrs: np.ndarray | None = None
         self._corr: np.ndarray | None = None  # one view of _corrs[0]
+        self._constant: np.ndarray | None = None
         self._embedding: Embedding | None = None
 
     @classmethod
@@ -285,6 +300,15 @@ class DataTable:
         if not self.is_discrete(name):
             raise DataError(f"column {name!r} is continuous")
         return int(self.kinds[name])
+
+    def discrete(self) -> np.ndarray:
+        """Whether each column, in ``names`` order, is discrete; computed
+        once per table."""
+        if self._discrete is None:
+            self._discrete = np.array([self.kinds[name] != CONTINUOUS
+                                       for name in self.names])
+            self._discrete.flags.writeable = False
+        return self._discrete
 
     def width(self, name: str) -> int:
         """Columns ``name`` takes in ``embed``: levels - 1 if discrete,
@@ -363,8 +387,12 @@ class DataTable:
             mean = counts @ means / self.n_rows
             d = means - mean + drift
             scatter = grams.sum(axis=0) + (counts[:, None] * d).T @ d
+            variances = np.empty((k, len(counts) + 1))
+            variances[:, 0] = np.diagonal(scatter) / self.n_rows
+            variances[:, 1:] = (np.diagonal(grams, axis1=1, axis2=2).T /
+                                counts)
             arrays = (counts, means, grams, mean, scatter, sample,
-                      sample_counts)
+                      sample_counts, variances)
             for arr in arrays:
                 arr.flags.writeable = False
             self._moments = Moments(*arrays)
@@ -388,9 +416,9 @@ class DataTable:
             cov = np.concatenate([mom.scatter[None], mom.grams]) * \
                 scale[:, None, None]
             corrs = correlation(cov, np.vstack([mom.mean, mom.means]))
-            corrs.flags.writeable = False
-            self._corrs = corrs
-            self._corr = corrs[0]
+            constant = np.isnan(corrs[0].diagonal())
+            corrs.flags.writeable = constant.flags.writeable = False
+            self._corrs, self._corr, self._constant = corrs, corrs[0], constant
         return self._corrs
 
     def correlation(self) -> np.ndarray:
@@ -400,11 +428,19 @@ class DataTable:
             self.correlations()
         return self._corr
 
+    def constant(self) -> np.ndarray:
+        """Whether each column is constant over all rows (up to rounding,
+        see ``correlation``): the NaN diagonal of ``correlation()``,
+        computed with it."""
+        if self._constant is None:
+            self.correlations()
+        return self._constant
+
     def embedding(self) -> Embedding:
         """Correlations of the one-hot embedding of all columns, in
-        ``names`` order, from one centred scatter of ``embed(self)``;
-        computed once per table. The n-row design is freed once the
-        scatter is taken."""
+        ``names`` order, from one centred scatter of ``embed(self)``, with
+        the embedded positions of each column; computed once per table.
+        The n-row design is freed once the scatter is taken."""
         if self._embedding is None:
             if self.n_rows < 2:
                 raise DataError("correlation needs at least two rows")
@@ -414,8 +450,24 @@ class DataTable:
             scatter = x.T @ x
             del x
             corr = correlation(scatter / (self.n_rows - 1), mean)
-            corr.flags.writeable = False
-            self._embedding = Embedding(index, corr)
+            widths = np.array([len(index[name]) for name in self.names])
+            columns = np.full((len(widths), widths.max()), -1)
+            kept = columns.copy()
+            tol = math.sqrt(MIN_UNEXPLAINED)
+            for p, name in enumerate(self.names):
+                columns[p, :widths[p]] = index[name]
+                keep: list[int] = []
+                for i in index[name].tolist():
+                    if cholesky(corr[np.ix_(keep + [i], keep + [i])],
+                                tol) is not None:
+                        keep.append(i)
+                kept[p, :len(keep)] = keep
+            constant = np.isnan(corr.diagonal())
+            arrays = (corr, widths, columns, kept,
+                      (constant[columns] & (columns >= 0)).any(axis=1))
+            for arr in arrays:
+                arr.flags.writeable = False
+            self._embedding = Embedding(index, *arrays)
         return self._embedding
 
     def groups(self) -> list[Group]:

@@ -163,36 +163,24 @@ def _stream(firsts: Callable, queries: Sequence[tuple]) -> list[tuple]:
     query to reach a set that cannot be tested raises its error: every
     query before it is decided by then."""
     out = [(0, None)] * len(queries)
-    todo = [(k, a, b, _subset_rows(pools, size))
-            for k, (a, b, pools, size) in enumerate(queries)][::-1]
     size = max((size for *_, size in queries), default=0)
     cap = max(MAX_BATCH, MAX_BATCH * 64 // (size + 2) ** 2)
-    held = None   # the rest of the top query's block that a call cut
-    while todo:
-        chunk, room = [], cap   # (k, a, b, blocks) per query
-        while todo and room:
-            k, a, b, rest = todo[-1]
-            sets, held = (next(rest, None), None) if held is None else \
-                (held, None)
-            if sets is None:
-                todo.pop()
-                continue
-            if len(sets) > room:
-                sets, held = sets[:room], sets[room:]
-            if chunk and chunk[-1][0] == k:
-                chunk[-1][3].append(sets)
-            else:
-                chunk.append((k, a, b, [sets]))
-            room -= len(sets)
-        if not chunk:
-            break
-        counts = [sum(map(len, blocks)) for _, _, _, blocks in chunk]
-        rows = np.column_stack((
-            np.repeat([(a, b) for _, a, b, _ in chunk], counts, axis=0),
-            np.concatenate([sets for *_, blocks in chunk for sets in blocks])))
+    sides = np.array([(a, b) for a, b, *_ in queries], np.intp)
+
+    def ask(places: list, indexes: list, owners: list[int],
+            counts: list[int]) -> bool:
+        """Ask one call, of the sets ``indexes`` into ``places``, block by
+        block, of the queries ``owners``, ``counts`` sets each; whether its
+        last query was decided."""
+        lens = [len(index) for index in indexes]
+        starts = np.cumsum([0, *map(len, places[:-1])])  # block's places
+        rows = np.empty((sum(lens), size + 2), np.intp)
+        rows[:, :2] = np.repeat(sides[owners], counts, axis=0)
+        rows[:, 2:] = np.concatenate(places)[np.concatenate(indexes) +
+                                             np.repeat(starts, lens)[:, None]]
         got = firsts(rows, counts)
         end = 0
-        for (k, *_), count, i in zip(chunk, counts, got):
+        for k, count, i in zip(owners, counts, got):
             start, end = end, end + count
             if isinstance(i, Exception):
                 try:
@@ -202,12 +190,36 @@ def _stream(firsts: Callable, queries: Sequence[tuple]) -> list[tuple]:
             tests = out[k][0]
             if i is None:
                 out[k] = (tests + count, None)
+            else:
+                out[k] = (tests + i + 1, sum(
+                    1 << v for v in rows[start + i, 2:].tolist()))
+        return out[k][1] is not None
+
+    # the next call's blocks, as places and index arrays, by query
+    places, indexes, owners, counts, room = [], [], [], [], cap
+    for k, (_, _, pools, size) in enumerate(queries):
+        for at, index in _subset_rows(pools, size):
+            while len(index) >= room:   # fill the call and ask it
+                if not owners or owners[-1] != k:
+                    owners.append(k), counts.append(0)
+                places.append(at), indexes.append(index[:room])
+                counts[-1] += room
+                decided = ask(places, indexes, owners, counts)
+                places, indexes, owners, counts = [], [], [], []
+                index, room = index[room:], cap
+                if decided:   # none of its further sets is asked
+                    break
+            else:
+                if len(index):
+                    if not owners or owners[-1] != k:
+                        owners.append(k), counts.append(0)
+                    places.append(at), indexes.append(index)
+                    counts[-1] += len(index)
+                    room -= len(index)
                 continue
-            out[k] = (tests + i + 1, sum(1 << v for v in rows[start + i, 2:]
-                                         .tolist()))
-            if todo and todo[-1][0] == k:   # cut, decided
-                todo.pop()
-                held = None
+            break
+    if owners:
+        ask(places, indexes, owners, counts)
     return out
 
 
@@ -267,10 +279,11 @@ MAX_BATCH = 256
 
 def _subset_rows(pools: Sequence[int], size: int):
     """The subsets of ``size`` positions of each of ``pools`` (masks) in
-    turn, in ``combinations`` order, each distinct subset once, as blocks of
-    at most ``MAX_BATCH`` rows: the pool's positions, indexed by
-    ``_index_blocks``, less the subsets inside an earlier pool (a subset of
-    a later pool is a repeat iff it lies inside an earlier one)."""
+    turn, in ``combinations`` order, each distinct subset once, in blocks
+    of at most ``MAX_BATCH`` rows: pairs of the pool's positions
+    (``_places``) and an index array into them, from ``_index_blocks``,
+    less the subsets inside an earlier pool (a subset of a later pool is a
+    repeat iff it lies inside an earlier one)."""
     for j, pool in enumerate(pools):
         if j and not size:   # the one empty set lies inside the first pool
             return
@@ -283,30 +296,46 @@ def _subset_rows(pools: Sequence[int], size: int):
             if shared == pool:
                 break
             if shared.bit_count() >= size:
-                insides.append(sum(1 << (pool & (1 << i) - 1).bit_count()
-                                   for i in positions(shared)))
+                insides.append(_within(shared, pool))
         else:
-            at = np.fromiter(positions(pool), np.intp, m)
+            at = _places(pool)
             for index in _index_blocks(m, size, tuple(insides)):
                 if len(index):
-                    yield at[index]
+                    yield at, index
 
 
-# elements (rows times set size) of the largest combination-index array
-# kept whole: 1 MB, and at most 32 of them are kept
-CACHED_INDEX = 1 << 17
+@lru_cache(maxsize=4096)
+def _places(pool: int) -> np.ndarray:
+    """The positions of the bits of mask ``pool``, lowest first."""
+    at = np.fromiter(positions(pool), np.intp, pool.bit_count())
+    at.flags.writeable = False   # shared by every caller
+    return at
+
+
+@lru_cache(maxsize=4096)
+def _within(shared: int, pool: int) -> int:
+    """``shared``, a mask inside ``pool``, over the places of ``pool``: bit
+    i set iff the i-th position of ``pool`` is in ``shared``."""
+    return sum(1 << i for i, v in enumerate(_places(pool).tolist())
+               if shared >> v & 1)
+
+
+# bytes of the largest combination-index array kept whole (its entries
+# take the narrowest unsigned type that holds m): 1 MB, and at most 32 of
+# them are kept
+CACHED_INDEX = 1 << 20
 
 
 def _index_blocks(m: int, k: int, insides: tuple[int, ...]):
     """The k-subsets of range(m) inside none of ``insides`` (masks over
     range(m)), in ``combinations`` order, as index arrays of at most
     ``MAX_BATCH`` rows. A lone block is built once, cached; so is the index
-    of all k-subsets up to ``CACHED_INDEX`` elements, cut into blocks as a
+    of all k-subsets up to ``CACHED_INDEX`` bytes, cut into blocks as a
     query reaches them; a larger one is built a block at a time."""
     n = comb(m, k)
     if n <= MAX_BATCH:
         return (_small_index(m, k, insides),)
-    if n * k <= CACHED_INDEX:
+    if n * k * np.min_scalar_type(m).itemsize <= CACHED_INDEX:
         index = _subsets(m, k)
         blocks = (index[i:i + MAX_BATCH] for i in range(0, n, MAX_BATCH))
     else:
@@ -320,7 +349,7 @@ def _index_blocks(m: int, k: int, insides: tuple[int, ...]):
 @lru_cache(maxsize=32)
 def _subsets(m: int, k: int) -> np.ndarray:
     index = np.fromiter(chain.from_iterable(combinations(range(m), k)),
-                        np.intp).reshape(comb(m, k), k)
+                        np.min_scalar_type(m)).reshape(comb(m, k), k)
     index.flags.writeable = False   # shared by every caller
     return index
 

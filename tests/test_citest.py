@@ -972,6 +972,141 @@ class TestBatches:
             gc.enable()
 
 
+def identity_table(seed):
+    """Three environments of 400 rows: x depends on v0, v2 and its
+    environment, v1 on v0 and the environment; r is 2 v3 in environment
+    1, so a set holding both is degenerate there only; c is constant."""
+    rng = np.random.default_rng(seed)
+    tables = []
+    for e in range(3):
+        z = rng.normal(size=(400, 8))
+        cols = {f"v{k}": z[:, k] for k in range(8)}
+        cols["v1"] = cols["v1"] + 0.5 * z[:, 0] + 0.3 * e
+        cols["x"] = 0.4 * z[:, 0] - 0.3 * z[:, 2] + \
+            rng.normal(size=400) * (1.0 + 0.2 * e)
+        cols["r"] = 2.0 * z[:, 3] if e == 1 else rng.normal(size=400)
+        cols["c"] = np.full(400, 1.5)
+        tables.append(DataTable(cols))
+    return pool_environments(tables, "E")
+
+
+class TestBatchIdentity:
+    """One ``firsts_at`` call decides what the one-set-at-a-time route
+    decides, from the same statistics bit for bit: environment rows at
+    every set size from 0 to 7 and Fisher-z rows, on a pooled table with a
+    set degenerate in one environment and a constant column."""
+
+    ALPHA = 0.05
+
+    def queries(self, t, rng):
+        others = [v for v in t.names if v not in ("E", "x", "v1")]
+        queries = []
+        for size in range(8):
+            sets = [sorted(rng.permutation(others)[:size].tolist())
+                    for _ in range(6)]
+            if size >= 2:
+                rest = [v for v in others if v not in ("r", "v3", "c")]
+                sets[2] = sorted(["r", "v3", *rest[:size - 2]])
+                sets[4] = sorted(["c", *rest[::-1][:size - 1]])
+            queries.append((size, [("E", "x", sets), ("x", "E", sets[::-1]),
+                                   ("x", "v1", sets)]))
+        return queries
+
+    @staticmethod
+    def one(t, a, b, s):
+        if "E" in (a, b):
+            return environment_test(t, a, b, s)
+        return fisher_z_test(t, a, b, s)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_batch_statistics_equal_the_single_sets(self, seed,
+                                                    monkeypatch):
+        t = identity_table(seed)
+        seen = {"fisher_z": [], "environment": []}
+        statistics, parts = citest._fisher_z_statistics, \
+            citest._environment_parts
+
+        def fisher_z(data, rows):
+            got = statistics(data, rows)
+            seen["fisher_z"].append((rows, got))
+            return got
+
+        def environment(data, rows):
+            got = parts(data, rows)
+            seen["environment"].append((rows, got))
+            return got
+
+        reached = set()
+        for size, queries in self.queries(t, np.random.default_rng(seed)):
+            for kind in seen.values():
+                kind.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(citest, "_fisher_z_statistics", fisher_z)
+                patch.setattr(citest, "_environment_parts", environment)
+                got = firsts_at(fisher_z_test, t, *stacked(t, queries),
+                                self.ALPHA)
+            want = [outcome(lambda: loop_first(
+                lambda s: self.one(t, a, b, s).p_value >= self.ALPHA,
+                sets)) for a, b, sets in queries]
+            assert [(type(g), str(g)) if isinstance(g, Exception) else g
+                    for g in got] == want
+            # one batch of each kind, and each row's statistics are those
+            # of its set alone
+            [(fit, batch)] = seen["environment"]
+            assert len(fit) == 2 * len(queries[0][2])
+            for j, row in enumerate(fit):
+                alone = parts(t, row[None])
+                for field in ("location", "scale", "fallback"):
+                    assert getattr(batch, field)[j:j + 1].tobytes() == \
+                        getattr(alone, field).tobytes()
+                s = [t.names[v] for v in row[:-1]]
+                reached.add(("fallback", bool(batch.fallback[j]),
+                             "".join(sorted({"r", "c"} & set(s)))))
+                if not batch.fallback[j]:
+                    assert citest._environment_result(
+                        t, row[-1], row[:-1], float(batch.location[j]),
+                        float(batch.scale[j]), batch.dof).statistic == \
+                        environment_test(t, "E", "x", s).statistic
+            for rows, (stats, _, errors) in seen["fisher_z"]:
+                for j, (a, b, *s) in enumerate(rows.tolist()):
+                    a, b = t.names[a], t.names[b]
+                    s = [t.names[v] for v in s]
+                    if j in errors:
+                        assert outcome(lambda: self.one(t, a, b, s)) == \
+                            (type(errors[j]), str(errors[j]))
+                        reached.add(("error", str(errors[j])))
+                    else:
+                        assert stats[j] == fisher_z_test(t, a, b,
+                                                         s).statistic
+        # the environment test answered sets, and left to Fisher-z those
+        # degenerate in one environment and those holding c, an error
+        assert reached >= {("fallback", False, ""), ("fallback", True, "r"),
+                           ("fallback", True, "c"),
+                           ("error", "constant column in correlation "
+                                     "matrix: c")}
+
+    def test_table_caches_are_read_only_and_keep_no_table_alive(self):
+        # what a batch reads of a table is computed once, read-only, and
+        # held by the table alone: dropping the table frees it at once
+        gc.disable()
+        try:
+            t = identity_table(0)
+            alive = weakref.ref(t)
+            emb = t.embedding()
+            arrays = [t.discrete(), t.constant(), t.moments().variances,
+                      emb.widths, emb.columns, emb.kept, emb.constant]
+            assert t.discrete() is arrays[0] and t.constant() is arrays[1]
+            assert not any(a.flags.writeable for a in arrays)
+            assert t.constant().tolist() == \
+                [v == "c" for v in t.names]
+            assert t.discrete().tolist() == [v == "E" for v in t.names]
+            del t, emb
+            assert alive() is None
+            assert arrays[2].shape == (12, 4)
+        finally:
+            gc.enable()
+
+
 def decided(test, t, rows, alpha):
     """Each row [a, b, *s] of names decided by one ``citest._decisions``
     call: whether it tests independent, or the class and message of the
@@ -1199,8 +1334,7 @@ class TestDegenerateGaussianBatch:
         for size in range(4):
             queries = []
             for _ in range(40):
-                # "gap" in s, not "top", whose levels sum to 1 and would
-                # fail a stack
+                # "gap" in s, a level that never occurs
                 a, b, *rest = rng.permutation(t.names[:6]).tolist()
                 rest.append("gap")
                 queries.append((a, b, [sorted(rng.permutation(rest)[:size])
@@ -1219,6 +1353,33 @@ class TestDegenerateGaussianBatch:
             assert all(len(shape) == 3 for shape in factored)
             assert len(shapes) <= len(factored) <= 2 * len(shapes)
             assert sum(shape[0] for shape in factored) >= 40 * 3
+
+    def test_unobserved_last_level_in_s_factors_in_one_stack(
+            self, monkeypatch):
+        # "top" never takes its last level, so its two embedded columns sum
+        # to 1: the table drops the second once, and the sets holding "top"
+        # factor in the stacks of their shapes, no matrix alone
+        rng = np.random.default_rng(19)
+        t = TestDegenerateGaussian.mixed_table(rng, 5000)
+        emb = t.embedding()
+        for name in ("top", "gap"):   # "gap" never takes level 1
+            kept = emb.kept[t.index[name]]
+            assert kept[kept >= 0].tolist() == [emb.index[name][0]]
+        factored = []
+        factor = citest.cholesky
+        monkeypatch.setattr(citest, "cholesky", lambda m, *tol: (
+            factored.append(m.ndim) or factor(m, *tol)))
+        answers = []
+        for size in range(1, 4):
+            queries = []
+            for _ in range(30):
+                a, b, *rest = rng.permutation(t.names[:6]).tolist()
+                queries.append((a, b, [sorted(["top", *rng.permutation(
+                    rest + ["gap"])[:size - 1]]) for _ in range(3)]))
+            answers += self.check(t, queries, 0.05)
+        assert factored and set(factored) == {3}
+        assert not any(isinstance(w, tuple) for w in answers)
+        assert None in answers and 0 in answers
 
     def test_sides_that_determine_each_other_test_dependent(self):
         # "w" and "v" relabel one another's 31 levels, so all 30 canonical

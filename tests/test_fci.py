@@ -762,9 +762,9 @@ class TestPositionLevel:
         check_args = citest._check_args
 
         def counted(pools, size):
-            for block in rows(pools, size):
-                pulled.extend([size] * len(block))
-                yield block
+            for at, index in rows(pools, size):
+                pulled.extend([size] * len(index))
+                yield at, index
 
         monkeypatch.setattr(fci_module, "_stream", lambda firsts, queries: (
             asked.append(queries) or stream(firsts, queries)))
@@ -898,9 +898,9 @@ class TestBatchedOracle:
         factor, inv = citest.cholesky, np.linalg.inv
 
         def counted(pools, size):
-            for block in subset_rows(pools, size):
-                pulled[0] += len(block)
-                yield block
+            for at, index in subset_rows(pools, size):
+                pulled[0] += len(index)
+                yield at, index
 
         def level(firsts, queries):
             pulled[0], before = 0, len(calls)
@@ -1002,21 +1002,34 @@ class TestBatchedOracle:
 
     def test_one_call_per_level_on_the_learn_wide_tables(self, monkeypatch):
         # the learn-wide benchmark at seed 0: each of its 13 adjacency
-        # levels fits in one call of ``firsts``
+        # levels fits in one call of ``firsts``, which holds all the sets
+        # that the level's queries pull
         pooled = wide_pooled(7, 2, 20_000, 0)
         levels, calls = [], []
         stream, bind = fci_module._stream, DataOracle.bind
+        subset_rows = fci_module._subset_rows
 
         def counted(self, names):
             firsts = bind(self, names)
             return lambda rows, counts: (calls.append(len(rows)) or
                                          firsts(rows, counts))
 
-        monkeypatch.setattr(fci_module, "_stream", lambda firsts, queries: (
-            levels.append(queries) or stream(firsts, queries)))
+        def level(firsts, queries):
+            before = len(calls)
+            pulled = sum(len(index) for _, _, pools, size in queries
+                         for _, index in subset_rows(pools, size))
+            got = stream(firsts, queries)
+            levels.append((pulled, row_cap(queries[0][3]),
+                           calls[before:]))
+            return got
+
+        monkeypatch.setattr(fci_module, "_stream", level)
         monkeypatch.setattr(DataOracle, "bind", counted)
         fci(DataOracle(pooled), pooled.names, self.KNOWLEDGE)
         assert len(levels) == len(calls) == 13
+        # while a level's sets fit the cap, one call asks them all
+        for pulled, cap, made in levels:
+            assert pulled <= cap and made == [pulled]
         # a cap of MAX_BATCH rows cut three of them
         assert sum(n > fci_module.MAX_BATCH for n in calls) == 3
 
