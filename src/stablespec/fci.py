@@ -59,7 +59,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, count, islice, takewhile
+from itertools import (
+    accumulate, chain, combinations, count, islice, takewhile,
+)
 from math import comb
 from typing import Callable, Iterable, Sequence
 
@@ -163,19 +165,21 @@ def _stream(firsts: Callable, queries: Sequence[tuple]) -> list[tuple]:
     query to reach a set that cannot be tested raises its error: every
     query before it is decided by then."""
     out = [(0, None)] * len(queries)
-    size = max((size for *_, size in queries), default=0)
+    size = queries[0][3] if queries else 0
     cap = max(MAX_BATCH, MAX_BATCH * 64 // (size + 2) ** 2)
-    sides = np.array([(a, b) for a, b, *_ in queries], np.intp)
 
     def ask(places: list, indexes: list, owners: list[int],
             counts: list[int]) -> bool:
         """Ask one call, of the sets ``indexes`` into ``places``, block by
         block, of the queries ``owners``, ``counts`` sets each; whether its
         last query was decided."""
-        lens = [len(index) for index in indexes]
-        starts = np.cumsum([0, *map(len, places[:-1])])  # block's places
+        sides = []
+        for k in owners:
+            sides += queries[k][:2]
+        lens = list(map(len, indexes))
+        starts = list(accumulate(map(len, places[:-1]), initial=0))
         rows = np.empty((sum(lens), size + 2), np.intp)
-        rows[:, :2] = np.repeat(sides[owners], counts, axis=0)
+        rows[:, :2] = np.repeat(np.reshape(sides, (-1, 2)), counts, axis=0)
         rows[:, 2:] = np.concatenate(places)[np.concatenate(indexes) +
                                              np.repeat(starts, lens)[:, None]]
         got = firsts(rows, counts)
@@ -198,26 +202,25 @@ def _stream(firsts: Callable, queries: Sequence[tuple]) -> list[tuple]:
     # the next call's blocks, as places and index arrays, by query
     places, indexes, owners, counts, room = [], [], [], [], cap
     for k, (_, _, pools, size) in enumerate(queries):
+        sets = 0   # the query's sets in the next call
         for at, index in _subset_rows(pools, size):
             while len(index) >= room:   # fill the call and ask it
-                if not owners or owners[-1] != k:
-                    owners.append(k), counts.append(0)
                 places.append(at), indexes.append(index[:room])
-                counts[-1] += room
+                owners.append(k), counts.append(sets + room)
                 decided = ask(places, indexes, owners, counts)
                 places, indexes, owners, counts = [], [], [], []
-                index, room = index[room:], cap
+                index, room, sets = index[room:], cap, 0
                 if decided:   # none of its further sets is asked
                     break
             else:
                 if len(index):
-                    if not owners or owners[-1] != k:
-                        owners.append(k), counts.append(0)
                     places.append(at), indexes.append(index)
-                    counts[-1] += len(index)
+                    sets += len(index)
                     room -= len(index)
                 continue
             break
+        if sets:
+            owners.append(k), counts.append(sets)
     if owners:
         ask(places, indexes, owners, counts)
     return out
