@@ -73,6 +73,19 @@ the same routine on each matrix of a stack, so a set's statistic is the
 same in any batch; the three tests are batches of one and report the
 statistics that the decisions read.
 
+What a batch reads of its table is computed once per table, in the
+table's caches: the correlation matrices and the constant-column mask
+(``DataTable.correlations``, ``constant``), the discrete mask
+(``discrete``), the environment column's position (``env_position``),
+each column's variance over all rows and within each environment
+(``Moments.variances``), and, for the degenerate-Gaussian test, each
+column's embedded positions and those a conditioning set keeps
+(``Embedding``). So a batch costs one gather and one stacked factorization
+per kind of row, environment and other (per embedded shape for the
+degenerate-Gaussian test), and a fixed few dozen small numpy calls: on the
+learn-wide tables (3 x 20k rows, 11 columns) a batch of 6 rows takes about
+90 us and one of 225 rows about 260 us on a 2-vCPU Xeon VM.
+
 All p-values come in closed form: the two-sided normal tail as
 ``erfc(z / sqrt 2)``, and the chi-square upper tail at integer degrees of
 freedom as a finite sum of Poisson-type terms (plus an ``erfc`` term for
@@ -239,24 +252,23 @@ def _decisions(test: Callable, data: DataTable, rows: np.ndarray,
     only where the critical values fall between them."""
     statistics_of = batched_statistics(test)
     env = data.env_position
-    on_env = None if env is None else (rows[:, 0] == env) | (rows[:, 1] == env)
-    if on_env is None or not on_env.any():
-        on_env = by_test = None  # ``test`` answers every row
-        tested = rows
-    else:
-        pairs = rows[on_env]
-        # [*s, x], x the side that is not the environment column: one of a
-        # and b is env, so x = a + b - env
-        fit = np.concatenate(
-            (pairs[:, 2:], (pairs[:, 0] + pairs[:, 1] - env)[:, None]),
-            axis=1)
-        parts = _environment_parts(data, fit)
-        decided = np.empty(len(rows), dtype=int)
-        decided[on_env] = _bracketed(parts.location, parts.location +
-                                     parts.scale, parts.dof, alpha)
-        by_test = ~on_env  # the rows ``test`` answers
-        by_test[on_env] = parts.fallback
-        tested = rows[by_test]
+    by_test = None  # the rows ``test`` answers, where not all
+    if env is not None:
+        on_env = (rows[:, 0] == env) | (rows[:, 1] == env)
+        if on_env.any():
+            pairs = rows[on_env]
+            # [*s, x], x the side that is not the environment column: one
+            # of a and b is env, so x = a + b - env
+            fit = np.concatenate(
+                (pairs[:, 2:], (pairs[:, 0] + pairs[:, 1] - env)[:, None]),
+                axis=1)
+            parts = _environment_parts(data, fit)
+            decided = np.empty(len(rows), dtype=int)
+            decided[on_env] = _bracketed(parts.location, parts.location +
+                                         parts.scale, parts.dof, alpha)
+            by_test = ~on_env
+            by_test[on_env] = parts.fallback
+    tested = rows if by_test is None else rows[by_test]
     statistics, dofs, errors = statistics_of(data, tested)
     if by_test is None:
         decided = _bracketed(statistics, statistics, dofs, alpha)
@@ -613,8 +625,8 @@ def _degenerate_gaussian_statistics(data: DataTable, rows: np.ndarray
                                                dict[int, Exception]]:
     """The degenerate-Gaussian statistic and dof of each row [a, b, *s] of
     ``rows``, as ``_fisher_z_statistics``. A column enters as its columns in
-    ``DataTable.embedding()``, whose index gives the widths, without the
-    constant ones of s; the submatrices of each shape go to one
+    ``DataTable.embedding()``, of s those that ``Embedding.kept`` keeps;
+    the submatrices of each shape go to one
     ``_factor_tails`` call. From the rows [L_ba, L_bb] of b of a factor, -log
     Lambda is log1p(|L_ba|^2 / L_bb^2) for db = 1, Fisher-z's -log(1 - r^2),
     else log det(L_ba L_ba^T + L_bb L_bb^T) - 2 sum log diag(L_bb); the

@@ -178,12 +178,14 @@ class DataTable:
     from them once a caller asks for rows (see ``column``). Derived
     statistics are computed on first use, each in one pass over the rows,
     and cached read-only on the table: ``moments()`` (per-environment and
-    pooled means and centred Gram matrices), ``correlations()`` and
-    ``correlation()`` (Pearson correlations of the numeric codes, which
-    Fisher-z and the environment test read) and ``embedding()``
-    (correlations of the one-hot embedding, which the degenerate-Gaussian
-    test reads). Both correlation caches come from ``correlation``, so on
-    a continuous table they agree up to rounding.
+    pooled means, centred Gram matrices and variances), ``correlations()``
+    and ``correlation()`` (Pearson correlations of the numeric codes, which
+    Fisher-z and the environment test read, with ``constant()``, the
+    columns constant over all rows) and ``embedding()`` (correlations of
+    the one-hot embedding, which the degenerate-Gaussian test reads). Both
+    correlation caches come from ``correlation``, so on a continuous table
+    they agree up to rounding. ``discrete()`` and ``env_position`` give the
+    kinds and the environment column by position.
     """
 
     def __init__(self, columns: Mapping[str, np.ndarray],

@@ -36,11 +36,12 @@ level-wise search, which reads the pools of every adjacent pair before it
 tests any (Colombo & Maathuis 2014), so one stream asks a whole level, as
 GPU PC (cuPC) does. A query (a, b, pools, size) of a level, pools masks,
 asks the subsets of ``size`` vertices of each pool in turn, each distinct
-subset once, built from cached combination-index arrays
-(``_subset_rows``); they are cut into calls of ``firsts`` of as many sets
-as fill ``MAX_BATCH`` * 64 matrix elements, (|s| + 2)^2 per set, but never
-fewer than ``MAX_BATCH``, one piece per query, and a pair decided in one
-call adds no sets to the next. A query counts as one CI test per set decided:
+subset once, as cached combination-index arrays into the pool's positions,
+cached per pool mask (``_subset_rows``); they are cut into calls of
+``firsts`` of as many sets as fill ``MAX_BATCH`` * 64 matrix elements,
+(|s| + 2)^2 per set, but never fewer than ``MAX_BATCH``, one piece per
+query, a call's rows built by one gather, and a pair decided in one call
+adds no sets to the next. A query counts as one CI test per set decided:
 up to and including its first separating one, which is recorded as a
 mask; the first query to reach a set that cannot be tested raises its
 error. ``SeparationOracle`` answers by m-separation in a known graph,
