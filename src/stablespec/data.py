@@ -110,7 +110,8 @@ class Embedding(NamedTuple):
     the same positions by column position, and ``kept`` those that a
     conditioning set keeps: not constant, and not a linear combination of
     the column's kept embedded columns before it (by ``cholesky``), as the
-    last one is where a column's last level never occurs.
+    last is where a column's last level never occurs, so that its embedded
+    columns sum to 1.
     """
 
     index: dict[str, np.ndarray]
