@@ -361,9 +361,12 @@ def _factor_tails(corr: np.ndarray, order: np.ndarray, da: int, db: int,
     kept ones before it is at most ``tol`` dropped) with a code: 0, else (rows
     NaN) 2 where [*s, *a] does not factor, 3 where [*s, *b] does not, 1 where
     both do (a and b determine each other)."""
-    # broadcast index arrays: np.ix_ would cost more than the lookup itself
-    sub = corr[..., order[:, :, None], order[:, None, :]]
-    sub = sub.reshape(-1, *sub.shape[-2:])
+    # one take of flat positions: broadcast index arrays on a stack, let
+    # alone np.ix_, cost more than the lookup itself
+    k, q = corr.shape[-1], order.shape[1]
+    sub = corr.reshape(-1, k * k).take(order[:, :, None] * k +
+                                       order[:, None, :], axis=1)
+    sub = sub.reshape(-1, q, q)
     tol, w = math.sqrt(MIN_UNEXPLAINED), da + db
     chol = cholesky(sub, tol)
     if chol is not None:
