@@ -250,7 +250,6 @@ def _decisions(test: Callable, data: DataTable, rows: np.ndarray,
     shrinks the scale part, so the environment statistic lies between the
     location part and the sum of both parts; the kurtosis is estimated
     only where the critical values fall between them."""
-    statistics_of = batched_statistics(test)
     env = data.env_position
     by_test = None  # the rows ``test`` answers, where not all
     if env is not None:
@@ -269,7 +268,7 @@ def _decisions(test: Callable, data: DataTable, rows: np.ndarray,
             by_test = ~on_env
             by_test[on_env] = parts.fallback
     tested = rows if by_test is None else rows[by_test]
-    statistics, dofs, errors = statistics_of(data, tested)
+    statistics, dofs, errors = batched_statistics(test)(data, tested)
     if by_test is None:
         decided = _bracketed(statistics, statistics, dofs, alpha)
     else:
