@@ -411,11 +411,12 @@ def _fisher_z_statistics(data: DataTable, rows: np.ndarray
     ok = slice(None)
     if constant.any():
         fixed = constant[rows]
-        for j in np.flatnonzero(fixed.any(axis=1)).tolist():
+        bad = fixed.any(axis=1)
+        for j in np.flatnonzero(bad).tolist():
             errors[j] = DegenerateDataError(
                 f"constant column in correlation matrix: "
                 f"{data.names[rows[j, fixed[j].argmax()]]}")
-        ok = np.flatnonzero(~fixed.any(axis=1))
+        ok = np.flatnonzero(~bad)
     order = np.concatenate((rows[ok, 2:], rows[ok, :2]), axis=1)  # [*s, a, b]
     tails, codes = _factor_tails(corr, order, 1, 1, False)
     last = tails[:, 0]  # [l_ba, l_bb] of each factor
