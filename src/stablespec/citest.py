@@ -82,9 +82,10 @@ each column's variance over all rows and within each environment
 column's embedded positions and those a conditioning set keeps
 (``Embedding``). So a batch costs one gather and one stacked factorization
 per kind of row, environment and other (per embedded shape for the
-degenerate-Gaussian test), and a fixed few dozen small numpy calls: on the
-learn-wide tables (3 x 20k rows, 11 columns) a batch of 6 rows takes about
-90 us and one of 225 rows about 260 us on a 2-vCPU Xeon VM.
+degenerate-Gaussian test), and about 80 small numpy calls whatever its
+size: on the learn-wide tables (3 x 20k rows, 11 columns) a batch of 6
+rows takes about 90 us and one of 225 rows about 260 us on a 2-vCPU Xeon
+VM.
 
 All p-values come in closed form: the two-sided normal tail as
 ``erfc(z / sqrt 2)``, and the chi-square upper tail at integer degrees of
